@@ -12,11 +12,11 @@ your own pass log / component registry / strata table to analyse real data.
 
 from msinv import EstimatorConfig
 from msinv.datasets import load_packaged_subset
-from msinv.frame import derive_counts, validate
+from msinv.frame import validate
 from msinv.measurement import bias_corrected_inventory
 
 frame = load_packaged_subset()
-days, passes_per_day = derive_counts(frame)
+days = frame.days_surveyed
 print(f"{len(frame.components)} components, {len(frame.passes)} passes, "
       f"{sum(p.detected for p in frame.passes)} detections")
 print(f"survey days per component: min {min(days.values())}, max {max(days.values())}")

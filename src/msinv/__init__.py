@@ -6,7 +6,7 @@ from .estimators import (
     estimate_survey,
     wald_ci,
 )
-from .frame import SurveyFrame, load_survey, save_survey, derive_counts, validate
+from .frame import SurveyFrame, load_survey, save_survey, validate
 from .pod import MeasurementModel, PodParams, bias_correct, pod, sample_true_rate
 from .reporting import InventoryReport, KG_H_PER_KT_Y
 
@@ -20,7 +20,6 @@ __all__ = [
     "PodParams",
     "SurveyFrame",
     "bias_correct",
-    "derive_counts",
     "estimate_survey",
     "load_survey",
     "pod",

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .datasets import packaged_subset_paths
 from .estimators import EstimationError, EstimatorConfig
-from .frame import FrameError, derive_counts, load_survey, validate
+from .frame import FrameError, load_survey, validate
 from .measurement import McConfig, bias_corrected_inventory, run_mc, write_trace_csv
 from .planner import gamma_table, predict_variance, scenario_from_json
 from .pod import MeasurementModel, PodParams
@@ -246,7 +246,6 @@ def cmd_diagnose(args) -> int:
     frame = load_survey(inputs["passes"], inputs["frame"], inputs["strata"])
     manifest = build_manifest("diagnose", {}, inputs)
     diag = validate(frame)
-    days, passes = derive_counts(frame)
     gt = gamma_table(frame, pod_params, measurement)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -294,7 +293,8 @@ def build_parser() -> _Parser:
     est.add_argument("--decomposition", choices=["corrected", "printed"], default="corrected")
     est.add_argument("--trace", action="store_true", help="emit the MC convergence trace")
     est.add_argument("--threads", type=int, default=None,
-                     help="MC worker threads (default: MSINV_THREADS or 1)")
+                     help="MC worker threads (default: MSINV_THREADS or 1; "
+                          "capped at the CPU count)")
     est.add_argument("--all-variants", action="store_true",
                      help="run all eight estimator/stage2/measurement combinations")
     est.add_argument("--out-dir", default="msinv-out")

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.stats import norm
 
 from . import reporting
-from .design import StageOnePlan
 from .frame import StratumDef, SurveyFrame
 from .pod import PHI_FLOOR, PodParams, DEFAULT_POD, phi_any_detection, pod
 
@@ -488,7 +487,7 @@ class SurveyEstimate:
 
 
 def stratum_total(
-    stratum: StratumDef, components, plan: StageOnePlan, decomposition: str = "corrected"
+    stratum: StratumDef, components, decomposition: str = "corrected"
 ) -> StratumEstimate:
     """Expand component estimates to a stratum total with variance split.
 
@@ -497,8 +496,8 @@ def stratum_total(
     the SRS-pair weight 1 - f^2/g with g = n(n-1)/(N(N-1)), and cross-stratum
     terms vanish by independence.
     """
-    f = plan.fraction(stratum.name)
     n, big_n = stratum.n_sampled, stratum.n_population
+    f = n / big_n
     fac_sums: dict[str, float] = {}
     total = 0.0
     v23 = 0.0
@@ -599,6 +598,10 @@ def _estimate_component(comp: ComponentObs, config: EstimatorConfig):
     """Return (estimate, needs_pooling).  Pooled estimates lack ``var``."""
     d_p = comp.n_days()
     horizon = _resolve_horizon(d_p, config)
+    if d_p > horizon:
+        raise EstimationError(
+            f"component {comp.component_id!r}: d_p={d_p} exceeds the horizon D={horizon}"
+        )
     meta = dict(facility_id=comp.facility_id, stratum=comp.stratum,
                 wells_allocated=comp.wells_allocated)
 
@@ -708,7 +711,6 @@ def estimate_survey(components, strata, config: EstimatorConfig,
     per stratum and, from the raw population sums, at the population level;
     the unclipped values ride along for diagnostics and the oracle tests.
     """
-    plan = StageOnePlan(strata=strata if isinstance(strata, dict) else dict(strata))
     by_stratum: dict[str, list[ComponentEstimate]] = {name: [] for name in strata}
     pending: list[tuple[int, str]] = []
     for comp in components:
@@ -739,7 +741,7 @@ def estimate_survey(components, strata, config: EstimatorConfig,
     total = v3stage = s3_pop = s23_pop = 0.0
     u1 = u2 = u3 = 0.0
     for name, stratum in strata.items():
-        se = stratum_total(stratum, by_stratum[name], plan, config.decomposition)
+        se = stratum_total(stratum, by_stratum[name], config.decomposition)
         stratum_ests[name] = se
         total += se.total
         v3stage += se.v3stage

@@ -9,6 +9,7 @@ per-day pass count that every estimator divides by.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,7 +22,6 @@ __all__ = [
     "FrameDiagnostics",
     "load_survey",
     "save_survey",
-    "derive_counts",
     "validate",
 ]
 
@@ -88,20 +88,20 @@ class Pass:
 
     def __post_init__(self):
         if self.detected:
-            if self.measured_rate is None or self.measured_rate <= 0:
+            if self.measured_rate is None or not 0 < self.measured_rate < math.inf:
                 raise FrameError(
                     f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
-                    "detected pass needs measured_rate > 0"
+                    "detected pass needs a finite measured_rate > 0"
                 )
-            if self.wind_speed is None or self.wind_speed < 0:
+            if self.wind_speed is None or not 0 <= self.wind_speed < math.inf:
                 raise FrameError(
                     f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
-                    "detected pass needs wind_speed >= 0"
+                    "detected pass needs a finite wind_speed >= 0"
                 )
-            if self.altitude is None or self.altitude <= 0:
+            if self.altitude is None or not 0 < self.altitude < math.inf:
                 raise FrameError(
                     f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
-                    "detected pass needs altitude > 0"
+                    "detected pass needs a finite altitude > 0"
                 )
         else:
             if (self.measured_rate, self.wind_speed, self.altitude) != (None, None, None):
@@ -196,15 +196,6 @@ class SurveyFrame:
         return dict(self._passes_per_day)
 
 
-def derive_counts(frame: SurveyFrame):
-    """Return (d_p per component, Q_pt per component-day).
-
-    d_p counts distinct days with at least one pass, detected or not; Q_pt
-    counts all passes on the day.
-    """
-    return frame.days_surveyed, frame.passes_per_day
-
-
 @dataclass(frozen=True)
 class FrameDiagnostics:
     """Data-quality findings; informational only, never fatal."""
@@ -267,9 +258,12 @@ def _parse_int(text: str, what: str, row: int, path: str) -> int:
 
 def _parse_float(text: str, what: str, row: int, path: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise FrameError(f"{path} row {row}: cannot parse {what} from {text!r}") from None
+    if not math.isfinite(value):
+        raise FrameError(f"{path} row {row}: {what} must be finite, got {text!r}")
+    return value
 
 
 def _check_header(got: list[str] | None, want: list[str], path: str):

@@ -47,11 +47,15 @@ THREADS_ENV = "MSINV_THREADS"
 
 
 def resolve_threads(requested: int | None) -> int:
-    """Worker count: explicit argument, else the MSINV_THREADS cap, else 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(THREADS_ENV)
-    return max(1, int(env)) if env else 1
+    """Worker count: explicit argument, else MSINV_THREADS, else 1.
+
+    Capped at the CPU count: the iterations hold the GIL for most of their
+    time, so more threads than CPUs only add contention.
+    """
+    if requested is None:
+        env = os.environ.get(THREADS_ENV)
+        requested = int(env) if env else 1
+    return max(1, min(int(requested), os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -163,7 +167,7 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
             first_diag["n_pooled"] = est.n_pooled
             first_diag["n_pooled_no_peers"] = est.n_pooled_no_peers
 
-    workers = resolve_threads(config.threads)
+    workers = min(resolve_threads(config.threads), b_total)
     if workers == 1:
         for b in range(b_total):
             one_iteration(b)

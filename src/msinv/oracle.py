@@ -16,12 +16,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimators import (
     ComponentObs,
-    DayObs,
+    DailyEstimate,
     EstimatorConfig,
     estimate_survey,
     hajek_daily,
@@ -160,14 +161,21 @@ def true_total(pop: MicroPopulation) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _day_patterns(comp: MicroComponent, day_idx: int):
-    """All detection outcomes of one component-day with their probabilities.
+class _DayPattern(NamedTuple):
+    """One detection outcome of a component-day.
 
-    Returns a list of (prob, DayObs, dailies) where ``dailies`` maps
-    estimator kind to the precomputed daily estimate for the pattern; the
-    estimates are pure functions of the pattern, so computing them once here
+    ``dailies`` maps estimator kind to the daily estimate for the pattern;
+    the estimates are pure functions of the pattern, so computing them once
     keeps the per-outcome work down to assembly.
     """
+
+    prob: float
+    detected: bool
+    dailies: dict[str, DailyEstimate]
+
+
+def _day_patterns(comp: MicroComponent, day_idx: int) -> list[_DayPattern]:
+    """All detection outcomes of one component-day with their probabilities."""
     passes = comp.days[day_idx]
     q = len(passes)
     out = []
@@ -181,7 +189,6 @@ def _day_patterns(comp: MicroComponent, day_idx: int):
                 phis.append(p.phi)
             else:
                 prob *= 1.0 - p.phi
-        dobs = DayObs(day_id=day_idx, q_total=q, rates=tuple(rates), phis=tuple(phis))
         dets = list(zip(rates, phis))
         ipw_est = ipw_daily(dets, q, component_id=comp.component_id, day_id=day_idx)
         if phis:
@@ -191,7 +198,7 @@ def _day_patterns(comp: MicroComponent, day_idx: int):
                                     component_id=comp.component_id, day_id=day_idx)
         else:
             hajek_est = ipw_est
-        out.append((prob, dobs, {"ipw": ipw_est, "hajek": hajek_est}))
+        out.append(_DayPattern(prob, bool(phis), {"ipw": ipw_est, "hajek": hajek_est}))
     return out
 
 
@@ -208,6 +215,84 @@ def _enumeration_size(pop: MicroPopulation) -> int:
             len(day) for day in sorted(c.days, key=len, reverse=True)[: pop.days_sampled]
         )
     return size * 2**worst_passes
+
+
+class _Outcome(NamedTuple):
+    """One realisation of the three-stage sample.
+
+    ``stage1`` and ``stage2`` index the stage I draw and the (stage I, stage
+    II) cell the outcome belongs to.  ``design_prob`` is the probability of
+    that cell, ``prob`` the full outcome probability.  ``patterns`` lists one
+    detection pattern per sampled component-day, in component then day order,
+    and ``obs`` the assembled observations per requested estimator kind.
+    """
+
+    stage1: int
+    stage2: int
+    design_prob: float
+    prob: float
+    components: list[MicroComponent]
+    days: tuple[tuple[int, ...], ...]
+    patterns: tuple[_DayPattern, ...]
+    obs: dict[str, list[ComponentObs]]
+
+
+def _observations(pop: MicroPopulation, components, days, patterns, kind: str):
+    """The sampled components' ComponentObs built from one kind's daily estimates."""
+    per_day = iter(patterns)
+    return [
+        ComponentObs(
+            component_id=c.component_id,
+            facility_id=c.facility_id,
+            stratum=pop.facilities[c.facility_id],
+            dailies=tuple(next(per_day).dailies[kind] for _ in sel),
+        )
+        for c, sel in zip(components, days)
+    ]
+
+
+def _outcomes(pop: MicroPopulation, kinds, max_outcomes: int = MAX_OUTCOMES):
+    """Yield every stage I x II x III outcome exactly once.
+
+    Outcomes come grouped by stage I draw, then by day selection.  ``kinds``
+    names the estimator kinds whose observations each outcome carries.
+    """
+    size = _enumeration_size(pop)
+    if size > max_outcomes:
+        raise ValueError(f"enumeration would visit ~{size} outcomes (limit {max_outcomes})")
+
+    by_stratum = pop.stratum_facilities()
+    stage1_lists = []
+    stage1_prob = 1.0
+    for name in sorted(pop.strata):
+        combos = list(itertools.combinations(by_stratum[name], pop.strata[name].n_sampled))
+        stage1_lists.append(combos)
+        stage1_prob /= len(combos)
+    day_subsets = list(itertools.combinations(range(pop.horizon), pop.days_sampled))
+    stage2_prob_one = 1.0 / len(day_subsets)
+    patterns = {
+        (c.component_id, t): _day_patterns(c, t)
+        for c in pop.components
+        for t in range(pop.horizon)
+    }
+
+    cell2 = 0
+    for cell1, s1 in enumerate(itertools.product(*stage1_lists)):
+        sampled_facs = set(itertools.chain.from_iterable(s1))
+        sampled = [c for c in pop.components if c.facility_id in sampled_facs]
+        design_prob = stage1_prob * stage2_prob_one ** len(sampled)
+        for day_sel in itertools.product(day_subsets, repeat=len(sampled)):
+            pairs = [(c, t) for c, days in zip(sampled, day_sel) for t in days]
+            for det_sel in itertools.product(
+                *(patterns[(c.component_id, t)] for c, t in pairs)
+            ):
+                p = design_prob
+                for pattern in det_sel:
+                    p *= pattern.prob
+                obs = {kind: _observations(pop, sampled, day_sel, det_sel, kind)
+                       for kind in kinds}
+                yield _Outcome(cell1, cell2, design_prob, p, sampled, day_sel, det_sel, obs)
+            cell2 += 1
 
 
 @dataclass
@@ -266,75 +351,24 @@ def enumerate_outcomes(
     """
     if isinstance(configs, EstimatorConfig):
         configs = [configs]
-    size = _enumeration_size(pop)
-    if size > max_outcomes:
-        raise ValueError(f"enumeration would visit ~{size} outcomes (limit {max_outcomes})")
-
-    by_stratum = pop.stratum_facilities()
-    names = sorted(pop.strata)
-    stage1_lists = []
-    stage1_prob = 1.0
-    for name in names:
-        combos = list(itertools.combinations(by_stratum[name], pop.strata[name].n_sampled))
-        stage1_lists.append(combos)
-        stage1_prob /= len(combos)
-    comps_by_fac: dict[str, list[MicroComponent]] = {}
-    for c in pop.components:
-        comps_by_fac.setdefault(c.facility_id, []).append(c)
-    day_subsets = list(itertools.combinations(range(pop.horizon), pop.days_sampled))
-    stage2_prob_one = 1.0 / len(day_subsets)
-    patterns = {
-        (c.component_id, t): _day_patterns(c, t)
-        for c in pop.components
-        for t in range(pop.horizon)
-    }
-
     probs: list[float] = []
     per_config: list[dict[str, list[float]]] = [
         {k: [] for k in ("total", "v3stage", "v1", "v2", "v3", "u1", "u2", "u3")}
         for _ in configs
     ]
     kinds = sorted({cfg.estimator for cfg in configs})
-    for s1 in itertools.product(*stage1_lists):
-        sampled_facs = set(itertools.chain.from_iterable(s1))
-        sampled = [c for c in pop.components if c.facility_id in sampled_facs]
-        p2_all = stage2_prob_one ** len(sampled)
-        for day_sel in itertools.product(day_subsets, repeat=len(sampled)):
-            pairs = [(c, t) for c, days in zip(sampled, day_sel) for t in days]
-            for det_sel in itertools.product(
-                *(patterns[(c.component_id, t)] for c, t in pairs)
-            ):
-                p = stage1_prob * p2_all
-                for dp, _, _ in det_sel:
-                    p *= dp
-                obs_by_kind = {}
-                for kind in kinds:
-                    obs = []
-                    i = 0
-                    for c, days in zip(sampled, day_sel):
-                        dailies = tuple(det_sel[i + j][2][kind] for j in range(len(days)))
-                        i += len(days)
-                        obs.append(
-                            ComponentObs(
-                                component_id=c.component_id,
-                                facility_id=c.facility_id,
-                                stratum=pop.facilities[c.facility_id],
-                                dailies=dailies,
-                            )
-                        )
-                    obs_by_kind[kind] = obs
-                probs.append(p)
-                for cfg_idx, cfg in enumerate(configs):
-                    est = estimate_survey(obs_by_kind[cfg.estimator], pop.strata, cfg)
-                    rec = per_config[cfg_idx]
-                    rec["total"].append(est.total)
-                    rec["v3stage"].append(est.v3stage)
-                    rec["v1"].append(est.v1)
-                    rec["v2"].append(est.v2)
-                    rec["v3"].append(est.v3)
-                    rec["u1"].append(est.u1)
-                    rec["u2"].append(est.u2)
-                    rec["u3"].append(est.u3)
+    for outcome in _outcomes(pop, kinds, max_outcomes):
+        probs.append(outcome.prob)
+        for cfg, rec in zip(configs, per_config):
+            est = estimate_survey(outcome.obs[cfg.estimator], pop.strata, cfg)
+            rec["total"].append(est.total)
+            rec["v3stage"].append(est.v3stage)
+            rec["v1"].append(est.v1)
+            rec["v2"].append(est.v2)
+            rec["v3"].append(est.v3)
+            rec["u1"].append(est.u1)
+            rec["u2"].append(est.u2)
+            rec["u3"].append(est.u3)
 
     total_p = math.fsum(probs)
     if abs(total_p - 1.0) > 1e-12:
@@ -373,55 +407,22 @@ def exact_stage_variances(pop: MicroPopulation, config: EstimatorConfig):
     For inverse-probability weighting these equal the closed-form true
     variances evaluated by the survey planner.
     """
-    by_stratum = pop.stratum_facilities()
-    names = sorted(pop.strata)
-    stage1_lists = [
-        list(itertools.combinations(by_stratum[name], pop.strata[name].n_sampled))
-        for name in names
-    ]
-    day_subsets = list(itertools.combinations(range(pop.horizon), pop.days_sampled))
-    patterns = {
-        (c.component_id, t): _day_patterns(c, t)
-        for c in pop.components
-        for t in range(pop.horizon)
-    }
-
     m2_vals: list[float] = []       # E[That | s1] per stage I outcome
     var2_vals: list[float] = []     # Var_II(E_III[That]) per stage I outcome
     mean_v3_vals: list[float] = []  # E_II[Var_III(That)] per stage I outcome
-    n_s1 = 0
-    for s1 in itertools.product(*stage1_lists):
-        n_s1 += 1
-        sampled_facs = set(itertools.chain.from_iterable(s1))
-        sampled = [c for c in pop.components if c.facility_id in sampled_facs]
+    outcomes = _outcomes(pop, [config.estimator])
+    for _, cell1 in itertools.groupby(outcomes, key=lambda o: o.stage1):
         m3_list: list[float] = []
         v3_list: list[float] = []
-        for day_sel in itertools.product(day_subsets, repeat=len(sampled)):
-            pairs = [(c, t) for c, days in zip(sampled, day_sel) for t in days]
+        for _, cell2 in itertools.groupby(cell1, key=lambda o: o.stage2):
             tot_p: list[float] = []
             tot_v: list[float] = []
-            for det_sel in itertools.product(
-                *(patterns[(c.component_id, t)] for c, t in pairs)
-            ):
+            for outcome in cell2:
+                # probability of the detections given stages I and II
                 p = 1.0
-                for dp, _, _ in det_sel:
-                    p *= dp
-                obs = []
-                i = 0
-                for c, days in zip(sampled, day_sel):
-                    dailies = tuple(
-                        det_sel[i + j][2][config.estimator] for j in range(len(days))
-                    )
-                    i += len(days)
-                    obs.append(
-                        ComponentObs(
-                            component_id=c.component_id,
-                            facility_id=c.facility_id,
-                            stratum=pop.facilities[c.facility_id],
-                            dailies=dailies,
-                        )
-                    )
-                est = estimate_survey(obs, pop.strata, config)
+                for pattern in outcome.patterns:
+                    p *= pattern.prob
+                est = estimate_survey(outcome.obs[config.estimator], pop.strata, config)
                 tot_p.append(p)
                 tot_v.append(est.total)
             m3 = math.fsum(p * t for p, t in zip(tot_p, tot_v))
@@ -435,6 +436,7 @@ def exact_stage_variances(pop: MicroPopulation, config: EstimatorConfig):
         var2_vals.append(e2sq - e2 * e2)
         mean_v3_vals.append(math.fsum(v3_list) / n2)
 
+    n_s1 = len(m2_vals)
     e1 = math.fsum(m2_vals) / n_s1
     e1sq = math.fsum(m * m for m in m2_vals) / n_s1
     v_one = e1sq - e1 * e1
@@ -452,50 +454,24 @@ def outcome_probabilities(pop: MicroPopulation):
     agree identically, which is the design-equivalence property made testable.
     Returns (original, modified) arrays over the enumerated outcomes.
     """
-    by_stratum = pop.stratum_facilities()
-    names = sorted(pop.strata)
-    stage1_lists = [
-        list(itertools.combinations(by_stratum[name], pop.strata[name].n_sampled))
-        for name in names
-    ]
-    stage1_prob = 1.0
-    for lst in stage1_lists:
-        stage1_prob /= len(lst)
-    day_subsets = list(itertools.combinations(range(pop.horizon), pop.days_sampled))
-    stage2_prob_one = 1.0 / len(day_subsets)
-    patterns = {
-        (c.component_id, t): _day_patterns(c, t)
-        for c in pop.components
-        for t in range(pop.horizon)
-    }
     phi_dot = {
         (c.component_id, t): 1.0 - math.prod(1.0 - p.phi for p in c.days[t])
         for c in pop.components
         for t in range(pop.horizon)
     }
-
     original: list[float] = []
     modified: list[float] = []
-    for s1 in itertools.product(*stage1_lists):
-        sampled_facs = set(itertools.chain.from_iterable(s1))
-        sampled = [c for c in pop.components if c.facility_id in sampled_facs]
-        p2_all = stage2_prob_one ** len(sampled)
-        for day_sel in itertools.product(day_subsets, repeat=len(sampled)):
-            pairs = [(c, t) for c, days in zip(sampled, day_sel) for t in days]
-            for det_sel in itertools.product(
-                *(patterns[(c.component_id, t)] for c, t in pairs)
-            ):
-                p_orig = stage1_prob * p2_all
-                p_mod = stage1_prob * p2_all
-                for (c, t), (dp, dobs, _) in zip(pairs, det_sel):
-                    p_orig *= dp
-                    phid = phi_dot[(c.component_id, t)]
-                    if dobs.phis:
-                        # day enters the starred sample; detections follow the
-                        # conditional (non-Poisson) within-day design
-                        p_mod *= phid * (dp / phid)
-                    else:
-                        p_mod *= 1.0 - phid
-                original.append(p_orig)
-                modified.append(p_mod)
+    for outcome in _outcomes(pop, []):
+        p_mod = outcome.design_prob
+        pairs = [(c, t) for c, days in zip(outcome.components, outcome.days) for t in days]
+        for (c, t), pattern in zip(pairs, outcome.patterns):
+            phid = phi_dot[(c.component_id, t)]
+            if pattern.detected:
+                # day enters the starred sample; detections follow the
+                # conditional (non-Poisson) within-day design
+                p_mod *= phid * (pattern.prob / phid)
+            else:
+                p_mod *= 1.0 - phid
+        original.append(outcome.prob)
+        modified.append(p_mod)
     return np.array(original), np.array(modified)

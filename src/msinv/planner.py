@@ -93,10 +93,10 @@ def predict_variance_exact(pop: MicroPopulation, estimator: str = "ipw") -> Stag
 
     facs = pop.stratum_facilities()
     v_two = v_three = 0.0
-    ybar_comp: dict[str, float] = {}
+    fac_sums: dict[str, float] = {}
     for comp in pop.components:
         ybars = [sum(p.rate for p in day) / len(day) for day in comp.days]
-        ybar_comp[comp.component_id] = sum(ybars) / big_d
+        fac_sums[comp.facility_id] = fac_sums.get(comp.facility_id, 0.0) + sum(ybars) / big_d
         stratum = pop.strata[pop.facilities[comp.facility_id]]
         pi1 = stratum.n_sampled / stratum.n_population
         if estimator == "ipw":
@@ -123,12 +123,7 @@ def predict_variance_exact(pop: MicroPopulation, estimator: str = "ipw") -> Stag
     for name, stratum in pop.strata.items():
         n, big_n = stratum.n_sampled, stratum.n_population
         f = n / big_n
-        fac_vals = []
-        for fac in facs[name]:
-            fac_vals.append(
-                sum(y for cid, y in ybar_comp.items()
-                    if _facility_of(pop, cid) == fac)
-            )
+        fac_vals = [fac_sums.get(fac, 0.0) for fac in facs[name]]
         total = sum(fac_vals)
         sumsq = sum(v * v for v in fac_vals)
         v_one += (1.0 - f) / f * sumsq
@@ -136,13 +131,6 @@ def predict_variance_exact(pop: MicroPopulation, estimator: str = "ipw") -> Stag
             g = n * (n - 1) / (big_n * (big_n - 1))
             v_one += (g - f * f) / (f * f) * (total * total - sumsq)
     return StageVariances(stage1=v_one, stage2=v_two, stage3=v_three)
-
-
-def _facility_of(pop: MicroPopulation, component_id: str) -> str:
-    for c in pop.components:
-        if c.component_id == component_id:
-            return c.facility_id
-    raise KeyError(component_id)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +220,7 @@ def scenario_from_json(source) -> PlanScenario:
     )
 
 
-def _day_moment_closed(m2: float, s1: float, marginal: float, joint_offdiag: float,
-                       horizon: int) -> float:
+def _day_moment_closed(m2: float, s1: float, marginal: float, joint_offdiag: float) -> float:
     """Closed form of `_day_moment_sum` for exchangeable day designs.
 
     Uses only the day second moment M2 = sum y_t^2 and first moment
@@ -267,11 +254,11 @@ def predict_variance(scenario: PlanScenario, estimator: str = "ipw"):
             m2 = (big_d - 1) * prof.day_sd**2 + big_d * prof.ybar**2
             s1 = big_d * prof.ybar
             if estimator == "ipw":
-                v2_p = _day_moment_closed(m2, s1, f2, j2, big_d) / (big_d * big_d)
+                v2_p = _day_moment_closed(m2, s1, f2, j2) / (big_d * big_d)
                 v3_p = k3 * m2 / (big_d * d)
             else:
                 gm = phi_dot * f2
-                v2_p = _day_moment_closed(m2, s1, gm, phi_dot * phi_dot * j2, big_d) / (
+                v2_p = _day_moment_closed(m2, s1, gm, phi_dot * phi_dot * j2) / (
                     big_d * big_d
                 )
                 # passes share the day rate, so the linearised within-day

@@ -182,9 +182,10 @@ def write_report_json(report: InventoryReport, path, manifest: dict | None = Non
     doc = report.as_dict()
     if manifest is not None:
         doc["manifest"] = manifest
+    # NaN/inf are not JSON; refuse them before the file is created
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 TABLE_COLUMNS = [

@@ -113,6 +113,21 @@ class TestExitCodes:
         assert run("estimate", "--passes", str(p), "--frame", str(f),
                    "--strata", str(s), "--out-dir", str(tmp_path)) == 3
 
+    def test_non_finite_rate_is_2(self, tmp_path):
+        p = tmp_path / "p.csv"
+        f = tmp_path / "f.csv"
+        s = tmp_path / "s.csv"
+        p.write_text(PASSES_HEADER + "\nc1,f1,s1,A,1,1,1,nan,3.0,500\n")
+        f.write_text(FRAME_HEADER + "\nc1,f1,s1,A,0,0\n")
+        s.write_text(STRATA_HEADER + "\nA,1,2\n")
+        assert run("estimate", "--passes", str(p), "--frame", str(f),
+                   "--strata", str(s), "--out-dir", str(tmp_path)) == 2
+        assert not (tmp_path / "report.json").exists()
+
+    def test_horizon_below_surveyed_days_is_3(self, tmp_path):
+        assert run("estimate", "--packaged", "--stage2", "year:2",
+                   "--out-dir", str(tmp_path)) == 3
+
     def test_config_error_is_4(self, tmp_path):
         assert run("estimate", "--packaged", "--stage2", "sometimes",
                    "--out-dir", str(tmp_path)) == 4

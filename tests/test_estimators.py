@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msinv.estimators import (
+    _starred_day_joint,
     ComponentObs,
     DailyEstimate,
     DayObs,
@@ -33,7 +36,6 @@ from msinv.estimators import (
     wald_ci,
     wells_allocate,
 )
-from msinv.design import StageOnePlan
 from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame
 from msinv.reporting import KG_H_PER_KT_Y
 
@@ -254,6 +256,23 @@ class TestComponentGeneric:
             component_generic([DailyEstimate(4.0, 0.0)], [0.5], [], 2)
 
 
+class TestStarredDayJoint:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d_p=st.integers(2, 6), extra_days=st.integers(0, 400))
+    def test_starred_probability_bounds(self, data, d_p, extra_days):
+        horizon = d_p + extra_days
+        phis = data.draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=d_p))
+        joint = _starred_day_joint(phis, d_p, horizon)
+        marg = [ph * d_p / horizon for ph in phis]
+        for t, row in enumerate(joint):
+            assert row[t] == pytest.approx(marg[t], rel=1e-15)
+            for u, pi_tu in enumerate(row):
+                assert pi_tu == joint[u][t]
+                assert 0 < pi_tu <= min(marg[t], marg[u]) * (1 + 1e-12)
+        daily = [DailyEstimate(1.0 + t, 0.1, n_detected=1) for t in range(len(phis))]
+        assert math.isfinite(component_generic(daily, marg, joint, horizon).var)
+
+
 class TestImputation:
     def _estimate(self, var, usable=3, **kw):
         return ComponentEstimateFactory(var=var, n_usable_days=usable, **kw)
@@ -331,7 +350,7 @@ class TestStratumTotal:
 
         stratum = StratumDef("A", 1, 1)
         comp = ComponentEstimate("c", 5.0, 0.2, 0.1, 365, facility_id="f", stratum="A")
-        se = stratum_total(stratum, [comp], StageOnePlan({"A": stratum}))
+        se = stratum_total(stratum, [comp])
         assert se.total == pytest.approx(5.0)
         assert se.u1 == pytest.approx(0.0, abs=1e-15)
 
@@ -344,7 +363,7 @@ class TestStratumTotal:
                               stratum="A", zero_emitter=True)
             for i in range(2)
         ]
-        se = stratum_total(stratum, comps, StageOnePlan({"A": stratum}))
+        se = stratum_total(stratum, comps)
         assert se.total == 0.0
         assert se.v3stage == 0.0
         assert (se.v1, se.v2, se.v3) == (0.0, 0.0, 0.0)
@@ -367,7 +386,7 @@ class TestStratumTotal:
                 # same facility: joint probability equals the marginal
                 a1 += (f - f * f) / f * (yp / f) * (yl / f)
         expected = a1 + (0.5 + 1.0) / f
-        se = stratum_total(stratum, comps, StageOnePlan({"A": stratum}))
+        se = stratum_total(stratum, comps)
         assert se.v3stage == pytest.approx(expected, rel=1e-12)
 
 
@@ -538,6 +557,18 @@ class TestPipelineBehaviors:
         assert by_id["single"].pooled_variance
         assert by_id["single"].var == pytest.approx(sum(peers) / 2)
         assert by_id["single"].mean_rate == pytest.approx(10.0 / 0.5 / 1)
+
+    @pytest.mark.parametrize("estimator, plan", [
+        ("ipw", "original"), ("ipw", "modified"), ("hajek", "modified"),
+    ])
+    def test_days_beyond_horizon_rejected(self, estimator, plan):
+        # three surveyed days, detections on one: only the horizon check sees it
+        obs = [ComponentObs("c1", "f1", "A", days=(
+            DayObs(1, 1, (5.0,), (0.8,)), DayObs(2, 1, (), ()), DayObs(3, 1, (), ()),
+        ))]
+        cfg = EstimatorConfig(estimator=estimator, plan=plan, horizon=2)
+        with pytest.raises(EstimationError, match="exceeds the horizon"):
+            estimate_survey(obs, {"A": StratumDef("A", 1, 2)}, cfg)
 
     def test_pooling_without_peers_is_zero_and_counted(self):
         obs = [

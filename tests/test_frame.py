@@ -9,7 +9,6 @@ from msinv.frame import (
     Pass,
     StratumDef,
     SurveyFrame,
-    derive_counts,
     load_survey,
     read_strata,
     save_survey,
@@ -43,10 +42,9 @@ class TestLoad:
             "c1,f1,s1,A,10,3,0,,,",
         ]
         frame = load_survey(*write_files(tmp_path, rows, BASIC_FRAME, BASIC_STRATA))
-        days, per_day = derive_counts(frame)
-        assert per_day[("c1", 10)] == 3
+        assert frame.passes_per_day[("c1", 10)] == 3
         assert sum(1 for p in frame.passes if p.detected) == 2
-        assert days["c1"] == 1
+        assert frame.days_surveyed["c1"] == 1
 
     def test_table_row_parses_to_sizes(self, tmp_path):
         path = tmp_path / "strata.csv"
@@ -59,6 +57,13 @@ class TestLoad:
         rows = ["c1,f1,s1,A,10,1,1,,3.0,500"]
         with pytest.raises(FrameError, match="row 2"):
             load_survey(*write_files(tmp_path, rows, BASIC_FRAME, BASIC_STRATA))
+
+    @pytest.mark.parametrize("field", ["rate", "wind", "altitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_measurement_rejected(self, field, value):
+        fields = {"rate": 12.5, "wind": 3.0, "altitude": 500.0, field: value}
+        with pytest.raises(FrameError, match="finite"):
+            Pass("c1", 10, 1, True, fields["rate"], fields["wind"], fields["altitude"])
 
     def test_nondetected_must_leave_fields_empty(self, tmp_path):
         rows = ["c1,f1,s1,A,10,1,0,5.0,,"]
@@ -133,12 +138,11 @@ class TestDerivedCounts:
                 Pass("c1", 42, 2, False),
             ),
         )
-        days, per_day = derive_counts(frame)
-        assert days["c1"] == 2
-        assert per_day[("c1", 42)] == 2
+        assert frame.days_surveyed["c1"] == 2
+        assert frame.passes_per_day[("c1", 42)] == 2
 
     def test_packaged_subset_median_passes(self, subset_frame):
-        _, per_day = derive_counts(subset_frame)
+        per_day = subset_frame.passes_per_day
         assert float(np.median(list(per_day.values()))) == 2.0
 
     def test_stage1_sizes_match_registry(self, subset_frame):

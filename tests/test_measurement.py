@@ -1,10 +1,12 @@
 """Measurement-error layer tests: bias correction, the MC wrapper, determinism."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from msinv import measurement
 from msinv.estimators import EstimatorConfig, detected_passes, total_inventory
 from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame
 from msinv.measurement import (
@@ -13,6 +15,7 @@ from msinv.measurement import (
     convergence_trace,
     estimate_inventory,
     iteration_uniforms,
+    resolve_threads,
     run_mc,
     write_trace_csv,
 )
@@ -144,6 +147,39 @@ class TestDeterminism:
         a = run_mc(small_frame, McConfig(iterations=40, seed=7)).report
         b = run_mc(small_frame, McConfig(iterations=40, seed=8)).report
         assert a.total != b.total
+
+
+class TestWorkerCount:
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("MSINV_THREADS", raising=False)
+        cpus = os.cpu_count() or 1
+        assert resolve_threads(100000) == cpus
+        assert resolve_threads(0) == 1
+        assert resolve_threads(None) == 1
+        monkeypatch.setenv("MSINV_THREADS", "100000")
+        assert resolve_threads(None) == cpus
+
+    def test_run_mc_capped_at_iterations(self, small_frame, monkeypatch):
+        # a stand-in pool records the requested size and runs inline
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(measurement, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 64)
+        run_mc(small_frame, McConfig(iterations=3, threads=64))
+        assert sizes == [3]
 
 
 class TestTrace:

@@ -10,10 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msinv.estimators import EstimatorConfig
 from msinv.frame import StratumDef
 from msinv.oracle import (
+    MAX_OUTCOMES,
     MicroComponent,
     MicroPass,
     MicroPopulation,
@@ -164,10 +167,55 @@ class TestMicroB:
         assert abs(totals.var(ddof=1) - dist_b.var_total()) / dist_b.var_total() < 0.05
 
 
+@st.composite
+def micro_populations(draw):
+    """One stratum of one or two single-component facilities, up to 3 days."""
+    n_fac = draw(st.integers(1, 2))
+    horizon = draw(st.integers(1, 3))
+    passes = st.builds(MicroPass, st.floats(0.0, 50.0), st.floats(0.05, 1.0))
+    days = st.lists(st.lists(passes, min_size=1, max_size=2).map(tuple),
+                    min_size=horizon, max_size=horizon).map(tuple)
+    facilities = {f"F{i}": "S" for i in range(n_fac)}
+    return MicroPopulation(
+        strata={"S": StratumDef("S", draw(st.integers(1, n_fac)), n_fac)},
+        facilities=facilities,
+        components=tuple(MicroComponent(f"c{i}", fac, draw(days))
+                         for i, fac in enumerate(facilities)),
+        days_sampled=draw(st.integers(1, min(horizon, 2))),
+    )
+
+
+class TestDesignEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(pop=micro_populations())
+    def test_original_equals_modified_on_generated_populations(self, pop):
+        orig, mod = outcome_probabilities(pop)
+        assert math.fsum(orig) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.max(np.abs(orig - mod))) <= 1e-12
+
+
 class TestGuards:
     def test_size_limit(self, micro_b):
         with pytest.raises(ValueError, match="outcomes"):
             enumerate_outcomes(micro_b, cfg_b(), max_outcomes=10)
+
+    @pytest.mark.parametrize("entry", [
+        lambda pop: enumerate_outcomes(pop, cfg_b()),
+        lambda pop: exact_stage_variances(pop, cfg_b()),
+        outcome_probabilities,
+    ], ids=["enumerate_outcomes", "exact_stage_variances", "outcome_probabilities"])
+    def test_every_entry_point_bounded(self, entry):
+        # 2 day choices x 2^21 detection patterns exceed the default limit
+        day = tuple(MicroPass(1.0, 0.5) for _ in range(21))
+        pop = MicroPopulation(
+            strata={"S": StratumDef("S", 1, 1)},
+            facilities={"F1": "S"},
+            components=(MicroComponent("c1", "F1", (day, day)),),
+            days_sampled=1,
+        )
+        assert 2 * 2**21 > MAX_OUTCOMES
+        with pytest.raises(ValueError, match="outcomes"):
+            entry(pop)
 
     def test_population_consistency_checks(self):
         with pytest.raises(ValueError):

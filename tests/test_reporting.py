@@ -47,6 +47,12 @@ class TestSerialization:
         assert pop["stratum"] == "Population"
         assert float(pop["total_kt_y"]) == round(doc["total"], 2)
 
+    def test_json_refuses_non_finite_values(self, report, tmp_path):
+        report.total = float("nan")
+        with pytest.raises(ValueError):
+            write_report_json(report, tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
+
     def test_decomposition_table_shares(self, report, tmp_path):
         path = tmp_path / "d.csv"
         write_decomposition_table(report, path)
