@@ -293,8 +293,8 @@ def build_parser() -> _Parser:
     est.add_argument("--decomposition", choices=["corrected", "printed"], default="corrected")
     est.add_argument("--trace", action="store_true", help="emit the MC convergence trace")
     est.add_argument("--threads", type=int, default=None,
-                     help="MC worker threads (default: MSINV_THREADS or 1; "
-                          "capped at the CPU count)")
+                     help="MC worker threads, each taking chunks of iterations "
+                          "(default: MSINV_THREADS or 1; capped at the CPU count)")
     est.add_argument("--all-variants", action="store_true",
                      help="run all eight estimator/stage2/measurement combinations")
     est.add_argument("--out-dir", default="msinv-out")

@@ -916,10 +916,27 @@ def total_inventory(frame: SurveyFrame, config: EstimatorConfig, rates=None,
     raw_phi = np.atleast_1d(raw_phi)
     floor_hits = int(np.count_nonzero(raw_phi < PHI_FLOOR))
     phis = np.maximum(raw_phi, PHI_FLOOR)
-    comps = prepare_components(frame, rates, phis, config)
-    est = estimate_survey(comps, frame.strata, config,
-                          keep_components=keep_components, phi_floor_hits=floor_hits)
+    try:
+        comps = prepare_components(frame, rates, phis, config)
+        est = estimate_survey(comps, frame.strata, config,
+                              keep_components=keep_components, phi_floor_hits=floor_hits)
+    except OverflowError:
+        raise EstimationError(
+            "estimate overflows (a measured rate too large to estimate with?)"
+        ) from None
+    _require_finite(est)
     return reporting.build_report(est, config)
+
+
+def _require_finite(est: SurveyEstimate):
+    """Refuse an estimate whose total or any variance part is NaN or infinite."""
+    named = [("population", est)] + [(f"stratum {n!r}", se) for n, se in est.strata.items()]
+    for where, values in named:
+        for key in ("total", "v3stage", "v1", "v2", "v3", "u1", "u2", "u3"):
+            if not math.isfinite(getattr(values, key)):
+                raise EstimationError(
+                    f"non-finite {where} {key} (a measured rate too large to estimate with?)"
+                )
 
 
 def wald_ci(estimate: float, variance: float, level: float = 0.95) -> tuple[float, float]:

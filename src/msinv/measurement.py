@@ -9,9 +9,12 @@ four-way variance split: the between-iteration variance is the measurement
 contribution, and each stage contribution is the mean of its per-iteration
 estimates.
 
+The frame is compiled once per run into index arrays (`batch.compile_layout`)
+and the iterations are evaluated in fixed-size chunks by one batched kernel
+(`batch.evaluate`), which the scalar estimator in `estimators` specifies.
 Draws are generated from a counter-based generator keyed by (seed, iteration),
 so results are bit-identical for a given seed no matter how many worker
-threads execute the iterations or in which order they finish.
+threads execute the chunks or in which order they finish.
 """
 
 from __future__ import annotations
@@ -23,12 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reporting
-from .estimators import (
-    EstimatorConfig,
-    detected_passes,
-    estimate_survey,
-    prepare_components,
-)
+from .batch import compile_layout, evaluate
+from .estimators import EstimatorConfig, detected_passes
+# not used here: perfbench/tracer.py patches these two names on this module
+from .estimators import estimate_survey, prepare_components  # noqa: F401
 from .frame import SurveyFrame
 from .pod import DEFAULT_MEASUREMENT, PHI_FLOOR, MeasurementModel, bias_correct, pod, sample_true_rate
 
@@ -45,12 +46,17 @@ __all__ = [
 
 THREADS_ENV = "MSINV_THREADS"
 
+# Iterations evaluated together.  A chunk holds about 20 float64 values per
+# detected pass and iteration (about 20 MiB for the packaged subset's 551
+# detected passes), so memory is bounded whatever the iteration count; each
+# worker thread holds one chunk.
+MC_CHUNK = 256
+
 
 def resolve_threads(requested: int | None) -> int:
     """Worker count: explicit argument, else MSINV_THREADS, else 1.
 
-    Capped at the CPU count: the iterations hold the GIL for most of their
-    time, so more threads than CPUs only add contention.
+    Capped at the CPU count: more threads than CPUs only add contention.
     """
     if requested is None:
         env = os.environ.get(THREADS_ENV)
@@ -101,13 +107,29 @@ class McResult:
         return self.report.total
 
 
-def iteration_uniforms(seed: int, iteration: int, n: int) -> np.ndarray:
-    """The iteration's uniform draws, one per detected pass in canonical order."""
-    key = (int(seed) % 2**64) * 2**64 + iteration
-    gen = np.random.Generator(np.random.Philox(key=key))
-    u = gen.random(n)
+def iteration_uniforms(seed: int, iterations: range, n: int) -> np.ndarray:
+    """Uniform draws of the given iterations, shape (len(iterations), n).
+
+    Each row holds one draw per detected pass in canonical order, from the
+    Philox stream keyed by seed * 2**64 + iteration, so an iteration's draws
+    do not depend on which other iterations are drawn with it.
+    """
+    # Philox(key=...) would first seed itself from OS entropy; setting the
+    # keyed state directly gives the same stream without that cost
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    out = np.empty((len(iterations), n))
+    for row, b in enumerate(iterations):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64),
+                      "key": np.array([b, int(seed) % 2**64], np.uint64)},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        gen.random(n, out=out[row])
     # random() yields [0, 1); the inverse CDF needs the open interval
-    return np.nextafter(u, 1.0)
+    return np.nextafter(out, 1.0)
 
 
 def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
@@ -118,12 +140,13 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
     estimation.  The reported total is the iteration mean; the measurement
     variance is the between-iteration sample variance (denominator B - 1);
     each stage part is the mean of its per-iteration (clipped) estimates.
+
+    The frame is compiled once into a `batch.Layout`, which checks the
+    horizon before anything is drawn, and the iterations are evaluated in
+    chunks of `MC_CHUNK`; up to ``threads`` workers take chunks in parallel.
     """
-    det = detected_passes(frame)
-    measured = np.array([p.measured_rate for p in det])
-    winds = np.array([p.wind_speed for p in det])
-    alts = np.array([p.altitude for p in det])
     est_cfg = config.estimator
+    layout = compile_layout(frame, est_cfg)
     b_total = config.iterations
     names = list(frame.strata)
 
@@ -134,46 +157,33 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
         name: {k: np.empty(b_total) for k in ("v1", "v2", "v3", "u1", "u2", "u3")}
         for name in names
     }
-    floor_hits = np.zeros(b_total, dtype=int)
-    first_diag: dict = {}
+    chunks = [range(start, min(start + MC_CHUNK, b_total))
+              for start in range(0, b_total, MC_CHUNK)]
+    floor_hits = np.zeros(len(chunks), dtype=int)
 
-    def one_iteration(b: int):
-        u = iteration_uniforms(config.seed, b, len(det))
-        y = sample_true_rate(measured, u, config.measurement) if len(det) else measured
-        raw_phi = np.atleast_1d(pod(y, alts, winds, est_cfg.pod_params)) if len(det) else np.zeros(0)
-        floor_hits[b] = int(np.count_nonzero(raw_phi < PHI_FLOOR))
-        phi = np.maximum(raw_phi, PHI_FLOOR)
-        comps = prepare_components(frame, np.atleast_1d(y), phi, est_cfg)
-        est = estimate_survey(comps, frame.strata, est_cfg)
-        totals[b] = est.total
-        parts["v1"][b] = est.v1
-        parts["v2"][b] = est.v2
-        parts["v3"][b] = est.v3
-        parts["u1"][b] = est.u1
-        parts["u2"][b] = est.u2
-        parts["u3"][b] = est.u3
-        parts["v3stage"][b] = est.v3stage
-        for name in names:
-            se = est.strata[name]
-            stratum_totals[name][b] = se.total
-            sp = stratum_parts[name]
-            sp["v1"][b] = se.v1
-            sp["v2"][b] = se.v2
-            sp["v3"][b] = se.v3
-            sp["u1"][b] = se.u1
-            sp["u2"][b] = se.u2
-            sp["u3"][b] = se.u3
-        if b == 0:
-            first_diag["n_pooled"] = est.n_pooled
-            first_diag["n_pooled_no_peers"] = est.n_pooled_no_peers
+    def run_chunk(c: int):
+        its = chunks[c]
+        u = iteration_uniforms(config.seed, its, layout.n_passes)
+        y = sample_true_rate(layout.measured, u, config.measurement)
+        raw_phi = pod(y, layout.altitudes, layout.winds, est_cfg.pod_params)
+        floor_hits[c] = int(np.count_nonzero(raw_phi < PHI_FLOOR))
+        est = evaluate(layout, y, np.maximum(raw_phi, PHI_FLOOR), its.start)
+        sl = slice(its.start, its.stop)
+        totals[sl] = est.population["total"]
+        for k in parts:
+            parts[k][sl] = est.population[k]
+        for s, name in enumerate(names):
+            stratum_totals[name][sl] = est.strata["total"][:, s]
+            for k in stratum_parts[name]:
+                stratum_parts[name][k][sl] = est.strata[k][:, s]
 
-    workers = min(resolve_threads(config.threads), b_total)
+    workers = min(resolve_threads(config.threads), len(chunks))
     if workers == 1:
-        for b in range(b_total):
-            one_iteration(b)
+        for c in range(len(chunks)):
+            run_chunk(c)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one_iteration, range(b_total)))
+            list(pool.map(run_chunk, range(len(chunks))))
 
     tau_kgh = float(totals.mean())
     vm_kgh2 = float(totals.var(ddof=1))
@@ -204,11 +214,7 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
     echo = est_cfg.as_dict()
     echo["measurement_mode"] = "mc"
     echo["mc"] = config.as_dict()
-    diagnostics = {
-        "n_pooled_components": first_diag.get("n_pooled", 0),
-        "n_pooled_without_peers": first_diag.get("n_pooled_no_peers", 0),
-        "phi_floor_hits": int(floor_hits.sum()),
-    }
+    diagnostics = dict(layout.diagnostics, phi_floor_hits=int(floor_hits.sum()))
     report = reporting.assemble_report(
         tau_kgh, pop_parts, rows, echo, est_cfg.ci_level, diagnostics
     )

@@ -124,6 +124,21 @@ class TestExitCodes:
                    "--strata", str(s), "--out-dir", str(tmp_path)) == 2
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("measurement", ["bias-correct", "mc"])
+    def test_overflowing_rate_is_3(self, tmp_path, measurement):
+        # finite, but its square overflows in the two-day variance
+        p = tmp_path / "p.csv"
+        f = tmp_path / "f.csv"
+        s = tmp_path / "s.csv"
+        p.write_text(PASSES_HEADER + "\nc1,f1,s1,A,1,1,1,1e308,3.0,500"
+                     "\nc1,f1,s1,A,2,1,1,50.0,3.0,500\n")
+        f.write_text(FRAME_HEADER + "\nc1,f1,s1,A,0,0\n")
+        s.write_text(STRATA_HEADER + "\nA,1,2\n")
+        assert run("estimate", "--passes", str(p), "--frame", str(f), "--strata", str(s),
+                   "--measurement", measurement, "--mc-iters", "4",
+                   "--out-dir", str(tmp_path)) == 3
+        assert not (tmp_path / "report.json").exists()
+
     def test_horizon_below_surveyed_days_is_3(self, tmp_path):
         assert run("estimate", "--packaged", "--stage2", "year:2",
                    "--out-dir", str(tmp_path)) == 3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from msinv import measurement
-from msinv.estimators import EstimatorConfig, detected_passes, total_inventory
+from msinv.estimators import EstimationError, EstimatorConfig, detected_passes, total_inventory
 from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame
 from msinv.measurement import (
     McConfig,
@@ -83,8 +83,7 @@ class TestMcLayer:
         measured = np.array([p.measured_rate for p in det])
         totals = []
         parts = []
-        for b in range(2):
-            u = iteration_uniforms(9, b, len(det))
+        for u in iteration_uniforms(9, range(2), len(det)):
             rep = total_inventory(small_frame, cfg, rates=sample_true_rate(measured, u))
             totals.append(rep.total)
             parts.append((rep.var_stage1, rep.var_stage2, rep.var_stage3))
@@ -107,6 +106,14 @@ class TestMcLayer:
                 row.var_stage1 + row.var_stage2 + row.var_stage3 + row.var_measurement
             )
 
+    def test_uniform_stream_per_iteration(self):
+        for seed in (0, 9, -3, 2**70):
+            rows = iteration_uniforms(seed, range(3, 6), 5)
+            for row, b in zip(rows, range(3, 6)):
+                key = (seed % 2**64) * 2**64 + b
+                want = np.random.Generator(np.random.Philox(key=key)).random(5)
+                assert np.array_equal(row, np.nextafter(want, 1.0))
+
     def test_minimum_iterations(self):
         with pytest.raises(ValueError):
             McConfig(iterations=1)
@@ -114,11 +121,8 @@ class TestMcLayer:
     def test_drawn_rates_converge_to_bias_factor(self, small_frame):
         det = detected_passes(small_frame)
         measured = np.array([p.measured_rate for p in det])
-        draws = []
-        for b in range(4000):
-            u = iteration_uniforms(1, b, len(det))
-            draws.append(sample_true_rate(measured, u) / measured)
-        ratios = np.concatenate(draws)
+        u = iteration_uniforms(1, range(4000), len(det))
+        ratios = (sample_true_rate(measured, u) / measured).ravel()
         se = ratios.std(ddof=1) / math.sqrt(len(ratios))
         assert abs(ratios.mean() - 0.918) < 3 * se
 
@@ -159,7 +163,7 @@ class TestWorkerCount:
         monkeypatch.setenv("MSINV_THREADS", "100000")
         assert resolve_threads(None) == cpus
 
-    def test_run_mc_capped_at_iterations(self, small_frame, monkeypatch):
+    def test_run_mc_capped_at_chunks(self, small_frame, monkeypatch):
         # a stand-in pool records the requested size and runs inline
         sizes = []
 
@@ -179,7 +183,33 @@ class TestWorkerCount:
         monkeypatch.setattr(measurement, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(measurement.os, "cpu_count", lambda: 64)
         run_mc(small_frame, McConfig(iterations=3, threads=64))
+        assert sizes == []  # one chunk runs on the calling thread
+        monkeypatch.setattr(measurement, "MC_CHUNK", 2)
+        run_mc(small_frame, McConfig(iterations=5, threads=64))
         assert sizes == [3]
+
+
+class TestLayoutChecks:
+    @pytest.mark.parametrize("estimator,plan",
+                             [("ipw", "original"), ("ipw", "modified"), ("hajek", "modified")])
+    def test_horizon_checked_before_any_draw(self, small_frame, monkeypatch, estimator, plan):
+        def unreachable(*args):
+            raise AssertionError("uniforms drawn before the horizon check")
+
+        monkeypatch.setattr(measurement, "iteration_uniforms", unreachable)
+        cfg = EstimatorConfig(estimator=estimator, plan=plan, stage2="year", horizon=1)
+        with pytest.raises(EstimationError, match="exceeds the horizon"):
+            run_mc(small_frame, McConfig(estimator=cfg, iterations=4))
+
+    @pytest.mark.parametrize("estimator", ["ipw", "hajek"])
+    def test_mc_diagnostics_carry_bias_correct_keys(self, subset_frame, estimator):
+        cfg = EstimatorConfig(estimator=estimator)
+        bias = bias_corrected_inventory(subset_frame, cfg).diagnostics
+        mc = run_mc(subset_frame, McConfig(estimator=cfg, iterations=4, seed=1)).report
+        assert set(mc.diagnostics) == set(bias)
+        for key in ("n_pooled_components", "n_pooled_without_peers", "n_zero_emitting_strata"):
+            assert mc.diagnostics[key] == bias[key]
+        assert bias["n_zero_emitting_strata"] == 1  # the subset's silent stratum
 
 
 class TestTrace:
