@@ -132,11 +132,12 @@ def _resolve_inputs(args) -> dict:
 def _parse_stage2(text: str) -> tuple[str, int]:
     if text == "observed":
         return "observed", 365
-    if text.startswith("year"):
+    name, colon, days = text.partition(":")
+    if name == "year":
         horizon = 365
-        if ":" in text:
+        if colon:
             try:
-                horizon = int(text.split(":", 1)[1])
+                horizon = int(days)
             except ValueError:
                 raise ConfigError(f"bad --stage2 horizon in {text!r}") from None
         if horizon < 1:
@@ -165,11 +166,14 @@ def cmd_estimate(args) -> int:
         variants = [(args.estimator, stage2, args.measurement)]
 
     for est, s2, mm in variants:
-        cfg = EstimatorConfig(
-            estimator=est, stage2=s2, horizon=horizon,
-            decomposition=args.decomposition, ci_level=args.ci_level,
-            pod_params=pod_params,
-        )
+        try:
+            cfg = EstimatorConfig(
+                estimator=est, stage2=s2, horizon=horizon,
+                decomposition=args.decomposition, ci_level=args.ci_level,
+                pod_params=pod_params,
+            )
+        except EstimationError as exc:
+            raise ConfigError(str(exc)) from None
         flags = {
             "estimator": est, "stage2": s2, "horizon": horizon,
             "measurement": mm, "mc_iters": args.mc_iters, "ci_level": args.ci_level,

@@ -29,7 +29,6 @@ __all__ = [
     "EstimatorConfig",
     "DailyEstimate",
     "ComponentEstimate",
-    "DayObs",
     "ComponentObs",
     "StratumEstimate",
     "SurveyEstimate",
@@ -37,6 +36,7 @@ __all__ = [
     "ipw_daily_var",
     "hajek_daily",
     "hajek_daily_var",
+    "daily_estimate",
     "daily_var_generic",
     "starred_daily",
     "component_srs_ipw",
@@ -130,7 +130,6 @@ class DailyEstimate:
     var: float
     phi_hat: float | None = None
     n_detected: int = 0
-    component_id: str = ""
     day_id: int = 0
 
 
@@ -146,7 +145,7 @@ def _check_detections(detections, q_total: int):
             raise EstimationError("rates must be >= 0")
 
 
-def ipw_daily(detections, q_total: int, component_id: str = "", day_id: int = 0) -> DailyEstimate:
+def ipw_daily(detections, q_total: int, day_id: int = 0) -> DailyEstimate:
     """Inverse-probability-weighted daily mean: (sum Y/phi) / Q_pt.
 
     ``detections`` is a sequence of (rate, phi) pairs for the detected passes;
@@ -159,7 +158,6 @@ def ipw_daily(detections, q_total: int, component_id: str = "", day_id: int = 0)
         mean_rate=mean,
         var=ipw_daily_var(detections, q_total),
         n_detected=len(detections),
-        component_id=component_id,
         day_id=day_id,
     )
 
@@ -170,9 +168,7 @@ def ipw_daily_var(detections, q_total: int) -> float:
     return sum((1.0 - phi) / (phi * phi) * y * y for y, phi in detections) / (q_total * q_total)
 
 
-def hajek_daily(
-    detections, q_total: int, phi_hat: float, component_id: str = "", day_id: int = 0
-) -> DailyEstimate:
+def hajek_daily(detections, q_total: int, phi_hat: float, day_id: int = 0) -> DailyEstimate:
     """Hajek (ratio) daily mean: (sum Y/phi) / (sum 1/phi).
 
     Undefined on empty detections; callers must restrict to days with at least
@@ -188,7 +184,6 @@ def hajek_daily(
         var=hajek_daily_var(detections, q_total, phi_hat),
         phi_hat=phi_hat,
         n_detected=len(detections),
-        component_id=component_id,
         day_id=day_id,
     )
 
@@ -211,6 +206,26 @@ def hajek_daily_var(detections, q_total: int, phi_hat: float) -> float:
     resid_sum = sum((y - yhat) / phi for y, phi in detections)
     raw = phi_hat / (q_total * q_total) * (resid_sq + (phi_hat - 1.0) * resid_sum**2)
     return max(0.0, raw)
+
+
+def daily_estimate(rates, phis, q_total: int, estimator: str, day_id: int = 0) -> DailyEstimate:
+    """The daily estimate of one component-day from its detected passes.
+
+    ``rates`` and ``phis`` are the detected passes' rates and detection
+    probabilities; ``q_total`` counts every pass of the day.  Returns
+    `ipw_daily` or `hajek_daily` by ``estimator``, with ``phi_hat`` (the
+    any-detection probability) set whenever something was detected.  A day
+    with no detection is the zero estimate for either estimator: the Hajek
+    ratio is undefined there, and the starred design leaves the day out.
+    """
+    detections = list(zip(rates, phis))
+    if estimator == "hajek" and detections:
+        phi_hat = phi_any_detection(phis, q_total - len(detections))
+        return hajek_daily(detections, q_total, phi_hat, day_id=day_id)
+    est = ipw_daily(detections, q_total, day_id=day_id)
+    if detections:
+        est.phi_hat = phi_any_detection(phis, q_total - len(detections))
+    return est
 
 
 def daily_var_generic(detections, q_total: int, pi_marginal, pi_joint) -> float:
@@ -285,7 +300,6 @@ class ComponentEstimate:
     stratum: str = ""
     pooled_variance: bool = False
     zero_emitter: bool = False
-    wells_allocated: bool = False
     n_usable_days: int = 0
 
 
@@ -311,9 +325,8 @@ def component_srs_ipw(daily, d_p: int, horizon: int) -> ComponentEstimate:
     a = (horizon - d_p) * horizon / (d_p * (d_p - 1))
     b = horizon * (d_p - horizon) / (d_p * d_p * (d_p - 1))
     var = (a * s2 + b * s1 * s1 + (horizon / d_p) * sv) / (horizon * horizon)
-    first = daily[0]
     return ComponentEstimate(
-        component_id=first.component_id,
+        component_id="",
         mean_rate=s1 / d_p,
         var=max(0.0, var),
         var_stage3_part=sv / (d_p * d_p),
@@ -354,7 +367,7 @@ def component_srs_hajek(daily_star, d_p: int, horizon: int, phi_hats) -> Compone
     var = (term1 + term2 + term3) / (horizon * horizon)
     stage3 = sum(d.var / (ph * ph) for d, ph in zip(daily_star, phi_hats)) / (d_p * d_p)
     return ComponentEstimate(
-        component_id=daily_star[0].component_id,
+        component_id="",
         mean_rate=s1 / d_p,
         var=max(0.0, var),
         var_stage3_part=stage3,
@@ -393,7 +406,7 @@ def component_generic(daily, pi2_marginal, pi2_joint, horizon: int) -> Component
     bsum = sum(d.var / p for d, p in zip(daily, pi2_marginal))
     stage3 = sum(d.var / (p * p) for d, p in zip(daily, pi2_marginal)) / (horizon * horizon)
     return ComponentEstimate(
-        component_id=daily[0].component_id if daily else "",
+        component_id="",
         mean_rate=sum(zs) / horizon,
         var=(dsum + bsum) / (horizon * horizon),
         var_stage3_part=stage3,
@@ -546,147 +559,67 @@ def stratum_total(
 
 
 @dataclass(slots=True)
-class DayObs:
-    """Raw observations of one component-day: pass count and detections."""
-
-    day_id: int
-    q_total: int
-    rates: tuple[float, ...]
-    phis: tuple[float, ...]
-
-
-@dataclass(slots=True)
 class ComponentObs:
     """One component's observations, ready for estimation.
 
-    Either ``days`` (raw pass data) or ``dailies`` (precomputed daily
-    estimates, as produced by the wells allocation) is set.
+    ``dailies`` holds one daily estimate per surveyed day, in day order, as
+    built by `daily_estimate` for the configured estimator (or, for wells,
+    the site's shares of them).
     """
 
     component_id: str
     facility_id: str
     stratum: str
-    days: tuple[DayObs, ...] = ()
-    dailies: tuple[DailyEstimate, ...] = ()
-    wells_allocated: bool = False
-
-    def n_days(self) -> int:
-        return len(self.days) if self.days else len(self.dailies)
-
-
-def _resolve_horizon(d_p: int, config: EstimatorConfig) -> int:
-    return d_p if config.stage2 == "observed" else config.horizon
-
-
-def _dailies_ipw(comp: ComponentObs) -> list[DailyEstimate]:
-    if comp.dailies:
-        return list(comp.dailies)
-    return [
-        ipw_daily(
-            list(zip(day.rates, day.phis)), day.q_total,
-            component_id=comp.component_id, day_id=day.day_id,
-        )
-        for day in comp.days
-    ]
-
-
-def _phi_hat_of(day: DayObs) -> float:
-    return phi_any_detection(day.phis, day.q_total - len(day.phis))
+    dailies: tuple[DailyEstimate, ...]
 
 
 def _estimate_component(comp: ComponentObs, config: EstimatorConfig):
-    """Return (estimate, needs_pooling).  Pooled estimates lack ``var``."""
-    d_p = comp.n_days()
-    horizon = _resolve_horizon(d_p, config)
+    """Return (estimate, needs_pooling).  Pooled estimates lack ``var``.
+
+    The estimate carries no component, facility or stratum label yet.
+    """
+    dailies = comp.dailies
+    d_p = len(dailies)
+    horizon = d_p if config.stage2 == "observed" else config.horizon
     if d_p > horizon:
         raise EstimationError(
             f"component {comp.component_id!r}: d_p={d_p} exceeds the horizon D={horizon}"
         )
-    meta = dict(facility_id=comp.facility_id, stratum=comp.stratum,
-                wells_allocated=comp.wells_allocated)
+    star = [d for d in dailies if d.n_detected > 0]
+    if not star:
+        return ComponentEstimate("", 0.0, 0.0, 0.0, horizon, zero_emitter=True), False
 
     if config.estimator == "ipw" and config.plan == "original":
-        dailies = _dailies_ipw(comp)
-        if all(d.n_detected == 0 for d in dailies):
-            est = ComponentEstimate(comp.component_id, 0.0, 0.0, 0.0, horizon,
-                                    zero_emitter=True, **meta)
-            return est, False
         if d_p == 1:
             d0 = dailies[0]
-            est = ComponentEstimate(
-                comp.component_id, d0.mean_rate, math.nan, d0.var, horizon,
-                n_usable_days=1, **meta,
-            )
+            est = ComponentEstimate("", d0.mean_rate, math.nan, d0.var, horizon,
+                                    n_usable_days=1)
             return est, True
-        est = component_srs_ipw(dailies, d_p, horizon)
-        return _with_meta(est, comp.component_id, meta), False
+        return component_srs_ipw(dailies, d_p, horizon), False
 
+    phis = [d.phi_hat for d in star]
     if config.estimator == "ipw":  # modified (starred) plan
-        dailies = _dailies_ipw(comp)
-        star = [(d, _phi_hat_for(comp, d)) for d in dailies if d.n_detected > 0]
-        if not star:
-            est = ComponentEstimate(comp.component_id, 0.0, 0.0, 0.0, horizon,
-                                    zero_emitter=True, **meta)
-            return est, False
-        starred = [starred_daily(d, ph) for d, ph in star]
-        phis = [ph for _, ph in star]
+        starred = [starred_daily(d, ph) for d, ph in zip(star, phis)]
         if d_p == 1:
             d0 = starred[0]
             mean = d0.mean_rate / phis[0]
             stage3 = d0.var / (phis[0] * phis[0])
-            est = ComponentEstimate(comp.component_id, mean, math.nan, stage3, horizon,
-                                    n_usable_days=1, **meta)
-            return est, True
+            return ComponentEstimate("", mean, math.nan, stage3, horizon, n_usable_days=1), True
         marg = [ph * d_p / horizon for ph in phis]
         joint = _starred_day_joint(phis, d_p, horizon)
         est = component_generic(starred, marg, joint, horizon)
         # usable days for pooling purposes counts surveyed days, matching the
         # original plan: the generic variance is estimable whenever d_p >= 2
         est.n_usable_days = d_p
-        return _with_meta(est, comp.component_id, meta), False
+        return est, False
 
     # Hajek on the starred design
-    if comp.dailies:
-        star_d = [d for d in comp.dailies if d.n_detected > 0]
-        phis = [d.phi_hat for d in star_d]
-    else:
-        star_raw = [day for day in comp.days if day.phis]
-        phis = [_phi_hat_of(day) for day in star_raw]
-        star_d = [
-            hajek_daily(list(zip(day.rates, day.phis)), day.q_total, ph,
-                        component_id=comp.component_id, day_id=day.day_id)
-            for day, ph in zip(star_raw, phis)
-        ]
-    if not star_d:
-        est = ComponentEstimate(comp.component_id, 0.0, 0.0, 0.0, horizon,
-                                zero_emitter=True, **meta)
-        return est, False
-    if len(star_d) == 1:
-        d0 = star_d[0]
+    if len(star) == 1:
+        d0 = star[0]
         mean = d0.mean_rate / (phis[0] * d_p)
         stage3 = d0.var / (phis[0] * phis[0] * d_p * d_p)
-        est = ComponentEstimate(comp.component_id, mean, math.nan, stage3, horizon,
-                                n_usable_days=1, **meta)
-        return est, True
-    est = component_srs_hajek(star_d, d_p, horizon, phis)
-    return _with_meta(est, comp.component_id, meta), False
-
-
-def _with_meta(est: ComponentEstimate, component_id: str, meta: dict) -> ComponentEstimate:
-    est.component_id = component_id
-    est.facility_id = meta["facility_id"]
-    est.stratum = meta["stratum"]
-    est.wells_allocated = meta["wells_allocated"]
-    return est
-
-
-def _phi_hat_for(comp: ComponentObs, daily: DailyEstimate) -> float:
-    if daily.phi_hat is not None:
-        return daily.phi_hat
-    for day in comp.days:
-        if day.day_id == daily.day_id:
-            return _phi_hat_of(day)
-    raise EstimationError(f"no raw day {daily.day_id} on component {comp.component_id!r}")
+        return ComponentEstimate("", mean, math.nan, stage3, horizon, n_usable_days=1), True
+    return component_srs_hajek(star, d_p, horizon, phis), False
 
 
 def _starred_day_joint(phis, d_p: int, horizon: int):
@@ -717,6 +650,8 @@ def estimate_survey(components, strata, config: EstimatorConfig,
         if comp.stratum not in strata:
             raise EstimationError(f"component {comp.component_id!r}: unknown stratum {comp.stratum!r}")
         est, needs_pool = _estimate_component(comp, config)
+        est.component_id, est.facility_id, est.stratum = (
+            comp.component_id, comp.facility_id, comp.stratum)
         bucket = by_stratum[comp.stratum]
         bucket.append(est)
         if needs_pool:
@@ -809,96 +744,60 @@ def prepare_components(frame: SurveyFrame, rates, phis, config: EstimatorConfig)
         surveyed_days.setdefault(cid, []).append(day)
 
     regular: list[ComponentObs] = []
-    wells_by_site: dict[str, list[ComponentObs]] = {}
+    wells_by_site: dict[str, list] = {}
     for cid in sorted(frame.components):
         comp = frame.components[cid]
         day_map = by_comp_day.get(cid, {})
-        days = []
-        for day in sorted(surveyed_days[cid]):
-            rs, ps = day_map.get(day, ((), ()))
-            days.append(DayObs(day_id=day, q_total=q[(cid, day)],
-                               rates=tuple(rs), phis=tuple(ps)))
-        obs = ComponentObs(component_id=cid, facility_id=comp.facility_id,
-                           stratum=comp.stratum, days=tuple(days))
+        days = [(day, *day_map.get(day, ((), ())), q[(cid, day)])
+                for day in sorted(surveyed_days[cid])]
         if comp.is_well:
-            wells_by_site.setdefault(comp.site_id, []).append(obs)
-        else:
-            regular.append(obs)
+            wells_by_site.setdefault(comp.site_id, []).append((comp.stratum, days))
+            continue
+        dailies = tuple(daily_estimate(rs, ps, q_pt, config.estimator, day_id=day)
+                        for day, rs, ps, q_pt in days)
+        regular.append(ComponentObs(cid, comp.facility_id, comp.stratum, dailies))
 
     for site in sorted(wells_by_site):
-        group = wells_by_site[site]
-        strata_here = {c.stratum for c in group}
-        if len(strata_here) != 1:
-            raise EstimationError(f"well components at site {site!r} span multiple strata")
-        regular.extend(_allocate_site_wells(site, group, frame.wells_per_site.get(site, 0),
-                                            strata_here.pop(), config))
+        regular.extend(_allocate_site_wells(site, wells_by_site[site],
+                                            frame.wells_per_site.get(site, 0), config.estimator))
     return regular
 
 
-def _allocate_site_wells(site: str, group, wells_at_site: int, stratum: str,
-                         config: EstimatorConfig):
-    """Build one ComponentObs per registered well at the site."""
-    any_detection = any(day.phis for c in group for day in c.days)
+def _allocate_site_wells(site: str, group, wells_at_site: int, estimator: str):
+    """Build one ComponentObs per registered well at the site.
+
+    ``group`` holds each well component's (stratum, days), its surveyed days
+    as (day, rates, phis, Q_pt).  A day's share is `wells_allocate` over the
+    components' daily estimates; its phi_hat pools every detected and missed
+    pass of the site that day.
+    """
+    strata_here = {stratum for stratum, _ in group}
+    if len(strata_here) != 1:
+        raise EstimationError(f"well components at site {site!r} span multiple strata")
     if wells_at_site < 1:
-        if any_detection:
+        if any(ps for _, days in group for _, _, ps, _ in days):
             raise EstimationError(f"well detections at site {site!r} but wells_at_site=0")
         return []
-    all_days = sorted({day.day_id for c in group for day in c.days})
-
-    if config.estimator == "hajek":
-        shares = {}
-        for day in all_days:
-            dailies, pooled_phis, misses = [], [], 0
-            for c in group:
-                for dobs in c.days:
-                    if dobs.day_id != day:
-                        continue
-                    misses += dobs.q_total - len(dobs.phis)
-                    pooled_phis.extend(dobs.phis)
-                    if dobs.phis:
-                        ph = _phi_hat_of(dobs)
-                        dailies.append(hajek_daily(list(zip(dobs.rates, dobs.phis)),
-                                                   dobs.q_total, ph, day_id=day))
-            if dailies:
-                pooled_phi = phi_any_detection(pooled_phis, misses)
-                mean = sum(d.mean_rate for d in dailies) / wells_at_site
-                var = sum(d.var for d in dailies) / (wells_at_site * wells_at_site)
-                shares[day] = DailyEstimate(mean, var, phi_hat=pooled_phi,
-                                            n_detected=len(pooled_phis), day_id=day)
-            else:
-                shares[day] = DailyEstimate(0.0, 0.0, day_id=day)
-    else:
-        per_comp = []
-        pooled_any: dict[int, tuple[list[float], int]] = {}
-        for c in group:
-            for dobs in c.days:
-                per_comp.append(ipw_daily(list(zip(dobs.rates, dobs.phis)),
-                                          dobs.q_total, day_id=dobs.day_id))
-                phis, misses = pooled_any.setdefault(dobs.day_id, ([], 0))
-                phis.extend(dobs.phis)
-                pooled_any[dobs.day_id] = (phis, misses + dobs.q_total - len(dobs.phis))
-        alloc = wells_allocate(per_comp, wells_at_site)
-        shares = {}
-        for day in all_days:
-            mean, var = alloc.get(day, (0.0, 0.0))
-            phis, misses = pooled_any[day]
-            phi_hat = phi_any_detection(phis, misses) if phis else None
-            shares[day] = DailyEstimate(mean, var, phi_hat=phi_hat,
-                                        n_detected=len(phis), day_id=day)
-
-    out = []
-    for i in range(wells_at_site):
-        wid = f"{site}/well{i + 1}"
-        dailies = tuple(
-            replace(shares[day], component_id=wid) for day in all_days
-        )
-        out.append(ComponentObs(component_id=wid, facility_id=wid, stratum=stratum,
-                                dailies=dailies, wells_allocated=True))
-    return out
+    dailies = []
+    pooled: dict[int, tuple[list[float], int]] = {}
+    for _, days in group:
+        for day, rs, ps, q_pt in days:
+            dailies.append(daily_estimate(rs, ps, q_pt, estimator, day_id=day))
+            phis, misses = pooled.setdefault(day, ([], 0))
+            phis.extend(ps)
+            pooled[day] = (phis, misses + q_pt - len(ps))
+    shares = []
+    for day, (mean, var) in wells_allocate(dailies, wells_at_site).items():
+        phis, misses = pooled[day]
+        phi_hat = phi_any_detection(phis, misses) if phis else None
+        shares.append(DailyEstimate(mean, var, phi_hat=phi_hat,
+                                    n_detected=len(phis), day_id=day))
+    wids = [f"{site}/well{i + 1}" for i in range(wells_at_site)]
+    stratum = strata_here.pop()
+    return [ComponentObs(wid, wid, stratum, tuple(shares)) for wid in wids]
 
 
-def total_inventory(frame: SurveyFrame, config: EstimatorConfig, rates=None,
-                    keep_components: bool = False):
+def total_inventory(frame: SurveyFrame, config: EstimatorConfig, rates=None):
     """One design pass over a survey frame: point estimate, variance split, CI.
 
     ``rates`` optionally overrides the measured rates (aligned with
@@ -918,8 +817,7 @@ def total_inventory(frame: SurveyFrame, config: EstimatorConfig, rates=None,
     phis = np.maximum(raw_phi, PHI_FLOOR)
     try:
         comps = prepare_components(frame, rates, phis, config)
-        est = estimate_survey(comps, frame.strata, config,
-                              keep_components=keep_components, phi_floor_hits=floor_hits)
+        est = estimate_survey(comps, frame.strata, config, phi_floor_hits=floor_hits)
     except OverflowError:
         raise EstimationError(
             "estimate overflows (a measured rate too large to estimate with?)"

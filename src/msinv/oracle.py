@@ -24,12 +24,10 @@ from .estimators import (
     ComponentObs,
     DailyEstimate,
     EstimatorConfig,
+    daily_estimate,
     estimate_survey,
-    hajek_daily,
-    ipw_daily,
 )
 from .frame import StratumDef
-from .pod import phi_any_detection
 
 __all__ = [
     "MicroPass",
@@ -189,16 +187,9 @@ def _day_patterns(comp: MicroComponent, day_idx: int) -> list[_DayPattern]:
                 phis.append(p.phi)
             else:
                 prob *= 1.0 - p.phi
-        dets = list(zip(rates, phis))
-        ipw_est = ipw_daily(dets, q, component_id=comp.component_id, day_id=day_idx)
-        if phis:
-            phi_hat = phi_any_detection(phis, q - len(phis))
-            ipw_est.phi_hat = phi_hat
-            hajek_est = hajek_daily(dets, q, phi_hat,
-                                    component_id=comp.component_id, day_id=day_idx)
-        else:
-            hajek_est = ipw_est
-        out.append(_DayPattern(prob, bool(phis), {"ipw": ipw_est, "hajek": hajek_est}))
+        dailies = {kind: daily_estimate(rates, phis, q, kind, day_id=day_idx)
+                   for kind in ("ipw", "hajek")}
+        out.append(_DayPattern(prob, bool(phis), dailies))
     return out
 
 

@@ -137,25 +137,20 @@ def assemble_report(
     )
 
 
-def build_report(est, config, vm_kgh2: float = 0.0, stratum_vm: dict | None = None,
-                 extra_config: dict | None = None) -> InventoryReport:
+def build_report(est, config) -> InventoryReport:
     """Assemble a report from a `SurveyEstimate` (single design pass)."""
-    stratum_vm = stratum_vm or {}
     rows = []
     for name, se in est.strata.items():
         rows.append({
             "name": name, "total": se.total,
             "v1": se.v1, "v2": se.v2, "v3": se.v3,
-            "vm": stratum_vm.get(name, 0.0),
+            "vm": 0.0,
             "u1": se.u1, "u2": se.u2, "u3": se.u3,
         })
     parts = {
-        "v1": est.v1, "v2": est.v2, "v3": est.v3, "vm": vm_kgh2,
+        "v1": est.v1, "v2": est.v2, "v3": est.v3, "vm": 0.0,
         "u1": est.u1, "u2": est.u2, "u3": est.u3, "v3stage": est.v3stage,
     }
-    echo = config.as_dict()
-    if extra_config:
-        echo.update(extra_config)
     diagnostics = {
         "n_pooled_components": est.n_pooled,
         "n_pooled_without_peers": est.n_pooled_no_peers,
@@ -163,7 +158,7 @@ def build_report(est, config, vm_kgh2: float = 0.0, stratum_vm: dict | None = No
         "n_zero_emitting_strata": sum(1 for se in est.strata.values()
                                       if se.n_components and se.n_components == se.n_zero),
     }
-    return assemble_report(est.total, parts, rows, echo, config.ci_level, diagnostics)
+    return assemble_report(est.total, parts, rows, config.as_dict(), config.ci_level, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import ComponentObs, DayObs, EstimatorConfig, estimate_survey, wald_ci
+from .estimators import (ComponentObs, EstimatorConfig, daily_estimate, estimate_survey,
+                         wald_ci)
 from .frame import StratumDef
 from .pod import DEFAULT_POD, PodParams, pod
 
@@ -102,6 +103,8 @@ class SimConfig:
         lo, hi = self.components_per_facility
         if not 1 <= lo <= hi:
             raise ValueError("bad components_per_facility range")
+        if not 0 < self.ci_level < 1:
+            raise ValueError("ci_level must lie in (0, 1)")
 
     def as_dict(self) -> dict:
         return {
@@ -351,7 +354,7 @@ def run_study(config: SimConfig, population: SimPopulation | None = None) -> Sim
         rng = _replication_rng(config.seed, rep)
         observations = _draw_sample(pop, config, rng)
         for variant, cfg in variant_cfgs.items():
-            est = estimate_survey(observations, strata_defs, cfg)
+            est = estimate_survey(observations[cfg.estimator], strata_defs, cfg)
             totals[variant]["Population"][rep] = est.total
             lo, hi_ = wald_ci(est.total, max(0.0, est.v3stage), config.ci_level)
             covered[variant]["Population"][rep] = lo <= truths["Population"] <= hi_
@@ -380,9 +383,12 @@ def run_study(config: SimConfig, population: SimPopulation | None = None) -> Sim
                           totals=totals, covered=covered)
 
 
-def _draw_sample(pop: SimPopulation, config: SimConfig, rng) -> list[ComponentObs]:
-    """One three-stage sample of the population as estimation-ready observations."""
-    out: list[ComponentObs] = []
+def _draw_sample(pop: SimPopulation, config: SimConfig, rng) -> dict[str, list[ComponentObs]]:
+    """One three-stage sample of the population as estimation-ready observations.
+
+    Returns the sampled components' observations per estimator kind.
+    """
+    out: dict[str, list[ComponentObs]] = {"ipw": [], "hajek": []}
     d_p = config.days_sampled
     big_d = config.horizon
     for name, sp in pop.strata.items():
@@ -407,12 +413,10 @@ def _draw_sample(pop: SimPopulation, config: SimConfig, rng) -> list[ComponentOb
                     if u[row, k, pidx] < phi:
                         rates.append(float(sp.rates[ci, day, pidx]))
                         phis.append(phi)
-                day_obs.append(DayObs(day_id=day, q_total=q,
-                                      rates=tuple(rates), phis=tuple(phis)))
-            out.append(ComponentObs(
-                component_id=f"{name}:{ci}",
-                facility_id=f"{name}:F{int(sp.emit_facility[ci])}",
-                stratum=name,
-                days=tuple(day_obs),
-            ))
+                day_obs.append((day, rates, phis, q))
+            cid, fid = f"{name}:{ci}", f"{name}:F{int(sp.emit_facility[ci])}"
+            for kind, obs in out.items():
+                dailies = tuple(daily_estimate(rs, ps, q_pt, kind, day_id=day)
+                                for day, rs, ps, q_pt in day_obs)
+                obs.append(ComponentObs(cid, fid, name, dailies))
     return out

@@ -146,8 +146,16 @@ class TestExitCodes:
     def test_config_error_is_4(self, tmp_path):
         assert run("estimate", "--packaged", "--stage2", "sometimes",
                    "--out-dir", str(tmp_path)) == 4
+        for typo in ("years", "yearly", "year365", "year:"):
+            assert run("estimate", "--packaged", "--stage2", typo,
+                       "--out-dir", str(tmp_path)) == 4
         assert run("estimate", "--out-dir", str(tmp_path)) == 4
         assert run("estimate", "--packaged", "--bogus-flag") == 4
+
+    def test_invalid_ci_level_is_4(self, tmp_path):
+        assert run("estimate", "--packaged", "--ci-level", "1.5",
+                   "--out-dir", str(tmp_path)) == 4
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestSimulate:
@@ -179,6 +187,19 @@ class TestSimulate:
                    "--out-dir", str(tmp_path)) == 0
         _, rows = read_csv_rows(tmp_path / "simstudy.csv")
         assert all(float(r["bias_pct"]) == 0.0 for r in rows)
+
+    def test_invalid_ci_level_is_4(self, tmp_path):
+        cfg = {
+            "strata": [{"name": "A", "n_sampled": 3, "n_population": 5,
+                        "lognormal_mu": 3.7, "lognormal_sigma": 0.3}],
+            "horizon": 8, "days_sampled": 2, "replications": 5, "seed": 7,
+            "ci_level": 1.5,
+        }
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("simulate", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "out")) == 4
+        assert not (tmp_path / "out").exists()
 
     def test_rows_cover_all_variants(self, tmp_path):
         cfg = {

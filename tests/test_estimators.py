@@ -17,19 +17,21 @@ from msinv.estimators import (
     _starred_day_joint,
     ComponentObs,
     DailyEstimate,
-    DayObs,
     EstimationError,
     EstimatorConfig,
     component_generic,
     component_srs_hajek,
     component_srs_ipw,
+    daily_estimate,
     daily_var_generic,
+    detected_passes,
     estimate_survey,
     hajek_daily,
     hajek_daily_var,
     impute_component_variance,
     ipw_daily,
     ipw_daily_var,
+    prepare_components,
     starred_daily,
     stratum_total,
     total_inventory,
@@ -37,6 +39,7 @@ from msinv.estimators import (
     wells_allocate,
 )
 from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame
+from msinv.pod import phi_any_detection, pod
 from msinv.reporting import KG_H_PER_KT_Y
 
 from conftest import random_frame
@@ -116,6 +119,39 @@ class TestDailyHajek:
             phi_hat = 1 - (1 - mu) ** misses * math.prod(1 - p for _, p in dets)
             expected = max(0.0, hajek_var_display(dets, q, phi_hat))
             assert hajek_daily_var(dets, q, phi_hat) == pytest.approx(expected, rel=1e-12)
+
+
+class TestDailyEstimate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.01, 1.0)), max_size=4),
+        st.integers(0, 3),
+        st.sampled_from(["ipw", "hajek"]),
+    )
+    def test_equals_the_daily_estimators(self, detections, misses, estimator):
+        rates = [y for y, _ in detections]
+        phis = [p for _, p in detections]
+        q = max(1, len(detections) + misses)
+        got = daily_estimate(rates, phis, q, estimator, day_id=7)
+        if not detections:
+            assert got == DailyEstimate(0.0, 0.0, day_id=7)
+            return
+        phi_hat = phi_any_detection(phis, q - len(phis))
+        if estimator == "hajek":
+            want = hajek_daily(detections, q, phi_hat, day_id=7)
+        else:
+            want = ipw_daily(detections, q, day_id=7)
+            want.phi_hat = phi_hat
+        assert got == want
+        assert got.phi_hat is not None
+        assert (got.mean_rate.hex(), got.var.hex()) == (want.mean_rate.hex(), want.var.hex())
+
+    @pytest.mark.parametrize("estimator", ["ipw", "hajek"])
+    def test_day_without_detection_is_zero(self, estimator):
+        got = daily_estimate((), (), 3, estimator, day_id=2)
+        assert (got.mean_rate, got.var) == (0.0, 0.0)
+        assert got.phi_hat is None
+        assert got.n_detected == 0
 
 
 class TestGenericDailyVariance:
@@ -465,6 +501,13 @@ class TestDecomposition:
         assert t365 == pytest.approx(t100, rel=1e-12)
 
 
+def observed_component(cid, fid, days, estimator="ipw"):
+    """A ComponentObs in stratum A from raw (day, Q_pt, rates, phis) days."""
+    dailies = tuple(daily_estimate(rates, phis, q, estimator, day_id=day)
+                    for day, q, rates, phis in days)
+    return ComponentObs(cid, fid, "A", dailies)
+
+
 class TestPipelineBehaviors:
     def _one_component_frame(self, rate=1.0, phi_target=None):
         # one census component detected on both of two days, faked wind and
@@ -492,13 +535,10 @@ class TestPipelineBehaviors:
         # phi == 1 everywhere, d == D, n == N: the point estimate is the
         # population value and every variance part is zero
         obs = [
-            ComponentObs(
-                "c1", "f1", "A",
-                days=(
-                    DayObs(1, 1, (4.0,), (1.0,)),
-                    DayObs(2, 1, (6.0,), (1.0,)),
-                ),
-            )
+            observed_component("c1", "f1", (
+                (1, 1, (4.0,), (1.0,)),
+                (2, 1, (6.0,), (1.0,)),
+            )),
         ]
         est = estimate_survey(obs, {"A": StratumDef("A", 1, 1)},
                               EstimatorConfig(stage2="observed"))
@@ -508,11 +548,11 @@ class TestPipelineBehaviors:
 
     def test_zero_emitter_contributes_nothing(self):
         obs = [
-            ComponentObs("c1", "f1", "A", days=(
-                DayObs(1, 2, (), ()), DayObs(2, 1, (), ()),
+            observed_component("c1", "f1", (
+                (1, 2, (), ()), (2, 1, (), ()),
             )),
-            ComponentObs("c2", "f2", "A", days=(
-                DayObs(1, 1, (8.0,), (0.8,)), DayObs(2, 1, (6.0,), (0.8,)),
+            observed_component("c2", "f2", (
+                (1, 1, (8.0,), (0.8,)), (2, 1, (6.0,), (0.8,)),
             )),
         ]
         strata = {"A": StratumDef("A", 2, 3)}
@@ -524,10 +564,10 @@ class TestPipelineBehaviors:
 
     def test_hajek_equals_sample_mean_when_phis_equal(self):
         obs = [
-            ComponentObs("c1", "f1", "A", days=(
-                DayObs(1, 3, (2.0, 4.0), (0.6, 0.6)),
-                DayObs(2, 2, (6.0,), (0.6,)),
-            )),
+            observed_component("c1", "f1", (
+                (1, 3, (2.0, 4.0), (0.6, 0.6)),
+                (2, 2, (6.0,), (0.6,)),
+            ), estimator="hajek"),
         ]
         est = estimate_survey(obs, {"A": StratumDef("A", 1, 1)},
                               EstimatorConfig(estimator="hajek", stage2="observed"))
@@ -539,14 +579,14 @@ class TestPipelineBehaviors:
 
     def test_pooled_component_gets_stratum_average_variance(self):
         obs = [
-            ComponentObs("single", "f1", "A", days=(
-                DayObs(1, 1, (10.0,), (0.5,)),
+            observed_component("single", "f1", (
+                (1, 1, (10.0,), (0.5,)),
             )),
-            ComponentObs("c2", "f2", "A", days=(
-                DayObs(1, 1, (8.0,), (0.8,)), DayObs(2, 1, (6.0,), (0.8,)),
+            observed_component("c2", "f2", (
+                (1, 1, (8.0,), (0.8,)), (2, 1, (6.0,), (0.8,)),
             )),
-            ComponentObs("c3", "f3", "A", days=(
-                DayObs(1, 1, (3.0,), (0.9,)), DayObs(2, 1, (4.0,), (0.9,)),
+            observed_component("c3", "f3", (
+                (1, 1, (3.0,), (0.9,)), (2, 1, (4.0,), (0.9,)),
             )),
         ]
         est = estimate_survey(obs, {"A": StratumDef("A", 3, 5)}, EstimatorConfig(),
@@ -563,16 +603,16 @@ class TestPipelineBehaviors:
     ])
     def test_days_beyond_horizon_rejected(self, estimator, plan):
         # three surveyed days, detections on one: only the horizon check sees it
-        obs = [ComponentObs("c1", "f1", "A", days=(
-            DayObs(1, 1, (5.0,), (0.8,)), DayObs(2, 1, (), ()), DayObs(3, 1, (), ()),
-        ))]
+        obs = [observed_component("c1", "f1", (
+            (1, 1, (5.0,), (0.8,)), (2, 1, (), ()), (3, 1, (), ()),
+        ), estimator=estimator)]
         cfg = EstimatorConfig(estimator=estimator, plan=plan, horizon=2)
         with pytest.raises(EstimationError, match="exceeds the horizon"):
             estimate_survey(obs, {"A": StratumDef("A", 1, 2)}, cfg)
 
     def test_pooling_without_peers_is_zero_and_counted(self):
         obs = [
-            ComponentObs("single", "f1", "A", days=(DayObs(1, 1, (10.0,), (0.5,)),)),
+            observed_component("single", "f1", ((1, 1, (10.0,), (0.5,)),)),
         ]
         est = estimate_survey(obs, {"A": StratumDef("A", 1, 2)}, EstimatorConfig())
         assert est.n_pooled == 1
@@ -597,14 +637,23 @@ class TestWellsInPipeline:
 
     def test_each_well_gets_equal_share(self):
         frame = self._frame()
-        rep = total_inventory(frame, EstimatorConfig(stage2="observed"),
-                              keep_components=True)
+        cfg = EstimatorConfig(stage2="observed")
+        rep = total_inventory(frame, cfg)
         # PODs are ~1 at 150 m for these rates, so daily shares are the
         # summed rates over 4 wells; every well carries the same estimate
         assert rep.diagnostics["phi_floor_hits"] == 0
         # expansion: 4 well PSUs, each mean ~ (80+40)/4/2 + (60+0)/4/2 days avg
         kgh = rep.total / KG_H_PER_KT_Y
         assert kgh == pytest.approx((80 + 40 + 60) / 2 / (4 / 40), rel=1e-3)
+        det = detected_passes(frame)
+        rates = np.array([p.measured_rate for p in det])
+        phis = pod(rates, np.array([p.altitude for p in det]),
+                   np.array([p.wind_speed for p in det]))
+        est = estimate_survey(prepare_components(frame, rates, phis, cfg), frame.strata, cfg,
+                              keep_components=True)
+        wells = [c for c in est.components if c.component_id.startswith("site1/well")]
+        assert len(wells) == 4
+        assert {(c.mean_rate, c.var) for c in wells} == {(wells[0].mean_rate, wells[0].var)}
 
     def test_zero_well_count_with_detections_fails(self):
         frame = SurveyFrame(

@@ -137,7 +137,7 @@ class TestMicroB:
     def test_monte_carlo_cross_check(self, micro_b, dist_b):
         """Independent simulation of the three-stage draw reproduces E[That]."""
         rng = np.random.default_rng(20211103)
-        from msinv.estimators import ComponentObs, DayObs, estimate_survey
+        from msinv.estimators import ComponentObs, daily_estimate, estimate_survey
 
         n_draws = 60_000
         totals = np.empty(n_draws)
@@ -157,10 +157,10 @@ class TestMicroB:
                         if rng.random() < p.phi:
                             rates.append(p.rate)
                             phis.append(p.phi)
-                    day_obs.append(DayObs(int(t_), len(c.days[t_]),
-                                          tuple(rates), tuple(phis)))
+                    day_obs.append(daily_estimate(rates, phis, len(c.days[t_]), "ipw",
+                                                  day_id=int(t_)))
                 obs.append(ComponentObs(c.component_id, c.facility_id, "S",
-                                        days=tuple(day_obs)))
+                                        dailies=tuple(day_obs)))
             totals[it] = estimate_survey(obs, micro_b.strata, cfg_b()).total
         se = totals.std(ddof=1) / math.sqrt(n_draws)
         assert abs(totals.mean() - dist_b.mean_total()) < 4 * se
