@@ -2,13 +2,14 @@
 
 Across the iterations of the measurement-error Monte Carlo only the drawn
 rates and their detection probabilities change.  Everything else is fixed by
-the frame and the `EstimatorConfig`: which detected passes make up each
-component-day and its pass count Q_pt, the surveyed days d_p, the spreading of
-a well site's emissions over its wells, which units are zero emitters or need
-a pooled variance, the pooling peers, and facility and stratum membership.
-`compile_layout` turns all of that into index arrays once per run, and
-`evaluate` computes a whole chunk of iterations at once, as arrays with one
-row per iteration.
+the frame and the `EstimatorConfig`.  The frame's unit index
+(`SurveyFrame.units`, built at load) already says which detected passes make
+up each component-day and its pass count Q_pt, the surveyed days d_p, and
+which component-days a well site sums and spreads over its wells.
+`compile_layout` turns it into index arrays once per run, adding what the
+configuration fixes: which units are zero emitters or need a pooled variance,
+the pooling peers, and facility and stratum membership.  `evaluate` computes
+a whole chunk of iterations at once, as arrays with one row per iteration.
 
 The scalar functions in `estimators` (`prepare_components` followed by
 `estimate_survey`) are the specification.  Every sum here is accumulated left
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimationError, EstimatorConfig, detected_passes
+from .estimators import EstimationError, EstimatorConfig
 from .frame import SurveyFrame
 
 __all__ = ["Layout", "BatchEstimate", "compile_layout", "evaluate"]
@@ -73,33 +74,17 @@ def _phi_any(phi: np.ndarray, idx: np.ndarray, count: np.ndarray, misses: np.nda
     return 1.0 - prod
 
 
-@dataclass
-class _Day:
-    members: list[int]      # detected component-days summed into this unit-day
-    passes: list[int]       # their detected passes, in order
-    misses: int             # non-detected passes over the same component-days
-
-
-@dataclass
-class _Unit:
-    label: str
-    stratum: str
-    facilities: list[str]   # one entry per stage I unit (a site has one per well)
-    days: list[_Day]
-    wells: int = 1          # a well site: its wells, which share its emissions
-    site: bool = False
-
-
 @dataclass(frozen=True)
 class Layout:
     """Everything about a frame and configuration that is fixed across iterations.
 
-    Levels, each indexed in the scalar reference's order: detected passes;
-    detected component-days ("ddays"); phi groups (each dday, then each
-    pooled well-site day) for the any-detection probability; unit-days (one
-    per surveyed day of a distinct unit, where a unit is a non-well component
-    or a well site standing for all of its wells); units; stratum members
-    (units repeated once per well); facilities; strata.
+    Levels: detected passes, in ``frame.detected_passes`` order; then, each
+    indexed in the order of a walk over ``frame.units`` (the scalar
+    reference's order), detected component-days ("ddays"); phi groups (each
+    dday, then each pooled well-site day) for the any-detection probability;
+    unit-days (one per surveyed day of a unit: a non-well component or a well
+    site standing for all of its wells); units; stratum members (units
+    repeated once per well); facilities; strata.
     """
 
     kind: str                       # "ipw", "starred" (IPW modified) or "hajek"
@@ -157,77 +142,23 @@ class Layout:
         return len(self.measured)
 
 
-def _units(frame: SurveyFrame, det) -> tuple[list[_Unit], dict]:
-    """Non-well components in id order, then well sites in id order."""
-    det_by_day: dict[tuple[str, int], list[int]] = {}
-    for i, p in enumerate(det):
-        det_by_day.setdefault((p.component_id, p.day_id), []).append(i)
-    dd_index = {key: j for j, key in enumerate(det_by_day)}
-    q = frame.passes_per_day
-    days_of: dict[str, list[int]] = {}
-    for cid, day in q:
-        days_of.setdefault(cid, []).append(day)
-
-    def comp_day(cid, day):
-        passes = det_by_day.get((cid, day), [])
-        members = [dd_index[(cid, day)]] if passes else []
-        return members, passes, q[(cid, day)] - len(passes)
-
-    units: list[_Unit] = []
-    sites: dict[str, list[str]] = {}
-    for cid in sorted(frame.components):
-        comp = frame.components[cid]
-        if comp.is_well:
-            sites.setdefault(comp.site_id, []).append(cid)
-            continue
-        days = [_Day(*comp_day(cid, day)) for day in sorted(days_of[cid])]
-        units.append(_Unit(cid, comp.stratum, [comp.facility_id], days))
-    for site in sorted(sites):
-        group = sites[site]
-        strata_here = {frame.components[c].stratum for c in group}
-        if len(strata_here) != 1:
-            raise EstimationError(f"well components at site {site!r} span multiple strata")
-        wells = frame.wells_per_site.get(site, 0)
-        if wells < 1:
-            if any((c, d) in det_by_day for c in group for d in days_of[c]):
-                raise EstimationError(f"well detections at site {site!r} but wells_at_site=0")
-            continue
-        days = []
-        for day in sorted({d for c in group for d in days_of[c]}):
-            members, passes, misses = [], [], 0
-            for c in group:
-                if (c, day) in q:
-                    m, p, miss = comp_day(c, day)
-                    members += m
-                    passes += p
-                    misses += miss
-            days.append(_Day(members, passes, misses))
-        wids = [f"{site}/well{i + 1}" for i in range(wells)]
-        units.append(_Unit(wids[0], strata_here.pop(), wids, days, wells, site=True))
-    return units, det_by_day
-
-
 def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
     """Index the frame once for `evaluate` under one estimator configuration.
 
     Raises `EstimationError` for what the scalar path would reject on every
-    iteration: a surveyed day count above the horizon, well detections at a
-    site without registered wells, or a well site spanning strata.
+    iteration: a surveyed day count above the horizon.
     """
-    det = detected_passes(frame)
+    det = frame.detected_passes
     kind = "hajek" if config.estimator == "hajek" else (
         "starred" if config.plan == "modified" else "ipw")
     observed = config.stage2 == "observed"
-    units, det_by_day = _units(frame, det)
-    q = frame.passes_per_day
+    units = frame.units
 
-    dd_keys = list(det_by_day)
+    # phi groups: every detected component-day, then every well-site day
+    # with a detection, pooled over the site's components
+    n_dd = sum(1 for unit in units for day in unit.days for passes, _ in day.parts if passes)
+    dd_pass, dd_q, site_rows, site_misses = [], [], [], []
     pass_dd = np.empty(len(det), dtype=np.intp)
-    for j, key in enumerate(dd_keys):
-        pass_dd[det_by_day[key]] = j
-    grp_rows = [det_by_day[key] for key in dd_keys]
-    grp_misses = [q[key] - len(det_by_day[key]) for key in dd_keys]
-
     ud_members, ud_wells, ud_grp, star = [], [], [], []
     full, pooled, days_of_full, first_day_of_pooled = [], [], [], []
     unit_d, unit_h = [], []
@@ -237,8 +168,9 @@ def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
         d_p = len(unit.days)
         horizon = d_p if observed else config.horizon
         if d_p > horizon:
+            label = unit.members[0] if unit.wells else unit.unit_id
             raise EstimationError(
-                f"component {unit.label!r}: d_p={d_p} exceeds the horizon D={horizon}"
+                f"component {label!r}: d_p={d_p} exceeds the horizon D={horizon}"
             )
         unit_d.append(d_p)
         unit_h.append(horizon)
@@ -246,19 +178,26 @@ def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
         for day in unit.days:
             t = len(ud_members)
             rows.append(t)
-            ud_members.append(day.members)
-            ud_wells.append(unit.wells)
-            if not day.members:
+            dds = []
+            for passes, q_pt in day.parts:
+                if passes:
+                    pass_dd[list(passes)] = len(dd_pass)
+                    dds.append(len(dd_pass))
+                    dd_pass.append(passes)
+                    dd_q.append(q_pt)
+            ud_members.append(dds)
+            ud_wells.append(unit.wells or 1)
+            if not dds:
                 ud_grp.append(-1)
                 continue
             star_rows.append(len(star))
             star.append(t)
-            if not unit.site:
-                ud_grp.append(day.members[0])
+            if not unit.wells:
+                ud_grp.append(dds[0])
             else:
-                ud_grp.append(len(grp_rows))
-                grp_rows.append(day.passes)
-                grp_misses.append(day.misses)
+                ud_grp.append(n_dd + len(site_rows))
+                site_rows.append([i for passes, _ in day.parts for i in passes])
+                site_misses.append(sum(q_pt - len(passes) for passes, q_pt in day.parts))
         m = len(star_rows)
         if m == 0:
             continue
@@ -297,7 +236,7 @@ def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
     n_zero = [0] * len(names)
     for u, unit in enumerate(units):
         s = s_index[unit.stratum]
-        for fac in unit.facilities:
+        for fac in unit.members:
             members[s].append(u)
             size[s] += 1
             n_zero[s] += u not in is_full and u not in is_pooled
@@ -315,13 +254,16 @@ def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
     for name, f in zip(names, stratum_f):
         n, big_n = frame.strata[name].n_sampled, frame.strata[name].n_population
         pair_coef.append(1.0 - f * f / (n * (n - 1) / (big_n * (big_n - 1))) if n >= 2 else 0.0)
-    n_pooled = sum(len(units[u].facilities) for u in pooled)
+    n_pooled = sum(len(units[u].members) for u in pooled)
     diagnostics = {
         "n_pooled_components": n_pooled,
-        "n_pooled_without_peers": sum(len(units[u].facilities) for u, s in
+        "n_pooled_without_peers": sum(len(units[u].members) for u, s in
                                       zip(pooled, pooled_stratum) if not n_peers[s]),
         "n_zero_emitting_strata": sum(1 for n, z in zip(size, n_zero) if n and n == z),
     }
+
+    grp_rows = dd_pass + site_rows
+    grp_misses = [q_pt - len(passes) for passes, q_pt in zip(dd_pass, dd_q)] + site_misses
 
     def arr(values, dtype=float):
         return np.array(values, dtype=dtype)
@@ -338,8 +280,8 @@ def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
         measured=arr([p.measured_rate for p in det]),
         winds=arr([p.wind_speed for p in det]),
         altitudes=arr([p.altitude for p in det]),
-        dd_pass=_padded([det_by_day[key] for key in dd_keys]),
-        dd_q=col([q[key] for key in dd_keys]),
+        dd_pass=_padded(dd_pass),
+        dd_q=col(dd_q),
         pass_dd=pass_dd,
         grp_pass=_padded(grp_rows),
         grp_count=col([len(r) for r in grp_rows]),
@@ -524,7 +466,7 @@ def evaluate(layout: Layout, y: np.ndarray, phi: np.ndarray,
              first_iteration: int = 0) -> BatchEstimate:
     """Estimate every iteration of a chunk: rates and floored PODs of shape (B, n).
 
-    Columns align with `estimators.detected_passes`; row b is iteration
+    Columns align with ``SurveyFrame.detected_passes``; row b is iteration
     ``first_iteration + b``.  Raises `EstimationError` when an iteration's
     total or any variance part is not finite.
     """

@@ -48,7 +48,6 @@ __all__ = [
     "estimate_survey",
     "total_inventory",
     "wald_ci",
-    "detected_passes",
 ]
 
 
@@ -709,102 +708,47 @@ def estimate_survey(components, strata, config: EstimatorConfig,
 # ---------------------------------------------------------------------------
 
 
-def detected_passes(frame: SurveyFrame):
-    """The frame's detected passes in canonical (component, day, pass) order.
-
-    This order defines the alignment of every externally supplied rate vector
-    (bias-corrected or Monte Carlo draws).
-    """
-    return sorted(
-        (p for p in frame.passes if p.detected),
-        key=lambda p: (p.component_id, p.day_id, p.pass_index),
-    )
-
-
 def prepare_components(frame: SurveyFrame, rates, phis, config: EstimatorConfig):
-    """Group resolved pass values into ComponentObs, applying wells allocation.
+    """Build the ComponentObs of every unit in ``frame.units``.
 
-    ``rates``/``phis`` align with `detected_passes(frame)`.  Well components
-    are pooled by site: each site's detected well emissions are spread evenly
-    over its registered wells, and each well becomes its own stage I unit in
-    the wells stratum.
+    ``rates``/``phis`` align with ``frame.detected_passes``.  A well site's
+    daily estimates are spread evenly over its registered wells by
+    `wells_allocate`, each share's phi_hat pooling every pass of the site
+    that day, and each well becomes its own stage I unit in the wells stratum.
     """
-    det = detected_passes(frame)
-    if len(rates) != len(det) or len(phis) != len(det):
+    if len(rates) != len(frame.detected_passes) or len(phis) != len(frame.detected_passes):
         raise EstimationError("rates/phis must align with the frame's detected passes")
-    by_comp_day: dict[str, dict[int, tuple[list[float], list[float]]]] = {}
-    for p, y, phi in zip(det, rates, phis):
-        day_map = by_comp_day.setdefault(p.component_id, {})
-        rs, ps = day_map.setdefault(p.day_id, ([], []))
-        rs.append(float(y))
-        ps.append(float(phi))
-    q = frame.passes_per_day
-    surveyed_days: dict[str, list[int]] = {}
-    for cid, day in q:
-        surveyed_days.setdefault(cid, []).append(day)
-
-    regular: list[ComponentObs] = []
-    wells_by_site: dict[str, list] = {}
-    for cid in sorted(frame.components):
-        comp = frame.components[cid]
-        day_map = by_comp_day.get(cid, {})
-        days = [(day, *day_map.get(day, ((), ())), q[(cid, day)])
-                for day in sorted(surveyed_days[cid])]
-        if comp.is_well:
-            wells_by_site.setdefault(comp.site_id, []).append((comp.stratum, days))
+    rates = np.asarray(rates, dtype=float).tolist()
+    phis = np.asarray(phis, dtype=float).tolist()
+    out: list[ComponentObs] = []
+    for unit in frame.units:
+        dailies = [daily_estimate([rates[i] for i in positions], [phis[i] for i in positions],
+                                  q_pt, config.estimator, day_id=day.day_id)
+                   for day in unit.days for positions, q_pt in day.parts]
+        if not unit.wells:
+            out.append(ComponentObs(unit.unit_id, unit.members[0], unit.stratum, tuple(dailies)))
             continue
-        dailies = tuple(daily_estimate(rs, ps, q_pt, config.estimator, day_id=day)
-                        for day, rs, ps, q_pt in days)
-        regular.append(ComponentObs(cid, comp.facility_id, comp.stratum, dailies))
-
-    for site in sorted(wells_by_site):
-        regular.extend(_allocate_site_wells(site, wells_by_site[site],
-                                            frame.wells_per_site.get(site, 0), config.estimator))
-    return regular
-
-
-def _allocate_site_wells(site: str, group, wells_at_site: int, estimator: str):
-    """Build one ComponentObs per registered well at the site.
-
-    ``group`` holds each well component's (stratum, days), its surveyed days
-    as (day, rates, phis, Q_pt).  A day's share is `wells_allocate` over the
-    components' daily estimates; its phi_hat pools every detected and missed
-    pass of the site that day.
-    """
-    strata_here = {stratum for stratum, _ in group}
-    if len(strata_here) != 1:
-        raise EstimationError(f"well components at site {site!r} span multiple strata")
-    if wells_at_site < 1:
-        if any(ps for _, days in group for _, _, ps, _ in days):
-            raise EstimationError(f"well detections at site {site!r} but wells_at_site=0")
-        return []
-    dailies = []
-    pooled: dict[int, tuple[list[float], int]] = {}
-    for _, days in group:
-        for day, rs, ps, q_pt in days:
-            dailies.append(daily_estimate(rs, ps, q_pt, estimator, day_id=day))
-            phis, misses = pooled.setdefault(day, ([], 0))
-            phis.extend(ps)
-            pooled[day] = (phis, misses + q_pt - len(ps))
-    shares = []
-    for day, (mean, var) in wells_allocate(dailies, wells_at_site).items():
-        phis, misses = pooled[day]
-        phi_hat = phi_any_detection(phis, misses) if phis else None
-        shares.append(DailyEstimate(mean, var, phi_hat=phi_hat,
-                                    n_detected=len(phis), day_id=day))
-    wids = [f"{site}/well{i + 1}" for i in range(wells_at_site)]
-    stratum = strata_here.pop()
-    return [ComponentObs(wid, wid, stratum, tuple(shares)) for wid in wids]
+        allocated = wells_allocate(dailies, unit.wells)
+        shares = []
+        for day in unit.days:
+            mean, var = allocated[day.day_id]
+            pooled = [phis[i] for positions, _ in day.parts for i in positions]
+            misses = sum(q_pt - len(positions) for positions, q_pt in day.parts)
+            phi_hat = phi_any_detection(pooled, misses) if pooled else None
+            shares.append(DailyEstimate(mean, var, phi_hat=phi_hat,
+                                        n_detected=len(pooled), day_id=day.day_id))
+        out.extend(ComponentObs(wid, wid, unit.stratum, tuple(shares)) for wid in unit.members)
+    return out
 
 
 def total_inventory(frame: SurveyFrame, config: EstimatorConfig, rates=None):
     """One design pass over a survey frame: point estimate, variance split, CI.
 
     ``rates`` optionally overrides the measured rates (aligned with
-    `detected_passes`); detection probabilities are always recomputed from the
-    rates actually used.  Returns an `InventoryReport` in kt/y.
+    ``frame.detected_passes``); detection probabilities are always recomputed
+    from the rates actually used.  Returns an `InventoryReport` in kt/y.
     """
-    det = detected_passes(frame)
+    det = frame.detected_passes
     if rates is None:
         rates = np.array([p.measured_rate for p in det])
     else:

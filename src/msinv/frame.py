@@ -4,6 +4,10 @@ A frame is loaded from three CSV files (pass log, component registry, strata
 table), validated for referential integrity, and frozen.  Non-detected passes
 are first-class records: they carry no measurement fields but they set the
 per-day pass count that every estimator divides by.
+
+Loading also groups the passes once into the units every estimator walks
+(`SurveyFrame.units`): a non-well component, or a well site that stands for
+its wells, with the detected passes and pass count of each component-day.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ __all__ = [
     "StratumDef",
     "ComponentRef",
     "Pass",
+    "UnitDay",
+    "Unit",
     "SurveyFrame",
     "FrameDiagnostics",
     "load_survey",
@@ -112,17 +118,54 @@ class Pass:
 
 
 @dataclass(frozen=True)
+class UnitDay:
+    """One surveyed day of a `Unit`.
+
+    ``parts`` holds a ``(positions, q_pt)`` pair per component-day summed into
+    the day, in component id order: the positions of its detected passes in
+    `SurveyFrame.detected_passes` (empty on a day without a detection) and
+    its pass count Q_pt.
+    """
+
+    day_id: int
+    parts: tuple[tuple[tuple[int, ...], int], ...]
+
+
+@dataclass(frozen=True)
+class Unit:
+    """What the estimators treat as one component: its days and stage I members.
+
+    A non-well component is one unit with ``wells`` 0; ``members`` holds its
+    facility.  A well site is one unit whose ``wells`` wells share its
+    emissions equally; ``members`` holds their ids ``site/well1`` ... and
+    each day sums the site's component-days.  ``days`` are in day order, so
+    d_p is ``len(days)``.
+    """
+
+    unit_id: str                    # the component id, or the site id
+    stratum: str
+    members: tuple[str, ...]
+    wells: int
+    days: tuple[UnitDay, ...]
+
+
+@dataclass(frozen=True)
 class SurveyFrame:
     """Validated, immutable survey frame.
 
     ``wells_per_site`` maps site_id -> number of wells at the site, for the
-    shared-equipment allocation of well emissions.
+    shared-equipment allocation of well emissions.  ``detected_passes`` (in
+    canonical (component, day, pass) order, which every rate vector aligns
+    with) and ``units`` (non-well components in id order, then well sites
+    with at least one well in id order) are derived once at construction.
     """
 
     strata: dict[str, StratumDef]
     components: dict[str, ComponentRef]
     passes: tuple[Pass, ...]
     wells_per_site: dict[str, int] = field(default_factory=dict)
+    detected_passes: tuple[Pass, ...] = field(init=False, repr=False, compare=False)
+    units: tuple[Unit, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -184,6 +227,50 @@ class SurveyFrame:
             )
         object.__setattr__(self, "_days_surveyed", {c: len(d) for c, d in comp_days.items()})
         object.__setattr__(self, "_passes_per_day", q_counts)
+        object.__setattr__(self, "detected_passes", tuple(sorted(
+            (p for p in self.passes if p.detected),
+            key=lambda p: (p.component_id, p.day_id, p.pass_index),
+        )))
+        object.__setattr__(self, "units", self._group_units(comp_days, q_counts))
+
+    def _group_units(self, comp_days, q_counts) -> tuple[Unit, ...]:
+        """Group the passes into units; rejects well sites the estimators cannot use.
+
+        A site's well components must share one stratum, and a site without
+        registered wells may carry no detection (its unit is then dropped).
+        """
+        positions: dict[tuple[str, int], list[int]] = {}
+        for i, p in enumerate(self.detected_passes):
+            positions.setdefault((p.component_id, p.day_id), []).append(i)
+
+        def part(cid, day):
+            return tuple(positions.get((cid, day), ())), q_counts[cid, day]
+
+        units = []
+        sites: dict[str, list[str]] = {}
+        for cid in sorted(self.components):
+            comp = self.components[cid]
+            if comp.is_well:
+                sites.setdefault(comp.site_id, []).append(cid)
+                continue
+            days = tuple(UnitDay(day, (part(cid, day),)) for day in sorted(comp_days[cid]))
+            units.append(Unit(cid, comp.stratum, (comp.facility_id,), 0, days))
+        for site, group in sorted(sites.items()):
+            strata_here = {self.components[c].stratum for c in group}
+            if len(strata_here) != 1:
+                raise FrameError(f"well components at site {site!r} span multiple strata")
+            wells = self.wells_per_site.get(site, 0)
+            if wells < 1:
+                if any((c, d) in positions for c in group for d in comp_days[c]):
+                    raise FrameError(f"well detections at site {site!r} but wells_at_site=0")
+                continue
+            days = tuple(
+                UnitDay(day, tuple(part(c, day) for c in group if day in comp_days[c]))
+                for day in sorted(set().union(*(comp_days[c] for c in group)))
+            )
+            wids = tuple(f"{site}/well{i + 1}" for i in range(wells))
+            units.append(Unit(site, strata_here.pop(), wids, wells, days))
+        return tuple(units)
 
     @property
     def days_surveyed(self) -> dict[str, int]:

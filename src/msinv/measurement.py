@@ -27,7 +27,7 @@ import numpy as np
 
 from . import reporting
 from .batch import compile_layout, evaluate
-from .estimators import EstimatorConfig, detected_passes
+from .estimators import EstimatorConfig
 # not used here: perfbench/tracer.py patches these two names on this module
 from .estimators import estimate_survey, prepare_components  # noqa: F401
 from .frame import SurveyFrame
@@ -38,7 +38,6 @@ __all__ = [
     "McResult",
     "run_mc",
     "bias_corrected_inventory",
-    "estimate_inventory",
     "convergence_trace",
     "write_trace_csv",
     "resolve_threads",
@@ -277,30 +276,11 @@ def bias_corrected_inventory(
     """
     from .estimators import total_inventory
 
-    det = detected_passes(frame)
-    rates = bias_correct(np.array([p.measured_rate for p in det]), measurement)
+    rates = bias_correct(np.array([p.measured_rate for p in frame.detected_passes]),
+                         measurement)
     report = total_inventory(frame, config, rates=np.atleast_1d(rates))
     report.config["measurement_mode"] = "bias-correct"
     report.config["measurement"] = {
         "d": measurement.d, "alpha": measurement.alpha, "beta": measurement.beta,
     }
     return report
-
-
-def estimate_inventory(
-    frame: SurveyFrame,
-    config: EstimatorConfig,
-    measurement_mode: str = "bias-correct",
-    mc: McConfig | None = None,
-) -> reporting.InventoryReport:
-    """One of the analysis variants: bias-correct or full measurement MC."""
-    if measurement_mode == "bias-correct":
-        model = mc.measurement if mc is not None else DEFAULT_MEASUREMENT
-        return bias_corrected_inventory(frame, config, model)
-    if measurement_mode == "mc":
-        mc = mc or McConfig(estimator=config)
-        if mc.estimator is not config:
-            mc = McConfig(estimator=config, iterations=mc.iterations, seed=mc.seed,
-                          measurement=mc.measurement, trace=mc.trace, threads=mc.threads)
-        return run_mc(frame, mc).report
-    raise ValueError(f"measurement_mode must be 'bias-correct' or 'mc', got {measurement_mode!r}")

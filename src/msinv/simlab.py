@@ -105,6 +105,9 @@ class SimConfig:
             raise ValueError("bad components_per_facility range")
         if not 0 < self.ci_level < 1:
             raise ValueError("ci_level must lie in (0, 1)")
+        if self.replications < 2:
+            # the between-replication variance has denominator R - 1
+            raise ValueError("need at least 2 replications")
 
     def as_dict(self) -> dict:
         return {
@@ -138,24 +141,50 @@ def config_from_json(source) -> SimConfig:
             doc = json.load(fh)
     strata = tuple(
         SimStratumSpec(
-            name=s["name"], n_sampled=int(s["n_sampled"]),
-            n_population=int(s["n_population"]),
-            lognormal_mu=float(s["lognormal_mu"]),
-            lognormal_sigma=float(s["lognormal_sigma"]),
-            sd_ratio=float(s.get("sd_ratio", 0.2)),
+            name=s["name"], n_sampled=_count(s["n_sampled"], "n_sampled"),
+            n_population=_count(s["n_population"], "n_population"),
+            lognormal_mu=_number(s["lognormal_mu"], "lognormal_mu"),
+            lognormal_sigma=_number(s["lognormal_sigma"], "lognormal_sigma"),
+            sd_ratio=_number(s.get("sd_ratio", 0.2), "sd_ratio"),
         )
         for s in doc["strata"]
     )
     kwargs = {}
     for key in ("emit_prob", "wind_mean", "wind_sd", "altitude_mean", "altitude_sd",
-                "horizon", "days_sampled", "replications", "seed", "ci_level"):
+                "ci_level"):
         if key in doc:
-            kwargs[key] = doc[key]
+            kwargs[key] = _number(doc[key], key)
+    for key in ("horizon", "days_sampled", "replications", "seed"):
+        if key in doc:
+            kwargs[key] = _count(doc[key], key)
     if "components_per_facility" in doc:
-        kwargs["components_per_facility"] = tuple(doc["components_per_facility"])
+        kwargs["components_per_facility"] = tuple(
+            _count(v, "components_per_facility") for v in doc["components_per_facility"])
     if "passes_pmf" in doc:
-        kwargs["passes_pmf"] = {int(k): float(v) for k, v in doc["passes_pmf"].items()}
+        kwargs["passes_pmf"] = {_count(k, "passes_pmf count"): _number(v, "passes_pmf")
+                                for k, v in doc["passes_pmf"].items()}
     return SimConfig(strata=strata, **kwargs)
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number, or a string holding one."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _count(value, key: str) -> int:
+    """A whole JSON number, or a string holding one; a fraction is an error."""
+    if not _number(value, key).is_integer():
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    try:
+        return int(value)       # exact for integers and integer strings
+    except ValueError:
+        return int(float(value))  # "30.0"
 
 
 def default_config(**overrides) -> SimConfig:

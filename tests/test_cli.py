@@ -102,16 +102,31 @@ class TestExitCodes:
         assert run("estimate", "--passes", "nope.csv", "--frame", "nope.csv",
                    "--strata", "nope.csv", "--out-dir", str(tmp_path)) == 2
 
-    def test_estimation_error_is_3(self, tmp_path):
+    @pytest.mark.parametrize("command", [
+        ("estimate",),
+        ("estimate", "--measurement", "mc", "--mc-iters", "4"),
+        ("diagnose",),
+    ], ids=["bias-correct", "mc", "diagnose"])
+    @pytest.mark.parametrize("passes, frame, strata", [
+        # a well detection at a site with no registered wells
+        ("w1,w1,s1,Wells,1,1,1,50.0,3.0,150",
+         "w1,w1,s1,Wells,1,0",
+         "Wells,1,10"),
+        # one site's well components in two strata
+        ("w1,w1,s1,WellsA,1,1,1,50.0,3.0,150\nw2,w2,s1,WellsB,1,1,0,,,",
+         "w1,w1,s1,WellsA,1,2\nw2,w2,s1,WellsB,1,2",
+         "WellsA,2,10\nWellsB,2,10"),
+    ], ids=["no-wells", "site-spans-strata"])
+    def test_well_site_rule_is_2(self, tmp_path, command, passes, frame, strata):
         p = tmp_path / "p.csv"
         f = tmp_path / "f.csv"
         s = tmp_path / "s.csv"
-        # a well detection at a site with no registered wells
-        p.write_text(PASSES_HEADER + "\nw1,w1,s1,Wells,1,1,1,50.0,3.0,150\n")
-        f.write_text(FRAME_HEADER + "\nw1,w1,s1,Wells,1,0\n")
-        s.write_text(STRATA_HEADER + "\nWells,1,10\n")
-        assert run("estimate", "--passes", str(p), "--frame", str(f),
-                   "--strata", str(s), "--out-dir", str(tmp_path)) == 3
+        p.write_text(PASSES_HEADER + "\n" + passes + "\n")
+        f.write_text(FRAME_HEADER + "\n" + frame + "\n")
+        s.write_text(STRATA_HEADER + "\n" + strata + "\n")
+        assert run(*command, "--passes", str(p), "--frame", str(f), "--strata", str(s),
+                   "--out-dir", str(tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_rate_is_2(self, tmp_path):
         p = tmp_path / "p.csv"
@@ -194,6 +209,53 @@ class TestSimulate:
                         "lognormal_mu": 3.7, "lognormal_sigma": 0.3}],
             "horizon": 8, "days_sampled": 2, "replications": 5, "seed": 7,
             "ci_level": 1.5,
+        }
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("simulate", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "out")) == 4
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, replications", [
+        (("--reps", "0"), None), (("--reps", "1"), None), ((), 0),
+    ], ids=["reps-0", "reps-1", "config-0"])
+    def test_fewer_than_two_replications_is_4(self, tmp_path, args, replications):
+        config = ()
+        if replications is not None:
+            cfg_path = tmp_path / "sim.json"
+            cfg_path.write_text(json.dumps({
+                "strata": [{"name": "A", "n_sampled": 3, "n_population": 5,
+                            "lognormal_mu": 3.7, "lognormal_sigma": 0.3}],
+                "replications": replications,
+            }))
+            config = ("--config", str(cfg_path))
+        assert run("simulate", *config, *args, "--out-dir", str(tmp_path / "out")) == 4
+        assert not (tmp_path / "out").exists()
+
+    def test_quoted_numbers_load(self, tmp_path):
+        cfg = {
+            "strata": [{"name": "A", "n_sampled": "3", "n_population": 5,
+                        "lognormal_mu": "3.7", "lognormal_sigma": 0.3}],
+            "horizon": "8", "days_sampled": 2.0, "replications": "5", "seed": 7,
+            "ci_level": "0.9",
+        }
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)) == 0
+        doc = json.loads((tmp_path / "simstudy_config.json").read_text())["config"]
+        assert (doc["horizon"], doc["days_sampled"], doc["ci_level"]) == (8, 2, 0.9)
+        assert doc["strata"][0]["n_sampled"] == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("ci_level", "high"), ("ci_level", None), ("horizon", 30.5), ("horizon", "30.5"),
+        ("replications", "many"), ("days_sampled", [2]),
+    ])
+    def test_non_numeric_or_fractional_count_is_4(self, tmp_path, key, value):
+        cfg = {
+            "strata": [{"name": "A", "n_sampled": 3, "n_population": 5,
+                        "lognormal_mu": 3.7, "lognormal_sigma": 0.3}],
+            "horizon": 40, "days_sampled": 2, "replications": 5, "seed": 7,
+            key: value,
         }
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -24,7 +24,6 @@ from msinv.estimators import (
     component_srs_ipw,
     daily_estimate,
     daily_var_generic,
-    detected_passes,
     estimate_survey,
     hajek_daily,
     hajek_daily_var,
@@ -38,7 +37,7 @@ from msinv.estimators import (
     wald_ci,
     wells_allocate,
 )
-from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame
+from msinv.frame import ComponentRef, FrameError, Pass, StratumDef, SurveyFrame
 from msinv.pod import phi_any_detection, pod
 from msinv.reporting import KG_H_PER_KT_Y
 
@@ -645,7 +644,7 @@ class TestWellsInPipeline:
         # expansion: 4 well PSUs, each mean ~ (80+40)/4/2 + (60+0)/4/2 days avg
         kgh = rep.total / KG_H_PER_KT_Y
         assert kgh == pytest.approx((80 + 40 + 60) / 2 / (4 / 40), rel=1e-3)
-        det = detected_passes(frame)
+        det = frame.detected_passes
         rates = np.array([p.measured_rate for p in det])
         phis = pod(rates, np.array([p.altitude for p in det]),
                    np.array([p.wind_speed for p in det]))
@@ -656,11 +655,10 @@ class TestWellsInPipeline:
         assert {(c.mean_rate, c.var) for c in wells} == {(wells[0].mean_rate, wells[0].var)}
 
     def test_zero_well_count_with_detections_fails(self):
-        frame = SurveyFrame(
-            strata={"Wells": StratumDef("Wells", 1, 40)},
-            components={"w1": ComponentRef("w1", "w1", "site1", "Wells", is_well=True)},
-            passes=(Pass("w1", 1, 1, True, 80.0, 3.0, 150.0),),
-            wells_per_site={"site1": 0},
-        )
-        with pytest.raises(EstimationError):
-            total_inventory(frame, EstimatorConfig())
+        with pytest.raises(FrameError, match="wells_at_site=0"):
+            SurveyFrame(
+                strata={"Wells": StratumDef("Wells", 1, 40)},
+                components={"w1": ComponentRef("w1", "w1", "site1", "Wells", is_well=True)},
+                passes=(Pass("w1", 1, 1, True, 80.0, 3.0, 150.0),),
+                wells_per_site={"site1": 0},
+            )

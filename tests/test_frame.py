@@ -9,6 +9,8 @@ from msinv.frame import (
     Pass,
     StratumDef,
     SurveyFrame,
+    Unit,
+    UnitDay,
     load_survey,
     read_strata,
     save_survey,
@@ -155,6 +157,66 @@ class TestDerivedCounts:
             assert subset_frame.strata[name].n_sampled == len(facs)
 
 
+class TestUnits:
+    def _frame(self):
+        # a two-component well site surveyed on days 4-6, the components
+        # overlapping on day 5, and a site without wells or detections
+        return SurveyFrame(
+            strata={"A": StratumDef("A", 1, 2), "Wells": StratumDef("Wells", 3, 10)},
+            components={
+                "w2": ComponentRef("w2", "w2", "site1", "Wells", is_well=True),
+                "c1": ComponentRef("c1", "f1", "s1", "A"),
+                "w1": ComponentRef("w1", "w1", "site1", "Wells", is_well=True),
+                "w3": ComponentRef("w3", "w3", "site0", "Wells", is_well=True),
+            },
+            passes=(
+                Pass("c1", 2, 1, True, 10.0, 3.0, 150.0),
+                Pass("c1", 2, 2, False),
+                Pass("c1", 1, 1, True, 20.0, 3.0, 150.0),
+                Pass("w2", 5, 1, True, 30.0, 3.0, 150.0),
+                Pass("w2", 6, 1, False),
+                Pass("w1", 5, 2, False),
+                Pass("w1", 5, 1, True, 50.0, 3.0, 150.0),
+                Pass("w1", 4, 2, True, 40.0, 3.0, 150.0),
+                Pass("w1", 4, 1, False),
+                Pass("w3", 4, 1, False),
+            ),
+            wells_per_site={"s1": 0, "site1": 3, "site0": 0},
+        )
+
+    def test_detected_passes_in_canonical_order(self):
+        frame = self._frame()
+        assert [(p.component_id, p.day_id, p.pass_index) for p in frame.detected_passes] == [
+            ("c1", 1, 1), ("c1", 2, 1), ("w1", 4, 2), ("w1", 5, 1), ("w2", 5, 1),
+        ]
+
+    def test_components_then_sites_with_their_parts(self):
+        assert self._frame().units == (
+            Unit("c1", "A", ("f1",), 0, (
+                UnitDay(1, (((0,), 1),)),
+                UnitDay(2, (((1,), 2),)),
+            )),
+            # site0 has no wells and no detections: it is no unit at all
+            Unit("site1", "Wells", ("site1/well1", "site1/well2", "site1/well3"), 3, (
+                UnitDay(4, (((2,), 2),)),
+                UnitDay(5, (((3,), 2), ((4,), 1))),
+                UnitDay(6, (((), 1),)),
+            )),
+        )
+
+    def test_site_spanning_strata_rejected(self):
+        with pytest.raises(FrameError, match="span multiple strata"):
+            SurveyFrame(
+                strata={"W1": StratumDef("W1", 2, 4), "W2": StratumDef("W2", 2, 4)},
+                components={
+                    "w1": ComponentRef("w1", "w1", "site1", "W1", is_well=True),
+                    "w2": ComponentRef("w2", "w2", "site1", "W2", is_well=True),
+                },
+                passes=(Pass("w1", 1, 1, False), Pass("w2", 1, 1, False)),
+                wells_per_site={"site1": 2},
+            )
+
+
 class TestValidate:
     def test_zero_emitting_stratum_flagged(self, subset_frame):
         diag = validate(subset_frame)
@@ -194,3 +256,6 @@ class TestRoundTrip:
         assert again.days_surveyed == subset_frame.days_surveyed
         assert again.passes_per_day == subset_frame.passes_per_day
         assert again.strata == subset_frame.strata
+        assert again.detected_passes == subset_frame.detected_passes
+        assert again.units == subset_frame.units
+        assert any(u.wells for u in again.units)

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from msinv import measurement
-from msinv.estimators import EstimationError, EstimatorConfig, detected_passes, total_inventory
+from msinv.estimators import EstimationError, EstimatorConfig, total_inventory
 from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame
 from msinv.measurement import (
     McConfig,
     bias_corrected_inventory,
     convergence_trace,
-    estimate_inventory,
     iteration_uniforms,
     resolve_threads,
     run_mc,
@@ -51,7 +50,7 @@ class TestBiasCorrectMode:
     def test_equals_manual_rate_scaling(self, small_frame):
         cfg = EstimatorConfig()
         report = bias_corrected_inventory(small_frame, cfg)
-        det = detected_passes(small_frame)
+        det = small_frame.detected_passes
         rates = bias_correct(np.array([p.measured_rate for p in det]))
         manual = total_inventory(small_frame, cfg, rates=rates)
         assert report.total == pytest.approx(manual.total, rel=1e-15)
@@ -79,7 +78,7 @@ class TestMcLayer:
     def test_two_iteration_independent_recomputation(self, small_frame):
         cfg = EstimatorConfig()
         mc = run_mc(small_frame, McConfig(estimator=cfg, iterations=2, seed=9))
-        det = detected_passes(small_frame)
+        det = small_frame.detected_passes
         measured = np.array([p.measured_rate for p in det])
         totals = []
         parts = []
@@ -119,7 +118,7 @@ class TestMcLayer:
             McConfig(iterations=1)
 
     def test_drawn_rates_converge_to_bias_factor(self, small_frame):
-        det = detected_passes(small_frame)
+        det = small_frame.detected_passes
         measured = np.array([p.measured_rate for p in det])
         u = iteration_uniforms(1, range(4000), len(det))
         ratios = (sample_true_rate(measured, u) / measured).ravel()
@@ -248,14 +247,3 @@ class TestTrace:
         assert lines[0].startswith("# manifest: ")
         assert lines[1] == "stratum,b,cum_var_design"
         assert len(lines) == 2 + 10 * (len(small_frame.strata) + 1)
-
-
-class TestEstimateInventory:
-    def test_dispatch(self, small_frame):
-        cfg = EstimatorConfig()
-        bias = estimate_inventory(small_frame, cfg, "bias-correct")
-        assert bias.config["measurement_mode"] == "bias-correct"
-        mc = estimate_inventory(small_frame, cfg, "mc", McConfig(iterations=10, seed=1))
-        assert mc.config["measurement_mode"] == "mc"
-        with pytest.raises(ValueError):
-            estimate_inventory(small_frame, cfg, "bogus")
