@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .datasets import packaged_subset_paths
 from .estimators import EstimationError, EstimatorConfig
-from .frame import FrameError, load_survey, validate
+from .frame import FrameError, load_survey, number, validate
 from .measurement import McConfig, bias_corrected_inventory, run_mc, write_trace_csv
 from .planner import gamma_table, predict_variance, scenario_from_json
 from .pod import MeasurementModel, PodParams
@@ -94,10 +94,14 @@ def _resolve_models(args) -> tuple[PodParams, MeasurementModel]:
         read = ini.read(args.model_config)
         if not read:
             raise ConfigError(f"cannot read model config {args.model_config!r}")
-        if ini.has_section("pod"):
-            pod_kw.update({k: float(v) for k, v in ini.items("pod")})
-        if ini.has_section("measurement"):
-            meas_kw.update({k: float(v) for k, v in ini.items("measurement")})
+        unknown = sorted(set(ini.sections()) - {"pod", "measurement"})
+        if unknown:
+            raise ConfigError(f"unknown model config section(s) {unknown}")
+        for section, kw in (("pod", pod_kw), ("measurement", meas_kw)):
+            if ini.has_section(section):
+                # the dataclasses decide which values are in range (beta may be inf)
+                kw.update({k: number(v, f"[{section}] {k}", finite=False)
+                           for k, v in ini.items(section)})
     for f in dataclasses.fields(PodParams):
         v = getattr(args, f"pod_{f.name}")
         if v is not None:

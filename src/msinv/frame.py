@@ -8,11 +8,19 @@ per-day pass count that every estimator divides by.
 Loading also groups the passes once into the units every estimator walks
 (`SurveyFrame.units`): a non-well component, or a well site that stands for
 its wells, with the detected passes and pass count of each component-day.
+
+This module also holds the one strict reader for the JSON configuration
+documents (the `simulate` study config and the `plan` scenario) and the INI
+model constants: `read_json` opens a document, `json_object` and `json_list`
+check its shape and name any missing or unknown key, and `number`, `count`
+and `text` convert each value.  They raise `ValueError`, which the command
+line reports as a configuration error (exit 4).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +37,12 @@ __all__ = [
     "load_survey",
     "save_survey",
     "validate",
+    "read_json",
+    "json_object",
+    "json_list",
+    "number",
+    "count",
+    "text",
 ]
 
 PASSES_HEADER = [
@@ -350,6 +364,74 @@ def _parse_float(text: str, what: str, row: int, path: str) -> float:
         raise FrameError(f"{path} row {row}: cannot parse {what} from {text!r}") from None
     if not math.isfinite(value):
         raise FrameError(f"{path} row {row}: {what} must be finite, got {text!r}")
+    return value
+
+
+def read_json(source):
+    """A JSON configuration document from a path, an open file or a parsed dict."""
+    if isinstance(source, dict):
+        return source
+    if hasattr(source, "read"):
+        return json.load(source)
+    with open(source, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def json_object(value, what: str, required=(), optional=None) -> dict:
+    """``value`` as a JSON object that holds every ``required`` key.
+
+    Given ``optional``, any key outside ``required`` and ``optional`` is an
+    error too, so a misspelt key cannot fall back to its default unnoticed.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
+    problems = [f"missing key {k!r}" for k in required if k not in value]
+    if optional is not None:
+        problems += [f"unknown key {k!r}" for k in value
+                     if k not in required and k not in optional]
+    if problems:
+        raise ValueError(f"{what}: " + "; ".join(problems))
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """``value`` as a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def number(value, key: str, finite: bool = True) -> float:
+    """A JSON number, or a string holding one; never a boolean.
+
+    With ``finite`` (the default) nan and inf are errors too; without it they
+    pass, and the caller's own range check decides.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+    if finite and not math.isfinite(out):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return out
+
+
+def count(value, key: str) -> int:
+    """A whole JSON number, or a string holding one; a fraction is an error."""
+    if not number(value, key).is_integer():
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    try:
+        return int(value)       # exact for integers and integer strings
+    except ValueError:
+        return int(float(value))  # "30.0"
+
+
+def text(value, key: str) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
     return value
 
 

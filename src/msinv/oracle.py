@@ -13,7 +13,6 @@ tested in isolation from the instrument physics.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,12 +32,10 @@ __all__ = [
     "MicroPass",
     "MicroComponent",
     "MicroPopulation",
-    "micro_from_json",
     "true_total",
     "enumerate_outcomes",
     "OutcomeDistribution",
     "exact_stage_variances",
-    "outcome_probabilities",
 ]
 
 MAX_OUTCOMES = 1_000_000
@@ -110,38 +107,6 @@ class MicroPopulation:
         for fac in sorted(self.facilities):
             out[self.facilities[fac]].append(fac)
         return out
-
-
-def micro_from_json(source) -> MicroPopulation:
-    """Build a micro population from its JSON fixture form (path or dict)."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    strata = {
-        name: StratumDef(name=name, n_sampled=s["n_sampled"], n_population=s["n_population"])
-        for name, s in doc["strata"].items()
-    }
-    comps = tuple(
-        MicroComponent(
-            component_id=c["component_id"],
-            facility_id=c["facility_id"],
-            days=tuple(
-                tuple(MicroPass(rate=p["rate"], phi=p["phi"]) for p in day)
-                for day in c["days"]
-            ),
-        )
-        for c in doc["components"]
-    )
-    return MicroPopulation(
-        strata=strata,
-        facilities=dict(doc["facilities"]),
-        components=comps,
-        days_sampled=int(doc["days_sampled"]),
-    )
 
 
 def true_total(pop: MicroPopulation) -> float:
@@ -434,35 +399,3 @@ def exact_stage_variances(pop: MicroPopulation, config: EstimatorConfig):
     v_two = math.fsum(var2_vals) / n_s1
     v_three = math.fsum(mean_v3_vals) / n_s1
     return v_one, v_two, v_three
-
-
-def outcome_probabilities(pop: MicroPopulation):
-    """Probability of every full sample outcome under both design routes.
-
-    The original route multiplies per-pass Bernoulli detection probabilities;
-    the modified route factors through the day-level any-detection
-    probabilities and the conditional within-day design.  The two columns
-    agree identically, which is the design-equivalence property made testable.
-    Returns (original, modified) arrays over the enumerated outcomes.
-    """
-    phi_dot = {
-        (c.component_id, t): 1.0 - math.prod(1.0 - p.phi for p in c.days[t])
-        for c in pop.components
-        for t in range(pop.horizon)
-    }
-    original: list[float] = []
-    modified: list[float] = []
-    for outcome in _outcomes(pop, []):
-        p_mod = outcome.design_prob
-        pairs = [(c, t) for c, days in zip(outcome.components, outcome.days) for t in days]
-        for (c, t), pattern in zip(pairs, outcome.patterns):
-            phid = phi_dot[(c.component_id, t)]
-            if pattern.detected:
-                # day enters the starred sample; detections follow the
-                # conditional (non-Poisson) within-day design
-                p_mod *= phid * (pattern.prob / phid)
-            else:
-                p_mod *= 1.0 - phid
-        original.append(outcome.prob)
-        modified.append(p_mod)
-    return np.array(original), np.array(modified)

@@ -10,13 +10,12 @@ oracle) or on compact per-stratum scenario profiles in closed form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frame import SurveyFrame
+from .frame import SurveyFrame, count, json_list, json_object, number, read_json, text
 from .oracle import MicroPopulation
 from .pod import DEFAULT_MEASUREMENT, DEFAULT_POD, MeasurementModel, PodParams, bias_correct, pod
 
@@ -146,6 +145,14 @@ class PlanProfile:
     day_sd: float = 0.0
     count: int = 1
 
+    def __post_init__(self):
+        if not 0 <= self.ybar < math.inf:
+            raise ValueError(f"profile ybar must be a finite number >= 0, got {self.ybar!r}")
+        if not 0 <= self.day_sd < math.inf:
+            raise ValueError(f"profile day_sd must be a finite number >= 0, got {self.day_sd!r}")
+        if self.count < 0:
+            raise ValueError(f"profile count must be >= 0, got {self.count!r}")
+
 
 @dataclass(frozen=True)
 class PlanStratum:
@@ -167,6 +174,8 @@ class PlanStratum:
     def __post_init__(self):
         if not 1 <= self.n_sampled <= self.n_population:
             raise ValueError(f"stratum {self.name!r}: need 1 <= n <= N")
+        if not self.pass_phis:
+            raise ValueError(f"stratum {self.name!r}: need at least one pass per day")
         if sum(p.count for p in self.profiles) > self.n_population:
             raise ValueError(f"stratum {self.name!r}: profile counts exceed n_population")
         for phi in self.pass_phis:
@@ -185,38 +194,47 @@ class PlanScenario:
             raise ValueError("need 1 <= days_sampled <= horizon")
 
 
+_STRATUM_KEYS = ("name", "n_sampled", "n_population", "profiles", "pass_phis")
+
+
 def scenario_from_json(source) -> PlanScenario:
-    """Load a scenario from its JSON form (path, file object or dict)."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    """Load a scenario from its JSON form (path, file object or dict).
+
+    ``pass_phis`` is a list with one detection probability per pass, or one
+    number that ``passes_per_day`` (default 1) repeats.  See the README
+    section "Configuration files".
+    """
+    doc = json_object(read_json(source), "scenario", required=("strata",),
+                      optional=("horizon_days", "days_sampled"))
     strata = []
-    for s in doc["strata"]:
-        phis = s["pass_phis"]
-        if isinstance(phis, (int, float)):
-            phis = [phis] * int(s.get("passes_per_day", 1))
-        strata.append(
-            PlanStratum(
-                name=s["name"],
-                n_sampled=int(s["n_sampled"]),
-                n_population=int(s["n_population"]),
-                profiles=tuple(
-                    PlanProfile(ybar=float(p["ybar"]),
-                                day_sd=float(p.get("day_sd", 0.0)),
-                                count=int(p.get("count", 1)))
-                    for p in s["profiles"]
-                ),
-                pass_phis=tuple(float(p) for p in phis),
-            )
-        )
+    for i, s in enumerate(json_list(doc["strata"], "strata")):
+        where = f"strata[{i}]"
+        s = json_object(s, where, required=_STRATUM_KEYS, optional=("passes_per_day",))
+        if isinstance(s["pass_phis"], list):
+            if "passes_per_day" in s:
+                raise ValueError(f"{where}: passes_per_day needs a single pass_phis number")
+            phis = [number(p, f"{where}.pass_phis") for p in s["pass_phis"]]
+        else:
+            phis = [number(s["pass_phis"], f"{where}.pass_phis")] * count(
+                s.get("passes_per_day", 1), f"{where}.passes_per_day")
+        profiles = []
+        for j, p in enumerate(json_list(s["profiles"], f"{where}.profiles")):
+            at = f"{where}.profiles[{j}]"
+            p = json_object(p, at, required=("ybar",), optional=("day_sd", "count"))
+            profiles.append(PlanProfile(ybar=number(p["ybar"], f"{at}.ybar"),
+                                        day_sd=number(p.get("day_sd", 0.0), f"{at}.day_sd"),
+                                        count=count(p.get("count", 1), f"{at}.count")))
+        strata.append(PlanStratum(
+            name=text(s["name"], f"{where}.name"),
+            n_sampled=count(s["n_sampled"], f"{where}.n_sampled"),
+            n_population=count(s["n_population"], f"{where}.n_population"),
+            profiles=tuple(profiles),
+            pass_phis=tuple(phis),
+        ))
     return PlanScenario(
         strata=tuple(strata),
-        horizon=int(doc.get("horizon_days", 365)),
-        days_sampled=int(doc.get("days_sampled", 2)),
+        horizon=count(doc.get("horizon_days", 365), "horizon_days"),
+        days_sampled=count(doc.get("days_sampled", 2), "days_sampled"),
     )
 
 

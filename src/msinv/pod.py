@@ -23,7 +23,6 @@ __all__ = [
     "sample_true_rate",
     "bias_correct",
     "phi_any_detection",
-    "measurement_mean_factor",
 ]
 
 # Detection probabilities are floored before any division by phi so that a
@@ -51,8 +50,8 @@ class PodParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"PodParams.{f.name} must be > 0")
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"PodParams.{f.name} must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,8 @@ class MeasurementModel:
     beta: float = 3.82
 
     def __post_init__(self):
-        if self.d <= 0 or self.alpha <= 0:
-            raise ValueError("MeasurementModel.d and .alpha must be > 0")
+        if not (0 < self.d < math.inf and 0 < self.alpha < math.inf):
+            raise ValueError("MeasurementModel.d and .alpha must be finite numbers > 0")
         if not self.beta > 1:
             raise ValueError("MeasurementModel.beta must be > 1 (finite mean)")
 
@@ -149,18 +148,6 @@ def bias_correct(measured, model: MeasurementModel = DEFAULT_MEASUREMENT):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def measurement_mean_factor(model: MeasurementModel = DEFAULT_MEASUREMENT) -> float:
-    """Expected ratio of true to measured rate, d * alpha * (pi/beta)/sin(pi/beta).
-
-    With the default constants this evaluates to ~0.918, i.e. the model's mean
-    is internally consistent with the simple bias-correction factor.
-    """
-    if math.isinf(model.beta):
-        return model.d * model.alpha
-    x = math.pi / model.beta
-    return model.d * model.alpha * x / math.sin(x)
 
 
 def phi_any_detection(detected_phis, n_missed: int) -> float:

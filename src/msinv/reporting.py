@@ -25,7 +25,6 @@ __all__ = [
     "write_report_json",
     "write_report_table",
     "write_decomposition_table",
-    "read_csv_rows",
 ]
 
 # 1 kg/h sustained for a year: 8760 h/y over 1e6 kg/kt.
@@ -248,17 +247,3 @@ def write_decomposition_table(report: InventoryReport, path, manifest: dict | No
             ):
                 share = value / r.var_total if r.var_total > 0 else 0.0
                 w.writerow([r.name, source, repr(value), repr(share)])
-
-
-def read_csv_rows(path) -> tuple[dict | None, list[dict]]:
-    """Read one of this module's CSVs back: (manifest or None, rows as dicts)."""
-    manifest = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.startswith("# manifest: "):
-            manifest = json.loads(first[len("# manifest: "):])
-        else:
-            fh.seek(0)
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    return manifest, rows

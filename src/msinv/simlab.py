@@ -20,7 +20,8 @@ import numpy as np
 
 from .estimators import (ComponentObs, EstimatorConfig, daily_estimate, estimate_survey,
                          wald_ci)
-from .frame import StratumDef
+from .datasets import packaged_sim_defaults_path
+from .frame import StratumDef, count, json_list, json_object, number, read_json, text
 from .pod import DEFAULT_POD, PodParams, pod
 
 __all__ = [
@@ -37,6 +38,12 @@ __all__ = [
 ]
 
 MAX_PASSES = 5
+
+# Bound on the (emitting component, day, pass) cells of a whole population,
+# summed over its strata.  Generation holds several float64 arrays of this
+# shape, so memory grows with it: the four-strata default has about 1.1M
+# cells and peaks near 165 MiB; one stratum at the bound peaks near 825 MiB.
+MAX_POPULATION_CELLS = 10_000_000
 
 # estimator x stage II treatment; "year" carries the day-sampling variance,
 # "observed" treats the surveyed days as the whole population
@@ -130,61 +137,47 @@ class SimConfig:
         }
 
 
+_STRATUM_KEYS = ("name", "n_sampled", "n_population", "lognormal_mu", "lognormal_sigma")
+_NUMBER_KEYS = ("emit_prob", "wind_mean", "wind_sd", "altitude_mean", "altitude_sd", "ci_level")
+_COUNT_KEYS = ("horizon", "days_sampled", "replications", "seed")
+
+
 def config_from_json(source) -> SimConfig:
-    """Load a simulation configuration from JSON (path, file object or dict)."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    strata = tuple(
-        SimStratumSpec(
-            name=s["name"], n_sampled=_count(s["n_sampled"], "n_sampled"),
-            n_population=_count(s["n_population"], "n_population"),
-            lognormal_mu=_number(s["lognormal_mu"], "lognormal_mu"),
-            lognormal_sigma=_number(s["lognormal_sigma"], "lognormal_sigma"),
-            sd_ratio=_number(s.get("sd_ratio", 0.2), "sd_ratio"),
-        )
-        for s in doc["strata"]
-    )
+    """Load a simulation configuration from JSON (path, file object or dict).
+
+    Every key must be one `SimConfig.as_dict` writes; see the README section
+    "Configuration files".
+    """
+    doc = json_object(read_json(source), "config", required=("strata",),
+                      optional=_NUMBER_KEYS + _COUNT_KEYS
+                      + ("components_per_facility", "passes_pmf"))
+    strata = []
+    for i, s in enumerate(json_list(doc["strata"], "strata")):
+        where = f"strata[{i}]"
+        s = json_object(s, where, required=_STRATUM_KEYS, optional=("sd_ratio",))
+        strata.append(SimStratumSpec(
+            name=text(s["name"], f"{where}.name"),
+            n_sampled=count(s["n_sampled"], f"{where}.n_sampled"),
+            n_population=count(s["n_population"], f"{where}.n_population"),
+            lognormal_mu=number(s["lognormal_mu"], f"{where}.lognormal_mu"),
+            lognormal_sigma=number(s["lognormal_sigma"], f"{where}.lognormal_sigma"),
+            sd_ratio=number(s.get("sd_ratio", 0.2), f"{where}.sd_ratio"),
+        ))
     kwargs = {}
-    for key in ("emit_prob", "wind_mean", "wind_sd", "altitude_mean", "altitude_sd",
-                "ci_level"):
+    for key in _NUMBER_KEYS:
         if key in doc:
-            kwargs[key] = _number(doc[key], key)
-    for key in ("horizon", "days_sampled", "replications", "seed"):
+            kwargs[key] = number(doc[key], key)
+    for key in _COUNT_KEYS:
         if key in doc:
-            kwargs[key] = _count(doc[key], key)
+            kwargs[key] = count(doc[key], key)
     if "components_per_facility" in doc:
         kwargs["components_per_facility"] = tuple(
-            _count(v, "components_per_facility") for v in doc["components_per_facility"])
+            count(v, "components_per_facility")
+            for v in json_list(doc["components_per_facility"], "components_per_facility"))
     if "passes_pmf" in doc:
-        kwargs["passes_pmf"] = {_count(k, "passes_pmf count"): _number(v, "passes_pmf")
-                                for k, v in doc["passes_pmf"].items()}
-    return SimConfig(strata=strata, **kwargs)
-
-
-def _number(value, key: str) -> float:
-    """A finite JSON number, or a string holding one."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return number
-
-
-def _count(value, key: str) -> int:
-    """A whole JSON number, or a string holding one; a fraction is an error."""
-    if not _number(value, key).is_integer():
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    try:
-        return int(value)       # exact for integers and integer strings
-    except ValueError:
-        return int(float(value))  # "30.0"
+        kwargs["passes_pmf"] = {count(k, "passes_pmf count"): number(v, "passes_pmf")
+                                for k, v in json_object(doc["passes_pmf"], "passes_pmf").items()}
+    return SimConfig(strata=tuple(strata), **kwargs)
 
 
 def default_config(**overrides) -> SimConfig:
@@ -194,10 +187,7 @@ def default_config(**overrides) -> SimConfig:
     parameters are the packaged subset's moment-matching fits (regenerated by
     tools/make_subset.py and stored beside the data).
     """
-    from importlib import resources
-
-    with resources.files("msinv").joinpath("data/sim_defaults.json").open() as fh:
-        fits = json.load(fh)["lognormal_fits"]
+    fits = read_json(packaged_sim_defaults_path())["lognormal_fits"]
     table = [
         ("CO SWB", 48, 58),
         ("MS", 51, 91),
@@ -267,6 +257,7 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
     pass_probs = [config.passes_pmf[k] for k in pass_keys]
     big_d = config.horizon
     strata: dict[str, _StratumPopulation] = {}
+    cells = 0
     for spec in config.strata:
         comp_counts = rng.integers(lo, hi + 1, size=spec.n_population)
         emit_fac: list[int] = []
@@ -274,6 +265,12 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
             n_emit = rng.binomial(comp_counts[fac], config.emit_prob)
             emit_fac.extend([fac] * int(n_emit))
         n_emit = len(emit_fac)
+        cells += n_emit * big_d * MAX_PASSES
+        if cells > MAX_POPULATION_CELLS:
+            raise ValueError(
+                f"the population reaches {cells} (component, day, pass) cells at stratum "
+                f"{spec.name!r}, over the limit of {MAX_POPULATION_CELLS}; lower horizon, "
+                "n_population, components_per_facility or emit_prob")
         q = rng.choice(pass_keys, p=pass_probs, size=(n_emit, big_d)).astype(np.int8)
         daily = rng.lognormal(spec.lognormal_mu, spec.lognormal_sigma, size=(n_emit, big_d))
         rates = _truncated_normal(rng, daily[..., None], spec.sd_ratio * daily[..., None],

@@ -1,6 +1,11 @@
-"""Shared fixtures: micro populations, the packaged subset, random frames."""
+"""Shared fixtures and helpers: micro populations, the packaged subset, random
+frames, reading artifacts back, and the measurement model's mean factor."""
 
 from __future__ import annotations
+
+import csv
+import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ import pytest
 from msinv.datasets import load_packaged_subset
 from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame
 from msinv.oracle import MicroComponent, MicroPass, MicroPopulation
-from msinv.pod import pod
+from msinv.pod import DEFAULT_MEASUREMENT, MeasurementModel, pod
 
 
 @pytest.fixture(scope="session")
@@ -90,3 +95,29 @@ def random_frame(seed: int) -> SurveyFrame:
         strata[name] = StratumDef(name, n_fac, n_fac + int(rng.integers(0, 6)))
     return SurveyFrame(strata=strata, components=comps, passes=tuple(passes),
                        wells_per_site=wells)
+
+
+def read_csv_rows(path) -> tuple[dict | None, list[dict]]:
+    """Read a CSV artifact back: (manifest or None, rows as dicts)."""
+    manifest = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        first = fh.readline()
+        if first.startswith("# manifest: "):
+            manifest = json.loads(first[len("# manifest: "):])
+        else:
+            fh.seek(0)
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    return manifest, rows
+
+
+def measurement_mean_factor(model: MeasurementModel = DEFAULT_MEASUREMENT) -> float:
+    """Expected ratio of true to measured rate, d * alpha * (pi/beta)/sin(pi/beta).
+
+    With the default constants this evaluates to ~0.918, i.e. the model's mean
+    is internally consistent with the simple bias-correction factor.
+    """
+    if math.isinf(model.beta):
+        return model.d * model.alpha
+    x = math.pi / model.beta
+    return model.d * model.alpha * x / math.sin(x)

@@ -20,11 +20,11 @@ from msinv.frame import validate
 from msinv.measurement import McConfig, bias_corrected_inventory, run_mc
 from msinv.oracle import enumerate_outcomes, exact_stage_variances, true_total
 from msinv.planner import gamma_table
-from msinv.pod import MeasurementModel, measurement_mean_factor, sample_true_rate
+from msinv.pod import MeasurementModel, sample_true_rate
 from msinv.reporting import KG_H_PER_KT_Y, write_report_json
 from msinv.simlab import SimConfig, SimStratumSpec, default_config, generate_population, run_study
 
-from conftest import random_frame
+from conftest import measurement_mean_factor, random_frame
 
 LOCKS_PATH = Path(__file__).parent / "data" / "acceptance_locks.json"
 

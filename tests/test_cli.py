@@ -1,15 +1,83 @@
 """Command-line surface tests: artifacts, reproducibility, exit codes."""
 
+import copy
 import json
 
 import pytest
 
+from msinv import simlab
 from msinv.cli import main
-from msinv.reporting import read_csv_rows
+
+from conftest import read_csv_rows
 
 PASSES_HEADER = "component_id,facility_id,site_id,stratum,day,pass,detected,rate_kg_h,wind_m_s,altitude_m"
 FRAME_HEADER = "component_id,facility_id,site_id,stratum,is_well,wells_at_site"
 STRATA_HEADER = "stratum,n_sampled,n_population"
+
+
+SIM_CONFIG = {
+    "strata": [{"name": "A", "n_sampled": 3, "n_population": 5,
+                "lognormal_mu": 3.7, "lognormal_sigma": 0.3}],
+    "horizon": 40, "days_sampled": 2, "replications": 5, "seed": 7,
+}
+PLAN_SCENARIO = {
+    "horizon_days": 30, "days_sampled": 2,
+    "strata": [{"name": "A", "n_sampled": 2, "n_population": 4, "pass_phis": [0.6, 0.8],
+                "profiles": [{"ybar": 5.0, "day_sd": 1.0, "count": 2}]}],
+}
+
+# One table of bad values for both JSON documents; each entry sets one path
+# (a top-level key, or a tuple of keys and indexes; () is the whole document).
+# Keys the document does not know, such as simulate's "horizon" in a plan
+# scenario, are errors too.  The first six rows keep the ids they had as
+# simulate-only cases.
+BAD_VALUES = [
+    pytest.param("ci_level", "high", id="ci_level-high"),
+    pytest.param("ci_level", None, id="ci_level-None"),
+    pytest.param("horizon", 30.5, id="horizon-30.5_0"),
+    pytest.param("horizon", "30.5", id="horizon-30.5_1"),
+    pytest.param("replications", "many", id="replications-many"),
+    pytest.param("days_sampled", [2], id="days_sampled-value5"),
+    pytest.param("days_sampled", 2.5, id="fractional-count"),
+    pytest.param(("strata", 0, "n_sampled"), "three", id="quoted-non-number"),
+    pytest.param(("strata", 0, "n_population"), "nan", id="nan"),
+    pytest.param(("strata", 0, "n_sampled"), True, id="true"),
+    pytest.param(("strata", 0, "colour"), "red", id="unknown-key"),
+    pytest.param(("strata", 0), ["A", 2, 4], id="list-for-object"),
+    pytest.param((), [SIM_CONFIG], id="list-for-document"),
+    pytest.param(("strata", 0, "name"), ["A"], id="list-for-string"),
+    pytest.param("strata", 5, id="number-for-list"),
+]
+
+
+def edited(doc, edits):
+    """A deep copy of ``doc`` with each path in ``edits`` set to its value."""
+    doc = copy.deepcopy(doc)
+    for path, value in edits.items():
+        path = (path,) if isinstance(path, str) else path
+        if not path:
+            doc = value
+            continue
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return doc
+
+
+def assert_rejected(tmp_path, capsys, command, doc):
+    """``command`` on the JSON ``doc`` exits 4 with a message and writes nothing."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ("simulate", "--config", str(cfg), "--out-dir", str(out))
+    else:
+        argv = ("plan", "--scenario", str(cfg), "--out", str(out / "plan.csv"))
+    capsys.readouterr()
+    assert run(*argv) == 4
+    assert capsys.readouterr().err.startswith("msinv: configuration error: ")
+    assert not out.exists()
 
 
 @pytest.fixture(autouse=True)
@@ -167,6 +235,42 @@ class TestExitCodes:
         assert run("estimate", "--out-dir", str(tmp_path)) == 4
         assert run("estimate", "--packaged", "--bogus-flag") == 4
 
+    @pytest.mark.parametrize("command", ["estimate", "diagnose"])
+    @pytest.mark.parametrize("flag, ini", [
+        (("--pod-kappa", "inf"), "[pod]\nkappa = inf\n"),
+        (("--meas-d", "nan"), "[measurement]\nd = nan\n"),
+        (("--meas-alpha", "-inf"), "[measurement]\nalpha = -inf\n"),
+        (("--meas-beta", "nan"), "[measurement]\nbeta = nan\n"),
+    ], ids=["kappa-inf", "d-nan", "alpha-minus-inf", "beta-nan"])
+    @pytest.mark.parametrize("via", ["flag", "model-config"])
+    def test_non_finite_model_constant_is_4(self, tmp_path, command, flag, ini, via):
+        if via == "flag":
+            override = flag
+        else:
+            (tmp_path / "model.ini").write_text(ini)
+            override = ("--model-config", str(tmp_path / "model.ini"))
+        # survey files that do not exist: the constants fail first, with 4, not 2
+        missing = [arg for name in ("passes", "frame", "strata")
+                   for arg in (f"--{name}", str(tmp_path / "missing.csv"))]
+        assert run(command, *missing, *override, "--out-dir", str(tmp_path / "out")) == 4
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", [
+        ("--meas-beta", "inf"), ("--model-config", "[measurement]\nbeta = inf\n"),
+    ], ids=["flag", "model-config"])
+    def test_infinite_beta_is_allowed(self, tmp_path, override):
+        flag, value = override
+        if flag == "--model-config":
+            (tmp_path / "model.ini").write_text(value)
+            value = str(tmp_path / "model.ini")
+        assert run("diagnose", "--packaged", flag, value,
+                   "--out-dir", str(tmp_path / "out")) == 0
+
+    def test_unknown_model_config_section_is_4(self, tmp_path):
+        (tmp_path / "model.ini").write_text("[measurment]\nd = 0.9\n")
+        assert run("diagnose", "--packaged", "--model-config", str(tmp_path / "model.ini"),
+                   "--out-dir", str(tmp_path / "out")) == 4
+
     def test_invalid_ci_level_is_4(self, tmp_path):
         assert run("estimate", "--packaged", "--ci-level", "1.5",
                    "--out-dir", str(tmp_path)) == 4
@@ -246,21 +350,13 @@ class TestSimulate:
         assert (doc["horizon"], doc["days_sampled"], doc["ci_level"]) == (8, 2, 0.9)
         assert doc["strata"][0]["n_sampled"] == 3
 
-    @pytest.mark.parametrize("key, value", [
-        ("ci_level", "high"), ("ci_level", None), ("horizon", 30.5), ("horizon", "30.5"),
-        ("replications", "many"), ("days_sampled", [2]),
-    ])
-    def test_non_numeric_or_fractional_count_is_4(self, tmp_path, key, value):
-        cfg = {
-            "strata": [{"name": "A", "n_sampled": 3, "n_population": 5,
-                        "lognormal_mu": 3.7, "lognormal_sigma": 0.3}],
-            "horizon": 40, "days_sampled": 2, "replications": 5, "seed": 7,
-            key: value,
-        }
-        cfg_path = tmp_path / "sim.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert run("simulate", "--config", str(cfg_path),
-                   "--out-dir", str(tmp_path / "out")) == 4
+    @pytest.mark.parametrize("key, value", BAD_VALUES)
+    def test_non_numeric_or_fractional_count_is_4(self, tmp_path, capsys, key, value):
+        assert_rejected(tmp_path, capsys, "simulate", edited(SIM_CONFIG, {key: value}))
+
+    def test_population_over_the_cell_limit_is_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simlab, "MAX_POPULATION_CELLS", 1000)
+        assert run("simulate", "--reps", "2", "--out-dir", str(tmp_path / "out")) == 4
         assert not (tmp_path / "out").exists()
 
     def test_rows_cover_all_variants(self, tmp_path):
@@ -295,6 +391,26 @@ class TestPlanAndDiagnose:
         assert run("plan", "--scenario", str(spath), "--out", str(out)) == 0
         _, rows = read_csv_rows(out)
         assert all(float(r["var_stage1"]) == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES)
+    def test_bad_scenario_value_is_4(self, tmp_path, capsys, key, value):
+        assert_rejected(tmp_path, capsys, "plan", edited(PLAN_SCENARIO, {key: value}))
+
+    @pytest.mark.parametrize("edits", [
+        {"horizon_days": 30.9},
+        {("strata", 0, "profiles", 0): 5},
+        {("strata", 0, "profiles", 0, "ybar"): "nan"},
+        {("strata", 0, "profiles", 0, "ybar"): -1.0},
+        {("strata", 0, "profiles", 0, "day_sd"): -1.0},
+        {("strata", 0, "profiles", 0, "count"): -3},
+        {("strata", 0, "pass_phis"): 0.8, ("strata", 0, "passes_per_day"): 0},
+        {("strata", 0, "pass_phis"): []},
+        {("strata", 0, "passes_per_day"): 2},
+    ], ids=["fractional-horizon", "number-for-profile", "nan-ybar", "negative-ybar",
+            "negative-day-sd", "negative-count", "zero-passes", "no-pass-phis",
+            "passes-per-day-with-list"])
+    def test_plan_range_rules_are_4(self, tmp_path, capsys, edits):
+        assert_rejected(tmp_path, capsys, "plan", edited(PLAN_SCENARIO, edits))
 
     def test_diagnose_packaged_locks(self, tmp_path):
         assert run("diagnose", "--packaged", "--out-dir", str(tmp_path)) == 0

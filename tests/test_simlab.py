@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from msinv import simlab
 from msinv.pod import PodParams
 from msinv.simlab import (
     SimConfig,
@@ -69,6 +70,15 @@ class TestGeneration:
         if len(sp.emit_facility):
             spread = sp.rates.max(axis=2) - sp.rates.min(axis=2)
             assert float(np.max(spread)) < 1e-9
+
+    def test_cell_limit(self, monkeypatch):
+        # tiny_config has 5 facilities of 1-4 components at emit_prob 0.5
+        cells = generate_population(tiny_config()).strata["A"].rates.size
+        monkeypatch.setattr(simlab, "MAX_POPULATION_CELLS", cells)
+        generate_population(tiny_config())
+        monkeypatch.setattr(simlab, "MAX_POPULATION_CELLS", cells - 1)
+        with pytest.raises(ValueError, match="cells at stratum 'A'"):
+            generate_population(tiny_config())
 
     def test_deterministic_given_seed(self):
         a = generate_population(tiny_config())
@@ -159,6 +169,12 @@ class TestConfigRoundTrip:
         assert sizes["MS"] == (51, 91)
         assert sizes["GP Sweet"] == (21, 25)
         assert sizes["Compressor station"] == (45, 254)
+
+    def test_unknown_key_is_named(self):
+        doc = tiny_config().as_dict()
+        doc["replicatons"] = 3
+        with pytest.raises(ValueError, match="unknown key 'replicatons'"):
+            config_from_json(doc)
 
     def test_pmf_must_sum_to_one(self):
         with pytest.raises(ValueError):
