@@ -1,15 +1,17 @@
-"""Batched evaluation of the design estimator over a compiled frame layout.
+"""Batched evaluation of the design estimator over a compiled layout.
 
 Across the iterations of the measurement-error Monte Carlo only the drawn
 rates and their detection probabilities change.  Everything else is fixed by
-the frame and the `EstimatorConfig`.  The frame's unit index
-(`SurveyFrame.units`, built at load) already says which detected passes make
-up each component-day and its pass count Q_pt, the surveyed days d_p, and
-which component-days a well site sums and spreads over its wells.
-`compile_layout` turns it into index arrays once per run, adding what the
-configuration fixes: which units are zero emitters or need a pooled variance,
-the pooling peers, and facility and stratum membership.  `evaluate` computes
-a whole chunk of iterations at once, as arrays with one row per iteration.
+the units and the `EstimatorConfig`.  A `frame.UnitIndex` (a frame's is
+`SurveyFrame.index`, built once per frame; the exact oracle builds one per
+block of outcomes) says as flat arrays which detected passes make up each
+component-day and its pass count Q_pt, the surveyed days d_p, and which
+component-days a well site sums and spreads over its wells.  `build_layout`
+turns it, with numpy alone, into the index arrays of a `Layout`, adding what
+the configuration fixes: which units are zero emitters or need a pooled
+variance, the pooling peers, and facility and stratum membership.
+`evaluate` computes a whole chunk of iterations at once, as arrays with one
+row per iteration.
 
 The scalar functions in `estimators` (`prepare_components` followed by
 `estimate_survey`) are the specification.  Every sum here is accumulated left
@@ -26,21 +28,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimationError, EstimatorConfig
-from .frame import SurveyFrame
+from .frame import SurveyFrame, UnitIndex
 
-__all__ = ["Layout", "BatchEstimate", "compile_layout", "evaluate"]
+__all__ = ["Layout", "BatchEstimate", "build_layout", "compile_layout", "evaluate"]
 
 POPULATION_KEYS = ("total", "v3stage", "v1", "v2", "v3", "u1", "u2", "u3")
 STRATUM_KEYS = ("total", "v1", "v2", "v3", "u1", "u2", "u3")
 
 
-def _padded(rows) -> np.ndarray:
-    """Ragged index lists as a rectangular array, short rows filled with -1."""
-    width = max((len(r) for r in rows), default=0)
-    out = np.full((len(rows), width), -1, dtype=np.intp)
-    for i, r in enumerate(rows):
-        out[i, :len(r)] = r
+def _ragged(keys: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row k holds, in their order, the values whose key is k; short rows end in -1."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = np.bincount(keys, minlength=n_rows)
+    out = np.full((n_rows, counts.max(initial=0)), -1, dtype=np.intp)
+    out[keys, np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys]] = values[order]
     return out
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row r holds ``starts[r]``, ``starts[r] + 1``, ... (``counts[r]`` items), then -1."""
+    cols = np.arange(counts.max(initial=0))
+    return np.where(cols < counts[:, None], starts[:, None] + cols, -1)
 
 
 def _columns(idx: np.ndarray):
@@ -76,24 +85,23 @@ def _phi_any(phi: np.ndarray, idx: np.ndarray, count: np.ndarray, misses: np.nda
 
 @dataclass(frozen=True)
 class Layout:
-    """Everything about a frame and configuration that is fixed across iterations.
+    """Everything about the units and configuration that is fixed across iterations.
 
-    Levels: detected passes, in ``frame.detected_passes`` order; then, each
-    indexed in the order of a walk over ``frame.units`` (the scalar
-    reference's order), detected component-days ("ddays"); phi groups (each
-    dday, then each pooled well-site day) for the any-detection probability;
-    unit-days (one per surveyed day of a unit: a non-well component or a well
-    site standing for all of its wells); units; stratum members (units
-    repeated once per well); facilities; strata.
+    Levels: detected passes, in `UnitIndex` order; then, each in the order
+    of the units (the scalar reference's order), detected component-days
+    ("ddays"); phi groups (each dday, then each pooled well-site day) for the
+    any-detection probability; unit-days (one per surveyed day of a unit: a
+    non-well component or a well site standing for all of its wells); units;
+    stratum members (units repeated once per well); facilities; strata;
+    groups of strata, each summed into one population total.
     """
 
     kind: str                       # "ipw", "starred" (IPW modified) or "hajek"
     observed: bool
     printed: bool
-    strata: tuple[str, ...]
-    measured: np.ndarray
-    winds: np.ndarray
-    altitudes: np.ndarray
+    measured: np.ndarray | None     # per detected pass, when compiled from a frame
+    winds: np.ndarray | None
+    altitudes: np.ndarray | None
     # detected component-days
     dd_pass: np.ndarray
     dd_q: np.ndarray
@@ -135,185 +143,168 @@ class Layout:
     fac_of_stratum: np.ndarray      # per stratum: facilities
     stratum_f: np.ndarray
     stratum_pair_coef: np.ndarray   # 0 where n_sampled < 2
+    groups: np.ndarray              # per group: its strata
     diagnostics: dict
 
     @property
     def n_passes(self) -> int:
-        return len(self.measured)
+        return len(self.pass_dd)
 
 
 def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
-    """Index the frame once for `evaluate` under one estimator configuration.
+    """`build_layout` of the frame's units, with the measurements of its detected passes."""
+    det = frame.detected_passes
+    return build_layout(
+        frame.index, config,
+        measured=np.array([p.measured_rate for p in det], dtype=float),
+        winds=np.array([p.wind_speed for p in det], dtype=float),
+        altitudes=np.array([p.altitude for p in det], dtype=float),
+    )
+
+
+def build_layout(index: UnitIndex, config: EstimatorConfig, measured=None, winds=None,
+                 altitudes=None) -> Layout:
+    """Index the units once for `evaluate` under one estimator configuration.
 
     Raises `EstimationError` for what the scalar path would reject on every
     iteration: a surveyed day count above the horizon.
     """
-    det = frame.detected_passes
     kind = "hajek" if config.estimator == "hajek" else (
         "starred" if config.plan == "modified" else "ipw")
     observed = config.stage2 == "observed"
-    units = frame.units
+    ud_unit, unit_stratum, member_unit = index.ud_unit, index.unit_stratum, index.member_unit
+    n_cd, n_ud, n_units = len(index.cd_q), len(ud_unit), len(unit_stratum)
+    n_strata = len(index.n_sampled)
+
+    # detected component-days, and the detected passes in component-day order
+    by_cd = np.argsort(index.pass_cd, kind="stable")
+    pass_cd = index.pass_cd[by_cd]
+    cd_n = np.bincount(pass_cd, minlength=n_cd)
+    dd_cd = np.flatnonzero(cd_n)
+    n_dd = len(dd_cd)
+    dd_of_cd = np.cumsum(cd_n > 0) - 1
+    pass_dd = np.empty(len(by_cd), dtype=np.intp)
+    pass_dd[by_cd] = dd_of_cd[pass_cd]
+    dd_ud = index.cd_ud[dd_cd]
 
     # phi groups: every detected component-day, then every well-site day
     # with a detection, pooled over the site's components
-    n_dd = sum(1 for unit in units for day in unit.days for passes, _ in day.parts if passes)
-    dd_pass, dd_q, site_rows, site_misses = [], [], [], []
-    pass_dd = np.empty(len(det), dtype=np.intp)
-    ud_members, ud_wells, ud_grp, star = [], [], [], []
-    full, pooled, days_of_full, first_day_of_pooled = [], [], [], []
-    unit_d, unit_h = [], []
-    star_full, star_d, star_h = [], [], []
-    pair_a, pair_b, pair_base, pair_diag, pairs_of_full = [], [], [], [], []
-    for u, unit in enumerate(units):
-        d_p = len(unit.days)
-        horizon = d_p if observed else config.horizon
-        if d_p > horizon:
-            label = unit.members[0] if unit.wells else unit.unit_id
-            raise EstimationError(
-                f"component {label!r}: d_p={d_p} exceeds the horizon D={horizon}"
-            )
-        unit_d.append(d_p)
-        unit_h.append(horizon)
-        rows, star_rows = [], []
-        for day in unit.days:
-            t = len(ud_members)
-            rows.append(t)
-            dds = []
-            for passes, q_pt in day.parts:
-                if passes:
-                    pass_dd[list(passes)] = len(dd_pass)
-                    dds.append(len(dd_pass))
-                    dd_pass.append(passes)
-                    dd_q.append(q_pt)
-            ud_members.append(dds)
-            ud_wells.append(unit.wells or 1)
-            if not dds:
-                ud_grp.append(-1)
-                continue
-            star_rows.append(len(star))
-            star.append(t)
-            if not unit.wells:
-                ud_grp.append(dds[0])
-            else:
-                ud_grp.append(n_dd + len(site_rows))
-                site_rows.append([i for passes, _ in day.parts for i in passes])
-                site_misses.append(sum(q_pt - len(passes) for passes, q_pt in day.parts))
-        m = len(star_rows)
-        if m == 0:
-            continue
-        if (m if kind == "hajek" else d_p) == 1:
-            pooled.append(u)
-            first_day_of_pooled.append(star_rows[0] if kind != "ipw" else rows[0])
-            continue
-        full.append(u)
-        if kind == "ipw":
-            days_of_full.append(rows)
-            continue
-        # star days of full units get positions of their own, in unit order
-        first = len(star_full)
-        days_of_full.append(list(range(first, first + m)))
-        star_full += star_rows
-        star_d += [d_p] * m
-        star_h += [horizon] * m
-        base = d_p * (d_p - 1) / (horizon * (horizon - 1)) if horizon > 1 else 0.0
-        pairs_of_full.append(list(range(len(pair_a), len(pair_a) + m * m)))
-        for a in range(first, first + m):
-            for b in range(first, first + m):
-                pair_a.append(a)
-                pair_b.append(b)
-                pair_base.append(base)
-                pair_diag.append(a == b)
+    star = np.flatnonzero(np.bincount(dd_ud, minlength=n_ud))
+    wells = index.unit_wells[ud_unit]
+    site = star[wells[star] > 0]
+    ud_grp = np.full(n_ud, -1, dtype=np.intp)
+    ud_grp[star] = np.searchsorted(dd_ud, star)
+    ud_grp[site] = n_dd + np.arange(len(site))
+    pass_ud = index.cd_ud[pass_cd]
+    in_site = wells[pass_ud] > 0
+    grp_key = np.concatenate([dd_of_cd[pass_cd], ud_grp[pass_ud[in_site]]])
+    n_grp = n_dd + len(site)
+    ud_q = np.bincount(index.cd_ud, weights=index.cd_q, minlength=n_ud).astype(np.intp)
+    ud_misses = ud_q - np.bincount(pass_ud, minlength=n_ud)
 
-    names = tuple(frame.strata)
-    s_index = {name: s for s, name in enumerate(names)}
-    is_full = set(full)
-    is_pooled = set(pooled)
-    members = [[] for _ in names]
-    peers = [[] for _ in names]
-    facs: dict[tuple[int, str], list[int]] = {}
-    fac_of_stratum = [[] for _ in names]
-    size = [0] * len(names)
-    n_zero = [0] * len(names)
-    for u, unit in enumerate(units):
-        s = s_index[unit.stratum]
-        for fac in unit.members:
-            members[s].append(u)
-            size[s] += 1
-            n_zero[s] += u not in is_full and u not in is_pooled
-            if u in is_full:
-                peers[s].append(u)
-            key = (s, fac)
-            if key not in facs:
-                facs[key] = []
-                fac_of_stratum[s].append(len(facs) - 1)
-            facs[key].append(u)
-    pooled_stratum = [s_index[units[u].stratum] for u in pooled]
-    n_peers = [len(p) for p in peers]
-    stratum_f = [frame.strata[n].n_sampled / frame.strata[n].n_population for n in names]
-    pair_coef = []
-    for name, f in zip(names, stratum_f):
-        n, big_n = frame.strata[name].n_sampled, frame.strata[name].n_population
-        pair_coef.append(1.0 - f * f / (n * (n - 1) / (big_n * (big_n - 1))) if n >= 2 else 0.0)
-    n_pooled = sum(len(units[u].members) for u in pooled)
+    # units: surveyed days d_p, horizon D, and days with a detection m
+    d_p = np.bincount(ud_unit, minlength=n_units)
+    horizon = d_p if observed else np.full(n_units, config.horizon)
+    over = np.flatnonzero(d_p > horizon)
+    if len(over):
+        u = over[0]
+        raise EstimationError(
+            f"component {index.labels[u]!r}: d_p={d_p[u]} exceeds the horizon D={horizon[u]}"
+        )
+    star_unit = ud_unit[star]
+    m = np.bincount(star_unit, minlength=n_units)
+    single = (m if kind == "hajek" else d_p) == 1
+    pooled = np.flatnonzero((m > 0) & single)
+    full = np.flatnonzero((m > 0) & ~single)
+    is_full = np.zeros(n_units, dtype=bool)
+    is_full[full] = True
+    ud_start = np.cumsum(d_p) - d_p
+
+    # star days of full units get positions of their own, in unit order,
+    # and every ordered pair of a unit's star days one entry
+    m_full = m[full]
+    first = np.cumsum(m_full) - m_full
+    star_full = np.flatnonzero(is_full[star_unit])
+    d, h = d_p[full], horizon[full]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = np.where(h > 1, d * (d - 1) / (h * (h - 1)), 0.0)
+    sq = m_full * m_full
+    pair_start = np.cumsum(sq) - sq
+    owner = np.repeat(np.arange(len(full)), sq)
+    k = np.arange(len(owner)) - pair_start[owner]
+    pair_a = first[owner] + k // m_full[owner]
+    pair_b = first[owner] + k % m_full[owner]
+
+    # strata: members and pooling peers in unit order, facilities (numbered
+    # in order of their first member) in order
+    member_stratum = unit_stratum[member_unit]
+    peer = is_full[member_unit]
+    n_peers = np.bincount(member_stratum[peer], minlength=n_strata)
+    _, fac_first, fac_of_member = np.unique(index.member_fac, return_index=True,
+                                            return_inverse=True)
+    n_sampled, n_population = index.n_sampled, index.n_population
+    stratum_f = n_sampled / n_population
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair_coef = np.where(n_sampled >= 2, 1.0 - stratum_f * stratum_f / (
+            n_sampled * (n_sampled - 1) / (n_population * (n_population - 1))), 0.0)
+    n_members = np.bincount(member_unit, minlength=n_units)
+    size = np.bincount(member_stratum, minlength=n_strata)
+    n_zero = np.bincount(member_stratum[m[member_unit] == 0], minlength=n_strata)
+    pooled_stratum = unit_stratum[pooled]
     diagnostics = {
-        "n_pooled_components": n_pooled,
-        "n_pooled_without_peers": sum(len(units[u].members) for u, s in
-                                      zip(pooled, pooled_stratum) if not n_peers[s]),
-        "n_zero_emitting_strata": sum(1 for n, z in zip(size, n_zero) if n and n == z),
+        "n_pooled_components": int(n_members[pooled].sum()),
+        "n_pooled_without_peers": int(n_members[pooled][n_peers[pooled_stratum] == 0].sum()),
+        "n_zero_emitting_strata": int(np.count_nonzero((size > 0) & (size == n_zero))),
     }
-
-    grp_rows = dd_pass + site_rows
-    grp_misses = [q_pt - len(passes) for passes, q_pt in zip(dd_pass, dd_q)] + site_misses
-
-    def arr(values, dtype=float):
-        return np.array(values, dtype=dtype)
 
     def col(values, dtype=float):
         # per-item constants broadcast along the iteration axis
-        return np.array(values, dtype=dtype).reshape(-1, 1)
+        return np.asarray(values, dtype=dtype).reshape(-1, 1)
 
     return Layout(
         kind=kind,
         observed=observed,
         printed=config.decomposition == "printed",
-        strata=names,
-        measured=arr([p.measured_rate for p in det]),
-        winds=arr([p.wind_speed for p in det]),
-        altitudes=arr([p.altitude for p in det]),
-        dd_pass=_padded(dd_pass),
-        dd_q=col(dd_q),
+        measured=measured,
+        winds=winds,
+        altitudes=altitudes,
+        dd_pass=_ragged(dd_of_cd[pass_cd], by_cd, n_dd),
+        dd_q=col(index.cd_q[dd_cd]),
         pass_dd=pass_dd,
-        grp_pass=_padded(grp_rows),
-        grp_count=col([len(r) for r in grp_rows]),
-        grp_misses=col(grp_misses, np.intp),
-        ud_members=_padded(ud_members),
-        ud_wells=col(ud_wells),
-        ud_grp=arr(ud_grp, np.intp),
-        star=arr(star, np.intp),
-        full=arr(full, np.intp),
-        pooled=arr(pooled, np.intp),
-        n_units=len(units),
-        days_of_full=_padded(days_of_full),
-        first_day_of_pooled=arr(first_day_of_pooled, np.intp),
-        unit_d=col(unit_d),
-        unit_h=col(unit_h),
-        star_full=arr(star_full, np.intp),
-        star_d=col(star_d),
-        star_h=col(star_h),
-        pair_a=arr(pair_a, np.intp),
-        pair_b=arr(pair_b, np.intp),
-        pair_base=col(pair_base),
-        pair_diag=col(pair_diag, bool),
-        pairs_of_full=_padded(pairs_of_full),
-        peers=_padded(peers),
-        n_peers=col([max(1, n) for n in n_peers]),  # an empty sum stays 0.0
-        pooled_stratum=arr(pooled_stratum, np.intp),
-        unit_f=col([stratum_f[s_index[u.stratum]] for u in units]),
-        members=_padded(members),
-        fac_units=_padded(list(facs.values())),
-        fac_of_stratum=_padded(fac_of_stratum),
+        grp_pass=_ragged(grp_key, np.concatenate([by_cd, by_cd[in_site]]), n_grp),
+        grp_count=col(np.bincount(grp_key, minlength=n_grp)),
+        grp_misses=col(np.concatenate([index.cd_q[dd_cd] - cd_n[dd_cd], ud_misses[site]]),
+                       np.intp),
+        ud_members=_ragged(dd_ud, np.arange(n_dd), n_ud),
+        ud_wells=col(np.maximum(wells, 1)),
+        ud_grp=ud_grp,
+        star=star,
+        full=full,
+        pooled=pooled,
+        n_units=n_units,
+        days_of_full=(_ranges(ud_start[full], d) if kind == "ipw" else _ranges(first, m_full)),
+        first_day_of_pooled=(ud_start if kind == "ipw" else np.cumsum(m) - m)[pooled],
+        unit_d=col(d_p),
+        unit_h=col(horizon),
+        star_full=star_full,
+        star_d=col(d_p[star_unit[star_full]]),
+        star_h=col(horizon[star_unit[star_full]]),
+        pair_a=pair_a,
+        pair_b=pair_b,
+        pair_base=col(base[owner]),
+        pair_diag=col(pair_a == pair_b, bool),
+        pairs_of_full=_ranges(pair_start, sq),
+        peers=_ragged(member_stratum[peer], member_unit[peer], n_strata),
+        n_peers=col(np.maximum(1, n_peers)),  # an empty sum stays 0.0
+        pooled_stratum=pooled_stratum,
+        unit_f=col(stratum_f[unit_stratum]),
+        members=_ragged(member_stratum, member_unit, n_strata),
+        fac_units=_ragged(fac_of_member, member_unit, len(fac_first)),
+        fac_of_stratum=_ragged(member_stratum[fac_first], np.arange(len(fac_first)), n_strata),
         stratum_f=col(stratum_f),
         stratum_pair_coef=col(pair_coef),
+        groups=_ragged(index.stratum_group, np.arange(n_strata),
+                       int(index.stratum_group.max(initial=-1)) + 1),
         diagnostics=diagnostics,
     )
 
@@ -322,9 +313,9 @@ def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
 class BatchEstimate:
     """Per-iteration results of a chunk, in kg/h units.
 
-    ``population`` maps `POPULATION_KEYS` to arrays of shape (B,); ``strata``
-    maps `STRATUM_KEYS` to arrays of shape (B, n_strata), strata in frame
-    order.  The keys mirror the fields of `estimators.SurveyEstimate` and
+    ``population`` maps `POPULATION_KEYS` to arrays of shape (B, n_groups)
+    (a frame has one group); ``strata`` maps `STRATUM_KEYS` to arrays of
+    shape (B, n_strata), strata in `UnitIndex` order.  The keys mirror the fields of `estimators.SurveyEstimate` and
     `estimators.StratumEstimate`.
     """
 
@@ -428,7 +419,7 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
 
 
 def _assemble(layout: Layout, mean, var, s3):
-    """Pool single-day variances, then `stratum_total` and the population sums."""
+    """Pool single-day variances, then `stratum_total` and each group's population sums."""
     pool = _seq_sum(var, layout.peers) / layout.n_peers
     var[layout.pooled] = pool[layout.pooled_stratum]
     if layout.observed:
@@ -447,17 +438,12 @@ def _assemble(layout: Layout, mean, var, s3):
     st["v2"] = np.maximum(0.0, s23 - st["v3"])
     st["v1"] = np.maximum(0.0, v3stage - st["v2"] - st["v3"])
 
-    pop = {k: np.zeros(total.shape[-1]) for k in ("total", "v3stage", "u1", "u2", "u3")}
-    s3_pop, s23_pop = np.zeros(total.shape[-1]), np.zeros(total.shape[-1])
-    for s in range(len(layout.strata)):
-        pop["total"] += total[s]
-        pop["v3stage"] += v3stage[s]
-        for k in ("u1", "u2", "u3"):
-            pop[k] += st[k][s]
-        s3_pop += st["u3"][s]
-        s23_pop += st["u2"][s] + st["u3"][s]
-    pop["v3"] = np.maximum(0.0, s3_pop)
-    pop["v2"] = np.maximum(0.0, s23_pop - pop["v3"])
+    # each group's population sums, stratum by stratum in order
+    sums = _seq_sum(np.stack([total, v3stage, st["u1"], st["u2"], s3s, st["u2"] + s3s]),
+                    layout.groups)
+    pop = dict(zip(("total", "v3stage", "u1", "u2", "u3"), sums))
+    pop["v3"] = np.maximum(0.0, pop["u3"])
+    pop["v2"] = np.maximum(0.0, sums[5] - pop["v3"])
     pop["v1"] = np.maximum(0.0, pop["v3stage"] - pop["v2"] - pop["v3"])
     return pop, st
 
@@ -466,7 +452,7 @@ def evaluate(layout: Layout, y: np.ndarray, phi: np.ndarray,
              first_iteration: int = 0) -> BatchEstimate:
     """Estimate every iteration of a chunk: rates and floored PODs of shape (B, n).
 
-    Columns align with ``SurveyFrame.detected_passes``; row b is iteration
+    Columns align with the layout's detected passes; row b is iteration
     ``first_iteration + b``.  Raises `EstimationError` when an iteration's
     total or any variance part is not finite.
     """
@@ -474,7 +460,8 @@ def evaluate(layout: Layout, y: np.ndarray, phi: np.ndarray,
         y_t, phi_t = np.ascontiguousarray(y.T), np.ascontiguousarray(phi.T)
         ud_mean, ud_var, ud_ph = _daily(layout, y_t, phi_t)
         pop, st = _assemble(layout, *_unit_estimates(layout, ud_mean, ud_var, ud_ph))
-    out = BatchEstimate(population=pop, strata={k: v.T for k, v in st.items()})
+    out = BatchEstimate(population={k: v.T for k, v in pop.items()},
+                        strata={k: v.T for k, v in st.items()})
     for where, values in (("population", out.population), ("stratum", out.strata)):
         for key, arr in values.items():
             bad = ~np.isfinite(arr)

@@ -159,15 +159,19 @@ def cmd_estimate(args) -> int:
     inputs = _resolve_inputs(args)
     pod_params, measurement = _resolve_models(args)
     stage2, horizon = _parse_stage2(args.stage2)
-    frame = load_survey(inputs["passes"], inputs["frame"], inputs["strata"])
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     if args.all_variants:
         variants = [(e, s2, m) for e in ("ipw", "hajek")
                     for s2 in ("observed", "year") for m in ("bias-correct", "mc")]
     else:
         variants = [(args.estimator, stage2, args.measurement)]
+    # the Monte Carlo settings are checked before anything is read or written
+    mc_base = None
+    if any(mm == "mc" for _, _, mm in variants):
+        mc_base = McConfig(iterations=args.mc_iters, seed=args.seed, measurement=measurement,
+                           trace=args.trace, threads=args.threads)
+    frame = load_survey(inputs["passes"], inputs["frame"], inputs["strata"])
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     for est, s2, mm in variants:
         try:
@@ -185,10 +189,7 @@ def cmd_estimate(args) -> int:
         }
         manifest = build_manifest("estimate", flags, inputs, seed=args.seed)
         if mm == "mc":
-            mc_cfg = McConfig(estimator=cfg, iterations=args.mc_iters, seed=args.seed,
-                              measurement=measurement, trace=args.trace,
-                              threads=args.threads)
-            result = run_mc(frame, mc_cfg)
+            result = run_mc(frame, dataclasses.replace(mc_base, estimator=cfg))
             report = result.report
         else:
             result = None

@@ -8,6 +8,8 @@ per-day pass count that every estimator divides by.
 Loading also groups the passes once into the units every estimator walks
 (`SurveyFrame.units`): a non-well component, or a well site that stands for
 its wells, with the detected passes and pass count of each component-day.
+`SurveyFrame.index` holds the same units as the flat arrays of a `UnitIndex`,
+the input of the batched estimator.
 
 This module also holds the one strict reader for the JSON configuration
 documents (the `simulate` study config and the `plan` scenario) and the INI
@@ -20,10 +22,13 @@ line reports as a configuration error (exit 4).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "FrameError",
@@ -32,6 +37,7 @@ __all__ = [
     "Pass",
     "UnitDay",
     "Unit",
+    "UnitIndex",
     "SurveyFrame",
     "FrameDiagnostics",
     "load_survey",
@@ -164,6 +170,32 @@ class Unit:
 
 
 @dataclass(frozen=True)
+class UnitIndex:
+    """Units as flat index arrays, the input of `batch.build_layout`.
+
+    Component-days are grouped by unit-day and unit-days by unit, each in
+    order, so ``cd_ud`` and ``ud_unit`` never decrease.  A component-day
+    without a detection is kept: its passes still count as misses of a well
+    site's day.  Facility numbers are unique across strata and increase in
+    the order of each facility's first member.  Every stratum adds to the
+    population total of its group; a frame is one group.
+    """
+
+    pass_cd: np.ndarray         # per detected pass: its component-day
+    cd_q: np.ndarray            # per component-day: its pass count Q_pt
+    cd_ud: np.ndarray           # per component-day: its unit-day
+    ud_unit: np.ndarray         # per unit-day: its unit
+    unit_stratum: np.ndarray    # per unit: its stratum
+    unit_wells: np.ndarray      # per unit: its wells, 0 for a non-well component
+    labels: np.ndarray          # per unit: the component id error messages name
+    member_unit: np.ndarray     # per stage I member (one per well of a site): its unit
+    member_fac: np.ndarray      # per stage I member: its facility (see above)
+    n_sampled: np.ndarray       # per stratum
+    n_population: np.ndarray    # per stratum
+    stratum_group: np.ndarray   # per stratum: the population total it adds to
+
+
+@dataclass(frozen=True)
 class SurveyFrame:
     """Validated, immutable survey frame.
 
@@ -285,6 +317,39 @@ class SurveyFrame:
             wids = tuple(f"{site}/well{i + 1}" for i in range(wells))
             units.append(Unit(site, strata_here.pop(), wids, wells, days))
         return tuple(units)
+
+    @functools.cached_property
+    def index(self) -> UnitIndex:
+        """`units` as flat arrays, built on first use."""
+        s_index = {name: s for s, name in enumerate(self.strata)}
+        pass_cd = np.empty(len(self.detected_passes), dtype=np.intp)
+        cd_q, cd_ud, ud_unit, member_unit, member_fac = [], [], [], [], []
+        facs: dict[tuple[str, str], int] = {}
+        for u, unit in enumerate(self.units):
+            for day in unit.days:
+                for positions, q_pt in day.parts:
+                    pass_cd[list(positions)] = len(cd_q)
+                    cd_q.append(q_pt)
+                    cd_ud.append(len(ud_unit))
+                ud_unit.append(u)
+            for member in unit.members:
+                member_unit.append(u)
+                member_fac.append(facs.setdefault((unit.stratum, member), len(facs)))
+
+        def ints(values):
+            return np.array(values, dtype=np.intp)
+
+        return UnitIndex(
+            pass_cd=pass_cd, cd_q=ints(cd_q), cd_ud=ints(cd_ud), ud_unit=ints(ud_unit),
+            unit_stratum=ints([s_index[unit.stratum] for unit in self.units]),
+            unit_wells=ints([unit.wells for unit in self.units]),
+            labels=np.array([unit.members[0] if unit.wells else unit.unit_id
+                             for unit in self.units], dtype=object),
+            member_unit=ints(member_unit), member_fac=ints(member_fac),
+            n_sampled=ints([d.n_sampled for d in self.strata.values()]),
+            n_population=ints([d.n_population for d in self.strata.values()]),
+            stratum_group=np.zeros(len(self.strata), dtype=np.intp),
+        )
 
     @property
     def days_surveyed(self) -> dict[str, int]:

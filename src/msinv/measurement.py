@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reporting
-from .batch import compile_layout, evaluate
+from .batch import POPULATION_KEYS, STRATUM_KEYS, compile_layout, evaluate
 from .estimators import EstimatorConfig
 # not used here: perfbench/tracer.py patches these two names on this module
 from .estimators import estimate_survey, prepare_components  # noqa: F401
@@ -50,6 +50,11 @@ THREADS_ENV = "MSINV_THREADS"
 # detected passes), so memory is bounded whatever the iteration count; each
 # worker thread holds one chunk.
 MC_CHUNK = 256
+
+# Most iterations one run may ask for.  A run keeps (8 + 7 * strata) float64
+# values per iteration, and (5 + strata) more with the trace: about 435 MiB
+# at this limit for the packaged subset's seven strata, 526 MiB traced.
+MAX_MC_ITERATIONS = 1_000_000
 
 
 def resolve_threads(requested: int | None) -> int:
@@ -77,6 +82,9 @@ class McConfig:
     def __post_init__(self):
         if self.iterations < 2:
             raise ValueError("need at least 2 Monte Carlo iterations")
+        if self.iterations > MAX_MC_ITERATIONS:
+            raise ValueError(f"at most {MAX_MC_ITERATIONS} Monte Carlo iterations, "
+                             f"got {self.iterations}")
 
     def as_dict(self) -> dict:
         return {
@@ -149,13 +157,8 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
     b_total = config.iterations
     names = list(frame.strata)
 
-    totals = np.empty(b_total)
-    parts = {k: np.empty(b_total) for k in ("v1", "v2", "v3", "u1", "u2", "u3", "v3stage")}
-    stratum_totals = {name: np.empty(b_total) for name in names}
-    stratum_parts = {
-        name: {k: np.empty(b_total) for k in ("v1", "v2", "v3", "u1", "u2", "u3")}
-        for name in names
-    }
+    pop = {k: np.empty(b_total) for k in POPULATION_KEYS}
+    st = {k: np.empty((len(names), b_total)) for k in STRATUM_KEYS}  # a row per stratum
     chunks = [range(start, min(start + MC_CHUNK, b_total))
               for start in range(0, b_total, MC_CHUNK)]
     floor_hits = np.zeros(len(chunks), dtype=int)
@@ -168,13 +171,10 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
         floor_hits[c] = int(np.count_nonzero(raw_phi < PHI_FLOOR))
         est = evaluate(layout, y, np.maximum(raw_phi, PHI_FLOOR), its.start)
         sl = slice(its.start, its.stop)
-        totals[sl] = est.population["total"]
-        for k in parts:
-            parts[k][sl] = est.population[k]
-        for s, name in enumerate(names):
-            stratum_totals[name][sl] = est.strata["total"][:, s]
-            for k in stratum_parts[name]:
-                stratum_parts[name][k][sl] = est.strata[k][:, s]
+        for k in pop:
+            pop[k][sl] = est.population[k][:, 0]
+        for k in st:
+            st[k][:, sl] = est.strata[k].T
 
     workers = min(resolve_threads(config.threads), len(chunks))
     if workers == 1:
@@ -184,52 +184,26 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, range(len(chunks))))
 
-    tau_kgh = float(totals.mean())
-    vm_kgh2 = float(totals.var(ddof=1))
-    pop_parts = {
-        "v1": float(parts["v1"].mean()),
-        "v2": float(parts["v2"].mean()),
-        "v3": float(parts["v3"].mean()),
-        "vm": vm_kgh2,
-        "u1": float(parts["u1"].mean()),
-        "u2": float(parts["u2"].mean()),
-        "u3": float(parts["u3"].mean()),
-        "v3stage": float(parts["v3stage"].mean()),
-    }
-    rows = []
-    for name in names:
-        sp = stratum_parts[name]
-        rows.append({
-            "name": name,
-            "total": float(stratum_totals[name].mean()),
-            "v1": float(sp["v1"].mean()),
-            "v2": float(sp["v2"].mean()),
-            "v3": float(sp["v3"].mean()),
-            "vm": float(stratum_totals[name].var(ddof=1)),
-            "u1": float(sp["u1"].mean()),
-            "u2": float(sp["u2"].mean()),
-            "u3": float(sp["u3"].mean()),
-        })
+    pop_parts = {k: float(pop[k].mean()) for k in POPULATION_KEYS if k != "total"}
+    pop_parts["vm"] = float(pop["total"].var(ddof=1))
+    rows = [dict({k: float(st[k][s].mean()) for k in STRATUM_KEYS},
+                 name=name, vm=float(st["total"][s].var(ddof=1)))
+            for s, name in enumerate(names)]
     echo = est_cfg.as_dict()
     echo["measurement_mode"] = "mc"
     echo["mc"] = config.as_dict()
     diagnostics = dict(layout.diagnostics, phi_floor_hits=int(floor_hits.sum()))
     report = reporting.assemble_report(
-        tau_kgh, pop_parts, rows, echo, est_cfg.ci_level, diagnostics
+        float(pop["total"].mean()), pop_parts, rows, echo, est_cfg.ci_level, diagnostics
     )
     result = McResult(report=report, config=config)
     if config.trace:
         scale = reporting.VAR_KG_H_PER_KT_Y
-        result.iteration_totals = totals * reporting.KG_H_PER_KT_Y
-        result.iteration_parts = {k: parts[k] * scale for k in ("v1", "v2", "v3")}
-        result.stratum_design_var = {
-            name: (stratum_parts[name]["v1"] + stratum_parts[name]["v2"]
-                   + stratum_parts[name]["v3"]) * scale
-            for name in names
-        }
-        result.stratum_design_var["Population"] = (
-            parts["v1"] + parts["v2"] + parts["v3"]
-        ) * scale
+        result.iteration_totals = pop["total"] * reporting.KG_H_PER_KT_Y
+        result.iteration_parts = {k: pop[k] * scale for k in ("v1", "v2", "v3")}
+        design = {name: st["v1"][s] + st["v2"][s] + st["v3"][s] for s, name in enumerate(names)}
+        design["Population"] = pop["v1"] + pop["v2"] + pop["v3"]
+        result.stratum_design_var = {name: v * scale for name, v in design.items()}
     return result
 
 

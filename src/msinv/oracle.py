@@ -2,10 +2,10 @@
 
 For a fully specified micro population (every facility, component, day, pass
 and detection probability known), each possible realisation of the three-stage
-sample has a computable probability.  Running the production estimation
-pipeline on every realisation yields the exact sampling distribution of the
-estimators, against which unbiasedness and the variance decomposition are
-checked to near machine precision.  Per-pass detection probabilities are
+sample has a computable probability.  Running the production estimator (the
+batched kernel of `batch`, on blocks of outcomes) on every realisation yields
+the exact sampling distribution of the estimators, against which unbiasedness
+and the variance decomposition are checked to near machine precision.  Per-pass detection probabilities are
 supplied directly rather than through the POD curve so the design math is
 tested in isolation from the instrument physics.
 """
@@ -19,14 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import (
-    ComponentObs,
-    DailyEstimate,
-    EstimatorConfig,
-    daily_estimate,
-    estimate_survey,
-)
-from .frame import StratumDef
+from .batch import POPULATION_KEYS, build_layout, evaluate
+from .estimators import EstimatorConfig
+# not used here: perfbench/tracer.py patches this name on this module
+from .estimators import estimate_survey  # noqa: F401
+from .frame import StratumDef, UnitIndex
 
 __all__ = [
     "MicroPass",
@@ -123,39 +120,22 @@ def true_total(pop: MicroPopulation) -> float:
 # Enumeration
 # ---------------------------------------------------------------------------
 
+# Outcomes are estimated in blocks of at most this many: a block is one
+# layout, with a stratum per (outcome, stratum), and one B=1 `evaluate` per
+# configuration, so memory grows with the block, not with the outcome count.
+OUTCOME_BLOCK = 4096
 
-class _DayPattern(NamedTuple):
-    """One detection outcome of a component-day.
 
-    ``dailies`` maps estimator kind to the daily estimate for the pattern;
-    the estimates are pure functions of the pattern, so computing them once
-    keeps the per-outcome work down to assembly.
+def _pattern_probs(day: tuple[MicroPass, ...]) -> np.ndarray:
+    """Probability of each detection pattern of a component-day.
+
+    Pattern k detects pass i when bit i of k is set.
     """
-
-    prob: float
-    detected: bool
-    dailies: dict[str, DailyEstimate]
-
-
-def _day_patterns(comp: MicroComponent, day_idx: int) -> list[_DayPattern]:
-    """All detection outcomes of one component-day with their probabilities."""
-    passes = comp.days[day_idx]
-    q = len(passes)
-    out = []
-    for mask in range(2**q):
-        prob = 1.0
-        rates, phis = [], []
-        for i, p in enumerate(passes):
-            if mask >> i & 1:
-                prob *= p.phi
-                rates.append(p.rate)
-                phis.append(p.phi)
-            else:
-                prob *= 1.0 - p.phi
-        dailies = {kind: daily_estimate(rates, phis, q, kind, day_id=day_idx)
-                   for kind in ("ipw", "hajek")}
-        out.append(_DayPattern(prob, bool(phis), dailies))
-    return out
+    patterns = np.arange(2 ** len(day))
+    probs = np.ones(len(patterns))
+    for i, p in enumerate(day):
+        probs *= np.where(patterns >> i & 1, p.phi, 1.0 - p.phi)
+    return probs
 
 
 def _enumeration_size(pop: MicroPopulation) -> int:
@@ -173,49 +153,38 @@ def _enumeration_size(pop: MicroPopulation) -> int:
     return size * 2**worst_passes
 
 
-class _Outcome(NamedTuple):
-    """One realisation of the three-stage sample.
+class _Chunk(NamedTuple):
+    """Consecutive outcomes of one (stage I, stage II) cell.
 
-    ``stage1`` and ``stage2`` index the stage I draw and the (stage I, stage
-    II) cell the outcome belongs to.  ``design_prob`` is the probability of
-    that cell, ``prob`` the full outcome probability.  ``patterns`` lists one
-    detection pattern per sampled component-day, in component then day order,
-    and ``obs`` the assembled observations per requested estimator kind.
+    ``stage1`` and ``stage2`` index the stage I draw and the cell, and
+    ``design_prob`` is the cell's probability.  ``components`` are the
+    sampled components (positions in ``pop.components``); ``pairs`` are
+    their sampled (component, day) pairs, component by component.
+    ``patterns`` has one row per outcome: the detection pattern of each
+    pair.  ``prob`` is each outcome's probability, ``detection_prob`` its
+    probability given the cell.
     """
 
     stage1: int
     stage2: int
     design_prob: float
-    prob: float
-    components: list[MicroComponent]
-    days: tuple[tuple[int, ...], ...]
-    patterns: tuple[_DayPattern, ...]
-    obs: dict[str, list[ComponentObs]]
+    components: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+    patterns: np.ndarray
+    prob: np.ndarray
+    detection_prob: np.ndarray
 
 
-def _observations(pop: MicroPopulation, components, days, patterns, kind: str):
-    """The sampled components' ComponentObs built from one kind's daily estimates."""
-    per_day = iter(patterns)
-    return [
-        ComponentObs(
-            component_id=c.component_id,
-            facility_id=c.facility_id,
-            stratum=pop.facilities[c.facility_id],
-            dailies=tuple(next(per_day).dailies[kind] for _ in sel),
-        )
-        for c, sel in zip(components, days)
-    ]
+def _chunks(pop: MicroPopulation, max_outcomes: int = MAX_OUTCOMES,
+            size: int = OUTCOME_BLOCK):
+    """Yield every stage I x II x III outcome exactly once, at most ``size`` at a time.
 
-
-def _outcomes(pop: MicroPopulation, kinds, max_outcomes: int = MAX_OUTCOMES):
-    """Yield every stage I x II x III outcome exactly once.
-
-    Outcomes come grouped by stage I draw, then by day selection.  ``kinds``
-    names the estimator kinds whose observations each outcome carries.
+    Outcomes come grouped by stage I draw, then by day selection; within a
+    cell the detection patterns count up with the last pair's fastest.
     """
-    size = _enumeration_size(pop)
-    if size > max_outcomes:
-        raise ValueError(f"enumeration would visit ~{size} outcomes (limit {max_outcomes})")
+    n_outcomes = _enumeration_size(pop)
+    if n_outcomes > max_outcomes:
+        raise ValueError(f"enumeration would visit ~{n_outcomes} outcomes (limit {max_outcomes})")
 
     by_stratum = pop.stratum_facilities()
     stage1_lists = []
@@ -226,29 +195,117 @@ def _outcomes(pop: MicroPopulation, kinds, max_outcomes: int = MAX_OUTCOMES):
         stage1_prob /= len(combos)
     day_subsets = list(itertools.combinations(range(pop.horizon), pop.days_sampled))
     stage2_prob_one = 1.0 / len(day_subsets)
-    patterns = {
-        (c.component_id, t): _day_patterns(c, t)
-        for c in pop.components
-        for t in range(pop.horizon)
-    }
+    probs = {(ci, t): _pattern_probs(c.days[t])
+             for ci, c in enumerate(pop.components) for t in range(pop.horizon)}
 
     cell2 = 0
     for cell1, s1 in enumerate(itertools.product(*stage1_lists)):
         sampled_facs = set(itertools.chain.from_iterable(s1))
-        sampled = [c for c in pop.components if c.facility_id in sampled_facs]
+        sampled = tuple(ci for ci, c in enumerate(pop.components)
+                        if c.facility_id in sampled_facs)
         design_prob = stage1_prob * stage2_prob_one ** len(sampled)
         for day_sel in itertools.product(day_subsets, repeat=len(sampled)):
-            pairs = [(c, t) for c, days in zip(sampled, day_sel) for t in days]
-            for det_sel in itertools.product(
-                *(patterns[(c.component_id, t)] for c, t in pairs)
-            ):
-                p = design_prob
-                for pattern in det_sel:
-                    p *= pattern.prob
-                obs = {kind: _observations(pop, sampled, day_sel, det_sel, kind)
-                       for kind in kinds}
-                yield _Outcome(cell1, cell2, design_prob, p, sampled, day_sel, det_sel, obs)
+            pairs = tuple((ci, t) for ci, days in zip(sampled, day_sel) for t in days)
+            radix = np.array([len(probs[pair]) for pair in pairs], dtype=np.int64)
+            strides = np.array([math.prod(radix[j + 1:]) for j in range(len(pairs))],
+                               dtype=np.int64)
+            n_cell = math.prod(radix)
+            for start in range(0, n_cell, size):
+                rows = np.arange(start, min(start + size, n_cell), dtype=np.int64)
+                patterns = rows[:, None] // strides % radix
+                prob = np.full(len(rows), design_prob)
+                detection_prob = np.ones(len(rows))
+                for pair, column in zip(pairs, patterns.T):
+                    pattern_prob = probs[pair][column]
+                    prob *= pattern_prob
+                    detection_prob *= pattern_prob
+                yield _Chunk(cell1, cell2, design_prob, sampled, pairs, patterns, prob,
+                             detection_prob)
             cell2 += 1
+
+
+class _Block(NamedTuple):
+    """The outcomes of ``chunks`` as one set of units: a unit per (outcome,
+    sampled component), a stratum per (outcome, stratum) and a group per
+    outcome.  ``rates`` and ``phis`` belong to the detected passes of ``index``.
+    """
+
+    index: UnitIndex
+    rates: np.ndarray
+    phis: np.ndarray
+    chunks: list[_Chunk]
+
+
+def _blocks(pop: MicroPopulation, max_outcomes: int = MAX_OUTCOMES):
+    """Yield the outcomes of `_chunks` in `_Block`s of at most `OUTCOME_BLOCK`."""
+    pending: list[_Chunk] = []
+    n = 0
+    for chunk in _chunks(pop, max_outcomes, OUTCOME_BLOCK):
+        if n + len(chunk.prob) > OUTCOME_BLOCK:
+            yield _block(pop, pending)
+            pending, n = [], 0
+        pending.append(chunk)
+        n += len(chunk.prob)
+    if pending:
+        yield _block(pop, pending)
+
+
+def _block(pop: MicroPopulation, chunks: list[_Chunk]) -> _Block:
+    names = list(pop.strata)
+    n_strata, n_facs, d = len(names), len(pop.facilities), pop.days_sampled
+    # a sampled facility brings all its components, so numbering facilities
+    # by their first component keeps every outcome's first-member order
+    fac_code: dict[str, int] = {}
+    comp_fac = np.array([fac_code.setdefault(c.facility_id, len(fac_code))
+                         for c in pop.components], dtype=np.intp)
+    comp_stratum = np.array([names.index(pop.facilities[c.facility_id])
+                             for c in pop.components], dtype=np.intp)
+    comp_ids = np.array([c.component_id for c in pop.components], dtype=object)
+    parts: dict[str, list[np.ndarray]] = {
+        k: [] for k in ("pass_cd", "rates", "phis", "cd_q", "ud_unit", "unit_stratum",
+                        "labels", "member_fac")}
+    n_out = n_units = n_cd = 0
+    for ch in chunks:
+        k, n_pairs = len(ch.prob), len(ch.pairs)
+        days = [pop.components[ci].days[t] for ci, t in ch.pairs]
+        q = np.array([len(day) for day in days], dtype=np.intp)
+        width = int(q.max(initial=0))
+        rates, phis = np.zeros((n_pairs, width)), np.ones((n_pairs, width))
+        for j, day in enumerate(days):
+            rates[j, :len(day)] = [p.rate for p in day]
+            phis[j, :len(day)] = [p.phi for p in day]
+        # detected passes, by outcome, then pair, then pass
+        o, j, i = np.nonzero(ch.patterns[:, :, None] >> np.arange(width) & 1)
+        comps = np.array(ch.components, dtype=np.intp)
+        outcome = n_out + np.repeat(np.arange(k), len(comps))
+        parts["pass_cd"].append(n_cd + o * n_pairs + j)
+        parts["rates"].append(rates[j, i])
+        parts["phis"].append(phis[j, i])
+        parts["cd_q"].append(np.tile(q, k))
+        parts["ud_unit"].append(n_units + np.arange(k * n_pairs) // d)
+        parts["unit_stratum"].append(np.tile(comp_stratum[comps], k) + n_strata * outcome)
+        parts["labels"].append(np.tile(comp_ids[comps], k))
+        parts["member_fac"].append(np.tile(comp_fac[comps], k) + n_facs * outcome)
+        n_out += k
+        n_units += k * len(comps)
+        n_cd += k * n_pairs
+    flat = {key: np.concatenate(arrays) for key, arrays in parts.items()}
+    index = UnitIndex(
+        pass_cd=flat["pass_cd"], cd_q=flat["cd_q"], cd_ud=np.arange(n_cd),
+        ud_unit=flat["ud_unit"], unit_stratum=flat["unit_stratum"],
+        unit_wells=np.zeros(n_units, dtype=np.intp), labels=flat["labels"],
+        member_unit=np.arange(n_units), member_fac=flat["member_fac"],
+        n_sampled=np.tile([pop.strata[n].n_sampled for n in names], n_out),
+        n_population=np.tile([pop.strata[n].n_population for n in names], n_out),
+        stratum_group=np.repeat(np.arange(n_out), n_strata),
+    )
+    return _Block(index, flat["rates"], flat["phis"], chunks)
+
+
+def _estimate(block: _Block, config: EstimatorConfig) -> dict[str, np.ndarray]:
+    """Every outcome's estimate: `POPULATION_KEYS` to arrays over the block's outcomes."""
+    est = evaluate(build_layout(block.index, config), block.rates[None], block.phis[None])
+    return {key: values[0] for key, values in est.population.items()}
 
 
 @dataclass
@@ -307,46 +364,38 @@ def enumerate_outcomes(
     """
     if isinstance(configs, EstimatorConfig):
         configs = [configs]
-    probs: list[float] = []
-    per_config: list[dict[str, list[float]]] = [
-        {k: [] for k in ("total", "v3stage", "v1", "v2", "v3", "u1", "u2", "u3")}
-        for _ in configs
+    probs: list[np.ndarray] = []
+    per_config: list[dict[str, list[np.ndarray]]] = [
+        {k: [] for k in POPULATION_KEYS} for _ in configs
     ]
-    kinds = sorted({cfg.estimator for cfg in configs})
-    for outcome in _outcomes(pop, kinds, max_outcomes):
-        probs.append(outcome.prob)
+    for block in _blocks(pop, max_outcomes):
+        probs.extend(chunk.prob for chunk in block.chunks)
         for cfg, rec in zip(configs, per_config):
-            est = estimate_survey(outcome.obs[cfg.estimator], pop.strata, cfg)
-            rec["total"].append(est.total)
-            rec["v3stage"].append(est.v3stage)
-            rec["v1"].append(est.v1)
-            rec["v2"].append(est.v2)
-            rec["v3"].append(est.v3)
-            rec["u1"].append(est.u1)
-            rec["u2"].append(est.u2)
-            rec["u3"].append(est.u3)
+            for key, values in _estimate(block, cfg).items():
+                rec[key].append(values)
 
-    total_p = math.fsum(probs)
+    prob_arr = np.concatenate(probs)
+    total_p = math.fsum(prob_arr)
     if abs(total_p - 1.0) > 1e-12:
         raise AssertionError(f"outcome probabilities sum to {total_p!r}, not 1")
-    prob_arr = np.array(probs)
     out = []
-    for cfg, rec in zip(configs, per_config):
+    for cfg, values in zip(configs, per_config):
+        rec = {key: np.concatenate(arrays) for key, arrays in values.items()}
         out.append(
             OutcomeDistribution(
                 config=cfg,
                 probabilities=prob_arr,
-                totals=np.array(rec["total"]),
-                v3stage=np.array(rec["v3stage"]),
+                totals=rec["total"],
+                v3stage=rec["v3stage"],
                 clipped={
-                    "stage1": np.array(rec["v1"]),
-                    "stage2": np.array(rec["v2"]),
-                    "stage3": np.array(rec["v3"]),
+                    "stage1": rec["v1"],
+                    "stage2": rec["v2"],
+                    "stage3": rec["v3"],
                 },
                 unclipped={
-                    "stage1": np.array(rec["u1"]),
-                    "stage2": np.array(rec["u2"]),
-                    "stage3": np.array(rec["u3"]),
+                    "stage1": rec["u1"],
+                    "stage2": rec["u2"],
+                    "stage3": rec["u3"],
                 },
             )
         )
@@ -363,28 +412,29 @@ def exact_stage_variances(pop: MicroPopulation, config: EstimatorConfig):
     For inverse-probability weighting these equal the closed-form true
     variances evaluated by the survey planner.
     """
+    # p * That and p * That^2 of every outcome, p its probability given
+    # stages I and II, gathered per (stage I, stage II) cell
+    cells: dict[tuple[int, int], tuple[list, list]] = {}
+    for block in _blocks(pop):
+        totals = _estimate(block, config)["total"]
+        start = 0
+        for chunk in block.chunks:
+            t = totals[start:start + len(chunk.prob)]
+            start += len(t)
+            pt, ptt = cells.setdefault((chunk.stage1, chunk.stage2), ([], []))
+            pt.append(chunk.detection_prob * t)
+            ptt.append(chunk.detection_prob * t * t)
+
     m2_vals: list[float] = []       # E[That | s1] per stage I outcome
     var2_vals: list[float] = []     # Var_II(E_III[That]) per stage I outcome
     mean_v3_vals: list[float] = []  # E_II[Var_III(That)] per stage I outcome
-    outcomes = _outcomes(pop, [config.estimator])
-    for _, cell1 in itertools.groupby(outcomes, key=lambda o: o.stage1):
+    for _, cell1 in itertools.groupby(cells.items(), key=lambda item: item[0][0]):
         m3_list: list[float] = []
         v3_list: list[float] = []
-        for _, cell2 in itertools.groupby(cell1, key=lambda o: o.stage2):
-            tot_p: list[float] = []
-            tot_v: list[float] = []
-            for outcome in cell2:
-                # probability of the detections given stages I and II
-                p = 1.0
-                for pattern in outcome.patterns:
-                    p *= pattern.prob
-                est = estimate_survey(outcome.obs[config.estimator], pop.strata, config)
-                tot_p.append(p)
-                tot_v.append(est.total)
-            m3 = math.fsum(p * t for p, t in zip(tot_p, tot_v))
-            m3sq = math.fsum(p * t * t for p, t in zip(tot_p, tot_v))
+        for _, (pt, ptt) in cell1:
+            m3 = math.fsum(np.concatenate(pt))
             m3_list.append(m3)
-            v3_list.append(m3sq - m3 * m3)
+            v3_list.append(math.fsum(np.concatenate(ptt)) - m3 * m3)
         n2 = len(m3_list)
         e2 = math.fsum(m3_list) / n2
         e2sq = math.fsum(m * m for m in m3_list) / n2

@@ -45,6 +45,11 @@ MAX_PASSES = 5
 # cells and peaks near 165 MiB; one stratum at the bound peaks near 825 MiB.
 MAX_POPULATION_CELLS = 10_000_000
 
+# Most replications one study may ask for.  A study keeps 9 bytes per
+# replication for each variant and scope: about 172 MiB at this limit for
+# the four-strata default.
+MAX_REPLICATIONS = 1_000_000
+
 # estimator x stage II treatment; "year" carries the day-sampling variance,
 # "observed" treats the surveyed days as the whole population
 VARIANTS = ("ipw_year", "ipw_observed", "hajek_year", "hajek_observed")
@@ -115,6 +120,13 @@ class SimConfig:
         if self.replications < 2:
             # the between-replication variance has denominator R - 1
             raise ValueError("need at least 2 replications")
+        if self.replications > MAX_REPLICATIONS:
+            raise ValueError(f"at most {MAX_REPLICATIONS} replications, got {self.replications}")
+        # every facility is drawn before any cell: count it as one
+        facilities = sum(s.n_population for s in self.strata)
+        if facilities > MAX_POPULATION_CELLS:
+            raise ValueError(f"the population has {facilities} facilities, over the limit of "
+                             f"{MAX_POPULATION_CELLS} population cells")
 
     def as_dict(self) -> dict:
         return {
@@ -260,10 +272,8 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
     cells = 0
     for spec in config.strata:
         comp_counts = rng.integers(lo, hi + 1, size=spec.n_population)
-        emit_fac: list[int] = []
-        for fac in range(spec.n_population):
-            n_emit = rng.binomial(comp_counts[fac], config.emit_prob)
-            emit_fac.extend([fac] * int(n_emit))
+        emit_fac = np.repeat(np.arange(spec.n_population),
+                             rng.binomial(comp_counts, config.emit_prob))
         n_emit = len(emit_fac)
         cells += n_emit * big_d * MAX_PASSES
         if cells > MAX_POPULATION_CELLS:
@@ -290,7 +300,7 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
             true_total = 0.0
         strata[spec.name] = _StratumPopulation(
             spec=spec,
-            emit_facility=np.asarray(emit_fac, dtype=np.int64),
+            emit_facility=emit_fac,
             q=q,
             rates=rates,
             phi=np.asarray(phi),

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msinv import measurement
-from msinv.batch import POPULATION_KEYS, STRATUM_KEYS, compile_layout, evaluate
+from msinv.batch import POPULATION_KEYS, STRATUM_KEYS, build_layout, compile_layout, evaluate
 from msinv.estimators import EstimatorConfig, estimate_survey, prepare_components
-from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame
+from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame, UnitIndex
 from msinv.measurement import McConfig, iteration_uniforms, run_mc
 from msinv.pod import PHI_FLOOR, pod, sample_true_rate
 
@@ -95,12 +95,65 @@ def test_kernel_matches_scalar_reference(frame, seed):
             est = estimate_survey(prepare_components(frame, y[b], phi[b], cfg),
                                   frame.strata, cfg)
             what = (cfg.estimator, cfg.plan, cfg.stage2, cfg.decomposition, b)
-            assert_close({k: batch.population[k][b] for k in POPULATION_KEYS},
+            assert_close({k: batch.population[k][b, 0] for k in POPULATION_KEYS},
                          {k: getattr(est, k) for k in POPULATION_KEYS}, what)
             for s, name in enumerate(frame.strata):
                 assert_close({k: batch.strata[k][b, s] for k in STRATUM_KEYS},
                              {k: getattr(est.strata[name], k) for k in STRATUM_KEYS},
                              what + (name,))
+
+
+def side_by_side(indexes) -> UnitIndex:
+    """One index holding each of ``indexes`` as a group of its own, in order."""
+    parts = {f.name: [] for f in dataclasses.fields(UnitIndex)}
+    n_cd = n_ud = n_units = n_strata = n_facs = 0
+    for group, ix in enumerate(indexes):
+        for name, values in (
+            ("pass_cd", ix.pass_cd + n_cd), ("cd_q", ix.cd_q), ("cd_ud", ix.cd_ud + n_ud),
+            ("ud_unit", ix.ud_unit + n_units), ("unit_stratum", ix.unit_stratum + n_strata),
+            ("unit_wells", ix.unit_wells), ("labels", ix.labels),
+            ("member_unit", ix.member_unit + n_units), ("member_fac", ix.member_fac + n_facs),
+            ("n_sampled", ix.n_sampled), ("n_population", ix.n_population),
+            ("stratum_group", np.full(len(ix.n_sampled), group)),
+        ):
+            parts[name].append(values)
+        n_cd += len(ix.cd_q)
+        n_ud += len(ix.ud_unit)
+        n_units += len(ix.unit_stratum)
+        n_strata += len(ix.n_sampled)
+        n_facs += int(ix.member_fac.max(initial=-1)) + 1
+    return UnitIndex(**{name: np.concatenate(values) for name, values in parts.items()})
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(frames=st.lists(survey_frames(), min_size=2, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_frames_as_groups_match_scalar_reference(frames, seed):
+    # the flat arrays of several frames, one group each, in one layout: each
+    # group's population and strata are that frame's scalar estimate
+    index = side_by_side([frame.index for frame in frames])
+    draws = []
+    for frame in frames:
+        layout = compile_layout(frame, CONFIGS[0])
+        y = sample_true_rate(layout.measured,
+                             iteration_uniforms(seed, range(2), layout.n_passes))
+        draws.append((y, np.maximum(pod(y, layout.altitudes, layout.winds), PHI_FLOOR)))
+    y_all = np.hstack([y for y, _ in draws])
+    phi_all = np.hstack([phi for _, phi in draws])
+    for cfg in CONFIGS:
+        batch = evaluate(build_layout(index, cfg), y_all, phi_all)
+        first = 0
+        for g, (frame, (y, phi)) in enumerate(zip(frames, draws)):
+            for b in range(2):
+                est = estimate_survey(prepare_components(frame, y[b], phi[b], cfg),
+                                      frame.strata, cfg)
+                what = (cfg.estimator, cfg.plan, cfg.stage2, cfg.decomposition, g, b)
+                assert_close({k: batch.population[k][b, g] for k in POPULATION_KEYS},
+                             {k: getattr(est, k) for k in POPULATION_KEYS}, what)
+                for s, name in enumerate(frame.strata):
+                    assert_close({k: batch.strata[k][b, first + s] for k in STRATUM_KEYS},
+                                 {k: getattr(est.strata[name], k) for k in STRATUM_KEYS},
+                                 what + (name,))
+            first += len(frame.strata)
 
 
 def test_structural_diagnostics_match_scalar(subset_frame):

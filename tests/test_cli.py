@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from msinv import simlab
+from msinv import measurement, simlab
 from msinv.cli import main
 
 from conftest import read_csv_rows
@@ -226,6 +226,20 @@ class TestExitCodes:
         assert run("estimate", "--packaged", "--stage2", "year:2",
                    "--out-dir", str(tmp_path)) == 3
 
+    @pytest.mark.parametrize("mode", [("--measurement", "mc"), ("--all-variants",)],
+                             ids=["mc", "all-variants"])
+    @pytest.mark.parametrize("iters", [measurement.MAX_MC_ITERATIONS + 1, 10**15])
+    def test_too_many_mc_iterations_is_4(self, tmp_path, monkeypatch, capsys, mode, iters):
+        def unreachable(*args):
+            raise AssertionError("the survey was read")
+
+        monkeypatch.setattr("msinv.cli.load_survey", unreachable)
+        capsys.readouterr()
+        assert run("estimate", "--packaged", *mode, "--mc-iters", str(iters),
+                   "--out-dir", str(tmp_path / "out")) == 4
+        assert "Monte Carlo iterations" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_is_4(self, tmp_path):
         assert run("estimate", "--packaged", "--stage2", "sometimes",
                    "--out-dir", str(tmp_path)) == 4
@@ -357,6 +371,38 @@ class TestSimulate:
     def test_population_over_the_cell_limit_is_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(simlab, "MAX_POPULATION_CELLS", 1000)
         assert run("simulate", "--reps", "2", "--out-dir", str(tmp_path / "out")) == 4
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["reps", "config"])
+    @pytest.mark.parametrize("replications", [simlab.MAX_REPLICATIONS + 1, 10**15])
+    def test_too_many_replications_is_4(self, tmp_path, monkeypatch, capsys, via,
+                                        replications):
+        def unreachable(*args):
+            raise AssertionError("the population was generated")
+
+        monkeypatch.setattr(simlab, "generate_population", unreachable)
+        if via == "reps":
+            argv = ("--reps", str(replications))
+        else:
+            cfg_path = tmp_path / "sim.json"
+            cfg_path.write_text(json.dumps(dict(SIM_CONFIG, replications=replications)))
+            argv = ("--config", str(cfg_path))
+        capsys.readouterr()
+        assert run("simulate", *argv, "--out-dir", str(tmp_path / "out")) == 4
+        assert "replications" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_facilities_over_the_cell_limit_are_4(self, tmp_path, monkeypatch):
+        # SIM_CONFIG has 5 facilities; each counts as a cell before any is drawn
+        monkeypatch.setattr(simlab, "MAX_POPULATION_CELLS", 4)
+
+        def unreachable(*args):
+            raise AssertionError("the population was generated")
+
+        monkeypatch.setattr(simlab, "generate_population", unreachable)
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(SIM_CONFIG))
+        assert run("simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")) == 4
         assert not (tmp_path / "out").exists()
 
     def test_rows_cover_all_variants(self, tmp_path):

@@ -13,14 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msinv.estimators import EstimatorConfig
+from msinv.batch import POPULATION_KEYS
+from msinv.estimators import ComponentObs, EstimatorConfig, daily_estimate, estimate_survey
 from msinv.frame import StratumDef
+from msinv import oracle
 from msinv.oracle import (
     MAX_OUTCOMES,
     MicroComponent,
     MicroPass,
     MicroPopulation,
-    _outcomes,
+    _chunks,
+    _pattern_probs,
     enumerate_outcomes,
     exact_stage_variances,
     true_total,
@@ -40,27 +43,82 @@ def outcome_probabilities(pop: MicroPopulation):
     agree identically, which is the design-equivalence property made testable.
     Returns (original, modified) arrays over the enumerated outcomes.
     """
-    phi_dot = {
-        (c.component_id, t): 1.0 - math.prod(1.0 - p.phi for p in c.days[t])
-        for c in pop.components
-        for t in range(pop.horizon)
-    }
-    original: list[float] = []
-    modified: list[float] = []
-    for outcome in _outcomes(pop, []):
-        p_mod = outcome.design_prob
-        pairs = [(c, t) for c, days in zip(outcome.components, outcome.days) for t in days]
-        for (c, t), pattern in zip(pairs, outcome.patterns):
-            phid = phi_dot[(c.component_id, t)]
-            if pattern.detected:
-                # day enters the starred sample; detections follow the
-                # conditional (non-Poisson) within-day design
-                p_mod *= phid * (pattern.prob / phid)
-            else:
-                p_mod *= 1.0 - phid
-        original.append(outcome.prob)
+    original: list[np.ndarray] = []
+    modified: list[np.ndarray] = []
+    for chunk in _chunks(pop):
+        p_mod = np.full(len(chunk.prob), chunk.design_prob)
+        for (ci, t), pattern in zip(chunk.pairs, chunk.patterns.T):
+            day = pop.components[ci].days[t]
+            phid = 1.0 - math.prod(1.0 - p.phi for p in day)
+            # a detected day enters the starred sample, and its detections
+            # follow the conditional (non-Poisson) within-day design
+            p_mod *= np.where(pattern > 0, phid * (_pattern_probs(day)[pattern] / phid),
+                              1.0 - phid)
+        original.append(chunk.prob)
         modified.append(p_mod)
-    return np.array(original), np.array(modified)
+    return np.concatenate(original), np.concatenate(modified)
+
+
+def scalar_outcomes(pop: MicroPopulation, configs):
+    """Every outcome's estimates by the scalar reference, in enumeration order.
+
+    Each outcome's sampled components become `ComponentObs` of their daily
+    estimates, which `estimate_survey` takes.  Returns, per configuration,
+    `POPULATION_KEYS` to arrays over the outcomes.
+    """
+    d = pop.days_sampled
+    dailies = {}
+
+    def daily(ci, t, mask, kind):
+        key = (ci, t, mask, kind)
+        if key not in dailies:
+            day = pop.components[ci].days[t]
+            hit = [p for i, p in enumerate(day) if mask >> i & 1]
+            dailies[key] = daily_estimate([p.rate for p in hit], [p.phi for p in hit],
+                                          len(day), kind, day_id=t)
+        return dailies[key]
+
+    out = [{k: [] for k in POPULATION_KEYS} for _ in configs]
+    for chunk in _chunks(pop):
+        for row in chunk.patterns.tolist():
+            obs = {}
+            for kind in {cfg.estimator for cfg in configs}:
+                obs[kind] = []
+                for k, ci in enumerate(chunk.components):
+                    c = pop.components[ci]
+                    pairs = zip(chunk.pairs[k * d:(k + 1) * d], row[k * d:(k + 1) * d])
+                    obs[kind].append(ComponentObs(
+                        c.component_id, c.facility_id, pop.facilities[c.facility_id],
+                        tuple(daily(ci, t, mask, kind) for (_, t), mask in pairs)))
+            for cfg, rec in zip(configs, out):
+                est = estimate_survey(obs[cfg.estimator], pop.strata, cfg)
+                for key in POPULATION_KEYS:
+                    rec[key].append(getattr(est, key))
+    return [{key: np.array(values) for key, values in rec.items()} for rec in out]
+
+
+def all_configs(pop: MicroPopulation):
+    return [EstimatorConfig(estimator=e, plan=p, stage2=s2, horizon=pop.horizon,
+                            decomposition=dc)
+            for e, p in (("ipw", "original"), ("ipw", "modified"), ("hajek", "modified"))
+            for s2 in ("year", "observed") for dc in ("corrected", "printed")]
+
+
+def assert_matches_scalar_reference(pop: MicroPopulation):
+    configs = all_configs(pop)
+    for cfg, dist, want in zip(configs, enumerate_outcomes(pop, configs),
+                               scalar_outcomes(pop, configs)):
+        got = {"total": dist.totals, "v3stage": dist.v3stage}
+        for key, stage in (("1", "stage1"), ("2", "stage2"), ("3", "stage3")):
+            got["v" + key] = dist.clipped[stage]
+            got["u" + key] = dist.unclipped[stage]
+        # rel 1e-12; a clipped or cancelling part near zero gets an absolute
+        # floor scaled by the largest value of its outcome
+        floor = 1e-12 * np.maximum(1.0, np.max([np.abs(v) for v in want.values()], axis=0))
+        for key in POPULATION_KEYS:
+            assert got[key].shape == want[key].shape
+            bad = np.abs(got[key] - want[key]) > np.maximum(1e-12 * np.abs(want[key]), floor)
+            assert not bad.any(), (cfg, key, np.flatnonzero(bad)[:5])
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +281,53 @@ class TestDesignEquivalence:
         orig, mod = outcome_probabilities(pop)
         assert math.fsum(orig) == pytest.approx(1.0, abs=1e-12)
         assert float(np.max(np.abs(orig - mod))) <= 1e-12
+
+
+class TestKernelMatchesScalarReference:
+    """`enumerate_outcomes` runs the batched kernel; every outcome's values
+    must equal the scalar estimator's on that outcome."""
+
+    def test_micro_a(self, micro_a):
+        assert_matches_scalar_reference(micro_a)
+
+    def test_micro_b(self, micro_b):
+        assert_matches_scalar_reference(micro_b)
+
+    def test_two_strata_with_interleaved_facilities(self):
+        # components list their facilities out of order, and one facility
+        # has two components
+        day = (MicroPass(3.0, 0.7),)
+        pop = MicroPopulation(
+            strata={"S2": StratumDef("S2", 1, 1), "S1": StratumDef("S1", 1, 2)},
+            facilities={"F1": "S1", "F2": "S1", "F3": "S2"},
+            components=(
+                MicroComponent("c1", "F2", (day, (MicroPass(5.0, 0.4), MicroPass(1.0, 0.9)))),
+                MicroComponent("c2", "F1", ((MicroPass(2.0, 0.5),), day)),
+                MicroComponent("c3", "F2", ((MicroPass(7.0, 0.3),), (MicroPass(4.0, 0.6),))),
+                MicroComponent("c4", "F3", (day, (MicroPass(9.0, 0.2),))),
+            ),
+            days_sampled=1,
+        )
+        assert_matches_scalar_reference(pop)
+
+    def test_results_do_not_depend_on_the_block_size(self, micro_b, monkeypatch):
+        # micro_b's stage II cells hold 256 outcomes each; blocks of 100
+        # split every cell across blocks
+        configs = all_configs(micro_b)[::4]  # each design, on the year horizon
+        whole = enumerate_outcomes(micro_b, configs)
+        exact = [exact_stage_variances(micro_b, cfg) for cfg in configs]
+        monkeypatch.setattr(oracle, "OUTCOME_BLOCK", 100)
+        for a, b in zip(whole, enumerate_outcomes(micro_b, configs)):
+            for x, y in ((a.probabilities, b.probabilities), (a.totals, b.totals),
+                         (a.v3stage, b.v3stage), *zip(a.clipped.values(), b.clipped.values()),
+                         *zip(a.unclipped.values(), b.unclipped.values())):
+                assert np.array_equal(x, y)
+        assert [exact_stage_variances(micro_b, cfg) for cfg in configs] == exact
+
+    @settings(max_examples=25, deadline=None)
+    @given(pop=micro_populations())
+    def test_generated_populations(self, pop):
+        assert_matches_scalar_reference(pop)
 
 
 class TestGuards:

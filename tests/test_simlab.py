@@ -12,6 +12,7 @@ from msinv.simlab import (
     SimStratumSpec,
     VARIANTS,
     _draw_sample,
+    _population_rng,
     _replication_rng,
     config_from_json,
     default_config,
@@ -79,6 +80,32 @@ class TestGeneration:
         monkeypatch.setattr(simlab, "MAX_POPULATION_CELLS", cells - 1)
         with pytest.raises(ValueError, match="cells at stratum 'A'"):
             generate_population(tiny_config())
+
+    def test_facility_limit_at_load(self, monkeypatch):
+        # tiny_config has 5 facilities; each counts as one cell
+        monkeypatch.setattr(simlab, "MAX_POPULATION_CELLS", 5)
+        tiny_config()
+        monkeypatch.setattr(simlab, "MAX_POPULATION_CELLS", 4)
+        with pytest.raises(ValueError, match="5 facilities"):
+            tiny_config()
+
+    def test_replication_limit_at_load(self):
+        tiny_config(replications=simlab.MAX_REPLICATIONS)
+        with pytest.raises(ValueError, match="replications"):
+            tiny_config(replications=simlab.MAX_REPLICATIONS + 1)
+
+    @pytest.mark.parametrize("p", [0.0, 0.055, 0.5, 1.0])
+    def test_emitter_draws_match_per_facility_draws(self, p):
+        # one vectorised binomial call draws what a call per facility drew,
+        # and leaves the generator where the loop left it, so populations
+        # are unchanged for a given seed
+        counts = np.random.default_rng(3).integers(1, 51, size=300)
+        loop, vectorised = _population_rng(11), _population_rng(11)
+        expected = [fac for fac in range(len(counts))
+                    for _ in range(int(loop.binomial(counts[fac], p)))]
+        got = np.repeat(np.arange(len(counts)), vectorised.binomial(counts, p))
+        assert got.tolist() == expected
+        assert vectorised.random(8).tolist() == loop.random(8).tolist()
 
     def test_deterministic_given_seed(self):
         a = generate_population(tiny_config())
