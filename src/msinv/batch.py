@@ -314,9 +314,10 @@ class BatchEstimate:
     """Per-iteration results of a chunk, in kg/h units.
 
     ``population`` maps `POPULATION_KEYS` to arrays of shape (B, n_groups)
-    (a frame has one group); ``strata`` maps `STRATUM_KEYS` to arrays of
-    shape (B, n_strata), strata in `UnitIndex` order.  The keys mirror the fields of `estimators.SurveyEstimate` and
-    `estimators.StratumEstimate`.
+    (a frame has one group); ``strata`` maps `POPULATION_KEYS` to arrays of
+    shape (B, n_strata), strata in `UnitIndex` order.  The keys mirror the
+    fields of `estimators.SurveyEstimate` and `estimators.StratumEstimate`;
+    `STRATUM_KEYS` are the ones a report row carries.
     """
 
     population: dict[str, np.ndarray]
@@ -433,7 +434,7 @@ def _assemble(layout: Layout, mean, var, s3):
     sumsq = _seq_sum(fac * fac, layout.fac_of_stratum)
     a1 = (1.0 - layout.stratum_f) * sumsq + layout.stratum_pair_coef * (total * total - sumsq)
     v3stage = a1 + v23
-    st = {"total": total, "u3": s3s, "u2": s23 - s3s, "u1": v3stage - s23}
+    st = {"total": total, "v3stage": v3stage, "u3": s3s, "u2": s23 - s3s, "u1": v3stage - s23}
     st["v3"] = np.maximum(0.0, s3s)
     st["v2"] = np.maximum(0.0, s23 - st["v3"])
     st["v1"] = np.maximum(0.0, v3stage - st["v2"] - st["v3"])

@@ -223,7 +223,7 @@ def cmd_simulate(args) -> int:
     result.write_csv(outdir / "simstudy.csv", manifest)
     with open(outdir / "simstudy_config.json", "w", encoding="utf-8") as fh:
         json.dump({"config": config.as_dict(), "true_totals": result.true_totals,
-                   "manifest": manifest}, fh, indent=2, sort_keys=True)
+                   "manifest": manifest}, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"{config.replications} replications -> {outdir / 'simstudy.csv'}")
     return 0

@@ -753,12 +753,19 @@ def _require_finite(est: SurveyEstimate):
                 )
 
 
-def wald_ci(estimate: float, variance: float, level: float = 0.95) -> tuple[float, float]:
-    """Symmetric normal-theory interval: estimate +/- z * sqrt(variance)."""
-    if variance < 0:
+def wald_ci(estimate, variance, level: float = 0.95):
+    """Symmetric normal-theory interval: estimate +/- z * sqrt(variance).
+
+    ``estimate`` and ``variance`` are floats, or arrays that broadcast
+    together and give arrays of bounds, element by element as floats would.
+    """
+    variance = np.asarray(variance, dtype=float)
+    if np.any(variance < 0):
         raise EstimationError("variance must be >= 0")
     if not 0 < level < 1:
         raise EstimationError("level must lie in (0, 1)")
     z = float(norm.ppf(0.5 + level / 2.0))
-    half = z * math.sqrt(variance)
+    half = z * np.sqrt(variance)
+    if half.ndim == 0:
+        half = float(half)
     return estimate - half, estimate + half

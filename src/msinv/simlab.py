@@ -2,11 +2,18 @@
 
 Builds an artificial stratified population of facilities whose emitting
 components carry day-specific mean rates (lognormal by stratum) and
-pass-level rates around them, then repeatedly samples it under the three-stage
-design (facility SRS, day SRS, POD-driven detection) and scores four
-estimation variants (inverse-probability weighting or Hajek, with or without
-day-sampling uncertainty) on percent bias, variance, mean squared error and
-Wald interval coverage.
+pass-level rates around them, with a wind speed and plane altitude per pass,
+then repeatedly samples it under the three-stage design (facility SRS, day
+SRS, POD-driven detection) and scores four estimation variants
+(inverse-probability weighting or Hajek, with or without day-sampling
+uncertainty) on percent bias, variance, mean squared error and Wald interval
+coverage.
+
+Each replication draws its sample from its own generator.  The samples of a
+block of `SIM_BLOCK` replications are laid out as one `frame.UnitIndex`, a
+stratum per (replication, stratum) pair and a population group per
+replication, and estimated by the batched kernel of `batch`, one call per
+variant.  POD is evaluated only on the passes of sampled component-days.
 """
 
 from __future__ import annotations
@@ -18,10 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (ComponentObs, EstimatorConfig, daily_estimate, estimate_survey,
-                         wald_ci)
+from .batch import build_layout, evaluate
 from .datasets import packaged_sim_defaults_path
-from .frame import StratumDef, count, json_list, json_object, number, read_json, text
+from .estimators import EstimationError, EstimatorConfig, wald_ci
+# not used here: perfbench/tracer.py patches this name on this module
+from .estimators import estimate_survey  # noqa: F401
+from .frame import UnitIndex, count, json_list, json_object, number, read_json, text
 from .pod import DEFAULT_POD, PodParams, pod
 
 __all__ = [
@@ -40,15 +49,20 @@ __all__ = [
 MAX_PASSES = 5
 
 # Bound on the (emitting component, day, pass) cells of a whole population,
-# summed over its strata.  Generation holds several float64 arrays of this
-# shape, so memory grows with it: the four-strata default has about 1.1M
-# cells and peaks near 165 MiB; one stratum at the bound peaks near 825 MiB.
+# summed over its strata.  A population holds three float64 arrays of this
+# shape (rate, wind, altitude), so memory grows with it: the four-strata
+# default has about 1.1M cells and peaks near 141 MiB; one stratum at the
+# bound peaks near 450 MiB.
 MAX_POPULATION_CELLS = 10_000_000
 
 # Most replications one study may ask for.  A study keeps 9 bytes per
 # replication for each variant and scope: about 172 MiB at this limit for
 # the four-strata default.
 MAX_REPLICATIONS = 1_000_000
+
+# Replications sampled and estimated together.  A block's index and layouts
+# grow with it, so blocks keep a study's memory flat in its replications.
+SIM_BLOCK = 64
 
 # estimator x stage II treatment; "year" carries the day-sampling variance,
 # "observed" treats the surveyed days as the whole population
@@ -224,10 +238,11 @@ def default_config(**overrides) -> SimConfig:
 @dataclass
 class _StratumPopulation:
     spec: SimStratumSpec
-    emit_facility: np.ndarray   # facility index of each emitting component
+    emit_facility: np.ndarray   # facility index of each emitting component, ascending
     q: np.ndarray               # (n_emit, D) passes per day
     rates: np.ndarray           # (n_emit, D, MAX_PASSES) true pass rates
-    phi: np.ndarray             # (n_emit, D, MAX_PASSES) detection probabilities
+    wind: np.ndarray            # (n_emit, D, MAX_PASSES) wind speeds, >= 0
+    altitude: np.ndarray        # (n_emit, D, MAX_PASSES) plane altitudes, >= 1
     true_total: float
 
 
@@ -259,9 +274,13 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
     Emitting components get independent daily mean rates for every day of the
     horizon and pass-level rates around them (normal with SD proportional to
     the daily mean, resampled after truncation at zero).  Pass counts, wind
-    and altitude are drawn up front so detection probabilities are a fixed
-    property of the population; the per-replication randomness is then only
-    which units are sampled and which passes detect.
+    and altitude are drawn up front, so detection probabilities are a fixed
+    property of the population (`run_study` evaluates POD on the sampled
+    passes only); the per-replication randomness is then only which units
+    are sampled and which passes detect.
+
+    Raises `ValueError` when the population exceeds `MAX_POPULATION_CELLS`
+    or a rate or true total is not finite.
     """
     rng = _population_rng(config.seed if seed is None else seed)
     lo, hi = config.components_per_facility
@@ -291,22 +310,27 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
         alt = np.maximum(
             rng.normal(config.altitude_mean, config.altitude_sd,
                        size=(n_emit, big_d, MAX_PASSES)), 1.0)
-        phi = pod(rates, alt, np.clip(wind, 0.0, None), config.pod_params) if n_emit else np.zeros((0, big_d, MAX_PASSES))
         mask = np.arange(MAX_PASSES)[None, None, :] < q[..., None]
         if n_emit:
             day_means = (rates * mask).sum(axis=2) / q
             true_total = float((day_means.mean(axis=1)).sum())
         else:
             true_total = 0.0
+        # a non-finite rate anywhere, unused passes included (inf * 0 is nan),
+        # makes the true total non-finite
+        if not math.isfinite(true_total):
+            raise ValueError(
+                f"stratum {spec.name!r}: the true total is {true_total}, not finite; "
+                "lower lognormal_mu or lognormal_sigma")
         strata[spec.name] = _StratumPopulation(
-            spec=spec,
-            emit_facility=emit_fac,
-            q=q,
-            rates=rates,
-            phi=np.asarray(phi),
+            spec=spec, emit_facility=emit_fac, q=q, rates=rates, wind=wind, altitude=alt,
             true_total=true_total,
         )
-    return SimPopulation(config=config, strata=strata)
+    population = SimPopulation(config=config, strata=strata)
+    if not math.isfinite(population.true_totals["Population"]):
+        raise ValueError("the population's true total is not finite; lower lognormal_mu or "
+                         "lognormal_sigma")
+    return population
 
 
 def _truncated_normal(rng, mean, sd, shape, attempts: int = 100):
@@ -371,34 +395,40 @@ def run_study(config: SimConfig, population: SimPopulation | None = None) -> Sim
 
     Every replication shares one draw of the three-stage sample across the
     four variants (they differ only in estimation).  Interval coverage uses
-    the Wald interval on the three-stage design variance.
+    the Wald interval on the three-stage design variance.  Replications are
+    estimated together, `SIM_BLOCK` at a time, by the batched kernel; a
+    replication's result does not depend on its block.
     """
     pop = population if population is not None else generate_population(config)
     names = [s.name for s in config.strata]
     scopes = names + ["Population"]
     truths = pop.true_totals
+    truth_row = np.array([truths[scope] for scope in scopes])
     variant_cfgs = {v: _variant_config(v, config) for v in VARIANTS}
-    strata_defs = {
-        s.name: StratumDef(name=s.name, n_sampled=s.n_sampled, n_population=s.n_population)
-        for s in config.strata
-    }
     reps = config.replications
     totals = {v: {s: np.empty(reps) for s in scopes} for v in VARIANTS}
     covered = {v: {s: np.zeros(reps, dtype=bool) for s in scopes} for v in VARIANTS}
 
-    for rep in range(reps):
-        rng = _replication_rng(config.seed, rep)
-        observations = _draw_sample(pop, config, rng)
+    for start in range(0, reps, SIM_BLOCK):
+        block = range(start, min(start + SIM_BLOCK, reps))
+        index, y, phi = _sample_block(pop, config, block)
         for variant, cfg in variant_cfgs.items():
-            est = estimate_survey(observations[cfg.estimator], strata_defs, cfg)
-            totals[variant]["Population"][rep] = est.total
-            lo, hi_ = wald_ci(est.total, max(0.0, est.v3stage), config.ci_level)
-            covered[variant]["Population"][rep] = lo <= truths["Population"] <= hi_
-            for name in names:
-                se = est.strata[name]
-                totals[variant][name][rep] = se.total
-                lo, hi_ = wald_ci(se.total, max(0.0, se.v3stage), config.ci_level)
-                covered[variant][name][rep] = lo <= truths[name] <= hi_
+            try:
+                est = evaluate(build_layout(index, cfg), y[None], phi[None])
+            except EstimationError:
+                raise EstimationError(
+                    f"{variant}, replications {block.start}-{block.stop - 1}: an estimate "
+                    "is not finite (a rate too large to estimate with?)") from None
+            # a row per replication, a column per scope
+            total = np.column_stack([est.strata["total"][0].reshape(len(block), -1),
+                                     est.population["total"][0]])
+            v3stage = np.column_stack([est.strata["v3stage"][0].reshape(len(block), -1),
+                                       est.population["v3stage"][0]])
+            lo, hi = wald_ci(total, np.maximum(0.0, v3stage), config.ci_level)
+            hit = (lo <= truth_row) & (truth_row <= hi)
+            for i, scope in enumerate(scopes):
+                totals[variant][scope][block.start:block.stop] = total[:, i]
+                covered[variant][scope][block.start:block.stop] = hit[:, i]
 
     rows = []
     for scope in scopes:
@@ -419,40 +449,73 @@ def run_study(config: SimConfig, population: SimPopulation | None = None) -> Sim
                           totals=totals, covered=covered)
 
 
-def _draw_sample(pop: SimPopulation, config: SimConfig, rng) -> dict[str, list[ComponentObs]]:
-    """One three-stage sample of the population as estimation-ready observations.
+def _replication_draws(pop: SimPopulation, config: SimConfig, rep: int):
+    """Replication ``rep``'s random draws, one ``(components, days, uniforms)`` per stratum.
 
-    Returns the sampled components' observations per estimator kind.
+    ``components`` are the sampled facilities' emitting components (indices
+    into the stratum's arrays, ascending), ``days`` their surveyed days
+    (n, d_p) in draw order and ``uniforms`` (n, d_p, `MAX_PASSES`) decide
+    which passes detect.  The draws depend on ``rep`` alone.
     """
-    out: dict[str, list[ComponentObs]] = {"ipw": [], "hajek": []}
+    rng = _replication_rng(config.seed, rep)
     d_p = config.days_sampled
-    big_d = config.horizon
-    for name, sp in pop.strata.items():
+    out = []
+    for sp in pop.strata.values():
         spec = sp.spec
-        sampled_facs = rng.choice(spec.n_population, size=spec.n_sampled, replace=False)
-        fac_set = set(int(f) for f in sampled_facs)
-        comp_idx = [i for i, f in enumerate(sp.emit_facility) if int(f) in fac_set]
-        if not comp_idx:
-            continue
-        days = np.empty((len(comp_idx), d_p), dtype=np.int64)
-        for row in range(len(comp_idx)):
-            days[row] = rng.choice(big_d, size=d_p, replace=False)
-        u = rng.random((len(comp_idx), d_p, MAX_PASSES))
-        for row, ci in enumerate(comp_idx):
-            day_obs = []
-            for k in range(d_p):
-                day = int(days[row, k])
-                q = int(sp.q[ci, day])
-                rates, phis = [], []
-                for pidx in range(q):
-                    phi = float(sp.phi[ci, day, pidx])
-                    if u[row, k, pidx] < phi:
-                        rates.append(float(sp.rates[ci, day, pidx]))
-                        phis.append(phi)
-                day_obs.append((day, rates, phis, q))
-            cid, fid = f"{name}:{ci}", f"{name}:F{int(sp.emit_facility[ci])}"
-            for kind, obs in out.items():
-                dailies = tuple(daily_estimate(rs, ps, q_pt, kind, day_id=day)
-                                for day, rs, ps, q_pt in day_obs)
-                obs.append(ComponentObs(cid, fid, name, dailies))
+        sampled = np.zeros(spec.n_population, dtype=bool)
+        sampled[rng.choice(spec.n_population, size=spec.n_sampled, replace=False)] = True
+        comps = np.flatnonzero(sampled[sp.emit_facility])
+        days = np.empty((len(comps), d_p), dtype=np.intp)
+        for row in range(len(comps)):
+            days[row] = rng.choice(config.horizon, size=d_p, replace=False)
+        # with no component sampled, the empty draw leaves the generator as it was
+        out.append((comps, days, rng.random((len(comps), d_p, MAX_PASSES))))
     return out
+
+
+def _sample_block(pop: SimPopulation, config: SimConfig, reps: range):
+    """The samples of replications ``reps`` as one `UnitIndex`, with detected rates and PODs.
+
+    Each (replication, stratum) pair is a stratum and each replication a
+    group.  A unit is a sampled emitting component with one unit-day, and
+    one component-day, per surveyed day; facilities keep their population
+    order within a stratum.  POD is evaluated on the sampled passes only.
+    """
+    strata = list(pop.strata.values())
+    n_strata, d_p = len(strata), config.days_sampled
+    draws = [d for rep in reps for d in _replication_draws(pop, config, rep)]
+    comp = np.concatenate([c for c, _, _ in draws])
+    days = np.concatenate([d for _, d, _ in draws])
+    u = np.concatenate([x for _, _, x in draws])
+    unit_stratum = np.repeat(np.arange(len(draws)), [len(c) for c, _, _ in draws])
+    n_units = len(comp)
+    local = unit_stratum % n_strata
+    fac = np.empty(n_units, dtype=np.intp)
+    q = np.empty((n_units, d_p), dtype=np.intp)
+    rates, wind, alt = (np.empty((n_units, d_p, MAX_PASSES)) for _ in range(3))
+    for s, sp in enumerate(strata):
+        rows = local == s
+        c, d = comp[rows, None], days[rows]
+        fac[rows] = sp.emit_facility[comp[rows]]
+        q[rows] = sp.q[c, d]
+        rates[rows], wind[rows], alt[rows] = sp.rates[c, d], sp.wind[c, d], sp.altitude[c, d]
+    live = np.arange(MAX_PASSES) < q[..., None]
+    y = rates[live]
+    phi = pod(y, alt[live], wind[live], config.pod_params)
+    det = u[live] < phi
+    unit, k, _ = np.nonzero(live)   # in (unit, day, pass) order, like the boolean gathers
+
+    n_sampled = np.tile([sp.spec.n_sampled for sp in strata], len(reps))
+    n_population = np.tile([sp.spec.n_population for sp in strata], len(reps))
+    names = [sp.spec.name for sp in strata]
+    index = UnitIndex(
+        pass_cd=(unit * d_p + k)[det], cd_q=q.reshape(-1), cd_ud=np.arange(n_units * d_p),
+        ud_unit=np.repeat(np.arange(n_units), d_p), unit_stratum=unit_stratum,
+        unit_wells=np.zeros(n_units, dtype=np.intp),
+        labels=np.array([f"{names[s]}:{c}" for s, c in zip(local, comp)], dtype=object),
+        member_unit=np.arange(n_units),
+        member_fac=(np.cumsum(n_population) - n_population)[unit_stratum] + fac,
+        n_sampled=n_sampled, n_population=n_population,
+        stratum_group=np.repeat(np.arange(len(reps)), n_strata),
+    )
+    return index, y[det], phi[det]

@@ -3,6 +3,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from msinv import measurement, simlab
@@ -403,6 +404,26 @@ class TestSimulate:
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(SIM_CONFIG))
         assert run("simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")) == 4
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mu, code", [(800.0, 4), (400.0, 3)],
+                             ids=["rates-overflow", "estimates-overflow"])
+    def test_overflowing_population_writes_nothing(self, tmp_path, capsys, mu, code):
+        # mu 800: the rates and true totals are inf/nan, rejected with the
+        # population; mu 400: finite rates whose squares overflow in estimation
+        cfg = {
+            "strata": [{"name": "A", "n_sampled": 3, "n_population": 5,
+                        "lognormal_mu": mu, "lognormal_sigma": 0.5}],
+            "components_per_facility": [1, 3], "emit_prob": 0.5, "horizon": 10,
+            "days_sampled": 2, "replications": 3, "seed": 1,
+        }
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("simulate", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "out")) == code
+        assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_rows_cover_all_variants(self, tmp_path):

@@ -470,6 +470,16 @@ class TestWaldCi:
         with pytest.raises(EstimationError):
             wald_ci(1.0, 1.0, 1.5)
 
+    def test_arrays_equal_the_scalar_calls(self):
+        estimates = np.array([[10.0, -3.5, 0.0], [1e6, 7.25, 2.0]])
+        variances = np.array([[4.0, 0.0, 1e-300], [3e11, 0.5, 9.0]])
+        lo, hi = wald_ci(estimates, variances, 0.9)
+        assert lo.shape == hi.shape == estimates.shape
+        for idx in np.ndindex(estimates.shape):
+            assert (lo[idx], hi[idx]) == wald_ci(float(estimates[idx]), float(variances[idx]), 0.9)
+        with pytest.raises(EstimationError):
+            wald_ci(estimates, -variances, 0.9)
+
 
 # ---------------------------------------------------------------------------
 # Whole-pipeline invariants on randomized frames

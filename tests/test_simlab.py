@@ -1,19 +1,27 @@
-"""Simulation lab tests: generation, determinism, metrics."""
+"""Simulation lab tests: generation, determinism, metrics, and the study
+kernel against the per-replication scalar reference."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from msinv import simlab
-from msinv.pod import PodParams
+from msinv.batch import build_layout, evaluate
+from msinv.estimators import ComponentObs, daily_estimate, estimate_survey, wald_ci
+from msinv.frame import StratumDef
+from msinv.pod import PodParams, pod
 from msinv.simlab import (
+    MAX_PASSES,
     SimConfig,
     SimStratumSpec,
     VARIANTS,
-    _draw_sample,
     _population_rng,
-    _replication_rng,
+    _replication_draws,
+    _sample_block,
+    _variant_config,
     config_from_json,
     default_config,
     fit_lognormal_moments,
@@ -80,6 +88,24 @@ class TestGeneration:
         monkeypatch.setattr(simlab, "MAX_POPULATION_CELLS", cells - 1)
         with pytest.raises(ValueError, match="cells at stratum 'A'"):
             generate_population(tiny_config())
+
+    def test_non_finite_true_totals(self):
+        # e^709 is finite, and so is each stratum's total; three of them are not
+        def spec(name, mu):
+            return SimStratumSpec(name=name, n_sampled=1, n_population=1, lognormal_mu=mu,
+                                  lognormal_sigma=0.01, sd_ratio=0.0)
+
+        def config(*strata):
+            return tiny_config(strata=strata, components_per_facility=(1, 1), emit_prob=1.0,
+                               horizon=1, days_sampled=1, passes_pmf={1: 1.0})
+
+        pop = generate_population(config(spec("A", 709.0), spec("B", 709.0)))
+        assert math.isfinite(pop.true_totals["Population"])
+        with pytest.raises(ValueError, match="population's true total is not finite"):
+            generate_population(config(spec("A", 709.0), spec("B", 709.0), spec("C", 709.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="stratum 'A': the true total is"):
+                generate_population(config(spec("A", 800.0)))
 
     def test_facility_limit_at_load(self, monkeypatch):
         # tiny_config has 5 facilities; each counts as one cell
@@ -172,11 +198,176 @@ class TestStudy:
         # replications ran before it
         cfg = tiny_config()
         pop = generate_population(cfg)
-        first = _draw_sample(pop, cfg, _replication_rng(cfg.seed, 6))
+        first = _replication_draws(pop, cfg, 6)
         for _ in range(3):
-            _draw_sample(pop, cfg, _replication_rng(cfg.seed, 0))
-        again = _draw_sample(pop, cfg, _replication_rng(cfg.seed, 6))
-        assert first == again
+            _replication_draws(pop, cfg, 0)
+        again = _replication_draws(pop, cfg, 6)
+        assert len(first) == len(again) == len(cfg.strata)
+        for drawn, redrawn in zip(first, again):
+            for a, b in zip(drawn, redrawn):
+                assert np.array_equal(a, b)
+
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch):
+        cfg = tiny_config(replications=10)
+        whole = run_study(cfg)
+        monkeypatch.setattr(simlab, "SIM_BLOCK", 3)
+        blocked = run_study(cfg)
+        for variant in VARIANTS:
+            for scope in ("A", "Population"):
+                assert np.array_equal(blocked.totals[variant][scope],
+                                      whole.totals[variant][scope])
+                assert np.array_equal(blocked.covered[variant][scope],
+                                      whole.covered[variant][scope])
+        assert blocked.rows == whole.rows
+
+    def test_pod_of_sampled_passes_equals_population_pod(self, monkeypatch):
+        # a census of facilities and days samples every pass of the population
+        spec = SimStratumSpec(name="A", n_sampled=5, n_population=5,
+                              lognormal_mu=math.log(40.0), lognormal_sigma=0.3)
+        cfg = tiny_config(strata=(spec,), horizon=3, days_sampled=3, replications=2)
+        pop = generate_population(cfg)
+        sp = pop.strata["A"]
+        full = pod(sp.rates, sp.altitude, sp.wind, cfg.pod_params)
+        seen = []
+
+        def recorded(*args):
+            seen.append(pod(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(simlab, "pod", recorded)
+        _sample_block(pop, cfg, range(cfg.replications))
+        expected = [full[ci, day, p]
+                    for rep in range(cfg.replications)
+                    for comps, days, _ in _replication_draws(pop, cfg, rep)
+                    for ci, comp_days in zip(comps, days)
+                    for day in comp_days for p in range(sp.q[ci, day])]
+        assert len(seen) == 1
+        assert len(expected) == sp.q.sum() * cfg.replications
+        assert np.array_equal(seen[0], expected)
+
+
+def scalar_study(pop, cfg):
+    """The per-replication scalar path the study kernel replaced.
+
+    Per replication: daily estimates from the detected passes, one
+    `ComponentObs` per sampled emitting component, one `estimate_survey` per
+    variant and a scalar Wald interval per scope.  POD comes from the whole
+    population's arrays.  Returns per variant the estimates and coverage
+    flags, a list per replication.
+    """
+    strata_defs = {s.name: StratumDef(s.name, s.n_sampled, s.n_population)
+                   for s in cfg.strata}
+    phi = {name: pod(sp.rates, sp.altitude, sp.wind, cfg.pod_params)
+           for name, sp in pop.strata.items()}
+    truths = pop.true_totals
+    out = {v: ([], []) for v in VARIANTS}
+    for rep in range(cfg.replications):
+        obs = {"ipw": [], "hajek": []}
+        draws = _replication_draws(pop, cfg, rep)
+        for (name, sp), (comps, days, u) in zip(pop.strata.items(), draws):
+            for row, ci in enumerate(comps):
+                day_obs = []
+                for k, day in enumerate(days[row]):
+                    q = int(sp.q[ci, day])
+                    hit = [p for p in range(q) if u[row, k, p] < phi[name][ci, day, p]]
+                    day_obs.append((int(day), [float(sp.rates[ci, day, p]) for p in hit],
+                                    [float(phi[name][ci, day, p]) for p in hit], q))
+                for kind, comps_obs in obs.items():
+                    dailies = tuple(daily_estimate(rs, ps, q, kind, day_id=day)
+                                    for day, rs, ps, q in day_obs)
+                    comps_obs.append(ComponentObs(f"{name}:{ci}",
+                                                  f"{name}:F{int(sp.emit_facility[ci])}",
+                                                  name, dailies))
+        for variant in VARIANTS:
+            vcfg = _variant_config(variant, cfg)
+            est = estimate_survey(obs[vcfg.estimator], strata_defs, vcfg)
+            flags = {}
+            for scope, (total, v3stage) in dict(
+                    {n: (se.total, se.v3stage) for n, se in est.strata.items()},
+                    Population=(est.total, est.v3stage)).items():
+                lo, hi = wald_ci(total, max(0.0, v3stage), cfg.ci_level)
+                flags[scope] = lo <= truths[scope] <= hi
+            out[variant][0].append(est)
+            out[variant][1].append(flags)
+    return out
+
+
+def assert_matches_scalar_reference(cfg):
+    """Totals, stratum and population v3stage and coverage of every replication
+    and variant against `scalar_study`, at rel 1e-12."""
+    pop = generate_population(cfg)
+    reference = scalar_study(pop, cfg)
+    result = run_study(cfg, pop)
+    names = [s.name for s in cfg.strata]
+    index, y, phi = _sample_block(pop, cfg, range(cfg.replications))
+    for variant in VARIANTS:
+        ests, flags = reference[variant]
+        kernel = evaluate(build_layout(index, _variant_config(variant, cfg)), y[None], phi[None])
+        st_total = kernel.strata["total"][0].reshape(cfg.replications, -1)
+        st_v3 = kernel.strata["v3stage"][0].reshape(cfg.replications, -1)
+        for rep, (est, flag) in enumerate(zip(ests, flags)):
+            want = {"Population": (est.total, est.v3stage)}
+            got = {"Population": (result.totals[variant]["Population"][rep],
+                                  kernel.population["v3stage"][0, rep])}
+            for s, name in enumerate(names):
+                want[name] = (est.strata[name].total, est.strata[name].v3stage)
+                got[name] = (result.totals[variant][name][rep], st_v3[rep, s])
+                assert st_total[rep, s] == result.totals[variant][name][rep]
+            for scope, values in want.items():
+                what = f"{variant} rep {rep} {scope}"
+                assert np.allclose(got[scope], values, rtol=1e-12, atol=0), what
+                assert result.covered[variant][scope][rep] == flag[scope], what
+    return pop
+
+
+@st.composite
+def small_configs(draw):
+    """Study configs of 1-3 strata of at most 6 facilities, with up to
+    `MAX_PASSES` passes a day and rates from near-certain misses to
+    near-certain detections."""
+    strata = []
+    for h in range(draw(st.integers(1, 3))):
+        big_n = draw(st.integers(1, 6))
+        strata.append(SimStratumSpec(
+            name=f"S{h}", n_sampled=draw(st.integers(1, big_n)), n_population=big_n,
+            lognormal_mu=draw(st.floats(2.0, 5.0)), lognormal_sigma=draw(st.floats(0.1, 1.0)),
+            sd_ratio=draw(st.sampled_from([0.0, 0.2, 0.5]))))
+    top = draw(st.integers(1, MAX_PASSES))
+    horizon = draw(st.integers(1, 6))
+    return SimConfig(
+        strata=tuple(strata), components_per_facility=(1, draw(st.integers(1, 4))),
+        emit_prob=draw(st.sampled_from([0.2, 0.5, 1.0])),
+        passes_pmf={k: 1.0 / top for k in range(1, top + 1)},
+        horizon=horizon, days_sampled=draw(st.integers(1, horizon)),
+        replications=draw(st.integers(2, 5)), seed=draw(st.integers(0, 2**32)))
+
+
+class TestKernelMatchesScalarReference:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_configs())
+    def test_generated_configs(self, cfg):
+        assert_matches_scalar_reference(cfg)
+
+    def test_stratum_without_sampled_emitters(self):
+        # stratum B: one of 4 facilities sampled, a third of them emitting
+        b = SimStratumSpec(name="B", n_sampled=1, n_population=4,
+                           lognormal_mu=math.log(40.0), lognormal_sigma=0.3)
+        cfg = tiny_config(strata=tiny_config().strata + (b,), components_per_facility=(1, 2),
+                          emit_prob=0.3, replications=8, seed=3)
+        pop = assert_matches_scalar_reference(cfg)
+        assert any(len(draws[1][0]) == 0 for draws in
+                   (_replication_draws(pop, cfg, rep) for rep in range(cfg.replications)))
+
+    @pytest.mark.parametrize("n_sampled, horizon, days_sampled", [
+        (1, 8, 2), (3, 8, 1), (3, 4, 4), (5, 1, 1),
+    ], ids=["one-facility", "one-day-pooled", "census-of-days", "one-day-horizon"])
+    def test_design_edges(self, n_sampled, horizon, days_sampled):
+        spec = SimStratumSpec(name="A", n_sampled=n_sampled, n_population=5,
+                              lognormal_mu=math.log(40.0), lognormal_sigma=0.5)
+        assert_matches_scalar_reference(tiny_config(
+            strata=(spec,), horizon=horizon, days_sampled=days_sampled, replications=6,
+            passes_pmf={k: 0.2 for k in range(1, MAX_PASSES + 1)}))
 
 
 class TestConfigRoundTrip:
