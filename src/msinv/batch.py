@@ -153,13 +153,8 @@ class Layout:
 
 def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
     """`build_layout` of the frame's units, with the measurements of its detected passes."""
-    det = frame.detected_passes
-    return build_layout(
-        frame.index, config,
-        measured=np.array([p.measured_rate for p in det], dtype=float),
-        winds=np.array([p.wind_speed for p in det], dtype=float),
-        altitudes=np.array([p.altitude for p in det], dtype=float),
-    )
+    return build_layout(frame.index, config, measured=frame.measured_rates,
+                        winds=frame.wind_speeds, altitudes=frame.altitudes)
 
 
 def build_layout(index: UnitIndex, config: EstimatorConfig, measured=None, winds=None,

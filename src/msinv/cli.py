@@ -261,8 +261,8 @@ def cmd_diagnose(args) -> int:
     doc = {
         "diagnostics": diag.as_dict(),
         "n_components": len(frame.components),
-        "n_passes": len(frame.passes),
-        "n_detections": sum(1 for p in frame.passes if p.detected),
+        "n_passes": len(frame.columns),
+        "n_detections": int(frame.columns.detected.sum()),
         "gamma_quartiles": [round(q, 2) for q in gt.quartiles],
         "manifest": manifest,
     }

@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from . import reporting
 from .frame import StratumDef, SurveyFrame
 from .pod import PHI_FLOOR, PodParams, DEFAULT_POD, phi_any_detection, pod
+from .reporting import EstimationError, wald_ci
 
 __all__ = [
     "EstimationError",
@@ -48,10 +48,6 @@ __all__ = [
     "total_inventory",
     "wald_ci",
 ]
-
-
-class EstimationError(ValueError):
-    """An estimator was called outside its domain."""
 
 
 @dataclass(frozen=True)
@@ -683,12 +679,12 @@ def estimate_survey(components, strata, config: EstimatorConfig,
 def prepare_components(frame: SurveyFrame, rates, phis, config: EstimatorConfig):
     """Build the ComponentObs of every unit in ``frame.units``.
 
-    ``rates``/``phis`` align with ``frame.detected_passes``.  A well site's
+    ``rates``/``phis`` align with ``frame.measured_rates``.  A well site's
     daily estimates are spread evenly over its registered wells by
     `wells_allocate`, each share's phi_hat pooling every pass of the site
     that day, and each well becomes its own stage I unit in the wells stratum.
     """
-    if len(rates) != len(frame.detected_passes) or len(phis) != len(frame.detected_passes):
+    if len(rates) != len(frame.measured_rates) or len(phis) != len(frame.measured_rates):
         raise EstimationError("rates/phis must align with the frame's detected passes")
     rates = np.asarray(rates, dtype=float).tolist()
     phis = np.asarray(phis, dtype=float).tolist()
@@ -717,17 +713,12 @@ def total_inventory(frame: SurveyFrame, config: EstimatorConfig, rates=None):
     """One design pass over a survey frame: point estimate, variance split, CI.
 
     ``rates`` optionally overrides the measured rates (aligned with
-    ``frame.detected_passes``); detection probabilities are always recomputed
+    ``frame.measured_rates``); detection probabilities are always recomputed
     from the rates actually used.  Returns an `InventoryReport` in kt/y.
     """
-    det = frame.detected_passes
-    if rates is None:
-        rates = np.array([p.measured_rate for p in det])
-    else:
-        rates = np.asarray(rates, dtype=float)
-    winds = np.array([p.wind_speed for p in det])
-    alts = np.array([p.altitude for p in det])
-    raw_phi = pod(rates, alts, winds, config.pod_params) if len(det) else np.zeros(0)
+    rates = frame.measured_rates if rates is None else np.asarray(rates, dtype=float)
+    raw_phi = (pod(rates, frame.altitudes, frame.wind_speeds, config.pod_params)
+               if len(rates) else np.zeros(0))
     raw_phi = np.atleast_1d(raw_phi)
     floor_hits = int(np.count_nonzero(raw_phi < PHI_FLOOR))
     phis = np.maximum(raw_phi, PHI_FLOOR)
@@ -751,21 +742,3 @@ def _require_finite(est: SurveyEstimate):
                 raise EstimationError(
                     f"non-finite {where} {key} (a measured rate too large to estimate with?)"
                 )
-
-
-def wald_ci(estimate, variance, level: float = 0.95):
-    """Symmetric normal-theory interval: estimate +/- z * sqrt(variance).
-
-    ``estimate`` and ``variance`` are floats, or arrays that broadcast
-    together and give arrays of bounds, element by element as floats would.
-    """
-    variance = np.asarray(variance, dtype=float)
-    if np.any(variance < 0):
-        raise EstimationError("variance must be >= 0")
-    if not 0 < level < 1:
-        raise EstimationError("level must lie in (0, 1)")
-    z = float(norm.ppf(0.5 + level / 2.0))
-    half = z * np.sqrt(variance)
-    if half.ndim == 0:
-        half = float(half)
-    return estimate - half, estimate + half

@@ -5,11 +5,12 @@ table), validated for referential integrity, and frozen.  Non-detected passes
 are first-class records: they carry no measurement fields but they set the
 per-day pass count that every estimator divides by.
 
-Loading also groups the passes once into the units every estimator walks
-(`SurveyFrame.units`): a non-well component, or a well site that stands for
-its wells, with the detected passes and pass count of each component-day.
-`SurveyFrame.index` holds the same units as the flat arrays of a `UnitIndex`,
-the input of the batched estimator.
+The pass log is held as columns (`PassColumns`), checked a column at a time.
+Loading sorts the passes once and groups them into the units every estimator
+walks: a non-well component, or a well site that stands for its wells, with
+the detected passes and pass count of each component-day.
+`SurveyFrame.index` holds the units as the flat arrays of a `UnitIndex`, the
+input of the batched estimator; `SurveyFrame.units` holds them as records.
 
 This module also holds the one strict reader for the JSON configuration
 documents (the `simulate` study config and the `plan` scenario) and the INI
@@ -23,10 +24,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "StratumDef",
     "ComponentRef",
     "Pass",
+    "PassColumns",
     "UnitDay",
     "Unit",
     "UnitIndex",
@@ -137,8 +141,7 @@ class Pass:
                 )
 
 
-@dataclass(frozen=True)
-class UnitDay:
+class UnitDay(NamedTuple):
     """One surveyed day of a `Unit`.
 
     ``parts`` holds a ``(positions, q_pt)`` pair per component-day summed into
@@ -151,8 +154,7 @@ class UnitDay:
     parts: tuple[tuple[tuple[int, ...], int], ...]
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(NamedTuple):
     """What the estimators treat as one component: its days and stage I members.
 
     A non-well component is one unit with ``wells`` 0; ``members`` holds its
@@ -195,47 +197,155 @@ class UnitIndex:
     stratum_group: np.ndarray   # per stratum: the population total it adds to
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class PassColumns:
+    """A pass log as columns, one entry per pass in log order.
+
+    ``day_id`` and ``pass_index`` hold Python ints, which have no size limit.
+    The measurement columns hold the detected passes only, in log order.
+    """
+
+    component_id: list[str]
+    day_id: list[int]
+    pass_index: list[int]
+    detected: np.ndarray        # bool
+    measured_rate: np.ndarray
+    wind_speed: np.ndarray
+    altitude: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.component_id)
+
+    @classmethod
+    def from_passes(cls, passes) -> PassColumns:
+        """The columns of `Pass` records, which checked their own measurement fields."""
+        detected = [p for p in passes if p.detected]
+        return cls(
+            component_id=[p.component_id for p in passes],
+            day_id=[p.day_id for p in passes],
+            pass_index=[p.pass_index for p in passes],
+            detected=np.array([p.detected for p in passes], dtype=bool),
+            measured_rate=np.array([p.measured_rate for p in detected], dtype=float),
+            wind_speed=np.array([p.wind_speed for p in detected], dtype=float),
+            altitude=np.array([p.altitude for p in detected], dtype=float),
+        )
+
+
+def _ranks(values: list[int]) -> tuple[list[int], np.ndarray]:
+    """(the distinct values in order, each value's rank among them)."""
+    distinct = sorted(set(values))
+    rank = {v: r for r, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(rank.__getitem__, values), np.intp, len(values))
+
+
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Whether each row of sorted ``keys`` starts a new run of equal keys."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class SurveyFrame:
     """Validated, immutable survey frame.
 
+    ``passes`` is a tuple of `Pass` records or the `PassColumns` a pass log
+    is read into; either way the frame keeps the columns.  Construction sorts
+    the passes once into canonical (component, day, pass) order, which gives
+    the per-detected-pass arrays ``measured_rates``, ``wind_speeds`` and
+    ``altitudes`` (every rate vector aligns with them) and ``index``, the
+    units as the flat arrays of a `UnitIndex`.  ``units`` (non-well
+    components in id order, then well sites with at least one well in id
+    order), ``passes`` (in log order) and ``detected_passes`` (in canonical
+    order) are records built on first use.
+
     ``wells_per_site`` maps site_id -> number of wells at the site, for the
-    shared-equipment allocation of well emissions.  ``detected_passes`` (in
-    canonical (component, day, pass) order, which every rate vector aligns
-    with) and ``units`` (non-well components in id order, then well sites
-    with at least one well in id order) are derived once at construction.
+    shared-equipment allocation of well emissions.
     """
 
     strata: dict[str, StratumDef]
     components: dict[str, ComponentRef]
-    passes: tuple[Pass, ...]
-    wells_per_site: dict[str, int] = field(default_factory=dict)
-    detected_passes: tuple[Pass, ...] = field(init=False, repr=False, compare=False)
-    units: tuple[Unit, ...] = field(init=False, repr=False, compare=False)
+    columns: PassColumns = field(repr=False)
+    wells_per_site: dict[str, int]
+    index: UnitIndex = field(repr=False)
+    measured_rates: np.ndarray = field(repr=False)
+    wind_speeds: np.ndarray = field(repr=False)
+    altitudes: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        seen = set()
-        comp_days: dict[str, set[int]] = {c: set() for c in self.components}
-        q_counts: dict[tuple[str, int], int] = {}
-        for p in self.passes:
-            if p.component_id not in self.components:
-                raise FrameError(f"pass references unknown component {p.component_id!r}")
-            key = (p.component_id, p.day_id, p.pass_index)
-            if key in seen:
-                raise FrameError(f"duplicate pass key {key}")
-            seen.add(key)
-            comp_days[p.component_id].add(p.day_id)
-            q_counts[(p.component_id, p.day_id)] = q_counts.get((p.component_id, p.day_id), 0) + 1
-        for comp in self.components.values():
-            if comp.stratum not in self.strata:
+    def __init__(self, strata, components, passes, wells_per_site=None):
+        columns = passes if isinstance(passes, PassColumns) else PassColumns.from_passes(passes)
+        wells_per_site = {} if wells_per_site is None else wells_per_site
+        set_ = functools.partial(object.__setattr__, self)
+        set_("strata", strata)
+        set_("components", components)
+        set_("columns", columns)
+        set_("wells_per_site", wells_per_site)
+
+        ids = sorted(components)
+        code = {cid: k for k, cid in enumerate(ids)}
+        n = len(columns)
+        comp = np.fromiter(map(code.get, columns.component_id, itertools.repeat(-1)),
+                           np.intp, n)
+        day_values, day = _ranks(columns.day_id)
+        _, pass_rank = _ranks(columns.pass_index)
+        order = np.lexsort((pass_rank, day, comp))
+        comp_s, day_s = comp[order], day[order]
+
+        # the first pass of an unknown component, or repeating an earlier key
+        bad = np.concatenate([np.flatnonzero(comp < 0),
+                              order[~_starts(comp_s, day_s, pass_rank[order])]])
+        if bad.size:
+            first = int(bad.min())
+            cid = columns.component_id[first]
+            if comp[first] < 0:
+                raise FrameError(f"pass references unknown component {cid!r}")
+            key = (cid, columns.day_id[first], columns.pass_index[first])
+            raise FrameError(f"duplicate pass key {key}")
+        has_passes = (np.bincount(comp, minlength=len(ids)) > 0).tolist()
+        for c in components.values():
+            if c.stratum not in strata:
                 raise FrameError(
-                    f"component {comp.component_id!r} references unknown stratum {comp.stratum!r}"
+                    f"component {c.component_id!r} references unknown stratum {c.stratum!r}"
                 )
-            if not comp_days[comp.component_id]:
+            if not has_passes[code[c.component_id]]:
                 raise FrameError(
-                    f"component {comp.component_id!r} has no passes; surveyed components "
+                    f"component {c.component_id!r} has no passes; surveyed components "
                     "must have at least one"
                 )
+        self._check_stage1_sizes()
+
+        # component-days (cd), in canonical order
+        cd_start = _starts(comp_s, day_s)
+        cd_of_sorted = np.cumsum(cd_start) - 1
+        starts = np.flatnonzero(cd_start)
+        cd_q = np.diff(np.append(starts, n))
+        cd_comp, cd_day = comp_s[starts], day_s[starts]
+        big = cd_q[cd_q > REALISTIC_MAX_PASSES]
+        if big.size:
+            warnings.warn(
+                f"{big.size} component-day(s) with more than {REALISTIC_MAX_PASSES} passes "
+                f"(max {int(big.max())}); unusual for real aerial data",
+                stacklevel=2,
+            )
+        detected_s = columns.detected[order]
+        det_rows = order[detected_s]
+        det_cd = cd_of_sorted[detected_s]
+        cd_detected = np.bincount(det_cd, minlength=len(starts))
+        in_log = (np.cumsum(columns.detected) - 1)[det_rows]
+        for name, column in (("measured_rates", columns.measured_rate),
+                             ("wind_speeds", columns.wind_speed), ("altitudes", columns.altitude)):
+            values = column[in_log]
+            values.flags.writeable = False
+            set_(name, values)
+        set_("_ids", ids)
+        set_("_day_values", day_values)
+        set_("_detected_rows", det_rows)
+        set_("_cd", (cd_comp, cd_day, cd_q, cd_detected))
+        self._index_units(ids, cd_comp, cd_day, cd_q, cd_detected, det_cd)
+
+    def _check_stage1_sizes(self):
         # n_sampled must equal the number of distinct facilities actually in
         # the registry for each stratum; the stage I probabilities assume it.
         # Well strata are different: every well at a surveyed site counts as a
@@ -264,102 +374,119 @@ class SurveyFrame:
                     f"stratum {name!r}: n_sampled={self.strata[name].n_sampled} but the "
                     f"registry lists {len(facs)} distinct facilities"
                 )
-        big = {k: q for k, q in q_counts.items() if q > REALISTIC_MAX_PASSES}
-        if big:
-            warnings.warn(
-                f"{len(big)} component-day(s) with more than {REALISTIC_MAX_PASSES} passes "
-                f"(max {max(big.values())}); unusual for real aerial data",
-                stacklevel=2,
-            )
-        object.__setattr__(self, "_days_surveyed", {c: len(d) for c, d in comp_days.items()})
-        object.__setattr__(self, "_passes_per_day", q_counts)
-        object.__setattr__(self, "detected_passes", tuple(sorted(
-            (p for p in self.passes if p.detected),
-            key=lambda p: (p.component_id, p.day_id, p.pass_index),
-        )))
-        object.__setattr__(self, "units", self._group_units(comp_days, q_counts))
 
-    def _group_units(self, comp_days, q_counts) -> tuple[Unit, ...]:
-        """Group the passes into units; rejects well sites the estimators cannot use.
+    def _index_units(self, ids, cd_comp, cd_day, cd_q, cd_detected, det_cd):
+        """Group the component-days into units and build ``index``.
 
-        A site's well components must share one stratum, and a site without
-        registered wells may carry no detection (its unit is then dropped).
+        Rejects well sites the estimators cannot use: a site's well
+        components must share one stratum, and a site without registered
+        wells may carry no detection (its unit is then dropped).
         """
-        positions: dict[tuple[str, int], list[int]] = {}
-        for i, p in enumerate(self.detected_passes):
-            positions.setdefault((p.component_id, p.day_id), []).append(i)
-
-        def part(cid, day):
-            return tuple(positions.get((cid, day), ())), q_counts[cid, day]
-
-        units = []
-        sites: dict[str, list[str]] = {}
-        for cid in sorted(self.components):
+        comp_detected = np.bincount(cd_comp[cd_detected > 0], minlength=len(ids)) > 0
+        unit_of = [-1] * len(ids)
+        heads = []      # per unit: (unit_id, stratum, members, wells)
+        sites: dict[str, list[int]] = {}
+        for k, cid in enumerate(ids):
             comp = self.components[cid]
             if comp.is_well:
-                sites.setdefault(comp.site_id, []).append(cid)
+                sites.setdefault(comp.site_id, []).append(k)
                 continue
-            days = tuple(UnitDay(day, (part(cid, day),)) for day in sorted(comp_days[cid]))
-            units.append(Unit(cid, comp.stratum, (comp.facility_id,), 0, days))
+            unit_of[k] = len(heads)
+            heads.append((cid, comp.stratum, (comp.facility_id,), 0))
         for site, group in sorted(sites.items()):
-            strata_here = {self.components[c].stratum for c in group}
+            strata_here = {self.components[ids[k]].stratum for k in group}
             if len(strata_here) != 1:
                 raise FrameError(f"well components at site {site!r} span multiple strata")
             wells = self.wells_per_site.get(site, 0)
             if wells < 1:
-                if any((c, d) in positions for c in group for d in comp_days[c]):
+                if comp_detected[group].any():
                     raise FrameError(f"well detections at site {site!r} but wells_at_site=0")
                 continue
-            days = tuple(
-                UnitDay(day, tuple(part(c, day) for c in group if day in comp_days[c]))
-                for day in sorted(set().union(*(comp_days[c] for c in group)))
-            )
-            wids = tuple(f"{site}/well{i + 1}" for i in range(wells))
-            units.append(Unit(site, strata_here.pop(), wids, wells, days))
-        return tuple(units)
+            for k in group:
+                unit_of[k] = len(heads)
+            heads.append((site, strata_here.pop(),
+                          tuple(f"{site}/well{i + 1}" for i in range(wells)), wells))
+        s_index = {name: s for s, name in enumerate(self.strata)}
+        facs: dict[tuple[str, str], int] = {}
+        member_fac = [facs.setdefault((stratum, member), len(facs))
+                      for _, stratum, members, _ in heads for member in members]
+        unit_wells = np.array([wells for *_, wells in heads], dtype=np.intp)
+
+        # a unit's component-days by day, then component; a dropped site's go
+        cd_unit = np.array(unit_of, dtype=np.intp)[cd_comp]
+        kept = np.flatnonzero(cd_unit >= 0)
+        cds = kept[np.lexsort((cd_comp[kept], cd_day[kept], cd_unit[kept]))]
+        ud_start = _starts(cd_unit[cds], cd_day[cds])
+        position = np.empty(len(cd_comp), dtype=np.intp)
+        position[cds] = np.arange(len(cds))
+        set_ = functools.partial(object.__setattr__, self)
+        set_("_unit_heads", heads)
+        set_("_unit_cds", (cds, ud_start))
+        set_("index", UnitIndex(
+            pass_cd=position[det_cd],
+            cd_q=cd_q[cds],
+            cd_ud=np.cumsum(ud_start) - 1,
+            ud_unit=cd_unit[cds][ud_start],
+            unit_stratum=np.array([s_index[stratum] for _, stratum, _, _ in heads],
+                                  dtype=np.intp),
+            unit_wells=unit_wells,
+            labels=np.array([members[0] if wells else uid for uid, _, members, wells in heads],
+                            dtype=object),
+            member_unit=np.repeat(np.arange(len(heads)), np.maximum(unit_wells, 1)),
+            member_fac=np.array(member_fac, dtype=np.intp),
+            n_sampled=np.array([d.n_sampled for d in self.strata.values()], dtype=np.intp),
+            n_population=np.array([d.n_population for d in self.strata.values()],
+                                  dtype=np.intp),
+            stratum_group=np.zeros(len(self.strata), dtype=np.intp),
+        ))
 
     @functools.cached_property
-    def index(self) -> UnitIndex:
-        """`units` as flat arrays, built on first use."""
-        s_index = {name: s for s, name in enumerate(self.strata)}
-        pass_cd = np.empty(len(self.detected_passes), dtype=np.intp)
-        cd_q, cd_ud, ud_unit, member_unit, member_fac = [], [], [], [], []
-        facs: dict[tuple[str, str], int] = {}
-        for u, unit in enumerate(self.units):
-            for day in unit.days:
-                for positions, q_pt in day.parts:
-                    pass_cd[list(positions)] = len(cd_q)
-                    cd_q.append(q_pt)
-                    cd_ud.append(len(ud_unit))
-                ud_unit.append(u)
-            for member in unit.members:
-                member_unit.append(u)
-                member_fac.append(facs.setdefault((unit.stratum, member), len(facs)))
+    def units(self) -> tuple[Unit, ...]:
+        """The units as records, built on first use."""
+        _, cd_day, cd_q, cd_detected = self._cd
+        cds, ud_start = self._unit_cds
+        # a component-day's detected passes are consecutive in canonical order
+        positions = tuple(range(len(self.measured_rates)))
+        ends = np.cumsum(cd_detected)[cds].tolist()
+        parts = [(positions[end - k:end], q)
+                 for end, k, q in zip(ends, cd_detected[cds].tolist(), cd_q[cds].tolist())]
+        cuts = np.append(np.flatnonzero(ud_start), len(cds)).tolist()
+        days = [UnitDay(self._day_values[day], tuple(parts[a:b]))
+                for day, a, b in zip(cd_day[cds][ud_start].tolist(), cuts, cuts[1:])]
+        cuts = np.searchsorted(self.index.ud_unit, np.arange(len(self._unit_heads) + 1)).tolist()
+        return tuple(Unit(*head, tuple(days[a:b]))
+                     for head, a, b in zip(self._unit_heads, cuts, cuts[1:]))
 
-        def ints(values):
-            return np.array(values, dtype=np.intp)
-
-        return UnitIndex(
-            pass_cd=pass_cd, cd_q=ints(cd_q), cd_ud=ints(cd_ud), ud_unit=ints(ud_unit),
-            unit_stratum=ints([s_index[unit.stratum] for unit in self.units]),
-            unit_wells=ints([unit.wells for unit in self.units]),
-            labels=np.array([unit.members[0] if unit.wells else unit.unit_id
-                             for unit in self.units], dtype=object),
-            member_unit=ints(member_unit), member_fac=ints(member_fac),
-            n_sampled=ints([d.n_sampled for d in self.strata.values()]),
-            n_population=ints([d.n_population for d in self.strata.values()]),
-            stratum_group=np.zeros(len(self.strata), dtype=np.intp),
+    @functools.cached_property
+    def passes(self) -> tuple[Pass, ...]:
+        """The passes in log order, as records; built on first use."""
+        c = self.columns
+        measured = zip(c.measured_rate.tolist(), c.wind_speed.tolist(), c.altitude.tolist())
+        return tuple(
+            Pass(cid, day, q, True, *next(measured)) if det else Pass(cid, day, q, False)
+            for cid, day, q, det in zip(c.component_id, c.day_id, c.pass_index,
+                                        c.detected.tolist())
         )
+
+    @functools.cached_property
+    def detected_passes(self) -> tuple[Pass, ...]:
+        """The detected passes in canonical order, as records; built on first use."""
+        passes = self.passes
+        return tuple(passes[i] for i in self._detected_rows.tolist())
 
     @property
     def days_surveyed(self) -> dict[str, int]:
         """component_id -> number of distinct survey days (d_p)."""
-        return dict(self._days_surveyed)
+        days = np.bincount(self._cd[0], minlength=len(self._ids)).tolist()
+        by_id = dict(zip(self._ids, days))
+        return {cid: by_id[cid] for cid in self.components}
 
     @property
     def passes_per_day(self) -> dict[tuple[str, int], int]:
-        """(component_id, day_id) -> number of passes that day (Q_pt)."""
-        return dict(self._passes_per_day)
+        """(component_id, day_id) -> number of passes that day (Q_pt), in canonical order."""
+        cd_comp, cd_day, cd_q, _ = self._cd
+        return {(self._ids[c], self._day_values[d]): q
+                for c, d, q in zip(cd_comp.tolist(), cd_day.tolist(), cd_q.tolist())}
 
 
 @dataclass(frozen=True)
@@ -398,13 +525,13 @@ def validate(frame: SurveyFrame) -> FrameDiagnostics:
     post-stratification sample size of 10.
     """
     single = sorted(c for c, d in frame.days_surveyed.items() if d == 1)
-    detected_days = set()
-    strata_with_detection = set()
-    for p in frame.passes:
-        if p.detected:
-            detected_days.add((p.component_id, p.day_id))
-            strata_with_detection.add(frame.components[p.component_id].stratum)
-    zero_days = sorted(k for k in frame.passes_per_day if k not in detected_days)
+    cd_comp, cd_day, _, cd_detected = frame._cd
+    zero = cd_detected == 0
+    # component-days in canonical order are in (component_id, day_id) order
+    zero_days = [(frame._ids[c], frame._day_values[d])
+                 for c, d in zip(cd_comp[zero].tolist(), cd_day[zero].tolist())]
+    strata_with_detection = {frame.components[frame._ids[c]].stratum
+                             for c in np.unique(cd_comp[~zero]).tolist()}
     zero_strata = sorted(s for s in frame.strata if s not in strata_with_detection)
     small = sorted(s for s, d in frame.strata.items() if d.n_sampled < 10)
     return FrameDiagnostics(
@@ -420,16 +547,6 @@ def _parse_int(text: str, what: str, row: int, path: str) -> int:
         return int(text)
     except ValueError:
         raise FrameError(f"{path} row {row}: cannot parse {what} from {text!r}") from None
-
-
-def _parse_float(text: str, what: str, row: int, path: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise FrameError(f"{path} row {row}: cannot parse {what} from {text!r}") from None
-    if not math.isfinite(value):
-        raise FrameError(f"{path} row {row}: {what} must be finite, got {text!r}")
-    return value
 
 
 def read_json(source):
@@ -568,70 +685,141 @@ def read_components(path):
     return comps, wells
 
 
-def read_passes(path, components: dict[str, ComponentRef]) -> list[Pass]:
-    """Parse the pass log, cross-checking hierarchy fields against the registry."""
-    header, rows = _read_rows(path)
-    _check_header(header, PASSES_HEADER, str(path))
-    out: list[Pass] = []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != 10:
-            raise FrameError(f"{path} row {i}: expected 10 fields, got {len(row)}")
-        cid = row[0].strip()
-        comp = components.get(cid)
-        if comp is None:
-            raise FrameError(f"{path} row {i}: unknown component {cid!r}")
-        if (row[1].strip(), row[2].strip(), row[3].strip()) != (
-            comp.facility_id, comp.site_id, comp.stratum,
-        ):
-            raise FrameError(
-                f"{path} row {i}: hierarchy fields disagree with the registry for {cid!r}"
-            )
-        detected_field = row[6].strip()
-        if detected_field not in {"0", "1"}:
-            raise FrameError(f"{path} row {i}: detected must be 0 or 1, got {detected_field!r}")
-        detected = detected_field == "1"
-        rate = wind = alt = None
-        if detected:
-            for col, name in ((7, "rate_kg_h"), (8, "wind_m_s"), (9, "altitude_m")):
-                if not row[col].strip():
-                    raise FrameError(f"{path} row {i}: detected pass with empty {name}")
-            rate = _parse_float(row[7], "rate_kg_h", i, str(path))
-            wind = _parse_float(row[8], "wind_m_s", i, str(path))
-            alt = _parse_float(row[9], "altitude_m", i, str(path))
-        else:
-            for col, name in ((7, "rate_kg_h"), (8, "wind_m_s"), (9, "altitude_m")):
-                if row[col].strip():
-                    raise FrameError(
-                        f"{path} row {i}: non-detected pass must leave {name} empty"
-                    )
+class _FirstFault:
+    """The failure a row-by-row reader would meet first, found column by column.
+
+    Checks are made in the order a row is read.  Each looks only at the rows
+    before the earliest failure found so far, so the failure kept at the end
+    is the first failing row's first failing check.
+    """
+
+    def __init__(self, path: str, n_rows: int):
+        self.path = path
+        self.rows = n_rows      # the rows still to check
+        self.message = None
+
+    def fail(self, row: int, message: str):
+        if row < self.rows:
+            self.rows = row
+            self.message = f"{self.path} row {row + 2}: {message}"
+
+    def check(self, bad, message, rows=None):
+        """Fail the first row where ``bad`` holds, with the text ``message(row)``.
+
+        ``bad`` covers every row, or a prefix of ``rows`` (ascending row numbers).
+        """
+        hits = np.flatnonzero(bad)
+        if rows is not None:
+            hits = rows[hits]
+        if hits.size and hits[0] < self.rows:
+            row = int(hits[0])
+            self.fail(row, message(row))
+
+    def parse(self, texts, convert, row_of, message) -> list:
+        """``convert`` of each text up to the first it rejects, text ``k``, which
+        fails row ``row_of(k)`` with ``message(row, text)``."""
+        values = []
         try:
-            out.append(
-                Pass(
-                    component_id=cid,
-                    day_id=_parse_int(row[4], "day", i, str(path)),
-                    pass_index=_parse_int(row[5], "pass", i, str(path)),
-                    detected=detected,
-                    measured_rate=rate,
-                    wind_speed=wind,
-                    altitude=alt,
-                )
-            )
-        except FrameError as exc:
-            raise FrameError(f"{path} row {i}: {exc}") from None
-    return out
+            values.extend(map(convert, texts))  # keeps what was converted before a failure
+        except ValueError:
+            k = len(values)
+            row = int(row_of(k))
+            self.fail(row, message(row, texts[k]))
+        return values
+
+    def parse_repeated(self, texts, convert, message) -> list:
+        """`parse` of a column with few distinct texts: each is converted once."""
+        distinct = list(dict.fromkeys(texts))   # in the order of their first rows
+        values = dict(zip(distinct, self.parse(distinct, convert,
+                                               lambda k: texts.index(distinct[k]), message)))
+        return list(map(values.get, texts))
+
+    def raise_first(self):
+        if self.message is not None:
+            raise FrameError(self.message)
+
+
+MEASUREMENTS = ((7, "rate_kg_h", "measured_rate"), (8, "wind_m_s", "wind_speed"),
+                (9, "altitude_m", "altitude"))
+
+
+def read_passes(path, components: dict[str, ComponentRef]) -> PassColumns:
+    """Parse the pass log into columns, cross-checking hierarchy fields against the registry.
+
+    Each check runs over a whole column.  A failure names the first failing
+    row and, within it, the first failing check in the order a row is read:
+    field count, component, hierarchy fields, detected flag, measurement
+    fields (present iff detected, then each parsed and finite), day, pass,
+    and the measurement ranges.  Where a column's values repeat, each
+    distinct value is checked once, and a row mask is built only to find the
+    first failing row.
+    """
+    header, rows = _read_rows(path)
+    path = str(path)
+    _check_header(header, PASSES_HEADER, path)
+    fault = _FirstFault(path, len(rows))
+    lengths = list(map(len, rows))
+    if lengths.count(len(PASSES_HEADER)) != len(lengths):
+        fault.check(np.array(lengths) != len(PASSES_HEADER),
+                    lambda i: f"expected 10 fields, got {lengths[i]}")
+    cols = list(zip(*rows[:fault.rows])) or [()] * len(PASSES_HEADER)
+    n = len(cols[0])
+
+    cids = list(map(str.strip, cols[0]))
+    hierarchy = {cid: (c.facility_id, c.site_id, c.stratum) for cid, c in components.items()}
+    wrong = {key for key in set(zip(cids, *cols[1:4]))
+             if hierarchy.get(key[0]) != tuple(map(str.strip, key[1:]))}
+    if wrong:
+        fault.check(~np.fromiter(map(components.__contains__, cids), bool, n),
+                    lambda i: f"unknown component {cids[i]!r}")
+        fault.check(np.fromiter(map(wrong.__contains__, zip(cids, *cols[1:4])), bool, n),
+                    lambda i: f"hierarchy fields disagree with the registry for {cids[i]!r}")
+    flag = {text: text.strip() for text in set(cols[6])}
+    ones = {text for text, f in flag.items() if f == "1"}
+    detected = list(map(ones.__contains__, cols[6]))
+    if not set(flag.values()) <= {"0", "1"}:
+        fault.check(np.fromiter((flag[t] not in ("0", "1") for t in cols[6]), bool, n),
+                    lambda i: f"detected must be 0 or 1, got {flag[cols[6][i]]!r}")
+    for col, name, _ in MEASUREMENTS:
+        filled = list(map(bool, map(str.strip, cols[col])))
+        if filled != detected:
+            fault.check(np.not_equal(filled, detected), lambda i, name=name: (
+                f"detected pass with empty {name}" if detected[i]
+                else f"non-detected pass must leave {name} empty"))
+
+    detected_mask = np.array(detected, dtype=bool)
+    at = np.flatnonzero(detected_mask)      # the detected rows
+    measured = {}
+    for col, name, key in MEASUREMENTS:
+        texts = cols[col]
+        values = np.array(fault.parse(
+            list(itertools.compress(texts, detected)), float, at.__getitem__,
+            lambda row, text, name=name: f"cannot parse {name} from {text!r}"))
+        fault.check(~np.isfinite(values),
+                    lambda i, name=name, texts=texts: f"{name} must be finite, got {texts[i]!r}",
+                    rows=at)
+        measured[key] = values
+    # as released, these two messages name the file and row twice
+    days = fault.parse_repeated(
+        cols[4], int, lambda row, text: f"{path} row {row + 2}: cannot parse day from {text!r}")
+    pass_index = fault.parse_repeated(
+        cols[5], int, lambda row, text: f"{path} row {row + 2}: cannot parse pass from {text!r}")
+    for bad, need in ((measured["measured_rate"] <= 0, "measured_rate > 0"),
+                      (measured["wind_speed"] < 0, "wind_speed >= 0"),
+                      (measured["altitude"] <= 0, "altitude > 0")):
+        fault.check(bad, lambda i, need=need: (
+            f"pass ({cids[i]}, {days[i]}, {pass_index[i]}): detected pass needs a finite {need}"),
+            rows=at)
+    fault.raise_first()
+    return PassColumns(component_id=cids, day_id=days, pass_index=pass_index,
+                       detected=detected_mask, **measured)
 
 
 def load_survey(passes_path, frame_path, strata_path) -> SurveyFrame:
     """Load and validate a survey frame from its three CSV files."""
     strata = read_strata(strata_path)
     components, wells = read_components(frame_path)
-    passes = read_passes(passes_path, components)
-    return SurveyFrame(
-        strata=strata,
-        components=components,
-        passes=tuple(passes),
-        wells_per_site=wells,
-    )
+    return SurveyFrame(strata, components, read_passes(passes_path, components), wells)
 
 
 def _fmt(x: float | None) -> str:

@@ -250,8 +250,7 @@ def bias_corrected_inventory(
     """
     from .estimators import total_inventory
 
-    rates = bias_correct(np.array([p.measured_rate for p in frame.detected_passes]),
-                         measurement)
+    rates = bias_correct(frame.measured_rates, measurement)
     report = total_inventory(frame, config, rates=np.atleast_1d(rates))
     report.config["measurement_mode"] = "bias-correct"
     report.config["measurement"] = {

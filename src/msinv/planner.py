@@ -10,6 +10,7 @@ oracle) or on compact per-stratum scenario profiles in closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -339,19 +340,17 @@ def gamma_table(
     come from bias-corrected measured rates.
     """
     first_day: dict[str, int] = {}
-    for p in frame.passes:
-        cur = first_day.get(p.component_id)
-        if cur is None or p.day_id < cur:
-            first_day[p.component_id] = p.day_id
+    for cid, day in frame.passes_per_day:      # each component's days in order
+        first_day.setdefault(cid, day)
+    c = frame.columns
+    # the detected passes in log order, which sets the order of each product
+    detected = itertools.compress(zip(c.component_id, c.day_id), c.detected.tolist())
     fac_day_phis: dict[tuple[str, int], list[float]] = {}
-    for p in frame.passes:
-        if not p.detected:
-            continue
-        fac = frame.components[p.component_id].facility_id
-        phi = pod(
-            bias_correct(p.measured_rate, measurement), p.altitude, p.wind_speed, pod_params
-        )
-        fac_day_phis.setdefault((fac, p.day_id), []).append(float(phi))
+    for (cid, day), rate, alt, wind in zip(detected, c.measured_rate.tolist(),
+                                           c.altitude.tolist(), c.wind_speed.tolist()):
+        fac = frame.components[cid].facility_id
+        phi = pod(bias_correct(rate, measurement), alt, wind, pod_params)
+        fac_day_phis.setdefault((fac, day), []).append(float(phi))
     gammas = {}
     for cid, day in first_day.items():
         fac = frame.components[cid].facility_id

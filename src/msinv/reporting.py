@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
 from scipy.stats import norm
 
 __all__ = [
+    "EstimationError",
     "KG_H_PER_KT_Y",
     "StratumReport",
     "InventoryReport",
@@ -25,6 +26,7 @@ __all__ = [
     "write_report_json",
     "write_report_table",
     "write_decomposition_table",
+    "wald_ci",
 ]
 
 # 1 kg/h sustained for a year: 8760 h/y over 1e6 kg/kt.
@@ -70,8 +72,30 @@ class InventoryReport:
         return asdict(self)
 
 
-def _z(level: float) -> float:
-    return float(norm.ppf(0.5 + level / 2.0))
+class EstimationError(ValueError):
+    """An estimator was called outside its domain.
+
+    It lives here, beside `wald_ci`, so that the estimators, which import
+    this module, and the simulation lab share one interval and one error.
+    """
+
+
+def wald_ci(estimate, variance, level: float = 0.95):
+    """Symmetric normal-theory interval: estimate +/- z * sqrt(variance).
+
+    ``estimate`` and ``variance`` are floats, or arrays that broadcast
+    together and give arrays of bounds, element by element as floats would.
+    """
+    variance = np.asarray(variance, dtype=float)
+    if np.any(variance < 0):
+        raise EstimationError("variance must be >= 0")
+    if not 0 < level < 1:
+        raise EstimationError("level must lie in (0, 1)")
+    z = float(norm.ppf(0.5 + level / 2.0))
+    half = z * np.sqrt(variance)
+    if half.ndim == 0:
+        half = float(half)
+    return estimate - half, estimate + half
 
 
 def assemble_report(
@@ -93,8 +117,7 @@ def assemble_report(
     v = VAR_KG_H_PER_KT_Y
     v_total = (parts_kgh2["v1"] + parts_kgh2["v2"] + parts_kgh2["v3"] + parts_kgh2["vm"]) * v
     total = total_kgh * s
-    z = _z(ci_level)
-    half = z * math.sqrt(max(0.0, v_total))
+    ci_lower, ci_upper = wald_ci(total, max(0.0, v_total), ci_level)
     rows = []
     for r in strata_rows:
         rows.append(
@@ -116,8 +139,8 @@ def assemble_report(
     rows.sort(key=lambda r: (r.total, r.name))
     return InventoryReport(
         total=total,
-        ci_lower=total - half,
-        ci_upper=total + half,
+        ci_lower=ci_lower,
+        ci_upper=ci_upper,
         ci_level=ci_level,
         var_stage1=parts_kgh2["v1"] * v,
         var_stage2=parts_kgh2["v2"] * v,

@@ -27,11 +27,12 @@ import numpy as np
 
 from .batch import build_layout, evaluate
 from .datasets import packaged_sim_defaults_path
-from .estimators import EstimationError, EstimatorConfig, wald_ci
+from .estimators import EstimationError, EstimatorConfig
 # not used here: perfbench/tracer.py patches this name on this module
 from .estimators import estimate_survey  # noqa: F401
 from .frame import UnitIndex, count, json_list, json_object, number, read_json, text
 from .pod import DEFAULT_POD, PodParams, pod
+from .reporting import wald_ci
 
 __all__ = [
     "SimStratumSpec",
@@ -334,13 +335,19 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
 
 
 def _truncated_normal(rng, mean, sd, shape, attempts: int = 100):
-    """Normal draws truncated at zero by resampling, clamping as a last resort."""
+    """Normal draws truncated at zero by resampling, clamping as a last resort.
+
+    Each attempt draws a whole array of standard normals, as
+    ``rng.normal(mean, sd, size=shape)`` would, but scales and writes only
+    those that replace a value at or below zero.
+    """
     out = rng.normal(mean, sd, size=shape)
+    mean, sd = np.broadcast_to(mean, shape), np.broadcast_to(sd, shape)
     for _ in range(attempts):
         bad = out <= 0.0
         if not bad.any():
             break
-        out = np.where(bad, rng.normal(mean, sd, size=shape), out)
+        out[bad] = mean[bad] + sd[bad] * rng.standard_normal(size=shape)[bad]
     return np.maximum(out, 1e-9)
 
 

@@ -1,0 +1,251 @@
+"""The row-by-row frame loader, kept as the reference the column loader is diffed against.
+
+`load_reference` reads a survey the way the loader did before it read the
+pass log as columns: one `Pass` per row, checked as it is read, then the
+frame-level checks and the grouping into units over those records, with
+dicts and sets.  It returns the derived views the two loaders share and
+raises the same `FrameError` messages.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from typing import NamedTuple
+
+import numpy as np
+
+from msinv.frame import (
+    PASSES_HEADER, REALISTIC_MAX_PASSES, ComponentRef, FrameError, Pass, Unit, UnitDay, UnitIndex,
+    _check_header, _parse_int, _read_rows, read_components, read_strata,
+)
+
+
+class ReferenceFrame(NamedTuple):
+    passes: tuple[Pass, ...]
+    detected_passes: tuple[Pass, ...]
+    units: tuple[Unit, ...]
+    index: UnitIndex
+    days_surveyed: dict[str, int]
+    passes_per_day: dict[tuple[str, int], int]
+
+
+def _parse_float(text: str, what: str, row: int, path: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise FrameError(f"{path} row {row}: cannot parse {what} from {text!r}") from None
+    if not math.isfinite(value):
+        raise FrameError(f"{path} row {row}: {what} must be finite, got {text!r}")
+    return value
+
+
+def read_passes_rows(path, components: dict[str, ComponentRef]) -> list[Pass]:
+    """Parse the pass log row by row, cross-checking hierarchy fields against the registry."""
+    header, rows = _read_rows(path)
+    _check_header(header, PASSES_HEADER, str(path))
+    out: list[Pass] = []
+    for i, row in enumerate(rows, start=2):
+        if len(row) != 10:
+            raise FrameError(f"{path} row {i}: expected 10 fields, got {len(row)}")
+        cid = row[0].strip()
+        comp = components.get(cid)
+        if comp is None:
+            raise FrameError(f"{path} row {i}: unknown component {cid!r}")
+        if (row[1].strip(), row[2].strip(), row[3].strip()) != (
+            comp.facility_id, comp.site_id, comp.stratum,
+        ):
+            raise FrameError(
+                f"{path} row {i}: hierarchy fields disagree with the registry for {cid!r}"
+            )
+        detected_field = row[6].strip()
+        if detected_field not in {"0", "1"}:
+            raise FrameError(f"{path} row {i}: detected must be 0 or 1, got {detected_field!r}")
+        detected = detected_field == "1"
+        rate = wind = alt = None
+        if detected:
+            for col, name in ((7, "rate_kg_h"), (8, "wind_m_s"), (9, "altitude_m")):
+                if not row[col].strip():
+                    raise FrameError(f"{path} row {i}: detected pass with empty {name}")
+            rate = _parse_float(row[7], "rate_kg_h", i, str(path))
+            wind = _parse_float(row[8], "wind_m_s", i, str(path))
+            alt = _parse_float(row[9], "altitude_m", i, str(path))
+        else:
+            for col, name in ((7, "rate_kg_h"), (8, "wind_m_s"), (9, "altitude_m")):
+                if row[col].strip():
+                    raise FrameError(
+                        f"{path} row {i}: non-detected pass must leave {name} empty"
+                    )
+        try:
+            out.append(
+                Pass(
+                    component_id=cid,
+                    day_id=_parse_int(row[4], "day", i, str(path)),
+                    pass_index=_parse_int(row[5], "pass", i, str(path)),
+                    detected=detected,
+                    measured_rate=rate,
+                    wind_speed=wind,
+                    altitude=alt,
+                )
+            )
+        except FrameError as exc:
+            raise FrameError(f"{path} row {i}: {exc}") from None
+    return out
+
+
+def reference_frame(strata, components, passes, wells_per_site) -> ReferenceFrame:
+    """Check ``passes`` against the registry and group them into units, record by record."""
+    seen = set()
+    comp_days: dict[str, set[int]] = {c: set() for c in components}
+    q_counts: dict[tuple[str, int], int] = {}
+    for p in passes:
+        if p.component_id not in components:
+            raise FrameError(f"pass references unknown component {p.component_id!r}")
+        key = (p.component_id, p.day_id, p.pass_index)
+        if key in seen:
+            raise FrameError(f"duplicate pass key {key}")
+        seen.add(key)
+        comp_days[p.component_id].add(p.day_id)
+        q_counts[(p.component_id, p.day_id)] = q_counts.get((p.component_id, p.day_id), 0) + 1
+    for comp in components.values():
+        if comp.stratum not in strata:
+            raise FrameError(
+                f"component {comp.component_id!r} references unknown stratum {comp.stratum!r}"
+            )
+        if not comp_days[comp.component_id]:
+            raise FrameError(
+                f"component {comp.component_id!r} has no passes; surveyed components "
+                "must have at least one"
+            )
+    fac_by_stratum: dict[str, set[str]] = {}
+    well_flags: dict[str, set[bool]] = {}
+    well_sites: dict[str, set[str]] = {}
+    for comp in components.values():
+        fac_by_stratum.setdefault(comp.stratum, set()).add(comp.facility_id)
+        well_flags.setdefault(comp.stratum, set()).add(comp.is_well)
+        if comp.is_well:
+            well_sites.setdefault(comp.stratum, set()).add(comp.site_id)
+    for name, facs in fac_by_stratum.items():
+        if well_flags[name] == {True, False}:
+            raise FrameError(f"stratum {name!r} mixes well and non-well components")
+        if well_flags[name] == {True}:
+            registered = sum(wells_per_site.get(s, 0) for s in well_sites[name])
+            if strata[name].n_sampled < max(registered, len(facs)):
+                raise FrameError(
+                    f"stratum {name!r}: n_sampled={strata[name].n_sampled} is "
+                    f"below the {max(registered, len(facs))} wells implied by the registry"
+                )
+        elif strata[name].n_sampled != len(facs):
+            raise FrameError(
+                f"stratum {name!r}: n_sampled={strata[name].n_sampled} but the "
+                f"registry lists {len(facs)} distinct facilities"
+            )
+    big = {k: q for k, q in q_counts.items() if q > REALISTIC_MAX_PASSES}
+    if big:
+        warnings.warn(
+            f"{len(big)} component-day(s) with more than {REALISTIC_MAX_PASSES} passes "
+            f"(max {max(big.values())}); unusual for real aerial data",
+            stacklevel=2,
+        )
+    detected = tuple(sorted((p for p in passes if p.detected),
+                            key=lambda p: (p.component_id, p.day_id, p.pass_index)))
+    units = _group_units(strata, components, wells_per_site, detected, comp_days, q_counts)
+    return ReferenceFrame(
+        passes=tuple(passes), detected_passes=detected, units=units,
+        index=_index(strata, units, len(detected)),
+        days_surveyed={c: len(d) for c, d in comp_days.items()}, passes_per_day=q_counts,
+    )
+
+
+def _group_units(strata, components, wells_per_site, detected, comp_days, q_counts):
+    positions: dict[tuple[str, int], list[int]] = {}
+    for i, p in enumerate(detected):
+        positions.setdefault((p.component_id, p.day_id), []).append(i)
+
+    def part(cid, day):
+        return tuple(positions.get((cid, day), ())), q_counts[cid, day]
+
+    units = []
+    sites: dict[str, list[str]] = {}
+    for cid in sorted(components):
+        comp = components[cid]
+        if comp.is_well:
+            sites.setdefault(comp.site_id, []).append(cid)
+            continue
+        days = tuple(UnitDay(day, (part(cid, day),)) for day in sorted(comp_days[cid]))
+        units.append(Unit(cid, comp.stratum, (comp.facility_id,), 0, days))
+    for site, group in sorted(sites.items()):
+        strata_here = {components[c].stratum for c in group}
+        if len(strata_here) != 1:
+            raise FrameError(f"well components at site {site!r} span multiple strata")
+        wells = wells_per_site.get(site, 0)
+        if wells < 1:
+            if any((c, d) in positions for c in group for d in comp_days[c]):
+                raise FrameError(f"well detections at site {site!r} but wells_at_site=0")
+            continue
+        days = tuple(
+            UnitDay(day, tuple(part(c, day) for c in group if day in comp_days[c]))
+            for day in sorted(set().union(*(comp_days[c] for c in group)))
+        )
+        wids = tuple(f"{site}/well{i + 1}" for i in range(wells))
+        units.append(Unit(site, strata_here.pop(), wids, wells, days))
+    return tuple(units)
+
+
+def _index(strata, units, n_detected) -> UnitIndex:
+    s_index = {name: s for s, name in enumerate(strata)}
+    pass_cd = np.empty(n_detected, dtype=np.intp)
+    cd_q, cd_ud, ud_unit, member_unit, member_fac = [], [], [], [], []
+    facs: dict[tuple[str, str], int] = {}
+    for u, unit in enumerate(units):
+        for day in unit.days:
+            for positions, q_pt in day.parts:
+                pass_cd[list(positions)] = len(cd_q)
+                cd_q.append(q_pt)
+                cd_ud.append(len(ud_unit))
+            ud_unit.append(u)
+        for member in unit.members:
+            member_unit.append(u)
+            member_fac.append(facs.setdefault((unit.stratum, member), len(facs)))
+
+    def ints(values):
+        return np.array(values, dtype=np.intp)
+
+    return UnitIndex(
+        pass_cd=pass_cd, cd_q=ints(cd_q), cd_ud=ints(cd_ud), ud_unit=ints(ud_unit),
+        unit_stratum=ints([s_index[unit.stratum] for unit in units]),
+        unit_wells=ints([unit.wells for unit in units]),
+        labels=np.array([unit.members[0] if unit.wells else unit.unit_id
+                         for unit in units], dtype=object),
+        member_unit=ints(member_unit), member_fac=ints(member_fac),
+        n_sampled=ints([d.n_sampled for d in strata.values()]),
+        n_population=ints([d.n_population for d in strata.values()]),
+        stratum_group=np.zeros(len(strata), dtype=np.intp),
+    )
+
+
+def load_reference(passes_path, frame_path, strata_path) -> ReferenceFrame:
+    """`load_survey` as it was: every pass a `Pass`, checked and grouped row by row."""
+    strata = read_strata(strata_path)
+    components, wells = read_components(frame_path)
+    passes = read_passes_rows(passes_path, components)
+    return reference_frame(strata, components, passes, wells)
+
+
+def reference_diagnostics(frame: ReferenceFrame, strata, components) -> dict:
+    """`validate` as it was, over the `Pass` records: its findings as a dict."""
+    single = sorted(c for c, d in frame.days_surveyed.items() if d == 1)
+    detected_days = set()
+    strata_with_detection = set()
+    for p in frame.passes:
+        if p.detected:
+            detected_days.add((p.component_id, p.day_id))
+            strata_with_detection.add(components[p.component_id].stratum)
+    zero_days = sorted(k for k in frame.passes_per_day if k not in detected_days)
+    return {
+        "single_day_components": tuple(single),
+        "zero_detection_component_days": tuple(zero_days),
+        "zero_detection_strata": tuple(sorted(s for s in strata
+                                              if s not in strata_with_detection)),
+        "small_strata": tuple(sorted(s for s, d in strata.items() if d.n_sampled < 10)),
+    }

@@ -1,0 +1,236 @@
+"""The column loader against the row-by-row reference loader.
+
+Hypothesis writes pass logs shaped like real surveys (well sites, shuffled
+rows, whitespace around fields, huge and negative day numbers) and injects
+faults into some.  Both loaders must then raise the same `FrameError`
+message and warn the same way, and on a valid log every view of the frame
+must equal the reference's.
+"""
+
+import csv
+import dataclasses
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from frame_reference import load_reference, reference_diagnostics
+from msinv import cli
+from msinv.datasets import packaged_subset_paths
+from msinv.frame import (
+    FRAME_HEADER, PASSES_HEADER, STRATA_HEADER, FrameError, SurveyFrame, load_survey, validate,
+)
+
+FAULTS = ("fields", "component", "hierarchy", "flag", "presence", "number", "range", "day",
+          "pass", "duplicate", "no-passes", "many-passes", "idle-site", "n-sampled")
+
+
+def padded(draw, text: str) -> str:
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", "  "]))
+
+
+@st.composite
+def surveys(draw):
+    """(strata rows, registry rows, pass rows, faults injected): the three CSVs' bodies."""
+    strata, registry, passes = [], [], []
+    day_pool = draw(st.sampled_from([range(0, 30), range(-5, 5),
+                                     range(10**20, 10**20 + 9)]))
+
+    def component(cid, fac, site, stratum, is_well, wells, detect):
+        registry.append([cid, fac, site, stratum, str(int(is_well)), str(wells)])
+        for day in draw(st.lists(st.sampled_from(day_pool), min_size=1, max_size=3,
+                                 unique=True)):
+            for q in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)):
+                row = [padded(draw, cid), fac, site, stratum, padded(draw, str(day)), str(q)]
+                if detect and draw(st.booleans()):
+                    row += [padded(draw, "1"),
+                            padded(draw, repr(draw(st.floats(0.5, 500.0)))),
+                            padded(draw, repr(draw(st.floats(0.0, 12.0)))),
+                            padded(draw, repr(draw(st.floats(50.0, 900.0))))]
+                else:
+                    row += [padded(draw, "0"), "", draw(st.sampled_from(["", " "])), ""]
+                passes.append(row)
+
+    for h in range(draw(st.integers(1, 3))):
+        name = f"S{h}"
+        n_fac = draw(st.integers(1, 3))
+        for fi in range(n_fac):
+            for ci in range(draw(st.integers(1, 2))):
+                component(f"{name}-F{fi}-C{ci}", f"{name}-F{fi}", f"{name}-SITE{fi // 2}",
+                          name, False, 0, True)
+        strata.append([name, str(n_fac), str(n_fac + draw(st.integers(0, 5)))])
+    n_sites = draw(st.integers(0, 2))
+    if n_sites:
+        wells_total = facs = 0
+        for si in range(n_sites):
+            wells = draw(st.integers(0, 2))
+            wells_total += wells
+            for ci in range(draw(st.integers(1, 2))):
+                facs += 1
+                # a site without registered wells cannot carry detections
+                component(f"W{si}-C{ci}", f"W{si}-F{ci}", f"WSITE{si}", "Wells", True, wells,
+                          wells > 0)
+        n = max(wells_total, facs)
+        strata.append(["Wells", str(n), str(n + draw(st.integers(0, 3)))])
+    passes = draw(st.permutations(passes))
+
+    faults = [draw(st.sampled_from(FAULTS)) for _ in range(draw(st.integers(0, 3)))]
+    for fault in faults:
+        inject(draw, fault, strata, registry, passes)
+    return strata, registry, passes, faults
+
+
+def inject(draw, fault, strata, registry, passes):
+    whole = [k for k, row in enumerate(passes) if len(row) == len(PASSES_HEADER)]
+    if not whole:
+        return
+    i = draw(st.sampled_from(whole))
+    row = passes[i]
+    detected = row[6].strip() == "1"
+    if fault == "fields":
+        passes[i] = row[:-1] if draw(st.booleans()) else row + [""]
+    elif fault == "component":
+        row[0] = "nope"
+    elif fault == "hierarchy":
+        row[draw(st.integers(1, 3))] = "elsewhere"
+    elif fault == "flag":
+        row[6] = draw(st.sampled_from(["2", "", "yes", "1.0"]))
+    elif fault == "presence":
+        row[draw(st.integers(7, 9))] = "" if detected else "3.5"
+    elif fault == "number" and detected:
+        row[draw(st.integers(7, 9))] = draw(st.sampled_from(["abc", "nan", "inf", "-inf",
+                                                             "1e999", "1,5"]))
+    elif fault == "range" and detected:
+        col = draw(st.integers(7, 9))
+        row[col] = draw(st.sampled_from(["0", "-0.0", "-1"] if col != 8 else ["-0.5", "-1e-300"]))
+    elif fault in ("day", "pass"):
+        row[4 if fault == "day" else 5] = draw(st.sampled_from(["x", "1.5", "", "0x10"]))
+    elif fault == "duplicate":
+        passes.insert(draw(st.integers(0, len(passes))), list(passes[draw(
+            st.integers(0, len(passes) - 1))]))
+    elif fault == "no-passes":
+        cid = row[0].strip()
+        passes[:] = [r for r in passes if r[0].strip() != cid] or passes
+    elif fault == "many-passes":
+        passes.extend(row[:5] + [str(q)] + ["0", "", "", ""] for q in range(100, 106))
+    elif fault == "idle-site":
+        wells = [r for r in registry if r[4] == "1"]
+        if wells:
+            site = wells[0][2]
+            for r in registry:
+                if r[2] == site:
+                    r[5] = "0"
+    elif fault == "n-sampled":
+        strata[draw(st.integers(0, len(strata) - 1))][1] = "7"
+
+
+def write_survey(directory: Path, strata, registry, passes):
+    paths = {"passes": directory / "passes.csv", "frame": directory / "frame.csv",
+             "strata": directory / "strata.csv"}
+    for key, header, rows in (("passes", PASSES_HEADER, passes), ("frame", FRAME_HEADER, registry),
+                              ("strata", STRATA_HEADER, strata)):
+        with open(paths[key], "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+    return paths["passes"], paths["frame"], paths["strata"]
+
+
+def messages(caught) -> list[str]:
+    return [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+
+
+def outcome(load, paths):
+    """(the frame or None, the FrameError message or None, the warnings' messages)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return load(*paths), None, messages(caught)
+        except FrameError as exc:
+            return None, str(exc), messages(caught)
+
+
+def assert_same_frame(frame: SurveyFrame, ref):
+    assert frame.passes == ref.passes
+    assert frame.detected_passes == ref.detected_passes
+    assert frame.units == ref.units
+    for f in dataclasses.fields(frame.index):
+        got, want = getattr(frame.index, f.name), getattr(ref.index, f.name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+    for values, attr in ((frame.measured_rates, "measured_rate"),
+                         (frame.wind_speeds, "wind_speed"), (frame.altitudes, "altitude")):
+        assert values.dtype == float
+        assert values.tolist() == [getattr(p, attr) for p in ref.detected_passes]
+    assert frame.days_surveyed == ref.days_surveyed
+    assert list(frame.days_surveyed) == list(ref.days_surveyed)
+    assert frame.passes_per_day == ref.passes_per_day
+    want = reference_diagnostics(ref, frame.strata, frame.components)
+    got = validate(frame)
+    assert {k: getattr(got, k) for k in want} == want
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(surveys())
+def test_column_loader_matches_the_row_reference(survey):
+    strata, registry, passes, _ = survey
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_survey(Path(tmp), strata, registry, passes)
+        frame, error, warned = outcome(load_survey, paths)
+        ref, ref_error, ref_warned = outcome(load_reference, paths)
+    assert error == ref_error
+    assert warned == ref_warned
+    if error is None:
+        assert_same_frame(frame, ref)
+
+
+def read_rows(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+SUBSET = [read_rows(path) for path in reversed(packaged_subset_paths())]  # strata, frame, passes
+
+
+def test_packaged_subset_matches_the_row_reference():
+    paths = packaged_subset_paths()
+    assert_same_frame(load_survey(*paths), load_reference(*paths))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3), st.data())
+def test_faults_in_the_packaged_subset_match_the_row_reference(faults, data):
+    strata, registry, passes = ([list(row) for row in rows] for rows in SUBSET)
+    for fault in faults:
+        inject(data.draw, fault, strata, registry, passes)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_survey(Path(tmp), strata, registry, passes)
+        frame, error, warned = outcome(load_survey, paths)
+        ref, ref_error, ref_warned = outcome(load_reference, paths)
+    assert (error, warned) == (ref_error, ref_warned)
+
+
+@pytest.mark.parametrize("column", [4, 5])
+def test_the_first_row_of_two_unparseable_values_is_named(tmp_path, column):
+    # the later row's text sorts first, so only row order picks the right one
+    strata, registry, passes = ([list(row) for row in rows] for rows in SUBSET)
+    passes[3][column], passes[7][column] = "x", "a"
+    paths = write_survey(tmp_path, strata, registry, passes)
+    error = outcome(load_survey, paths)[1]
+    assert error is not None and error.endswith("from 'x'")
+    assert error == outcome(load_reference, paths)[1]
+
+
+@pytest.mark.parametrize("measurement", ["bias-correct", "mc"])
+def test_estimate_builds_no_pass_records(monkeypatch, tmp_path, measurement):
+    def refuse(frame):
+        raise AssertionError("the estimate path built Pass records")
+
+    monkeypatch.setattr(SurveyFrame, "passes", property(refuse))
+    monkeypatch.setattr(SurveyFrame, "detected_passes", property(refuse))
+    code = cli.main(["estimate", "--packaged", "--measurement", measurement, "--mc-iters", "20",
+                     "--out-dir", str(tmp_path)])
+    assert code == 0

@@ -154,6 +154,36 @@ class TestGeneration:
         se = totals.std(ddof=1) / math.sqrt(len(totals))
         assert abs(totals.mean() - expectation) < 3.5 * se
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mean, sd, shape, attempts", [
+        (4.0, 1.5, (40, 365, MAX_PASSES), 100),     # the default wind
+        ("daily", 0.6, (30, 50, MAX_PASSES), 100),  # per-day rate means, as for rates
+        (0.1, 1.0, (60, 7), 4),                     # many redraws; some clamped
+        (-3.0, 1.0, (200,), 100),                   # nearly every draw clamped
+    ])
+    def test_truncated_normal_matches_whole_array_redraws(self, seed, mean, sd, shape, attempts):
+        if mean == "daily":
+            daily = np.random.default_rng(seed + 100).lognormal(2.0, 1.0, size=shape[:2])
+            mean, sd = daily[..., None], sd * daily[..., None]
+        new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = simlab._truncated_normal(new, mean, sd, shape, attempts)
+        want = truncated_normal_reference(ref, mean, sd, shape, attempts)
+        assert np.array_equal(got, want)
+        assert new.random() == ref.random()     # the same stream consumed
+        if attempts == 4:
+            assert np.any(got == 1e-9)
+
+
+def truncated_normal_reference(rng, mean, sd, shape, attempts):
+    """The redraw of whole ``rng.normal`` arrays that `simlab._truncated_normal` replaced."""
+    out = rng.normal(mean, sd, size=shape)
+    for _ in range(attempts):
+        bad = out <= 0.0
+        if not bad.any():
+            break
+        out = np.where(bad, rng.normal(mean, sd, size=shape), out)
+    return np.maximum(out, 1e-9)
+
 
 class TestStudy:
     def test_metrics_shape_and_mse_identity(self):
