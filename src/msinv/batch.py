@@ -4,14 +4,27 @@ Across the iterations of the measurement-error Monte Carlo only the drawn
 rates and their detection probabilities change.  Everything else is fixed by
 the units and the `EstimatorConfig`.  A `frame.UnitIndex` (a frame's is
 `SurveyFrame.index`, built once per frame; the exact oracle builds one per
-block of outcomes) says as flat arrays which detected passes make up each
-component-day and its pass count Q_pt, the surveyed days d_p, and which
-component-days a well site sums and spreads over its wells.  `build_layout`
-turns it, with numpy alone, into the index arrays of a `Layout`, adding what
-the configuration fixes: which units are zero emitters or need a pooled
-variance, the pooling peers, and facility and stratum membership.
-`evaluate` computes a whole chunk of iterations at once, as arrays with one
-row per iteration.
+block of outcomes, the simulation lab one per block of replications) says as
+flat arrays which detected passes make up each component-day and its pass
+count Q_pt, the surveyed days d_p, and which component-days a well site sums
+and spreads over its wells.
+
+A layout is built in two steps, with numpy alone.  `compile_index` compiles
+what no configuration decides, once per `UnitIndex`: the detected
+component-days, the phi groups, the unit-days, each unit's d_p and its count
+m of days with a detection, and stage I membership (members, facilities,
+strata and groups).  `build_layout` adds, per configuration, what the
+configuration decides: which units are zero emitters or need a pooled
+variance, the pairs of star days, the pooling peers, and the check of d_p
+against the horizon.  Every configuration of an index shares its
+`CompiledIndex`.  `evaluate` computes a whole chunk of iterations at once,
+as arrays with one row per iteration.
+
+Each ragged index (the passes of a component-day, the members of a stratum,
+...) is a prefix sum `Schedule`: its rows are stored longest first, so the
+c-th items of all rows with more than c items fill a contiguous prefix of
+the rows.  A row sum then takes one gather and one in-place add per column,
+and the rows are put back in order once at the end.
 
 The scalar functions in `estimators` (`prepare_components` followed by
 `estimate_survey`) are the specification.  Every sum here is accumulated left
@@ -24,68 +37,103 @@ iteration's result does not depend on the chunk it is evaluated in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimators import EstimationError, EstimatorConfig
 from .frame import SurveyFrame, UnitIndex
 
-__all__ = ["Layout", "BatchEstimate", "build_layout", "compile_layout", "evaluate"]
+__all__ = ["Schedule", "CompiledIndex", "Layout", "BatchEstimate", "compile_index",
+           "build_layout", "compile_layout", "evaluate"]
 
 POPULATION_KEYS = ("total", "v3stage", "v1", "v2", "v3", "u1", "u2", "u3")
 STRATUM_KEYS = ("total", "v1", "v2", "v3", "u1", "u2", "u3")
 
 
-def _ragged(keys: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """Row k holds, in their order, the values whose key is k; short rows end in -1."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    counts = np.bincount(keys, minlength=n_rows)
-    out = np.full((n_rows, counts.max(initial=0)), -1, dtype=np.intp)
-    out[keys, np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys]] = values[order]
-    return out
+class Schedule(NamedTuple):
+    """A ragged index (rows of items) laid out for left-to-right row sums.
 
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row r holds ``starts[r]``, ``starts[r] + 1``, ... (``counts[r]`` items), then -1."""
-    cols = np.arange(counts.max(initial=0))
-    return np.where(cols < counts[:, None], starts[:, None] + cols, -1)
-
-
-def _columns(idx: np.ndarray):
-    """Per column of a padded index array: the rows it fills and their items."""
-    for col in idx.T:
-        rows = np.flatnonzero(col >= 0)
-        yield rows, col[rows]
-
-
-def _seq_sum(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row sums ``sum(x[..., j, :] for j in idx[r])``, added left to right from 0.
-
-    ``x`` has items on axis -2 and iterations on axis -1; ``idx`` rows are
-    padded with -1, which adds nothing.
+    Rows are stored longest first: stored row i is row ``order[i]``, and row
+    r is stored at ``rank[r]`` (both None when the rows already come longest
+    first).  Column c, the c-th item of every row longer than c, then covers
+    stored rows ``0..n_c - 1``; ``columns`` holds ``(n_c, start, stop)`` per
+    column, and ``items[start:stop]`` are its items in stored row order.
     """
-    out = np.zeros(x.shape[:-2] + (idx.shape[0], x.shape[-1]))
-    for rows, items in _columns(idx):
-        out[..., rows, :] += x[..., items, :]
-    return out
+
+    n_rows: int
+    columns: tuple[tuple[int, int, int], ...]
+    items: np.ndarray
+    order: np.ndarray | None
+    rank: np.ndarray | None
 
 
-def _phi_any(phi: np.ndarray, idx: np.ndarray, count: np.ndarray, misses: np.ndarray):
-    """`pod.phi_any_detection` of each pass group (rows of ``idx``), batched."""
-    mu = _seq_sum(phi, idx) / count
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> Schedule:
+    """Row r lists ``starts[r]``, ``starts[r] + 1``, ... (``counts[r]`` items)."""
+    n_rows = len(counts)
+    order = rank = None
+    if np.any(counts[1:] > counts[:-1]):
+        # a stable sort by the shortfall from the longest row, in the
+        # narrowest dtype that holds it (numpy radix-sorts up to 16 bits)
+        longest = int(counts.max())
+        order = np.argsort((longest - counts).astype(np.min_scalar_type(longest)),
+                           kind="stable")
+        rank = np.empty(n_rows, dtype=np.intp)
+        rank[order] = np.arange(n_rows)
+        starts, counts = starts[order], counts[order]
+    # column c: the rows longer than c, which are stored rows 0..n_c - 1
+    n_c = n_rows - np.cumsum(np.bincount(counts))[:-1]
+    stop = np.cumsum(n_c)
+    col = np.repeat(np.arange(len(n_c)), n_c)
+    items = starts[np.arange(len(col)) - (stop - n_c)[col]] + col
+    return Schedule(n_rows, tuple(zip(n_c.tolist(), (stop - n_c).tolist(), stop.tolist())),
+                    items, order, rank)
+
+
+def _schedule(keys: np.ndarray, values: np.ndarray, n_rows: int) -> Schedule:
+    """Row k lists, in their order, the values whose key is k."""
+    by_key = np.argsort(keys, kind="stable")
+    length = np.bincount(keys, minlength=n_rows)
+    s = _ranges(np.cumsum(length) - length, length)
+    return s._replace(items=values[by_key][s.items])
+
+
+def _seq_sum(x: np.ndarray, s: Schedule) -> np.ndarray:
+    """Row sums ``sum(x[..., j, :] for j in row r)``, added left to right from 0.
+
+    ``x`` has items on axis -2 and iterations on axis -1.
+    """
+    out = np.zeros(x.shape[:-2] + (s.n_rows, x.shape[-1]))
+    for n, start, stop in s.columns:
+        out[..., :n, :] += np.take(x, s.items[start:stop], axis=-2)
+    return out if s.rank is None else np.take(out, s.rank, axis=-2)
+
+
+def _seq_prod(first: np.ndarray, x: np.ndarray, s: Schedule) -> np.ndarray:
+    """Row products ``first[..., r, :]`` times each ``x[..., j, :]`` of row r, left to right."""
+    out = np.array(first) if s.order is None else np.take(first, s.order, axis=-2)
+    for n, start, stop in s.columns:
+        out[..., :n, :] *= np.take(x, s.items[start:stop], axis=-2)
+    return out if s.rank is None else np.take(out, s.rank, axis=-2)
+
+
+def _phi_any(phi: np.ndarray, groups: Schedule, count: np.ndarray, misses: np.ndarray):
+    """`pod.phi_any_detection` of each pass group (rows of ``groups``), batched."""
+    mu = _seq_sum(phi, groups) / count
     prod = np.ones(mu.shape)
     for t in range(int(misses.max(initial=0))):
         prod = np.where(t < misses, prod * (1.0 - mu), prod)
-    miss = 1.0 - phi
-    for rows, items in _columns(idx):
-        prod[rows] *= miss[items]
-    return 1.0 - prod
+    return 1.0 - _seq_prod(prod, 1.0 - phi, groups)
+
+
+def _col(values, dtype=float) -> np.ndarray:
+    # per-item constants broadcast along the iteration axis
+    return np.asarray(values, dtype=dtype).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
-class Layout:
-    """Everything about the units and configuration that is fixed across iterations.
+class CompiledIndex:
+    """The part of a `Layout` that no configuration decides, compiled once per `UnitIndex`.
 
     Levels: detected passes, in `UnitIndex` order; then, each in the order
     of the units (the scalar reference's order), detected component-days
@@ -96,77 +144,51 @@ class Layout:
     groups of strata, each summed into one population total.
     """
 
-    kind: str                       # "ipw", "starred" (IPW modified) or "hajek"
-    observed: bool
-    printed: bool
-    measured: np.ndarray | None     # per detected pass, when compiled from a frame
-    winds: np.ndarray | None
-    altitudes: np.ndarray | None
+    labels: np.ndarray              # per unit, for error messages
     # detected component-days
-    dd_pass: np.ndarray
+    dd_pass: Schedule
     dd_q: np.ndarray
     pass_dd: np.ndarray
     # phi groups
-    grp_pass: np.ndarray
+    grp_pass: Schedule
     grp_count: np.ndarray
     grp_misses: np.ndarray
     # unit-days
-    ud_members: np.ndarray
+    ud_members: Schedule
     ud_wells: np.ndarray
-    ud_grp: np.ndarray
     star: np.ndarray                # unit-days with a detection
-    # units by class: full variance, pooled variance, zero emitter
-    full: np.ndarray
-    pooled: np.ndarray
-    n_units: int
-    days_of_full: np.ndarray        # rows of unit-days ("ipw") or star_full positions
-    first_day_of_pooled: np.ndarray
+    star_unit: np.ndarray
+    star_grp: np.ndarray
+    # units: surveyed days d_p, days with a detection m
+    d_p: np.ndarray
+    m: np.ndarray
+    ud_start: np.ndarray            # each unit's first unit-day
     unit_d: np.ndarray
-    unit_h: np.ndarray
-    # "starred"/"hajek": star days of full units, their unit's d and D, and
-    # every ordered pair of a unit's star days
-    star_full: np.ndarray
-    star_d: np.ndarray
-    star_h: np.ndarray
-    pair_a: np.ndarray
-    pair_b: np.ndarray
-    pair_base: np.ndarray
-    pair_diag: np.ndarray
-    pairs_of_full: np.ndarray
-    # pooling and stage I
-    peers: np.ndarray               # per stratum: full units, with well repeats
-    n_peers: np.ndarray
-    pooled_stratum: np.ndarray
+    unit_stratum: np.ndarray
     unit_f: np.ndarray
-    members: np.ndarray             # per stratum: units, with well repeats
-    fac_units: np.ndarray           # per facility: units
-    fac_of_stratum: np.ndarray      # per stratum: facilities
+    # stage I: members and facilities per stratum, strata per group
+    member_unit: np.ndarray
+    member_stratum: np.ndarray
+    n_members: np.ndarray           # per unit
+    members: Schedule               # per stratum: units, with well repeats
+    fac_units: Schedule             # per facility: units
+    fac_of_stratum: Schedule        # per stratum: facilities
     stratum_f: np.ndarray
     stratum_pair_coef: np.ndarray   # 0 where n_sampled < 2
-    groups: np.ndarray              # per group: its strata
-    diagnostics: dict
+    groups: Schedule                # per group: its strata
+    n_zero_emitting_strata: int
 
     @property
-    def n_passes(self) -> int:
-        return len(self.pass_dd)
+    def n_units(self) -> int:
+        return len(self.d_p)
+
+    @property
+    def n_strata(self) -> int:
+        return self.members.n_rows
 
 
-def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
-    """`build_layout` of the frame's units, with the measurements of its detected passes."""
-    return build_layout(frame.index, config, measured=frame.measured_rates,
-                        winds=frame.wind_speeds, altitudes=frame.altitudes)
-
-
-def build_layout(index: UnitIndex, config: EstimatorConfig, measured=None, winds=None,
-                 altitudes=None) -> Layout:
-    """Index the units once for `evaluate` under one estimator configuration.
-
-    Raises `EstimationError` for what the scalar path would reject on every
-    iteration: a surveyed day count above the horizon.
-    """
-    kind = "hajek" if config.estimator == "hajek" else (
-        "starred" if config.plan == "modified" else "ipw")
-    observed = config.stage2 == "observed"
+def compile_index(index: UnitIndex) -> CompiledIndex:
+    """Compile the units for `build_layout`, under any configuration."""
     ud_unit, unit_stratum, member_unit = index.ud_unit, index.unit_stratum, index.member_unit
     n_cd, n_ud, n_units = len(index.cd_q), len(ud_unit), len(unit_stratum)
     n_strata = len(index.n_sampled)
@@ -197,29 +219,136 @@ def build_layout(index: UnitIndex, config: EstimatorConfig, measured=None, winds
     ud_q = np.bincount(index.cd_ud, weights=index.cd_q, minlength=n_ud).astype(np.intp)
     ud_misses = ud_q - np.bincount(pass_ud, minlength=n_ud)
 
-    # units: surveyed days d_p, horizon D, and days with a detection m
+    # units: surveyed days d_p and days with a detection m
     d_p = np.bincount(ud_unit, minlength=n_units)
-    horizon = d_p if observed else np.full(n_units, config.horizon)
+    star_unit = ud_unit[star]
+    m = np.bincount(star_unit, minlength=n_units)
+
+    # strata: members in unit order, facilities (numbered in order of their
+    # first member) in order
+    member_stratum = unit_stratum[member_unit]
+    _, fac_first, fac_of_member = np.unique(index.member_fac, return_index=True,
+                                            return_inverse=True)
+    n_sampled, n_population = index.n_sampled, index.n_population
+    stratum_f = n_sampled / n_population
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair_coef = np.where(n_sampled >= 2, 1.0 - stratum_f * stratum_f / (
+            n_sampled * (n_sampled - 1) / (n_population * (n_population - 1))), 0.0)
+    size = np.bincount(member_stratum, minlength=n_strata)
+    n_zero = np.bincount(member_stratum[m[member_unit] == 0], minlength=n_strata)
+
+    return CompiledIndex(
+        labels=index.labels,
+        dd_pass=_schedule(dd_of_cd[pass_cd], by_cd, n_dd),
+        dd_q=_col(index.cd_q[dd_cd]),
+        pass_dd=pass_dd,
+        grp_pass=_schedule(grp_key, np.concatenate([by_cd, by_cd[in_site]]), n_grp),
+        grp_count=_col(np.bincount(grp_key, minlength=n_grp)),
+        grp_misses=_col(np.concatenate([index.cd_q[dd_cd] - cd_n[dd_cd], ud_misses[site]]),
+                        np.intp),
+        ud_members=_schedule(dd_ud, np.arange(n_dd), n_ud),
+        ud_wells=_col(np.maximum(wells, 1)),
+        star=star,
+        star_unit=star_unit,
+        star_grp=ud_grp[star],
+        d_p=d_p,
+        m=m,
+        ud_start=np.cumsum(d_p) - d_p,
+        unit_d=_col(d_p),
+        unit_stratum=unit_stratum,
+        unit_f=_col(stratum_f[unit_stratum]),
+        member_unit=member_unit,
+        member_stratum=member_stratum,
+        n_members=np.bincount(member_unit, minlength=n_units),
+        members=_schedule(member_stratum, member_unit, n_strata),
+        fac_units=_schedule(fac_of_member, member_unit, len(fac_first)),
+        fac_of_stratum=_schedule(member_stratum[fac_first], np.arange(len(fac_first)),
+                                 n_strata),
+        stratum_f=_col(stratum_f),
+        stratum_pair_coef=_col(pair_coef),
+        groups=_schedule(index.stratum_group, np.arange(n_strata),
+                         int(index.stratum_group.max(initial=-1)) + 1),
+        n_zero_emitting_strata=int(np.count_nonzero((size > 0) & (size == n_zero))),
+    )
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Everything about the units and configuration that is fixed across iterations.
+
+    ``index`` holds what the configuration does not decide; the rest is
+    per unit class (full variance, pooled variance, zero emitter) under this
+    configuration.
+    """
+
+    index: CompiledIndex
+    kind: str                       # "ipw", "starred" (IPW modified) or "hajek"
+    observed: bool
+    printed: bool
+    measured: np.ndarray | None     # per detected pass, when compiled from a frame
+    winds: np.ndarray | None
+    altitudes: np.ndarray | None
+    full: np.ndarray
+    pooled: np.ndarray
+    days_of_full: Schedule          # unit-days ("ipw") or star_full positions
+    first_day_of_pooled: np.ndarray
+    unit_h: np.ndarray
+    # "starred"/"hajek": star days of full units, their unit's d and D, and
+    # every ordered pair of a unit's star days
+    star_full: np.ndarray
+    star_d: np.ndarray
+    star_h: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    pair_base: np.ndarray
+    pair_diag: np.ndarray
+    pairs_of_full: Schedule
+    # pooling
+    peers: Schedule                 # per stratum: full units, with well repeats
+    n_peers: np.ndarray
+    pooled_stratum: np.ndarray
+    diagnostics: dict
+
+    @property
+    def n_passes(self) -> int:
+        return len(self.index.pass_dd)
+
+
+def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
+    """`build_layout` of the frame's units, with the measurements of its detected passes."""
+    return build_layout(compile_index(frame.index), config, measured=frame.measured_rates,
+                        winds=frame.wind_speeds, altitudes=frame.altitudes)
+
+
+def build_layout(index: CompiledIndex, config: EstimatorConfig, measured=None, winds=None,
+                 altitudes=None) -> Layout:
+    """Complete a compiled index for `evaluate` under one estimator configuration.
+
+    Raises `EstimationError` for what the scalar path would reject on every
+    iteration: a surveyed day count above the horizon.
+    """
+    kind = "hajek" if config.estimator == "hajek" else (
+        "starred" if config.plan == "modified" else "ipw")
+    observed = config.stage2 == "observed"
+    d_p, m = index.d_p, index.m
+    horizon = d_p if observed else np.full(index.n_units, config.horizon)
     over = np.flatnonzero(d_p > horizon)
     if len(over):
         u = over[0]
         raise EstimationError(
             f"component {index.labels[u]!r}: d_p={d_p[u]} exceeds the horizon D={horizon[u]}"
         )
-    star_unit = ud_unit[star]
-    m = np.bincount(star_unit, minlength=n_units)
     single = (m if kind == "hajek" else d_p) == 1
     pooled = np.flatnonzero((m > 0) & single)
     full = np.flatnonzero((m > 0) & ~single)
-    is_full = np.zeros(n_units, dtype=bool)
+    is_full = np.zeros(index.n_units, dtype=bool)
     is_full[full] = True
-    ud_start = np.cumsum(d_p) - d_p
 
     # star days of full units get positions of their own, in unit order,
     # and every ordered pair of a unit's star days one entry
     m_full = m[full]
     first = np.cumsum(m_full) - m_full
-    star_full = np.flatnonzero(is_full[star_unit])
+    star_full = np.flatnonzero(is_full[index.star_unit])
     d, h = d_p[full], horizon[full]
     with np.errstate(divide="ignore", invalid="ignore"):
         base = np.where(h > 1, d * (d - 1) / (h * (h - 1)), 0.0)
@@ -230,76 +359,42 @@ def build_layout(index: UnitIndex, config: EstimatorConfig, measured=None, winds
     pair_a = first[owner] + k // m_full[owner]
     pair_b = first[owner] + k % m_full[owner]
 
-    # strata: members and pooling peers in unit order, facilities (numbered
-    # in order of their first member) in order
-    member_stratum = unit_stratum[member_unit]
-    peer = is_full[member_unit]
-    n_peers = np.bincount(member_stratum[peer], minlength=n_strata)
-    _, fac_first, fac_of_member = np.unique(index.member_fac, return_index=True,
-                                            return_inverse=True)
-    n_sampled, n_population = index.n_sampled, index.n_population
-    stratum_f = n_sampled / n_population
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pair_coef = np.where(n_sampled >= 2, 1.0 - stratum_f * stratum_f / (
-            n_sampled * (n_sampled - 1) / (n_population * (n_population - 1))), 0.0)
-    n_members = np.bincount(member_unit, minlength=n_units)
-    size = np.bincount(member_stratum, minlength=n_strata)
-    n_zero = np.bincount(member_stratum[m[member_unit] == 0], minlength=n_strata)
-    pooled_stratum = unit_stratum[pooled]
+    # pooling peers: the full units of each stratum, in member order
+    peer = is_full[index.member_unit]
+    n_peers = np.bincount(index.member_stratum[peer], minlength=index.n_strata)
+    pooled_stratum = index.unit_stratum[pooled]
+    n_members = index.n_members
     diagnostics = {
         "n_pooled_components": int(n_members[pooled].sum()),
         "n_pooled_without_peers": int(n_members[pooled][n_peers[pooled_stratum] == 0].sum()),
-        "n_zero_emitting_strata": int(np.count_nonzero((size > 0) & (size == n_zero))),
+        "n_zero_emitting_strata": index.n_zero_emitting_strata,
     }
-
-    def col(values, dtype=float):
-        # per-item constants broadcast along the iteration axis
-        return np.asarray(values, dtype=dtype).reshape(-1, 1)
-
+    star_unit = index.star_unit
     return Layout(
+        index=index,
         kind=kind,
         observed=observed,
         printed=config.decomposition == "printed",
         measured=measured,
         winds=winds,
         altitudes=altitudes,
-        dd_pass=_ragged(dd_of_cd[pass_cd], by_cd, n_dd),
-        dd_q=col(index.cd_q[dd_cd]),
-        pass_dd=pass_dd,
-        grp_pass=_ragged(grp_key, np.concatenate([by_cd, by_cd[in_site]]), n_grp),
-        grp_count=col(np.bincount(grp_key, minlength=n_grp)),
-        grp_misses=col(np.concatenate([index.cd_q[dd_cd] - cd_n[dd_cd], ud_misses[site]]),
-                       np.intp),
-        ud_members=_ragged(dd_ud, np.arange(n_dd), n_ud),
-        ud_wells=col(np.maximum(wells, 1)),
-        ud_grp=ud_grp,
-        star=star,
         full=full,
         pooled=pooled,
-        n_units=n_units,
-        days_of_full=(_ranges(ud_start[full], d) if kind == "ipw" else _ranges(first, m_full)),
-        first_day_of_pooled=(ud_start if kind == "ipw" else np.cumsum(m) - m)[pooled],
-        unit_d=col(d_p),
-        unit_h=col(horizon),
+        days_of_full=(_ranges(index.ud_start[full], d) if kind == "ipw"
+                      else _ranges(first, m_full)),
+        first_day_of_pooled=(index.ud_start if kind == "ipw" else np.cumsum(m) - m)[pooled],
+        unit_h=_col(horizon),
         star_full=star_full,
-        star_d=col(d_p[star_unit[star_full]]),
-        star_h=col(horizon[star_unit[star_full]]),
+        star_d=_col(d_p[star_unit[star_full]]),
+        star_h=_col(horizon[star_unit[star_full]]),
         pair_a=pair_a,
         pair_b=pair_b,
-        pair_base=col(base[owner]),
-        pair_diag=col(pair_a == pair_b, bool),
+        pair_base=_col(base[owner]),
+        pair_diag=_col(pair_a == pair_b, bool),
         pairs_of_full=_ranges(pair_start, sq),
-        peers=_ragged(member_stratum[peer], member_unit[peer], n_strata),
-        n_peers=col(np.maximum(1, n_peers)),  # an empty sum stays 0.0
+        peers=_schedule(index.member_stratum[peer], index.member_unit[peer], index.n_strata),
+        n_peers=_col(np.maximum(1, n_peers)),  # an empty sum stays 0.0
         pooled_stratum=pooled_stratum,
-        unit_f=col(stratum_f[unit_stratum]),
-        members=_ragged(member_stratum, member_unit, n_strata),
-        fac_units=_ragged(fac_of_member, member_unit, len(fac_first)),
-        fac_of_stratum=_ragged(member_stratum[fac_first], np.arange(len(fac_first)), n_strata),
-        stratum_f=col(stratum_f),
-        stratum_pair_coef=col(pair_coef),
-        groups=_ragged(index.stratum_group, np.arange(n_strata),
-                       int(index.stratum_group.max(initial=-1)) + 1),
         diagnostics=diagnostics,
     )
 
@@ -331,35 +426,37 @@ def _daily(layout: Layout, y: np.ndarray, phi: np.ndarray):
     its wells as `wells_allocate` does.  The probabilities (None for "ipw")
     are per unit-day with a detection, pooled over a site's components.
     """
-    q = layout.dd_q
+    ix = layout.index
+    q = ix.dd_q
     ph_grp = None
     if layout.kind != "ipw":
-        ph_grp = _phi_any(phi, layout.grp_pass, layout.grp_count, layout.grp_misses)
+        ph_grp = _phi_any(phi, ix.grp_pass, ix.grp_count, ix.grp_misses)
     if layout.kind == "hajek":
-        num, den = _seq_sum(np.stack([y / phi, 1.0 / phi]), layout.dd_pass)
+        num, den = _seq_sum(np.stack([y / phi, 1.0 / phi]), ix.dd_pass)
         mean = num / den
-        resid = (y - mean[layout.pass_dd]) / phi
+        resid = (y - mean[ix.pass_dd]) / phi
         resid_sq, resid_sum = _seq_sum(np.stack([(1.0 - phi) * resid**2, resid]),
-                                       layout.dd_pass)
+                                       ix.dd_pass)
         ph = ph_grp[:len(q)]
         var = np.maximum(0.0, ph / (q * q) * (resid_sq + (ph - 1.0) * resid_sum**2))
     else:
         num, sq = _seq_sum(np.stack([y / phi, (1.0 - phi) / (phi * phi) * y * y]),
-                           layout.dd_pass)
+                           ix.dd_pass)
         mean, var = num / q, sq / (q * q)
-    w = layout.ud_wells
-    ud_mean, ud_var = _seq_sum(np.stack([mean, var]), layout.ud_members)
-    ud_ph = None if ph_grp is None else ph_grp[layout.ud_grp[layout.star]]
+    w = ix.ud_wells
+    ud_mean, ud_var = _seq_sum(np.stack([mean, var]), ix.ud_members)
+    ud_ph = None if ph_grp is None else ph_grp[ix.star_grp]
     return ud_mean / w, ud_var / (w * w), ud_ph
 
 
 def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
     """Per-unit mean, variance (NaN until pooled) and stage III part."""
-    shape = (layout.n_units, ud_mean.shape[-1])
+    ix = layout.index
+    shape = (ix.n_units, ud_mean.shape[-1])
     mean, var, s3 = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     full, pooled, first = layout.full, layout.pooled, layout.first_day_of_pooled
     rows = layout.days_of_full
-    d, h = layout.unit_d[full], layout.unit_h[full]
+    d, h = ix.unit_d[full], layout.unit_h[full]
     var[pooled] = np.nan
     if layout.kind == "ipw":
         # component_srs_ipw over every surveyed day; pooled: the single day
@@ -373,7 +470,7 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
         s3[pooled] = ud_var[first]
         return mean, var, s3
 
-    st_mean, st_var = ud_mean[layout.star], ud_var[layout.star]
+    st_mean, st_var = ud_mean[ix.star], ud_var[ix.star]
     ph0, m0, v0 = ud_ph[first], st_mean[first], st_var[first]
     sf, sd, sh = layout.star_full, layout.star_d, layout.star_h
     ph, m, v = ud_ph[sf], st_mean[sf], st_var[sf]
@@ -408,7 +505,7 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
     mean[full] = s1 / d
     var[full] = np.maximum(0.0, (t1 + t2 + t3) / (h * h))
     s3[full] = s3sum / (d * d)
-    d0 = layout.unit_d[pooled]
+    d0 = ix.unit_d[pooled]
     mean[pooled] = m0 / (ph0 * d0)
     s3[pooled] = v0 / (ph0 * ph0 * d0 * d0)
     return mean, var, s3
@@ -416,18 +513,19 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
 
 def _assemble(layout: Layout, mean, var, s3):
     """Pool single-day variances, then `stratum_total` and each group's population sums."""
+    ix = layout.index
     pool = _seq_sum(var, layout.peers) / layout.n_peers
     var[layout.pooled] = pool[layout.pooled_stratum]
     if layout.observed:
         s3[layout.pooled] = var[layout.pooled]
     part = s3 * layout.unit_h if layout.printed else s3
-    f = layout.unit_f
+    f = ix.unit_f
     expanded = mean / f
     total, v23, s23, s3s = _seq_sum(
-        np.stack([expanded, var / f, var / (f * f), part / (f * f)]), layout.members)
-    fac = _seq_sum(expanded, layout.fac_units)
-    sumsq = _seq_sum(fac * fac, layout.fac_of_stratum)
-    a1 = (1.0 - layout.stratum_f) * sumsq + layout.stratum_pair_coef * (total * total - sumsq)
+        np.stack([expanded, var / f, var / (f * f), part / (f * f)]), ix.members)
+    fac = _seq_sum(expanded, ix.fac_units)
+    sumsq = _seq_sum(fac * fac, ix.fac_of_stratum)
+    a1 = (1.0 - ix.stratum_f) * sumsq + ix.stratum_pair_coef * (total * total - sumsq)
     v3stage = a1 + v23
     st = {"total": total, "v3stage": v3stage, "u3": s3s, "u2": s23 - s3s, "u1": v3stage - s23}
     st["v3"] = np.maximum(0.0, s3s)
@@ -436,7 +534,7 @@ def _assemble(layout: Layout, mean, var, s3):
 
     # each group's population sums, stratum by stratum in order
     sums = _seq_sum(np.stack([total, v3stage, st["u1"], st["u2"], s3s, st["u2"] + s3s]),
-                    layout.groups)
+                    ix.groups)
     pop = dict(zip(("total", "v3stage", "u1", "u2", "u3"), sums))
     pop["v3"] = np.maximum(0.0, pop["u3"])
     pop["v2"] = np.maximum(0.0, sums[5] - pop["v3"])

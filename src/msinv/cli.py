@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -172,6 +173,8 @@ def cmd_estimate(args) -> int:
     frame = load_survey(inputs["passes"], inputs["frame"], inputs["strata"])
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    # the inputs are hashed once; each variant's manifest differs in its flags
+    base_manifest = build_manifest("estimate", {}, inputs, seed=args.seed)
 
     for est, s2, mm in variants:
         try:
@@ -187,7 +190,7 @@ def cmd_estimate(args) -> int:
             "measurement": mm, "mc_iters": args.mc_iters, "ci_level": args.ci_level,
             "decomposition": args.decomposition, "trace": args.trace,
         }
-        manifest = build_manifest("estimate", flags, inputs, seed=args.seed)
+        manifest = dict(base_manifest, flags=flags)
         if mm == "mc":
             result = run_mc(frame, dataclasses.replace(mc_base, estimator=cfg))
             report = result.report
@@ -331,10 +334,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # built on the first call; parsing leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except ConfigError as exc:
         print(f"msinv: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

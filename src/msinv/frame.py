@@ -173,7 +173,7 @@ class Unit(NamedTuple):
 
 @dataclass(frozen=True)
 class UnitIndex:
-    """Units as flat index arrays, the input of `batch.build_layout`.
+    """Units as flat index arrays, the input of `batch.compile_index`.
 
     Component-days are grouped by unit-day and unit-days by unit, each in
     order, so ``cd_ud`` and ``ud_unit`` never decrease.  A component-day
@@ -799,11 +799,10 @@ def read_passes(path, components: dict[str, ComponentRef]) -> PassColumns:
                     lambda i, name=name, texts=texts: f"{name} must be finite, got {texts[i]!r}",
                     rows=at)
         measured[key] = values
-    # as released, these two messages name the file and row twice
-    days = fault.parse_repeated(
-        cols[4], int, lambda row, text: f"{path} row {row + 2}: cannot parse day from {text!r}")
-    pass_index = fault.parse_repeated(
-        cols[5], int, lambda row, text: f"{path} row {row + 2}: cannot parse pass from {text!r}")
+    days = fault.parse_repeated(cols[4], int,
+                                lambda row, text: f"cannot parse day from {text!r}")
+    pass_index = fault.parse_repeated(cols[5], int,
+                                      lambda row, text: f"cannot parse pass from {text!r}")
     for bad, need in ((measured["measured_rate"] <= 0, "measured_rate > 0"),
                       (measured["wind_speed"] < 0, "wind_speed >= 0"),
                       (measured["altitude"] <= 0, "altitude > 0")):

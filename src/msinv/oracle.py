@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .batch import POPULATION_KEYS, build_layout, evaluate
+from .batch import POPULATION_KEYS, build_layout, compile_index, evaluate
 from .estimators import EstimatorConfig
 # not used here: perfbench/tracer.py patches this name on this module
 from .estimators import estimate_survey  # noqa: F401
@@ -261,51 +261,57 @@ def _block(pop: MicroPopulation, chunks: list[_Chunk]) -> _Block:
     comp_stratum = np.array([names.index(pop.facilities[c.facility_id])
                              for c in pop.components], dtype=np.intp)
     comp_ids = np.array([c.component_id for c in pop.components], dtype=object)
-    parts: dict[str, list[np.ndarray]] = {
-        k: [] for k in ("pass_cd", "rates", "phis", "cd_q", "ud_unit", "unit_stratum",
-                        "labels", "member_fac")}
-    n_out = n_units = n_cd = 0
-    for ch in chunks:
-        k, n_pairs = len(ch.prob), len(ch.pairs)
-        days = [pop.components[ci].days[t] for ci, t in ch.pairs]
-        q = np.array([len(day) for day in days], dtype=np.intp)
-        width = int(q.max(initial=0))
-        rates, phis = np.zeros((n_pairs, width)), np.ones((n_pairs, width))
-        for j, day in enumerate(days):
-            rates[j, :len(day)] = [p.rate for p in day]
-            phis[j, :len(day)] = [p.phi for p in day]
-        # detected passes, by outcome, then pair, then pass
-        o, j, i = np.nonzero(ch.patterns[:, :, None] >> np.arange(width) & 1)
-        comps = np.array(ch.components, dtype=np.intp)
-        outcome = n_out + np.repeat(np.arange(k), len(comps))
-        parts["pass_cd"].append(n_cd + o * n_pairs + j)
-        parts["rates"].append(rates[j, i])
-        parts["phis"].append(phis[j, i])
-        parts["cd_q"].append(np.tile(q, k))
-        parts["ud_unit"].append(n_units + np.arange(k * n_pairs) // d)
-        parts["unit_stratum"].append(np.tile(comp_stratum[comps], k) + n_strata * outcome)
-        parts["labels"].append(np.tile(comp_ids[comps], k))
-        parts["member_fac"].append(np.tile(comp_fac[comps], k) + n_facs * outcome)
-        n_out += k
-        n_units += k * len(comps)
-        n_cd += k * n_pairs
-    flat = {key: np.concatenate(arrays) for key, arrays in parts.items()}
+    # per (component, day): its pass count, and its passes' rates and PODs
+    q_table = np.array([[len(day) for day in c.days] for c in pop.components], dtype=np.intp)
+    width = int(q_table.max(initial=0))
+    rate_table = np.zeros(q_table.shape + (width,))
+    phi_table = np.ones(q_table.shape + (width,))
+    for ci, c in enumerate(pop.components):
+        for t, day in enumerate(c.days):
+            rate_table[ci, t, :len(day)] = [p.rate for p in day]
+            phi_table[ci, t, :len(day)] = [p.phi for p in day]
+
+    # a component-day per (outcome, sampled pair): chunk by chunk, outcome
+    # by outcome, pair by pair
+    n_out = np.array([len(ch.prob) for ch in chunks])
+    n_pairs = np.array([len(ch.pairs) for ch in chunks])
+    pair_ci, pair_t = np.array([pair for ch in chunks for pair in ch.pairs],
+                               dtype=np.intp).reshape(-1, 2).T
+    patterns = np.concatenate([ch.patterns.ravel() for ch in chunks])
+    n_cd = len(patterns)
+    cd_chunk = np.repeat(np.arange(len(chunks)), n_out * n_pairs)
+    local = np.arange(n_cd) - (np.cumsum(n_out * n_pairs) - n_out * n_pairs)[cd_chunk]
+    per_outcome = n_pairs[cd_chunk]
+    pair = (np.cumsum(n_pairs) - n_pairs)[cd_chunk] + local % per_outcome
+    cd_ci, cd_t = pair_ci[pair], pair_t[pair]
+    cd_outcome = (np.cumsum(n_out) - n_out)[cd_chunk] + local // per_outcome
+    # detected passes, by component-day, then pass
+    pass_cd, i = np.nonzero(patterns[:, None] >> np.arange(width) & 1)
+    # a unit per (outcome, sampled component): its d component-days follow
+    unit_ci, unit_outcome = cd_ci[::d], cd_outcome[::d]
+    total_out = int(n_out.sum())
     index = UnitIndex(
-        pass_cd=flat["pass_cd"], cd_q=flat["cd_q"], cd_ud=np.arange(n_cd),
-        ud_unit=flat["ud_unit"], unit_stratum=flat["unit_stratum"],
-        unit_wells=np.zeros(n_units, dtype=np.intp), labels=flat["labels"],
-        member_unit=np.arange(n_units), member_fac=flat["member_fac"],
-        n_sampled=np.tile([pop.strata[n].n_sampled for n in names], n_out),
-        n_population=np.tile([pop.strata[n].n_population for n in names], n_out),
-        stratum_group=np.repeat(np.arange(n_out), n_strata),
+        pass_cd=pass_cd, cd_q=q_table[cd_ci, cd_t], cd_ud=np.arange(n_cd),
+        ud_unit=np.arange(n_cd) // d,
+        unit_stratum=comp_stratum[unit_ci] + n_strata * unit_outcome,
+        unit_wells=np.zeros(len(unit_ci), dtype=np.intp), labels=comp_ids[unit_ci],
+        member_unit=np.arange(len(unit_ci)),
+        member_fac=comp_fac[unit_ci] + n_facs * unit_outcome,
+        n_sampled=np.tile([pop.strata[n].n_sampled for n in names], total_out),
+        n_population=np.tile([pop.strata[n].n_population for n in names], total_out),
+        stratum_group=np.repeat(np.arange(total_out), n_strata),
     )
-    return _Block(index, flat["rates"], flat["phis"], chunks)
+    cd_pass = (cd_ci[pass_cd], cd_t[pass_cd], i)
+    return _Block(index, rate_table[cd_pass], phi_table[cd_pass], chunks)
 
 
-def _estimate(block: _Block, config: EstimatorConfig) -> dict[str, np.ndarray]:
-    """Every outcome's estimate: `POPULATION_KEYS` to arrays over the block's outcomes."""
-    est = evaluate(build_layout(block.index, config), block.rates[None], block.phis[None])
-    return {key: values[0] for key, values in est.population.items()}
+def _estimates(block: _Block, configs):
+    """Every outcome's estimate per configuration: `POPULATION_KEYS` to arrays over
+    the block's outcomes.  The configurations share one compiled index."""
+    index = compile_index(block.index)
+    for config in configs:
+        est = evaluate(build_layout(index, config), block.rates[None], block.phis[None])
+        yield {key: values[0] for key, values in est.population.items()}
 
 
 @dataclass
@@ -370,8 +376,8 @@ def enumerate_outcomes(
     ]
     for block in _blocks(pop, max_outcomes):
         probs.extend(chunk.prob for chunk in block.chunks)
-        for cfg, rec in zip(configs, per_config):
-            for key, values in _estimate(block, cfg).items():
+        for est, rec in zip(_estimates(block, configs), per_config):
+            for key, values in est.items():
                 rec[key].append(values)
 
     prob_arr = np.concatenate(probs)
@@ -416,7 +422,8 @@ def exact_stage_variances(pop: MicroPopulation, config: EstimatorConfig):
     # stages I and II, gathered per (stage I, stage II) cell
     cells: dict[tuple[int, int], tuple[list, list]] = {}
     for block in _blocks(pop):
-        totals = _estimate(block, config)["total"]
+        (est,) = _estimates(block, [config])
+        totals = est["total"]
         start = 0
         for chunk in block.chunks:
             t = totals[start:start + len(chunk.prob)]

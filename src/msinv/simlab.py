@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import build_layout, evaluate
+from .batch import build_layout, compile_index, evaluate
 from .datasets import packaged_sim_defaults_path
 from .estimators import EstimationError, EstimatorConfig
 # not used here: perfbench/tracer.py patches this name on this module
@@ -419,9 +419,10 @@ def run_study(config: SimConfig, population: SimPopulation | None = None) -> Sim
     for start in range(0, reps, SIM_BLOCK):
         block = range(start, min(start + SIM_BLOCK, reps))
         index, y, phi = _sample_block(pop, config, block)
+        compiled = compile_index(index)
         for variant, cfg in variant_cfgs.items():
             try:
-                est = evaluate(build_layout(index, cfg), y[None], phi[None])
+                est = evaluate(build_layout(compiled, cfg), y[None], phi[None])
             except EstimationError:
                 raise EstimationError(
                     f"{variant}, replications {block.start}-{block.stop - 1}: an estimate "

@@ -76,12 +76,14 @@ def read_passes_rows(path, components: dict[str, ComponentRef]) -> list[Pass]:
                     raise FrameError(
                         f"{path} row {i}: non-detected pass must leave {name} empty"
                     )
+        day = _parse_int(row[4], "day", i, str(path))
+        pass_index = _parse_int(row[5], "pass", i, str(path))
         try:
             out.append(
                 Pass(
                     component_id=cid,
-                    day_id=_parse_int(row[4], "day", i, str(path)),
-                    pass_index=_parse_int(row[5], "pass", i, str(path)),
+                    day_id=day,
+                    pass_index=pass_index,
                     detected=detected,
                     measured_rate=rate,
                     wind_speed=wind,

@@ -1,6 +1,9 @@
 """The batched Monte Carlo kernel against the scalar reference estimator."""
 
 import dataclasses
+import functools
+import math
+import operator
 import sys
 
 import numpy as np
@@ -8,12 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from msinv import measurement
-from msinv.batch import POPULATION_KEYS, STRATUM_KEYS, build_layout, compile_layout, evaluate
-from msinv.estimators import EstimatorConfig, estimate_survey, prepare_components
+from msinv import batch, measurement, oracle, simlab
+from msinv.batch import (
+    POPULATION_KEYS, STRATUM_KEYS, build_layout, compile_index, compile_layout, evaluate,
+)
+from msinv.estimators import EstimationError, EstimatorConfig, estimate_survey, prepare_components
 from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame, UnitIndex
 from msinv.measurement import McConfig, iteration_uniforms, run_mc
 from msinv.pod import PHI_FLOOR, pod, sample_true_rate
+from msinv.simlab import SimConfig, SimStratumSpec
 
 DESIGNS = [("ipw", "original"), ("ipw", "modified"), ("hajek", "modified")]
 CONFIGS = [
@@ -130,7 +136,7 @@ def side_by_side(indexes) -> UnitIndex:
 def test_frames_as_groups_match_scalar_reference(frames, seed):
     # the flat arrays of several frames, one group each, in one layout: each
     # group's population and strata are that frame's scalar estimate
-    index = side_by_side([frame.index for frame in frames])
+    index = compile_index(side_by_side([frame.index for frame in frames]))
     draws = []
     for frame in frames:
         layout = compile_layout(frame, CONFIGS[0])
@@ -190,3 +196,118 @@ def test_iterations_independent_of_chunking(subset_frame, monkeypatch, estimator
             assert chunked.report == whole.report
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# Prefix sum schedules
+# ---------------------------------------------------------------------------
+
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan)
+
+
+def same_bits(got, want) -> bool:
+    """Equal shapes, NaN where ``want`` is NaN, and every other value bit for bit."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_items=st.integers(1, 30), data=st.data(), longest_first=st.booleans(),
+       lead=st.sampled_from([(), (2,), (3, 2)]), b=st.sampled_from([1, 3, 256]),
+       pool=st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_prefix_sums_and_products_are_left_to_right(n_items, data, longest_first, lead, b, pool,
+                                                    seed):
+    rows = data.draw(st.lists(st.lists(st.integers(0, n_items - 1), max_size=60), max_size=6))
+    if longest_first:
+        rows.sort(key=len, reverse=True)
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array(pool), size=lead + (n_items, b))
+    first = rng.choice(np.array(pool), size=lead + (len(rows), b))
+    # the (row, item) pairs arrive interleaved across rows, each row's in order
+    keys = rng.permutation(np.repeat(np.arange(len(rows)), [len(row) for row in rows]))
+    values = np.empty(len(keys), dtype=np.intp)
+    for r, row in enumerate(rows):
+        values[keys == r] = row
+    schedule = batch._schedule(keys, values, len(rows))
+    with np.errstate(all="ignore"):
+        sums = batch._seq_sum(x, schedule)
+        prods = batch._seq_prod(first, x, schedule)
+        assert sums.shape == prods.shape == lead + (len(rows), b)
+        for r, row in enumerate(rows):
+            # Python's sum and a left-to-right product, elementwise over the
+            # leading and iteration axes; an empty row sums to 0.0
+            want_sum = sum((x[..., j, :] for j in row), np.zeros(lead + (b,)))
+            want_prod = functools.reduce(operator.mul, (x[..., j, :] for j in row),
+                                         first[..., r, :])
+            assert same_bits(sums[..., r, :], want_sum), (r, row)
+            assert same_bits(prods[..., r, :], want_prod), (r, row)
+
+
+# ---------------------------------------------------------------------------
+# One compiled index shared by every configuration
+# ---------------------------------------------------------------------------
+
+
+def all_configs(horizon: int):
+    return [EstimatorConfig(estimator=e, plan=p, stage2=s2, horizon=horizon, decomposition=dc)
+            for e, p in DESIGNS for s2 in ("observed", "year")
+            for dc in ("corrected", "printed")]
+
+
+def outcome(layout_of, cfg, y, phi):
+    """Every array `evaluate` returns, or the `EstimationError` message."""
+    try:
+        est = evaluate(layout_of(cfg), y, phi)
+    except EstimationError as exc:
+        return str(exc)
+    return {(where, key): arr for where, values in (("population", est.population),
+                                                   ("strata", est.strata))
+            for key, arr in values.items()}
+
+
+def assert_shared_index_equals_fresh_builds(index: UnitIndex, configs, y, phi):
+    """Evaluating each configuration over one `compile_index` of ``index``, in
+    order and then in reverse, equals fresh builds bit for bit."""
+    fresh = [outcome(lambda c: build_layout(compile_index(index), c), cfg, y, phi)
+             for cfg in configs]
+    shared = compile_index(index)
+    order = [*range(len(configs)), *reversed(range(len(configs)))]
+    for cfg, want in ((configs[i], fresh[i]) for i in order):
+        got = outcome(lambda c: build_layout(shared, c), cfg, y, phi)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert got.keys() == want.keys()
+        for key, arr in want.items():
+            assert same_bits(got[key], arr), (cfg, key)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(frame=survey_frames(), seed=st.integers(0, 2**32 - 1))
+def test_frames_share_one_compiled_index(frame, seed):
+    layout = compile_layout(frame, CONFIGS[0])
+    y = sample_true_rate(layout.measured, iteration_uniforms(seed, range(3), layout.n_passes))
+    phi = np.maximum(pod(y, layout.altitudes, layout.winds), PHI_FLOOR)
+    # horizon 2 rejects the units surveyed on three days
+    assert_shared_index_equals_fresh_builds(frame.index, all_configs(2) + CONFIGS, y, phi)
+
+
+def test_oracle_blocks_share_one_compiled_index(micro_b, monkeypatch):
+    monkeypatch.setattr(oracle, "OUTCOME_BLOCK", 1300)
+    blocks = list(oracle._blocks(micro_b))
+    assert len(blocks) > 1
+    for block in blocks:
+        assert_shared_index_equals_fresh_builds(block.index, all_configs(micro_b.horizon),
+                                                block.rates[None], block.phis[None])
+
+
+def test_simlab_blocks_share_one_compiled_index():
+    strata = tuple(SimStratumSpec(name=name, n_sampled=2, n_population=4, lognormal_mu=3.5,
+                                  lognormal_sigma=0.6) for name in ("A", "B"))
+    cfg = SimConfig(strata=strata, components_per_facility=(1, 3), emit_prob=0.6, horizon=6,
+                    days_sampled=2, replications=8, seed=11)
+    index, y, phi = simlab._sample_block(simlab.generate_population(cfg), cfg, range(8))
+    configs = [simlab._variant_config(v, cfg) for v in simlab.VARIANTS]
+    assert_shared_index_equals_fresh_builds(index, configs, y[None], phi[None])

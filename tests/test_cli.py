@@ -2,12 +2,18 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from msinv import measurement, simlab
+import msinv
+from msinv import cli, measurement, simlab
 from msinv.cli import main
+from msinv.datasets import packaged_subset_paths
 
 from conftest import read_csv_rows
 
@@ -154,6 +160,50 @@ class TestEstimate:
         assert doc["config"]["pod_params"]["kappa"] == 0.3
         assert doc["config"]["pod_params"]["wind_offset"] == 2.5
         assert doc["config"]["measurement"]["d"] == 0.9
+
+
+    def test_all_variants_hash_each_input_once(self, tmp_path, monkeypatch):
+        hashed = []
+        digest = cli._digest
+        monkeypatch.setattr(cli, "_digest", lambda path: hashed.append(path) or digest(path))
+        assert run("estimate", "--packaged", "--all-variants", "--mc-iters", "4",
+                   "--out-dir", str(tmp_path)) == 0
+        assert sorted(map(str, hashed)) == sorted(map(str, packaged_subset_paths()))
+        manifests = [json.loads(path.read_text())["manifest"]
+                     for path in sorted(tmp_path.glob("report_*.json"))]
+        assert len(manifests) == 8
+        assert all(m["inputs"] == manifests[0]["inputs"] for m in manifests)
+
+
+class TestOneParserPerProcess:
+    CALLS = [
+        ["estimate", "--packaged", "--estimator", "hajek", "--stage2", "observed",
+         "--measurement", "mc", "--mc-iters", "12", "--seed", "3", "--trace",
+         "--decomposition", "printed", "--pod-kappa", "0.3"],
+        ["diagnose", "--packaged", "--meas-d", "0.9"],
+        ["estimate", "--packaged"],     # every flag at its default
+    ]
+
+    def test_calls_in_one_process_write_what_separate_runs_write(self, tmp_path):
+        # the parser is built once per process: flags and defaults of one
+        # call must not carry over into the next
+        for k, argv in enumerate(self.CALLS):
+            assert run(*argv, "--out-dir", str(tmp_path / "together" / str(k))) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(msinv.__file__).parents[1]))
+        for k, argv in enumerate(self.CALLS):
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from msinv.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv, "--out-dir", str(tmp_path / "apart" / str(k))],
+                env=env, check=True, capture_output=True, timeout=120)
+        together = sorted(p.relative_to(tmp_path / "together")
+                          for p in (tmp_path / "together").rglob("*") if p.is_file())
+        apart = sorted(p.relative_to(tmp_path / "apart")
+                       for p in (tmp_path / "apart").rglob("*") if p.is_file())
+        assert together == apart and len(together) == 9
+        for rel in together:
+            assert ((tmp_path / "together" / rel).read_bytes()
+                    == (tmp_path / "apart" / rel).read_bytes()), rel
 
 
 class TestExitCodes:

@@ -224,6 +224,16 @@ def test_the_first_row_of_two_unparseable_values_is_named(tmp_path, column):
     assert error == outcome(load_reference, paths)[1]
 
 
+@pytest.mark.parametrize("column,name", [(4, "day"), (5, "pass")])
+def test_an_unparseable_day_or_pass_names_the_file_and_row_once(tmp_path, column, name):
+    strata, registry, passes = ([list(row) for row in rows] for rows in SUBSET)
+    passes[3][column] = "xx"    # the header is row 1
+    paths = write_survey(tmp_path, strata, registry, passes)
+    want = f"{paths[0]} row 5: cannot parse {name} from 'xx'"
+    assert outcome(load_survey, paths)[1] == want
+    assert outcome(load_reference, paths)[1] == want
+
+
 @pytest.mark.parametrize("measurement", ["bias-correct", "mc"])
 def test_estimate_builds_no_pass_records(monkeypatch, tmp_path, measurement):
     def refuse(frame):

@@ -6,16 +6,18 @@ the sampling process, so the two computations of every expectation are
 independent of each other and of the implementation under test.
 """
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from msinv.batch import POPULATION_KEYS
 from msinv.estimators import ComponentObs, EstimatorConfig, daily_estimate, estimate_survey
-from msinv.frame import StratumDef
+from msinv.frame import StratumDef, UnitIndex
 from msinv import oracle
 from msinv.oracle import (
     MAX_OUTCOMES,
@@ -28,6 +30,7 @@ from msinv.oracle import (
     exact_stage_variances,
     true_total,
 )
+from oracle_reference import reference_block
 
 
 def cfg_b(**kw):
@@ -328,6 +331,87 @@ class TestKernelMatchesScalarReference:
     @given(pop=micro_populations())
     def test_generated_populations(self, pop):
         assert_matches_scalar_reference(pop)
+
+
+@st.composite
+def block_populations(draw):
+    """1-2 strata of 1-2 facilities with 0-2 components each and 0-2 passes a
+    day, enumerated in blocks of 1-600 outcomes."""
+    strata, facilities, components = {}, {}, []
+    passes = st.builds(MicroPass, st.sampled_from([0.0, 2.5, 7.0]),
+                       st.sampled_from([0.3, 0.8, 1.0]))
+    horizon = draw(st.integers(1, 3))
+    days = st.lists(st.lists(passes, max_size=2).map(tuple),
+                    min_size=horizon, max_size=horizon).map(tuple)
+    for h in range(draw(st.integers(1, 2))):
+        n_fac = draw(st.integers(1, 2))
+        strata[f"S{h}"] = StratumDef(f"S{h}", draw(st.integers(1, n_fac)), n_fac)
+        for f in range(n_fac):
+            facilities[f"S{h}F{f}"] = f"S{h}"
+            components += [MicroComponent(f"S{h}F{f}c{i}", f"S{h}F{f}", draw(days))
+                           for i in range(draw(st.integers(0, 2)))]
+    # components listed out of facility order
+    components = draw(st.permutations(components))
+    assume(components)
+    pop = MicroPopulation(strata=strata, facilities=facilities, components=tuple(components),
+                          days_sampled=draw(st.integers(1, min(horizon, 2))))
+    assume(oracle._enumeration_size(pop) <= 3000)
+    return pop, draw(st.integers(1, 600))
+
+
+def assert_blocks_match_the_chunk_loop(pop):
+    """Every `_block` equals `reference_block` of its chunks: each `UnitIndex`
+    array and its dtype, and the rates and PODs bit for bit."""
+    for block in oracle._blocks(pop):
+        index, rates, phis = reference_block(pop, block.chunks)
+        for field in dataclasses.fields(UnitIndex):
+            got, want = getattr(block.index, field.name), getattr(index, field.name)
+            assert got.dtype == want.dtype, field.name
+            assert np.array_equal(got, want), field.name
+        for got, want in ((block.rates, rates), (block.phis, phis)):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBlockBuilder:
+    """`oracle._block` lays out a block with whole-array numpy; the chunk
+    loop it replaced (`oracle_reference.reference_block`) is the reference."""
+
+    @pytest.mark.parametrize("size", [100, 256, 4096])
+    def test_micro_b(self, micro_b, monkeypatch, size):
+        monkeypatch.setattr(oracle, "OUTCOME_BLOCK", size)
+        assert_blocks_match_the_chunk_loop(micro_b)
+
+    def test_a_block_boundary_between_cells(self, micro_b, monkeypatch):
+        # micro_b's cells hold 256 outcomes: a block of 300 takes one whole
+        # cell and the next cell starts the next block
+        monkeypatch.setattr(oracle, "OUTCOME_BLOCK", 300)
+        blocks = list(oracle._blocks(micro_b))
+        last, first = blocks[0].chunks[-1], blocks[1].chunks[0]
+        assert (last.stage1, last.stage2) != (first.stage1, first.stage2)
+        assert_blocks_match_the_chunk_loop(micro_b)
+
+    def test_two_strata_with_interleaved_facilities(self):
+        day = (MicroPass(3.0, 0.7),)
+        pop = MicroPopulation(
+            strata={"S2": StratumDef("S2", 1, 1), "S1": StratumDef("S1", 1, 2)},
+            facilities={"F1": "S1", "F2": "S1", "F3": "S2"},
+            components=(
+                MicroComponent("c1", "F2", (day, (MicroPass(5.0, 0.4), MicroPass(1.0, 0.9)))),
+                MicroComponent("c2", "F1", ((MicroPass(2.0, 0.5),), day)),
+                MicroComponent("c4", "F3", (day, ())),
+            ),
+            days_sampled=1,
+        )
+        assert_blocks_match_the_chunk_loop(pop)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(case=block_populations())
+    def test_generated_populations(self, case):
+        pop, size = case
+        with mock.patch.object(oracle, "OUTCOME_BLOCK", size):
+            assert_blocks_match_the_chunk_loop(pop)
 
 
 class TestGuards:

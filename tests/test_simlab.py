@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msinv import simlab
-from msinv.batch import build_layout, evaluate
+from msinv.batch import build_layout, compile_index, evaluate
 from msinv.estimators import ComponentObs, daily_estimate, estimate_survey, wald_ci
 from msinv.frame import StratumDef
 from msinv.pod import PodParams, pod
@@ -330,9 +330,11 @@ def assert_matches_scalar_reference(cfg):
     result = run_study(cfg, pop)
     names = [s.name for s in cfg.strata]
     index, y, phi = _sample_block(pop, cfg, range(cfg.replications))
+    compiled = compile_index(index)
     for variant in VARIANTS:
         ests, flags = reference[variant]
-        kernel = evaluate(build_layout(index, _variant_config(variant, cfg)), y[None], phi[None])
+        kernel = evaluate(build_layout(compiled, _variant_config(variant, cfg)), y[None],
+                          phi[None])
         st_total = kernel.strata["total"][0].reshape(cfg.replications, -1)
         st_v3 = kernel.strata["v3stage"][0].reshape(cfg.replications, -1)
         for rep, (est, flag) in enumerate(zip(ests, flags)):
