@@ -54,7 +54,7 @@ print(f"E[estimate]         = {dist.mean_total():.6f}  (relative error "
 print(f"Var(estimate)       = {dist.var_total():.6f}")
 print(f"E[variance estimate]= {dist.expected_v3stage():.6f}")
 
-v1, v2, v3 = exact_stage_variances(pop, cfg)
+v1, v2, v3 = exact_stage_variances(dist)  # regroups the outcomes enumerated above
 print("\nexact stage split vs expectation of the estimated split:")
 for stage, exact in (("facilities", v1), ("days", v2), ("detection", v3)):
     key = {"facilities": "stage1", "days": "stage2", "detection": "stage3"}[stage]

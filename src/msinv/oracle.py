@@ -85,15 +85,10 @@ class MicroPopulation:
         for c in self.components:
             if c.facility_id not in self.facilities:
                 raise ValueError(f"component {c.component_id!r} references unknown facility")
-        by_stratum: dict[str, set[str]] = {}
-        for fac, stratum in self.facilities.items():
-            by_stratum.setdefault(stratum, set()).add(fac)
-        for name, d in self.strata.items():
-            if d.n_population != len(by_stratum.get(name, ())):
-                raise ValueError(
-                    f"stratum {name!r}: n_population={d.n_population} but "
-                    f"{len(by_stratum.get(name, ()))} facilities are defined"
-                )
+        for name, facs in self.stratum_facilities().items():
+            if self.strata[name].n_population != len(facs):
+                raise ValueError(f"stratum {name!r}: n_population={self.strata[name].n_population}"
+                                 f" but {len(facs)} facilities are defined")
 
     @property
     def horizon(self) -> int:
@@ -120,189 +115,205 @@ def true_total(pop: MicroPopulation) -> float:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-# Outcomes are estimated in blocks of at most this many: a block is one
-# layout, with a stratum per (outcome, stratum), and one B=1 `evaluate` per
-# configuration, so memory grows with the block, not with the outcome count.
+# Outcomes are estimated in blocks of this many (the last may hold fewer): a
+# block is one layout, with a stratum per (outcome, stratum), and one B=1
+# `evaluate` per configuration, so memory grows with the block, not with the
+# outcome count.  A block boundary may fall inside a stage I draw or a cell.
 OUTCOME_BLOCK = 4096
 
 
-def _pattern_probs(day: tuple[MicroPass, ...]) -> np.ndarray:
-    """Probability of each detection pattern of a component-day.
-
-    Pattern k detects pass i when bit i of k is set.
-    """
-    patterns = np.arange(2 ** len(day))
-    probs = np.ones(len(patterns))
-    for i, p in enumerate(day):
-        probs *= np.where(patterns >> i & 1, p.phi, 1.0 - p.phi)
-    return probs
-
-
 def _enumeration_size(pop: MicroPopulation) -> int:
-    size = 1
     by_stratum = pop.stratum_facilities()
-    for name, d in pop.strata.items():
-        size *= math.comb(len(by_stratum[name]), d.n_sampled)
-    per_comp = math.comb(pop.horizon, pop.days_sampled)
-    worst_passes = 0
-    for c in pop.components:
-        size *= per_comp
-        worst_passes += sum(
-            len(day) for day in sorted(c.days, key=len, reverse=True)[: pop.days_sampled]
-        )
+    size = math.prod(math.comb(len(by_stratum[name]), d.n_sampled)
+                     for name, d in pop.strata.items())
+    size *= math.comb(pop.horizon, pop.days_sampled) ** len(pop.components)
+    worst_passes = sum(sum(sorted(map(len, c.days), reverse=True)[:pop.days_sampled])
+                       for c in pop.components)
     return size * 2**worst_passes
 
 
-class _Chunk(NamedTuple):
-    """Consecutive outcomes of one (stage I, stage II) cell.
+class _Tables(NamedTuple):
+    """A population's fixed tables, built once per enumeration.
 
-    ``stage1`` and ``stage2`` index the stage I draw and the cell, and
-    ``design_prob`` is the cell's probability.  ``components`` are the
-    sampled components (positions in ``pop.components``); ``pairs`` are
-    their sampled (component, day) pairs, component by component.
-    ``patterns`` has one row per outcome: the detection pattern of each
-    pair.  ``prob`` is each outcome's probability, ``detection_prob`` its
-    probability given the cell.
+    Per component: its facility number (by first component, which keeps
+    every outcome's first-member order), stratum and id.  Per (component,
+    day): its pass count ``q`` and its first pattern row.  Row k of a
+    component-day is pattern k, which detects pass i when bit i of k is set:
+    its probability, pass count and ``hits`` detected passes, whose rates
+    and PODs start at ``hit_start``.
     """
 
-    stage1: int
-    stage2: int
-    design_prob: float
-    components: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-    patterns: np.ndarray
+    comp_fac: np.ndarray
+    comp_stratum: np.ndarray
+    comp_ids: np.ndarray
+    q: np.ndarray
+    pattern_start: np.ndarray
+    pattern_prob: np.ndarray
+    pattern_q: np.ndarray
+    hits: np.ndarray
+    hit_start: np.ndarray
+    hit_rate: np.ndarray
+    hit_phi: np.ndarray
+
+
+def _tables(pop: MicroPopulation) -> _Tables:
+    names = list(pop.strata)
+    fac_code: dict[str, int] = {}
+    q = np.array([[len(day) for day in c.days] for c in pop.components], dtype=np.intp)
+    width = int(q.max(initial=0))
+    # rates and PODs per (component-day, pass); a pad POD of 0 makes a pad
+    # pass's (never set) bit multiply a pattern's probability by exactly 1
+    rate, phi = np.zeros((q.size, width)), np.zeros((q.size, width))
+    for cd, day in enumerate(day for c in pop.components for day in c.days):
+        rate[cd, :len(day)] = [p.rate for p in day]
+        phi[cd, :len(day)] = [p.phi for p in day]
+    n_patterns = 1 << q.ravel()
+    start = np.cumsum(n_patterns) - n_patterns
+    row_cd = np.repeat(np.arange(q.size), n_patterns)
+    k = np.arange(len(row_cd)) - start[row_cd]
+    bits = np.empty((len(k), width), dtype=bool)
+    prob = np.ones(len(k))
+    for i in range(width):
+        bits[:, i] = k >> i & 1
+        prob *= np.where(bits[:, i], phi[row_cd, i], 1.0 - phi[row_cd, i])
+    hits = np.count_nonzero(bits, axis=1)
+    hit_row, hit_pass = np.nonzero(bits)
+    return _Tables(
+        comp_fac=np.array([fac_code.setdefault(c.facility_id, len(fac_code))
+                           for c in pop.components], dtype=np.intp),
+        comp_stratum=np.array([names.index(pop.facilities[c.facility_id])
+                               for c in pop.components], dtype=np.intp),
+        comp_ids=np.array([c.component_id for c in pop.components], dtype=object),
+        q=q, pattern_start=start.reshape(q.shape), pattern_prob=prob,
+        pattern_q=q.ravel()[row_cd], hits=hits, hit_start=np.cumsum(hits) - hits,
+        hit_rate=rate[row_cd[hit_row], hit_pass], hit_phi=phi[row_cd[hit_row], hit_pass],
+    )
+
+
+class _Outcomes(NamedTuple):
+    """Consecutive outcomes, as arrays.
+
+    Per outcome: its stage I draw and its stage II cell (numbered across the
+    whole enumeration), its probability ``prob``, its probability given the
+    cell ``detection_prob``, and its number of sampled (component, day)
+    pairs.  Per pair, outcome by outcome: its component and its pattern row
+    (see `_Tables`).
+    """
+
+    stage1: np.ndarray
+    stage2: np.ndarray
     prob: np.ndarray
     detection_prob: np.ndarray
+    n_pairs: np.ndarray
+    cd_ci: np.ndarray
+    cd_pattern: np.ndarray
 
 
-def _chunks(pop: MicroPopulation, max_outcomes: int = MAX_OUTCOMES,
-            size: int = OUTCOME_BLOCK):
-    """Yield every stage I x II x III outcome exactly once, at most ``size`` at a time.
+def _walk(pop: MicroPopulation, tables: _Tables, size: int):
+    """Yield every stage I x II x III outcome exactly once, in `_Outcomes`
+    runs, each with its block: the outcomes' position in the enumeration
+    divided by ``size``.
 
-    Outcomes come grouped by stage I draw, then by day selection; within a
-    cell the detection patterns count up with the last pair's fastest.
+    Outcomes come grouped by stage I draw, then by day selection (the last
+    sampled component's days fastest); within a cell the detection patterns
+    count up with the last pair's fastest.  A stage I draw is one
+    mixed-radix count over its cells and their patterns.
     """
-    n_outcomes = _enumeration_size(pop)
-    if n_outcomes > max_outcomes:
-        raise ValueError(f"enumeration would visit ~{n_outcomes} outcomes (limit {max_outcomes})")
-
     by_stratum = pop.stratum_facilities()
-    stage1_lists = []
+    stage1_lists = [list(itertools.combinations(by_stratum[name], pop.strata[name].n_sampled))
+                    for name in sorted(pop.strata)]
     stage1_prob = 1.0
-    for name in sorted(pop.strata):
-        combos = list(itertools.combinations(by_stratum[name], pop.strata[name].n_sampled))
-        stage1_lists.append(combos)
+    for combos in stage1_lists:
         stage1_prob /= len(combos)
-    day_subsets = list(itertools.combinations(range(pop.horizon), pop.days_sampled))
-    stage2_prob_one = 1.0 / len(day_subsets)
-    probs = {(ci, t): _pattern_probs(c.days[t])
-             for ci, c in enumerate(pop.components) for t in range(pop.horizon)}
-
-    cell2 = 0
-    for cell1, s1 in enumerate(itertools.product(*stage1_lists)):
+    subsets = np.array(list(itertools.combinations(range(pop.horizon), pop.days_sampled)),
+                       dtype=np.intp)
+    n_subsets, d = len(subsets), pop.days_sampled
+    first_cell = first_outcome = 0
+    for draw, s1 in enumerate(itertools.product(*stage1_lists)):
         sampled_facs = set(itertools.chain.from_iterable(s1))
-        sampled = tuple(ci for ci, c in enumerate(pop.components)
-                        if c.facility_id in sampled_facs)
-        design_prob = stage1_prob * stage2_prob_one ** len(sampled)
-        for day_sel in itertools.product(day_subsets, repeat=len(sampled)):
-            pairs = tuple((ci, t) for ci, days in zip(sampled, day_sel) for t in days)
-            radix = np.array([len(probs[pair]) for pair in pairs], dtype=np.int64)
-            strides = np.array([math.prod(radix[j + 1:]) for j in range(len(pairs))],
-                               dtype=np.int64)
-            n_cell = math.prod(radix)
-            for start in range(0, n_cell, size):
-                rows = np.arange(start, min(start + size, n_cell), dtype=np.int64)
-                patterns = rows[:, None] // strides % radix
-                prob = np.full(len(rows), design_prob)
-                detection_prob = np.ones(len(rows))
-                for pair, column in zip(pairs, patterns.T):
-                    pattern_prob = probs[pair][column]
-                    prob *= pattern_prob
-                    detection_prob *= pattern_prob
-                yield _Chunk(cell1, cell2, design_prob, sampled, pairs, patterns, prob,
-                             detection_prob)
-            cell2 += 1
+        sampled = np.array([ci for ci, c in enumerate(pop.components)
+                            if c.facility_id in sampled_facs], dtype=np.intp)
+        k = len(sampled)
+        design_prob = stage1_prob * (1.0 / n_subsets) ** k
+        # a cell per day selection, digit j the days of sampled component j;
+        # per cell and pair: the pattern count, the stride and the first row
+        n_cells = n_subsets ** k
+        digits = np.arange(n_cells)[:, None] // n_subsets ** np.arange(k - 1, -1, -1) % n_subsets
+        pair_c = np.repeat(sampled, d)
+        pair_t = subsets[digits].reshape(n_cells, k * d)
+        radix = 1 << tables.q[pair_c, pair_t]
+        strides = np.ones_like(radix)
+        strides[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+        pattern_start = tables.pattern_start[pair_c, pair_t]
+        n_cell = radix.prod(axis=1)
+        cell_start = np.cumsum(n_cell) - n_cell
+        n_draw = int(n_cell.sum())
+        start = 0
+        while start < n_draw:
+            stop = min(n_draw, start + size - (first_outcome + start) % size)
+            rows = np.arange(start, stop)
+            cell = np.searchsorted(cell_start, rows, side="right") - 1
+            patterns = (rows - cell_start[cell])[:, None] // strides[cell] % radix[cell]
+            pattern_rows = pattern_start[cell] + patterns
+            prob = np.full(len(rows), design_prob)
+            detection_prob = np.ones(len(rows))
+            for column in tables.pattern_prob[pattern_rows].T:
+                prob *= column
+                detection_prob *= column
+            yield (first_outcome + start) // size, _Outcomes(
+                np.full(len(rows), draw), first_cell + cell, prob, detection_prob,
+                np.full(len(rows), k * d), np.tile(pair_c, len(rows)), pattern_rows.ravel())
+            start = stop
+        first_cell += n_cells
+        first_outcome += n_draw
 
 
 class _Block(NamedTuple):
-    """The outcomes of ``chunks`` as one set of units: a unit per (outcome,
-    sampled component), a stratum per (outcome, stratum) and a group per
-    outcome.  ``rates`` and ``phis`` belong to the detected passes of ``index``.
-    """
+    """``outcomes`` as units: one per (outcome, sampled component), with a
+    stratum per (outcome, stratum) and a group per outcome.  ``rates`` and
+    ``phis`` belong to the detected passes of ``index``."""
 
     index: UnitIndex
     rates: np.ndarray
     phis: np.ndarray
-    chunks: list[_Chunk]
+    outcomes: _Outcomes
 
 
 def _blocks(pop: MicroPopulation, max_outcomes: int = MAX_OUTCOMES):
-    """Yield the outcomes of `_chunks` in `_Block`s of at most `OUTCOME_BLOCK`."""
-    pending: list[_Chunk] = []
-    n = 0
-    for chunk in _chunks(pop, max_outcomes, OUTCOME_BLOCK):
-        if n + len(chunk.prob) > OUTCOME_BLOCK:
-            yield _block(pop, pending)
-            pending, n = [], 0
-        pending.append(chunk)
-        n += len(chunk.prob)
-    if pending:
-        yield _block(pop, pending)
+    """Yield the outcomes of `_walk` in `_Block`s of `OUTCOME_BLOCK`, the last
+    one possibly shorter."""
+    n_outcomes = _enumeration_size(pop)
+    if n_outcomes > max_outcomes:
+        raise ValueError(f"enumeration would visit ~{n_outcomes} outcomes (limit {max_outcomes})")
+    tables = _tables(pop)
+    for _, runs in itertools.groupby(_walk(pop, tables, OUTCOME_BLOCK), key=lambda r: r[0]):
+        yield _block(pop, tables, [run for _, run in runs])
 
 
-def _block(pop: MicroPopulation, chunks: list[_Chunk]) -> _Block:
-    names = list(pop.strata)
-    n_strata, n_facs, d = len(names), len(pop.facilities), pop.days_sampled
-    # a sampled facility brings all its components, so numbering facilities
-    # by their first component keeps every outcome's first-member order
-    fac_code: dict[str, int] = {}
-    comp_fac = np.array([fac_code.setdefault(c.facility_id, len(fac_code))
-                         for c in pop.components], dtype=np.intp)
-    comp_stratum = np.array([names.index(pop.facilities[c.facility_id])
-                             for c in pop.components], dtype=np.intp)
-    comp_ids = np.array([c.component_id for c in pop.components], dtype=object)
-    # per (component, day): its pass count, and its passes' rates and PODs
-    q_table = np.array([[len(day) for day in c.days] for c in pop.components], dtype=np.intp)
-    width = int(q_table.max(initial=0))
-    rate_table = np.zeros(q_table.shape + (width,))
-    phi_table = np.ones(q_table.shape + (width,))
-    for ci, c in enumerate(pop.components):
-        for t, day in enumerate(c.days):
-            rate_table[ci, t, :len(day)] = [p.rate for p in day]
-            phi_table[ci, t, :len(day)] = [p.phi for p in day]
-
-    # a component-day per (outcome, sampled pair): chunk by chunk, outcome
-    # by outcome, pair by pair
-    n_out = np.array([len(ch.prob) for ch in chunks])
-    n_pairs = np.array([len(ch.pairs) for ch in chunks])
-    pair_ci, pair_t = np.array([pair for ch in chunks for pair in ch.pairs],
-                               dtype=np.intp).reshape(-1, 2).T
-    patterns = np.concatenate([ch.patterns.ravel() for ch in chunks])
-    n_cd = len(patterns)
-    cd_chunk = np.repeat(np.arange(len(chunks)), n_out * n_pairs)
-    local = np.arange(n_cd) - (np.cumsum(n_out * n_pairs) - n_out * n_pairs)[cd_chunk]
-    per_outcome = n_pairs[cd_chunk]
-    pair = (np.cumsum(n_pairs) - n_pairs)[cd_chunk] + local % per_outcome
-    cd_ci, cd_t = pair_ci[pair], pair_t[pair]
-    cd_outcome = (np.cumsum(n_out) - n_out)[cd_chunk] + local // per_outcome
-    # detected passes, by component-day, then pass
-    pass_cd, i = np.nonzero(patterns[:, None] >> np.arange(width) & 1)
+def _block(pop: MicroPopulation, tables: _Tables, runs: list[_Outcomes]) -> _Block:
+    out = _Outcomes(*(np.concatenate(field) for field in zip(*runs)))
+    n_strata, n_facs, d = len(pop.strata), len(pop.facilities), pop.days_sampled
+    n_out, n_cd = len(out.prob), len(out.cd_ci)
+    cd_outcome = np.repeat(np.arange(n_out), out.n_pairs)
+    # detected passes, by component-day, then pass, as their pattern rows list them
+    hits = tables.hits[out.cd_pattern]
+    pass_cd = np.repeat(np.arange(n_cd), hits)
+    hit = np.arange(len(pass_cd)) + np.repeat(
+        tables.hit_start[out.cd_pattern] - (np.cumsum(hits) - hits), hits)
     # a unit per (outcome, sampled component): its d component-days follow
-    unit_ci, unit_outcome = cd_ci[::d], cd_outcome[::d]
-    total_out = int(n_out.sum())
+    unit_ci, unit_outcome = out.cd_ci[::d], cd_outcome[::d]
     index = UnitIndex(
-        pass_cd=pass_cd, cd_q=q_table[cd_ci, cd_t], cd_ud=np.arange(n_cd),
+        pass_cd=pass_cd, cd_q=tables.pattern_q[out.cd_pattern], cd_ud=np.arange(n_cd),
         ud_unit=np.arange(n_cd) // d,
-        unit_stratum=comp_stratum[unit_ci] + n_strata * unit_outcome,
-        unit_wells=np.zeros(len(unit_ci), dtype=np.intp), labels=comp_ids[unit_ci],
+        unit_stratum=tables.comp_stratum[unit_ci] + n_strata * unit_outcome,
+        unit_wells=np.zeros(len(unit_ci), dtype=np.intp), labels=tables.comp_ids[unit_ci],
         member_unit=np.arange(len(unit_ci)),
-        member_fac=comp_fac[unit_ci] + n_facs * unit_outcome,
-        n_sampled=np.tile([pop.strata[n].n_sampled for n in names], total_out),
-        n_population=np.tile([pop.strata[n].n_population for n in names], total_out),
-        stratum_group=np.repeat(np.arange(total_out), n_strata),
+        member_fac=tables.comp_fac[unit_ci] + n_facs * unit_outcome,
+        n_sampled=np.tile([s.n_sampled for s in pop.strata.values()], n_out),
+        n_population=np.tile([s.n_population for s in pop.strata.values()], n_out),
+        stratum_group=np.repeat(np.arange(n_out), n_strata),
     )
-    cd_pass = (cd_ci[pass_cd], cd_t[pass_cd], i)
-    return _Block(index, rate_table[cd_pass], phi_table[cd_pass], chunks)
+    return _Block(index, tables.hit_rate[hit], tables.hit_phi[hit], out)
 
 
 def _estimates(block: _Block, configs):
@@ -316,17 +327,25 @@ def _estimates(block: _Block, configs):
 
 @dataclass
 class OutcomeDistribution:
-    """Sampling distribution of one estimator configuration."""
+    """Sampling distribution of one estimator configuration.
+
+    Every array runs over the enumerated outcomes, grouped by stage I draw
+    (``stage1``), then by stage II cell (``stage2``, numbered across draws).
+    ``detection_prob`` is each outcome's probability given its cell.
+    """
 
     config: EstimatorConfig
     probabilities: np.ndarray
+    stage1: np.ndarray
+    stage2: np.ndarray
+    detection_prob: np.ndarray
     totals: np.ndarray
     v3stage: np.ndarray
     clipped: dict[str, np.ndarray]
     unclipped: dict[str, np.ndarray]
 
     def _expect(self, values: np.ndarray) -> float:
-        return math.fsum(p * v for p, v in zip(self.probabilities, values))
+        return math.fsum((self.probabilities * values).tolist())
 
     def mean_total(self) -> float:
         return self._expect(self.totals)
@@ -349,19 +368,16 @@ class OutcomeDistribution:
         phi = 1) are dropped.
         """
         out: dict[float, float] = {}
-        for p, t in zip(self.probabilities, self.totals):
+        for p, t in zip(self.probabilities.tolist(), self.totals.tolist()):
             if p == 0.0:
                 continue
-            key = round(float(t), 12)
-            out[key] = out.get(key, 0.0) + float(p)
+            key = round(t, 12)
+            out[key] = out.get(key, 0.0) + p
         return out
 
 
-def enumerate_outcomes(
-    pop: MicroPopulation,
-    configs,
-    max_outcomes: int = MAX_OUTCOMES,
-) -> list[OutcomeDistribution]:
+def enumerate_outcomes(pop: MicroPopulation, configs,
+                       max_outcomes: int = MAX_OUTCOMES) -> list[OutcomeDistribution]:
     """Run the estimation pipeline on every sampling outcome.
 
     ``configs`` is one EstimatorConfig or a sequence of them; all are
@@ -370,89 +386,71 @@ def enumerate_outcomes(
     """
     if isinstance(configs, EstimatorConfig):
         configs = [configs]
-    probs: list[np.ndarray] = []
-    per_config: list[dict[str, list[np.ndarray]]] = [
-        {k: [] for k in POPULATION_KEYS} for _ in configs
-    ]
+    return _enumerate(pop, configs, max_outcomes)
+
+
+def _enumerate(pop: MicroPopulation, configs, max_outcomes: int = MAX_OUTCOMES):
+    # exact_stage_variances enumerates through this, so that a traced
+    # enumerate_outcomes span covers its callers' enumerations only
+    outcomes: list[_Outcomes] = []
+    per_config = [{k: [] for k in POPULATION_KEYS} for _ in configs]
     for block in _blocks(pop, max_outcomes):
-        probs.extend(chunk.prob for chunk in block.chunks)
+        outcomes.append(block.outcomes)
         for est, rec in zip(_estimates(block, configs), per_config):
             for key, values in est.items():
                 rec[key].append(values)
 
-    prob_arr = np.concatenate(probs)
-    total_p = math.fsum(prob_arr)
+    stage1, stage2, prob, detection_prob = (np.concatenate(field)
+                                            for field in list(zip(*outcomes))[:4])
+    total_p = math.fsum(prob.tolist())
     if abs(total_p - 1.0) > 1e-12:
         raise AssertionError(f"outcome probabilities sum to {total_p!r}, not 1")
     out = []
     for cfg, values in zip(configs, per_config):
         rec = {key: np.concatenate(arrays) for key, arrays in values.items()}
-        out.append(
-            OutcomeDistribution(
-                config=cfg,
-                probabilities=prob_arr,
-                totals=rec["total"],
-                v3stage=rec["v3stage"],
-                clipped={
-                    "stage1": rec["v1"],
-                    "stage2": rec["v2"],
-                    "stage3": rec["v3"],
-                },
-                unclipped={
-                    "stage1": rec["u1"],
-                    "stage2": rec["u2"],
-                    "stage3": rec["u3"],
-                },
-            )
-        )
+        out.append(OutcomeDistribution(
+            config=cfg, probabilities=prob, stage1=stage1, stage2=stage2,
+            detection_prob=detection_prob, totals=rec["total"], v3stage=rec["v3stage"],
+            clipped={"stage1": rec["v1"], "stage2": rec["v2"], "stage3": rec["v3"]},
+            unclipped={"stage1": rec["u1"], "stage2": rec["u2"], "stage3": rec["u3"]},
+        ))
     return out
 
 
-def exact_stage_variances(pop: MicroPopulation, config: EstimatorConfig):
+def exact_stage_variances(dist, config: EstimatorConfig | None = None):
     """Law-of-total-variance split of the estimator's exact variance.
 
-    Returns (V_I, V_II, V_III):
+    ``dist`` is an `OutcomeDistribution`, or a `MicroPopulation` to
+    enumerate under ``config``.  Returns (V_I, V_II, V_III):
         V_I   = Var over stage I draws of E[That | stage I]
         V_II  = E over stage I of Var over day draws of E[That | stages I, II]
         V_III = E over stages I, II of Var of That over detection outcomes.
     For inverse-probability weighting these equal the closed-form true
     variances evaluated by the survey planner.
     """
+    if isinstance(dist, MicroPopulation):
+        (dist,) = _enumerate(dist, [config])
+
+    def runs(ids):  # the bounds of each run of equal ids
+        edges = [0, *(np.flatnonzero(np.diff(ids)) + 1).tolist(), len(ids)]
+        return list(zip(edges, edges[1:]))
+
+    def mean_var(values):  # equally likely values: mean and variance
+        mean = math.fsum(values) / len(values)
+        return mean, math.fsum(v * v for v in values) / len(values) - mean * mean
+
     # p * That and p * That^2 of every outcome, p its probability given
-    # stages I and II, gathered per (stage I, stage II) cell
-    cells: dict[tuple[int, int], tuple[list, list]] = {}
-    for block in _blocks(pop):
-        (est,) = _estimates(block, [config])
-        totals = est["total"]
-        start = 0
-        for chunk in block.chunks:
-            t = totals[start:start + len(chunk.prob)]
-            start += len(t)
-            pt, ptt = cells.setdefault((chunk.stage1, chunk.stage2), ([], []))
-            pt.append(chunk.detection_prob * t)
-            ptt.append(chunk.detection_prob * t * t)
-
-    m2_vals: list[float] = []       # E[That | s1] per stage I outcome
-    var2_vals: list[float] = []     # Var_II(E_III[That]) per stage I outcome
-    mean_v3_vals: list[float] = []  # E_II[Var_III(That)] per stage I outcome
-    for _, cell1 in itertools.groupby(cells.items(), key=lambda item: item[0][0]):
-        m3_list: list[float] = []
-        v3_list: list[float] = []
-        for _, (pt, ptt) in cell1:
-            m3 = math.fsum(np.concatenate(pt))
-            m3_list.append(m3)
-            v3_list.append(math.fsum(np.concatenate(ptt)) - m3 * m3)
-        n2 = len(m3_list)
-        e2 = math.fsum(m3_list) / n2
-        e2sq = math.fsum(m * m for m in m3_list) / n2
-        m2_vals.append(e2)
-        var2_vals.append(e2sq - e2 * e2)
-        mean_v3_vals.append(math.fsum(v3_list) / n2)
-
-    n_s1 = len(m2_vals)
-    e1 = math.fsum(m2_vals) / n_s1
-    e1sq = math.fsum(m * m for m in m2_vals) / n_s1
-    v_one = e1sq - e1 * e1
-    v_two = math.fsum(var2_vals) / n_s1
-    v_three = math.fsum(mean_v3_vals) / n_s1
-    return v_one, v_two, v_three
+    # stages I and II, summed per (stage I, stage II) cell
+    pt = dist.detection_prob * dist.totals
+    pt_list, ptt_list = pt.tolist(), (pt * dist.totals).tolist()
+    cells = runs(dist.stage2)
+    m3 = [math.fsum(pt_list[a:b]) for a, b in cells]
+    v3 = [math.fsum(ptt_list[a:b]) - m * m for (a, b), m in zip(cells, m3)]
+    # per stage I draw: E[That | s1], Var_II(E_III[That]) and E_II[Var_III(That)]
+    m2, var2, mean_v3 = [], [], []
+    for a, b in runs(dist.stage1[[a for a, _ in cells]]):
+        mean, var = mean_var(m3[a:b])
+        m2.append(mean)
+        var2.append(var)
+        mean_v3.append(math.fsum(v3[a:b]) / (b - a))
+    return mean_var(m2)[1], math.fsum(var2) / len(var2), math.fsum(mean_v3) / len(mean_v3)

@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 __all__ = [
     "EstimationError",
@@ -91,7 +91,7 @@ def wald_ci(estimate, variance, level: float = 0.95):
         raise EstimationError("variance must be >= 0")
     if not 0 < level < 1:
         raise EstimationError("level must lie in (0, 1)")
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     half = z * np.sqrt(variance)
     if half.ndim == 0:
         half = float(half)

@@ -1,14 +1,126 @@
-"""The oracle's block builder as a loop over chunks: the reference for `oracle._block`.
+"""The oracle's per-cell walk and chunk-by-chunk block builder, kept as references.
 
-`oracle._block` lays a block of enumerated outcomes out as one `UnitIndex`
-with whole-array numpy.  This builds the same index chunk by chunk, each
-chunk from its own padded table of the sampled (component, day) pairs, and
-must give equal arrays of equal dtypes.
+`oracle._walk` gives every outcome of a stage I draw in one mixed-radix
+count, from pattern tables built once per population, and `oracle._block`
+lays a block of outcomes out as one `UnitIndex` with whole-array numpy.
+`reference_chunks` is the walk they replaced: one Python iteration per
+(stage I, stage II) cell, each cell's patterns counted from its own radix
+and its probabilities multiplied pair by pair.  `reference_block` builds a
+block chunk by chunk, each chunk from its own padded table of the sampled
+(component, day) pairs.  Both must give equal arrays of equal dtypes.
 """
+
+import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from msinv.frame import UnitIndex
+from msinv.oracle import MAX_OUTCOMES, _enumeration_size
+
+
+def pattern_probs(day) -> np.ndarray:
+    """Probability of each detection pattern of a component-day.
+
+    Pattern k detects pass i when bit i of k is set.
+    """
+    patterns = np.arange(2 ** len(day))
+    probs = np.ones(len(patterns))
+    for i, p in enumerate(day):
+        probs *= np.where(patterns >> i & 1, p.phi, 1.0 - p.phi)
+    return probs
+
+
+class Chunk(NamedTuple):
+    """Consecutive outcomes of one (stage I, stage II) cell.
+
+    ``stage1`` and ``stage2`` index the stage I draw and the cell, and
+    ``design_prob`` is the cell's probability.  ``components`` are the
+    sampled components (positions in ``pop.components``); ``pairs`` are
+    their sampled (component, day) pairs, component by component.
+    ``patterns`` has one row per outcome: the detection pattern of each
+    pair.  ``prob`` is each outcome's probability, ``detection_prob`` its
+    probability given the cell.
+    """
+
+    stage1: int
+    stage2: int
+    design_prob: float
+    components: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+    patterns: np.ndarray
+    prob: np.ndarray
+    detection_prob: np.ndarray
+
+
+def reference_chunks(pop, max_outcomes: int = MAX_OUTCOMES, size: int = 4096):
+    """Yield every stage I x II x III outcome exactly once, at most ``size`` at a time.
+
+    Outcomes come grouped by stage I draw, then by day selection; within a
+    cell the detection patterns count up with the last pair's fastest.
+    """
+    n_outcomes = _enumeration_size(pop)
+    if n_outcomes > max_outcomes:
+        raise ValueError(f"enumeration would visit ~{n_outcomes} outcomes (limit {max_outcomes})")
+
+    by_stratum = pop.stratum_facilities()
+    stage1_lists = []
+    stage1_prob = 1.0
+    for name in sorted(pop.strata):
+        combos = list(itertools.combinations(by_stratum[name], pop.strata[name].n_sampled))
+        stage1_lists.append(combos)
+        stage1_prob /= len(combos)
+    day_subsets = list(itertools.combinations(range(pop.horizon), pop.days_sampled))
+    stage2_prob_one = 1.0 / len(day_subsets)
+    probs = {(ci, t): pattern_probs(c.days[t])
+             for ci, c in enumerate(pop.components) for t in range(pop.horizon)}
+
+    cell2 = 0
+    for cell1, s1 in enumerate(itertools.product(*stage1_lists)):
+        sampled_facs = set(itertools.chain.from_iterable(s1))
+        sampled = tuple(ci for ci, c in enumerate(pop.components)
+                        if c.facility_id in sampled_facs)
+        design_prob = stage1_prob * stage2_prob_one ** len(sampled)
+        for day_sel in itertools.product(day_subsets, repeat=len(sampled)):
+            pairs = tuple((ci, t) for ci, days in zip(sampled, day_sel) for t in days)
+            radix = np.array([len(probs[pair]) for pair in pairs], dtype=np.int64)
+            strides = np.array([math.prod(radix[j + 1:]) for j in range(len(pairs))],
+                               dtype=np.int64)
+            n_cell = math.prod(radix)
+            for start in range(0, n_cell, size):
+                rows = np.arange(start, min(start + size, n_cell), dtype=np.int64)
+                patterns = rows[:, None] // strides % radix
+                prob = np.full(len(rows), design_prob)
+                detection_prob = np.ones(len(rows))
+                for pair, column in zip(pairs, patterns.T):
+                    pattern_prob = probs[pair][column]
+                    prob *= pattern_prob
+                    detection_prob *= pattern_prob
+                yield Chunk(cell1, cell2, design_prob, sampled, pairs, patterns, prob,
+                            detection_prob)
+            cell2 += 1
+
+
+def reference_block_chunks(pop, size: int):
+    """The chunks of each block of ``size`` outcomes (the last may hold
+    fewer): `reference_chunks` cut wherever the outcome count reaches a
+    multiple of ``size``."""
+    block, n = [], 0
+    for chunk in reference_chunks(pop, size=size):
+        start = 0
+        while start < len(chunk.prob):
+            stop = min(len(chunk.prob), start + size - n)
+            block.append(chunk._replace(patterns=chunk.patterns[start:stop],
+                                        prob=chunk.prob[start:stop],
+                                        detection_prob=chunk.detection_prob[start:stop]))
+            n += stop - start
+            start = stop
+            if n == size:
+                yield block
+                block, n = [], 0
+    if block:
+        yield block
 
 
 def reference_block(pop, chunks):

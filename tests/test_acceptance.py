@@ -64,7 +64,7 @@ def test_criterion_2_variance_estimator_unbiasedness(micro_b):
     var_t = dist.var_total()
     assert abs(dist.expected_v3stage() - var_t) / var_t <= 1e-8
 
-    v1, v2, v3 = exact_stage_variances(micro_b, cfg_b())
+    v1, v2, v3 = exact_stage_variances(dist)
     for stage, exact in (("stage1", v1), ("stage2", v2), ("stage3", v3)):
         est = dist.expected_part(stage)
         assert abs(est - exact) / exact <= 1e-8

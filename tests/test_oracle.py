@@ -8,6 +8,8 @@ independent of each other and of the implementation under test.
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,17 +26,29 @@ from msinv.oracle import (
     MicroComponent,
     MicroPass,
     MicroPopulation,
-    _chunks,
-    _pattern_probs,
     enumerate_outcomes,
     exact_stage_variances,
     true_total,
 )
-from oracle_reference import reference_block
+from oracle_reference import (
+    pattern_probs,
+    reference_block,
+    reference_block_chunks,
+    reference_chunks,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  the benchmark's micro-population generator
 
 
 def cfg_b(**kw):
     return EstimatorConfig(stage2="year", horizon=3, **kw)
+
+
+# micro_b's exact stage split under cfg_b(), as the per-cell regrouping of
+# every outcome's total gave it
+MICRO_B_STAGE_VARIANCES = tuple(map(float.fromhex, (
+    "0x1.6071c71c71c60p+3", "0x1.caaaaaaaaab00p+1", "0x1.35eaaaaaaaaacp+4")))
 
 
 def outcome_probabilities(pop: MicroPopulation):
@@ -48,14 +62,14 @@ def outcome_probabilities(pop: MicroPopulation):
     """
     original: list[np.ndarray] = []
     modified: list[np.ndarray] = []
-    for chunk in _chunks(pop):
+    for chunk in reference_chunks(pop):
         p_mod = np.full(len(chunk.prob), chunk.design_prob)
         for (ci, t), pattern in zip(chunk.pairs, chunk.patterns.T):
             day = pop.components[ci].days[t]
             phid = 1.0 - math.prod(1.0 - p.phi for p in day)
             # a detected day enters the starred sample, and its detections
             # follow the conditional (non-Poisson) within-day design
-            p_mod *= np.where(pattern > 0, phid * (_pattern_probs(day)[pattern] / phid),
+            p_mod *= np.where(pattern > 0, phid * (pattern_probs(day)[pattern] / phid),
                               1.0 - phid)
         original.append(chunk.prob)
         modified.append(p_mod)
@@ -82,7 +96,7 @@ def scalar_outcomes(pop: MicroPopulation, configs):
         return dailies[key]
 
     out = [{k: [] for k in POPULATION_KEYS} for _ in configs]
-    for chunk in _chunks(pop):
+    for chunk in reference_chunks(pop):
         for row in chunk.patterns.tolist():
             obs = {}
             for kind in {cfg.estimator for cfg in configs}:
@@ -196,23 +210,27 @@ class TestMicroB:
         var_t = dist_b.var_total()
         assert abs(dist_b.expected_v3stage() - var_t) / var_t <= 1e-8
 
-    def test_stagewise_unbiasedness_corrected(self, micro_b, dist_b):
-        v1, v2, v3 = exact_stage_variances(micro_b, cfg_b())
+    def test_stagewise_unbiasedness_corrected(self, dist_b):
+        v1, v2, v3 = exact_stage_variances(dist_b)
         for stage, exact in (("stage1", v1), ("stage2", v2), ("stage3", v3)):
             est = dist_b.expected_part(stage)
             assert abs(est - exact) / exact <= 1e-8
 
     def test_printed_decomposition_fails_stagewise(self, micro_b, dist_b):
         (printed,) = enumerate_outcomes(micro_b, cfg_b(decomposition="printed"))
-        _, _, v3 = exact_stage_variances(micro_b, cfg_b())
+        _, _, v3 = exact_stage_variances(dist_b)
         rel_err = abs(printed.expected_part("stage3") - v3) / v3
         assert rel_err > 1e-3  # off by a factor of the horizon
         assert printed.expected_part("stage3") == pytest.approx(
             3 * dist_b.expected_part("stage3"), rel=1e-12
         )
 
-    def test_stage_parts_sum_to_variance(self, micro_b, dist_b):
-        v1, v2, v3 = exact_stage_variances(micro_b, cfg_b())
+    def test_stage_variances_are_pinned_in_both_forms(self, micro_b, dist_b):
+        assert exact_stage_variances(dist_b) == MICRO_B_STAGE_VARIANCES
+        assert exact_stage_variances(micro_b, cfg_b()) == MICRO_B_STAGE_VARIANCES
+
+    def test_stage_parts_sum_to_variance(self, dist_b):
+        v1, v2, v3 = exact_stage_variances(dist_b)
         assert v1 + v2 + v3 == pytest.approx(dist_b.var_total(), rel=1e-10)
 
     def test_design_equivalence_outcome_probabilities(self, micro_b):
@@ -326,6 +344,7 @@ class TestKernelMatchesScalarReference:
                          *zip(a.unclipped.values(), b.unclipped.values())):
                 assert np.array_equal(x, y)
         assert [exact_stage_variances(micro_b, cfg) for cfg in configs] == exact
+        assert [exact_stage_variances(dist) for dist in whole] == exact
 
     @settings(max_examples=25, deadline=None)
     @given(pop=micro_populations())
@@ -359,11 +378,39 @@ def block_populations(draw):
     return pop, draw(st.integers(1, 600))
 
 
-def assert_blocks_match_the_chunk_loop(pop):
-    """Every `_block` equals `reference_block` of its chunks: each `UnitIndex`
-    array and its dtype, and the rates and PODs bit for bit."""
-    for block in oracle._blocks(pop):
-        index, rates, phis = reference_block(pop, block.chunks)
+def assert_walk_and_blocks_match_the_reference(pop):
+    """Every block of `oracle._blocks` equals the reference on the reference
+    walk's outcomes cut at the same place: per outcome its stage I draw,
+    cell, probabilities and pairs; each `UnitIndex` array and its dtype;
+    and the rates and PODs bit for bit."""
+    tables = oracle._tables(pop)
+    for ci, c in enumerate(pop.components):
+        for t, day in enumerate(c.days):
+            start = tables.pattern_start[ci, t]
+            got = tables.pattern_prob[start:start + 2 ** len(day)]
+            assert np.array_equal(got.view(np.uint64), pattern_probs(day).view(np.uint64))
+    blocks = list(oracle._blocks(pop))
+    chunk_lists = list(reference_block_chunks(pop, oracle.OUTCOME_BLOCK))
+    assert len(blocks) == len(chunk_lists)
+    for block, chunks in zip(blocks, chunk_lists):
+        n = [len(ch.prob) for ch in chunks]
+        want = {
+            "stage1": np.repeat([ch.stage1 for ch in chunks], n),
+            "stage2": np.repeat([ch.stage2 for ch in chunks], n),
+            "prob": np.concatenate([ch.prob for ch in chunks]),
+            "detection_prob": np.concatenate([ch.detection_prob for ch in chunks]),
+            "n_pairs": np.repeat([len(ch.pairs) for ch in chunks], n),
+            "cd_ci": np.concatenate([np.tile([ci for ci, _ in ch.pairs], len(ch.prob))
+                                     for ch in chunks]).astype(np.intp),
+            "cd_pattern": np.concatenate([
+                (tables.pattern_start[tuple(np.array(ch.pairs, dtype=np.intp).reshape(-1, 2).T)]
+                 + ch.patterns).ravel() for ch in chunks]),
+        }
+        for name, values in want.items():
+            got = getattr(block.outcomes, name)
+            assert got.dtype == values.dtype, name
+            assert np.array_equal(got.view(np.uint64), values.view(np.uint64)), name
+        index, rates, phis = reference_block(pop, chunks)
         for field in dataclasses.fields(UnitIndex):
             got, want = getattr(block.index, field.name), getattr(index, field.name)
             assert got.dtype == want.dtype, field.name
@@ -373,6 +420,56 @@ def assert_blocks_match_the_chunk_loop(pop):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def shape_populations():
+    """Two populations of each shape the oracle-plan benchmark draws."""
+    rng = np.random.default_rng([1])
+    return [gen.micro_population(rng, shape) for shape in gen.MICRO_SHAPES for _ in range(2)]
+
+
+def pop_with_an_empty_draw():
+    """Stage I draws one of three facilities, and F3 has no component; c1
+    has a day without passes."""
+    return MicroPopulation(
+        strata={"S": StratumDef("S", 1, 3)},
+        facilities={"F1": "S", "F2": "S", "F3": "S"},
+        components=(
+            MicroComponent("c2", "F2", ((MicroPass(5.0, 0.4), MicroPass(1.0, 0.9)),
+                                        (MicroPass(2.0, 0.5),), ())),
+            MicroComponent("c1", "F1", ((), (MicroPass(3.0, 0.7),), (MicroPass(7.0, 1.0),))),
+        ),
+        days_sampled=2,
+    )
+
+
+class TestWalkMatchesTheCellLoop:
+    """`oracle._walk` counts each stage I draw's outcomes in one mixed-radix
+    pass; the per-cell loop it replaced (`oracle_reference.reference_chunks`)
+    is the reference, bit for bit, with blocks cut inside draws and cells."""
+
+    @pytest.mark.parametrize("size", [1, 100, 300, 4096])
+    def test_micro_a_and_an_empty_draw(self, micro_a, monkeypatch, size):
+        monkeypatch.setattr(oracle, "OUTCOME_BLOCK", size)
+        assert_walk_and_blocks_match_the_reference(micro_a)
+        assert_walk_and_blocks_match_the_reference(pop_with_an_empty_draw())
+
+    @pytest.mark.parametrize("size", [100, 300, 4096])
+    def test_micro_b_and_the_benchmark_shapes(self, micro_b, monkeypatch, size):
+        monkeypatch.setattr(oracle, "OUTCOME_BLOCK", size)
+        for pop in [micro_b, *shape_populations()]:
+            assert_walk_and_blocks_match_the_reference(pop)
+
+    def test_an_empty_draw_has_one_outcome_without_units(self):
+        pop = pop_with_an_empty_draw()
+        (block,) = oracle._blocks(pop)
+        empty = block.outcomes.stage1 == 2  # the draw of F3
+        assert np.count_nonzero(empty) == 1
+        assert block.outcomes.n_pairs[empty] == 0
+        (dist,) = enumerate_outcomes(pop, cfg_b())
+        assert dist.probabilities[empty] == 1.0 / 3
+        assert dist.detection_prob[empty] == 1.0
+        assert dist.totals[empty] == 0.0
+
+
 class TestBlockBuilder:
     """`oracle._block` lays out a block with whole-array numpy; the chunk
     loop it replaced (`oracle_reference.reference_block`) is the reference."""
@@ -380,16 +477,16 @@ class TestBlockBuilder:
     @pytest.mark.parametrize("size", [100, 256, 4096])
     def test_micro_b(self, micro_b, monkeypatch, size):
         monkeypatch.setattr(oracle, "OUTCOME_BLOCK", size)
-        assert_blocks_match_the_chunk_loop(micro_b)
+        assert_walk_and_blocks_match_the_reference(micro_b)
 
-    def test_a_block_boundary_between_cells(self, micro_b, monkeypatch):
+    def test_a_block_boundary_inside_a_cell(self, micro_b, monkeypatch):
         # micro_b's cells hold 256 outcomes: a block of 300 takes one whole
-        # cell and the next cell starts the next block
+        # cell and the first 44 outcomes of the next
         monkeypatch.setattr(oracle, "OUTCOME_BLOCK", 300)
         blocks = list(oracle._blocks(micro_b))
-        last, first = blocks[0].chunks[-1], blocks[1].chunks[0]
-        assert (last.stage1, last.stage2) != (first.stage1, first.stage2)
-        assert_blocks_match_the_chunk_loop(micro_b)
+        assert [len(b.outcomes.prob) for b in blocks[:-1]] == [300] * (len(blocks) - 1)
+        assert blocks[0].outcomes.stage2[-1] == blocks[1].outcomes.stage2[0] == 1
+        assert_walk_and_blocks_match_the_reference(micro_b)
 
     def test_two_strata_with_interleaved_facilities(self):
         day = (MicroPass(3.0, 0.7),)
@@ -403,7 +500,7 @@ class TestBlockBuilder:
             ),
             days_sampled=1,
         )
-        assert_blocks_match_the_chunk_loop(pop)
+        assert_walk_and_blocks_match_the_reference(pop)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -411,7 +508,7 @@ class TestBlockBuilder:
     def test_generated_populations(self, case):
         pop, size = case
         with mock.patch.object(oracle, "OUTCOME_BLOCK", size):
-            assert_blocks_match_the_chunk_loop(pop)
+            assert_walk_and_blocks_match_the_reference(pop)
 
 
 class TestGuards:
