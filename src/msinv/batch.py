@@ -15,8 +15,8 @@ component-days, the phi groups, the unit-days, each unit's d_p and its count
 m of days with a detection, and stage I membership (members, facilities,
 strata and groups).  `build_layout` adds, per configuration, what the
 configuration decides: which units are zero emitters or need a pooled
-variance, the pairs of star days, the pooling peers, and the check of d_p
-against the horizon.  Every configuration of an index shares its
+variance, the star days of the other units, the pooling peers, and the check
+of d_p against the horizon.  Every configuration of an index shares its
 `CompiledIndex`.  `evaluate` computes a whole chunk of iterations at once,
 as arrays with one row per iteration.
 
@@ -285,24 +285,15 @@ class Layout:
     kind: str                       # "ipw", "starred" (IPW modified) or "hajek"
     observed: bool
     printed: bool
-    measured: np.ndarray | None     # per detected pass, when compiled from a frame
-    winds: np.ndarray | None
-    altitudes: np.ndarray | None
     full: np.ndarray
     pooled: np.ndarray
     days_of_full: Schedule          # unit-days ("ipw") or star_full positions
     first_day_of_pooled: np.ndarray
     unit_h: np.ndarray
-    # "starred"/"hajek": star days of full units, their unit's d and D, and
-    # every ordered pair of a unit's star days
+    # "starred"/"hajek": star days of full units, and their unit's d and D
     star_full: np.ndarray
     star_d: np.ndarray
     star_h: np.ndarray
-    pair_a: np.ndarray
-    pair_b: np.ndarray
-    pair_base: np.ndarray
-    pair_diag: np.ndarray
-    pairs_of_full: Schedule
     # pooling
     peers: Schedule                 # per stratum: full units, with well repeats
     n_peers: np.ndarray
@@ -315,13 +306,11 @@ class Layout:
 
 
 def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
-    """`build_layout` of the frame's units, with the measurements of its detected passes."""
-    return build_layout(compile_index(frame.index), config, measured=frame.measured_rates,
-                        winds=frame.wind_speeds, altitudes=frame.altitudes)
+    """`build_layout` of the frame's units; columns align with ``frame.measured_rates``."""
+    return build_layout(compile_index(frame.index), config)
 
 
-def build_layout(index: CompiledIndex, config: EstimatorConfig, measured=None, winds=None,
-                 altitudes=None) -> Layout:
+def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
     """Complete a compiled index for `evaluate` under one estimator configuration.
 
     Raises `EstimationError` for what the scalar path would reject on every
@@ -344,20 +333,10 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig, measured=None, w
     is_full = np.zeros(index.n_units, dtype=bool)
     is_full[full] = True
 
-    # star days of full units get positions of their own, in unit order,
-    # and every ordered pair of a unit's star days one entry
+    # star days of full units get positions of their own, in unit order
     m_full = m[full]
     first = np.cumsum(m_full) - m_full
     star_full = np.flatnonzero(is_full[index.star_unit])
-    d, h = d_p[full], horizon[full]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.where(h > 1, d * (d - 1) / (h * (h - 1)), 0.0)
-    sq = m_full * m_full
-    pair_start = np.cumsum(sq) - sq
-    owner = np.repeat(np.arange(len(full)), sq)
-    k = np.arange(len(owner)) - pair_start[owner]
-    pair_a = first[owner] + k // m_full[owner]
-    pair_b = first[owner] + k % m_full[owner]
 
     # pooling peers: the full units of each stratum, in member order
     peer = is_full[index.member_unit]
@@ -375,23 +354,15 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig, measured=None, w
         kind=kind,
         observed=observed,
         printed=config.decomposition == "printed",
-        measured=measured,
-        winds=winds,
-        altitudes=altitudes,
         full=full,
         pooled=pooled,
-        days_of_full=(_ranges(index.ud_start[full], d) if kind == "ipw"
+        days_of_full=(_ranges(index.ud_start[full], d_p[full]) if kind == "ipw"
                       else _ranges(first, m_full)),
         first_day_of_pooled=(index.ud_start if kind == "ipw" else np.cumsum(m) - m)[pooled],
         unit_h=_col(horizon),
         star_full=star_full,
         star_d=_col(d_p[star_unit[star_full]]),
         star_h=_col(horizon[star_unit[star_full]]),
-        pair_a=pair_a,
-        pair_b=pair_b,
-        pair_base=_col(base[owner]),
-        pair_diag=_col(pair_a == pair_b, bool),
-        pairs_of_full=_ranges(pair_start, sq),
         peers=_schedule(index.member_stratum[peer], index.member_unit[peer], index.n_strata),
         n_peers=_col(np.maximum(1, n_peers)),  # an empty sum stays 0.0
         pooled_stratum=pooled_stratum,
@@ -471,29 +442,17 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
         return mean, var, s3
 
     st_mean, st_var = ud_mean[ix.star], ud_var[ix.star]
+    if layout.kind == "starred":
+        # starred_daily on every star day; the starred design then has the
+        # closed form of component_srs_hajek (see estimators._starred_srs)
+        st_mean, st_var = (ud_ph * st_mean,
+                           ud_ph * st_var + ud_ph * (ud_ph - 1.0) * st_mean**2)
     ph0, m0, v0 = ud_ph[first], st_mean[first], st_var[first]
     sf, sd, sh = layout.star_full, layout.star_d, layout.star_h
     ph, m, v = ud_ph[sf], st_mean[sf], st_var[sf]
-    if layout.kind == "starred":
-        # starred_daily, then component_generic with the starred day design
-        ms = ph * m
-        vs = ph * v + ph * (ph - 1.0) * m**2
-        marg = ph * sd / sh
-        z = ms / marg
-        a, b = layout.pair_a, layout.pair_b
-        pij = np.where(layout.pair_diag, marg[a], ph[a] * ph[b] * layout.pair_base)
-        dsum = _seq_sum((pij - marg[a] * marg[b]) / pij * z[a] * z[b], layout.pairs_of_full)
-        zsum, bsum, s3sum = _seq_sum(np.stack([z, vs / marg, vs / (marg * marg)]), rows)
-        mean[full] = zsum / h
-        var[full] = (dsum + bsum) / (h * h)
-        s3[full] = s3sum / (h * h)
-        ms0 = ph0 * m0
-        vs0 = ph0 * v0 + ph0 * (ph0 - 1.0) * m0**2
-        mean[pooled] = ms0 / ph0
-        s3[pooled] = vs0 / (ph0 * ph0)
-        return mean, var, s3
 
     # component_srs_hajek over the detection days; pooled: the single one
+    # (a pooled "starred" unit has d_p = 1, so dividing by d0 is exact)
     r = m / ph
     s1, t1, t3, s3sum = _seq_sum(np.stack([
         r,

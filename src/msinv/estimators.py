@@ -40,7 +40,6 @@ __all__ = [
     "starred_daily",
     "component_srs_ipw",
     "component_srs_hajek",
-    "component_generic",
     "impute_component_variance",
     "wells_allocate",
     "stratum_total",
@@ -60,9 +59,10 @@ class EstimatorConfig:
     estimator between the original day design and the detection-conditioned
     (starred) one; the two give identical totals and variances, which is
     exactly what the starred construction promises.  The Hajek estimator only
-    exists on the starred design.  ``decomposition`` selects the stage III
-    split: ``"corrected"`` (1/D^2, stage-wise unbiased) or ``"printed"``
-    (the literal 1/D display).
+    exists on the starred design.  Both estimators on the starred design
+    expand their detection days by one closed form (`_starred_srs`).
+    ``decomposition`` selects the stage III split: ``"corrected"`` (1/D^2,
+    stage-wise unbiased) or ``"printed"`` (the literal 1/D display).
     """
 
     estimator: str = "ipw"
@@ -233,12 +233,16 @@ def starred_daily(daily: DailyEstimate, phi_hat: float) -> DailyEstimate:
     which is the generic HT variance under the starred within-day
     probabilities (verified against `daily_var_generic` in the tests).  The
     value may be negative; it is an intermediate HT quantity and clipping it
-    would break the exact equivalence with the original design.
+    would break the exact equivalence with the original design.  For a day
+    of one pass it is 0 up to rounding, which 1/phi_hat^2 amplifies
+    downstream, so the square is a product, as in the batched kernel
+    (``**`` can differ from it in the last bit).
     """
+    mean = daily.mean_rate
     return replace(
         daily,
-        mean_rate=phi_hat * daily.mean_rate,
-        var=phi_hat * daily.var + phi_hat * (phi_hat - 1.0) * daily.mean_rate**2,
+        mean_rate=phi_hat * mean,
+        var=phi_hat * daily.var + phi_hat * (phi_hat - 1.0) * (mean * mean),
         phi_hat=phi_hat,
     )
 
@@ -306,12 +310,8 @@ def component_srs_hajek(daily_star, d_p: int, horizon: int, phi_hats) -> Compone
     """Aggregate Hajek daily estimates over the starred day sample.
 
     ``daily_star`` holds only the days with detections; ``d_p`` is still the
-    number of surveyed days.  The closed form mirrors the IPW one with the
-    starred day probabilities phi_hat * d/D:
-
-        (1/D^2)[ sum_t D{D-1-phi_t(d-1)}/(d(d-1)) (Yhat_t/phi_t)^2
-                 + D(d-D)/(d^2(d-1)) (sum_t Yhat_t/phi_t)^2
-                 + sum_t D/(d phi_t) Vhat_t ].
+    number of surveyed days.  The variance is the closed form of
+    `_starred_srs`, clipped at zero.
     """
     m = len(daily_star)
     if m < 2:
@@ -323,6 +323,28 @@ def component_srs_hajek(daily_star, d_p: int, horizon: int, phi_hats) -> Compone
     for ph in phi_hats:
         if not 0 < ph <= 1:
             raise EstimationError("phi_hat values must lie in (0, 1]")
+    return _starred_srs(daily_star, d_p, horizon, phi_hats)
+
+
+def _starred_srs(daily_star, d_p: int, horizon: int, phi_hats) -> ComponentEstimate:
+    """Expand the detection days of d_p surveyed days under the starred day design.
+
+    There day t is in the sample with probability pi_t = phi_t d/D, and days
+    t != u together with pi_tu = phi_t phi_u d(d-1)/(D(D-1)).  The ratio
+    pi_t pi_u / pi_tu = d(D-1)/(D(d-1)) is then the same for every pair, so
+    the Horvitz-Thompson double sum collapses to sums over the m detection
+    days:
+
+        (1/D^2)[ sum_t D{D-1-phi_t(d-1)}/(d(d-1)) (Yhat_t/phi_t)^2
+                 + D(d-D)/(d^2(d-1)) (sum_t Yhat_t/phi_t)^2
+                 + sum_t D/(d phi_t) Vhat_t ],
+
+    clipped at zero.  It holds for any m >= 1 once d >= 2.  For the Hajek
+    estimator Yhat_t, Vhat_t are the Hajek daily estimates; for IPW on the
+    modified plan they are the `starred_daily` ones, and the result then
+    equals the original plan's SRS variance (`component_srs_ipw`), which is
+    never negative.
+    """
     ratios = [d.mean_rate / ph for d, ph in zip(daily_star, phi_hats)]
     s1 = sum(ratios)
     term1 = sum(
@@ -339,46 +361,7 @@ def component_srs_hajek(daily_star, d_p: int, horizon: int, phi_hats) -> Compone
         var=max(0.0, var),
         var_stage3_part=stage3,
         horizon=horizon,
-        n_usable_days=m,
-    )
-
-
-def component_generic(daily, pi2_marginal, pi2_joint, horizon: int) -> ComponentEstimate:
-    """Aggregate daily estimates under arbitrary day inclusion probabilities.
-
-    The general two-stage variance estimator
-
-        (1/D^2)[ sum_t sum_u (pi_tu - pi_t pi_u)/pi_tu (Yhat_t/pi_t)(Yhat_u/pi_u)
-                 + sum_t Vhat_t / pi_t ]
-
-    with ``pi2_joint`` a full symmetric table whose diagonal equals the
-    marginals.  Matches the SRS closed forms when fed SRS probabilities; used
-    directly for the starred (modified) design and by the enumeration oracle.
-    """
-    m = len(daily)
-    if len(pi2_marginal) != m or len(pi2_joint) != m or any(len(r) != m for r in pi2_joint):
-        raise EstimationError("joint-probability table incomplete")
-    for i in range(m):
-        if not math.isclose(pi2_joint[i][i], pi2_marginal[i], rel_tol=1e-9):
-            raise EstimationError("joint-probability diagonal must equal the marginals")
-        for j in range(i):
-            if not math.isclose(pi2_joint[i][j], pi2_joint[j][i], rel_tol=1e-9):
-                raise EstimationError("joint-probability table must be symmetric")
-    zs = [d.mean_rate / p for d, p in zip(daily, pi2_marginal)]
-    dsum = 0.0
-    for i in range(m):
-        for j in range(m):
-            pij = pi2_joint[i][j]
-            dsum += (pij - pi2_marginal[i] * pi2_marginal[j]) / pij * zs[i] * zs[j]
-    bsum = sum(d.var / p for d, p in zip(daily, pi2_marginal))
-    stage3 = sum(d.var / (p * p) for d, p in zip(daily, pi2_marginal)) / (horizon * horizon)
-    return ComponentEstimate(
-        component_id="",
-        mean_rate=sum(zs) / horizon,
-        var=(dsum + bsum) / (horizon * horizon),
-        var_stage3_part=stage3,
-        horizon=horizon,
-        n_usable_days=m,
+        n_usable_days=len(daily_star),
     )
 
 
@@ -566,40 +549,20 @@ def _estimate_component(comp: ComponentObs, config: EstimatorConfig):
 
     phis = [d.phi_hat for d in star]
     if config.estimator == "ipw":  # modified (starred) plan
-        starred = [starred_daily(d, ph) for d, ph in zip(star, phis)]
-        if d_p == 1:
-            d0 = starred[0]
-            mean = d0.mean_rate / phis[0]
-            stage3 = d0.var / (phis[0] * phis[0])
-            return ComponentEstimate("", mean, math.nan, stage3, horizon, n_usable_days=1), True
-        marg = [ph * d_p / horizon for ph in phis]
-        joint = _starred_day_joint(phis, d_p, horizon)
-        est = component_generic(starred, marg, joint, horizon)
-        # usable days for pooling purposes counts surveyed days, matching the
-        # original plan: the generic variance is estimable whenever d_p >= 2
-        est.n_usable_days = d_p
-        return est, False
-
-    # Hajek on the starred design
-    if len(star) == 1:
+        star = [starred_daily(d, ph) for d, ph in zip(star, phis)]
+        single = d_p == 1
+    else:  # Hajek on the starred design
+        single = len(star) == 1
+    if single:
         d0 = star[0]
         mean = d0.mean_rate / (phis[0] * d_p)
         stage3 = d0.var / (phis[0] * phis[0] * d_p * d_p)
         return ComponentEstimate("", mean, math.nan, stage3, horizon, n_usable_days=1), True
-    return component_srs_hajek(star, d_p, horizon, phis), False
-
-
-def _starred_day_joint(phis, d_p: int, horizon: int):
-    m = len(phis)
-    base = d_p * (d_p - 1) / (horizon * (horizon - 1)) if horizon > 1 else 0.0
-    joint = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                joint[i][j] = phis[i] * d_p / horizon
-            else:
-                joint[i][j] = phis[i] * phis[j] * base
-    return joint
+    if config.estimator == "hajek":
+        return component_srs_hajek(star, d_p, horizon, phis), False
+    # usable days for pooling purposes counts surveyed days, matching the
+    # original plan: the variance is estimable whenever d_p >= 2
+    return replace(_starred_srs(star, d_p, horizon, phis), n_usable_days=d_p), False
 
 
 def estimate_survey(components, strata, config: EstimatorConfig,

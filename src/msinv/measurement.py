@@ -109,10 +109,6 @@ class McResult:
     iteration_parts: dict[str, np.ndarray] | None = None
     stratum_design_var: dict[str, np.ndarray] | None = None
 
-    @property
-    def tau_tilde(self) -> float:
-        return self.report.total
-
 
 def iteration_uniforms(seed: int, iterations: range, n: int) -> np.ndarray:
     """Uniform draws of the given iterations, shape (len(iterations), n).
@@ -166,8 +162,8 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
     def run_chunk(c: int):
         its = chunks[c]
         u = iteration_uniforms(config.seed, its, layout.n_passes)
-        y = sample_true_rate(layout.measured, u, config.measurement)
-        raw_phi = pod(y, layout.altitudes, layout.winds, est_cfg.pod_params)
+        y = sample_true_rate(frame.measured_rates, u, config.measurement)
+        raw_phi = pod(y, frame.altitudes, frame.wind_speeds, est_cfg.pod_params)
         floor_hits[c] = int(np.count_nonzero(raw_phi < PHI_FLOOR))
         est = evaluate(layout, y, np.maximum(raw_phi, PHI_FLOOR), its.start)
         sl = slice(its.start, its.stop)

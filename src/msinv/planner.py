@@ -268,7 +268,6 @@ def predict_variance(scenario: PlanScenario, estimator: str = "ipw"):
         k3 = sum((1.0 - phi) / phi for phi in s.pass_phis) / (q * q)
         phi_dot = 1.0 - math.prod(1.0 - phi for phi in s.pass_phis)
         v2 = v3 = 0.0
-        fac_vals: list[float] = []
         for prof in s.profiles:
             m2 = (big_d - 1) * prof.day_sd**2 + big_d * prof.ybar**2
             s1 = big_d * prof.ybar
@@ -285,11 +284,14 @@ def predict_variance(scenario: PlanScenario, estimator: str = "ipw"):
                 v3_p = 0.0
             v2 += prof.count * v2_p / f
             v3 += prof.count * v3_p / f
-            fac_vals.extend([prof.ybar] * prof.count)
-        fac_vals.extend([0.0] * (s.n_population - len(fac_vals)))
-        arr = np.asarray(fac_vals)
-        s_b2 = float(arr.var(ddof=1)) if len(arr) > 1 else 0.0
-        v1 = s.n_population**2 * (1.0 / s.n_sampled - 1.0 / s.n_population) * s_b2
+        # S_b^2 of the N facility values: each profile's ybar count times,
+        # zero for the remaining facilities
+        big_n = s.n_population
+        mean = sum(p.count * p.ybar for p in s.profiles) / big_n
+        zeros = big_n - sum(p.count for p in s.profiles)
+        ss = sum(p.count * (p.ybar - mean) ** 2 for p in s.profiles) + zeros * mean * mean
+        s_b2 = ss / (big_n - 1) if big_n > 1 else 0.0
+        v1 = big_n**2 * (1.0 / s.n_sampled - 1.0 / big_n) * s_b2
         per_stratum[s.name] = StageVariances(stage1=v1, stage2=v2, stage3=v3)
     overall = StageVariances(
         stage1=sum(v.stage1 for v in per_stratum.values()),

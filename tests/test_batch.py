@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from msinv import batch, measurement, oracle, simlab
@@ -87,15 +87,27 @@ def assert_close(got, want, what):
         assert abs(got[key] - w) <= max(1e-12 * abs(w), floor), (what, key, got[key], w)
 
 
+# one pass (Q_pt = 1), drawn to phi 1.2e-7 in iteration 2: its starred variance
+# is 0 up to rounding, which 1/phi^2 amplifies to about 1e8, so both paths
+# must square the daily mean alike
+ONE_PASS_SMALL_PHI = SurveyFrame(
+    strata={"S": StratumDef("S", 1, 1)},
+    components={"C": ComponentRef("C", "F", "SITE", "S", False)},
+    passes=(Pass("C", 0, 0, True, 36.50741860782577, 5.565128376831455, 726.2181496419881),),
+    wells_per_site={"SITE": 0},
+)
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(frame=survey_frames(), seed=st.integers(0, 2**32 - 1))
+@example(frame=ONE_PASS_SMALL_PHI, seed=357)
 def test_kernel_matches_scalar_reference(frame, seed):
     iterations = range(3)
     for cfg in CONFIGS:
         layout = compile_layout(frame, cfg)
         u = iteration_uniforms(seed, iterations, layout.n_passes)
-        y = sample_true_rate(layout.measured, u)
-        phi = np.maximum(pod(y, layout.altitudes, layout.winds), PHI_FLOOR)
+        y = sample_true_rate(frame.measured_rates, u)
+        phi = np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
         batch = evaluate(layout, y, phi)
         for b in iterations:
             est = estimate_survey(prepare_components(frame, y[b], phi[b], cfg),
@@ -140,9 +152,9 @@ def test_frames_as_groups_match_scalar_reference(frames, seed):
     draws = []
     for frame in frames:
         layout = compile_layout(frame, CONFIGS[0])
-        y = sample_true_rate(layout.measured,
+        y = sample_true_rate(frame.measured_rates,
                              iteration_uniforms(seed, range(2), layout.n_passes))
-        draws.append((y, np.maximum(pod(y, layout.altitudes, layout.winds), PHI_FLOOR)))
+        draws.append((y, np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)))
     y_all = np.hstack([y for y, _ in draws])
     phi_all = np.hstack([phi for _, phi in draws])
     for cfg in CONFIGS:
@@ -166,8 +178,8 @@ def test_structural_diagnostics_match_scalar(subset_frame):
     for cfg in CONFIGS:
         layout = compile_layout(subset_frame, cfg)
         n = layout.n_passes
-        y = sample_true_rate(layout.measured, iteration_uniforms(1, range(1), n))[0]
-        phi = np.maximum(pod(y, layout.altitudes, layout.winds), PHI_FLOOR)
+        y = sample_true_rate(subset_frame.measured_rates, iteration_uniforms(1, range(1), n))[0]
+        phi = np.maximum(pod(y, subset_frame.altitudes, subset_frame.wind_speeds), PHI_FLOOR)
         est = estimate_survey(prepare_components(subset_frame, y, phi, cfg),
                               subset_frame.strata, cfg)
         assert layout.diagnostics["n_pooled_components"] == est.n_pooled
@@ -288,8 +300,9 @@ def assert_shared_index_equals_fresh_builds(index: UnitIndex, configs, y, phi):
 @given(frame=survey_frames(), seed=st.integers(0, 2**32 - 1))
 def test_frames_share_one_compiled_index(frame, seed):
     layout = compile_layout(frame, CONFIGS[0])
-    y = sample_true_rate(layout.measured, iteration_uniforms(seed, range(3), layout.n_passes))
-    phi = np.maximum(pod(y, layout.altitudes, layout.winds), PHI_FLOOR)
+    y = sample_true_rate(frame.measured_rates,
+                         iteration_uniforms(seed, range(3), layout.n_passes))
+    phi = np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
     # horizon 2 rejects the units surveyed on three days
     assert_shared_index_equals_fresh_builds(frame.index, all_configs(2) + CONFIGS, y, phi)
 

@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msinv.estimators import (
-    _starred_day_joint,
+    _estimate_component,
+    ComponentEstimate,
     ComponentObs,
     DailyEstimate,
     EstimationError,
     EstimatorConfig,
-    component_generic,
     component_srs_hajek,
     component_srs_ipw,
     daily_estimate,
@@ -179,6 +179,59 @@ def daily_var_generic(detections, q_total: int, pi_marginal, pi_joint) -> float:
     return total / (q_total * q_total)
 
 
+def component_generic(daily, pi2_marginal, pi2_joint, horizon: int) -> ComponentEstimate:
+    """Aggregate daily estimates under arbitrary day inclusion probabilities.
+
+    The general two-stage variance estimator
+
+        (1/D^2)[ sum_t sum_u (pi_tu - pi_t pi_u)/pi_tu (Yhat_t/pi_t)(Yhat_u/pi_u)
+                 + sum_t Vhat_t / pi_t ]
+
+    with ``pi2_joint`` a full symmetric table whose diagonal equals the
+    marginals.  Matches the SRS closed forms when fed SRS probabilities, and
+    the starred closed form when fed `starred_day_joint` probabilities.
+    """
+    m = len(daily)
+    if len(pi2_marginal) != m or len(pi2_joint) != m or any(len(r) != m for r in pi2_joint):
+        raise EstimationError("joint-probability table incomplete")
+    for i in range(m):
+        if not math.isclose(pi2_joint[i][i], pi2_marginal[i], rel_tol=1e-9):
+            raise EstimationError("joint-probability diagonal must equal the marginals")
+        for j in range(i):
+            if not math.isclose(pi2_joint[i][j], pi2_joint[j][i], rel_tol=1e-9):
+                raise EstimationError("joint-probability table must be symmetric")
+    zs = [d.mean_rate / p for d, p in zip(daily, pi2_marginal)]
+    dsum = 0.0
+    for i in range(m):
+        for j in range(m):
+            pij = pi2_joint[i][j]
+            dsum += (pij - pi2_marginal[i] * pi2_marginal[j]) / pij * zs[i] * zs[j]
+    bsum = sum(d.var / p for d, p in zip(daily, pi2_marginal))
+    stage3 = sum(d.var / (p * p) for d, p in zip(daily, pi2_marginal)) / (horizon * horizon)
+    return ComponentEstimate(
+        component_id="",
+        mean_rate=sum(zs) / horizon,
+        var=(dsum + bsum) / (horizon * horizon),
+        var_stage3_part=stage3,
+        horizon=horizon,
+        n_usable_days=m,
+    )
+
+
+def starred_day_joint(phis, d_p: int, horizon: int):
+    """Joint day inclusion probabilities of the starred day design, as a full table."""
+    m = len(phis)
+    base = d_p * (d_p - 1) / (horizon * (horizon - 1)) if horizon > 1 else 0.0
+    joint = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                joint[i][j] = phis[i] * d_p / horizon
+            else:
+                joint[i][j] = phis[i] * phis[j] * base
+    return joint
+
+
 class TestGenericDailyVariance:
     def test_poisson_reduces_to_closed_form(self):
         dets = [(2.0, 0.5), (4.0, 0.8), (1.0, 0.9)]
@@ -323,7 +376,7 @@ class TestStarredDayJoint:
     def test_starred_probability_bounds(self, data, d_p, extra_days):
         horizon = d_p + extra_days
         phis = data.draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=d_p))
-        joint = _starred_day_joint(phis, d_p, horizon)
+        joint = starred_day_joint(phis, d_p, horizon)
         marg = [ph * d_p / horizon for ph in phis]
         for t, row in enumerate(joint):
             assert row[t] == pytest.approx(marg[t], rel=1e-15)
@@ -332,6 +385,46 @@ class TestStarredDayJoint:
                 assert 0 < pi_tu <= min(marg[t], marg[u]) * (1 + 1e-12)
         daily = [DailyEstimate(1.0 + t, 0.1, n_detected=1) for t in range(len(phis))]
         assert math.isfinite(component_generic(daily, marg, joint, horizon).var)
+
+    @staticmethod
+    def assert_closed_form_is_generic(means, vars_, phis, d_p, horizon):
+        """IPW on the modified plan against the double sum over the starred table.
+
+        The first ``len(phis)`` of ``d_p`` surveyed days have a detection.
+        """
+        m = len(phis)
+        dailies = [DailyEstimate(y, v, phi_hat=ph, n_detected=1, day_id=t)
+                   for t, (y, v, ph) in enumerate(zip(means, vars_, phis))]
+        dailies += [DailyEstimate(0.0, 0.0, day_id=t) for t in range(m, d_p)]
+        cfg = EstimatorConfig(plan="modified", horizon=horizon)
+        got, needs_pool = _estimate_component(ComponentObs("c", "f", "S", tuple(dailies)), cfg)
+        assert not needs_pool
+        assert got.n_usable_days == d_p
+        starred = [starred_daily(d, ph) for d, ph in zip(dailies, phis)]
+        marg = [ph * d_p / horizon for ph in phis]
+        want = component_generic(starred, marg, starred_day_joint(phis, d_p, horizon), horizon)
+        # both variance parts are sums of terms of either sign; compare them
+        # on the scale of those terms
+        scale = (sum((d.mean_rate / p) ** 2 for d, p in zip(starred, marg))
+                 + sum(abs(d.var) / p for d, p in zip(starred, marg))) / horizon**2
+        scale3 = sum(abs(d.var) / (p * p) for d, p in zip(starred, marg)) / horizon**2
+        assert got.mean_rate == pytest.approx(want.mean_rate, rel=1e-12)
+        assert got.var == pytest.approx(want.var, rel=1e-12, abs=1e-12 * scale)
+        assert got.var_stage3_part == pytest.approx(want.var_stage3_part, rel=1e-12,
+                                                    abs=1e-12 * scale3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d_p=st.integers(2, 6), extra_days=st.integers(0, 400))
+    def test_closed_form_equals_generic(self, data, d_p, extra_days):
+        m = data.draw(st.integers(1, d_p))
+        draws = [data.draw(st.lists(values, min_size=m, max_size=m))
+                 for values in (st.floats(0.0, 1e3), st.floats(0.0, 1e2), st.floats(0.05, 1.0))]
+        self.assert_closed_form_is_generic(*draws, d_p, d_p + extra_days)
+
+    @pytest.mark.parametrize("d_p,horizon", [(2, 2), (3, 365)])
+    def test_one_detection_day_of_several(self, d_p, horizon):
+        # full under IPW on the modified plan, pooled under Hajek
+        self.assert_closed_form_is_generic([7.5], [1.25], [0.4], d_p, horizon)
 
 
 class TestImputation:

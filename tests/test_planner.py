@@ -94,6 +94,23 @@ class TestScenarioClosedForms:
         s_b2 = np.var(values, ddof=1)
         assert overall.stage1 == pytest.approx(16 * (1 / 2 - 1 / 4) * s_b2, rel=1e-12)
 
+    def test_huge_population_needs_no_per_facility_values(self):
+        # S_b^2 comes from the profile counts, so N = 10^12 costs no memory;
+        # with 1000 emitters of 6.0 among N, S_b^2 is about 1000 * 36 / N
+        big_n = 10**12
+        sc = PlanScenario(
+            strata=(PlanStratum("S", 10, big_n, (PlanProfile(ybar=6.0, day_sd=1.0, count=1000),),
+                                (0.7,)),),
+            horizon=365, days_sampled=2,
+        )
+        for estimator in ("ipw", "hajek"):
+            overall, per = predict_variance(sc, estimator)
+            values = (overall.stage1, overall.stage2, overall.stage3)
+            assert all(math.isfinite(v) and v >= 0.0 for v in values)
+            assert per["S"] == overall
+            assert overall.stage1 == pytest.approx(big_n**2 / 10 * 1000 * 36.0 / big_n,
+                                                   rel=1e-6)
+
     def test_hajek_stage2_leaks_detection(self):
         # at a census of days the starred day probabilities are still below
         # one, so the Hajek split keeps a stage II share
