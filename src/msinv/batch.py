@@ -15,8 +15,9 @@ component-days, the phi groups, the unit-days, each unit's d_p and its count
 m of days with a detection, and stage I membership (members, facilities,
 strata and groups).  `build_layout` adds, per configuration, what the
 configuration decides: which units are zero emitters or need a pooled
-variance, the star days of the other units, the pooling peers, and the check
-of d_p against the horizon.  Every configuration of an index shares its
+variance, the days the other units expand (IPW on the original plan: every
+surveyed day, at phi_hat = 1; else the star days), the pooling peers, and the
+check of d_p against the horizon.  Every configuration of an index shares its
 `CompiledIndex`.  `evaluate` computes a whole chunk of iterations at once,
 as arrays with one row per iteration.
 
@@ -156,13 +157,13 @@ class CompiledIndex:
     # unit-days
     ud_members: Schedule
     ud_wells: np.ndarray
+    ud_unit: np.ndarray
     star: np.ndarray                # unit-days with a detection
     star_unit: np.ndarray
     star_grp: np.ndarray
     # units: surveyed days d_p, days with a detection m
     d_p: np.ndarray
     m: np.ndarray
-    ud_start: np.ndarray            # each unit's first unit-day
     unit_d: np.ndarray
     unit_stratum: np.ndarray
     unit_f: np.ndarray
@@ -248,12 +249,12 @@ def compile_index(index: UnitIndex) -> CompiledIndex:
                         np.intp),
         ud_members=_schedule(dd_ud, np.arange(n_dd), n_ud),
         ud_wells=_col(np.maximum(wells, 1)),
+        ud_unit=ud_unit,
         star=star,
         star_unit=star_unit,
         star_grp=ud_grp[star],
         d_p=d_p,
         m=m,
-        ud_start=np.cumsum(d_p) - d_p,
         unit_d=_col(d_p),
         unit_stratum=unit_stratum,
         unit_f=_col(stratum_f[unit_stratum]),
@@ -287,13 +288,16 @@ class Layout:
     printed: bool
     full: np.ndarray
     pooled: np.ndarray
-    days_of_full: Schedule          # unit-days ("ipw") or star_full positions
-    first_day_of_pooled: np.ndarray
     unit_h: np.ndarray
-    # "starred"/"hajek": star days of full units, and their unit's d and D
-    star_full: np.ndarray
-    star_d: np.ndarray
-    star_h: np.ndarray
+    # the unit-days expanded: every unit-day ("ipw", at phi_hat = 1) or the
+    # star days; positions in ``days`` of the full units' days, and their
+    # unit's d and D
+    days: np.ndarray
+    full_days: np.ndarray
+    full_d: np.ndarray
+    full_h: np.ndarray
+    days_of_full: Schedule          # per full unit: its full_days positions
+    first_day_of_pooled: np.ndarray  # per pooled unit: its position in days
     # pooling
     peers: Schedule                 # per stratum: full units, with well repeats
     n_peers: np.ndarray
@@ -333,10 +337,15 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
     is_full = np.zeros(index.n_units, dtype=bool)
     is_full[full] = True
 
-    # star days of full units get positions of their own, in unit order
-    m_full = m[full]
-    first = np.cumsum(m_full) - m_full
-    star_full = np.flatnonzero(is_full[index.star_unit])
+    # the original plan is the starred one with phi_hat = 1 on every
+    # surveyed day, zero-detection days included
+    if kind == "ipw":
+        days, day_unit, n_days = np.arange(len(index.ud_unit)), index.ud_unit, d_p
+    else:
+        days, day_unit, n_days = index.star, index.star_unit, m
+    # the days of full units get positions of their own, in unit order
+    full_days = np.flatnonzero(is_full[day_unit])
+    n_full = n_days[full]
 
     # pooling peers: the full units of each stratum, in member order
     peer = is_full[index.member_unit]
@@ -348,7 +357,6 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
         "n_pooled_without_peers": int(n_members[pooled][n_peers[pooled_stratum] == 0].sum()),
         "n_zero_emitting_strata": index.n_zero_emitting_strata,
     }
-    star_unit = index.star_unit
     return Layout(
         index=index,
         kind=kind,
@@ -356,13 +364,13 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
         printed=config.decomposition == "printed",
         full=full,
         pooled=pooled,
-        days_of_full=(_ranges(index.ud_start[full], d_p[full]) if kind == "ipw"
-                      else _ranges(first, m_full)),
-        first_day_of_pooled=(index.ud_start if kind == "ipw" else np.cumsum(m) - m)[pooled],
         unit_h=_col(horizon),
-        star_full=star_full,
-        star_d=_col(d_p[star_unit[star_full]]),
-        star_h=_col(horizon[star_unit[star_full]]),
+        days=days,
+        full_days=full_days,
+        full_d=_col(d_p[day_unit[full_days]]),
+        full_h=_col(horizon[day_unit[full_days]]),
+        days_of_full=_ranges(np.cumsum(n_full) - n_full, n_full),
+        first_day_of_pooled=(np.cumsum(n_days) - n_days)[pooled],
         peers=_schedule(index.member_stratum[peer], index.member_unit[peer], index.n_strata),
         n_peers=_col(np.maximum(1, n_peers)),  # an empty sum stays 0.0
         pooled_stratum=pooled_stratum,
@@ -426,40 +434,30 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
     shape = (ix.n_units, ud_mean.shape[-1])
     mean, var, s3 = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     full, pooled, first = layout.full, layout.pooled, layout.first_day_of_pooled
-    rows = layout.days_of_full
+    sf, sd, sh = layout.full_days, layout.full_d, layout.full_h
+    day_mean, day_var = ud_mean[layout.days], ud_var[layout.days]
+    if layout.kind == "ipw":  # the original plan: phi_hat = 1 on every surveyed day
+        ph0 = ph = 1.0
+    else:
+        if layout.kind == "starred":
+            # starred_daily on every star day
+            day_mean, day_var = (ud_ph * day_mean,
+                                 ud_ph * day_var + ud_ph * (ud_ph - 1.0) * day_mean**2)
+        ph0, ph = ud_ph[first], ud_ph[sf]
+    m0, v0 = day_mean[first], day_var[first]
+    m, v = day_mean[sf], day_var[sf]
     d, h = ix.unit_d[full], layout.unit_h[full]
     var[pooled] = np.nan
-    if layout.kind == "ipw":
-        # component_srs_ipw over every surveyed day; pooled: the single day
-        s1, s2, sv = _seq_sum(np.stack([ud_mean, ud_mean**2, ud_var]), rows)
-        a = (h - d) * h / (d * (d - 1))
-        b = h * (d - h) / (d * d * (d - 1))
-        mean[full] = s1 / d
-        var[full] = np.maximum(0.0, (a * s2 + b * s1 * s1 + (h / d) * sv) / (h * h))
-        s3[full] = sv / (d * d)
-        mean[pooled] = ud_mean[first]
-        s3[pooled] = ud_var[first]
-        return mean, var, s3
 
-    st_mean, st_var = ud_mean[ix.star], ud_var[ix.star]
-    if layout.kind == "starred":
-        # starred_daily on every star day; the starred design then has the
-        # closed form of component_srs_hajek (see estimators._starred_srs)
-        st_mean, st_var = (ud_ph * st_mean,
-                           ud_ph * st_var + ud_ph * (ud_ph - 1.0) * st_mean**2)
-    ph0, m0, v0 = ud_ph[first], st_mean[first], st_var[first]
-    sf, sd, sh = layout.star_full, layout.star_d, layout.star_h
-    ph, m, v = ud_ph[sf], st_mean[sf], st_var[sf]
-
-    # component_srs_hajek over the detection days; pooled: the single one
-    # (a pooled "starred" unit has d_p = 1, so dividing by d0 is exact)
+    # _starred_srs over the days of each full unit; pooled: the single day
+    # (a pooled "ipw" or "starred" unit has d_p = 1, so dividing by d0 is exact)
     r = m / ph
     s1, t1, t3, s3sum = _seq_sum(np.stack([
         r,
         sh * (sh - 1 - ph * (sd - 1)) / (sd * (sd - 1)) * r * r,
         sh / (sd * ph) * v,
         v / (ph * ph),
-    ]), rows)
+    ]), layout.days_of_full)
     t2 = h * (d - h) / (d * d * (d - 1)) * s1 * s1
     mean[full] = s1 / d
     var[full] = np.maximum(0.0, (t1 + t2 + t3) / (h * h))

@@ -29,7 +29,7 @@ from .frame import FrameError, load_survey, number, validate
 from .measurement import McConfig, bias_corrected_inventory, run_mc, write_trace_csv
 from .planner import gamma_table, predict_variance, scenario_from_json
 from .pod import MeasurementModel, PodParams
-from .reporting import write_decomposition_table, write_report_json, write_report_table
+from .reporting import manifest_line, write_decomposition_table, write_report_json, write_report_table
 from .simlab import config_from_json, default_config, run_study
 
 __all__ = ["main"]
@@ -240,7 +240,7 @@ def cmd_plan(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+        fh.write(manifest_line(manifest))
         w = csv.writer(fh)
         w.writerow(["stratum", "var_stage1", "var_stage2", "var_stage3", "var_total"])
         for name, sv in per_stratum.items():
@@ -273,7 +273,7 @@ def cmd_diagnose(args) -> int:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(outdir / "gamma.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+        fh.write(manifest_line(manifest))
         w = csv.writer(fh)
         w.writerow(["component_id", "gamma"])
         for row in gt.as_rows():

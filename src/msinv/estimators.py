@@ -15,7 +15,7 @@ All arithmetic here is in kg/h; unit conversion happens at report assembly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "hajek_daily_var",
     "daily_estimate",
     "starred_daily",
-    "component_srs_ipw",
     "component_srs_hajek",
     "impute_component_variance",
     "wells_allocate",
@@ -59,8 +58,9 @@ class EstimatorConfig:
     estimator between the original day design and the detection-conditioned
     (starred) one; the two give identical totals and variances, which is
     exactly what the starred construction promises.  The Hajek estimator only
-    exists on the starred design.  Both estimators on the starred design
-    expand their detection days by one closed form (`_starred_srs`).
+    exists on the starred design.  Every (estimator, plan) pair expands its
+    days by one closed form (`_starred_srs`); the original plan is the
+    starred one with phi_hat = 1 on every surveyed day.
     ``decomposition`` selects the stage III split: ``"corrected"`` (1/D^2,
     stage-wise unbiased) or ``"printed"`` (the literal 1/D display).
     """
@@ -93,22 +93,7 @@ class EstimatorConfig:
             raise EstimationError("horizon must be >= 1 day")
 
     def as_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "stage2": self.stage2,
-            "horizon": self.horizon,
-            "plan": self.plan,
-            "decomposition": self.decomposition,
-            "ci_level": self.ci_level,
-            "pod_params": {
-                "kappa": self.pod_params.kappa,
-                "rate_exp": self.pod_params.rate_exp,
-                "altitude_exp": self.pod_params.altitude_exp,
-                "wind_offset": self.pod_params.wind_offset,
-                "wind_exp": self.pod_params.wind_exp,
-                "outer_exp": self.pod_params.outer_exp,
-            },
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -274,38 +259,6 @@ class ComponentEstimate:
     n_usable_days: int = 0
 
 
-def component_srs_ipw(daily, d_p: int, horizon: int) -> ComponentEstimate:
-    """Aggregate IPW daily estimates over an SRS of d_p out of D days.
-
-    ``daily`` must cover every surveyed day, zero-detection days included as
-    (0, 0).  Uses the closed-form SRS variance
-
-        (1/D^2)[ sum_t (D-d)D/(d(d-1)) Yhat_t^2
-                 + D(d-D)/(d^2(d-1)) (sum_t Yhat_t)^2
-                 + sum_t (D/d) Vhat_t ].
-    """
-    if d_p < 2:
-        raise EstimationError("single-day components route through variance imputation")
-    if len(daily) != d_p:
-        raise EstimationError(f"expected {d_p} daily estimates, got {len(daily)}")
-    if d_p > horizon:
-        raise EstimationError(f"d_p={d_p} exceeds the horizon D={horizon}")
-    s1 = sum(d.mean_rate for d in daily)
-    s2 = sum(d.mean_rate**2 for d in daily)
-    sv = sum(d.var for d in daily)
-    a = (horizon - d_p) * horizon / (d_p * (d_p - 1))
-    b = horizon * (d_p - horizon) / (d_p * d_p * (d_p - 1))
-    var = (a * s2 + b * s1 * s1 + (horizon / d_p) * sv) / (horizon * horizon)
-    return ComponentEstimate(
-        component_id="",
-        mean_rate=s1 / d_p,
-        var=max(0.0, var),
-        var_stage3_part=sv / (d_p * d_p),
-        horizon=horizon,
-        n_usable_days=d_p,
-    )
-
-
 def component_srs_hajek(daily_star, d_p: int, horizon: int, phi_hats) -> ComponentEstimate:
     """Aggregate Hajek daily estimates over the starred day sample.
 
@@ -341,25 +294,27 @@ def _starred_srs(daily_star, d_p: int, horizon: int, phi_hats) -> ComponentEstim
 
     clipped at zero.  It holds for any m >= 1 once d >= 2.  For the Hajek
     estimator Yhat_t, Vhat_t are the Hajek daily estimates; for IPW on the
-    modified plan they are the `starred_daily` ones, and the result then
-    equals the original plan's SRS variance (`component_srs_ipw`), which is
-    never negative.
+    modified plan they are the `starred_daily` ones.  The original plan, a
+    simple random sample of d out of D days, is this design with phi_t = 1
+    on every surveyed day, zero-detection days included: the form is then
+    the textbook (1 - d/D) s^2/d + sum_t Vhat_t/(D d), which is never
+    negative, and IPW on the modified plan gives it too, up to rounding.
     """
-    ratios = [d.mean_rate / ph for d, ph in zip(daily_star, phi_hats)]
-    s1 = sum(ratios)
-    term1 = sum(
-        horizon * (horizon - 1 - ph * (d_p - 1)) / (d_p * (d_p - 1)) * r * r
-        for r, ph in zip(ratios, phi_hats)
-    )
+    # each sum runs left to right from 0, as Python's `sum` and the kernel do
+    s1 = term1 = term3 = stage3 = 0.0
+    for d, ph in zip(daily_star, phi_hats):
+        r = d.mean_rate / ph
+        s1 += r
+        term1 += horizon * (horizon - 1 - ph * (d_p - 1)) / (d_p * (d_p - 1)) * r * r
+        term3 += horizon / (d_p * ph) * d.var
+        stage3 += d.var / (ph * ph)
     term2 = horizon * (d_p - horizon) / (d_p * d_p * (d_p - 1)) * s1 * s1
-    term3 = sum(horizon / (d_p * ph) * d.var for d, ph in zip(daily_star, phi_hats))
     var = (term1 + term2 + term3) / (horizon * horizon)
-    stage3 = sum(d.var / (ph * ph) for d, ph in zip(daily_star, phi_hats)) / (d_p * d_p)
     return ComponentEstimate(
         component_id="",
         mean_rate=s1 / d_p,
         var=max(0.0, var),
-        var_stage3_part=stage3,
+        var_stage3_part=stage3 / (d_p * d_p),
         horizon=horizon,
         n_usable_days=len(daily_star),
     )
@@ -540,28 +495,23 @@ def _estimate_component(comp: ComponentObs, config: EstimatorConfig):
         return ComponentEstimate("", 0.0, 0.0, 0.0, horizon, zero_emitter=True), False
 
     if config.estimator == "ipw" and config.plan == "original":
-        if d_p == 1:
-            d0 = dailies[0]
-            est = ComponentEstimate("", d0.mean_rate, math.nan, d0.var, horizon,
-                                    n_usable_days=1)
-            return est, True
-        return component_srs_ipw(dailies, d_p, horizon), False
-
-    phis = [d.phi_hat for d in star]
-    if config.estimator == "ipw":  # modified (starred) plan
-        star = [starred_daily(d, ph) for d, ph in zip(star, phis)]
-        single = d_p == 1
-    else:  # Hajek on the starred design
-        single = len(star) == 1
-    if single:
+        # the original plan is the starred one with phi_hat = 1 on every
+        # surveyed day, zero-detection days included (see `_starred_srs`)
+        star, phis = dailies, [1.0] * d_p
+    else:
+        phis = [d.phi_hat for d in star]
+        if config.estimator == "ipw":  # modified (starred) plan
+            star = [starred_daily(d, ph) for d, ph in zip(star, phis)]
+    # a pooled unit: one surveyed day, or for Hajek one detection day
+    if (len(star) if config.estimator == "hajek" else d_p) == 1:
         d0 = star[0]
         mean = d0.mean_rate / (phis[0] * d_p)
         stage3 = d0.var / (phis[0] * phis[0] * d_p * d_p)
         return ComponentEstimate("", mean, math.nan, stage3, horizon, n_usable_days=1), True
     if config.estimator == "hajek":
         return component_srs_hajek(star, d_p, horizon, phis), False
-    # usable days for pooling purposes counts surveyed days, matching the
-    # original plan: the variance is estimable whenever d_p >= 2
+    # usable days for pooling purposes counts surveyed days: an IPW variance
+    # is estimable whenever d_p >= 2
     return replace(_starred_srs(star, d_p, horizon, phis), n_usable_days=d_p), False
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,11 +90,7 @@ class McConfig:
         return {
             "iterations": self.iterations,
             "seed": self.seed,
-            "measurement": {
-                "d": self.measurement.d,
-                "alpha": self.measurement.alpha,
-                "beta": self.measurement.beta,
-            },
+            "measurement": asdict(self.measurement),
             "trace": self.trace,
         }
 
@@ -222,10 +218,7 @@ def write_trace_csv(result: McResult, path, manifest: dict | None = None):
 
     trace = convergence_trace(result)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if manifest is not None:
-            import json
-
-            fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+        fh.write(reporting.manifest_line(manifest))
         w = csv.writer(fh)
         w.writerow(["stratum", "b", "cum_var_design"])
         for name in trace:
@@ -249,7 +242,5 @@ def bias_corrected_inventory(
     rates = bias_correct(frame.measured_rates, measurement)
     report = total_inventory(frame, config, rates=np.atleast_1d(rates))
     report.config["measurement_mode"] = "bias-correct"
-    report.config["measurement"] = {
-        "d": measurement.d, "alpha": measurement.alpha, "beta": measurement.beta,
-    }
+    report.config["measurement"] = asdict(measurement)
     return report

@@ -19,6 +19,7 @@ import numpy as np
 from .frame import SurveyFrame, count, json_list, json_object, number, read_json, text
 from .oracle import MicroPopulation
 from .pod import DEFAULT_MEASUREMENT, DEFAULT_POD, MeasurementModel, PodParams, bias_correct, pod
+from .reporting import EstimationError
 
 __all__ = [
     "StageVariances",
@@ -66,15 +67,22 @@ def _true_daily_hajek_var(passes) -> float:
     return (a + b) / (q * q)
 
 
-def _day_moment_sum(ybars, marginals, joints) -> float:
-    """sum_t sum_u (pi_tu - pi_t pi_u) (y_t/pi_t)(y_u/pi_u)."""
-    total = 0.0
-    m = len(ybars)
-    for t in range(m):
-        zt = ybars[t] / marginals[t]
-        for u in range(m):
-            total += (joints[t][u] - marginals[t] * marginals[u]) * zt * ybars[u] / marginals[u]
-    return total
+def _stage2(d: int, big_d: int, s2: float, detection: float) -> float:
+    """A component's true stage II variance: d of D days under the starred day design.
+
+    Day t is drawn with pi_t = phi_t d/D, and days t != u together with
+    pi_tu = phi_t phi_u d(d-1)/(D(D-1)), phi_t being the day's any-detection
+    probability; IPW draws a plain SRS of days, which is this design with
+    phi_t = 1 on every day.  The Horvitz-Thompson variance
+    (1/D^2) sum_t sum_u (pi_tu - pi_t pi_u)(ybar_t/pi_t)(ybar_u/pi_u) is then
+
+        (1/d - 1/D) S^2 + sum_t (1/phi_t - 1) ybar_t^2 / (d D),
+
+    the textbook SRS term in ``s2``, the sample variance S^2 of the D daily
+    means, plus a detection term, ``detection`` being the sum over t.  Both
+    terms are sums of nonnegative parts, so nothing cancels.
+    """
+    return (1.0 / d - 1.0 / big_d) * s2 + detection / (d * big_d)
 
 
 def predict_variance_exact(pop: MicroPopulation, estimator: str = "ipw") -> StageVariances:
@@ -88,34 +96,26 @@ def predict_variance_exact(pop: MicroPopulation, estimator: str = "ipw") -> Stag
         raise ValueError("estimator must be 'ipw' or 'hajek'")
     big_d = pop.horizon
     d = pop.days_sampled
-    f2 = d / big_d
-    j2 = d * (d - 1) / (big_d * (big_d - 1)) if big_d > 1 else f2
 
     facs = pop.stratum_facilities()
     v_two = v_three = 0.0
     fac_sums: dict[str, float] = {}
     for comp in pop.components:
         ybars = [sum(p.rate for p in day) / len(day) for day in comp.days]
-        fac_sums[comp.facility_id] = fac_sums.get(comp.facility_id, 0.0) + sum(ybars) / big_d
+        mean = sum(ybars) / big_d
+        fac_sums[comp.facility_id] = fac_sums.get(comp.facility_id, 0.0) + mean
         stratum = pop.strata[pop.facilities[comp.facility_id]]
         pi1 = stratum.n_sampled / stratum.n_population
         if estimator == "ipw":
-            marginals = [f2] * big_d
-            joints = [[f2 if t == u else j2 for u in range(big_d)] for t in range(big_d)]
+            phi_dots = [1.0] * big_d
             daily_vars = [_true_daily_ipw_var(day) for day in comp.days]
         else:
             phi_dots = [1.0 - math.prod(1.0 - p.phi for p in day) for day in comp.days]
-            marginals = [pd * f2 for pd in phi_dots]
-            joints = [
-                [
-                    marginals[t] if t == u else phi_dots[t] * phi_dots[u] * j2
-                    for u in range(big_d)
-                ]
-                for t in range(big_d)
-            ]
             daily_vars = [_true_daily_hajek_var(day) for day in comp.days]
-        v2_p = _day_moment_sum(ybars, marginals, joints) / (big_d * big_d)
-        v3_p = sum(v / m for v, m in zip(daily_vars, marginals)) / (big_d * big_d)
+        s2 = sum((y - mean) ** 2 for y in ybars) / (big_d - 1) if big_d > 1 else 0.0
+        v2_p = _stage2(d, big_d, s2,
+                       sum((1.0 / ph - 1.0) * y * y for y, ph in zip(ybars, phi_dots)))
+        v3_p = sum(v / ph for v, ph in zip(daily_vars, phi_dots)) / (d * big_d)
         v_two += v2_p / pi1
         v_three += v3_p / pi1
 
@@ -239,66 +239,63 @@ def scenario_from_json(source) -> PlanScenario:
     )
 
 
-def _day_moment_closed(m2: float, s1: float, marginal: float, joint_offdiag: float) -> float:
-    """Closed form of `_day_moment_sum` for exchangeable day designs.
-
-    Uses only the day second moment M2 = sum y_t^2 and first moment
-    S1 = sum y_t, valid because marginals and off-diagonal joints are
-    constant across days.
-    """
-    return (1.0 - marginal) / marginal * m2 + (
-        (joint_offdiag - marginal * marginal) / (marginal * marginal)
-    ) * (s1 * s1 - m2)
-
-
 def predict_variance(scenario: PlanScenario, estimator: str = "ipw"):
     """Closed-form stage variances for a scenario, per stratum and overall.
 
-    Returns (overall StageVariances, {stratum name: StageVariances}).
+    Returns (overall StageVariances, {stratum name: StageVariances}).  Raises
+    `EstimationError` when a stage part is too large to represent.
     """
     if estimator not in {"ipw", "hajek"}:
         raise ValueError("estimator must be 'ipw' or 'hajek'")
     big_d, d = scenario.horizon, scenario.days_sampled
-    f2 = d / big_d
-    j2 = d * (d - 1) / (big_d * (big_d - 1)) if big_d > 1 else f2
     per_stratum: dict[str, StageVariances] = {}
     for s in scenario.strata:
-        q = len(s.pass_phis)
-        f = s.n_sampled / s.n_population
-        k3 = sum((1.0 - phi) / phi for phi in s.pass_phis) / (q * q)
-        phi_dot = 1.0 - math.prod(1.0 - phi for phi in s.pass_phis)
-        v2 = v3 = 0.0
-        for prof in s.profiles:
-            m2 = (big_d - 1) * prof.day_sd**2 + big_d * prof.ybar**2
-            s1 = big_d * prof.ybar
-            if estimator == "ipw":
-                v2_p = _day_moment_closed(m2, s1, f2, j2) / (big_d * big_d)
-                v3_p = k3 * m2 / (big_d * d)
-            else:
-                gm = phi_dot * f2
-                v2_p = _day_moment_closed(m2, s1, gm, phi_dot * phi_dot * j2) / (
-                    big_d * big_d
-                )
-                # passes share the day rate, so the linearised within-day
-                # variance of the ratio estimator vanishes
-                v3_p = 0.0
-            v2 += prof.count * v2_p / f
-            v3 += prof.count * v3_p / f
-        # S_b^2 of the N facility values: each profile's ybar count times,
-        # zero for the remaining facilities
-        big_n = s.n_population
-        mean = sum(p.count * p.ybar for p in s.profiles) / big_n
-        zeros = big_n - sum(p.count for p in s.profiles)
-        ss = sum(p.count * (p.ybar - mean) ** 2 for p in s.profiles) + zeros * mean * mean
-        s_b2 = ss / (big_n - 1) if big_n > 1 else 0.0
-        v1 = big_n**2 * (1.0 / s.n_sampled - 1.0 / big_n) * s_b2
-        per_stratum[s.name] = StageVariances(stage1=v1, stage2=v2, stage3=v3)
+        try:
+            sv = _stratum_variances(s, big_d, d, estimator)
+        except OverflowError:  # float ** raises where * gives inf
+            sv = StageVariances(math.inf, 0.0, 0.0)
+        _require_finite(sv, f"stratum {s.name!r}")
+        per_stratum[s.name] = sv
     overall = StageVariances(
         stage1=sum(v.stage1 for v in per_stratum.values()),
         stage2=sum(v.stage2 for v in per_stratum.values()),
         stage3=sum(v.stage3 for v in per_stratum.values()),
     )
+    _require_finite(overall, "scenario total")
     return overall, per_stratum
+
+
+def _stratum_variances(s: PlanStratum, big_d: int, d: int, estimator: str) -> StageVariances:
+    q = len(s.pass_phis)
+    f = s.n_sampled / s.n_population
+    k3 = sum((1.0 - phi) / phi for phi in s.pass_phis) / (q * q)
+    phi_dot = 1.0 if estimator == "ipw" else 1.0 - math.prod(1.0 - phi for phi in s.pass_phis)
+    v2 = v3 = 0.0
+    for prof in s.profiles:
+        # the D daily means have mean ybar and sample variance day_sd^2
+        m2 = (big_d - 1) * prof.day_sd**2 + big_d * prof.ybar**2
+        v2_p = _stage2(d, big_d, prof.day_sd**2, (1.0 / phi_dot - 1.0) * m2)
+        # passes share the day rate, so the linearised within-day variance
+        # of the ratio estimator vanishes
+        v3_p = k3 * m2 / (big_d * d) if estimator == "ipw" else 0.0
+        v2 += prof.count * v2_p / f
+        v3 += prof.count * v3_p / f
+    # S_b^2 of the N facility values: each profile's ybar count times, zero
+    # for the remaining facilities
+    big_n = s.n_population
+    mean = sum(p.count * p.ybar for p in s.profiles) / big_n
+    zeros = big_n - sum(p.count for p in s.profiles)
+    ss = sum(p.count * (p.ybar - mean) ** 2 for p in s.profiles) + zeros * mean * mean
+    s_b2 = ss / (big_n - 1) if big_n > 1 else 0.0
+    v1 = big_n**2 * (1.0 / s.n_sampled - 1.0 / big_n) * s_b2
+    return StageVariances(stage1=v1, stage2=v2, stage3=v3)
+
+
+def _require_finite(sv: StageVariances, where: str):
+    # the sum is finite only if every stage part is
+    if not math.isfinite(sv.total):
+        raise EstimationError(f"{where}: a predicted stage variance is too large to "
+                              "represent (an extreme ybar, day_sd or pass_phis?)")
 
 
 # ---------------------------------------------------------------------------

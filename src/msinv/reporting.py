@@ -23,6 +23,7 @@ __all__ = [
     "InventoryReport",
     "build_report",
     "assemble_report",
+    "manifest_line",
     "write_report_json",
     "write_report_table",
     "write_decomposition_table",
@@ -188,10 +189,11 @@ def build_report(est, config) -> InventoryReport:
 # ---------------------------------------------------------------------------
 
 
-def _manifest_line(manifest: dict | None) -> list[str]:
+def manifest_line(manifest: dict | None) -> str:
+    """The comment line that heads a CSV artifact with its manifest ('' without one)."""
     if manifest is None:
-        return []
-    return ["# manifest: " + json.dumps(manifest, sort_keys=True)]
+        return ""
+    return "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
 
 
 def write_report_json(report: InventoryReport, path, manifest: dict | None = None):
@@ -215,8 +217,7 @@ def write_report_table(report: InventoryReport, path, manifest: dict | None = No
                        decimals: int = 2):
     """Display CSV mirroring the stratum summary table, rounded for reading."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in _manifest_line(manifest):
-            fh.write(line + "\n")
+        fh.write(manifest_line(manifest))
         w = csv.writer(fh)
         w.writerow(TABLE_COLUMNS)
         for r in report.strata:
@@ -246,8 +247,7 @@ DECOMPOSITION_COLUMNS = ["stratum", "source", "variance_kt_y2", "share"]
 def write_decomposition_table(report: InventoryReport, path, manifest: dict | None = None):
     """Plot-ready long-format variance decomposition (full precision)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in _manifest_line(manifest):
-            fh.write(line + "\n")
+        fh.write(manifest_line(manifest))
         w = csv.writer(fh)
         w.writerow(DECOMPOSITION_COLUMNS)
         rows = list(report.strata) + [

@@ -19,7 +19,6 @@ variant.  POD is evaluated only on the passes of sampled component-days.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +31,7 @@ from .estimators import EstimationError, EstimatorConfig
 from .estimators import estimate_survey  # noqa: F401
 from .frame import UnitIndex, count, json_list, json_object, number, read_json, text
 from .pod import DEFAULT_POD, PodParams, pod
-from .reporting import wald_ci
+from .reporting import manifest_line, wald_ci
 
 __all__ = [
     "SimStratumSpec",
@@ -388,8 +387,7 @@ class SimStudyResult:
 
     def write_csv(self, path, manifest: dict | None = None):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            if manifest is not None:
-                fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+            fh.write(manifest_line(manifest))
             w = csv.writer(fh)
             w.writerow(["stratum", "variant", "bias_pct", "var", "mse", "coverage"])
             for row in self.rows:

@@ -529,6 +529,23 @@ class TestPlanAndDiagnose:
     def test_plan_range_rules_are_4(self, tmp_path, capsys, edits):
         assert_rejected(tmp_path, capsys, "plan", edited(PLAN_SCENARIO, edits))
 
+    @pytest.mark.parametrize("edits, estimator", [
+        ({("strata", 0, "profiles", 0, "ybar"): 1e200}, "ipw"),
+        ({("strata", 0, "profiles", 0, "ybar"): 1e200}, "hajek"),
+        ({("strata", 0, "pass_phis"): 1e-300, ("strata", 0, "profiles", 0, "ybar"): 1e5},
+         "ipw"),
+    ], ids=["ybar-1e200-ipw", "ybar-1e200-hajek", "pass-phi-1e-300-ipw"])
+    def test_plan_overflow_is_3(self, tmp_path, capsys, edits, estimator):
+        # valid inputs whose variances no float holds: exit 3, before any output
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(edited(PLAN_SCENARIO, edits)))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("plan", "--scenario", str(cfg), "--estimator", estimator,
+                   "--out", str(out / "plan.csv")) == 3
+        assert capsys.readouterr().err.startswith("msinv: estimation error: stratum 'A': ")
+        assert not out.exists()
+
     def test_diagnose_packaged_locks(self, tmp_path):
         assert run("diagnose", "--packaged", "--out-dir", str(tmp_path)) == 0
         doc = json.loads((tmp_path / "diagnostics.json").read_text())

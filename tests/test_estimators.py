@@ -21,7 +21,6 @@ from msinv.estimators import (
     EstimationError,
     EstimatorConfig,
     component_srs_hajek,
-    component_srs_ipw,
     daily_estimate,
     estimate_survey,
     hajek_daily,
@@ -179,6 +178,52 @@ def daily_var_generic(detections, q_total: int, pi_marginal, pi_joint) -> float:
     return total / (q_total * q_total)
 
 
+def component_srs_ipw(daily, d_p: int, horizon: int) -> ComponentEstimate:
+    """Aggregate IPW daily estimates over an SRS of d_p out of D days.
+
+    The textbook form of the original plan.  ``daily`` must cover every
+    surveyed day, zero-detection days included as (0, 0).  Uses the
+    closed-form SRS variance
+
+        (1/D^2)[ sum_t (D-d)D/(d(d-1)) Yhat_t^2
+                 + D(d-D)/(d^2(d-1)) (sum_t Yhat_t)^2
+                 + sum_t (D/d) Vhat_t ].
+    """
+    if d_p < 2:
+        raise EstimationError("single-day components route through variance imputation")
+    if len(daily) != d_p:
+        raise EstimationError(f"expected {d_p} daily estimates, got {len(daily)}")
+    if d_p > horizon:
+        raise EstimationError(f"d_p={d_p} exceeds the horizon D={horizon}")
+    s1 = sum(d.mean_rate for d in daily)
+    s2 = sum(d.mean_rate**2 for d in daily)
+    sv = sum(d.var for d in daily)
+    a = (horizon - d_p) * horizon / (d_p * (d_p - 1))
+    b = horizon * (d_p - horizon) / (d_p * d_p * (d_p - 1))
+    var = (a * s2 + b * s1 * s1 + (horizon / d_p) * sv) / (horizon * horizon)
+    return ComponentEstimate(
+        component_id="",
+        mean_rate=s1 / d_p,
+        var=max(0.0, var),
+        var_stage3_part=sv / (d_p * d_p),
+        horizon=horizon,
+        n_usable_days=d_p,
+    )
+
+
+def original_plan_component(daily, d_p: int, horizon: int):
+    """The production path for `component_srs_ipw`: (estimate, needs_pooling)."""
+    assert len(daily) == d_p
+    comp = ComponentObs("c", "f", "S", tuple(daily))
+    return _estimate_component(comp, EstimatorConfig(horizon=horizon))
+
+
+def production_srs_ipw(daily, d_p: int, horizon: int) -> ComponentEstimate:
+    est, needs_pool = original_plan_component(daily, d_p, horizon)
+    assert not needs_pool
+    return est
+
+
 def component_generic(daily, pi2_marginal, pi2_joint, horizon: int) -> ComponentEstimate:
     """Aggregate daily estimates under arbitrary day inclusion probabilities.
 
@@ -267,26 +312,33 @@ def srs_ipw_textbook(daily_means, daily_vars, d_p, horizon):
     return (1 - d_p / horizon) * s2 / d_p + sum(daily_vars) / (horizon * d_p)
 
 
+# the textbook checks run on the reference and on the production path
+SRS_IPW_PATHS = pytest.mark.parametrize("component_srs_ipw",
+                                        [component_srs_ipw, production_srs_ipw],
+                                        ids=["reference", "production"])
+
+
+@SRS_IPW_PATHS
 class TestComponentSrsIpw:
-    def test_census_of_days(self):
+    def test_census_of_days(self, component_srs_ipw):
         daily = [DailyEstimate(4.0, 0.0, n_detected=1), DailyEstimate(6.0, 0.0, n_detected=1)]
         est = component_srs_ipw(daily, 2, 2)
         assert est.mean_rate == pytest.approx(5.0)
         assert est.var == 0.0
 
-    def test_matches_textbook_form(self):
+    def test_matches_textbook_form(self, component_srs_ipw):
         daily = [DailyEstimate(4.0, 0.0, n_detected=1), DailyEstimate(6.0, 0.0, n_detected=1)]
         est = component_srs_ipw(daily, 2, 365)
         assert est.mean_rate == pytest.approx(5.0)
         assert est.var == pytest.approx(srs_ipw_textbook([4, 6], [0, 0], 2, 365), rel=1e-12)
 
-    def test_zero_padded_day(self):
+    def test_zero_padded_day(self, component_srs_ipw):
         daily = [DailyEstimate(0.0, 0.0), DailyEstimate(8.0, 0.0, n_detected=1)]
         est = component_srs_ipw(daily, 2, 365)
         assert est.mean_rate == pytest.approx(4.0)
         assert est.var == pytest.approx(srs_ipw_textbook([0, 8], [0, 0], 2, 365), rel=1e-12)
 
-    def test_random_days_match_textbook(self):
+    def test_random_days_match_textbook(self, component_srs_ipw):
         rng = np.random.default_rng(11)
         for _ in range(30):
             d_p = int(rng.integers(2, 6))
@@ -300,9 +352,15 @@ class TestComponentSrsIpw:
                 srs_ipw_textbook(means, vs, d_p, horizon), rel=1e-10
             )
 
-    def test_single_day_routes_to_imputation(self):
-        with pytest.raises(EstimationError):
-            component_srs_ipw([DailyEstimate(4.0, 0.0)], 1, 365)
+    def test_single_day_routes_to_imputation(self, component_srs_ipw):
+        day = DailyEstimate(4.0, 0.5, n_detected=1)
+        if component_srs_ipw is production_srs_ipw:
+            est, needs_pool = original_plan_component([day], 1, 365)
+            assert needs_pool and math.isnan(est.var)
+            assert (est.mean_rate, est.var_stage3_part, est.n_usable_days) == (4.0, 0.5, 1)
+        else:
+            with pytest.raises(EstimationError):
+                component_srs_ipw([day], 1, 365)
 
 
 def hajek_component_display(daily_means, daily_vars, phi_hats, d_p, horizon):

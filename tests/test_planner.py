@@ -2,13 +2,19 @@
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msinv.estimators import EstimatorConfig
-from msinv.oracle import exact_stage_variances
+from msinv.frame import StratumDef
+from msinv.oracle import MicroComponent, MicroPass, MicroPopulation, exact_stage_variances
 from msinv.planner import (
+    _stage2,
     PlanProfile,
     PlanScenario,
     PlanStratum,
@@ -20,10 +26,105 @@ from msinv.planner import (
 )
 
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  the benchmark's micro-population generator
+
+
+def _day_moment_sum(ybars, marginals, joints) -> float:
+    """sum_t sum_u (pi_tu - pi_t pi_u) (y_t/pi_t)(y_u/pi_u).
+
+    D^2 times the true stage II variance of a component under any day design
+    with marginals pi_t and joints pi_tu (diagonal pi_t): the double sum
+    that `planner._stage2` collapses for the starred day design.
+    """
+    total = 0.0
+    m = len(ybars)
+    for t in range(m):
+        zt = ybars[t] / marginals[t]
+        for u in range(m):
+            total += (joints[t][u] - marginals[t] * marginals[u]) * zt * ybars[u] / marginals[u]
+    return total
+
+
+def starred_day_tables(phi_dots, d: int, big_d: int):
+    """Marginal and joint day inclusion probabilities of the starred day design."""
+    f2 = d / big_d
+    j2 = d * (d - 1) / (big_d * (big_d - 1)) if big_d > 1 else f2
+    marginals = [ph * f2 for ph in phi_dots]
+    joints = [[marginals[t] if t == u else phi_dots[t] * phi_dots[u] * j2
+               for u in range(big_d)] for t in range(big_d)]
+    return marginals, joints
+
+
+def two_strata_population() -> MicroPopulation:
+    """Two strata, facilities listed out of order, one with two components."""
+    day = (MicroPass(3.0, 0.7),)
+    return MicroPopulation(
+        strata={"S2": StratumDef("S2", 1, 1), "S1": StratumDef("S1", 1, 2)},
+        facilities={"F1": "S1", "F2": "S1", "F3": "S2"},
+        components=(
+            MicroComponent("c1", "F2", (day, (MicroPass(5.0, 0.4), MicroPass(1.0, 0.9)))),
+            MicroComponent("c2", "F1", ((MicroPass(2.0, 0.5),), day)),
+            MicroComponent("c3", "F2", ((MicroPass(7.0, 0.3),), (MicroPass(4.0, 0.6),))),
+            MicroComponent("c4", "F3", (day, (MicroPass(9.0, 0.2),))),
+        ),
+        days_sampled=1,
+    )
+
+
+def enumeration_population(name: str, request) -> MicroPopulation:
+    if name == "two_strata":
+        return two_strata_population()
+    if name.startswith("generated"):
+        # one population of each shape the oracle-plan benchmark draws
+        rng = np.random.default_rng([1])
+        pops = [gen.micro_population(rng, shape) for shape in gen.MICRO_SHAPES]
+        return pops[int(name[-1])]
+    return request.getfixturevalue(name)
+
+
+class TestStage2:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), big_d=st.integers(1, 8), detection=st.booleans())
+    def test_equals_the_double_sum(self, data, big_d, detection):
+        d = data.draw(st.integers(1, big_d))
+        ybars = data.draw(st.lists(st.floats(0.0, 1e3), min_size=big_d, max_size=big_d))
+        phi_dots = (data.draw(st.lists(st.floats(1e-6, 1.0), min_size=big_d, max_size=big_d))
+                    if detection else [1.0] * big_d)
+        marginals, joints = starred_day_tables(phi_dots, d, big_d)
+        want = _day_moment_sum(ybars, marginals, joints) / big_d**2
+        mean = sum(ybars) / big_d
+        s2 = sum((y - mean) ** 2 for y in ybars) / (big_d - 1) if big_d > 1 else 0.0
+        got = _stage2(d, big_d, s2,
+                      sum((1.0 / ph - 1.0) * y * y for y, ph in zip(ybars, phi_dots)))
+        # the double sum cancels; compare on the scale of its largest term
+        largest = max(abs((joints[t][u] - marginals[t] * marginals[u])
+                          * ybars[t] / marginals[t] * ybars[u] / marginals[u])
+                      for t in range(big_d) for u in range(big_d)) / big_d**2
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * largest)
+        assert got >= 0.0
+
+    def test_ybar_far_above_day_sd(self):
+        # the day moments M2 and S1^2 agree to 20 digits here, so a form
+        # built on their difference loses every digit of stage II
+        count, n, big_n, d, big_d = 1, 1, 5, 2, 365
+        sc = PlanScenario(
+            strata=(PlanStratum("S", n, big_n, (PlanProfile(ybar=1e10, day_sd=1.0, count=count),),
+                                (0.8,)),),
+            horizon=big_d, days_sampled=d,
+        )
+        overall, _ = predict_variance(sc, "ipw")
+        assert overall.stage2 == pytest.approx(count * (1 / d - 1 / big_d) * 1.0 / (n / big_n),
+                                               rel=1e-12)
+
+
 class TestExactFormulas:
-    def test_matches_enumeration_for_ipw(self, micro_b):
-        sv = predict_variance_exact(micro_b, "ipw")
-        e1, e2, e3 = exact_stage_variances(micro_b, EstimatorConfig(stage2="year", horizon=3))
+    @pytest.mark.parametrize("name", ["micro_b", "two_strata", "generated_0", "generated_1"])
+    def test_matches_enumeration_for_ipw(self, name, request):
+        pop = enumeration_population(name, request)
+        sv = predict_variance_exact(pop, "ipw")
+        e1, e2, e3 = exact_stage_variances(pop, EstimatorConfig(stage2="year",
+                                                                horizon=pop.horizon))
         assert sv.stage1 == pytest.approx(e1, rel=1e-10)
         assert sv.stage2 == pytest.approx(e2, rel=1e-10)
         assert sv.stage3 == pytest.approx(e3, rel=1e-10)
