@@ -140,9 +140,11 @@ class CompiledIndex:
     of the units (the scalar reference's order), detected component-days
     ("ddays"); phi groups (each dday, then each pooled well-site day) for the
     any-detection probability; unit-days (one per surveyed day of a unit: a
-    non-well component or a well site standing for all of its wells); units;
-    stratum members (units repeated once per well); facilities; strata;
-    groups of strata, each summed into one population total.
+    non-well component or a well site standing for all of its wells); units.
+    Stage I runs on members (each adds one unit's estimate; a frame repeats
+    a well site once per well), facilities, strata and groups of strata,
+    each group summed into one population total.  Its schedules list member
+    positions, so members of many strata may share one unit.
     """
 
     labels: np.ndarray              # per unit, for error messages
@@ -165,14 +167,12 @@ class CompiledIndex:
     d_p: np.ndarray
     m: np.ndarray
     unit_d: np.ndarray
-    unit_stratum: np.ndarray
-    unit_f: np.ndarray
     # stage I: members and facilities per stratum, strata per group
     member_unit: np.ndarray
     member_stratum: np.ndarray
-    n_members: np.ndarray           # per unit
-    members: Schedule               # per stratum: units, with well repeats
-    fac_units: Schedule             # per facility: units
+    member_f: np.ndarray            # per member: its stratum's n_sampled / n_population
+    members: Schedule               # per stratum: its members
+    fac_members: Schedule           # per facility: its members
     fac_of_stratum: Schedule        # per stratum: facilities
     stratum_f: np.ndarray
     stratum_pair_coef: np.ndarray   # 0 where n_sampled < 2
@@ -190,9 +190,9 @@ class CompiledIndex:
 
 def compile_index(index: UnitIndex) -> CompiledIndex:
     """Compile the units for `build_layout`, under any configuration."""
-    ud_unit, unit_stratum, member_unit = index.ud_unit, index.unit_stratum, index.member_unit
-    n_cd, n_ud, n_units = len(index.cd_q), len(ud_unit), len(unit_stratum)
-    n_strata = len(index.n_sampled)
+    ud_unit, member_unit, member_stratum = index.ud_unit, index.member_unit, index.member_stratum
+    n_cd, n_ud, n_units = len(index.cd_q), len(ud_unit), len(index.unit_wells)
+    n_strata, n_members = len(index.n_sampled), len(member_unit)
 
     # detected component-days, and the detected passes in component-day order
     by_cd = np.argsort(index.pass_cd, kind="stable")
@@ -225,9 +225,8 @@ def compile_index(index: UnitIndex) -> CompiledIndex:
     star_unit = ud_unit[star]
     m = np.bincount(star_unit, minlength=n_units)
 
-    # strata: members in unit order, facilities (numbered in order of their
+    # strata: members in order, facilities (numbered in order of their
     # first member) in order
-    member_stratum = unit_stratum[member_unit]
     _, fac_first, fac_of_member = np.unique(index.member_fac, return_index=True,
                                             return_inverse=True)
     n_sampled, n_population = index.n_sampled, index.n_population
@@ -256,13 +255,11 @@ def compile_index(index: UnitIndex) -> CompiledIndex:
         d_p=d_p,
         m=m,
         unit_d=_col(d_p),
-        unit_stratum=unit_stratum,
-        unit_f=_col(stratum_f[unit_stratum]),
         member_unit=member_unit,
         member_stratum=member_stratum,
-        n_members=np.bincount(member_unit, minlength=n_units),
-        members=_schedule(member_stratum, member_unit, n_strata),
-        fac_units=_schedule(fac_of_member, member_unit, len(fac_first)),
+        member_f=_col(stratum_f[member_stratum]),
+        members=_schedule(member_stratum, np.arange(n_members), n_strata),
+        fac_members=_schedule(fac_of_member, np.arange(n_members), len(fac_first)),
         fac_of_stratum=_schedule(member_stratum[fac_first], np.arange(len(fac_first)),
                                  n_strata),
         stratum_f=_col(stratum_f),
@@ -279,7 +276,7 @@ class Layout:
 
     ``index`` holds what the configuration does not decide; the rest is
     per unit class (full variance, pooled variance, zero emitter) under this
-    configuration.
+    configuration, and the pooling of the pooled units' members.
     """
 
     index: CompiledIndex
@@ -298,10 +295,12 @@ class Layout:
     full_h: np.ndarray
     days_of_full: Schedule          # per full unit: its full_days positions
     first_day_of_pooled: np.ndarray  # per pooled unit: its position in days
-    # pooling
-    peers: Schedule                 # per stratum: full units, with well repeats
+    # pooling, per member
+    member_h: np.ndarray
+    peers: Schedule                 # per stratum: the members of its full units
     n_peers: np.ndarray
-    pooled_stratum: np.ndarray
+    pooled_members: np.ndarray
+    pooled_stratum: np.ndarray      # per pooled member
     diagnostics: dict
 
     @property
@@ -347,14 +346,17 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
     full_days = np.flatnonzero(is_full[day_unit])
     n_full = n_days[full]
 
-    # pooling peers: the full units of each stratum, in member order
+    # pooling peers: the members of each stratum's full units, in order
     peer = is_full[index.member_unit]
-    n_peers = np.bincount(index.member_stratum[peer], minlength=index.n_strata)
-    pooled_stratum = index.unit_stratum[pooled]
-    n_members = index.n_members
+    peer_stratum = index.member_stratum[peer]
+    n_peers = np.bincount(peer_stratum, minlength=index.n_strata)
+    is_pooled = np.zeros(index.n_units, dtype=bool)
+    is_pooled[pooled] = True
+    pooled_members = np.flatnonzero(is_pooled[index.member_unit])
+    pooled_stratum = index.member_stratum[pooled_members]
     diagnostics = {
-        "n_pooled_components": int(n_members[pooled].sum()),
-        "n_pooled_without_peers": int(n_members[pooled][n_peers[pooled_stratum] == 0].sum()),
+        "n_pooled_components": len(pooled_members),
+        "n_pooled_without_peers": int(np.count_nonzero(n_peers[pooled_stratum] == 0)),
         "n_zero_emitting_strata": index.n_zero_emitting_strata,
     }
     return Layout(
@@ -371,8 +373,10 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
         full_h=_col(horizon[day_unit[full_days]]),
         days_of_full=_ranges(np.cumsum(n_full) - n_full, n_full),
         first_day_of_pooled=(np.cumsum(n_days) - n_days)[pooled],
-        peers=_schedule(index.member_stratum[peer], index.member_unit[peer], index.n_strata),
+        member_h=_col(horizon[index.member_unit]),
+        peers=_schedule(peer_stratum, np.flatnonzero(peer), index.n_strata),
         n_peers=_col(np.maximum(1, n_peers)),  # an empty sum stays 0.0
+        pooled_members=pooled_members,
         pooled_stratum=pooled_stratum,
         diagnostics=diagnostics,
     )
@@ -429,10 +433,10 @@ def _daily(layout: Layout, y: np.ndarray, phi: np.ndarray):
 
 
 def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
-    """Per-unit mean, variance (NaN until pooled) and stage III part."""
+    """Per-unit mean, variance (NaN until pooled) and stage III part, stacked."""
     ix = layout.index
-    shape = (ix.n_units, ud_mean.shape[-1])
-    mean, var, s3 = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    out = np.zeros((3, ix.n_units, ud_mean.shape[-1]))
+    mean, var, s3 = out
     full, pooled, first = layout.full, layout.pooled, layout.first_day_of_pooled
     sf, sd, sh = layout.full_days, layout.full_d, layout.full_h
     day_mean, day_var = ud_mean[layout.days], ud_var[layout.days]
@@ -465,22 +469,25 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
     d0 = ix.unit_d[pooled]
     mean[pooled] = m0 / (ph0 * d0)
     s3[pooled] = v0 / (ph0 * ph0 * d0 * d0)
-    return mean, var, s3
+    return out
 
 
-def _assemble(layout: Layout, mean, var, s3):
-    """Pool single-day variances, then `stratum_total` and each group's population sums."""
+def _assemble(layout: Layout, unit_est: np.ndarray):
+    """Give each member its unit's estimates, pool single-day variances, then
+    `stratum_total` and each group's population sums."""
     ix = layout.index
+    mean, var, s3 = np.take(unit_est, ix.member_unit, axis=1)
+    pooled = layout.pooled_members
     pool = _seq_sum(var, layout.peers) / layout.n_peers
-    var[layout.pooled] = pool[layout.pooled_stratum]
+    var[pooled] = pool[layout.pooled_stratum]
     if layout.observed:
-        s3[layout.pooled] = var[layout.pooled]
-    part = s3 * layout.unit_h if layout.printed else s3
-    f = ix.unit_f
+        s3[pooled] = var[pooled]
+    part = s3 * layout.member_h if layout.printed else s3
+    f = ix.member_f
     expanded = mean / f
     total, v23, s23, s3s = _seq_sum(
         np.stack([expanded, var / f, var / (f * f), part / (f * f)]), ix.members)
-    fac = _seq_sum(expanded, ix.fac_units)
+    fac = _seq_sum(expanded, ix.fac_members)
     sumsq = _seq_sum(fac * fac, ix.fac_of_stratum)
     a1 = (1.0 - ix.stratum_f) * sumsq + ix.stratum_pair_coef * (total * total - sumsq)
     v3stage = a1 + v23
@@ -510,7 +517,7 @@ def evaluate(layout: Layout, y: np.ndarray, phi: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y_t, phi_t = np.ascontiguousarray(y.T), np.ascontiguousarray(phi.T)
         ud_mean, ud_var, ud_ph = _daily(layout, y_t, phi_t)
-        pop, st = _assemble(layout, *_unit_estimates(layout, ud_mean, ud_var, ud_ph))
+        pop, st = _assemble(layout, _unit_estimates(layout, ud_mean, ud_var, ud_ph))
     out = BatchEstimate(population={k: v.T for k, v in pop.items()},
                         strata={k: v.T for k, v in st.items()})
     for where, values in (("population", out.population), ("stratum", out.strata)):

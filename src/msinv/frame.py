@@ -173,7 +173,14 @@ class Unit(NamedTuple):
 
 @dataclass(frozen=True)
 class UnitIndex:
-    """Units as flat index arrays, the input of `batch.compile_index`.
+    """Units and stage I members as flat index arrays, the input of `batch.compile_index`.
+
+    Units are what gets estimated: a unit's component-days, passes and wells
+    give its mean, variance and stage III part.  Members are what stage I
+    samples: each belongs to a stratum and a facility and adds its unit's
+    estimate there.  A frame has one member per well of a site and one per
+    other unit; the exact oracle lets one unit stand for the same realisation
+    in many outcomes, so members of many strata and groups may share it.
 
     Component-days are grouped by unit-day and unit-days by unit, each in
     order, so ``cd_ud`` and ``ud_unit`` never decrease.  A component-day
@@ -187,10 +194,10 @@ class UnitIndex:
     cd_q: np.ndarray            # per component-day: its pass count Q_pt
     cd_ud: np.ndarray           # per component-day: its unit-day
     ud_unit: np.ndarray         # per unit-day: its unit
-    unit_stratum: np.ndarray    # per unit: its stratum
     unit_wells: np.ndarray      # per unit: its wells, 0 for a non-well component
     labels: np.ndarray          # per unit: the component id error messages name
-    member_unit: np.ndarray     # per stage I member (one per well of a site): its unit
+    member_unit: np.ndarray     # per stage I member: the unit it adds
+    member_stratum: np.ndarray  # per stage I member: its stratum
     member_fac: np.ndarray      # per stage I member: its facility (see above)
     n_sampled: np.ndarray       # per stratum
     n_population: np.ndarray    # per stratum
@@ -411,6 +418,7 @@ class SurveyFrame:
         member_fac = [facs.setdefault((stratum, member), len(facs))
                       for _, stratum, members, _ in heads for member in members]
         unit_wells = np.array([wells for *_, wells in heads], dtype=np.intp)
+        member_unit = np.repeat(np.arange(len(heads)), np.maximum(unit_wells, 1))
 
         # a unit's component-days by day, then component; a dropped site's go
         cd_unit = np.array(unit_of, dtype=np.intp)[cd_comp]
@@ -427,12 +435,12 @@ class SurveyFrame:
             cd_q=cd_q[cds],
             cd_ud=np.cumsum(ud_start) - 1,
             ud_unit=cd_unit[cds][ud_start],
-            unit_stratum=np.array([s_index[stratum] for _, stratum, _, _ in heads],
-                                  dtype=np.intp),
             unit_wells=unit_wells,
             labels=np.array([members[0] if wells else uid for uid, _, members, wells in heads],
                             dtype=object),
-            member_unit=np.repeat(np.arange(len(heads)), np.maximum(unit_wells, 1)),
+            member_unit=member_unit,
+            member_stratum=np.array([s_index[stratum] for _, stratum, _, _ in heads],
+                                    dtype=np.intp)[member_unit],
             member_fac=np.array(member_fac, dtype=np.intp),
             n_sampled=np.array([d.n_sampled for d in self.strata.values()], dtype=np.intp),
             n_population=np.array([d.n_population for d in self.strata.values()],

@@ -269,9 +269,11 @@ def _walk(pop: MicroPopulation, tables: _Tables, size: int):
 
 
 class _Block(NamedTuple):
-    """``outcomes`` as units: one per (outcome, sampled component), with a
-    stratum per (outcome, stratum) and a group per outcome.  ``rates`` and
-    ``phis`` belong to the detected passes of ``index``."""
+    """``outcomes`` as one `UnitIndex`: a stage I member per (outcome, sampled
+    component), a stratum per (outcome, stratum) and a group per outcome.
+    Members whose component saw the same days and detection patterns share
+    one unit.  ``rates`` and ``phis`` belong to the detected passes of
+    ``index``."""
 
     index: UnitIndex
     rates: np.ndarray
@@ -293,22 +295,41 @@ def _blocks(pop: MicroPopulation, max_outcomes: int = MAX_OUTCOMES):
 def _block(pop: MicroPopulation, tables: _Tables, runs: list[_Outcomes]) -> _Block:
     out = _Outcomes(*(np.concatenate(field) for field in zip(*runs)))
     n_strata, n_facs, d = len(pop.strata), len(pop.facilities), pop.days_sampled
-    n_out, n_cd = len(out.prob), len(out.cd_ci)
-    cd_outcome = np.repeat(np.arange(n_out), out.n_pairs)
-    # detected passes, by component-day, then pass, as their pattern rows list them
-    hits = tables.hits[out.cd_pattern]
+    n_out = len(out.prob)
+    # a member per (outcome, sampled component), with a row of its d pattern rows
+    member_ci = out.cd_ci[::d]
+    member_outcome = np.repeat(np.arange(n_out), out.n_pairs // d)
+    rows = out.cd_pattern.reshape(-1, d)
+    # a pattern row names its component and day, so equal rows are one unit
+    # realisation: key them column by column, re-coded densely before a
+    # column could overflow the key
+    n_rows = len(tables.pattern_prob)
+    key = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        if key.max(initial=0) >= np.iinfo(np.int64).max // n_rows:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * n_rows + column
+    # a unit per distinct key, in order of first appearance
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[by_first] = np.arange(len(first))
+    unit_member = first[by_first]
+    unit_ci, unit_pattern = member_ci[unit_member], rows[unit_member].ravel()
+    # the units' detected passes, by component-day, then pass, as their
+    # pattern rows list them
+    n_cd = len(unit_pattern)
+    hits = tables.hits[unit_pattern]
     pass_cd = np.repeat(np.arange(n_cd), hits)
     hit = np.arange(len(pass_cd)) + np.repeat(
-        tables.hit_start[out.cd_pattern] - (np.cumsum(hits) - hits), hits)
-    # a unit per (outcome, sampled component): its d component-days follow
-    unit_ci, unit_outcome = out.cd_ci[::d], cd_outcome[::d]
+        tables.hit_start[unit_pattern] - (np.cumsum(hits) - hits), hits)
     index = UnitIndex(
-        pass_cd=pass_cd, cd_q=tables.pattern_q[out.cd_pattern], cd_ud=np.arange(n_cd),
+        pass_cd=pass_cd, cd_q=tables.pattern_q[unit_pattern], cd_ud=np.arange(n_cd),
         ud_unit=np.arange(n_cd) // d,
-        unit_stratum=tables.comp_stratum[unit_ci] + n_strata * unit_outcome,
         unit_wells=np.zeros(len(unit_ci), dtype=np.intp), labels=tables.comp_ids[unit_ci],
-        member_unit=np.arange(len(unit_ci)),
-        member_fac=tables.comp_fac[unit_ci] + n_facs * unit_outcome,
+        member_unit=rank[inverse],
+        member_stratum=tables.comp_stratum[member_ci] + n_strata * member_outcome,
+        member_fac=tables.comp_fac[member_ci] + n_facs * member_outcome,
         n_sampled=np.tile([s.n_sampled for s in pop.strata.values()], n_out),
         n_population=np.tile([s.n_population for s in pop.strata.values()], n_out),
         stratum_group=np.repeat(np.arange(n_out), n_strata),

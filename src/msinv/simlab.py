@@ -516,10 +516,9 @@ def _sample_block(pop: SimPopulation, config: SimConfig, reps: range):
     names = [sp.spec.name for sp in strata]
     index = UnitIndex(
         pass_cd=(unit * d_p + k)[det], cd_q=q.reshape(-1), cd_ud=np.arange(n_units * d_p),
-        ud_unit=np.repeat(np.arange(n_units), d_p), unit_stratum=unit_stratum,
-        unit_wells=np.zeros(n_units, dtype=np.intp),
+        ud_unit=np.repeat(np.arange(n_units), d_p), unit_wells=np.zeros(n_units, dtype=np.intp),
         labels=np.array([f"{names[s]}:{c}" for s, c in zip(local, comp)], dtype=object),
-        member_unit=np.arange(n_units),
+        member_unit=np.arange(n_units), member_stratum=unit_stratum,
         member_fac=(np.cumsum(n_population) - n_population)[unit_stratum] + fac,
         n_sampled=n_sampled, n_population=n_population,
         stratum_group=np.repeat(np.arange(len(reps)), n_strata),

@@ -197,7 +197,7 @@ def _group_units(strata, components, wells_per_site, detected, comp_days, q_coun
 def _index(strata, units, n_detected) -> UnitIndex:
     s_index = {name: s for s, name in enumerate(strata)}
     pass_cd = np.empty(n_detected, dtype=np.intp)
-    cd_q, cd_ud, ud_unit, member_unit, member_fac = [], [], [], [], []
+    cd_q, cd_ud, ud_unit, member_unit, member_stratum, member_fac = [], [], [], [], [], []
     facs: dict[tuple[str, str], int] = {}
     for u, unit in enumerate(units):
         for day in unit.days:
@@ -208,6 +208,7 @@ def _index(strata, units, n_detected) -> UnitIndex:
             ud_unit.append(u)
         for member in unit.members:
             member_unit.append(u)
+            member_stratum.append(s_index[unit.stratum])
             member_fac.append(facs.setdefault((unit.stratum, member), len(facs)))
 
     def ints(values):
@@ -215,11 +216,11 @@ def _index(strata, units, n_detected) -> UnitIndex:
 
     return UnitIndex(
         pass_cd=pass_cd, cd_q=ints(cd_q), cd_ud=ints(cd_ud), ud_unit=ints(ud_unit),
-        unit_stratum=ints([s_index[unit.stratum] for unit in units]),
         unit_wells=ints([unit.wells for unit in units]),
         labels=np.array([unit.members[0] if unit.wells else unit.unit_id
                          for unit in units], dtype=object),
-        member_unit=ints(member_unit), member_fac=ints(member_fac),
+        member_unit=ints(member_unit), member_stratum=ints(member_stratum),
+        member_fac=ints(member_fac),
         n_sampled=ints([d.n_sampled for d in strata.values()]),
         n_population=ints([d.n_population for d in strata.values()]),
         stratum_group=np.zeros(len(strata), dtype=np.intp),

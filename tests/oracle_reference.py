@@ -2,12 +2,15 @@
 
 `oracle._walk` gives every outcome of a stage I draw in one mixed-radix
 count, from pattern tables built once per population, and `oracle._block`
-lays a block of outcomes out as one `UnitIndex` with whole-array numpy.
+lays a block of outcomes out as one `UnitIndex` with whole-array numpy,
+one unit per distinct realisation of a sampled component.
 `reference_chunks` is the walk they replaced: one Python iteration per
 (stage I, stage II) cell, each cell's patterns counted from its own radix
 and its probabilities multiplied pair by pair.  `reference_block` builds a
 block chunk by chunk, each chunk from its own padded table of the sampled
-(component, day) pairs.  Both must give equal arrays of equal dtypes.
+(component, day) pairs, with a unit of its own per (outcome, sampled
+component).  Both must give equal arrays of equal dtypes, once
+`index_helpers.unit_per_member` gives the block a unit per member.
 """
 
 import itertools
@@ -134,7 +137,7 @@ def reference_block(pop, chunks):
                              for c in pop.components], dtype=np.intp)
     comp_ids = np.array([c.component_id for c in pop.components], dtype=object)
     parts: dict[str, list[np.ndarray]] = {
-        k: [] for k in ("pass_cd", "rates", "phis", "cd_q", "ud_unit", "unit_stratum",
+        k: [] for k in ("pass_cd", "rates", "phis", "cd_q", "ud_unit", "member_stratum",
                         "labels", "member_fac")}
     n_out = n_units = n_cd = 0
     for ch in chunks:
@@ -155,7 +158,7 @@ def reference_block(pop, chunks):
         parts["phis"].append(phis[j, i])
         parts["cd_q"].append(np.tile(q, k))
         parts["ud_unit"].append(n_units + np.arange(k * n_pairs) // d)
-        parts["unit_stratum"].append(np.tile(comp_stratum[comps], k) + n_strata * outcome)
+        parts["member_stratum"].append(np.tile(comp_stratum[comps], k) + n_strata * outcome)
         parts["labels"].append(np.tile(comp_ids[comps], k))
         parts["member_fac"].append(np.tile(comp_fac[comps], k) + n_facs * outcome)
         n_out += k
@@ -164,11 +167,12 @@ def reference_block(pop, chunks):
     flat = {key: np.concatenate(arrays) for key, arrays in parts.items()}
     index = UnitIndex(
         pass_cd=flat["pass_cd"], cd_q=flat["cd_q"], cd_ud=np.arange(n_cd),
-        ud_unit=flat["ud_unit"], unit_stratum=flat["unit_stratum"],
-        unit_wells=np.zeros(n_units, dtype=np.intp), labels=flat["labels"],
-        member_unit=np.arange(n_units), member_fac=flat["member_fac"],
+        ud_unit=flat["ud_unit"], unit_wells=np.zeros(n_units, dtype=np.intp),
+        labels=flat["labels"], member_unit=np.arange(n_units),
+        member_stratum=flat["member_stratum"], member_fac=flat["member_fac"],
         n_sampled=np.tile([pop.strata[n].n_sampled for n in names], n_out),
         n_population=np.tile([pop.strata[n].n_population for n in names], n_out),
         stratum_group=np.repeat(np.arange(n_out), n_strata),
     )
     return index, flat["rates"], flat["phis"]
+

@@ -20,6 +20,7 @@ from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame, UnitIndex
 from msinv.measurement import McConfig, iteration_uniforms, run_mc
 from msinv.pod import PHI_FLOOR, pod, sample_true_rate
 from msinv.simlab import SimConfig, SimStratumSpec
+from index_helpers import same_bits, side_by_side, unit_per_member
 
 DESIGNS = [("ipw", "original"), ("ipw", "modified"), ("hajek", "modified")]
 CONFIGS = [
@@ -121,28 +122,6 @@ def test_kernel_matches_scalar_reference(frame, seed):
                              what + (name,))
 
 
-def side_by_side(indexes) -> UnitIndex:
-    """One index holding each of ``indexes`` as a group of its own, in order."""
-    parts = {f.name: [] for f in dataclasses.fields(UnitIndex)}
-    n_cd = n_ud = n_units = n_strata = n_facs = 0
-    for group, ix in enumerate(indexes):
-        for name, values in (
-            ("pass_cd", ix.pass_cd + n_cd), ("cd_q", ix.cd_q), ("cd_ud", ix.cd_ud + n_ud),
-            ("ud_unit", ix.ud_unit + n_units), ("unit_stratum", ix.unit_stratum + n_strata),
-            ("unit_wells", ix.unit_wells), ("labels", ix.labels),
-            ("member_unit", ix.member_unit + n_units), ("member_fac", ix.member_fac + n_facs),
-            ("n_sampled", ix.n_sampled), ("n_population", ix.n_population),
-            ("stratum_group", np.full(len(ix.n_sampled), group)),
-        ):
-            parts[name].append(values)
-        n_cd += len(ix.cd_q)
-        n_ud += len(ix.ud_unit)
-        n_units += len(ix.unit_stratum)
-        n_strata += len(ix.n_sampled)
-        n_facs += int(ix.member_fac.max(initial=-1)) + 1
-    return UnitIndex(**{name: np.concatenate(values) for name, values in parts.items()})
-
-
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(frames=st.lists(survey_frames(), min_size=2, max_size=3), seed=st.integers(0, 2**32 - 1))
 def test_frames_as_groups_match_scalar_reference(frames, seed):
@@ -215,13 +194,6 @@ def test_iterations_independent_of_chunking(subset_frame, monkeypatch, estimator
 # ---------------------------------------------------------------------------
 
 SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan)
-
-
-def same_bits(got, want) -> bool:
-    """Equal shapes, NaN where ``want`` is NaN, and every other value bit for bit."""
-    nan = np.isnan(want)
-    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
-            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -324,3 +296,52 @@ def test_simlab_blocks_share_one_compiled_index():
     index, y, phi = simlab._sample_block(simlab.generate_population(cfg), cfg, range(8))
     configs = [simlab._variant_config(v, cfg) for v in simlab.VARIANTS]
     assert_shared_index_equals_fresh_builds(index, configs, y[None], phi[None])
+
+
+# ---------------------------------------------------------------------------
+# Units shared by stage I members
+# ---------------------------------------------------------------------------
+
+
+def ints(values):
+    return np.array(values, dtype=np.intp)
+
+
+# C0 is surveyed on two days; C1, pooled, on one; SITE, a well site of two
+# wells, on two days with two components each; C3, a zero emitter, on one.
+# Group 0 holds strata 0 and 1, group 1 strata 2 and 3.  C1 is a member of
+# strata 0, 1 and 3, SITE (once per well) of strata 1 and 2, and C0 of
+# strata 0 and 3; stratum 3 has a pooled unit and a zero emitter.
+SHARED = UnitIndex(
+    pass_cd=ints([0, 1, 2, 2, 3, 5, 5]),
+    cd_q=ints([2, 1, 3, 1, 2, 2, 1, 2]),
+    cd_ud=ints([0, 1, 2, 3, 3, 4, 4, 5]),
+    ud_unit=ints([0, 0, 1, 2, 2, 3]),
+    unit_wells=ints([0, 0, 2, 0]),
+    labels=np.array(["C0", "C1", "SITE/well1", "C3"], dtype=object),
+    member_unit=ints([0, 1, 2, 2, 1, 2, 2, 1, 3, 0]),
+    member_stratum=ints([0, 0, 1, 1, 1, 2, 2, 3, 3, 3]),
+    member_fac=ints(range(10)),
+    n_sampled=ints([2, 3, 2, 3]),
+    n_population=ints([3, 5, 2, 4]),
+    stratum_group=ints([0, 0, 1, 1]),
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_shared_units_equal_their_copies(seed):
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(15.0, 120.0, (3, len(SHARED.pass_cd)))
+    phi = rng.uniform(0.05, 1.0, y.shape)
+    copy, y_copy, phi_copy = unit_per_member(SHARED, y, phi)
+    assert len(copy.unit_wells) == len(SHARED.member_unit) == 10
+    shared, copied = compile_index(SHARED), compile_index(copy)
+    for cfg in CONFIGS:
+        got_layout, want_layout = build_layout(shared, cfg), build_layout(copied, cfg)
+        assert got_layout.diagnostics == want_layout.diagnostics
+        assert got_layout.diagnostics["n_pooled_components"] == 3
+        got = evaluate(got_layout, y, phi)
+        want = evaluate(want_layout, y_copy, phi_copy)
+        for values in ("population", "strata"):
+            for key, arr in getattr(want, values).items():
+                assert same_bits(getattr(got, values)[key], arr), (cfg, values, key)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from msinv.batch import POPULATION_KEYS
+from msinv.batch import POPULATION_KEYS, build_layout, compile_index, evaluate
 from msinv.estimators import ComponentObs, EstimatorConfig, daily_estimate, estimate_survey
 from msinv.frame import StratumDef, UnitIndex
 from msinv import oracle
@@ -36,6 +36,7 @@ from oracle_reference import (
     reference_block_chunks,
     reference_chunks,
 )
+from index_helpers import same_bits, side_by_side, unit_per_member
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  the benchmark's micro-population generator
@@ -381,8 +382,12 @@ def block_populations(draw):
 def assert_walk_and_blocks_match_the_reference(pop):
     """Every block of `oracle._blocks` equals the reference on the reference
     walk's outcomes cut at the same place: per outcome its stage I draw,
-    cell, probabilities and pairs; each `UnitIndex` array and its dtype;
-    and the rates and PODs bit for bit."""
+    cell, probabilities and pairs.  Its units are the distinct realisations
+    of its members, in order of first appearance; with a unit copied per
+    member (`unit_per_member`) each `UnitIndex` array and its dtype, and
+    the rates and PODs bit for bit, equal the reference's.  `evaluate`
+    gives the blocks' outcomes and the reference blocks' bit for bit
+    (each side laid out as one index)."""
     tables = oracle._tables(pop)
     for ci, c in enumerate(pop.components):
         for t, day in enumerate(c.days):
@@ -392,6 +397,7 @@ def assert_walk_and_blocks_match_the_reference(pop):
     blocks = list(oracle._blocks(pop))
     chunk_lists = list(reference_block_chunks(pop, oracle.OUTCOME_BLOCK))
     assert len(blocks) == len(chunk_lists)
+    references = []
     for block, chunks in zip(blocks, chunk_lists):
         n = [len(ch.prob) for ch in chunks]
         want = {
@@ -410,14 +416,34 @@ def assert_walk_and_blocks_match_the_reference(pop):
             got = getattr(block.outcomes, name)
             assert got.dtype == values.dtype, name
             assert np.array_equal(got.view(np.uint64), values.view(np.uint64)), name
+        # a unit per distinct row of a member's pattern rows, first seen first
+        rows = block.outcomes.cd_pattern.reshape(-1, pop.days_sampled)
+        _, first = np.unique(block.index.member_unit, return_index=True)
+        assert len(first) == len(block.index.unit_wells) and np.all(np.diff(first) > 0)
+        assert np.array_equal(first, np.sort(np.unique(rows, axis=0, return_index=True)[1]))
+        assert np.array_equal(rows, rows[first][block.index.member_unit])
         index, rates, phis = reference_block(pop, chunks)
+        copy, copy_rates, copy_phis = unit_per_member(block.index, block.rates, block.phis)
         for field in dataclasses.fields(UnitIndex):
-            got, want = getattr(block.index, field.name), getattr(index, field.name)
+            got, want = getattr(copy, field.name), getattr(index, field.name)
             assert got.dtype == want.dtype, field.name
             assert np.array_equal(got, want), field.name
-        for got, want in ((block.rates, rates), (block.phis, phis)):
+        for got, want in ((copy_rates, rates), (copy_phis, phis)):
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        references.append((index, rates, phis))
+    # every block and every reference block side by side, a group per outcome
+    laid_out = [
+        (compile_index(side_by_side([ix for ix, _, _ in parts])),
+         np.concatenate([r for _, r, _ in parts])[None],
+         np.concatenate([p for _, _, p in parts])[None])
+        for parts in ([(b.index, b.rates, b.phis) for b in blocks], references)]
+    for cfg in all_configs(pop):
+        (got, want) = (evaluate(build_layout(ix, cfg), y, phi) for ix, y, phi in laid_out)
+        for key in POPULATION_KEYS:
+            for values in ("population", "strata"):
+                g, w = getattr(got, values)[key], getattr(want, values)[key]
+                assert g.dtype == w.dtype and same_bits(g, w), (cfg, values, key)
 
 
 def shape_populations():
