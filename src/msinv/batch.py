@@ -163,6 +163,7 @@ class CompiledIndex:
     star: np.ndarray                # unit-days with a detection
     star_unit: np.ndarray
     star_grp: np.ndarray
+    star_one_pass: np.ndarray       # positions in star of the unit-days of one pass
     # units: surveyed days d_p, days with a detection m
     d_p: np.ndarray
     m: np.ndarray
@@ -252,6 +253,7 @@ def compile_index(index: UnitIndex) -> CompiledIndex:
         star=star,
         star_unit=star_unit,
         star_grp=ud_grp[star],
+        star_one_pass=np.flatnonzero(ud_q[star] == 1),
         d_p=d_p,
         m=m,
         unit_d=_col(d_p),
@@ -444,9 +446,10 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
         ph0 = ph = 1.0
     else:
         if layout.kind == "starred":
-            # starred_daily on every star day
+            # starred_daily on every star day, 0.0 on a day of one pass
             day_mean, day_var = (ud_ph * day_mean,
                                  ud_ph * day_var + ud_ph * (ud_ph - 1.0) * day_mean**2)
+            day_var[ix.star_one_pass] = 0.0
         ph0, ph = ud_ph[first], ud_ph[sf]
     m0, v0 = day_mean[first], day_var[first]
     m, v = day_mean[sf], day_var[sf]

@@ -103,13 +103,18 @@ class EstimatorConfig:
 
 @dataclass(slots=True)
 class DailyEstimate:
-    """Estimated mean emission rate of one component on one day."""
+    """Estimated mean emission rate of one component on one day.
+
+    ``n_passes`` is the day's pass count Q (a well share: every pass of the
+    site that day), 0 where unknown.
+    """
 
     mean_rate: float
     var: float
     phi_hat: float | None = None
     n_detected: int = 0
     day_id: int = 0
+    n_passes: int = 0
 
 
 def _check_detections(detections, q_total: int):
@@ -138,6 +143,7 @@ def ipw_daily(detections, q_total: int, day_id: int = 0) -> DailyEstimate:
         var=ipw_daily_var(detections, q_total),
         n_detected=len(detections),
         day_id=day_id,
+        n_passes=q_total,
     )
 
 
@@ -164,6 +170,7 @@ def hajek_daily(detections, q_total: int, phi_hat: float, day_id: int = 0) -> Da
         phi_hat=phi_hat,
         n_detected=len(detections),
         day_id=day_id,
+        n_passes=q_total,
     )
 
 
@@ -218,18 +225,17 @@ def starred_daily(daily: DailyEstimate, phi_hat: float) -> DailyEstimate:
     which is the generic HT variance under the starred within-day
     probabilities (verified against `daily_var_generic` in the tests).  The
     value may be negative; it is an intermediate HT quantity and clipping it
-    would break the exact equivalence with the original design.  For a day
-    of one pass it is 0 up to rounding, which 1/phi_hat^2 amplifies
-    downstream, so the square is a product, as in the batched kernel
-    (``**`` can differ from it in the last bit).
+    would break the exact equivalence with the original design.  On a day
+    of one pass (``n_passes`` 1) it is 0: given the detection nothing about
+    the day is random.  The formula would leave rounding noise there, which
+    1/phi_hat^2 amplifies downstream, so such a day takes exactly 0.0, as in
+    the batched kernel.  The square is a product, as there too (``**`` can
+    differ from it in the last bit).
     """
     mean = daily.mean_rate
-    return replace(
-        daily,
-        mean_rate=phi_hat * mean,
-        var=phi_hat * daily.var + phi_hat * (phi_hat - 1.0) * (mean * mean),
-        phi_hat=phi_hat,
-    )
+    var = 0.0 if daily.n_passes == 1 else (
+        phi_hat * daily.var + phi_hat * (phi_hat - 1.0) * (mean * mean))
+    return replace(daily, mean_rate=phi_hat * mean, var=var, phi_hat=phi_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +622,9 @@ def prepare_components(frame: SurveyFrame, rates, phis, config: EstimatorConfig)
             pooled = [phis[i] for positions, _ in day.parts for i in positions]
             misses = sum(q_pt - len(positions) for positions, q_pt in day.parts)
             phi_hat = phi_any_detection(pooled, misses) if pooled else None
-            shares.append(DailyEstimate(mean, var, phi_hat=phi_hat,
-                                        n_detected=len(pooled), day_id=day.day_id))
+            shares.append(DailyEstimate(mean, var, phi_hat=phi_hat, n_detected=len(pooled),
+                                        day_id=day.day_id,
+                                        n_passes=sum(q_pt for _, q_pt in day.parts)))
         out.extend(ComponentObs(wid, wid, unit.stratum, tuple(shares)) for wid in unit.members)
     return out
 

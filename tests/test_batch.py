@@ -122,6 +122,28 @@ def test_kernel_matches_scalar_reference(frame, seed):
                              what + (name,))
 
 
+def test_a_day_of_one_pass_has_no_starred_stage3():
+    # given its detection, a day of one pass is not random: IPW on the
+    # modified plan gives it starred variance 0.0 on both paths, not the
+    # rounding noise that 1/phi^2 made about 1e8 of at phi 1.2e-7
+    frame = ONE_PASS_SMALL_PHI
+    for cfg in CONFIGS:
+        if (cfg.estimator, cfg.plan) != ("ipw", "modified"):
+            continue
+        layout = compile_layout(frame, cfg)
+        y = sample_true_rate(frame.measured_rates, iteration_uniforms(357, range(3),
+                                                                      layout.n_passes))
+        phi = np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
+        assert phi[2, 0] < 1e-6
+        est = evaluate(layout, y, phi)
+        for b in range(3):
+            scalar = estimate_survey(prepare_components(frame, y[b], phi[b], cfg),
+                                     frame.strata, cfg)
+            assert scalar.u3 == scalar.v3 == scalar.strata["S"].u3 == 0.0, (cfg, b)
+            for key in ("u3", "v3"):
+                assert est.population[key][b, 0] == est.strata[key][b, 0] == 0.0, (cfg, b)
+
+
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(frames=st.lists(survey_frames(), min_size=2, max_size=3), seed=st.integers(0, 2**32 - 1))
 def test_frames_as_groups_match_scalar_reference(frames, seed):

@@ -131,7 +131,7 @@ class TestDailyEstimate:
         q = max(1, len(detections) + misses)
         got = daily_estimate(rates, phis, q, estimator, day_id=7)
         if not detections:
-            assert got == DailyEstimate(0.0, 0.0, day_id=7)
+            assert got == DailyEstimate(0.0, 0.0, day_id=7, n_passes=q)
             return
         phi_hat = phi_any_detection(phis, q - len(phis))
         if estimator == "hajek":
