@@ -94,6 +94,15 @@ class MicroPopulation:
     def horizon(self) -> int:
         return len(self.components[0].days)
 
+    def require_passes(self) -> None:
+        """Raise ValueError naming the first component-day without passes:
+        its mean rate, a term of the estimand, is undefined (0/0)."""
+        for c in self.components:
+            for t, day in enumerate(c.days):
+                if not day:
+                    raise ValueError(f"component {c.component_id!r}, day {t}: no passes, so "
+                                     "the day's mean rate is undefined")
+
     def stratum_facilities(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {name: [] for name in self.strata}
         for fac in sorted(self.facilities):
@@ -102,7 +111,11 @@ class MicroPopulation:
 
 
 def true_total(pop: MicroPopulation) -> float:
-    """The estimand: sum over components of the day-and-pass-averaged rate."""
+    """The estimand: sum over components of the day-and-pass-averaged rate.
+
+    Raises ValueError on a day without passes.
+    """
+    pop.require_passes()
     total = 0.0
     for c in pop.components:
         total += math.fsum(

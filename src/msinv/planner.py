@@ -91,9 +91,11 @@ def predict_variance_exact(pop: MicroPopulation, estimator: str = "ipw") -> Stag
     For IPW this is exact and matches the enumeration oracle to numerical
     precision.  For the Hajek estimator the within-day variance is the Taylor
     linearisation, so agreement with enumeration is approximate by design.
+    Raises ValueError on a day without passes, whose mean rate is undefined.
     """
     if estimator not in {"ipw", "hajek"}:
         raise ValueError("estimator must be 'ipw' or 'hajek'")
+    pop.require_passes()
     big_d = pop.horizon
     d = pop.days_sampled
 

@@ -172,6 +172,13 @@ class TestTrueTotal:
         )
         assert true_total(pop) == 0.0
 
+    def test_a_day_without_passes_is_refused(self):
+        # its mean rate is 0/0; the population still enumerates
+        pop = pop_with_an_empty_draw()
+        with pytest.raises(ValueError, match=r"^component 'c2', day 2: no passes"):
+            true_total(pop)
+        assert enumerate_outcomes(pop, cfg_b())
+
 
 class TestMicroA:
     def test_support_and_mean(self, micro_a):

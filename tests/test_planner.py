@@ -149,6 +149,21 @@ class TestExactFormulas:
         assert sv.stage2 == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize("estimator", ["ipw", "hajek"])
+    def test_a_day_without_passes_is_refused(self, estimator):
+        pop = MicroPopulation(
+            strata={"S": StratumDef("S", 1, 2)},
+            facilities={"F1": "S", "F2": "S"},
+            components=(
+                MicroComponent("c1", "F1", ((MicroPass(3.0, 0.7),), (MicroPass(1.0, 0.4),))),
+                MicroComponent("c2", "F2", ((MicroPass(2.0, 0.5),), ())),
+            ),
+            days_sampled=1,
+        )
+        with pytest.raises(ValueError, match=r"^component 'c2', day 1: no passes"):
+            predict_variance_exact(pop, estimator)
+
+
 class TestScenarioClosedForms:
     def scenario(self, n=2, big_n=3, d=2, horizon=3, ybar=5.0, sd=2.0, count=3,
                  phis=(0.6, 0.8)):
