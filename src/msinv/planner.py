@@ -116,7 +116,7 @@ def predict_variance_exact(pop: MicroPopulation, estimator: str = "ipw") -> Stag
             daily_vars = [_true_daily_hajek_var(day) for day in comp.days]
         s2 = sum((y - mean) ** 2 for y in ybars) / (big_d - 1) if big_d > 1 else 0.0
         v2_p = _stage2(d, big_d, s2,
-                       sum((1.0 / ph - 1.0) * y * y for y, ph in zip(ybars, phi_dots)))
+                       sum((1.0 - ph) / ph * y * y for y, ph in zip(ybars, phi_dots)))
         v3_p = sum(v / ph for v, ph in zip(daily_vars, phi_dots)) / (d * big_d)
         v_two += v2_p / pi1
         v_three += v3_p / pi1
@@ -276,7 +276,7 @@ def _stratum_variances(s: PlanStratum, big_d: int, d: int, estimator: str) -> St
     for prof in s.profiles:
         # the D daily means have mean ybar and sample variance day_sd^2
         m2 = (big_d - 1) * prof.day_sd**2 + big_d * prof.ybar**2
-        v2_p = _stage2(d, big_d, prof.day_sd**2, (1.0 / phi_dot - 1.0) * m2)
+        v2_p = _stage2(d, big_d, prof.day_sd**2, (1.0 - phi_dot) / phi_dot * m2)
         # passes share the day rate, so the linearised within-day variance
         # of the ratio estimator vanishes
         v3_p = k3 * m2 / (big_d * d) if estimator == "ipw" else 0.0

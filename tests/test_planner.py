@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msinv.estimators import EstimatorConfig
@@ -35,14 +35,18 @@ def _day_moment_sum(ybars, marginals, joints) -> float:
 
     D^2 times the true stage II variance of a component under any day design
     with marginals pi_t and joints pi_tu (diagonal pi_t): the double sum
-    that `planner._stage2` collapses for the starred day design.
+    that `planner._stage2` collapses for the starred day design.  A diagonal
+    term is pi_t (1 - pi_t), which does not cancel as pi_t - pi_t^2 does
+    when pi_t is near 1.
     """
     total = 0.0
     m = len(ybars)
     for t in range(m):
         zt = ybars[t] / marginals[t]
         for u in range(m):
-            total += (joints[t][u] - marginals[t] * marginals[u]) * zt * ybars[u] / marginals[u]
+            cov = (marginals[t] * (1.0 - marginals[t]) if t == u
+                   else joints[t][u] - marginals[t] * marginals[u])
+            total += cov * zt * ybars[u] / marginals[u]
     return total
 
 
@@ -83,25 +87,42 @@ def enumeration_population(name: str, request) -> MicroPopulation:
     return request.getfixturevalue(name)
 
 
+@st.composite
+def day_designs(draw):
+    """(d, D, the daily means, the detection probabilities, 1 without detection)."""
+    big_d = draw(st.integers(1, 8))
+    detection = draw(st.booleans())
+    d = draw(st.integers(1, big_d))
+    ybars = draw(st.lists(st.floats(0.0, 1e3), min_size=big_d, max_size=big_d))
+    phi_dots = (draw(st.lists(st.floats(1e-6, 1.0), min_size=big_d, max_size=big_d))
+                if detection else [1.0] * big_d)
+    return d, big_d, ybars, phi_dots
+
+
 class TestStage2:
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), big_d=st.integers(1, 8), detection=st.booleans())
-    def test_equals_the_double_sum(self, data, big_d, detection):
-        d = data.draw(st.integers(1, big_d))
-        ybars = data.draw(st.lists(st.floats(0.0, 1e3), min_size=big_d, max_size=big_d))
-        phi_dots = (data.draw(st.lists(st.floats(1e-6, 1.0), min_size=big_d, max_size=big_d))
-                    if detection else [1.0] * big_d)
+    @given(design=day_designs())
+    # both sides subnormal: the exact value lies 0.27 ulp from _stage2's
+    # and 0.73 ulp from the double sum's
+    @example(design=(1, 1, [4.199265654543454e-160], [0.5]))
+    # phi near 1: 1/phi - 1 and pi - pi^2 lost 12 digits to cancellation
+    @example(design=(1, 1, [1.0], [0.99999]))
+    def test_equals_the_double_sum(self, design):
+        d, big_d, ybars, phi_dots = design
         marginals, joints = starred_day_tables(phi_dots, d, big_d)
         want = _day_moment_sum(ybars, marginals, joints) / big_d**2
         mean = sum(ybars) / big_d
         s2 = sum((y - mean) ** 2 for y in ybars) / (big_d - 1) if big_d > 1 else 0.0
         got = _stage2(d, big_d, s2,
-                      sum((1.0 / ph - 1.0) * y * y for y, ph in zip(ybars, phi_dots)))
-        # the double sum cancels; compare on the scale of its largest term
+                      sum((1.0 - ph) / ph * y * y for y, ph in zip(ybars, phi_dots)))
+        # the double sum cancels; compare on the scale of its largest term,
+        # and no closer than the smallest normal float, below which that
+        # scale underflows
         largest = max(abs((joints[t][u] - marginals[t] * marginals[u])
                           * ybars[t] / marginals[t] * ybars[u] / marginals[u])
                       for t in range(big_d) for u in range(big_d)) / big_d**2
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * largest)
+        assert got == pytest.approx(want, rel=1e-12,
+                                    abs=1e-12 * largest + sys.float_info.min)
         assert got >= 0.0
 
     def test_ybar_far_above_day_sd(self):
