@@ -311,8 +311,11 @@ class Layout:
 
 
 def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
-    """`build_layout` of the frame's units; columns align with ``frame.measured_rates``."""
-    return build_layout(compile_index(frame.index), config)
+    """`build_layout` of the frame's units; columns align with ``frame.measured_rates``.
+
+    The frame compiles its index once (`SurveyFrame.compiled_index`).
+    """
+    return build_layout(frame.compiled_index, config)
 
 
 def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:

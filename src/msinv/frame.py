@@ -263,10 +263,11 @@ class SurveyFrame:
     the passes once into canonical (component, day, pass) order, which gives
     the per-detected-pass arrays ``measured_rates``, ``wind_speeds`` and
     ``altitudes`` (every rate vector aligns with them) and ``index``, the
-    units as the flat arrays of a `UnitIndex`.  ``units`` (non-well
-    components in id order, then well sites with at least one well in id
-    order), ``passes`` (in log order) and ``detected_passes`` (in canonical
-    order) are records built on first use.
+    units as the flat arrays of a `UnitIndex`.  ``compiled_index`` (its
+    `batch.CompiledIndex`), ``units`` (non-well components in id order, then
+    well sites with at least one well in id order), ``passes`` (in log
+    order) and ``detected_passes`` (in canonical order) are built on first
+    use.
 
     ``wells_per_site`` maps site_id -> number of wells at the site, for the
     shared-equipment allocation of well emissions.
@@ -447,6 +448,14 @@ class SurveyFrame:
                                   dtype=np.intp),
             stratum_group=np.zeros(len(self.strata), dtype=np.intp),
         ))
+
+    @functools.cached_property
+    def compiled_index(self):
+        """`batch.compile_index` of ``index``, compiled on first use and shared
+        by every estimator configuration run on this frame."""
+        from . import batch  # batch imports this module
+
+        return batch.compile_index(self.index)
 
     @functools.cached_property
     def units(self) -> tuple[Unit, ...]:

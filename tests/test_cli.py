@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import msinv
-from msinv import cli, measurement, simlab
+from msinv import batch, cli, measurement, simlab
 from msinv.cli import main
 from msinv.datasets import packaged_subset_paths
 
@@ -161,6 +161,15 @@ class TestEstimate:
         assert doc["config"]["pod_params"]["wind_offset"] == 2.5
         assert doc["config"]["measurement"]["d"] == 0.9
 
+
+    def test_all_variants_compile_the_frame_once(self, tmp_path, monkeypatch):
+        compiled = []
+        compile_index = batch.compile_index
+        monkeypatch.setattr(batch, "compile_index",
+                            lambda index: compiled.append(index) or compile_index(index))
+        assert run("estimate", "--packaged", "--all-variants", "--mc-iters", "4",
+                   "--out-dir", str(tmp_path)) == 0
+        assert len(compiled) == 1
 
     def test_all_variants_hash_each_input_once(self, tmp_path, monkeypatch):
         hashed = []
