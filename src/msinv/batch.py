@@ -3,11 +3,12 @@
 Across the iterations of the measurement-error Monte Carlo only the drawn
 rates and their detection probabilities change.  Everything else is fixed by
 the units and the `EstimatorConfig`.  A `frame.UnitIndex` (a frame's is
-`SurveyFrame.index`, built once per frame; the exact oracle builds one per
-block of outcomes, the simulation lab one per block of replications) says as
-flat arrays which detected passes make up each component-day and its pass
-count Q_pt, the surveyed days d_p, and which component-days a well site sums
-and spreads over its wells.
+`SurveyFrame.index`; the exact oracle builds one per block of outcomes, the
+simulation lab one per block of replications) says as flat arrays which
+detected passes make up each component-day and its pass count Q_pt, the
+surveyed days d_p, and which component-days a well site sums and spreads
+over its wells.  Units are estimated; stage I runs on members, each adding
+one unit's estimate to its stratum, so that members may share a unit.
 
 A layout is built in two steps, with numpy alone.  `compile_index` compiles
 what no configuration decides, once per `UnitIndex`: the detected
@@ -16,10 +17,11 @@ m of days with a detection, and stage I membership (members, facilities,
 strata and groups).  `build_layout` adds, per configuration, what the
 configuration decides: which units are zero emitters or need a pooled
 variance, the days the other units expand (IPW on the original plan: every
-surveyed day, at phi_hat = 1; else the star days), the pooling peers, and the
-check of d_p against the horizon.  Every configuration of an index shares its
-`CompiledIndex`.  `evaluate` computes a whole chunk of iterations at once,
-as arrays with one row per iteration.
+surveyed day, at phi_hat = 1; else the star days), the pooling peers among
+the members, and the check of d_p against the horizon.  Every configuration
+of an index shares its `CompiledIndex`.  `evaluate` computes a whole chunk
+of iterations at once, as arrays with one row per iteration, and gives each
+member its unit's estimates before stage I.
 
 Each ragged index (the passes of a component-day, the members of a stratum,
 ...) is a prefix sum `Schedule`: its rows are stored longest first, so the
@@ -140,11 +142,9 @@ class CompiledIndex:
     of the units (the scalar reference's order), detected component-days
     ("ddays"); phi groups (each dday, then each pooled well-site day) for the
     any-detection probability; unit-days (one per surveyed day of a unit: a
-    non-well component or a well site standing for all of its wells); units.
-    Stage I runs on members (each adds one unit's estimate; a frame repeats
-    a well site once per well), facilities, strata and groups of strata,
-    each group summed into one population total.  Its schedules list member
-    positions, so members of many strata may share one unit.
+    non-well component or a well site standing for all of its wells); units;
+    stage I members (positions, each adding one unit); facilities; strata;
+    groups of strata, each summed into one population total.
     """
 
     labels: np.ndarray              # per unit, for error messages
@@ -311,10 +311,8 @@ class Layout:
 
 
 def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
-    """`build_layout` of the frame's units; columns align with ``frame.measured_rates``.
-
-    The frame compiles its index once (`SurveyFrame.compiled_index`).
-    """
+    """`build_layout` of the frame's `SurveyFrame.compiled_index`; columns
+    align with ``frame.measured_rates``."""
     return build_layout(frame.compiled_index, config)
 
 
@@ -336,10 +334,8 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
             f"component {index.labels[u]!r}: d_p={d_p[u]} exceeds the horizon D={horizon[u]}"
         )
     single = (m if kind == "hajek" else d_p) == 1
-    pooled = np.flatnonzero((m > 0) & single)
-    full = np.flatnonzero((m > 0) & ~single)
-    is_full = np.zeros(index.n_units, dtype=bool)
-    is_full[full] = True
+    is_full, is_pooled = (m > 0) & ~single, (m > 0) & single
+    full, pooled = np.flatnonzero(is_full), np.flatnonzero(is_pooled)
 
     # the original plan is the starred one with phi_hat = 1 on every
     # surveyed day, zero-detection days included
@@ -355,8 +351,6 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
     peer = is_full[index.member_unit]
     peer_stratum = index.member_stratum[peer]
     n_peers = np.bincount(peer_stratum, minlength=index.n_strata)
-    is_pooled = np.zeros(index.n_units, dtype=bool)
-    is_pooled[pooled] = True
     pooled_members = np.flatnonzero(is_pooled[index.member_unit])
     pooled_stratum = index.member_stratum[pooled_members]
     diagnostics = {
@@ -440,8 +434,7 @@ def _daily(layout: Layout, y: np.ndarray, phi: np.ndarray):
 def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
     """Per-unit mean, variance (NaN until pooled) and stage III part, stacked."""
     ix = layout.index
-    out = np.zeros((3, ix.n_units, ud_mean.shape[-1]))
-    mean, var, s3 = out
+    mean, var, s3 = out = np.zeros((3, ix.n_units, ud_mean.shape[-1]))
     full, pooled, first = layout.full, layout.pooled, layout.first_day_of_pooled
     sf, sd, sh = layout.full_days, layout.full_d, layout.full_h
     day_mean, day_var = ud_mean[layout.days], ud_var[layout.days]
@@ -484,8 +477,7 @@ def _assemble(layout: Layout, unit_est: np.ndarray):
     ix = layout.index
     mean, var, s3 = np.take(unit_est, ix.member_unit, axis=1)
     pooled = layout.pooled_members
-    pool = _seq_sum(var, layout.peers) / layout.n_peers
-    var[pooled] = pool[layout.pooled_stratum]
+    var[pooled] = (_seq_sum(var, layout.peers) / layout.n_peers)[layout.pooled_stratum]
     if layout.observed:
         s3[pooled] = var[pooled]
     part = s3 * layout.member_h if layout.printed else s3

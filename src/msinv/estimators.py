@@ -103,18 +103,14 @@ class EstimatorConfig:
 
 @dataclass(slots=True)
 class DailyEstimate:
-    """Estimated mean emission rate of one component on one day.
-
-    ``n_passes`` is the day's pass count Q (a well share: every pass of the
-    site that day), 0 where unknown.
-    """
+    """Estimated mean emission rate of one component on one day."""
 
     mean_rate: float
     var: float
     phi_hat: float | None = None
     n_detected: int = 0
     day_id: int = 0
-    n_passes: int = 0
+    n_passes: int = 0       # the day's Q (a well share: the site's), 0 if unknown
 
 
 def _check_detections(detections, q_total: int):
@@ -225,12 +221,10 @@ def starred_daily(daily: DailyEstimate, phi_hat: float) -> DailyEstimate:
     which is the generic HT variance under the starred within-day
     probabilities (verified against `daily_var_generic` in the tests).  The
     value may be negative; it is an intermediate HT quantity and clipping it
-    would break the exact equivalence with the original design.  On a day
-    of one pass (``n_passes`` 1) it is 0: given the detection nothing about
-    the day is random.  The formula would leave rounding noise there, which
-    1/phi_hat^2 amplifies downstream, so such a day takes exactly 0.0, as in
-    the batched kernel.  The square is a product, as there too (``**`` can
-    differ from it in the last bit).
+    would break the exact equivalence with the original design.  A day of
+    one pass, not random once detected, takes exactly 0.0 (as in the batched
+    kernel): the formula leaves rounding noise there, which 1/phi_hat^2
+    amplifies downstream.  The square is a product, as in the kernel.
     """
     mean = daily.mean_rate
     var = 0.0 if daily.n_passes == 1 else (

@@ -175,12 +175,10 @@ class Unit(NamedTuple):
 class UnitIndex:
     """Units and stage I members as flat index arrays, the input of `batch.compile_index`.
 
-    Units are what gets estimated: a unit's component-days, passes and wells
-    give its mean, variance and stage III part.  Members are what stage I
-    samples: each belongs to a stratum and a facility and adds its unit's
-    estimate there.  A frame has one member per well of a site and one per
-    other unit; the exact oracle lets one unit stand for the same realisation
-    in many outcomes, so members of many strata and groups may share it.
+    Units are what gets estimated; members are what stage I samples, each
+    adding one unit's estimate to its stratum and facility.  A frame has a
+    member per well of a site and per other unit; the exact oracle lets
+    members of many strata and groups share one unit.
 
     Component-days are grouped by unit-day and unit-days by unit, each in
     order, so ``cd_ud`` and ``ud_unit`` never decrease.  A component-day
@@ -263,11 +261,10 @@ class SurveyFrame:
     the passes once into canonical (component, day, pass) order, which gives
     the per-detected-pass arrays ``measured_rates``, ``wind_speeds`` and
     ``altitudes`` (every rate vector aligns with them) and ``index``, the
-    units as the flat arrays of a `UnitIndex`.  ``compiled_index`` (its
-    `batch.CompiledIndex`), ``units`` (non-well components in id order, then
-    well sites with at least one well in id order), ``passes`` (in log
-    order) and ``detected_passes`` (in canonical order) are built on first
-    use.
+    units as the flat arrays of a `UnitIndex`.  ``compiled_index``, ``units``
+    (non-well components in id order, then well sites with at least one well
+    in id order), ``passes`` (in log order) and ``detected_passes`` (in
+    canonical order) are built on first use.
 
     ``wells_per_site`` maps site_id -> number of wells at the site, for the
     shared-equipment allocation of well emissions.
@@ -419,7 +416,6 @@ class SurveyFrame:
         member_fac = [facs.setdefault((stratum, member), len(facs))
                       for _, stratum, members, _ in heads for member in members]
         unit_wells = np.array([wells for *_, wells in heads], dtype=np.intp)
-        member_unit = np.repeat(np.arange(len(heads)), np.maximum(unit_wells, 1))
 
         # a unit's component-days by day, then component; a dropped site's go
         cd_unit = np.array(unit_of, dtype=np.intp)[cd_comp]
@@ -439,9 +435,9 @@ class SurveyFrame:
             unit_wells=unit_wells,
             labels=np.array([members[0] if wells else uid for uid, _, members, wells in heads],
                             dtype=object),
-            member_unit=member_unit,
-            member_stratum=np.array([s_index[stratum] for _, stratum, _, _ in heads],
-                                    dtype=np.intp)[member_unit],
+            member_unit=np.repeat(np.arange(len(heads)), np.maximum(unit_wells, 1)),
+            member_stratum=np.array([s_index[stratum] for _, stratum, members, _ in heads
+                                     for _ in members], dtype=np.intp),
             member_fac=np.array(member_fac, dtype=np.intp),
             n_sampled=np.array([d.n_sampled for d in self.strata.values()], dtype=np.intp),
             n_population=np.array([d.n_population for d in self.strata.values()],
@@ -451,10 +447,8 @@ class SurveyFrame:
 
     @functools.cached_property
     def compiled_index(self):
-        """`batch.compile_index` of ``index``, compiled on first use and shared
-        by every estimator configuration run on this frame."""
+        """`batch.compile_index` of ``index``, shared by every configuration."""
         from . import batch  # batch imports this module
-
         return batch.compile_index(self.index)
 
     @functools.cached_property

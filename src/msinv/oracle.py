@@ -95,8 +95,7 @@ class MicroPopulation:
         return len(self.components[0].days)
 
     def require_passes(self) -> None:
-        """Raise ValueError naming the first component-day without passes:
-        its mean rate, a term of the estimand, is undefined (0/0)."""
+        """Refuse a day without passes: its mean rate, in the estimand, is 0/0."""
         for c in self.components:
             for t, day in enumerate(c.days):
                 if not day:
@@ -111,10 +110,7 @@ class MicroPopulation:
 
 
 def true_total(pop: MicroPopulation) -> float:
-    """The estimand: sum over components of the day-and-pass-averaged rate.
-
-    Raises ValueError on a day without passes.
-    """
+    """The estimand: sum over components of the day-and-pass-averaged rate."""
     pop.require_passes()
     total = 0.0
     for c in pop.components:
@@ -129,9 +125,11 @@ def true_total(pop: MicroPopulation) -> float:
 # ---------------------------------------------------------------------------
 
 # Outcomes are estimated in blocks of this many (the last may hold fewer): a
-# block is one layout, with a stratum per (outcome, stratum), and one B=1
-# `evaluate` per configuration, so memory grows with the block, not with the
-# outcome count.  A block boundary may fall inside a stage I draw or a cell.
+# block is one layout, with a stratum per (outcome, stratum), a member per
+# (outcome, sampled component) and a unit per distinct realisation of a
+# sampled component, and one B=1 `evaluate` per configuration, so memory
+# grows with the block, not with the outcome count.  A block boundary may
+# fall inside a stage I draw or a cell.
 OUTCOME_BLOCK = 4096
 
 
@@ -282,11 +280,10 @@ def _walk(pop: MicroPopulation, tables: _Tables, size: int):
 
 
 class _Block(NamedTuple):
-    """``outcomes`` as one `UnitIndex`: a stage I member per (outcome, sampled
-    component), a stratum per (outcome, stratum) and a group per outcome.
-    Members whose component saw the same days and detection patterns share
-    one unit.  ``rates`` and ``phis`` belong to the detected passes of
-    ``index``."""
+    """``outcomes`` as one `UnitIndex`: a member per (outcome, sampled component),
+    a unit per distinct realisation of a sampled component, a stratum per
+    (outcome, stratum) and a group per outcome.  ``rates`` and ``phis``
+    belong to the detected passes of ``index``."""
 
     index: UnitIndex
     rates: np.ndarray
@@ -324,13 +321,9 @@ def _block(pop: MicroPopulation, tables: _Tables, runs: list[_Outcomes]) -> _Blo
         key = key * n_rows + column
     # a unit per distinct key, in order of first appearance
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[by_first] = np.arange(len(first))
-    unit_member = first[by_first]
+    unit_member, member_unit = np.sort(first), np.argsort(np.argsort(first))[inverse]
     unit_ci, unit_pattern = member_ci[unit_member], rows[unit_member].ravel()
-    # the units' detected passes, by component-day, then pass, as their
-    # pattern rows list them
+    # the units' detected passes, by component-day, then pass
     n_cd = len(unit_pattern)
     hits = tables.hits[unit_pattern]
     pass_cd = np.repeat(np.arange(n_cd), hits)
@@ -338,9 +331,8 @@ def _block(pop: MicroPopulation, tables: _Tables, runs: list[_Outcomes]) -> _Blo
         tables.hit_start[unit_pattern] - (np.cumsum(hits) - hits), hits)
     index = UnitIndex(
         pass_cd=pass_cd, cd_q=tables.pattern_q[unit_pattern], cd_ud=np.arange(n_cd),
-        ud_unit=np.arange(n_cd) // d,
+        ud_unit=np.arange(n_cd) // d, member_unit=member_unit,
         unit_wells=np.zeros(len(unit_ci), dtype=np.intp), labels=tables.comp_ids[unit_ci],
-        member_unit=rank[inverse],
         member_stratum=tables.comp_stratum[member_ci] + n_strata * member_outcome,
         member_fac=tables.comp_fac[member_ci] + n_facs * member_outcome,
         n_sampled=np.tile([s.n_sampled for s in pop.strata.values()], n_out),
