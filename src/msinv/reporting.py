@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import statistics
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "EstimationError",
@@ -92,7 +92,7 @@ def wald_ci(estimate, variance, level: float = 0.95):
         raise EstimationError("variance must be >= 0")
     if not 0 < level < 1:
         raise EstimationError("level must lie in (0, 1)")
-    z = float(ndtri(0.5 + level / 2.0))
+    z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * np.sqrt(variance)
     if half.ndim == 0:
         half = float(half)
