@@ -1,8 +1,13 @@
-"""Every public name a module exports must exist, and be used by the program."""
+"""Every public name a module exports must exist, and be used by the program;
+the program imports only the standard library and its declared dependencies."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +52,34 @@ def test_all_names_used_by_the_program(module):
     unused = [name for name in mod.__all__ if name not in used]
     assert not unused, (f"{module}.__all__ names no code in src/, demos/ or tools/ "
                         f"uses: {unused}")
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level modules a file imports by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower()
+                    for req in tomllib.load(fh)["project"]["dependencies"]}
+    package = ROOT / "src" / "msinv"
+    imported = set().union(*(_imported_modules(p) for p in package.rglob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"msinv"}
+    assert third_party == declared == {"numpy"}
+
+
+def test_no_module_loads_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(msinv.__file__).parents[1]))
+    code = ("import sys, msinv.cli, msinv.oracle, msinv.planner, msinv.simlab; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
