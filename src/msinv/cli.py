@@ -4,8 +4,8 @@ Every run writes machine-readable artifacts carrying a manifest (command,
 resolved flags, input digests, seed, version, timestamp) so results can be
 traced back to their inputs and reproduced exactly.
 
-Exit codes: 0 success, 2 input/schema failure, 3 estimation failure,
-4 configuration failure.
+Exit codes: 0 success, 2 input/schema failure (including a path that cannot
+be read or written), 3 estimation failure, 4 configuration failure.
 """
 
 from __future__ import annotations
@@ -92,17 +92,21 @@ def _resolve_models(args) -> tuple[PodParams, MeasurementModel]:
     meas_kw: dict = {}
     if args.model_config:
         ini = configparser.ConfigParser()
-        read = ini.read(args.model_config)
+        try:
+            read = ini.read(args.model_config)
+            sections = {name: ini.items(name) for name in ini.sections()}
+        except configparser.Error as exc:
+            reason = " ".join(str(exc).split())   # configparser's messages span lines
+            raise ConfigError(f"bad model config {args.model_config!r}: {reason}") from None
         if not read:
             raise ConfigError(f"cannot read model config {args.model_config!r}")
-        unknown = sorted(set(ini.sections()) - {"pod", "measurement"})
+        unknown = sorted(set(sections) - {"pod", "measurement"})
         if unknown:
             raise ConfigError(f"unknown model config section(s) {unknown}")
         for section, kw in (("pod", pod_kw), ("measurement", meas_kw)):
-            if ini.has_section(section):
-                # the dataclasses decide which values are in range (beta may be inf)
-                kw.update({k: number(v, f"[{section}] {k}", finite=False)
-                           for k, v in ini.items(section)})
+            # the dataclasses decide which values are in range (beta may be inf)
+            kw.update({k: number(v, f"[{section}] {k}", finite=False)
+                       for k, v in sections.get(section, ())})
     for f in dataclasses.fields(PodParams):
         v = getattr(args, f"pod_{f.name}")
         if v is not None:
@@ -354,7 +358,7 @@ def main(argv=None) -> int:
     except FrameError as exc:
         print(f"msinv: input error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"msinv: input error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except EstimationError as exc:

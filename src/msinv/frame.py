@@ -634,9 +634,11 @@ def _check_header(got: list[str] | None, want: list[str], path: str):
 
 
 def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FrameError(f"{path}: cannot parse: {exc}") from None
     if not rows:
         raise FrameError(f"{path}: empty file")
     return rows[0], rows[1:]

@@ -340,6 +340,61 @@ class TestExitCodes:
         assert run("diagnose", "--packaged", flag, value,
                    "--out-dir", str(tmp_path / "out")) == 0
 
+    @pytest.mark.parametrize("command", ["estimate", "diagnose"])
+    @pytest.mark.parametrize("ini", [
+        "kappa = 0.3\n",
+        "[pod]\nkappa = 0.3\nkappa = 0.4\n",
+        "[pod]\nkappa\n",
+        "[pod]\nkappa = 50%\n",
+    ], ids=["no-section-header", "duplicate-key", "bare-key", "bad-interpolation"])
+    def test_malformed_model_config_is_4(self, tmp_path, capsys, command, ini):
+        model = tmp_path / "model.ini"
+        model.write_text(ini)
+        capsys.readouterr()
+        assert run(command, "--packaged", "--model-config", str(model),
+                   "--out-dir", str(tmp_path / "out")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"msinv: configuration error: bad model config {str(model)!r}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--config", "{dir}", "--out-dir", "{tmp}/out"),
+        ("plan", "--scenario", "{dir}", "--out", "{tmp}/out/plan.csv"),
+        ("estimate", "--passes", "{dir}", "--frame", "{dir}", "--strata", "{dir}",
+         "--out-dir", "{tmp}/out"),
+        ("estimate", "--packaged", "--out-dir", "{file}"),
+        ("estimate", "--packaged", "--out-dir", "{file}/sub"),
+    ], ids=["simulate-config-dir", "plan-scenario-dir", "estimate-inputs-dir",
+            "out-dir-is-a-file", "out-dir-under-a-file"])
+    def test_path_that_cannot_be_opened_is_2(self, tmp_path, capsys, argv):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        names = {"dir": tmp_path / "dir", "file": tmp_path / "file", "tmp": tmp_path}
+        capsys.readouterr()
+        assert run(*(arg.format(**names) for arg in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("msinv: input error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["passes", "strata"])
+    @pytest.mark.parametrize("fault", ["undecodable-byte", "oversized-field"])
+    def test_csv_that_cannot_be_parsed_is_2(self, tmp_path, capsys, name, fault):
+        paths = dict(zip(("passes", "frame", "strata"), packaged_subset_paths()))
+        inputs = {}
+        for key, src in paths.items():
+            inputs[key] = tmp_path / f"{key}.csv"
+            inputs[key].write_bytes(Path(src).read_bytes())
+        with open(inputs[name], "ab") as fh:
+            fh.write(b"\xff\n" if fault == "undecodable-byte"
+                     else b'"' + b"x" * 200_000 + b'"\n')
+        capsys.readouterr()
+        assert run("estimate", *(a for key, p in inputs.items() for a in (f"--{key}", str(p))),
+                   "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"msinv: input error: {inputs[name]}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_model_config_section_is_4(self, tmp_path):
         (tmp_path / "model.ini").write_text("[measurment]\nd = 0.9\n")
         assert run("diagnose", "--packaged", "--model-config", str(tmp_path / "model.ini"),

@@ -234,6 +234,17 @@ def test_an_unparseable_day_or_pass_names_the_file_and_row_once(tmp_path, column
     assert outcome(load_reference, paths)[1] == want
 
 
+@pytest.mark.parametrize("tail", [b"\xff\n", b'"' + b"x" * 200_000 + b'"\n'],
+                         ids=["undecodable-byte", "oversized-field"])
+def test_a_pass_log_that_cannot_be_parsed_is_named_by_both_loaders(tmp_path, tail):
+    paths = write_survey(tmp_path, *SUBSET)
+    with open(paths[0], "ab") as fh:
+        fh.write(tail)
+    error = outcome(load_survey, paths)[1]
+    assert error is not None and error.startswith(f"{paths[0]}: cannot parse: ")
+    assert error == outcome(load_reference, paths)[1]
+
+
 @pytest.mark.parametrize("measurement", ["bias-correct", "mc"])
 def test_estimate_builds_no_pass_records(monkeypatch, tmp_path, measurement):
     def refuse(frame):
