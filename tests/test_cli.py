@@ -380,19 +380,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("name", ["passes", "strata"])
     @pytest.mark.parametrize("fault", ["undecodable-byte", "oversized-field"])
     def test_csv_that_cannot_be_parsed_is_2(self, tmp_path, capsys, name, fault):
-        paths = dict(zip(("passes", "frame", "strata"), packaged_subset_paths()))
-        inputs = {}
-        for key, src in paths.items():
-            inputs[key] = tmp_path / f"{key}.csv"
-            inputs[key].write_bytes(Path(src).read_bytes())
-        with open(inputs[name], "ab") as fh:
+        argv = ["estimate", "--out-dir", str(tmp_path / "out")]
+        for key, src in zip(("passes", "frame", "strata"), packaged_subset_paths()):
+            (tmp_path / f"{key}.csv").write_bytes(Path(src).read_bytes())
+            argv += [f"--{key}", str(tmp_path / f"{key}.csv")]
+        with open(tmp_path / f"{name}.csv", "ab") as fh:
             fh.write(b"\xff\n" if fault == "undecodable-byte"
                      else b'"' + b"x" * 200_000 + b'"\n')
         capsys.readouterr()
-        assert run("estimate", *(a for key, p in inputs.items() for a in (f"--{key}", str(p))),
-                   "--out-dir", str(tmp_path / "out")) == 2
+        assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"msinv: input error: {inputs[name]}: ")
+        assert err.startswith(f"msinv: input error: {tmp_path / name}.csv: ")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_model_config_section_is_4(self, tmp_path):
