@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import functools
 import hashlib
-import json
 import os
 import sys
 import time
@@ -29,7 +27,8 @@ from .frame import FrameError, load_survey, number, validate
 from .measurement import McConfig, bias_corrected_inventory, run_mc, write_trace_csv
 from .planner import gamma_table, predict_variance, scenario_from_json
 from .pod import MeasurementModel, PodParams
-from .reporting import manifest_line, write_decomposition_table, write_report_json, write_report_table
+from .reporting import (write_csv, write_decomposition_table, write_json, write_report_json,
+                        write_report_table)
 from .simlab import config_from_json, default_config, run_study
 
 __all__ = ["main"]
@@ -228,10 +227,8 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     result.write_csv(outdir / "simstudy.csv", manifest)
-    with open(outdir / "simstudy_config.json", "w", encoding="utf-8") as fh:
-        json.dump({"config": config.as_dict(), "true_totals": result.true_totals,
-                   "manifest": manifest}, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(outdir / "simstudy_config.json",
+               {"config": config.as_dict(), "true_totals": result.true_totals}, manifest)
     print(f"{config.replications} replications -> {outdir / 'simstudy.csv'}")
     return 0
 
@@ -243,15 +240,9 @@ def cmd_plan(args) -> int:
     overall, per_stratum = predict_variance(scenario, args.estimator)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(manifest_line(manifest))
-        w = csv.writer(fh)
-        w.writerow(["stratum", "var_stage1", "var_stage2", "var_stage3", "var_total"])
-        for name, sv in per_stratum.items():
-            w.writerow([name, repr(sv.stage1), repr(sv.stage2), repr(sv.stage3),
-                        repr(sv.total)])
-        w.writerow(["TOTAL", repr(overall.stage1), repr(overall.stage2),
-                    repr(overall.stage3), repr(overall.total)])
+    write_csv(out, ["stratum", "var_stage1", "var_stage2", "var_stage3", "var_total"],
+              ([name, *map(repr, (sv.stage1, sv.stage2, sv.stage3, sv.total))]
+               for name, sv in [*per_stratum.items(), ("TOTAL", overall)]), manifest)
     print(f"predicted variance -> {out}")
     return 0
 
@@ -271,17 +262,10 @@ def cmd_diagnose(args) -> int:
         "n_passes": len(frame.columns),
         "n_detections": int(frame.columns.detected.sum()),
         "gamma_quartiles": [round(q, 2) for q in gt.quartiles],
-        "manifest": manifest,
     }
-    with open(outdir / "diagnostics.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(outdir / "gamma.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write(manifest_line(manifest))
-        w = csv.writer(fh)
-        w.writerow(["component_id", "gamma"])
-        for row in gt.as_rows():
-            w.writerow([row["component_id"], repr(row["gamma"])])
+    write_json(outdir / "diagnostics.json", doc, manifest)
+    write_csv(outdir / "gamma.csv", ["component_id", "gamma"],
+              ([row["component_id"], repr(row["gamma"])] for row in gt.as_rows()), manifest)
     print(f"{len(diag.single_day_components)} single-day components, "
           f"{len(diag.zero_detection_strata)} zero-detection strata, "
           f"gamma quartiles {doc['gamma_quartiles']} -> {outdir / 'diagnostics.json'}")
@@ -364,7 +348,7 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"msinv: estimation error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"msinv: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -214,16 +214,10 @@ def convergence_trace(result: McResult) -> dict[str, np.ndarray]:
 
 def write_trace_csv(result: McResult, path, manifest: dict | None = None):
     """Emit the per-stratum convergence series as CSV."""
-    import csv
-
     trace = convergence_trace(result)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(reporting.manifest_line(manifest))
-        w = csv.writer(fh)
-        w.writerow(["stratum", "b", "cum_var_design"])
-        for name in trace:
-            for b, v in enumerate(trace[name], start=1):
-                w.writerow([name, b, repr(float(v))])
+    reporting.write_csv(path, ["stratum", "b", "cum_var_design"],
+                        ([name, b, repr(float(v))] for name, series in trace.items()
+                         for b, v in enumerate(series, start=1)), manifest)
 
 
 def bias_corrected_inventory(

@@ -3,8 +3,13 @@
 Everything upstream works in kg/h; this module converts to kt/y, attaches the
 Wald interval, and renders the result as JSON (full precision) and as CSV
 tables (a display table rounded to 2 decimals, and a plot-ready variance
-decomposition at full precision).  A run manifest can be embedded verbatim in
-every artifact.
+decomposition at full precision).
+
+It is also the one place where artifacts are written.  Every file msinv
+writes, reports and all other outputs alike, goes through `write_json` or
+`write_csv`, which embed the run manifest the same way in each: under
+``"manifest"`` in a JSON document, and as a first ``# manifest:`` line in a
+CSV file.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ __all__ = [
     "InventoryReport",
     "build_report",
     "assemble_report",
-    "manifest_line",
+    "write_json",
+    "write_csv",
     "write_report_json",
     "write_report_table",
     "write_decomposition_table",
@@ -189,22 +195,44 @@ def build_report(est, config) -> InventoryReport:
 # ---------------------------------------------------------------------------
 
 
-def manifest_line(manifest: dict | None) -> str:
-    """The comment line that heads a CSV artifact with its manifest ('' without one)."""
-    if manifest is None:
-        return ""
-    return "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
+def write_json(path, doc: dict, manifest: dict | None = None):
+    """Write ``doc`` as a JSON artifact, the manifest under "manifest" when given.
+
+    NaN and inf are not JSON: they are refused before the file is created.
+    """
+    if manifest is not None:
+        doc = dict(doc, manifest=manifest)
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+def write_csv(path, header: list[str], rows, manifest: dict | None = None):
+    """Write a CSV artifact: a ``# manifest:`` line when given, the header, the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if manifest is not None:
+            fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_report_json(report: InventoryReport, path, manifest: dict | None = None):
     """Full-precision JSON artifact; the manifest is embedded when given."""
-    doc = report.as_dict()
-    if manifest is not None:
-        doc["manifest"] = manifest
-    # NaN/inf are not JSON; refuse them before the file is created
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_json(path, report.as_dict(), manifest)
+
+
+def _table_rows(report: InventoryReport) -> list[StratumReport]:
+    """The stratum rows, then the Population row that both tables end with."""
+    return [*report.strata, StratumReport(
+        name="Population",
+        total=report.total,
+        var_stage1=report.var_stage1,
+        var_stage2=report.var_stage2,
+        var_stage3=report.var_stage3,
+        var_measurement=report.var_measurement,
+        var_total=report.var_total,
+    )]
 
 
 TABLE_COLUMNS = [
@@ -213,32 +241,13 @@ TABLE_COLUMNS = [
 ]
 
 
-def write_report_table(report: InventoryReport, path, manifest: dict | None = None,
-                       decimals: int = 2):
-    """Display CSV mirroring the stratum summary table, rounded for reading."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(manifest_line(manifest))
-        w = csv.writer(fh)
-        w.writerow(TABLE_COLUMNS)
-        for r in report.strata:
-            w.writerow([
-                r.name,
-                round(r.total, decimals),
-                round(r.var_stage1, decimals),
-                round(r.var_stage2, decimals),
-                round(r.var_stage3, decimals),
-                round(r.var_measurement, decimals),
-                round(r.var_total, decimals),
-            ])
-        w.writerow([
-            "Population",
-            round(report.total, decimals),
-            round(report.var_stage1, decimals),
-            round(report.var_stage2, decimals),
-            round(report.var_stage3, decimals),
-            round(report.var_measurement, decimals),
-            round(report.var_total, decimals),
-        ])
+def write_report_table(report: InventoryReport, path, manifest: dict | None = None):
+    """Display CSV mirroring the stratum summary table, rounded to 2 decimals."""
+    write_csv(path, TABLE_COLUMNS, (
+        [r.name, *(round(v, 2) for v in (r.total, r.var_stage1, r.var_stage2, r.var_stage3,
+                                         r.var_measurement, r.var_total))]
+        for r in _table_rows(report)
+    ), manifest)
 
 
 DECOMPOSITION_COLUMNS = ["stratum", "source", "variance_kt_y2", "share"]
@@ -246,27 +255,14 @@ DECOMPOSITION_COLUMNS = ["stratum", "source", "variance_kt_y2", "share"]
 
 def write_decomposition_table(report: InventoryReport, path, manifest: dict | None = None):
     """Plot-ready long-format variance decomposition (full precision)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(manifest_line(manifest))
-        w = csv.writer(fh)
-        w.writerow(DECOMPOSITION_COLUMNS)
-        rows = list(report.strata) + [
-            StratumReport(
-                name="Population",
-                total=report.total,
-                var_stage1=report.var_stage1,
-                var_stage2=report.var_stage2,
-                var_stage3=report.var_stage3,
-                var_measurement=report.var_measurement,
-                var_total=report.var_total,
-            )
-        ]
-        for r in rows:
-            for source, value in (
-                ("stage1", r.var_stage1),
-                ("stage2", r.var_stage2),
-                ("stage3", r.var_stage3),
-                ("measurement", r.var_measurement),
-            ):
-                share = value / r.var_total if r.var_total > 0 else 0.0
-                w.writerow([r.name, source, repr(value), repr(share)])
+    rows = []
+    for r in _table_rows(report):
+        for source, value in (
+            ("stage1", r.var_stage1),
+            ("stage2", r.var_stage2),
+            ("stage3", r.var_stage3),
+            ("measurement", r.var_measurement),
+        ):
+            share = value / r.var_total if r.var_total > 0 else 0.0
+            rows.append([r.name, source, repr(value), repr(share)])
+    write_csv(path, DECOMPOSITION_COLUMNS, rows, manifest)

@@ -18,7 +18,6 @@ variant.  POD is evaluated only on the passes of sampled component-days.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ from .estimators import EstimationError, EstimatorConfig
 from .estimators import estimate_survey  # noqa: F401
 from .frame import UnitIndex, count, json_list, json_object, number, read_json, text
 from .pod import DEFAULT_POD, PodParams, pod
-from .reporting import manifest_line, wald_ci
+from .reporting import wald_ci, write_csv
 
 __all__ = [
     "SimStratumSpec",
@@ -386,13 +385,10 @@ class SimStudyResult:
         raise KeyError((scope, variant, name))
 
     def write_csv(self, path, manifest: dict | None = None):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(manifest_line(manifest))
-            w = csv.writer(fh)
-            w.writerow(["stratum", "variant", "bias_pct", "var", "mse", "coverage"])
-            for row in self.rows:
-                w.writerow([row["stratum"], row["variant"], repr(row["bias_pct"]),
-                            repr(row["var"]), repr(row["mse"]), repr(row["coverage"])])
+        scores = ("bias_pct", "var", "mse", "coverage")
+        write_csv(path, ["stratum", "variant", *scores],
+                  ([row["stratum"], row["variant"], *(repr(row[k]) for k in scores)]
+                   for row in self.rows), manifest)
 
 
 def run_study(config: SimConfig, population: SimPopulation | None = None) -> SimStudyResult:
