@@ -29,56 +29,75 @@ FAULTS = ("fields", "component", "hierarchy", "flag", "presence", "number", "ran
           "pass", "duplicate", "no-passes", "many-passes", "idle-site", "n-sampled")
 
 
+# Every strategy with fixed arguments is built once, here: building them anew
+# on each draw took most of the column-loader test's time.
+LEAD, TRAIL = st.sampled_from(["", " "]), st.sampled_from(["", "  "])
+COIN = st.booleans()
+ZERO_TO_TWO, ZERO_TO_THREE, ZERO_TO_FIVE = st.integers(0, 2), st.integers(0, 3), st.integers(0, 5)
+ONE_TO_TWO, ONE_TO_THREE = st.integers(1, 2), st.integers(1, 3)
+# a survey's days come from one pool: a list strategy per pool, one pool per survey
+DAY_LISTS = st.sampled_from([
+    st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)
+    for pool in (range(0, 30), range(-5, 5), range(10**20, 10**20 + 9))])
+PASS_NUMBERS = st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)
+RATE, WIND, ALTITUDE = st.floats(0.5, 500.0), st.floats(0.0, 12.0), st.floats(50.0, 900.0)
+FAULT = st.sampled_from(FAULTS)
+HIERARCHY_COLUMN, VALUE_COLUMN = st.integers(1, 3), st.integers(7, 9)
+BAD_FLAG = st.sampled_from(["2", "", "yes", "1.0"])
+BAD_NUMBER = st.sampled_from(["abc", "nan", "inf", "-inf", "1e999", "1,5"])
+BELOW_RANGE = st.sampled_from(["0", "-0.0", "-1"])
+BELOW_RANGE_WIND = st.sampled_from(["-0.5", "-1e-300"])
+BAD_INDEX = st.sampled_from(["x", "1.5", "", "0x10"])
+
+
 def padded(draw, text: str) -> str:
-    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", "  "]))
+    return draw(LEAD) + text + draw(TRAIL)
 
 
 @st.composite
 def surveys(draw):
     """(strata rows, registry rows, pass rows, faults injected): the three CSVs' bodies."""
     strata, registry, passes = [], [], []
-    day_pool = draw(st.sampled_from([range(0, 30), range(-5, 5),
-                                     range(10**20, 10**20 + 9)]))
+    day_lists = draw(DAY_LISTS)
 
     def component(cid, fac, site, stratum, is_well, wells, detect):
         registry.append([cid, fac, site, stratum, str(int(is_well)), str(wells)])
-        for day in draw(st.lists(st.sampled_from(day_pool), min_size=1, max_size=3,
-                                 unique=True)):
-            for q in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)):
+        for day in draw(day_lists):
+            for q in draw(PASS_NUMBERS):
                 row = [padded(draw, cid), fac, site, stratum, padded(draw, str(day)), str(q)]
-                if detect and draw(st.booleans()):
+                if detect and draw(COIN):
                     row += [padded(draw, "1"),
-                            padded(draw, repr(draw(st.floats(0.5, 500.0)))),
-                            padded(draw, repr(draw(st.floats(0.0, 12.0)))),
-                            padded(draw, repr(draw(st.floats(50.0, 900.0))))]
+                            padded(draw, repr(draw(RATE))),
+                            padded(draw, repr(draw(WIND))),
+                            padded(draw, repr(draw(ALTITUDE)))]
                 else:
-                    row += [padded(draw, "0"), "", draw(st.sampled_from(["", " "])), ""]
+                    row += [padded(draw, "0"), "", draw(LEAD), ""]
                 passes.append(row)
 
-    for h in range(draw(st.integers(1, 3))):
+    for h in range(draw(ONE_TO_THREE)):
         name = f"S{h}"
-        n_fac = draw(st.integers(1, 3))
+        n_fac = draw(ONE_TO_THREE)
         for fi in range(n_fac):
-            for ci in range(draw(st.integers(1, 2))):
+            for ci in range(draw(ONE_TO_TWO)):
                 component(f"{name}-F{fi}-C{ci}", f"{name}-F{fi}", f"{name}-SITE{fi // 2}",
                           name, False, 0, True)
-        strata.append([name, str(n_fac), str(n_fac + draw(st.integers(0, 5)))])
-    n_sites = draw(st.integers(0, 2))
+        strata.append([name, str(n_fac), str(n_fac + draw(ZERO_TO_FIVE))])
+    n_sites = draw(ZERO_TO_TWO)
     if n_sites:
         wells_total = facs = 0
         for si in range(n_sites):
-            wells = draw(st.integers(0, 2))
+            wells = draw(ZERO_TO_TWO)
             wells_total += wells
-            for ci in range(draw(st.integers(1, 2))):
+            for ci in range(draw(ONE_TO_TWO)):
                 facs += 1
                 # a site without registered wells cannot carry detections
                 component(f"W{si}-C{ci}", f"W{si}-F{ci}", f"WSITE{si}", "Wells", True, wells,
                           wells > 0)
         n = max(wells_total, facs)
-        strata.append(["Wells", str(n), str(n + draw(st.integers(0, 3)))])
+        strata.append(["Wells", str(n), str(n + draw(ZERO_TO_THREE))])
     passes = draw(st.permutations(passes))
 
-    faults = [draw(st.sampled_from(FAULTS)) for _ in range(draw(st.integers(0, 3)))]
+    faults = [draw(FAULT) for _ in range(draw(ZERO_TO_THREE))]
     for fault in faults:
         inject(draw, fault, strata, registry, passes)
     return strata, registry, passes, faults
@@ -92,23 +111,22 @@ def inject(draw, fault, strata, registry, passes):
     row = passes[i]
     detected = row[6].strip() == "1"
     if fault == "fields":
-        passes[i] = row[:-1] if draw(st.booleans()) else row + [""]
+        passes[i] = row[:-1] if draw(COIN) else row + [""]
     elif fault == "component":
         row[0] = "nope"
     elif fault == "hierarchy":
-        row[draw(st.integers(1, 3))] = "elsewhere"
+        row[draw(HIERARCHY_COLUMN)] = "elsewhere"
     elif fault == "flag":
-        row[6] = draw(st.sampled_from(["2", "", "yes", "1.0"]))
+        row[6] = draw(BAD_FLAG)
     elif fault == "presence":
-        row[draw(st.integers(7, 9))] = "" if detected else "3.5"
+        row[draw(VALUE_COLUMN)] = "" if detected else "3.5"
     elif fault == "number" and detected:
-        row[draw(st.integers(7, 9))] = draw(st.sampled_from(["abc", "nan", "inf", "-inf",
-                                                             "1e999", "1,5"]))
+        row[draw(VALUE_COLUMN)] = draw(BAD_NUMBER)
     elif fault == "range" and detected:
-        col = draw(st.integers(7, 9))
-        row[col] = draw(st.sampled_from(["0", "-0.0", "-1"] if col != 8 else ["-0.5", "-1e-300"]))
+        col = draw(VALUE_COLUMN)
+        row[col] = draw(BELOW_RANGE if col != 8 else BELOW_RANGE_WIND)
     elif fault in ("day", "pass"):
-        row[4 if fault == "day" else 5] = draw(st.sampled_from(["x", "1.5", "", "0x10"]))
+        row[4 if fault == "day" else 5] = draw(BAD_INDEX)
     elif fault == "duplicate":
         passes.insert(draw(st.integers(0, len(passes))), list(passes[draw(
             st.integers(0, len(passes) - 1))]))
