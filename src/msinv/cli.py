@@ -24,7 +24,8 @@ from . import __version__
 from .datasets import packaged_subset_paths
 from .estimators import EstimationError, EstimatorConfig
 from .frame import FrameError, load_survey, number, validate
-from .measurement import McConfig, bias_corrected_inventory, run_mc, write_trace_csv
+from .measurement import (McConfig, bias_corrected_inventory, resolve_threads, run_mc,
+                          write_trace_csv)
 from .planner import gamma_table, predict_variance, scenario_from_json
 from .pod import MeasurementModel, PodParams
 from .reporting import (write_csv, write_decomposition_table, write_json, write_report_json,
@@ -172,7 +173,7 @@ def cmd_estimate(args) -> int:
     mc_base = None
     if any(mm == "mc" for _, _, mm in variants):
         mc_base = McConfig(iterations=args.mc_iters, seed=args.seed, measurement=measurement,
-                           trace=args.trace, threads=args.threads)
+                           trace=args.trace, threads=resolve_threads(args.threads))
     frame = load_survey(inputs["passes"], inputs["frame"], inputs["strata"])
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)

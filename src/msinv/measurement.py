@@ -61,10 +61,15 @@ def resolve_threads(requested: int | None) -> int:
     """Worker count: explicit argument, else MSINV_THREADS, else 1.
 
     Capped at the CPU count: more threads than CPUs only add contention.
+    Raises ValueError, naming the variable, when MSINV_THREADS is not a
+    whole number.
     """
     if requested is None:
         env = os.environ.get(THREADS_ENV)
-        requested = int(env) if env else 1
+        try:
+            requested = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be a whole number, got {env!r}") from None
     return max(1, min(int(requested), os.cpu_count() or 1))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import msinv
-from msinv import batch, cli, measurement, simlab
+from msinv import batch, cli, measurement, planner, simlab
 from msinv.cli import main
 from msinv.datasets import packaged_subset_paths
 
@@ -72,8 +72,11 @@ def edited(doc, edits):
     return doc
 
 
-def assert_rejected(tmp_path, capsys, command, doc):
-    """``command`` on the JSON ``doc`` exits 4 with a message and writes nothing."""
+def assert_rejected(tmp_path, capsys, command, doc) -> str:
+    """``command`` on the JSON ``doc`` exits 4 with a message and writes nothing.
+
+    Returns the message.
+    """
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -83,8 +86,10 @@ def assert_rejected(tmp_path, capsys, command, doc):
         argv = ("plan", "--scenario", str(cfg), "--out", str(out / "plan.csv"))
     capsys.readouterr()
     assert run(*argv) == 4
-    assert capsys.readouterr().err.startswith("msinv: configuration error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("msinv: configuration error: ")
     assert not out.exists()
+    return err
 
 
 @pytest.fixture(autouse=True)
@@ -298,6 +303,17 @@ class TestExitCodes:
         assert run("estimate", "--packaged", *mode, "--mc-iters", str(iters),
                    "--out-dir", str(tmp_path / "out")) == 4
         assert "Monte Carlo iterations" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", [("--measurement", "mc"), ("--all-variants",)],
+                             ids=["mc", "all-variants"])
+    def test_invalid_threads_variable_is_4(self, tmp_path, monkeypatch, capsys, mode):
+        # checked with the other MC settings, before any report is written
+        monkeypatch.setenv(measurement.THREADS_ENV, "abc")
+        capsys.readouterr()
+        assert run("estimate", "--packaged", *mode, "--mc-iters", "10",
+                   "--out-dir", str(tmp_path / "out")) == 4
+        assert "MSINV_THREADS must be a whole number, got 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_error_is_4(self, tmp_path):
@@ -608,6 +624,27 @@ class TestPlanAndDiagnose:
         assert capsys.readouterr().err.startswith("msinv: estimation error: stratum 'A': ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("edits", [
+        {("strata", 0, "pass_phis"): 0.8,
+         ("strata", 0, "passes_per_day"): planner.MAX_PASSES_PER_DAY},
+        {("strata", 0, "pass_phis"): [0.8] * planner.MAX_PASSES_PER_DAY},
+    ], ids=["passes_per_day", "pass_phis-list"])
+    def test_plan_accepts_the_passes_per_day_limit(self, tmp_path, edits):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(edited(PLAN_SCENARIO, edits)))
+        assert run("plan", "--scenario", str(cfg), "--out", str(tmp_path / "plan.csv")) == 0
+
+    @pytest.mark.parametrize("edits, key", [
+        ({("strata", 0, "pass_phis"): 0.8,
+          ("strata", 0, "passes_per_day"): planner.MAX_PASSES_PER_DAY + 1}, "passes_per_day"),
+        ({("strata", 0, "pass_phis"): [0.8] * (planner.MAX_PASSES_PER_DAY + 1)}, "pass_phis"),
+        ({("strata", 0, "pass_phis"): 0.5, ("strata", 0, "passes_per_day"): 10**15},
+         "passes_per_day"),
+    ], ids=["passes_per_day", "pass_phis-list", "passes_per_day-1e15"])
+    def test_too_many_passes_per_day_is_4(self, tmp_path, capsys, edits, key):
+        err = assert_rejected(tmp_path, capsys, "plan", edited(PLAN_SCENARIO, edits))
+        assert f"strata[0].{key}: at most {planner.MAX_PASSES_PER_DAY} passes per day" in err
+
     def test_diagnose_packaged_locks(self, tmp_path):
         assert run("diagnose", "--packaged", "--out-dir", str(tmp_path)) == 0
         doc = json.loads((tmp_path / "diagnostics.json").read_text())
@@ -616,3 +653,48 @@ class TestPlanAndDiagnose:
         assert doc["diagnostics"]["single_day_count"] == 25
         _, rows = read_csv_rows(tmp_path / "gamma.csv")
         assert len(rows) == doc["n_components"]
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+class TestArtifacts:
+    # the run manifest of each variant of estimate, and of the other commands
+    def test_every_artifact_carries_its_runs_manifest(self, tmp_path):
+        sim, scenario = tmp_path / "sim.json", tmp_path / "scenario.json"
+        sim.write_text(json.dumps(SIM_CONFIG))
+        scenario.write_text(json.dumps(PLAN_SCENARIO))
+        out = tmp_path / "out"
+        runs = {
+            "estimate": ["--packaged", "--all-variants", "--mc-iters", "4", "--trace",
+                         "--out-dir", str(out / "estimate")],
+            "simulate": ["--config", str(sim), "--out-dir", str(out / "simulate")],
+            "plan": ["--scenario", str(scenario), "--out", str(out / "plan" / "plan.csv")],
+            "diagnose": ["--packaged", "--out-dir", str(out / "diagnose")],
+        }
+        for command, argv in runs.items():
+            assert run(command, *argv) == 0
+            manifests = {}
+            for path in sorted((out / command).iterdir()):
+                if path.suffix == ".json":
+                    doc = json.loads(path.read_text(), parse_constant=_refuse_constant)
+                    manifests[path.name] = doc["manifest"]
+                else:
+                    first = path.read_text().splitlines()[0]
+                    assert first.startswith("# manifest: "), path.name
+                    manifests[path.name] = json.loads(first[len("# manifest: "):])
+            assert all(m["command"] == command and m["timestamp"] == "2026-01-01T00:00:00"
+                       for m in manifests.values())
+            if command != "estimate":
+                assert len({json.dumps(m, sort_keys=True) for m in manifests.values()}) == 1
+                continue
+            # a variant's report, tables and trace share its manifest
+            assert len(manifests) == 8 * 3 + 4
+            for name, manifest in manifests.items():
+                stem = name.split(".")[0].removesuffix("_table").removesuffix(
+                    "_decomposition").removesuffix("_trace")
+                assert manifest == manifests[stem + ".json"], name
+                flags = manifest["flags"]
+                assert stem == (f"report_{flags['estimator']}_{flags['stage2']}_"
+                                f"{flags['measurement'].replace('-', '')}")

@@ -8,6 +8,7 @@ from msinv.estimators import EstimatorConfig, total_inventory
 from msinv.reporting import (
     KG_H_PER_KT_Y,
     write_decomposition_table,
+    write_json,
     write_report_json,
     write_report_table,
 )
@@ -46,10 +47,14 @@ class TestSerialization:
         assert pop["stratum"] == "Population"
         assert float(pop["total_kt_y"]) == round(doc["total"], 2)
 
-    def test_json_refuses_non_finite_values(self, report, tmp_path):
+    @pytest.mark.parametrize("write", [
+        lambda report, path: write_report_json(report, path),
+        lambda report, path: write_json(path, {"total": report.total}, {"seed": 0}),
+    ], ids=["write_report_json", "write_json"])
+    def test_json_refuses_non_finite_values(self, report, tmp_path, write):
         report.total = float("nan")
         with pytest.raises(ValueError):
-            write_report_json(report, tmp_path / "r.json")
+            write(report, tmp_path / "r.json")
         assert not (tmp_path / "r.json").exists()
 
     def test_decomposition_table_shares(self, report, tmp_path):
