@@ -660,8 +660,8 @@ def _refuse_constant(name):
 
 
 class TestArtifacts:
-    # the run manifest of each variant of estimate, and of the other commands
     def test_every_artifact_carries_its_runs_manifest(self, tmp_path):
+        """Every file of a run, or of an estimate variant, carries that run's manifest."""
         sim, scenario = tmp_path / "sim.json", tmp_path / "scenario.json"
         sim.write_text(json.dumps(SIM_CONFIG))
         scenario.write_text(json.dumps(PLAN_SCENARIO))
