@@ -17,8 +17,8 @@ from msinv.measurement import bias_corrected_inventory
 
 frame = load_packaged_subset()
 days = frame.days_surveyed
-print(f"{len(frame.components)} components, {len(frame.columns)} passes, "
-      f"{frame.columns.detected.sum()} detections")
+print(f"{len(frame.components)} components, {len(frame.passes)} passes, "
+      f"{frame.passes.detected.sum()} detections")
 print(f"survey days per component: min {min(days.values())}, max {max(days.values())}")
 
 # Data-quality diagnostics worth reading before any estimation: components

@@ -6,7 +6,7 @@ from .estimators import (
     estimate_survey,
     wald_ci,
 )
-from .frame import SurveyFrame, load_survey, save_survey, validate
+from .frame import SurveyFrame, load_survey, validate
 from .pod import MeasurementModel, PodParams, bias_correct, pod, sample_true_rate
 from .reporting import InventoryReport, KG_H_PER_KT_Y
 
@@ -24,7 +24,6 @@ __all__ = [
     "load_survey",
     "pod",
     "sample_true_rate",
-    "save_survey",
     "total_inventory",
     "validate",
     "wald_ci",

@@ -138,6 +138,17 @@ def _resolve_inputs(args) -> dict:
     return {"passes": args.passes, "frame": args.frame, "strata": args.strata}
 
 
+def _thread_count(text: str) -> int:
+    """The --threads value: a whole number of at least 1."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 def _parse_stage2(text: str) -> tuple[str, int]:
     if text == "observed":
         return "observed", 365
@@ -260,8 +271,8 @@ def cmd_diagnose(args) -> int:
     doc = {
         "diagnostics": diag.as_dict(),
         "n_components": len(frame.components),
-        "n_passes": len(frame.columns),
-        "n_detections": int(frame.columns.detected.sum()),
+        "n_passes": len(frame.passes),
+        "n_detections": int(frame.passes.detected.sum()),
         "gamma_quartiles": [round(q, 2) for q in gt.quartiles],
     }
     write_json(outdir / "diagnostics.json", doc, manifest)
@@ -293,7 +304,7 @@ def build_parser() -> _Parser:
     est.add_argument("--ci-level", type=float, default=0.95)
     est.add_argument("--decomposition", choices=["corrected", "printed"], default="corrected")
     est.add_argument("--trace", action="store_true", help="emit the MC convergence trace")
-    est.add_argument("--threads", type=int, default=None,
+    est.add_argument("--threads", type=_thread_count, default=None,
                      help="MC worker threads, each taking chunks of iterations "
                           "(default: MSINV_THREADS or 1; capped at the CPU count)")
     est.add_argument("--all-variants", action="store_true",

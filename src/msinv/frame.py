@@ -1,9 +1,9 @@
-"""Survey frame: the site -> facility -> component hierarchy plus pass records.
+"""Survey frame: the site -> facility -> component hierarchy plus the pass log.
 
 A frame is loaded from three CSV files (pass log, component registry, strata
 table), validated for referential integrity, and frozen.  Non-detected passes
-are first-class records: they carry no measurement fields but they set the
-per-day pass count that every estimator divides by.
+are kept: they carry no measurement fields but they set the per-day pass
+count that every estimator divides by.
 
 The pass log is held as columns (`PassColumns`), checked a column at a time.
 Loading sorts the passes once and groups them into the units every estimator
@@ -37,7 +37,6 @@ __all__ = [
     "FrameError",
     "StratumDef",
     "ComponentRef",
-    "Pass",
     "PassColumns",
     "UnitDay",
     "Unit",
@@ -45,7 +44,6 @@ __all__ = [
     "SurveyFrame",
     "FrameDiagnostics",
     "load_survey",
-    "save_survey",
     "validate",
     "read_json",
     "json_object",
@@ -100,53 +98,12 @@ class ComponentRef:
     is_well: bool = False
 
 
-@dataclass(frozen=True)
-class Pass:
-    """One plane pass over one component on one day.
-
-    Measurement fields are present iff the pass detected methane; the
-    instrument reports rate, wind and altitude only on detection.
-    """
-
-    component_id: str
-    day_id: int
-    pass_index: int
-    detected: bool
-    measured_rate: float | None = None
-    wind_speed: float | None = None
-    altitude: float | None = None
-
-    def __post_init__(self):
-        if self.detected:
-            if self.measured_rate is None or not 0 < self.measured_rate < math.inf:
-                raise FrameError(
-                    f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
-                    "detected pass needs a finite measured_rate > 0"
-                )
-            if self.wind_speed is None or not 0 <= self.wind_speed < math.inf:
-                raise FrameError(
-                    f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
-                    "detected pass needs a finite wind_speed >= 0"
-                )
-            if self.altitude is None or not 0 < self.altitude < math.inf:
-                raise FrameError(
-                    f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
-                    "detected pass needs a finite altitude > 0"
-                )
-        else:
-            if (self.measured_rate, self.wind_speed, self.altitude) != (None, None, None):
-                raise FrameError(
-                    f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
-                    "non-detected pass must not carry measurement fields"
-                )
-
-
 class UnitDay(NamedTuple):
     """One surveyed day of a `Unit`.
 
     ``parts`` holds a ``(positions, q_pt)`` pair per component-day summed into
     the day, in component id order: the positions of its detected passes in
-    `SurveyFrame.detected_passes` (empty on a day without a detection) and
+    `SurveyFrame.measured_rates` (empty on a day without a detection) and
     its pass count Q_pt.
     """
 
@@ -204,10 +161,11 @@ class UnitIndex:
 
 @dataclass(frozen=True, eq=False)
 class PassColumns:
-    """A pass log as columns, one entry per pass in log order.
+    """A pass log as columns, one entry per pass in log order; `read_passes` builds it.
 
     ``day_id`` and ``pass_index`` hold Python ints, which have no size limit.
-    The measurement columns hold the detected passes only, in log order.
+    The measurement columns hold the detected passes only, in log order; the
+    reader has checked their presence, finiteness and ranges.
     """
 
     component_id: list[str]
@@ -220,20 +178,6 @@ class PassColumns:
 
     def __len__(self) -> int:
         return len(self.component_id)
-
-    @classmethod
-    def from_passes(cls, passes) -> PassColumns:
-        """The columns of `Pass` records, which checked their own measurement fields."""
-        detected = [p for p in passes if p.detected]
-        return cls(
-            component_id=[p.component_id for p in passes],
-            day_id=[p.day_id for p in passes],
-            pass_index=[p.pass_index for p in passes],
-            detected=np.array([p.detected for p in passes], dtype=bool),
-            measured_rate=np.array([p.measured_rate for p in detected], dtype=float),
-            wind_speed=np.array([p.wind_speed for p in detected], dtype=float),
-            altitude=np.array([p.altitude for p in detected], dtype=float),
-        )
 
 
 def _ranks(values: list[int]) -> tuple[list[int], np.ndarray]:
@@ -256,15 +200,14 @@ def _starts(*keys: np.ndarray) -> np.ndarray:
 class SurveyFrame:
     """Validated, immutable survey frame.
 
-    ``passes`` is a tuple of `Pass` records or the `PassColumns` a pass log
-    is read into; either way the frame keeps the columns.  Construction sorts
-    the passes once into canonical (component, day, pass) order, which gives
-    the per-detected-pass arrays ``measured_rates``, ``wind_speeds`` and
-    ``altitudes`` (every rate vector aligns with them) and ``index``, the
-    units as the flat arrays of a `UnitIndex`.  ``compiled_index``, ``units``
-    (non-well components in id order, then well sites with at least one well
-    in id order), ``passes`` (in log order) and ``detected_passes`` (in
-    canonical order) are built on first use.
+    ``passes`` is the `PassColumns` that `read_passes` returned, in log
+    order.  Construction sorts the passes once into canonical (component,
+    day, pass) order, which gives the per-detected-pass arrays
+    ``measured_rates``, ``wind_speeds`` and ``altitudes`` (every rate vector
+    aligns with them) and ``index``, the units as the flat arrays of a
+    `UnitIndex`.  ``compiled_index`` and ``units`` (non-well components in id
+    order, then well sites with at least one well in id order) are built on
+    first use.
 
     ``wells_per_site`` maps site_id -> number of wells at the site, for the
     shared-equipment allocation of well emissions.
@@ -272,7 +215,7 @@ class SurveyFrame:
 
     strata: dict[str, StratumDef]
     components: dict[str, ComponentRef]
-    columns: PassColumns = field(repr=False)
+    passes: PassColumns = field(repr=False)
     wells_per_site: dict[str, int]
     index: UnitIndex = field(repr=False)
     measured_rates: np.ndarray = field(repr=False)
@@ -280,21 +223,20 @@ class SurveyFrame:
     altitudes: np.ndarray = field(repr=False)
 
     def __init__(self, strata, components, passes, wells_per_site=None):
-        columns = passes if isinstance(passes, PassColumns) else PassColumns.from_passes(passes)
         wells_per_site = {} if wells_per_site is None else wells_per_site
         set_ = functools.partial(object.__setattr__, self)
         set_("strata", strata)
         set_("components", components)
-        set_("columns", columns)
+        set_("passes", passes)
         set_("wells_per_site", wells_per_site)
 
         ids = sorted(components)
         code = {cid: k for k, cid in enumerate(ids)}
-        n = len(columns)
-        comp = np.fromiter(map(code.get, columns.component_id, itertools.repeat(-1)),
+        n = len(passes)
+        comp = np.fromiter(map(code.get, passes.component_id, itertools.repeat(-1)),
                            np.intp, n)
-        day_values, day = _ranks(columns.day_id)
-        _, pass_rank = _ranks(columns.pass_index)
+        day_values, day = _ranks(passes.day_id)
+        _, pass_rank = _ranks(passes.pass_index)
         order = np.lexsort((pass_rank, day, comp))
         comp_s, day_s = comp[order], day[order]
 
@@ -303,10 +245,10 @@ class SurveyFrame:
                               order[~_starts(comp_s, day_s, pass_rank[order])]])
         if bad.size:
             first = int(bad.min())
-            cid = columns.component_id[first]
+            cid = passes.component_id[first]
             if comp[first] < 0:
                 raise FrameError(f"pass references unknown component {cid!r}")
-            key = (cid, columns.day_id[first], columns.pass_index[first])
+            key = (cid, passes.day_id[first], passes.pass_index[first])
             raise FrameError(f"duplicate pass key {key}")
         has_passes = (np.bincount(comp, minlength=len(ids)) > 0).tolist()
         for c in components.values():
@@ -334,34 +276,34 @@ class SurveyFrame:
                 f"(max {int(big.max())}); unusual for real aerial data",
                 stacklevel=2,
             )
-        detected_s = columns.detected[order]
+        detected_s = passes.detected[order]
         det_rows = order[detected_s]
         det_cd = cd_of_sorted[detected_s]
         cd_detected = np.bincount(det_cd, minlength=len(starts))
-        in_log = (np.cumsum(columns.detected) - 1)[det_rows]
-        for name, column in (("measured_rates", columns.measured_rate),
-                             ("wind_speeds", columns.wind_speed), ("altitudes", columns.altitude)):
+        in_log = (np.cumsum(passes.detected) - 1)[det_rows]
+        for name, column in (("measured_rates", passes.measured_rate),
+                             ("wind_speeds", passes.wind_speed), ("altitudes", passes.altitude)):
             values = column[in_log]
             values.flags.writeable = False
             set_(name, values)
         set_("_ids", ids)
         set_("_day_values", day_values)
-        set_("_detected_rows", det_rows)
         set_("_cd", (cd_comp, cd_day, cd_q, cd_detected))
         self._index_units(ids, cd_comp, cd_day, cd_q, cd_detected, det_cd)
 
     def _check_stage1_sizes(self):
         # n_sampled must equal the number of distinct facilities actually in
-        # the registry for each stratum; the stage I probabilities assume it.
-        # Well strata are different: every well at a surveyed site counts as a
-        # sampled facility whether or not equipment was attributed to it, so
-        # there n_sampled must instead cover the per-site well counts.
-        fac_by_stratum: dict[str, set[str]] = {}
-        well_flags: dict[str, set[bool]] = {}
+        # the registry for each stratum of the table, none for a stratum no
+        # component names; the stage I probabilities assume it.  Well strata
+        # are different: every well at a surveyed site counts as a sampled
+        # facility whether or not equipment was attributed to it, so there
+        # n_sampled must instead cover the per-site well counts.
+        fac_by_stratum: dict[str, set[str]] = {name: set() for name in self.strata}
+        well_flags: dict[str, set[bool]] = {name: set() for name in self.strata}
         well_sites: dict[str, set[str]] = {}
         for comp in self.components.values():
-            fac_by_stratum.setdefault(comp.stratum, set()).add(comp.facility_id)
-            well_flags.setdefault(comp.stratum, set()).add(comp.is_well)
+            fac_by_stratum[comp.stratum].add(comp.facility_id)
+            well_flags[comp.stratum].add(comp.is_well)
             if comp.is_well:
                 well_sites.setdefault(comp.stratum, set()).add(comp.site_id)
         for name, facs in fac_by_stratum.items():
@@ -467,23 +409,6 @@ class SurveyFrame:
         cuts = np.searchsorted(self.index.ud_unit, np.arange(len(self._unit_heads) + 1)).tolist()
         return tuple(Unit(*head, tuple(days[a:b]))
                      for head, a, b in zip(self._unit_heads, cuts, cuts[1:]))
-
-    @functools.cached_property
-    def passes(self) -> tuple[Pass, ...]:
-        """The passes in log order, as records; built on first use."""
-        c = self.columns
-        measured = zip(c.measured_rate.tolist(), c.wind_speed.tolist(), c.altitude.tolist())
-        return tuple(
-            Pass(cid, day, q, True, *next(measured)) if det else Pass(cid, day, q, False)
-            for cid, day, q, det in zip(c.component_id, c.day_id, c.pass_index,
-                                        c.detected.tolist())
-        )
-
-    @functools.cached_property
-    def detected_passes(self) -> tuple[Pass, ...]:
-        """The detected passes in canonical order, as records; built on first use."""
-        passes = self.passes
-        return tuple(passes[i] for i in self._detected_rows.tolist())
 
     @property
     def days_surveyed(self) -> dict[str, int]:
@@ -832,34 +757,3 @@ def load_survey(passes_path, frame_path, strata_path) -> SurveyFrame:
     strata = read_strata(strata_path)
     components, wells = read_components(frame_path)
     return SurveyFrame(strata, components, read_passes(passes_path, components), wells)
-
-
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(x)
-
-
-def save_survey(frame: SurveyFrame, passes_path, frame_path, strata_path):
-    """Write a frame back to the three-file CSV layout (round-trips load_survey)."""
-    with open(strata_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(STRATA_HEADER)
-        for s in frame.strata.values():
-            w.writerow([s.name, s.n_sampled, s.n_population])
-    with open(frame_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(FRAME_HEADER)
-        for c in frame.components.values():
-            w.writerow([
-                c.component_id, c.facility_id, c.site_id, c.stratum,
-                int(c.is_well), frame.wells_per_site.get(c.site_id, 0),
-            ])
-    with open(passes_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(PASSES_HEADER)
-        for p in frame.passes:
-            c = frame.components[p.component_id]
-            w.writerow([
-                p.component_id, c.facility_id, c.site_id, c.stratum,
-                p.day_id, p.pass_index, int(p.detected),
-                _fmt(p.measured_rate), _fmt(p.wind_speed), _fmt(p.altitude),
-            ])

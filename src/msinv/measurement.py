@@ -61,16 +61,20 @@ def resolve_threads(requested: int | None) -> int:
     """Worker count: explicit argument, else MSINV_THREADS, else 1.
 
     Capped at the CPU count: more threads than CPUs only add contention.
-    Raises ValueError, naming the variable, when MSINV_THREADS is not a
-    whole number.
+    Raises ValueError when the count is below 1, or when MSINV_THREADS is
+    not a whole number; a count read from MSINV_THREADS is named as such.
     """
+    source = "threads"
     if requested is None:
         env = os.environ.get(THREADS_ENV)
+        source = THREADS_ENV
         try:
             requested = int(env) if env else 1
         except ValueError:
             raise ValueError(f"{THREADS_ENV} must be a whole number, got {env!r}") from None
-    return max(1, min(int(requested), os.cpu_count() or 1))
+    if requested < 1:
+        raise ValueError(f"{source} must be at least 1, got {requested}")
+    return min(int(requested), os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)

@@ -357,7 +357,7 @@ def gamma_table(
     first_day: dict[str, int] = {}
     for cid, day in frame.passes_per_day:      # each component's days in order
         first_day.setdefault(cid, day)
-    c = frame.columns
+    c = frame.passes
     # the detected passes in log order, which sets the order of each product
     detected = itertools.compress(zip(c.component_id, c.day_id), c.detected.tolist())
     fac_day_phis: dict[tuple[str, int], list[float]] = {}

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from msinv.datasets import load_packaged_subset
-from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame
+from frame_reference import Pass, frame_from_passes
+from msinv.frame import ComponentRef, StratumDef, SurveyFrame
 from msinv.oracle import MicroComponent, MicroPass, MicroPopulation
 from msinv.pod import DEFAULT_MEASUREMENT, MeasurementModel, pod
 
@@ -93,7 +94,7 @@ def random_frame(seed: int) -> SurveyFrame:
                         else:
                             passes.append(Pass(cid, int(d), q, False))
         strata[name] = StratumDef(name, n_fac, n_fac + int(rng.integers(0, 6)))
-    return SurveyFrame(strata=strata, components=comps, passes=tuple(passes),
+    return frame_from_passes(strata=strata, components=comps, passes=tuple(passes),
                        wells_per_site=wells)
 
 

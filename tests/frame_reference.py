@@ -5,20 +5,107 @@ pass log as columns: one `Pass` per row, checked as it is read, then the
 frame-level checks and the grouping into units over those records, with
 dicts and sets.  It returns the derived views the two loaders share and
 raises the same `FrameError` messages.
+
+The `Pass` record is the tests' way to write a pass log by hand:
+`frame_from_passes` builds a `SurveyFrame` from records, through the
+`PassColumns` that `columns_from_passes` makes of them, and `log_records` and
+`detected_records` read a frame's passes back as records.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from msinv.frame import (
-    PASSES_HEADER, REALISTIC_MAX_PASSES, ComponentRef, FrameError, Pass, Unit, UnitDay, UnitIndex,
-    _check_header, _parse_int, _read_rows, read_components, read_strata,
+    PASSES_HEADER, REALISTIC_MAX_PASSES, ComponentRef, FrameError, PassColumns, SurveyFrame, Unit,
+    UnitDay, UnitIndex, _check_header, _parse_int, _read_rows, read_components, read_strata,
 )
+
+
+@dataclass(frozen=True)
+class Pass:
+    """One plane pass over one component on one day.
+
+    Measurement fields are present iff the pass detected methane; the
+    instrument reports rate, wind and altitude only on detection.
+    """
+
+    component_id: str
+    day_id: int
+    pass_index: int
+    detected: bool
+    measured_rate: float | None = None
+    wind_speed: float | None = None
+    altitude: float | None = None
+
+    def __post_init__(self):
+        if self.detected:
+            if self.measured_rate is None or not 0 < self.measured_rate < math.inf:
+                raise FrameError(
+                    f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
+                    "detected pass needs a finite measured_rate > 0"
+                )
+            if self.wind_speed is None or not 0 <= self.wind_speed < math.inf:
+                raise FrameError(
+                    f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
+                    "detected pass needs a finite wind_speed >= 0"
+                )
+            if self.altitude is None or not 0 < self.altitude < math.inf:
+                raise FrameError(
+                    f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
+                    "detected pass needs a finite altitude > 0"
+                )
+        else:
+            if (self.measured_rate, self.wind_speed, self.altitude) != (None, None, None):
+                raise FrameError(
+                    f"pass ({self.component_id}, {self.day_id}, {self.pass_index}): "
+                    "non-detected pass must not carry measurement fields"
+                )
+
+
+def columns_from_passes(passes) -> PassColumns:
+    """The columns of `Pass` records, which checked their own measurement fields."""
+    detected = [p for p in passes if p.detected]
+    return PassColumns(
+        component_id=[p.component_id for p in passes],
+        day_id=[p.day_id for p in passes],
+        pass_index=[p.pass_index for p in passes],
+        detected=np.array([p.detected for p in passes], dtype=bool),
+        measured_rate=np.array([p.measured_rate for p in detected], dtype=float),
+        wind_speed=np.array([p.wind_speed for p in detected], dtype=float),
+        altitude=np.array([p.altitude for p in detected], dtype=float),
+    )
+
+
+def frame_from_passes(strata, components, passes, wells_per_site=None) -> SurveyFrame:
+    """A `SurveyFrame` of `Pass` records, given in log order."""
+    return SurveyFrame(strata, components, columns_from_passes(passes), wells_per_site)
+
+
+def canonical(p: Pass) -> tuple[str, int, int]:
+    """The (component, day, pass) key that orders a frame's detected passes."""
+    return p.component_id, p.day_id, p.pass_index
+
+
+def log_records(frame: SurveyFrame) -> tuple[Pass, ...]:
+    """The frame's passes in log order, as records."""
+    c = frame.passes
+    measured = zip(c.measured_rate.tolist(), c.wind_speed.tolist(), c.altitude.tolist())
+    return tuple(
+        Pass(cid, day, q, True, *next(measured)) if det else Pass(cid, day, q, False)
+        for cid, day, q, det in zip(c.component_id, c.day_id, c.pass_index,
+                                    c.detected.tolist())
+    )
+
+
+def detected_records(frame: SurveyFrame) -> tuple[Pass, ...]:
+    """The frame's detected passes in canonical order, as records."""
+    return tuple(sorted((p for p in log_records(frame) if p.detected), key=canonical))
 
 
 class ReferenceFrame(NamedTuple):
@@ -119,12 +206,13 @@ def reference_frame(strata, components, passes, wells_per_site) -> ReferenceFram
                 f"component {comp.component_id!r} has no passes; surveyed components "
                 "must have at least one"
             )
-    fac_by_stratum: dict[str, set[str]] = {}
-    well_flags: dict[str, set[bool]] = {}
+    # every stratum of the table: one no component names has no facilities
+    fac_by_stratum: dict[str, set[str]] = {name: set() for name in strata}
+    well_flags: dict[str, set[bool]] = {name: set() for name in strata}
     well_sites: dict[str, set[str]] = {}
     for comp in components.values():
-        fac_by_stratum.setdefault(comp.stratum, set()).add(comp.facility_id)
-        well_flags.setdefault(comp.stratum, set()).add(comp.is_well)
+        fac_by_stratum[comp.stratum].add(comp.facility_id)
+        well_flags[comp.stratum].add(comp.is_well)
         if comp.is_well:
             well_sites.setdefault(comp.stratum, set()).add(comp.site_id)
     for name, facs in fac_by_stratum.items():
@@ -149,8 +237,7 @@ def reference_frame(strata, components, passes, wells_per_site) -> ReferenceFram
             f"(max {max(big.values())}); unusual for real aerial data",
             stacklevel=2,
         )
-    detected = tuple(sorted((p for p in passes if p.detected),
-                            key=lambda p: (p.component_id, p.day_id, p.pass_index)))
+    detected = tuple(sorted((p for p in passes if p.detected), key=canonical))
     units = _group_units(strata, components, wells_per_site, detected, comp_days, q_counts)
     return ReferenceFrame(
         passes=tuple(passes), detected_passes=detected, units=units,

@@ -16,10 +16,11 @@ from msinv.batch import (
     POPULATION_KEYS, STRATUM_KEYS, build_layout, compile_index, compile_layout, evaluate,
 )
 from msinv.estimators import EstimationError, EstimatorConfig, estimate_survey, prepare_components
-from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame, UnitIndex
+from msinv.frame import ComponentRef, StratumDef, UnitIndex
 from msinv.measurement import McConfig, iteration_uniforms, run_mc
 from msinv.pod import PHI_FLOOR, pod, sample_true_rate
 from msinv.simlab import SimConfig, SimStratumSpec
+from frame_reference import Pass, frame_from_passes
 from index_helpers import same_bits, side_by_side, unit_per_member
 
 DESIGNS = [("ipw", "original"), ("ipw", "modified"), ("hajek", "modified")]
@@ -76,7 +77,7 @@ def survey_frames(draw):
                 component(f"{site}-W{ci}", fac, site, "Wells", True, wells[site] > 0)
         n = max(sum(wells[f"WSITE{si}"] for si in range(n_sites)), len(facs))
         strata["Wells"] = StratumDef("Wells", n, n + draw(st.integers(0, 5)))
-    return SurveyFrame(strata=strata, components=comps, passes=tuple(passes),
+    return frame_from_passes(strata=strata, components=comps, passes=tuple(passes),
                        wells_per_site=wells)
 
 
@@ -91,7 +92,7 @@ def assert_close(got, want, what):
 # one pass (Q_pt = 1), drawn to phi 1.2e-7 in iteration 2: its starred variance
 # is 0 up to rounding, which 1/phi^2 amplifies to about 1e8, so both paths
 # must square the daily mean alike
-ONE_PASS_SMALL_PHI = SurveyFrame(
+ONE_PASS_SMALL_PHI = frame_from_passes(
     strata={"S": StratumDef("S", 1, 1)},
     components={"C": ComponentRef("C", "F", "SITE", "S", False)},
     passes=(Pass("C", 0, 0, True, 36.50741860782577, 5.565128376831455, 726.2181496419881),),

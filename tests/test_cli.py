@@ -316,6 +316,27 @@ class TestExitCodes:
         assert "MSINV_THREADS must be a whole number, got 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, env, message", [
+        (("--threads", "0"), None, "argument --threads: must be at least 1, got 0"),
+        (("--threads", "-5"), None, "argument --threads: must be at least 1, got -5"),
+        ((), "-5", "MSINV_THREADS must be at least 1, got -5"),
+    ], ids=["flag-zero", "flag-negative", "variable-negative"])
+    def test_thread_count_below_one_is_4(self, tmp_path, monkeypatch, capsys, flags, env,
+                                         message):
+        def unreachable(*args):
+            raise AssertionError("the survey was read")
+
+        monkeypatch.setattr("msinv.cli.load_survey", unreachable)
+        if env is None:
+            monkeypatch.delenv(measurement.THREADS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(measurement.THREADS_ENV, env)
+        capsys.readouterr()
+        assert run("estimate", "--packaged", "--measurement", "mc", "--mc-iters", "10", *flags,
+                   "--out-dir", str(tmp_path / "out")) == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_is_4(self, tmp_path):
         assert run("estimate", "--packaged", "--stage2", "sometimes",
                    "--out-dir", str(tmp_path)) == 4

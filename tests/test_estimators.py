@@ -35,11 +35,12 @@ from msinv.estimators import (
     wald_ci,
     wells_allocate,
 )
-from msinv.frame import ComponentRef, FrameError, Pass, StratumDef, SurveyFrame
+from msinv.frame import ComponentRef, FrameError, StratumDef
 from msinv.pod import phi_any_detection, pod
 from msinv.reporting import KG_H_PER_KT_Y
 
 from conftest import random_frame
+from frame_reference import Pass, frame_from_passes
 
 
 class TestDailyIpw:
@@ -701,7 +702,7 @@ class TestPipelineBehaviors:
         passes = tuple(
             Pass("c1", day, 1, True, rate, 3.0, 150.0) for day in (1, 2)
         )
-        return SurveyFrame(
+        return frame_from_passes(
             strata={"A": StratumDef("A", 1, 1)},
             components={"c1": ComponentRef("c1", "f1", "s1", "A")},
             passes=passes,
@@ -818,7 +819,7 @@ class TestWellsInPipeline:
             Pass("w2", 1, 1, True, 40.0, 3.0, 150.0),
             Pass("w2", 2, 1, False),
         )
-        return SurveyFrame(strata=strata, components=comps, passes=passes,
+        return frame_from_passes(strata=strata, components=comps, passes=passes,
                            wells_per_site={"site1": 4})
 
     def test_each_well_gets_equal_share(self):
@@ -831,10 +832,8 @@ class TestWellsInPipeline:
         # expansion: 4 well PSUs, each mean ~ (80+40)/4/2 + (60+0)/4/2 days avg
         kgh = rep.total / KG_H_PER_KT_Y
         assert kgh == pytest.approx((80 + 40 + 60) / 2 / (4 / 40), rel=1e-3)
-        det = frame.detected_passes
-        rates = np.array([p.measured_rate for p in det])
-        phis = pod(rates, np.array([p.altitude for p in det]),
-                   np.array([p.wind_speed for p in det]))
+        rates = frame.measured_rates
+        phis = pod(rates, frame.altitudes, frame.wind_speeds)
         est = estimate_survey(prepare_components(frame, rates, phis, cfg), frame.strata, cfg,
                               keep_components=True)
         wells = [c for c in est.components if c.component_id.startswith("site1/well")]
@@ -843,7 +842,7 @@ class TestWellsInPipeline:
 
     def test_zero_well_count_with_detections_fails(self):
         with pytest.raises(FrameError, match="wells_at_site=0"):
-            SurveyFrame(
+            frame_from_passes(
                 strata={"Wells": StratumDef("Wells", 1, 40)},
                 components={"w1": ComponentRef("w1", "w1", "site1", "Wells", is_well=True)},
                 passes=(Pass("w1", 1, 1, True, 80.0, 3.0, 150.0),),

@@ -7,12 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from frame_reference import Pass, frame_from_passes, log_records
 from msinv.frame import (
     ComponentRef,
     FrameError,
-    Pass,
     StratumDef,
-    SurveyFrame,
     Unit,
     UnitDay,
     count,
@@ -22,10 +21,10 @@ from msinv.frame import (
     number,
     read_json,
     read_strata,
-    save_survey,
     text,
     validate,
 )
+from test_frame_columns import write_survey
 
 PASSES_HEADER = "component_id,facility_id,site_id,stratum,day,pass,detected,rate_kg_h,wind_m_s,altitude_m"
 FRAME_HEADER = "component_id,facility_id,site_id,stratum,is_well,wells_at_site"
@@ -55,7 +54,7 @@ class TestLoad:
         ]
         frame = load_survey(*write_files(tmp_path, rows, BASIC_FRAME, BASIC_STRATA))
         assert frame.passes_per_day[("c1", 10)] == 3
-        assert sum(1 for p in frame.passes if p.detected) == 2
+        assert int(frame.passes.detected.sum()) == 2
         assert frame.days_surveyed["c1"] == 1
 
     def test_table_row_parses_to_sizes(self, tmp_path):
@@ -72,10 +71,11 @@ class TestLoad:
 
     @pytest.mark.parametrize("field", ["rate", "wind", "altitude"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_measurement_rejected(self, field, value):
+    def test_non_finite_measurement_rejected(self, tmp_path, field, value):
         fields = {"rate": 12.5, "wind": 3.0, "altitude": 500.0, field: value}
-        with pytest.raises(FrameError, match="finite"):
-            Pass("c1", 10, 1, True, fields["rate"], fields["wind"], fields["altitude"])
+        rows = ["c1,f1,s1,A,10,1,1,{rate},{wind},{altitude}".format(**fields)]
+        with pytest.raises(FrameError, match="row 2: .* must be finite"):
+            load_survey(*write_files(tmp_path, rows, BASIC_FRAME, BASIC_STRATA))
 
     def test_nondetected_must_leave_fields_empty(self, tmp_path):
         rows = ["c1,f1,s1,A,10,1,0,5.0,,"]
@@ -112,6 +112,13 @@ class TestLoad:
         with pytest.raises(FrameError, match="n_sampled"):
             load_survey(*write_files(tmp_path, rows, BASIC_FRAME, ["A,2,4"]))
 
+    def test_stratum_without_components_rejected(self, tmp_path):
+        # a stratum of the table that no component names has no facilities
+        rows = ["c1,f1,s1,A,10,1,0,,,"]
+        with pytest.raises(FrameError, match="stratum 'Ghost': n_sampled=3 but the registry "
+                                             "lists 0 distinct facilities"):
+            load_survey(*write_files(tmp_path, rows, BASIC_FRAME, ["A,1,2", "Ghost,3,10"]))
+
     def test_stratum_cannot_mix_wells(self, tmp_path):
         rows = [
             "c1,f1,s1,A,10,1,0,,,",
@@ -132,7 +139,7 @@ class TestLoad:
             Pass("c1", 1, i, False) for i in range(7)
         )
         with pytest.warns(UserWarning, match="more than 5"):
-            SurveyFrame(
+            frame_from_passes(
                 strata={"A": StratumDef("A", 1, 1)},
                 components={"c1": ComponentRef("c1", "f1", "s1", "A")},
                 passes=passes,
@@ -141,7 +148,7 @@ class TestLoad:
 
 class TestDerivedCounts:
     def test_distinct_days(self):
-        frame = SurveyFrame(
+        frame = frame_from_passes(
             strata={"A": StratumDef("A", 1, 1)},
             components={"c1": ComponentRef("c1", "f1", "s1", "A")},
             passes=(
@@ -171,7 +178,7 @@ class TestUnits:
     def _frame(self):
         # a two-component well site surveyed on days 4-6, the components
         # overlapping on day 5, and a site without wells or detections
-        return SurveyFrame(
+        return frame_from_passes(
             strata={"A": StratumDef("A", 1, 2), "Wells": StratumDef("Wells", 3, 10)},
             components={
                 "w2": ComponentRef("w2", "w2", "site1", "Wells", is_well=True),
@@ -194,11 +201,10 @@ class TestUnits:
             wells_per_site={"s1": 0, "site1": 3, "site0": 0},
         )
 
-    def test_detected_passes_in_canonical_order(self):
+    def test_measured_rates_in_canonical_order(self):
+        # the detected passes (c1, 1, 1), (c1, 2, 1), (w1, 4, 2), (w1, 5, 1), (w2, 5, 1)
         frame = self._frame()
-        assert [(p.component_id, p.day_id, p.pass_index) for p in frame.detected_passes] == [
-            ("c1", 1, 1), ("c1", 2, 1), ("w1", 4, 2), ("w1", 5, 1), ("w2", 5, 1),
-        ]
+        assert frame.measured_rates.tolist() == [20.0, 10.0, 40.0, 50.0, 30.0]
 
     def test_components_then_sites_with_their_parts(self):
         assert self._frame().units == (
@@ -216,7 +222,7 @@ class TestUnits:
 
     def test_site_spanning_strata_rejected(self):
         with pytest.raises(FrameError, match="span multiple strata"):
-            SurveyFrame(
+            frame_from_passes(
                 strata={"W1": StratumDef("W1", 2, 4), "W2": StratumDef("W2", 2, 4)},
                 components={
                     "w1": ComponentRef("w1", "w1", "site1", "W1", is_well=True),
@@ -257,16 +263,23 @@ class TestValidate:
 
 
 class TestRoundTrip:
-    def test_save_then_load_preserves_counts(self, subset_frame, tmp_path):
-        p = tmp_path / "p.csv"
-        f = tmp_path / "f.csv"
-        s = tmp_path / "s.csv"
-        save_survey(subset_frame, p, f, s)
-        again = load_survey(p, f, s)
+    def test_write_then_load_preserves_counts(self, subset_frame, tmp_path):
+        frame = subset_frame
+        strata = [[s.name, s.n_sampled, s.n_population] for s in frame.strata.values()]
+        registry = [[c.component_id, c.facility_id, c.site_id, c.stratum, int(c.is_well),
+                     frame.wells_per_site.get(c.site_id, 0)] for c in frame.components.values()]
+        passes = []
+        for p in log_records(frame):
+            c = frame.components[p.component_id]
+            measured = (p.measured_rate, p.wind_speed, p.altitude)
+            passes.append([p.component_id, c.facility_id, c.site_id, c.stratum, p.day_id,
+                           p.pass_index, int(p.detected),
+                           *("" if x is None else repr(x) for x in measured)])
+        again = load_survey(*write_survey(tmp_path, strata, registry, passes))
         assert again.days_surveyed == subset_frame.days_surveyed
         assert again.passes_per_day == subset_frame.passes_per_day
         assert again.strata == subset_frame.strata
-        assert again.detected_passes == subset_frame.detected_passes
+        assert log_records(again) == log_records(subset_frame)
         assert again.units == subset_frame.units
         assert any(u.wells for u in again.units)
 

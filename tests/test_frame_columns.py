@@ -18,8 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from frame_reference import load_reference, reference_diagnostics
-from msinv import cli
+from frame_reference import detected_records, load_reference, log_records, reference_diagnostics
 from msinv.datasets import packaged_subset_paths
 from msinv.frame import (
     FRAME_HEADER, PASSES_HEADER, STRATA_HEADER, FrameError, SurveyFrame, load_survey, validate,
@@ -173,8 +172,8 @@ def outcome(load, paths):
 
 
 def assert_same_frame(frame: SurveyFrame, ref):
-    assert frame.passes == ref.passes
-    assert frame.detected_passes == ref.detected_passes
+    assert log_records(frame) == ref.passes
+    assert detected_records(frame) == ref.detected_passes
     assert frame.units == ref.units
     for f in dataclasses.fields(frame.index):
         got, want = getattr(frame.index, f.name), getattr(ref.index, f.name)
@@ -261,15 +260,3 @@ def test_a_pass_log_that_cannot_be_parsed_is_named_by_both_loaders(tmp_path, tai
     error = outcome(load_survey, paths)[1]
     assert error is not None and error.startswith(f"{paths[0]}: cannot parse: ")
     assert error == outcome(load_reference, paths)[1]
-
-
-@pytest.mark.parametrize("measurement", ["bias-correct", "mc"])
-def test_estimate_builds_no_pass_records(monkeypatch, tmp_path, measurement):
-    def refuse(frame):
-        raise AssertionError("the estimate path built Pass records")
-
-    monkeypatch.setattr(SurveyFrame, "passes", property(refuse))
-    monkeypatch.setattr(SurveyFrame, "detected_passes", property(refuse))
-    code = cli.main(["estimate", "--packaged", "--measurement", measurement, "--mc-iters", "20",
-                     "--out-dir", str(tmp_path)])
-    assert code == 0

@@ -8,7 +8,7 @@ import pytest
 
 from msinv import measurement
 from msinv.estimators import EstimationError, EstimatorConfig, total_inventory
-from msinv.frame import ComponentRef, Pass, StratumDef, SurveyFrame
+from msinv.frame import ComponentRef, StratumDef, SurveyFrame
 from msinv.measurement import (
     McConfig,
     bias_corrected_inventory,
@@ -20,6 +20,8 @@ from msinv.measurement import (
 )
 from msinv.pod import MeasurementModel, bias_correct, sample_true_rate
 from msinv.reporting import write_report_json
+
+from frame_reference import Pass, frame_from_passes
 
 
 @pytest.fixture()
@@ -40,7 +42,7 @@ def small_frame() -> SurveyFrame:
         Pass("b1", 3, 1, True, 30.0, 3.5, 145.0),
         Pass("b1", 4, 1, False),
     )
-    return SurveyFrame(strata=strata, components=comps, passes=passes)
+    return frame_from_passes(strata=strata, components=comps, passes=passes)
 
 
 DEGENERATE = MeasurementModel(d=1.0, alpha=1.0, beta=math.inf)
@@ -50,8 +52,7 @@ class TestBiasCorrectMode:
     def test_equals_manual_rate_scaling(self, small_frame):
         cfg = EstimatorConfig()
         report = bias_corrected_inventory(small_frame, cfg)
-        det = small_frame.detected_passes
-        rates = bias_correct(np.array([p.measured_rate for p in det]))
+        rates = bias_correct(small_frame.measured_rates)
         manual = total_inventory(small_frame, cfg, rates=rates)
         assert report.total == pytest.approx(manual.total, rel=1e-15)
         assert report.var_design == pytest.approx(manual.var_design, rel=1e-15)
@@ -78,11 +79,10 @@ class TestMcLayer:
     def test_two_iteration_independent_recomputation(self, small_frame):
         cfg = EstimatorConfig()
         mc = run_mc(small_frame, McConfig(estimator=cfg, iterations=2, seed=9))
-        det = small_frame.detected_passes
-        measured = np.array([p.measured_rate for p in det])
+        measured = small_frame.measured_rates
         totals = []
         parts = []
-        for u in iteration_uniforms(9, range(2), len(det)):
+        for u in iteration_uniforms(9, range(2), len(measured)):
             rep = total_inventory(small_frame, cfg, rates=sample_true_rate(measured, u))
             totals.append(rep.total)
             parts.append((rep.var_stage1, rep.var_stage2, rep.var_stage3))
@@ -118,9 +118,8 @@ class TestMcLayer:
             McConfig(iterations=1)
 
     def test_drawn_rates_converge_to_bias_factor(self, small_frame):
-        det = small_frame.detected_passes
-        measured = np.array([p.measured_rate for p in det])
-        u = iteration_uniforms(1, range(4000), len(det))
+        measured = small_frame.measured_rates
+        u = iteration_uniforms(1, range(4000), len(measured))
         ratios = (sample_true_rate(measured, u) / measured).ravel()
         se = ratios.std(ddof=1) / math.sqrt(len(ratios))
         assert abs(ratios.mean() - 0.918) < 3 * se
@@ -157,10 +156,19 @@ class TestWorkerCount:
         monkeypatch.delenv("MSINV_THREADS", raising=False)
         cpus = os.cpu_count() or 1
         assert resolve_threads(100000) == cpus
-        assert resolve_threads(0) == 1
         assert resolve_threads(None) == 1
         monkeypatch.setenv("MSINV_THREADS", "100000")
         assert resolve_threads(None) == cpus
+
+    @pytest.mark.parametrize("requested", [0, -5])
+    def test_below_one_refused(self, monkeypatch, requested):
+        monkeypatch.delenv("MSINV_THREADS", raising=False)
+        with pytest.raises(ValueError, match=f"^threads must be at least 1, got {requested}$"):
+            resolve_threads(requested)
+        monkeypatch.setenv("MSINV_THREADS", str(requested))
+        with pytest.raises(ValueError,
+                           match=f"^MSINV_THREADS must be at least 1, got {requested}$"):
+            resolve_threads(None)
 
     def test_run_mc_capped_at_chunks(self, small_frame, monkeypatch):
         # a stand-in pool records the requested size and runs inline

@@ -16,15 +16,15 @@ configuration.
 Usage: python tools/make_subset.py [outdir]
 """
 
-import csv
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from msinv.frame import FRAME_HEADER, PASSES_HEADER, STRATA_HEADER
 from msinv.pod import bias_correct, pod
+from msinv.reporting import write_csv, write_json
 from msinv.simlab import fit_lognormal_moments
 
 SEED = 20211101
@@ -165,24 +165,11 @@ def main(outdir, seed=SEED):
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "subset_strata.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stratum", "n_sampled", "n_population"])
-        w.writerows(strata_rows)
-    with open(outdir / "subset_frame.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["component_id", "facility_id", "site_id", "stratum", "is_well",
-                    "wells_at_site"])
-        w.writerows(frame_rows)
-    with open(outdir / "subset_passes.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["component_id", "facility_id", "site_id", "stratum", "day", "pass",
-                    "detected", "rate_kg_h", "wind_m_s", "altitude_m"])
-        w.writerows(pass_rows)
-    with open(outdir / "sim_defaults.json", "w") as fh:
-        json.dump({"seed": seed, "lognormal_fits": fit_defaults(pass_rows, frame_rows)},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(outdir / "subset_strata.csv", STRATA_HEADER, strata_rows)
+    write_csv(outdir / "subset_frame.csv", FRAME_HEADER, frame_rows)
+    write_csv(outdir / "subset_passes.csv", PASSES_HEADER, pass_rows)
+    write_json(outdir / "sim_defaults.json",
+               {"seed": seed, "lognormal_fits": fit_defaults(pass_rows, frame_rows)})
 
     n_det = sum(1 for r in pass_rows if r[6] == 1)
     print(f"{len(frame_rows)} components, {len(pass_rows)} passes, {n_det} detections")
