@@ -29,23 +29,31 @@ c-th items of all rows with more than c items fill a contiguous prefix of
 the rows.  A row sum then takes one gather and one in-place add per column,
 and the rows are put back in order once at the end.
 
-The scalar functions in `estimators` (`prepare_components` followed by
-`estimate_survey`) are the specification.  Every sum here is accumulated left
-to right over the same terms in the same order as there (Python's `sum`), and
-every formula keeps their association order, so the two paths agree to
-rounding.  All arithmetic is elementwise along the iteration axis, so an
-iteration's result does not depend on the chunk it is evaluated in.
+The daily stage, `_daily`, also serves a single design pass:
+`estimators.prepare_components` runs it as one iteration to build the daily
+estimates that `estimators.estimate_survey` expands.  The specification is
+the scalar path: the per-day formulas of the tests' reference loop
+(`tests/estimator_reference.py`) followed by `estimate_survey`.  Every sum
+here is accumulated left to right over the same terms in the same order as
+there (Python's `sum`), and every formula keeps their association order, so
+the daily stage agrees with the reference bit for bit and the whole kernel
+agrees with `estimate_survey` to rounding.  All arithmetic is elementwise
+along the iteration axis, so an iteration's result does not depend on the
+chunk it is evaluated in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .estimators import EstimationError, EstimatorConfig
-from .frame import SurveyFrame, UnitIndex
+from .reporting import EstimationError
+
+if TYPE_CHECKING:
+    from .estimators import EstimatorConfig
+    from .frame import SurveyFrame, UnitIndex
 
 __all__ = ["Schedule", "CompiledIndex", "Layout", "BatchEstimate", "compile_index",
            "build_layout", "compile_layout", "evaluate"]
@@ -121,7 +129,12 @@ def _seq_prod(first: np.ndarray, x: np.ndarray, s: Schedule) -> np.ndarray:
 
 
 def _phi_any(phi: np.ndarray, groups: Schedule, count: np.ndarray, misses: np.ndarray):
-    """`pod.phi_any_detection` of each pass group (rows of ``groups``), batched."""
+    """Any-detection probability of each pass group (rows of ``groups``).
+
+    A group's ``misses`` undetected passes are imputed with the mean POD mu
+    of its detected ones: 1 - (1 - mu)^misses * prod (1 - phi), each product
+    taken left to right from 1.0.  With no miss it is the exact probability.
+    """
     mu = _seq_sum(phi, groups) / count
     prod = np.ones(mu.shape)
     for t in range(int(misses.max(initial=0))):
@@ -400,20 +413,27 @@ class BatchEstimate:
 # (items, B): gathering items then moves whole contiguous rows.
 
 
-def _daily(layout: Layout, y: np.ndarray, phi: np.ndarray):
+def _daily(ix: CompiledIndex, kind: str, y: np.ndarray, phi: np.ndarray):
     """Unit-day means and variances, and star-day any-detection probabilities.
 
-    Daily values are `ipw_daily` or `hajek_daily` per detected component-day;
-    a well site's day sums them over its components and spreads the sums over
-    its wells as `wells_allocate` does.  The probabilities (None for "ipw")
-    are per unit-day with a detection, pooled over a site's components.
+    ``kind`` is a `Layout.kind`.  Each detected component-day gets the IPW
+    daily mean (sum Y/phi)/Q_pt with variance (1/Q_pt^2) sum (1-phi)/phi^2 Y^2,
+    or for "hajek" the ratio (sum Y/phi)/(sum 1/phi) with the variance
+
+        (phi_hat/Q_pt^2) [sum (1-phi) R^2 + (phi_hat - 1)(sum R)^2],
+
+    R = (Y - mean)/phi, clipped at zero.  A unit-day sums its component-days
+    (one, or each of a well site's components) and spreads the sums over the
+    site's wells: the mean divided by the wells, the variance by their
+    square.  A day without a detection is 0.0.  The probabilities (None for
+    "ipw") are per unit-day with a detection, pooled over a site's
+    components; see `_phi_any`.
     """
-    ix = layout.index
     q = ix.dd_q
     ph_grp = None
-    if layout.kind != "ipw":
+    if kind != "ipw":
         ph_grp = _phi_any(phi, ix.grp_pass, ix.grp_count, ix.grp_misses)
-    if layout.kind == "hajek":
+    if kind == "hajek":
         num, den = _seq_sum(np.stack([y / phi, 1.0 / phi]), ix.dd_pass)
         mean = num / den
         resid = (y - mean[ix.pass_dd]) / phi
@@ -514,7 +534,7 @@ def evaluate(layout: Layout, y: np.ndarray, phi: np.ndarray,
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y_t, phi_t = np.ascontiguousarray(y.T), np.ascontiguousarray(phi.T)
-        ud_mean, ud_var, ud_ph = _daily(layout, y_t, phi_t)
+        ud_mean, ud_var, ud_ph = _daily(layout.index, layout.kind, y_t, phi_t)
         pop, st = _assemble(layout, _unit_estimates(layout, ud_mean, ud_var, ud_ph))
     out = BatchEstimate(population={k: v.T for k, v in pop.items()},
                         strata={k: v.T for k, v in st.items()})

@@ -1,4 +1,4 @@
-"""Estimation core: daily means, component aggregation, stratum and population totals.
+"""Estimation core: component aggregation, stratum and population totals.
 
 The total emission rate is estimated by expanding each sampled unit by its
 inclusion probability at all three stages.  Daily means are inverse-probability
@@ -8,6 +8,13 @@ variance expressions; components are expanded by the stratified-cluster
 stage I probabilities.  The total three-stage variance is split into per-stage
 contributions, clipped at zero in a fixed order, with the unclipped values
 retained for diagnostics.
+
+A single design pass (`total_inventory`, bias correction) takes its daily
+estimates from the batched kernel's daily stage (`prepare_components` runs
+`batch._daily` once) and expands them here with `estimate_survey`.  The
+scalar per-day formulas are kept in the tests' reference loop
+(`tests/estimator_reference.py`), which `prepare_components` matches bit for
+bit.
 
 All arithmetic here is in kg/h; unit conversion happens at report assembly.
 """
@@ -19,9 +26,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import reporting
+from . import batch, reporting
 from .frame import StratumDef, SurveyFrame
-from .pod import PHI_FLOOR, PodParams, DEFAULT_POD, phi_any_detection, pod
+from .pod import PHI_FLOOR, PodParams, DEFAULT_POD, pod
 from .reporting import EstimationError, wald_ci
 
 __all__ = [
@@ -32,15 +39,9 @@ __all__ = [
     "ComponentObs",
     "StratumEstimate",
     "SurveyEstimate",
-    "ipw_daily",
-    "ipw_daily_var",
-    "hajek_daily",
-    "hajek_daily_var",
-    "daily_estimate",
     "starred_daily",
     "component_srs_hajek",
     "impute_component_variance",
-    "wells_allocate",
     "stratum_total",
     "estimate_survey",
     "total_inventory",
@@ -103,7 +104,12 @@ class EstimatorConfig:
 
 @dataclass(slots=True)
 class DailyEstimate:
-    """Estimated mean emission rate of one component on one day."""
+    """Estimated mean emission rate of one component on one day.
+
+    ``phi_hat`` is the day's any-detection probability, set whenever
+    something was detected; a day without a detection has mean and variance
+    0.0 for either estimator.
+    """
 
     mean_rate: float
     var: float
@@ -111,103 +117,6 @@ class DailyEstimate:
     n_detected: int = 0
     day_id: int = 0
     n_passes: int = 0       # the day's Q (a well share: the site's), 0 if unknown
-
-
-def _check_detections(detections, q_total: int):
-    if q_total < max(1, len(detections)):
-        raise EstimationError(
-            f"q_total={q_total} is smaller than the number of detections ({len(detections)})"
-        )
-    for y, phi in detections:
-        if phi <= 0:
-            raise EstimationError("detection probabilities must be > 0")
-        if y < 0:
-            raise EstimationError("rates must be >= 0")
-
-
-def ipw_daily(detections, q_total: int, day_id: int = 0) -> DailyEstimate:
-    """Inverse-probability-weighted daily mean: (sum Y/phi) / Q_pt.
-
-    ``detections`` is a sequence of (rate, phi) pairs for the detected passes;
-    an empty sequence gives mean 0 (a day with no detections contributes the
-    empty IPW sum, not a missing value).
-    """
-    _check_detections(detections, q_total)
-    mean = sum(y / phi for y, phi in detections) / q_total
-    return DailyEstimate(
-        mean_rate=mean,
-        var=ipw_daily_var(detections, q_total),
-        n_detected=len(detections),
-        day_id=day_id,
-        n_passes=q_total,
-    )
-
-
-def ipw_daily_var(detections, q_total: int) -> float:
-    """Poisson-sampling variance estimate (1/Q^2) sum (1-phi)/phi^2 * Y^2."""
-    _check_detections(detections, q_total)
-    return sum((1.0 - phi) / (phi * phi) * y * y for y, phi in detections) / (q_total * q_total)
-
-
-def hajek_daily(detections, q_total: int, phi_hat: float, day_id: int = 0) -> DailyEstimate:
-    """Hajek (ratio) daily mean: (sum Y/phi) / (sum 1/phi).
-
-    Undefined on empty detections; callers must restrict to days with at least
-    one detection (the starred stage II sample).
-    """
-    if not detections:
-        raise EstimationError("Hajek daily estimate is undefined with no detections (0/0)")
-    _check_detections(detections, q_total)
-    num = sum(y / phi for y, phi in detections)
-    den = sum(1.0 / phi for y, phi in detections)
-    return DailyEstimate(
-        mean_rate=num / den,
-        var=hajek_daily_var(detections, q_total, phi_hat),
-        phi_hat=phi_hat,
-        n_detected=len(detections),
-        day_id=day_id,
-        n_passes=q_total,
-    )
-
-
-def hajek_daily_var(detections, q_total: int, phi_hat: float) -> float:
-    """Approximate variance of the Hajek daily mean, clipped at zero.
-
-    (phi_hat/Q^2) [ sum (1-phi)((Y-Yhat)/phi)^2
-                    + (phi_hat - 1)(sum (Y-Yhat)/phi)^2 ]
-    The second term is nonpositive and can dominate for small phi_hat, hence
-    the clip.
-    """
-    if not detections:
-        raise EstimationError("Hajek daily variance is undefined with no detections")
-    _check_detections(detections, q_total)
-    num = sum(y / phi for y, phi in detections)
-    den = sum(1.0 / phi for y, phi in detections)
-    yhat = num / den
-    resid_sq = sum((1.0 - phi) * ((y - yhat) / phi) ** 2 for y, phi in detections)
-    resid_sum = sum((y - yhat) / phi for y, phi in detections)
-    raw = phi_hat / (q_total * q_total) * (resid_sq + (phi_hat - 1.0) * resid_sum**2)
-    return max(0.0, raw)
-
-
-def daily_estimate(rates, phis, q_total: int, estimator: str, day_id: int = 0) -> DailyEstimate:
-    """The daily estimate of one component-day from its detected passes.
-
-    ``rates`` and ``phis`` are the detected passes' rates and detection
-    probabilities; ``q_total`` counts every pass of the day.  Returns
-    `ipw_daily` or `hajek_daily` by ``estimator``, with ``phi_hat`` (the
-    any-detection probability) set whenever something was detected.  A day
-    with no detection is the zero estimate for either estimator: the Hajek
-    ratio is undefined there, and the starred design leaves the day out.
-    """
-    detections = list(zip(rates, phis))
-    if estimator == "hajek" and detections:
-        phi_hat = phi_any_detection(phis, q_total - len(detections))
-        return hajek_daily(detections, q_total, phi_hat, day_id=day_id)
-    est = ipw_daily(detections, q_total, day_id=day_id)
-    if detections:
-        est.phi_hat = phi_any_detection(phis, q_total - len(detections))
-    return est
 
 
 def starred_daily(daily: DailyEstimate, phi_hat: float) -> DailyEstimate:
@@ -338,30 +247,6 @@ def impute_component_variance(target: ComponentEstimate, stratum_peers) -> Compo
     return replace(target, var=var, pooled_variance=True)
 
 
-def wells_allocate(site_dailies, wells_at_site: int) -> dict[int, tuple[float, float]]:
-    """Spread the site's detected well emissions equally over its wells.
-
-    ``site_dailies`` are daily estimates of the well components at one site.
-    For each survey day the per-well share is (sum of means)/wells and
-    (sum of variances)/wells^2; every well at the site receives the same
-    share.  Returns day_id -> (mean share, variance share).
-    """
-    if wells_at_site < 1:
-        if any(d.n_detected > 0 for d in site_dailies):
-            raise EstimationError("well detections at a site with no registered wells")
-        return {}
-    by_day: dict[int, list[DailyEstimate]] = {}
-    for d in site_dailies:
-        by_day.setdefault(d.day_id, []).append(d)
-    out = {}
-    for day, ds in sorted(by_day.items()):
-        out[day] = (
-            sum(d.mean_rate for d in ds) / wells_at_site,
-            sum(d.var for d in ds) / (wells_at_site * wells_at_site),
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Stratum and population assembly
 # ---------------------------------------------------------------------------
@@ -468,7 +353,7 @@ class ComponentObs:
     """One component's observations, ready for estimation.
 
     ``dailies`` holds one daily estimate per surveyed day, in day order, as
-    built by `daily_estimate` for the configured estimator (or, for wells,
+    built by `prepare_components` for the configured estimator (for wells,
     the site's shares of them).
     """
 
@@ -590,37 +475,69 @@ def estimate_survey(components, strata, config: EstimatorConfig,
 
 
 def prepare_components(frame: SurveyFrame, rates, phis, config: EstimatorConfig):
-    """Build the ComponentObs of every unit in ``frame.units``.
+    """Build the ComponentObs of every unit of ``frame.index``, in unit order.
 
-    ``rates``/``phis`` align with ``frame.measured_rates``.  A well site's
-    daily estimates are spread evenly over its registered wells by
-    `wells_allocate`, each share's phi_hat pooling every pass of the site
-    that day, and each well becomes its own stage I unit in the wells stratum.
+    ``rates``/``phis`` align with ``frame.measured_rates``.  The daily
+    estimates come from one iteration of the kernel's daily stage
+    (`batch._daily`): IPW or Hajek by ``config.estimator``, with phi_hat set
+    on every day with a detection.  A well site's daily estimates are the
+    sums of its components' spread evenly over its registered wells, each
+    share's phi_hat pooling every pass of the site that day, and each well
+    becomes its own stage I unit in the wells stratum.
     """
-    if len(rates) != len(frame.measured_rates) or len(phis) != len(frame.measured_rates):
+    n = len(frame.measured_rates)
+    if len(rates) != n or len(phis) != n:
         raise EstimationError("rates/phis must align with the frame's detected passes")
-    rates = np.asarray(rates, dtype=float).tolist()
-    phis = np.asarray(phis, dtype=float).tolist()
+    ix, index = frame.compiled_index, frame.index
+    y = np.asarray(rates, dtype=float).reshape(n, 1)
+    phi = np.asarray(phis, dtype=float).reshape(n, 1)
+    _refuse_passes(ix, y[:, 0], phi[:, 0], config.estimator)
+    # "starred" is the IPW daily stage with phi_hat computed
+    kind = "hajek" if config.estimator == "hajek" else "starred"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean, var, ph = batch._daily(ix, kind, y, phi)
+    n_ud = len(mean)
+    phi_hat = np.full(n_ud, None, dtype=object)
+    phi_hat[ix.star] = ph[:, 0]
+    dailies = list(map(
+        DailyEstimate, mean[:, 0].tolist(), var[:, 0].tolist(), phi_hat.tolist(),
+        np.bincount(index.cd_ud[index.pass_cd], minlength=n_ud).tolist(), frame._ud_day,
+        np.bincount(index.cd_ud, weights=index.cd_q, minlength=n_ud).astype(int).tolist()))
+    cuts = np.searchsorted(index.ud_unit, np.arange(len(frame._unit_heads) + 1)).tolist()
     out: list[ComponentObs] = []
-    for unit in frame.units:
-        dailies = [daily_estimate([rates[i] for i in positions], [phis[i] for i in positions],
-                                  q_pt, config.estimator, day_id=day.day_id)
-                   for day in unit.days for positions, q_pt in day.parts]
-        if not unit.wells:
-            out.append(ComponentObs(unit.unit_id, unit.members[0], unit.stratum, tuple(dailies)))
-            continue
-        allocated = wells_allocate(dailies, unit.wells)
-        shares = []
-        for day in unit.days:
-            mean, var = allocated[day.day_id]
-            pooled = [phis[i] for positions, _ in day.parts for i in positions]
-            misses = sum(q_pt - len(positions) for positions, q_pt in day.parts)
-            phi_hat = phi_any_detection(pooled, misses) if pooled else None
-            shares.append(DailyEstimate(mean, var, phi_hat=phi_hat, n_detected=len(pooled),
-                                        day_id=day.day_id,
-                                        n_passes=sum(q_pt for _, q_pt in day.parts)))
-        out.extend(ComponentObs(wid, wid, unit.stratum, tuple(shares)) for wid in unit.members)
+    for (unit_id, stratum, members, wells), a, b in zip(frame._unit_heads, cuts, cuts[1:]):
+        days = tuple(dailies[a:b])
+        if wells:
+            out.extend(ComponentObs(wid, wid, stratum, days) for wid in members)
+        else:
+            out.append(ComponentObs(unit_id, members[0], stratum, days))
     return out
+
+
+def _refuse_passes(ix: batch.CompiledIndex, y: np.ndarray, phi: np.ndarray, estimator: str):
+    """Raise what the per-day formulas refuse, as the scalar reference does.
+
+    A POD outside (0, 1] (NaN included) has no any-detection probability
+    (ValueError); a POD <= 0 or a negative rate is outside the daily
+    estimators' domain (`EstimationError`).  The first faulty detected
+    component-day in unit order decides: IPW checks its passes in order, POD
+    before rate, then the POD range; Hajek checks the POD range first.
+    """
+    out_of_range = ~((phi > 0.0) & (phi <= 1.0))
+    negative = y < 0.0
+    faulty = out_of_range | negative
+    if not faulty.any():
+        return
+    day = np.flatnonzero(ix.pass_dd == ix.pass_dd[faulty].min())
+    if estimator == "ipw":
+        for i in day[faulty[day]].tolist():
+            if phi[i] <= 0.0:
+                raise EstimationError("detection probabilities must be > 0")
+            if negative[i]:
+                raise EstimationError("rates must be >= 0")
+    if out_of_range[day].any():
+        raise ValueError("detected POD values must lie in (0, 1]")
+    raise EstimationError("rates must be >= 0")
 
 
 def total_inventory(frame: SurveyFrame, config: EstimatorConfig, rates=None):
@@ -636,13 +553,8 @@ def total_inventory(frame: SurveyFrame, config: EstimatorConfig, rates=None):
     raw_phi = np.atleast_1d(raw_phi)
     floor_hits = int(np.count_nonzero(raw_phi < PHI_FLOOR))
     phis = np.maximum(raw_phi, PHI_FLOOR)
-    try:
-        comps = prepare_components(frame, rates, phis, config)
-        est = estimate_survey(comps, frame.strata, config, phi_floor_hits=floor_hits)
-    except OverflowError:
-        raise EstimationError(
-            "estimate overflows (a measured rate too large to estimate with?)"
-        ) from None
+    comps = prepare_components(frame, rates, phis, config)
+    est = estimate_survey(comps, frame.strata, config, phi_floor_hits=floor_hits)
     _require_finite(est)
     return reporting.build_report(est, config)
 

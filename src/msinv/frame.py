@@ -10,7 +10,7 @@ Loading sorts the passes once and groups them into the units every estimator
 walks: a non-well component, or a well site that stands for its wells, with
 the detected passes and pass count of each component-day.
 `SurveyFrame.index` holds the units as the flat arrays of a `UnitIndex`, the
-input of the batched estimator; `SurveyFrame.units` holds them as records.
+input of the batched estimator.
 
 This module also holds the one strict reader for the JSON configuration
 documents (the `simulate` study config and the `plan` scenario) and the INI
@@ -29,17 +29,16 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
+
+from . import batch
 
 __all__ = [
     "FrameError",
     "StratumDef",
     "ComponentRef",
     "PassColumns",
-    "UnitDay",
-    "Unit",
     "UnitIndex",
     "SurveyFrame",
     "FrameDiagnostics",
@@ -96,36 +95,6 @@ class ComponentRef:
     site_id: str
     stratum: str
     is_well: bool = False
-
-
-class UnitDay(NamedTuple):
-    """One surveyed day of a `Unit`.
-
-    ``parts`` holds a ``(positions, q_pt)`` pair per component-day summed into
-    the day, in component id order: the positions of its detected passes in
-    `SurveyFrame.measured_rates` (empty on a day without a detection) and
-    its pass count Q_pt.
-    """
-
-    day_id: int
-    parts: tuple[tuple[tuple[int, ...], int], ...]
-
-
-class Unit(NamedTuple):
-    """What the estimators treat as one component: its days and stage I members.
-
-    A non-well component is one unit with ``wells`` 0; ``members`` holds its
-    facility.  A well site is one unit whose ``wells`` wells share its
-    emissions equally; ``members`` holds their ids ``site/well1`` ... and
-    each day sums the site's component-days.  ``days`` are in day order, so
-    d_p is ``len(days)``.
-    """
-
-    unit_id: str                    # the component id, or the site id
-    stratum: str
-    members: tuple[str, ...]
-    wells: int
-    days: tuple[UnitDay, ...]
 
 
 @dataclass(frozen=True)
@@ -205,9 +174,11 @@ class SurveyFrame:
     day, pass) order, which gives the per-detected-pass arrays
     ``measured_rates``, ``wind_speeds`` and ``altitudes`` (every rate vector
     aligns with them) and ``index``, the units as the flat arrays of a
-    `UnitIndex`.  ``compiled_index`` and ``units`` (non-well components in id
-    order, then well sites with at least one well in id order) are built on
-    first use.
+    `UnitIndex`: non-well components in id order, then well sites with at
+    least one well in id order.  ``_unit_heads`` (per unit: its id, stratum,
+    stage I members and wells) and ``_ud_day`` (per unit-day: its day id)
+    label what `estimators.prepare_components` builds.  ``compiled_index``
+    is built on first use.
 
     ``wells_per_site`` maps site_id -> number of wells at the site, for the
     shared-equipment allocation of well emissions.
@@ -368,7 +339,7 @@ class SurveyFrame:
         position[cds] = np.arange(len(cds))
         set_ = functools.partial(object.__setattr__, self)
         set_("_unit_heads", heads)
-        set_("_unit_cds", (cds, ud_start))
+        set_("_ud_day", [self._day_values[d] for d in cd_day[cds][ud_start].tolist()])
         set_("index", UnitIndex(
             pass_cd=position[det_cd],
             cd_q=cd_q[cds],
@@ -390,25 +361,7 @@ class SurveyFrame:
     @functools.cached_property
     def compiled_index(self):
         """`batch.compile_index` of ``index``, shared by every configuration."""
-        from . import batch  # batch imports this module
         return batch.compile_index(self.index)
-
-    @functools.cached_property
-    def units(self) -> tuple[Unit, ...]:
-        """The units as records, built on first use."""
-        _, cd_day, cd_q, cd_detected = self._cd
-        cds, ud_start = self._unit_cds
-        # a component-day's detected passes are consecutive in canonical order
-        positions = tuple(range(len(self.measured_rates)))
-        ends = np.cumsum(cd_detected)[cds].tolist()
-        parts = [(positions[end - k:end], q)
-                 for end, k, q in zip(ends, cd_detected[cds].tolist(), cd_q[cds].tolist())]
-        cuts = np.append(np.flatnonzero(ud_start), len(cds)).tolist()
-        days = [UnitDay(self._day_values[day], tuple(parts[a:b]))
-                for day, a, b in zip(cd_day[cds][ud_start].tolist(), cuts, cuts[1:])]
-        cuts = np.searchsorted(self.index.ud_unit, np.arange(len(self._unit_heads) + 1)).tolist()
-        return tuple(Unit(*head, tuple(days[a:b]))
-                     for head, a, b in zip(self._unit_heads, cuts, cuts[1:]))
 
     @property
     def days_surveyed(self) -> dict[str, int]:

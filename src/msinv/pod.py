@@ -22,7 +22,6 @@ __all__ = [
     "pod",
     "sample_true_rate",
     "bias_correct",
-    "phi_any_detection",
 ]
 
 # Detection probabilities are floored before any division by phi so that a
@@ -148,33 +147,3 @@ def bias_correct(measured, model: MeasurementModel = DEFAULT_MEASUREMENT):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def phi_any_detection(detected_phis, n_missed: int) -> float:
-    """Estimated probability of at least one detection over a component-day.
-
-    Missed passes have unknown POD; each is imputed with the mean of the
-    detected passes' PODs, giving
-
-        1 - (1 - mean_phi)^n_missed * prod(1 - phi_q).
-
-    With ``n_missed == 0`` this is the exact any-detection probability
-    1 - prod(1 - phi_q).
-    """
-    phis = [float(p) for p in detected_phis]
-    if n_missed < 0:
-        raise ValueError("n_missed must be >= 0")
-    for p in phis:
-        if not 0.0 < p <= 1.0:
-            raise ValueError("detected POD values must lie in (0, 1]")
-    if not phis:
-        if n_missed > 0:
-            raise ValueError("no detected passes to impute the mean POD from")
-        return 0.0
-    prod_miss = 1.0
-    mu = sum(phis) / len(phis)
-    for _ in range(n_missed):
-        prod_miss *= 1.0 - mu
-    for p in phis:
-        prod_miss *= 1.0 - p
-    return 1.0 - prod_miss

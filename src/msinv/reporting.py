@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,6 +54,12 @@ class StratumReport:
     var_total: float
     unclipped: dict = field(default_factory=dict)
 
+    def as_dict(self) -> dict:
+        return {"name": self.name, "total": self.total, "var_stage1": self.var_stage1,
+                "var_stage2": self.var_stage2, "var_stage3": self.var_stage3,
+                "var_measurement": self.var_measurement, "var_total": self.var_total,
+                "unclipped": _plain(self.unclipped)}
+
 
 @dataclass
 class InventoryReport:
@@ -76,7 +82,26 @@ class InventoryReport:
     manifest: dict | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The report as a document, equal to `dataclasses.asdict` of it.
+
+        It is built field by field, not by that function's generic deep copy,
+        and shares no dict or list with the report.
+        """
+        doc = {name: _plain(getattr(self, name)) for name in _REPORT_FIELDS}
+        doc["strata"] = [row.as_dict() for row in self.strata]
+        return doc
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(InventoryReport))
+
+
+def _plain(value):
+    """A copy of nested dicts, lists and tuples; numbers and strings are shared."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    return value
 
 
 class EstimationError(ValueError):

@@ -9,7 +9,9 @@ raises the same `FrameError` messages.
 The `Pass` record is the tests' way to write a pass log by hand:
 `frame_from_passes` builds a `SurveyFrame` from records, through the
 `PassColumns` that `columns_from_passes` makes of them, and `log_records` and
-`detected_records` read a frame's passes back as records.
+`detected_records` read a frame's passes back as records.  The grouping into
+units gives `Unit` records, which the scalar estimator reference
+(`estimator_reference`) walks.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from msinv.frame import (
-    PASSES_HEADER, REALISTIC_MAX_PASSES, ComponentRef, FrameError, PassColumns, SurveyFrame, Unit,
-    UnitDay, UnitIndex, _check_header, _parse_int, _read_rows, read_components, read_strata,
+    PASSES_HEADER, REALISTIC_MAX_PASSES, ComponentRef, FrameError, PassColumns, SurveyFrame,
+    UnitIndex, _check_header, _parse_int, _read_rows, read_components, read_strata,
 )
 
 
@@ -106,6 +108,37 @@ def log_records(frame: SurveyFrame) -> tuple[Pass, ...]:
 def detected_records(frame: SurveyFrame) -> tuple[Pass, ...]:
     """The frame's detected passes in canonical order, as records."""
     return tuple(sorted((p for p in log_records(frame) if p.detected), key=canonical))
+
+
+class UnitDay(NamedTuple):
+    """One surveyed day of a `Unit`.
+
+    ``parts`` holds a ``(positions, q_pt)`` pair per component-day summed into
+    the day, in component id order: the positions of its detected passes in
+    `SurveyFrame.measured_rates` (empty on a day without a detection) and
+    its pass count Q_pt.
+    """
+
+    day_id: int
+    parts: tuple[tuple[tuple[int, ...], int], ...]
+
+
+class Unit(NamedTuple):
+    """What the estimators treat as one component: its days and stage I members.
+
+    A non-well component is one unit with ``wells`` 0; ``members`` holds its
+    facility.  A well site is one unit whose ``wells`` wells share its
+    emissions equally; ``members`` holds their ids ``site/well1`` ... and
+    each day sums the site's component-days.  ``days`` are in day order, so
+    d_p is ``len(days)``.  `SurveyFrame.index` holds the same units as flat
+    arrays, in the same order.
+    """
+
+    unit_id: str                    # the component id, or the site id
+    stratum: str
+    members: tuple[str, ...]
+    wells: int
+    days: tuple[UnitDay, ...]
 
 
 class ReferenceFrame(NamedTuple):

@@ -15,11 +15,12 @@ from msinv import batch, measurement, oracle, simlab
 from msinv.batch import (
     POPULATION_KEYS, STRATUM_KEYS, build_layout, compile_index, compile_layout, evaluate,
 )
-from msinv.estimators import EstimationError, EstimatorConfig, estimate_survey, prepare_components
+from msinv.estimators import EstimationError, EstimatorConfig, estimate_survey
 from msinv.frame import ComponentRef, StratumDef, UnitIndex
 from msinv.measurement import McConfig, iteration_uniforms, run_mc
 from msinv.pod import PHI_FLOOR, pod, sample_true_rate
 from msinv.simlab import SimConfig, SimStratumSpec
+from estimator_reference import prepare_components
 from frame_reference import Pass, frame_from_passes
 from index_helpers import same_bits, side_by_side, unit_per_member
 

@@ -7,10 +7,11 @@ display, or the generic double-sum estimator.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from msinv.estimators import (
@@ -21,26 +22,26 @@ from msinv.estimators import (
     EstimationError,
     EstimatorConfig,
     component_srs_hajek,
-    daily_estimate,
     estimate_survey,
-    hajek_daily,
-    hajek_daily_var,
     impute_component_variance,
-    ipw_daily,
-    ipw_daily_var,
     prepare_components,
     starred_daily,
     stratum_total,
     total_inventory,
     wald_ci,
-    wells_allocate,
 )
 from msinv.frame import ComponentRef, FrameError, StratumDef
-from msinv.pod import phi_any_detection, pod
+from msinv.pod import PHI_FLOOR, pod
 from msinv.reporting import KG_H_PER_KT_Y
 
+import estimator_reference
 from conftest import random_frame
+from estimator_reference import (
+    daily_estimate, hajek_daily, hajek_daily_var, ipw_daily, ipw_daily_var, phi_any_detection,
+    wells_allocate,
+)
 from frame_reference import Pass, frame_from_passes
+from test_batch import survey_frames
 
 
 class TestDailyIpw:
@@ -848,3 +849,130 @@ class TestWellsInPipeline:
                 passes=(Pass("w1", 1, 1, True, 80.0, 3.0, 150.0),),
                 wells_per_site={"site1": 0},
             )
+
+
+# ---------------------------------------------------------------------------
+# prepare_components (the kernel's daily stage) against the per-day reference loop
+# ---------------------------------------------------------------------------
+
+
+def daily_bits(comps):
+    """Every field of every daily estimate, floats as hex and with their types."""
+    def value(x):
+        return (type(x).__name__, x.hex() if isinstance(x, float) else x)
+
+    return [(c.component_id, c.facility_id, c.stratum,
+             [tuple(value(getattr(d, f)) for f in DailyEstimate.__slots__) for d in c.dailies])
+            for c in comps]
+
+
+# a well site of two components (one detection each on day 5, a day without a
+# detection on day 6), a day of one pass, and PODs at the floor and at 1
+EDGES_FRAME = frame_from_passes(
+    strata={"A": StratumDef("A", 1, 3), "Wells": StratumDef("Wells", 2, 9)},
+    components={
+        "c1": ComponentRef("c1", "f1", "s1", "A"),
+        "w1": ComponentRef("w1", "w1", "site1", "Wells", is_well=True),
+        "w2": ComponentRef("w2", "w2", "site1", "Wells", is_well=True),
+    },
+    passes=(
+        Pass("c1", 1, 1, True, 20.0, 3.0, 150.0),
+        Pass("c1", 2, 1, True, 10.0, 3.0, 150.0),
+        Pass("c1", 2, 2, True, 30.0, 3.0, 150.0),
+        Pass("c1", 2, 3, False),
+        Pass("w1", 5, 1, True, 40.0, 3.0, 150.0),
+        Pass("w1", 5, 2, False),
+        Pass("w2", 5, 1, True, 50.0, 3.0, 150.0),
+        Pass("w2", 6, 1, False),
+    ),
+    wells_per_site={"site1": 2},
+)
+
+PODS = st.one_of(st.sampled_from([PHI_FLOOR, 1.0]), st.floats(PHI_FLOOR, 1.0))
+
+
+@st.composite
+def frames_with_draws(draw):
+    """A frame, and rates and PODs for its detected passes."""
+    frame = draw(st.one_of(st.just(EDGES_FRAME), survey_frames()))
+    n = len(frame.measured_rates)
+    rates = draw(st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n))
+    phis = draw(st.lists(PODS, min_size=n, max_size=n))
+    return frame, np.array(rates), np.array(phis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(draws=frames_with_draws(), estimator=st.sampled_from(["ipw", "hajek"]))
+# day 2 of c1 squares a Hajek residual that libm's pow rounds differently
+@example(draws=(EDGES_FRAME, np.array([5.0, 37.58, 53.73, 1e3, 0.0]),
+                np.array([PHI_FLOOR, 0.612, 0.977, 1.0, PHI_FLOOR])), estimator="hajek")
+@example(draws=(EDGES_FRAME, np.array([5.0, 0.0, 7.5, 1e3, 2.0]),
+                np.array([1.0, 1.0, PHI_FLOOR, 0.25, 1.0])), estimator="ipw")
+def test_prepare_components_equals_the_reference_loop(draws, estimator):
+    frame, rates, phis = draws
+    cfg = EstimatorConfig(estimator=estimator)
+    got = prepare_components(frame, rates, phis, cfg)
+    want = estimator_reference.prepare_components(frame, rates, phis, cfg)
+    assert daily_bits(got) == daily_bits(want)
+
+
+FAULTS = ["negative rate", "POD 0", "POD above 1", "NaN POD",
+          "rates short", "rates long", "PODs short", "PODs long",
+          "negative rate and NaN POD"]
+
+
+def outcome(fn, *args):
+    """The type and message of what ``fn(*args)`` raises."""
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001  any exception must match
+        return type(exc), str(exc)
+    raise AssertionError("no exception")
+
+
+@settings(max_examples=150, deadline=None)
+@given(draws=frames_with_draws(), estimator=st.sampled_from(["ipw", "hajek"]),
+       fault=st.sampled_from(FAULTS), data=st.data())
+def test_prepare_components_refuses_as_the_reference_loop(draws, estimator, fault, data):
+    frame, rates, phis = draws
+    n = len(rates)
+    assume(n > 0)
+    at = data.draw(st.integers(0, n - 1), label="pass")
+    rates, phis = rates.copy(), phis.copy()
+    if fault == "negative rate and NaN POD":
+        # which error wins depends on the estimator and on the order of the passes
+        rates[at] = -1.0
+        phis[data.draw(st.integers(0, n - 1), label="NaN pass")] = math.nan
+    elif fault == "negative rate":
+        rates[at] = -data.draw(st.floats(1e-300, 1e3), label="minus")
+    elif fault == "POD 0":
+        phis[at] = 0.0
+    elif fault == "POD above 1":
+        phis[at] = data.draw(st.floats(1.0, 10.0, exclude_min=True), label="pod")
+    elif fault == "NaN POD":
+        phis[at] = math.nan
+    else:
+        which = "rates" if fault.startswith("rates") else "phis"
+        values = {"rates": rates, "phis": phis}[which]
+        values = values[:-1] if fault.endswith("short") else np.append(values, 1.0)
+        rates, phis = (values, phis) if which == "rates" else (rates, values)
+    cfg = EstimatorConfig(estimator=estimator)
+    assert (outcome(prepare_components, frame, rates, phis, cfg)
+            == outcome(estimator_reference.prepare_components, frame, rates, phis, cfg))
+
+
+@pytest.mark.parametrize("estimator", ["ipw", "hajek"])
+@pytest.mark.parametrize("stage2", ["observed", "year"])
+def test_overflowing_estimate_is_refused_without_warnings(estimator, stage2):
+    # finite rates whose squares overflow in the two-day variance: the daily
+    # stage runs under np.errstate, and the non-finite parts are refused
+    frame = frame_from_passes(
+        strata={"A": StratumDef("A", 1, 2)},
+        components={"c1": ComponentRef("c1", "f1", "s1", "A")},
+        passes=(Pass("c1", 1, 1, True, 1e308, 3.0, 500.0),
+                Pass("c1", 2, 1, True, 50.0, 3.0, 500.0)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="non-finite"):
+            total_inventory(frame, EstimatorConfig(estimator=estimator, stage2=stage2))

@@ -1,5 +1,6 @@
 """Frame ingestion, validation and diagnostics."""
 
+import dataclasses
 import io
 import json
 import math
@@ -7,13 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from frame_reference import Pass, frame_from_passes, log_records
+import estimator_reference
+from frame_reference import Pass, Unit, UnitDay, frame_from_passes, log_records
 from msinv.frame import (
     ComponentRef,
     FrameError,
     StratumDef,
-    Unit,
-    UnitDay,
     count,
     json_list,
     json_object,
@@ -207,12 +207,26 @@ class TestUnits:
         assert frame.measured_rates.tolist() == [20.0, 10.0, 40.0, 50.0, 30.0]
 
     def test_components_then_sites_with_their_parts(self):
-        assert self._frame().units == (
+        frame = self._frame()
+        # site0 has no wells and no detections: it is no unit at all
+        assert frame._unit_heads == [
+            ("c1", "A", ("f1",), 0),
+            ("site1", "Wells", ("site1/well1", "site1/well2", "site1/well3"), 3),
+        ]
+        assert frame._ud_day == [1, 2, 4, 5, 6]
+        ix = frame.index
+        assert ix.ud_unit.tolist() == [0, 0, 1, 1, 1]
+        assert ix.cd_ud.tolist() == [0, 1, 2, 3, 3, 4]
+        assert ix.cd_q.tolist() == [1, 2, 2, 2, 1, 1]
+        assert ix.pass_cd.tolist() == [0, 1, 2, 3, 4]
+        assert ix.unit_wells.tolist() == [0, 3]
+        assert ix.labels.tolist() == ["c1", "site1/well1"]
+        # the same units, as the records the scalar reference walks
+        assert estimator_reference.units(frame) == (
             Unit("c1", "A", ("f1",), 0, (
                 UnitDay(1, (((0,), 1),)),
                 UnitDay(2, (((1,), 2),)),
             )),
-            # site0 has no wells and no detections: it is no unit at all
             Unit("site1", "Wells", ("site1/well1", "site1/well2", "site1/well3"), 3, (
                 UnitDay(4, (((2,), 2),)),
                 UnitDay(5, (((3,), 2), ((4,), 1))),
@@ -280,8 +294,12 @@ class TestRoundTrip:
         assert again.passes_per_day == subset_frame.passes_per_day
         assert again.strata == subset_frame.strata
         assert log_records(again) == log_records(subset_frame)
-        assert again.units == subset_frame.units
-        assert any(u.wells for u in again.units)
+        for f in dataclasses.fields(again.index):
+            got, want = getattr(again.index, f.name), getattr(subset_frame.index, f.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        assert again._unit_heads == subset_frame._unit_heads
+        assert again._ud_day == subset_frame._ud_day
+        assert any(wells for *_, wells in again._unit_heads)
 
 
 class TestConfigReader:

@@ -16,12 +16,12 @@ from msinv.pod import (
     MeasurementModel,
     PodParams,
     bias_correct,
-    phi_any_detection,
     pod,
     sample_true_rate,
 )
 
 from conftest import measurement_mean_factor
+from estimator_reference import phi_any_detection
 
 # (rate, altitude, wind) -> POD from the high-precision oracle
 POD_ORACLE = [

@@ -1,10 +1,12 @@
 """Report assembly and serialization round trips."""
 
+import dataclasses
 import json
 
 import pytest
 
 from msinv.estimators import EstimatorConfig, total_inventory
+from msinv.measurement import McConfig, bias_corrected_inventory, run_mc
 from msinv.reporting import (
     KG_H_PER_KT_Y,
     write_decomposition_table,
@@ -83,3 +85,31 @@ class TestSerialization:
     def test_strata_sorted_by_total(self, report):
         totals = [r.total for r in report.strata]
         assert totals == sorted(totals)
+
+
+def containers(value) -> list:
+    """Every dict and list in a tree of dicts, lists, tuples and dataclasses."""
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    found = [value] if isinstance(value, (dict, list)) else []
+    children = value.values() if isinstance(value, dict) else (
+        value if isinstance(value, (list, tuple)) else ())
+    for child in children:
+        found += containers(child)
+    return found
+
+
+@pytest.mark.parametrize("measurement", ["bias-correct", "mc"])
+def test_as_dict_equals_asdict_and_shares_nothing(subset_frame, measurement):
+    cfg = EstimatorConfig(estimator="hajek", stage2="observed")
+    if measurement == "mc":
+        report = run_mc(subset_frame, McConfig(estimator=cfg, iterations=20, seed=3)).report
+    else:
+        report = bias_corrected_inventory(subset_frame, cfg)
+    report.manifest = {"command": "estimate", "inputs": {"passes": {"path": "p.csv"}},
+                       "list": [1, [2.5, {"x": None}]]}
+    doc = report.as_dict()
+    assert doc == dataclasses.asdict(report)
+    assert isinstance(doc["strata"][0], dict)
+    mine = {id(c) for c in containers(report)}
+    assert not mine & {id(c) for c in containers(doc)}

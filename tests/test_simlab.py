@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from msinv import simlab
 from msinv.batch import build_layout, compile_index, evaluate
-from msinv.estimators import ComponentObs, daily_estimate, estimate_survey, wald_ci
+from msinv.estimators import ComponentObs, estimate_survey, wald_ci
 from msinv.frame import StratumDef
 from msinv.pod import PodParams, pod
 from msinv.simlab import (
@@ -28,6 +28,8 @@ from msinv.simlab import (
     generate_population,
     run_study,
 )
+
+from estimator_reference import daily_estimate
 
 
 class TestLognormalFit:
