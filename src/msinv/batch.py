@@ -20,8 +20,10 @@ variance, the days the other units expand (IPW on the original plan: every
 surveyed day, at phi_hat = 1; else the star days), the pooling peers among
 the members, and the check of d_p against the horizon.  Every configuration
 of an index shares its `CompiledIndex`.  `evaluate` computes a whole chunk
-of iterations at once, as arrays with one row per iteration, and gives each
-member its unit's estimates before stage I.
+of iterations at once, as arrays with one row per iteration, for every
+layout of one compiled index it is given: the daily stage, which depends
+only on `Layout.kind`, runs once per distinct kind, and each layout then
+gives each member its unit's estimates before stage I.
 
 Each ragged index (the passes of a component-day, the members of a stratum,
 ...) is a prefix sum `Schedule`: its rows are stored longest first, so the
@@ -44,6 +46,7 @@ chunk it is evaluated in.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -55,8 +58,8 @@ if TYPE_CHECKING:
     from .estimators import EstimatorConfig
     from .frame import SurveyFrame, UnitIndex
 
-__all__ = ["Schedule", "CompiledIndex", "Layout", "BatchEstimate", "compile_index",
-           "build_layout", "compile_layout", "evaluate"]
+__all__ = ["Schedule", "CompiledIndex", "Layout", "BatchEstimate", "NonFiniteEstimate",
+           "compile_index", "build_layout", "compile_layout", "evaluate"]
 
 POPULATION_KEYS = ("total", "v3stage", "v1", "v2", "v3", "u1", "u2", "u3")
 STRATUM_KEYS = ("total", "v1", "v2", "v3", "u1", "u2", "u3")
@@ -524,27 +527,52 @@ def _assemble(layout: Layout, unit_est: np.ndarray):
     return pop, st
 
 
-def evaluate(layout: Layout, y: np.ndarray, phi: np.ndarray,
-             first_iteration: int = 0) -> BatchEstimate:
-    """Estimate every iteration of a chunk: rates and floored PODs of shape (B, n).
+class NonFiniteEstimate(EstimationError):
+    """An iteration's estimate under one layout of an `evaluate` call is not
+    finite; ``layout`` is that layout's position in the call."""
 
-    Columns align with the layout's detected passes; row b is iteration
-    ``first_iteration + b``.  Raises `EstimationError` when an iteration's
-    total or any variance part is not finite.
+    def __init__(self, message: str, layout: int):
+        super().__init__(message)
+        self.layout = layout
+
+
+def evaluate(layouts: Sequence[Layout], y: np.ndarray, phi: np.ndarray,
+             first_iteration: int = 0) -> list[BatchEstimate]:
+    """Estimate every iteration of a chunk under each of ``layouts``, which
+    share one `CompiledIndex`: rates and floored PODs of shape (B, n).
+
+    Columns align with the index's detected passes; row b is iteration
+    ``first_iteration + b``.  The daily stage runs once per distinct
+    `Layout.kind`, and each layout's estimate is the same as in a call of
+    its own.  Layouts are checked in order: raises `NonFiniteEstimate` for
+    the first whose total or any variance part is not finite on an
+    iteration, naming the first such iteration.
     """
+    index = layouts[0].index
+    if any(layout.index is not index for layout in layouts):
+        raise ValueError("evaluate takes the layouts of one compiled index")
+    daily = {}
+    out = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y_t, phi_t = np.ascontiguousarray(y.T), np.ascontiguousarray(phi.T)
-        ud_mean, ud_var, ud_ph = _daily(layout.index, layout.kind, y_t, phi_t)
-        pop, st = _assemble(layout, _unit_estimates(layout, ud_mean, ud_var, ud_ph))
-    out = BatchEstimate(population={k: v.T for k, v in pop.items()},
-                        strata={k: v.T for k, v in st.items()})
-    for where, values in (("population", out.population), ("stratum", out.strata)):
+        for position, layout in enumerate(layouts):
+            if layout.kind not in daily:
+                daily[layout.kind] = _daily(index, layout.kind, y_t, phi_t)
+            pop, st = _assemble(layout, _unit_estimates(layout, *daily[layout.kind]))
+            est = BatchEstimate(population={k: v.T for k, v in pop.items()},
+                                strata={k: v.T for k, v in st.items()})
+            _check_finite(est, first_iteration, position)
+            out.append(est)
+    return out
+
+
+def _check_finite(est: BatchEstimate, first_iteration: int, position: int) -> None:
+    for where, values in (("population", est.population), ("stratum", est.strata)):
         for key, arr in values.items():
             bad = ~np.isfinite(arr)
             if bad.any():
                 row = first_iteration + int(np.argwhere(bad)[0][0])
-                raise EstimationError(
+                raise NonFiniteEstimate(
                     f"Monte Carlo iteration {row}: non-finite {where} {key} "
-                    "(a measured rate too large to estimate with?)"
+                    "(a measured rate too large to estimate with?)", position
                 )
-    return out

@@ -24,8 +24,10 @@ from . import __version__
 from .datasets import packaged_subset_paths
 from .estimators import EstimationError, EstimatorConfig
 from .frame import FrameError, load_survey, number, validate
-from .measurement import (McConfig, bias_corrected_inventory, resolve_threads, run_mc,
+from .measurement import (McConfig, bias_corrected_inventory, resolve_threads, run_mc_variants,
                           write_trace_csv)
+# not called here: perfbench/tracer.py patches this name on this module
+from .measurement import run_mc  # noqa: F401
 from .planner import gamma_table, predict_variance, scenario_from_json
 from .pod import MeasurementModel, PodParams
 from .reporting import (write_csv, write_decomposition_table, write_json, write_report_json,
@@ -186,38 +188,40 @@ def cmd_estimate(args) -> int:
         mc_base = McConfig(iterations=args.mc_iters, seed=args.seed, measurement=measurement,
                            trace=args.trace, threads=resolve_threads(args.threads))
     frame = load_survey(inputs["passes"], inputs["frame"], inputs["strata"])
+    try:
+        configs = [EstimatorConfig(estimator=est, stage2=s2, horizon=horizon,
+                                   decomposition=args.decomposition, ci_level=args.ci_level,
+                                   pod_params=pod_params)
+                   for est, s2, _ in variants]
+    except EstimationError as exc:
+        raise ConfigError(str(exc)) from None
+    # every Monte Carlo variant's layout is built, and its horizon checked,
+    # before anything is written; the variants then run in shared passes
+    mc_results = iter(())
+    if mc_base is not None:
+        mc_results = run_mc_variants(frame, mc_base, [cfg for cfg, (_, _, mm)
+                                                      in zip(configs, variants) if mm == "mc"])
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     # the inputs are hashed once; each variant's manifest differs in its flags
     base_manifest = build_manifest("estimate", {}, inputs, seed=args.seed)
 
-    for est, s2, mm in variants:
-        try:
-            cfg = EstimatorConfig(
-                estimator=est, stage2=s2, horizon=horizon,
-                decomposition=args.decomposition, ci_level=args.ci_level,
-                pod_params=pod_params,
-            )
-        except EstimationError as exc:
-            raise ConfigError(str(exc)) from None
+    for (est, s2, mm), cfg in zip(variants, configs):
         flags = {
             "estimator": est, "stage2": s2, "horizon": horizon,
             "measurement": mm, "mc_iters": args.mc_iters, "ci_level": args.ci_level,
             "decomposition": args.decomposition, "trace": args.trace,
         }
         manifest = dict(base_manifest, flags=flags)
-        if mm == "mc":
-            result = run_mc(frame, dataclasses.replace(mc_base, estimator=cfg))
-            report = result.report
-        else:
-            result = None
-            report = bias_corrected_inventory(frame, cfg, measurement)
+        result = next(mc_results) if mm == "mc" else None
+        report = result.report if result else bias_corrected_inventory(frame, cfg, measurement)
         stem = f"report_{est}_{s2}_{mm.replace('-', '')}" if args.all_variants else "report"
         write_report_json(report, outdir / f"{stem}.json", manifest)
         write_report_table(report, outdir / f"{stem}_table.csv", manifest)
         write_decomposition_table(report, outdir / f"{stem}_decomposition.csv", manifest)
-        if mm == "mc" and args.trace:
+        if result and args.trace:
             write_trace_csv(result, outdir / f"{stem}_trace.csv", manifest)
+        del result  # written: the next pass starts without it
         print(f"{est}/{s2}/{mm}: total {report.total:.3f} kt/y "
               f"[{report.ci_lower:.3f}, {report.ci_upper:.3f}] -> {outdir / (stem + '.json')}")
     return 0

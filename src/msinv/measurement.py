@@ -14,19 +14,24 @@ and the iterations are evaluated in fixed-size chunks by one batched kernel
 (`batch.evaluate`), which the scalar estimator in `estimators` specifies.
 Draws are generated from a counter-based generator keyed by (seed, iteration),
 so results are bit-identical for a given seed no matter how many worker
-threads execute the chunks or in which order they finish.
+threads execute the chunks or in which order they finish.  The draws do not
+depend on the estimator configuration either, so `run_mc_variants` runs
+several configurations of one run together: each chunk's uniforms, true
+rates and PODs are drawn once and evaluated under every configuration's
+layout in one `batch.evaluate` call.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import reporting
-from .batch import POPULATION_KEYS, STRATUM_KEYS, compile_layout, evaluate
+from .batch import POPULATION_KEYS, STRATUM_KEYS, Layout, compile_layout, evaluate
 from .estimators import EstimatorConfig
 # not used here: perfbench/tracer.py patches these two names on this module
 from .estimators import estimate_survey, prepare_components  # noqa: F401
@@ -37,6 +42,7 @@ __all__ = [
     "McConfig",
     "McResult",
     "run_mc",
+    "run_mc_variants",
     "bias_corrected_inventory",
     "convergence_trace",
     "write_trace_csv",
@@ -51,9 +57,11 @@ THREADS_ENV = "MSINV_THREADS"
 # worker thread holds one chunk.
 MC_CHUNK = 256
 
-# Most iterations one run may ask for.  A run keeps (8 + 7 * strata) float64
-# values per iteration, and (5 + strata) more with the trace: about 435 MiB
-# at this limit for the packaged subset's seven strata, 526 MiB traced.
+# Most iterations one run may ask for, and the most that the variants of one
+# `run_mc_variants` pass hold together: a pass takes at most
+# MAX_MC_ITERATIONS // iterations variants.  A variant keeps (8 + 7 * strata)
+# float64 values per iteration, and (5 + strata) more with the trace: about
+# 435 MiB at this limit for the packaged subset's seven strata, 526 MiB traced.
 MAX_MC_ITERATIONS = 1_000_000
 
 
@@ -152,30 +160,75 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
     The frame is compiled once into a `batch.Layout`, which checks the
     horizon before anything is drawn, and the iterations are evaluated in
     chunks of `MC_CHUNK`; up to ``threads`` workers take chunks in parallel.
+    This is `run_mc_variants` of ``config.estimator`` alone.
     """
-    est_cfg = config.estimator
-    layout = compile_layout(frame, est_cfg)
+    return next(run_mc_variants(frame, config, [config.estimator]))
+
+
+def run_mc_variants(frame: SurveyFrame, config: McConfig,
+                    estimators: Sequence[EstimatorConfig]) -> Iterator[McResult]:
+    """`run_mc` of ``config`` under each of ``estimators``, in order.
+
+    Each result equals, bit for bit, `run_mc` of ``config`` with that
+    estimator configuration, which its ``config`` carries (``config.estimator``
+    itself is not run).  Every configuration's layout is built, and so its
+    horizon checked, before this returns; the configurations must share
+    their POD parameters.
+
+    The configurations run in passes of at most
+    ``MAX_MC_ITERATIONS // config.iterations``.  A pass draws each chunk's
+    uniforms, true rates and PODs once and evaluates them under all of its
+    layouts; it runs when its first result is asked for, and holds no
+    result once it has handed them all out, so at most one pass's
+    per-iteration arrays are alive at a time.  When an estimate is not
+    finite, the pass raises the error of its first failing chunk, for the
+    first configuration that fails there.
+    """
+    if len({e.pod_params for e in estimators}) > 1:
+        raise ValueError("the variants of one Monte Carlo run must share their POD parameters")
+    # built here, outside the generator, so that every check runs before the
+    # caller asks for (and writes) its first result
+    variants = [(replace(config, estimator=e), compile_layout(frame, e))
+                for e in estimators]
+    return _passes(frame, variants, MAX_MC_ITERATIONS // config.iterations)
+
+
+def _passes(frame: SurveyFrame, variants: list[tuple[McConfig, Layout]],
+            per_pass: int) -> Iterator[McResult]:
+    for start in range(0, len(variants), per_pass):
+        results = _run_pass(frame, variants[start:start + per_pass])
+        while results:
+            yield results.pop(0)
+
+
+def _run_pass(frame: SurveyFrame, variants: list[tuple[McConfig, Layout]]) -> list[McResult]:
+    """The `McResult` of each (config, layout) pair; the configs differ only
+    in their estimator configuration."""
+    config = variants[0][0]
+    layouts = [layout for _, layout in variants]
     b_total = config.iterations
     names = list(frame.strata)
 
-    pop = {k: np.empty(b_total) for k in POPULATION_KEYS}
-    st = {k: np.empty((len(names), b_total)) for k in STRATUM_KEYS}  # a row per stratum
+    pops = [{k: np.empty(b_total) for k in POPULATION_KEYS} for _ in variants]
+    # a row per stratum
+    sts = [{k: np.empty((len(names), b_total)) for k in STRATUM_KEYS} for _ in variants]
     chunks = [range(start, min(start + MC_CHUNK, b_total))
               for start in range(0, b_total, MC_CHUNK)]
     floor_hits = np.zeros(len(chunks), dtype=int)
 
     def run_chunk(c: int):
         its = chunks[c]
-        u = iteration_uniforms(config.seed, its, layout.n_passes)
+        u = iteration_uniforms(config.seed, its, layouts[0].n_passes)
         y = sample_true_rate(frame.measured_rates, u, config.measurement)
-        raw_phi = pod(y, frame.altitudes, frame.wind_speeds, est_cfg.pod_params)
+        raw_phi = pod(y, frame.altitudes, frame.wind_speeds, config.estimator.pod_params)
         floor_hits[c] = int(np.count_nonzero(raw_phi < PHI_FLOOR))
-        est = evaluate(layout, y, np.maximum(raw_phi, PHI_FLOOR), its.start)
+        ests = evaluate(layouts, y, np.maximum(raw_phi, PHI_FLOOR), its.start)
         sl = slice(its.start, its.stop)
-        for k in pop:
-            pop[k][sl] = est.population[k][:, 0]
-        for k in st:
-            st[k][:, sl] = est.strata[k].T
+        for est, pop, st in zip(ests, pops, sts):
+            for k in pop:
+                pop[k][sl] = est.population[k][:, 0]
+            for k in st:
+                st[k][:, sl] = est.strata[k].T
 
     workers = min(resolve_threads(config.threads), len(chunks))
     if workers == 1:
@@ -185,6 +238,15 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, range(len(chunks))))
 
+    hits = int(floor_hits.sum())
+    return [_result(cfg, layout, names, pop, st, hits)
+            for (cfg, layout), pop, st in zip(variants, pops, sts)]
+
+
+def _result(config: McConfig, layout: Layout, names: list[str], pop: dict, st: dict,
+            floor_hits: int) -> McResult:
+    """Aggregate one configuration's per-iteration arrays into its `McResult`."""
+    est_cfg = config.estimator
     pop_parts = {k: float(pop[k].mean()) for k in POPULATION_KEYS if k != "total"}
     pop_parts["vm"] = float(pop["total"].var(ddof=1))
     rows = [dict({k: float(st[k][s].mean()) for k in STRATUM_KEYS},
@@ -193,7 +255,7 @@ def run_mc(frame: SurveyFrame, config: McConfig) -> McResult:
     echo = est_cfg.as_dict()
     echo["measurement_mode"] = "mc"
     echo["mc"] = config.as_dict()
-    diagnostics = dict(layout.diagnostics, phi_floor_hits=int(floor_hits.sum()))
+    diagnostics = dict(layout.diagnostics, phi_floor_hits=floor_hits)
     report = reporting.assemble_report(
         float(pop["total"].mean()), pop_parts, rows, echo, est_cfg.ci_level, diagnostics
     )

@@ -344,11 +344,12 @@ def _block(pop: MicroPopulation, tables: _Tables, runs: list[_Outcomes]) -> _Blo
 
 def _estimates(block: _Block, configs):
     """Every outcome's estimate per configuration: `POPULATION_KEYS` to arrays over
-    the block's outcomes.  The configurations share one compiled index."""
+    the block's outcomes.  The configurations share one compiled index and
+    one `evaluate` call."""
     index = compile_index(block.index)
-    for config in configs:
-        est = evaluate(build_layout(index, config), block.rates[None], block.phis[None])
-        yield {key: values[0] for key, values in est.population.items()}
+    ests = evaluate([build_layout(index, config) for config in configs],
+                    block.rates[None], block.phis[None])
+    return [{key: values[0] for key, values in est.population.items()} for est in ests]
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import build_layout, compile_index, evaluate
+from .batch import NonFiniteEstimate, build_layout, compile_index, evaluate
 from .datasets import packaged_sim_defaults_path
 from .estimators import EstimationError, EstimatorConfig
 # not used here: perfbench/tracer.py patches this name on this module
@@ -414,13 +414,14 @@ def run_study(config: SimConfig, population: SimPopulation | None = None) -> Sim
         block = range(start, min(start + SIM_BLOCK, reps))
         index, y, phi = _sample_block(pop, config, block)
         compiled = compile_index(index)
-        for variant, cfg in variant_cfgs.items():
-            try:
-                est = evaluate(build_layout(compiled, cfg), y[None], phi[None])
-            except EstimationError:
-                raise EstimationError(
-                    f"{variant}, replications {block.start}-{block.stop - 1}: an estimate "
-                    "is not finite (a rate too large to estimate with?)") from None
+        layouts = [build_layout(compiled, cfg) for cfg in variant_cfgs.values()]
+        try:
+            ests = evaluate(layouts, y[None], phi[None])
+        except NonFiniteEstimate as exc:
+            raise EstimationError(
+                f"{VARIANTS[exc.layout]}, replications {block.start}-{block.stop - 1}: an "
+                "estimate is not finite (a rate too large to estimate with?)") from None
+        for variant, est in zip(variant_cfgs, ests):
             # a row per replication, a column per scope
             total = np.column_stack([est.strata["total"][0].reshape(len(block), -1),
                                      est.population["total"][0]])

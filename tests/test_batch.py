@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from msinv import batch, measurement, oracle, simlab
 from msinv.batch import (
-    POPULATION_KEYS, STRATUM_KEYS, build_layout, compile_index, compile_layout, evaluate,
+    POPULATION_KEYS, STRATUM_KEYS, NonFiniteEstimate, build_layout, compile_index,
+    compile_layout, evaluate,
 )
 from msinv.estimators import EstimationError, EstimatorConfig, estimate_survey
 from msinv.frame import ComponentRef, StratumDef, UnitIndex
@@ -111,7 +112,7 @@ def test_kernel_matches_scalar_reference(frame, seed):
         u = iteration_uniforms(seed, iterations, layout.n_passes)
         y = sample_true_rate(frame.measured_rates, u)
         phi = np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
-        batch = evaluate(layout, y, phi)
+        (batch,) = evaluate([layout], y, phi)
         for b in iterations:
             est = estimate_survey(prepare_components(frame, y[b], phi[b], cfg),
                                   frame.strata, cfg)
@@ -137,7 +138,7 @@ def test_a_day_of_one_pass_has_no_starred_stage3():
                                                                       layout.n_passes))
         phi = np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
         assert phi[2, 0] < 1e-6
-        est = evaluate(layout, y, phi)
+        (est,) = evaluate([layout], y, phi)
         for b in range(3):
             scalar = estimate_survey(prepare_components(frame, y[b], phi[b], cfg),
                                      frame.strata, cfg)
@@ -161,7 +162,7 @@ def test_frames_as_groups_match_scalar_reference(frames, seed):
     y_all = np.hstack([y for y, _ in draws])
     phi_all = np.hstack([phi for _, phi in draws])
     for cfg in CONFIGS:
-        batch = evaluate(build_layout(index, cfg), y_all, phi_all)
+        (batch,) = evaluate([build_layout(index, cfg)], y_all, phi_all)
         first = 0
         for g, (frame, (y, phi)) in enumerate(zip(frames, draws)):
             for b in range(2):
@@ -267,7 +268,7 @@ def all_configs(horizon: int):
 def outcome(layout_of, cfg, y, phi):
     """Every array `evaluate` returns, or the `EstimationError` message."""
     try:
-        est = evaluate(layout_of(cfg), y, phi)
+        (est,) = evaluate([layout_of(cfg)], y, phi)
     except EstimationError as exc:
         return str(exc)
     return {(where, key): arr for where, values in (("population", est.population),
@@ -323,6 +324,67 @@ def test_simlab_blocks_share_one_compiled_index():
 
 
 # ---------------------------------------------------------------------------
+# Several layouts of one compiled index in one call
+# ---------------------------------------------------------------------------
+
+
+def test_layouts_evaluated_together_equal_separate_calls(subset_frame, monkeypatch):
+    layouts = [compile_layout(subset_frame, cfg) for cfg in all_configs(365)]
+    y = sample_true_rate(subset_frame.measured_rates,
+                         iteration_uniforms(2, range(3), layouts[0].n_passes))
+    phi = np.maximum(pod(y, subset_frame.altitudes, subset_frame.wind_speeds), PHI_FLOOR)
+    kinds = []
+    daily = batch._daily
+
+    def counted(ix, kind, *arrays):
+        kinds.append(kind)
+        return daily(ix, kind, *arrays)
+
+    monkeypatch.setattr(batch, "_daily", counted)
+    together = evaluate(layouts, y, phi, first_iteration=7)
+    # the daily stage runs once per distinct kind, whatever the order
+    assert sorted(kinds) == ["hajek", "ipw", "starred"]
+    assert len(together) == len(layouts) == 12
+    for layout, got in zip(reversed(layouts), reversed(together)):
+        (want,) = evaluate([layout], y, phi)
+        for values in ("population", "strata"):
+            for key, arr in getattr(want, values).items():
+                assert same_bits(getattr(got, values)[key], arr), (layout.kind, values, key)
+
+
+def test_layouts_of_two_indexes_are_refused(subset_frame):
+    first = compile_layout(subset_frame, CONFIGS[0])
+    other = build_layout(compile_index(subset_frame.index), CONFIGS[0])
+    y = np.ones((1, first.n_passes))
+    with pytest.raises(ValueError, match="one compiled index"):
+        evaluate([first, other], y, y)
+
+
+def test_the_first_failing_layout_is_named():
+    # at this scale the year horizon's variance overflows and the observed
+    # one's does not
+    spec = SimStratumSpec(name="A", n_sampled=3, n_population=5, lognormal_mu=353.0,
+                          lognormal_sigma=0.3)
+    cfg = SimConfig(strata=(spec,), components_per_facility=(1, 4), emit_prob=0.5, horizon=8,
+                    days_sampled=2, replications=2, seed=5)
+    index, y, phi = simlab._sample_block(simlab.generate_population(cfg), cfg, range(2))
+    compiled = compile_index(index)
+    observed, year = (build_layout(compiled, simlab._variant_config(v, cfg))
+                      for v in ("ipw_observed", "ipw_year"))
+    (alone,) = evaluate([observed], y[None], phi[None])
+    assert np.isfinite(alone.population["total"]).all()
+    with pytest.raises(NonFiniteEstimate) as year_alone:
+        evaluate([year], y[None], phi[None], first_iteration=3)
+    assert year_alone.value.layout == 0
+    for layouts, position in (([observed, year], 1), ([year, observed, year], 0)):
+        with pytest.raises(NonFiniteEstimate) as failed:
+            evaluate(layouts, y[None], phi[None], first_iteration=3)
+        assert failed.value.layout == position
+        assert str(failed.value) == str(year_alone.value)
+    assert str(year_alone.value).startswith("Monte Carlo iteration 3: non-finite ")
+
+
+# ---------------------------------------------------------------------------
 # Units shared by stage I members
 # ---------------------------------------------------------------------------
 
@@ -364,8 +426,8 @@ def test_shared_units_equal_their_copies(seed):
         got_layout, want_layout = build_layout(shared, cfg), build_layout(copied, cfg)
         assert got_layout.diagnostics == want_layout.diagnostics
         assert got_layout.diagnostics["n_pooled_components"] == 3
-        got = evaluate(got_layout, y, phi)
-        want = evaluate(want_layout, y_copy, phi_copy)
+        (got,) = evaluate([got_layout], y, phi)
+        (want,) = evaluate([want_layout], y_copy, phi_copy)
         for values in ("population", "strata"):
             for key, arr in getattr(want, values).items():
                 assert same_bits(getattr(got, values)[key], arr), (cfg, values, key)

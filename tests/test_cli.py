@@ -273,7 +273,7 @@ class TestExitCodes:
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("measurement", ["bias-correct", "mc"])
-    def test_overflowing_rate_is_3(self, tmp_path, measurement):
+    def test_overflowing_rate_is_3(self, tmp_path, capsys, measurement):
         # finite, but its square overflows in the two-day variance
         p = tmp_path / "p.csv"
         f = tmp_path / "f.csv"
@@ -286,10 +286,23 @@ class TestExitCodes:
                    "--measurement", measurement, "--mc-iters", "4",
                    "--out-dir", str(tmp_path)) == 3
         assert not (tmp_path / "report.json").exists()
+        if measurement == "mc":
+            assert ("msinv: estimation error: Monte Carlo iteration 0: non-finite "
+                    in capsys.readouterr().err)
 
     def test_horizon_below_surveyed_days_is_3(self, tmp_path):
         assert run("estimate", "--packaged", "--stage2", "year:2",
                    "--out-dir", str(tmp_path)) == 3
+
+    def test_horizon_failure_of_any_variant_writes_nothing(self, tmp_path, capsys):
+        # the observed variants come first and pass their check; every Monte
+        # Carlo variant's horizon is checked before the first report is written
+        capsys.readouterr()
+        assert run("estimate", "--packaged", "--all-variants", "--stage2", "year:2",
+                   "--out-dir", str(tmp_path / "out")) == 3
+        assert ("component 'COSWB-F01-C1': d_p=3 exceeds the horizon D=2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", [("--measurement", "mc"), ("--all-variants",)],
                              ids=["mc", "all-variants"])

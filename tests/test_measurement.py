@@ -1,12 +1,16 @@
 """Measurement-error layer tests: bias correction, the MC wrapper, determinism."""
 
+import dataclasses
+import gc
 import math
 import os
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from msinv import measurement
+from msinv import batch, measurement
 from msinv.estimators import EstimationError, EstimatorConfig, total_inventory
 from msinv.frame import ComponentRef, StratumDef, SurveyFrame
 from msinv.measurement import (
@@ -16,9 +20,10 @@ from msinv.measurement import (
     iteration_uniforms,
     resolve_threads,
     run_mc,
+    run_mc_variants,
     write_trace_csv,
 )
-from msinv.pod import MeasurementModel, bias_correct, sample_true_rate
+from msinv.pod import MeasurementModel, PodParams, bias_correct, sample_true_rate
 from msinv.reporting import write_report_json
 
 from frame_reference import Pass, frame_from_passes
@@ -194,6 +199,135 @@ class TestWorkerCount:
         monkeypatch.setattr(measurement, "MC_CHUNK", 2)
         run_mc(small_frame, McConfig(iterations=5, threads=64))
         assert sizes == [3]
+
+
+# the four configurations of `msinv estimate --all-variants`
+ALL_VARIANTS = [EstimatorConfig(estimator=e, stage2=s2)
+                for e in ("ipw", "hajek") for s2 in ("observed", "year")]
+
+
+def assert_same_result(got, want):
+    assert got.config == want.config
+    assert got.report == want.report
+    assert np.array_equal(got.iteration_totals, want.iteration_totals)
+    for values in ("iteration_parts", "stratum_design_var"):
+        got_series, want_series = getattr(got, values), getattr(want, values)
+        assert got_series.keys() == want_series.keys()
+        for key, series in want_series.items():
+            assert np.array_equal(got_series[key], series), (values, key)
+
+
+class TestSharedPasses:
+    """`run_mc_variants` draws each chunk once for all variants of a pass."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_shared_pass_equals_separate_runs(self, subset_frame, monkeypatch, threads):
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 2)
+        # 600 iterations: three chunks
+        base = McConfig(iterations=600, seed=3, trace=True, threads=threads)
+        alone = [run_mc(subset_frame, dataclasses.replace(base, estimator=cfg))
+                 for cfg in ALL_VARIANTS]
+        for limit in (measurement.MAX_MC_ITERATIONS, 1000):
+            # at 1000, each variant has a pass of its own
+            monkeypatch.setattr(measurement, "MAX_MC_ITERATIONS", limit)
+            shared = list(run_mc_variants(subset_frame, base, ALL_VARIANTS))
+            assert len(shared) == len(alone)
+            for got, want in zip(shared, alone):
+                assert_same_result(got, want)
+
+    def test_threads_write_only_their_own_slices(self, subset_frame, monkeypatch):
+        base = McConfig(iterations=24, seed=4, trace=True)
+        alone = [run_mc(subset_frame, dataclasses.replace(base, estimator=cfg))
+                 for cfg in ALL_VARIANTS]
+        # eight workers on eight chunks, switching often
+        monkeypatch.setattr(measurement, "MC_CHUNK", 3)
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            shared = list(run_mc_variants(subset_frame, dataclasses.replace(base, threads=8),
+                                          ALL_VARIANTS))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(shared, alone):
+            assert got.config.threads == 8  # the configs differ only there
+            assert_same_result(got, dataclasses.replace(want, config=got.config))
+
+    @pytest.mark.parametrize("limit, passes", [(None, [4]), (1200, [2, 2]), (1000, [1] * 4),
+                                               (600, [1] * 4)])
+    def test_draws_and_daily_stages_per_chunk(self, subset_frame, monkeypatch, limit, passes):
+        if limit is not None:
+            monkeypatch.setattr(measurement, "MAX_MC_ITERATIONS", limit)
+        calls = {"uniforms": 0, "daily": [], "pass": []}
+        uniforms, daily, run_pass = (measurement.iteration_uniforms, batch._daily,
+                                     measurement._run_pass)
+
+        def counted_uniforms(*args):
+            calls["uniforms"] += 1
+            return uniforms(*args)
+
+        def counted_daily(ix, kind, *arrays):
+            calls["daily"].append(kind)
+            return daily(ix, kind, *arrays)
+
+        def counted_pass(frame, variants):
+            calls["pass"].append([config.estimator for config, _ in variants])
+            return run_pass(frame, variants)
+
+        monkeypatch.setattr(measurement, "iteration_uniforms", counted_uniforms)
+        monkeypatch.setattr(batch, "_daily", counted_daily)
+        monkeypatch.setattr(measurement, "_run_pass", counted_pass)
+        iterations, chunks = 600, 3
+        list(run_mc_variants(subset_frame, McConfig(iterations=iterations, seed=1),
+                             ALL_VARIANTS))
+        # the pass rule: variants per pass x iterations <= MAX_MC_ITERATIONS
+        assert [len(p) for p in calls["pass"]] == passes
+        assert all(len(p) * iterations <= measurement.MAX_MC_ITERATIONS for p in calls["pass"])
+        assert [cfg for p in calls["pass"] for cfg in p] == ALL_VARIANTS
+        assert calls["uniforms"] == chunks * len(passes)
+        # observed and year share a kind: one daily stage per chunk per kind
+        kinds_per_pass = [len({"hajek" if cfg.estimator == "hajek" else "ipw" for cfg in p})
+                          for p in calls["pass"]]
+        assert len(calls["daily"]) == chunks * sum(kinds_per_pass)
+
+    def test_a_pass_runs_when_asked_and_holds_no_result_it_handed_out(self, subset_frame,
+                                                                     monkeypatch):
+        monkeypatch.setattr(measurement, "MAX_MC_ITERATIONS", 1000)
+        runs = []
+        run_pass = measurement._run_pass
+
+        def counted_pass(frame, variants):
+            runs.append(len(variants))
+            return run_pass(frame, variants)
+
+        monkeypatch.setattr(measurement, "_run_pass", counted_pass)
+        results = run_mc_variants(subset_frame, McConfig(iterations=600, seed=1, trace=True),
+                                  ALL_VARIANTS[:2])
+        assert runs == []
+        first = next(results)
+        assert runs == [1]
+        gone = weakref.ref(first.iteration_totals)
+        del first
+        gc.collect()
+        assert gone() is None
+        next(results)
+        assert runs == [1, 1]
+        with pytest.raises(StopIteration):
+            next(results)
+
+    def test_every_horizon_is_checked_before_any_draw(self, small_frame, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("uniforms drawn before the horizon check")
+
+        monkeypatch.setattr(measurement, "iteration_uniforms", unreachable)
+        late = EstimatorConfig(stage2="year", horizon=1)
+        with pytest.raises(EstimationError, match="exceeds the horizon"):
+            run_mc_variants(small_frame, McConfig(iterations=4), [EstimatorConfig(), late])
+
+    def test_variants_share_their_pod_parameters(self, small_frame):
+        other = EstimatorConfig(pod_params=PodParams(kappa=2.0))
+        with pytest.raises(ValueError, match="share their POD parameters"):
+            run_mc_variants(small_frame, McConfig(iterations=4), [EstimatorConfig(), other])
 
 
 class TestLayoutChecks:

@@ -447,7 +447,8 @@ def assert_walk_and_blocks_match_the_reference(pop):
          np.concatenate([p for _, _, p in parts])[None])
         for parts in ([(b.index, b.rates, b.phis) for b in blocks], references)]
     for cfg in all_configs(pop):
-        (got, want) = (evaluate(build_layout(ix, cfg), y, phi) for ix, y, phi in laid_out)
+        ((got,), (want,)) = (evaluate([build_layout(ix, cfg)], y, phi)
+                             for ix, y, phi in laid_out)
         for key in POPULATION_KEYS:
             for values in ("population", "strata"):
                 g, w = getattr(got, values)[key], getattr(want, values)[key]

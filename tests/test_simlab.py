@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from msinv import simlab
 from msinv.batch import build_layout, compile_index, evaluate
-from msinv.estimators import ComponentObs, estimate_survey, wald_ci
+from msinv.estimators import ComponentObs, EstimationError, estimate_survey, wald_ci
 from msinv.frame import StratumDef
 from msinv.pod import PodParams, pod
 from msinv.simlab import (
@@ -252,6 +252,16 @@ class TestStudy:
                                       whole.covered[variant][scope])
         assert blocked.rows == whole.rows
 
+    def test_non_finite_estimate_names_its_variant_and_block(self):
+        # finite rates whose squares overflow in every variant's variance
+        spec = SimStratumSpec(name="A", n_sampled=3, n_population=5, lognormal_mu=400.0,
+                              lognormal_sigma=0.3)
+        cfg = tiny_config(strata=(spec,), replications=2)
+        with pytest.raises(EstimationError) as failed:
+            run_study(cfg)
+        assert str(failed.value) == ("ipw_year, replications 0-1: an estimate is not finite "
+                                     "(a rate too large to estimate with?)")
+
     def test_pod_of_sampled_passes_equals_population_pod(self, monkeypatch):
         # a census of facilities and days samples every pass of the population
         spec = SimStratumSpec(name="A", n_sampled=5, n_population=5,
@@ -335,8 +345,8 @@ def assert_matches_scalar_reference(cfg):
     compiled = compile_index(index)
     for variant in VARIANTS:
         ests, flags = reference[variant]
-        kernel = evaluate(build_layout(compiled, _variant_config(variant, cfg)), y[None],
-                          phi[None])
+        (kernel,) = evaluate([build_layout(compiled, _variant_config(variant, cfg))], y[None],
+                             phi[None])
         st_total = kernel.strata["total"][0].reshape(cfg.replications, -1)
         st_v3 = kernel.strata["v3stage"][0].reshape(cfg.replications, -1)
         for rep, (est, flag) in enumerate(zip(ests, flags)):

@@ -33,6 +33,9 @@ COMMANDS = (
     ("estimate", ["estimate", "--packaged"]),
     ("estimate-all", ["estimate", "--packaged", "--all-variants", "--mc-iters", "50",
                       "--trace"]),
+    # the four Monte Carlo variants share one pass over three chunks, on two threads
+    ("estimate-all-chunks", ["estimate", "--packaged", "--all-variants", "--mc-iters", "600",
+                             "--threads", "2", "--trace"]),
     ("diagnose", ["diagnose", "--packaged"]),
     ("simulate", ["simulate", "--reps", "20", "--seed", "1"]),
 )
