@@ -31,17 +31,17 @@ c-th items of all rows with more than c items fill a contiguous prefix of
 the rows.  A row sum then takes one gather and one in-place add per column,
 and the rows are put back in order once at the end.
 
-The daily stage, `_daily`, also serves a single design pass:
-`estimators.prepare_components` runs it as one iteration to build the daily
-estimates that `estimators.estimate_survey` expands.  The specification is
-the scalar path: the per-day formulas of the tests' reference loop
-(`tests/estimator_reference.py`) followed by `estimate_survey`.  Every sum
-here is accumulated left to right over the same terms in the same order as
-there (Python's `sum`), and every formula keeps their association order, so
-the daily stage agrees with the reference bit for bit and the whole kernel
-agrees with `estimate_survey` to rounding.  All arithmetic is elementwise
-along the iteration axis, so an iteration's result does not depend on the
-chunk it is evaluated in.
+This kernel is the estimator of every production path: the Monte Carlo,
+the oracle, the simulation lab, and the single design pass of bias
+correction (`estimators.estimate_survey`, one iteration).  The specification
+is the scalar estimator of the tests (`tests/estimator_reference.py`): its
+per-day formulas, then its component, stratum and population stages.  Every
+sum here is accumulated left to right over the same terms in the same order
+as there (Python's `sum`), and every formula keeps their association order,
+so the daily stage agrees with the reference bit for bit and the whole
+kernel agrees with it to rounding.  All arithmetic is elementwise along the
+iteration axis, so an iteration's result does not depend on the chunk it is
+evaluated in.
 """
 
 from __future__ import annotations
@@ -119,16 +119,16 @@ def _seq_sum(x: np.ndarray, s: Schedule) -> np.ndarray:
     """
     out = np.zeros(x.shape[:-2] + (s.n_rows, x.shape[-1]))
     for n, start, stop in s.columns:
-        out[..., :n, :] += np.take(x, s.items[start:stop], axis=-2)
-    return out if s.rank is None else np.take(out, s.rank, axis=-2)
+        out[..., :n, :] += x.take(s.items[start:stop], axis=-2)
+    return out if s.rank is None else out.take(s.rank, axis=-2)
 
 
 def _seq_prod(first: np.ndarray, x: np.ndarray, s: Schedule) -> np.ndarray:
     """Row products ``first[..., r, :]`` times each ``x[..., j, :]`` of row r, left to right."""
-    out = np.array(first) if s.order is None else np.take(first, s.order, axis=-2)
+    out = np.array(first) if s.order is None else first.take(s.order, axis=-2)
     for n, start, stop in s.columns:
-        out[..., :n, :] *= np.take(x, s.items[start:stop], axis=-2)
-    return out if s.rank is None else np.take(out, s.rank, axis=-2)
+        out[..., :n, :] *= x.take(s.items[start:stop], axis=-2)
+    return out if s.rank is None else out.take(s.rank, axis=-2)
 
 
 def _phi_any(phi: np.ndarray, groups: Schedule, count: np.ndarray, misses: np.ndarray):
@@ -404,7 +404,7 @@ class BatchEstimate:
     ``population`` maps `POPULATION_KEYS` to arrays of shape (B, n_groups)
     (a frame has one group); ``strata`` maps `POPULATION_KEYS` to arrays of
     shape (B, n_strata), strata in `UnitIndex` order.  The keys mirror the
-    fields of `estimators.SurveyEstimate` and `estimators.StratumEstimate`;
+    fields of the scalar reference's survey and stratum estimates;
     `STRATUM_KEYS` are the ones a report row carries.
     """
 
@@ -465,7 +465,7 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
         ph0 = ph = 1.0
     else:
         if layout.kind == "starred":
-            # starred_daily on every star day, 0.0 on a day of one pass
+            # the reference's starred_daily on every star day, 0.0 on a day of one pass
             day_mean, day_var = (ud_ph * day_mean,
                                  ud_ph * day_var + ud_ph * (ud_ph - 1.0) * day_mean**2)
             day_var[ix.star_one_pass] = 0.0
@@ -475,7 +475,7 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
     d, h = ix.unit_d[full], layout.unit_h[full]
     var[pooled] = np.nan
 
-    # _starred_srs over the days of each full unit; pooled: the single day
+    # the reference's _starred_srs over the days of each full unit; pooled: the single day
     # (a pooled "ipw" or "starred" unit has d_p = 1, so dividing by d0 is exact)
     r = m / ph
     s1, t1, t3, s3sum = _seq_sum(np.stack([
@@ -496,9 +496,9 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
 
 def _assemble(layout: Layout, unit_est: np.ndarray):
     """Give each member its unit's estimates, pool single-day variances, then
-    `stratum_total` and each group's population sums."""
+    the reference's `stratum_total` and each group's population sums."""
     ix = layout.index
-    mean, var, s3 = np.take(unit_est, ix.member_unit, axis=1)
+    mean, var, s3 = unit_est.take(ix.member_unit, axis=1)
     pooled = layout.pooled_members
     var[pooled] = (_seq_sum(var, layout.peers) / layout.n_peers)[layout.pooled_stratum]
     if layout.observed:
@@ -529,11 +529,17 @@ def _assemble(layout: Layout, unit_est: np.ndarray):
 
 class NonFiniteEstimate(EstimationError):
     """An iteration's estimate under one layout of an `evaluate` call is not
-    finite; ``layout`` is that layout's position in the call."""
+    finite: part ``key`` of the population (``stratum`` None) or of the
+    stratum at position ``stratum``.  ``layout`` is that layout's position in
+    the call."""
 
-    def __init__(self, message: str, layout: int):
-        super().__init__(message)
-        self.layout = layout
+    hint = "a measured rate too large to estimate with?"
+
+    def __init__(self, iteration: int, layout: int, stratum: int | None, key: str):
+        where = "population" if stratum is None else "stratum"
+        super().__init__(f"Monte Carlo iteration {iteration}: non-finite {where} {key} "
+                         f"({self.hint})")
+        self.layout, self.stratum, self.key = layout, stratum, key
 
 
 def evaluate(layouts: Sequence[Layout], y: np.ndarray, phi: np.ndarray,
@@ -546,7 +552,7 @@ def evaluate(layouts: Sequence[Layout], y: np.ndarray, phi: np.ndarray,
     `Layout.kind`, and each layout's estimate is the same as in a call of
     its own.  Layouts are checked in order: raises `NonFiniteEstimate` for
     the first whose total or any variance part is not finite on an
-    iteration, naming the first such iteration.
+    iteration, naming the first such iteration (see `_check_finite`).
     """
     index = layouts[0].index
     if any(layout.index is not index for layout in layouts):
@@ -567,12 +573,17 @@ def evaluate(layouts: Sequence[Layout], y: np.ndarray, phi: np.ndarray,
 
 
 def _check_finite(est: BatchEstimate, first_iteration: int, position: int) -> None:
-    for where, values in (("population", est.population), ("stratum", est.strata)):
-        for key, arr in values.items():
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                row = first_iteration + int(np.argwhere(bad)[0][0])
-                raise NonFiniteEstimate(
-                    f"Monte Carlo iteration {row}: non-finite {where} {key} "
-                    "(a measured rate too large to estimate with?)", position
-                )
+    """Name the first iteration with a non-finite total or variance part, and
+    in it the first such part: the population's, then stratum by stratum,
+    each in `POPULATION_KEYS` order."""
+    pop = np.isfinite(np.stack([est.population[k] for k in POPULATION_KEYS]))
+    st = np.isfinite(np.stack([est.strata[k] for k in POPULATION_KEYS]))
+    if pop.all() and st.all():
+        return
+    pop_bad, st_bad = ~pop.all(axis=2), ~st    # (keys, B), (keys, B, strata)
+    row = int(np.argmax(pop_bad.any(axis=0) | st_bad.any(axis=(0, 2))))
+    if pop_bad[:, row].any():
+        stratum, key = None, int(np.argmax(pop_bad[:, row]))
+    else:
+        stratum, key = np.argwhere(st_bad[:, row].T)[0].tolist()
+    raise NonFiniteEstimate(first_iteration + row, position, stratum, POPULATION_KEYS[key])

@@ -11,7 +11,9 @@ estimates.
 
 The frame is compiled once per run into index arrays (`batch.compile_layout`)
 and the iterations are evaluated in fixed-size chunks by one batched kernel
-(`batch.evaluate`), which the scalar estimator in `estimators` specifies.
+(`batch.evaluate`), the estimator of every report; the scalar reference in
+the tests specifies it.  A run's report is assembled by
+`reporting.batch_report`, as a single design pass's is.
 Draws are generated from a counter-based generator keyed by (seed, iteration),
 so results are bit-identical for a given seed no matter how many worker
 threads execute the chunks or in which order they finish.  The draws do not
@@ -247,18 +249,11 @@ def _result(config: McConfig, layout: Layout, names: list[str], pop: dict, st: d
             floor_hits: int) -> McResult:
     """Aggregate one configuration's per-iteration arrays into its `McResult`."""
     est_cfg = config.estimator
-    pop_parts = {k: float(pop[k].mean()) for k in POPULATION_KEYS if k != "total"}
-    pop_parts["vm"] = float(pop["total"].var(ddof=1))
-    rows = [dict({k: float(st[k][s].mean()) for k in STRATUM_KEYS},
-                 name=name, vm=float(st["total"][s].var(ddof=1)))
-            for s, name in enumerate(names)]
     echo = est_cfg.as_dict()
     echo["measurement_mode"] = "mc"
     echo["mc"] = config.as_dict()
     diagnostics = dict(layout.diagnostics, phi_floor_hits=floor_hits)
-    report = reporting.assemble_report(
-        float(pop["total"].mean()), pop_parts, rows, echo, est_cfg.ci_level, diagnostics
-    )
+    report = reporting.batch_report(pop, st, names, echo, est_cfg.ci_level, diagnostics)
     result = McResult(report=report, config=config)
     if config.trace:
         scale = reporting.VAR_KG_H_PER_KT_Y

@@ -26,8 +26,8 @@ __all__ = [
     "KG_H_PER_KT_Y",
     "StratumReport",
     "InventoryReport",
-    "build_report",
     "assemble_report",
+    "batch_report",
     "write_json",
     "write_csv",
     "write_report_json",
@@ -191,28 +191,38 @@ def assemble_report(
     )
 
 
-def build_report(est, config) -> InventoryReport:
-    """Assemble a report from a `SurveyEstimate` (single design pass)."""
-    rows = []
-    for name, se in est.strata.items():
-        rows.append({
-            "name": name, "total": se.total,
-            "v1": se.v1, "v2": se.v2, "v3": se.v3,
-            "vm": 0.0,
-            "u1": se.u1, "u2": se.u2, "u3": se.u3,
-        })
-    parts = {
-        "v1": est.v1, "v2": est.v2, "v3": est.v3, "vm": 0.0,
-        "u1": est.u1, "u2": est.u2, "u3": est.u3, "v3stage": est.v3stage,
-    }
-    diagnostics = {
-        "n_pooled_components": est.n_pooled,
-        "n_pooled_without_peers": est.n_pooled_no_peers,
-        "phi_floor_hits": est.phi_floor_hits,
-        "n_zero_emitting_strata": sum(1 for se in est.strata.values()
-                                      if se.n_components and se.n_components == se.n_zero),
-    }
-    return assemble_report(est.total, parts, rows, config.as_dict(), config.ci_level, diagnostics)
+def batch_report(
+    population: dict,
+    strata: dict,
+    names: list[str],
+    config_echo: dict,
+    ci_level: float,
+    diagnostics: dict | None = None,
+) -> InventoryReport:
+    """The report of a run of the batched estimator, from its kg/h iterations.
+
+    ``population`` maps the total and each variance part to an array of one
+    value per iteration; ``strata`` maps them to arrays with a row per
+    stratum, in the order of ``names``.  Each is reported as its mean over
+    the iterations.  The measurement variance is the between-iteration
+    sample variance of the totals (denominator B - 1), and 0.0 for a single
+    design pass (B = 1), which has none.
+    """
+    # a reduction along the last (contiguous) axis gives each row, bit for
+    # bit, what reducing that row alone gives
+    def means(values: dict) -> np.ndarray:
+        return np.stack(list(values.values())).mean(axis=-1)
+
+    def vm(totals: np.ndarray):
+        single = totals.shape[-1] == 1
+        return (np.zeros(totals.shape[:-1]) if single else totals.var(axis=-1, ddof=1)).tolist()
+
+    parts = dict(zip(population, means(population).tolist()))
+    total = parts.pop("total")
+    parts["vm"] = vm(population["total"])
+    rows = [dict(zip(strata, values), name=name, vm=v)
+            for name, values, v in zip(names, means(strata).T.tolist(), vm(strata["total"]))]
+    return assemble_report(total, parts, rows, config_echo, ci_level, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -246,14 +246,14 @@ def test_criterion_8_packaged_subset_locks():
 
 def test_criterion_9_unit_conversion():
     assert KG_H_PER_KT_Y == 0.00876
-    # end to end: a 1 kg/h population total renders as 0.00876 kt/y
-    from msinv.estimators import StratumEstimate, SurveyEstimate
-    from msinv.reporting import build_report
+    # end to end: a 1 kg/h population total renders as 0.00876 kt/y, through
+    # the assembly of every report (here a single design pass, B = 1)
+    from msinv.batch import POPULATION_KEYS
+    from msinv.reporting import batch_report
 
-    est = SurveyEstimate(
-        total=1.0, v3stage=0.0, v1=0.0, v2=0.0, v3=0.0, u1=0.0, u2=0.0, u3=0.0,
-        strata={"A": StratumEstimate("A", 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)},
-    )
-    report = build_report(est, EstimatorConfig())
+    config = EstimatorConfig()
+    parts = {k: np.array([1.0 if k == "total" else 0.0]) for k in POPULATION_KEYS}
+    report = batch_report(parts, {k: v.reshape(1, 1) for k, v in parts.items()}, ["A"],
+                          config.as_dict(), config.ci_level)
     assert report.total == 0.00876
     ok(9, "1 kg/h sustained is exactly 0.00876 kt/y")

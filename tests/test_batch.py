@@ -16,12 +16,12 @@ from msinv.batch import (
     POPULATION_KEYS, STRATUM_KEYS, NonFiniteEstimate, build_layout, compile_index,
     compile_layout, evaluate,
 )
-from msinv.estimators import EstimationError, EstimatorConfig, estimate_survey
+from msinv.estimators import EstimationError, EstimatorConfig
 from msinv.frame import ComponentRef, StratumDef, UnitIndex
 from msinv.measurement import McConfig, iteration_uniforms, run_mc
 from msinv.pod import PHI_FLOOR, pod, sample_true_rate
 from msinv.simlab import SimConfig, SimStratumSpec
-from estimator_reference import prepare_components
+from estimator_reference import estimate_survey, prepare_components
 from frame_reference import Pass, frame_from_passes
 from index_helpers import same_bits, side_by_side, unit_per_member
 
@@ -382,6 +382,28 @@ def test_the_first_failing_layout_is_named():
         assert failed.value.layout == position
         assert str(failed.value) == str(year_alone.value)
     assert str(year_alone.value).startswith("Monte Carlo iteration 3: non-finite ")
+
+
+def test_the_first_non_finite_part_is_named_in_the_scalar_order():
+    # iteration 1 (the second row) is the first with a non-finite part; in it
+    # the population, then stratum by stratum, each in POPULATION_KEYS order
+    est = batch.BatchEstimate(population={k: np.zeros((3, 1)) for k in POPULATION_KEYS},
+                              strata={k: np.zeros((3, 3)) for k in POPULATION_KEYS})
+    est.strata["total"][2, 0] = est.population["total"][2, 0] = math.nan
+    est.strata["total"][1, 2] = math.nan
+    est.strata["u1"][1, 1] = math.nan
+    est.strata["v2"][1, 1] = math.inf
+
+    def named():
+        with pytest.raises(NonFiniteEstimate) as failed:
+            batch._check_finite(est, 4, 1)
+        return str(failed.value), failed.value.layout, failed.value.stratum, failed.value.key
+
+    assert named() == ("Monte Carlo iteration 5: non-finite stratum v2 (a measured rate too "
+                       "large to estimate with?)", 1, 1, "v2")
+    est.population["u3"][1, 0] = -math.inf
+    est.population["v1"][1, 0] = math.nan
+    assert named()[1:] == (1, None, "v1")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ the IPW component variance, a literal term-by-term evaluation of the Hajek
 display, or the generic double-sum estimator.
 """
 
+import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -15,33 +17,29 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from msinv.estimators import (
-    _estimate_component,
-    ComponentEstimate,
     ComponentObs,
     DailyEstimate,
     EstimationError,
     EstimatorConfig,
-    component_srs_hajek,
-    estimate_survey,
-    impute_component_variance,
+    estimate_survey as kernel_estimate_survey,
     prepare_components,
-    starred_daily,
-    stratum_total,
     total_inventory,
     wald_ci,
 )
 from msinv.frame import ComponentRef, FrameError, StratumDef
-from msinv.pod import PHI_FLOOR, pod
+from msinv.measurement import iteration_uniforms
+from msinv.pod import PHI_FLOOR, bias_correct, pod, sample_true_rate
 from msinv.reporting import KG_H_PER_KT_Y
 
 import estimator_reference
 from conftest import random_frame
 from estimator_reference import (
-    daily_estimate, hajek_daily, hajek_daily_var, ipw_daily, ipw_daily_var, phi_any_detection,
-    wells_allocate,
+    ComponentEstimate, _estimate_component, component_srs_hajek, daily_estimate,
+    estimate_survey, hajek_daily, hajek_daily_var, impute_component_variance, ipw_daily,
+    ipw_daily_var, phi_any_detection, starred_daily, stratum_total, wells_allocate,
 )
 from frame_reference import Pass, frame_from_passes
-from test_batch import survey_frames
+from test_batch import DESIGNS, survey_frames
 
 
 class TestDailyIpw:
@@ -430,6 +428,17 @@ class TestComponentGeneric:
             component_generic([DailyEstimate(4.0, 0.0)], [0.5], [], 2)
 
 
+@st.composite
+def starred_days(draw):
+    """(means, vars, phis, d_p, horizon): m of d_p surveyed days with a detection."""
+    d_p = draw(st.integers(2, 6))
+    extra_days = draw(st.integers(0, 400))
+    m = draw(st.integers(1, d_p))
+    draws = [draw(st.lists(values, min_size=m, max_size=m))
+             for values in (st.floats(0.0, 1e3), st.floats(0.0, 1e2), st.floats(0.05, 1.0))]
+    return (*draws, d_p, d_p + extra_days)
+
+
 class TestStarredDayJoint:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), d_p=st.integers(2, 6), extra_days=st.integers(0, 400))
@@ -469,17 +478,19 @@ class TestStarredDayJoint:
                  + sum(abs(d.var) / p for d, p in zip(starred, marg))) / horizon**2
         scale3 = sum(abs(d.var) / (p * p) for d, p in zip(starred, marg)) / horizon**2
         assert got.mean_rate == pytest.approx(want.mean_rate, rel=1e-12)
-        assert got.var == pytest.approx(want.var, rel=1e-12, abs=1e-12 * scale)
+        # the floor: a subnormal part has no relative digits, and its scale
+        # times 1e-12 underflows to 0.0
+        assert got.var == pytest.approx(want.var, rel=1e-12,
+                                        abs=1e-12 * scale + sys.float_info.min)
         assert got.var_stage3_part == pytest.approx(want.var_stage3_part, rel=1e-12,
-                                                    abs=1e-12 * scale3)
+                                                    abs=1e-12 * scale3 + sys.float_info.min)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), d_p=st.integers(2, 6), extra_days=st.integers(0, 400))
-    def test_closed_form_equals_generic(self, data, d_p, extra_days):
-        m = data.draw(st.integers(1, d_p))
-        draws = [data.draw(st.lists(values, min_size=m, max_size=m))
-                 for values in (st.floats(0.0, 1e3), st.floats(0.0, 1e2), st.floats(0.05, 1.0))]
-        self.assert_closed_form_is_generic(*draws, d_p, d_p + extra_days)
+    @given(case=starred_days())
+    # var_stage3_part is a subnormal, rounded to 0.0 by one path, 5e-324 by the other
+    @example(case=([0.0], [5e-324], [0.6875], 2, 3))
+    def test_closed_form_equals_generic(self, case):
+        self.assert_closed_form_is_generic(*case)
 
     @pytest.mark.parametrize("d_p,horizon", [(2, 2), (3, 365)])
     def test_one_detection_day_of_several(self, d_p, horizon):
@@ -516,19 +527,19 @@ class TestImputation:
 
 
 def _ce(cid, var, usable):
-    from msinv.estimators import ComponentEstimate
+    from estimator_reference import ComponentEstimate
 
     return ComponentEstimate(cid, 1.0, var, 0.0, 365, n_usable_days=usable)
 
 
 def DailyEstimateTarget():
-    from msinv.estimators import ComponentEstimate
+    from estimator_reference import ComponentEstimate
 
     return ComponentEstimate("t", 5.0, math.nan, 0.1, 365, n_usable_days=1)
 
 
 def ComponentEstimateFactory(var, n_usable_days, **kw):
-    from msinv.estimators import ComponentEstimate
+    from estimator_reference import ComponentEstimate
 
     return ComponentEstimate("x", 1.0, var, 0.0, 365, n_usable_days=n_usable_days, **kw)
 
@@ -560,7 +571,7 @@ class TestWellsAllocation:
 
 class TestStratumTotal:
     def test_census_single_component(self):
-        from msinv.estimators import ComponentEstimate
+        from estimator_reference import ComponentEstimate
 
         stratum = StratumDef("A", 1, 1)
         comp = ComponentEstimate("c", 5.0, 0.2, 0.1, 365, facility_id="f", stratum="A")
@@ -569,7 +580,7 @@ class TestStratumTotal:
         assert se.u1 == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_emitting_stratum(self):
-        from msinv.estimators import ComponentEstimate
+        from estimator_reference import ComponentEstimate
 
         stratum = StratumDef("A", 2, 4)
         comps = [
@@ -585,7 +596,7 @@ class TestStratumTotal:
     def test_double_sum_oracle_two_components_same_facility(self):
         # two components clustered in one facility, pi = 1/2: evaluate the
         # published double sum literally and compare
-        from msinv.estimators import ComponentEstimate
+        from estimator_reference import ComponentEstimate
 
         stratum = StratumDef("A", 1, 2)
         comps = [
@@ -957,8 +968,10 @@ def test_prepare_components_refuses_as_the_reference_loop(draws, estimator, faul
         values = values[:-1] if fault.endswith("short") else np.append(values, 1.0)
         rates, phis = (values, phis) if which == "rates" else (rates, values)
     cfg = EstimatorConfig(estimator=estimator)
-    assert (outcome(prepare_components, frame, rates, phis, cfg)
-            == outcome(estimator_reference.prepare_components, frame, rates, phis, cfg))
+    want = outcome(estimator_reference.prepare_components, frame, rates, phis, cfg)
+    assert outcome(prepare_components, frame, rates, phis, cfg) == want
+    # the kernel pass makes the same checks before it builds its layout
+    assert outcome(kernel_estimate_survey, frame, cfg, rates, phis) == want
 
 
 @pytest.mark.parametrize("estimator", ["ipw", "hajek"])
@@ -976,3 +989,102 @@ def test_overflowing_estimate_is_refused_without_warnings(estimator, stage2):
         warnings.simplefilter("error")
         with pytest.raises(EstimationError, match="non-finite"):
             total_inventory(frame, EstimatorConfig(estimator=estimator, stage2=stage2))
+
+
+# ---------------------------------------------------------------------------
+# total_inventory (one kernel pass) against the reference's scalar pass
+# ---------------------------------------------------------------------------
+
+PASS_CONFIGS = [EstimatorConfig(estimator=e, plan=p, stage2=s2, decomposition=dc)
+                for e, p in DESIGNS for s2 in ("observed", "year")
+                for dc in ("corrected", "printed")]
+
+
+def parity_frames(subset_frame):
+    """Random frames, two frames with well sites, and the packaged subset."""
+    return ([random_frame(seed) for seed in range(6)]
+            + [EDGES_FRAME, TestWellsInPipeline()._frame(), subset_frame])
+
+
+def report_fields(report) -> dict:
+    """A report's fields by (stratum name or None, field), unclipped parts flattened.
+
+    Strata are keyed by name: rows sort by total, which two paths that agree
+    to rounding may order differently on a tie.
+    """
+    doc = report.as_dict()
+    out = {}
+    for where, fields in [(None, doc)] + [(row["name"], row) for row in doc.pop("strata")]:
+        for key, value in fields.items():
+            if key == "unclipped":
+                out.update({(where, key, k): v for k, v in value.items()})
+            else:
+                out[(where, key)] = value
+    return out
+
+
+def assert_same_report(got, want, what):
+    got, want = report_fields(got), report_fields(want)
+    assert got.keys() == want.keys(), what
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), (what, key)
+        else:  # configuration echo, diagnostics, names
+            assert got[key] == value, (what, key)
+
+
+def test_kernel_pass_equals_the_reference_pass(subset_frame):
+    for f, frame in enumerate(parity_frames(subset_frame)):
+        n = len(frame.measured_rates)
+        draw = sample_true_rate(frame.measured_rates, iteration_uniforms(f, range(1), n))[0]
+        for cfg in PASS_CONFIGS:
+            for label, rates in (("measured", None),
+                                 ("bias-corrected", bias_correct(frame.measured_rates)),
+                                 ("drawn", draw)):
+                assert_same_report(total_inventory(frame, cfg, rates=rates),
+                                   estimator_reference.total_inventory(frame, cfg, rates=rates),
+                                   (f, cfg, label))
+
+
+FAULTY_RATES = {"negative rate": -1.0, "NaN rate": math.nan, "infinite rate": math.inf,
+                "rate near the float maximum": 1e308}
+
+
+@pytest.mark.parametrize("fault", [*FAULTY_RATES, "days above the horizon"])
+def test_kernel_pass_refuses_as_the_reference_pass(subset_frame, fault):
+    for frame in parity_frames(subset_frame):
+        n = len(frame.measured_rates)
+        for cfg in PASS_CONFIGS:
+            if fault == "days above the horizon":
+                cases = [(dataclasses.replace(cfg, stage2="year", horizon=1), None)]
+            else:
+                cases = []
+                for at in sorted({0, n // 2, n - 1}):
+                    rates = frame.measured_rates.copy()
+                    rates[at] = FAULTY_RATES[fault]
+                    cases.append((cfg, rates))
+            for case_cfg, rates in cases:
+                assert (outcome(total_inventory, frame, case_cfg, rates)
+                        == outcome(estimator_reference.total_inventory, frame, case_cfg,
+                                   rates)), (case_cfg, fault)
+
+
+def test_a_component_variance_of_inf_minus_inf_is_refused():
+    # the component's day sums overflow to inf and -inf, so its variance is
+    # NaN: the reference's max(0.0, nan) reads that as 0.0 and reports, while
+    # the kernel refuses, as the Monte Carlo does
+    frame = random_frame(0)
+    rates = frame.measured_rates * 10.0**150.2
+    cfg = EstimatorConfig(stage2="year")
+    with pytest.raises(EstimationError, match="non-finite population v3stage"):
+        total_inventory(frame, cfg, rates=rates)
+    assert estimator_reference.total_inventory(frame, cfg, rates=rates).var_total >= 0.0
+
+
+@pytest.mark.parametrize("length", [3, "one short", "one long"])
+def test_rates_of_another_length_are_refused_before_the_pod(subset_frame, length):
+    n = len(subset_frame.measured_rates)
+    rates = np.ones({"one short": n - 1, "one long": n + 1}.get(length, length))
+    with pytest.raises(EstimationError,
+                       match="^rates/phis must align with the frame's detected passes$"):
+        total_inventory(subset_frame, EstimatorConfig(), rates=rates)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from msinv import simlab
 from msinv.batch import build_layout, compile_index, evaluate
-from msinv.estimators import ComponentObs, EstimationError, estimate_survey, wald_ci
+from msinv.estimators import ComponentObs, EstimationError, wald_ci
 from msinv.frame import StratumDef
 from msinv.pod import PodParams, pod
 from msinv.simlab import (
@@ -29,7 +29,7 @@ from msinv.simlab import (
     run_study,
 )
 
-from estimator_reference import daily_estimate
+from estimator_reference import daily_estimate, estimate_survey
 
 
 class TestLognormalFit:
