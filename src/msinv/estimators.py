@@ -25,7 +25,7 @@ All arithmetic here is in kg/h; unit conversion happens at report assembly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,10 @@ class EstimatorConfig:
             raise EstimationError("horizon must be >= 1 day")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The settings by name, equal to `dataclasses.asdict` of them."""
+        return {"estimator": self.estimator, "stage2": self.stage2, "horizon": self.horizon,
+                "plan": self.plan, "decomposition": self.decomposition,
+                "ci_level": self.ci_level, "pod_params": self.pod_params.as_dict()}
 
 
 

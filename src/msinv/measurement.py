@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,7 +109,7 @@ class McConfig:
         return {
             "iterations": self.iterations,
             "seed": self.seed,
-            "measurement": asdict(self.measurement),
+            "measurement": self.measurement.as_dict(),
             "trace": self.trace,
         }
 
@@ -302,5 +302,5 @@ def bias_corrected_inventory(
     rates = bias_correct(frame.measured_rates, measurement)
     report = total_inventory(frame, config, rates=np.atleast_1d(rates))
     report.config["measurement_mode"] = "bias-correct"
-    report.config["measurement"] = asdict(measurement)
+    report.config["measurement"] = measurement.as_dict()
     return report

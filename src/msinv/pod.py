@@ -52,6 +52,12 @@ class PodParams:
             if not 0 < getattr(self, f.name) < math.inf:
                 raise ValueError(f"PodParams.{f.name} must be a finite number > 0")
 
+    def as_dict(self) -> dict:
+        """The constants by name, equal to `dataclasses.asdict` of them."""
+        return {"kappa": self.kappa, "rate_exp": self.rate_exp,
+                "altitude_exp": self.altitude_exp, "wind_offset": self.wind_offset,
+                "wind_exp": self.wind_exp, "outer_exp": self.outer_exp}
+
 
 @dataclass(frozen=True)
 class MeasurementModel:
@@ -72,6 +78,10 @@ class MeasurementModel:
             raise ValueError("MeasurementModel.d and .alpha must be finite numbers > 0")
         if not self.beta > 1:
             raise ValueError("MeasurementModel.beta must be > 1 (finite mean)")
+
+    def as_dict(self) -> dict:
+        """The parameters by name, equal to `dataclasses.asdict` of them."""
+        return {"d": self.d, "alpha": self.alpha, "beta": self.beta}
 
 
 DEFAULT_POD = PodParams()

@@ -9,7 +9,11 @@ SRS, POD-driven detection) and scores four estimation variants
 uncertainty) on percent bias, variance, mean squared error and Wald interval
 coverage.
 
-Each replication draws its sample from its own generator.  The samples of a
+Each replication draws its sample from its own generator.  The surveyed days
+of all of a stratum's sampled components are drawn in one vectorised pass
+(`_day_samples`) that consumes that generator exactly as one
+``rng.choice(horizon, d_p, replace=False)`` per component would, so the
+samples are those of the per-component draws.  The samples of a
 block of `SIM_BLOCK` replications are laid out as one `frame.UnitIndex`, a
 stratum per (replication, stratum) pair and a population group per
 replication, and estimated by the batched kernel of `batch`, one call per
@@ -125,6 +129,9 @@ class SimConfig:
             raise ValueError(f"pass counts must lie in 1..{MAX_PASSES}")
         if not 1 <= self.days_sampled <= self.horizon:
             raise ValueError("need 1 <= days_sampled <= horizon")
+        for key in ("wind_sd", "altitude_sd"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         lo, hi = self.components_per_facility
         if not 1 <= lo <= hi:
             raise ValueError("bad components_per_facility range")
@@ -303,12 +310,12 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
         daily = rng.lognormal(spec.lognormal_mu, spec.lognormal_sigma, size=(n_emit, big_d))
         rates = _truncated_normal(rng, daily[..., None], spec.sd_ratio * daily[..., None],
                                   (n_emit, big_d, MAX_PASSES))
-        wind = np.clip(
-            _truncated_normal(rng, config.wind_mean, config.wind_sd,
-                              (n_emit, big_d, MAX_PASSES)), 0.0, None)
-        alt = np.maximum(
-            rng.normal(config.altitude_mean, config.altitude_sd,
-                       size=(n_emit, big_d, MAX_PASSES)), 1.0)
+        # at least 1e-9 already, so >= 0 as `_StratumPopulation.wind` says
+        wind = _truncated_normal(rng, config.wind_mean, config.wind_sd,
+                                 (n_emit, big_d, MAX_PASSES))
+        alt = rng.normal(config.altitude_mean, config.altitude_sd,
+                         size=(n_emit, big_d, MAX_PASSES))
+        np.maximum(alt, 1.0, out=alt)
         mask = np.arange(MAX_PASSES)[None, None, :] < q[..., None]
         if n_emit:
             day_means = (rates * mask).sum(axis=2) / q
@@ -335,18 +342,22 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
 def _truncated_normal(rng, mean, sd, shape, attempts: int = 100):
     """Normal draws truncated at zero by resampling, clamping as a last resort.
 
-    Each attempt draws a whole array of standard normals, as
-    ``rng.normal(mean, sd, size=shape)`` would, but scales and writes only
-    those that replace a value at or below zero.
+    The first draw scales one array of standard normals in place: the
+    values of ``rng.normal(mean, sd, size=shape)`` without its per-element
+    broadcast.  Each attempt then draws a whole array of standard normals,
+    as ``rng.normal`` would, but scales and writes only those that replace
+    a value at or below zero.
     """
-    out = rng.normal(mean, sd, size=shape)
+    out = rng.standard_normal(size=shape)
+    out *= sd
+    out += mean
     mean, sd = np.broadcast_to(mean, shape), np.broadcast_to(sd, shape)
     for _ in range(attempts):
         bad = out <= 0.0
         if not bad.any():
             break
         out[bad] = mean[bad] + sd[bad] * rng.standard_normal(size=shape)[bad]
-    return np.maximum(out, 1e-9)
+    return np.maximum(out, 1e-9, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +479,51 @@ def _replication_draws(pop: SimPopulation, config: SimConfig, rep: int):
         sampled = np.zeros(spec.n_population, dtype=bool)
         sampled[rng.choice(spec.n_population, size=spec.n_sampled, replace=False)] = True
         comps = np.flatnonzero(sampled[sp.emit_facility])
-        days = np.empty((len(comps), d_p), dtype=np.intp)
-        for row in range(len(comps)):
-            days[row] = rng.choice(config.horizon, size=d_p, replace=False)
+        days = _day_samples(rng, len(comps), config.horizon, d_p)
         # with no component sampled, the empty draw leaves the generator as it was
         out.append((comps, days, rng.random((len(comps), d_p, MAX_PASSES))))
+    return out
+
+
+def _day_samples(rng, n_rows: int, horizon: int, d_p: int) -> np.ndarray:
+    """``n_rows`` samples of ``d_p`` distinct days of ``horizon``, shape (n_rows, d_p).
+
+    Row i equals the i-th of ``n_rows`` successive ``rng.choice(horizon,
+    size=d_p, replace=False)`` calls, and ``rng`` ends in the state those
+    calls leave, but the rows are drawn together.  numpy's choice runs
+    Floyd's algorithm and then a Fisher-Yates shuffle, each step one 32-bit
+    word scaled to its bound by Lemire's method: 2 * d_p - 1 words per row.
+    Here all the rows' words are drawn at once and every step is applied to
+    a column of them.  Where choice takes another path (d_p == horizon, 64-bit
+    words for a horizon of 2**32 or more, or its tail shuffle for a horizon
+    over 10,000 and d_p over horizon // 50), or where Lemire's method
+    would reject a word and draw another (about 6e-8 per word), the
+    generator is rewound and the rows are drawn one call each.
+    """
+    if d_p < horizon < 2**32 and (horizon <= 10_000 or d_p <= horizon // 50):
+        state = rng.bit_generator.state
+        words = rng.integers(0, 2**32, size=(n_rows, 2 * d_p - 1), dtype=np.uint32)
+        # Floyd's bounds j + 1, then the shuffle's i + 1 for i = d_p - 1 down to 1
+        bounds = np.concatenate([np.arange(horizon - d_p + 1, horizon + 1),
+                                 np.arange(d_p, 1, -1)]).astype(np.uint64)
+        scaled = words * bounds
+        if not ((scaled & 0xFFFF_FFFF) < 2**32 % bounds).any():
+            draws = (scaled >> 32).astype(np.intp)
+            out = draws[:, :d_p].copy()
+            for t in range(1, d_p):
+                # a day drawn already in the row is replaced by j
+                out[(out[:, :t] == out[:, t, None]).any(axis=1), t] = horizon - d_p + t
+            rows = np.arange(n_rows)
+            for col, i in enumerate(range(d_p - 1, 0, -1), start=d_p):
+                k = draws[:, col]
+                held = out[rows, k]
+                out[rows, k] = out[:, i]
+                out[:, i] = held
+            return out
+        rng.bit_generator.state = state
+    out = np.empty((n_rows, d_p), dtype=np.intp)
+    for row in range(n_rows):
+        out[row] = rng.choice(horizon, size=d_p, replace=False)
     return out
 
 

@@ -513,6 +513,15 @@ class TestSimulate:
         assert run("simulate", *config, *args, "--out-dir", str(tmp_path / "out")) == 4
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["wind_sd", "altitude_sd"])
+    def test_negative_sd_is_4_and_named(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(dict(SIM_CONFIG, **{key: -0.5})))
+        capsys.readouterr()
+        assert run("simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")) == 4
+        assert f"{key} must be >= 0, got -0.5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_quoted_numbers_load(self, tmp_path):
         cfg = {
             "strata": [{"name": "A", "n_sampled": "3", "n_population": 5,

@@ -7,6 +7,7 @@ import pytest
 
 from msinv.estimators import EstimatorConfig, total_inventory
 from msinv.measurement import McConfig, bias_corrected_inventory, run_mc
+from msinv.pod import MeasurementModel, PodParams
 from msinv.reporting import (
     KG_H_PER_KT_Y,
     write_decomposition_table,
@@ -113,3 +114,22 @@ def test_as_dict_equals_asdict_and_shares_nothing(subset_frame, measurement):
     assert isinstance(doc["strata"][0], dict)
     mine = {id(c) for c in containers(report)}
     assert not mine & {id(c) for c in containers(doc)}
+
+
+@pytest.mark.parametrize("cfg, model", [
+    (EstimatorConfig(), MeasurementModel()),
+    (EstimatorConfig(estimator="hajek", stage2="observed", horizon=30,
+                     decomposition="printed", ci_level=0.9,
+                     pod_params=PodParams(kappa=0.5, wind_offset=1.0, outer_exp=3.0)),
+     MeasurementModel(d=1.1, alpha=0.7, beta=float("inf"))),
+], ids=["default", "custom"])
+def test_config_as_dict_equals_asdict(cfg, model):
+    # the echoes are built field by field, not by dataclasses.asdict
+    assert cfg.as_dict() == dataclasses.asdict(cfg)
+    assert list(cfg.as_dict()) == list(dataclasses.asdict(cfg))
+    assert list(cfg.as_dict()["pod_params"]) == list(dataclasses.asdict(cfg.pod_params))
+    assert cfg.as_dict()["pod_params"] is not cfg.as_dict()["pod_params"]
+    assert model.as_dict() == dataclasses.asdict(model)
+    assert list(model.as_dict()) == list(dataclasses.asdict(model))
+    mc = McConfig(estimator=cfg, iterations=2, measurement=model)
+    assert mc.as_dict()["measurement"] == dataclasses.asdict(model)

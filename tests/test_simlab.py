@@ -18,8 +18,10 @@ from msinv.simlab import (
     SimConfig,
     SimStratumSpec,
     VARIANTS,
+    _day_samples,
     _population_rng,
     _replication_draws,
+    _replication_rng,
     _sample_block,
     _variant_config,
     config_from_json,
@@ -185,6 +187,113 @@ def truncated_normal_reference(rng, mean, sd, shape, attempts):
             break
         out = np.where(bad, rng.normal(mean, sd, size=shape), out)
     return np.maximum(out, 1e-9)
+
+
+def replication_draws_reference(pop, config, rep):
+    """The per-component ``rng.choice`` loop that `simlab._day_samples` replaced.
+
+    Returns `simlab._replication_draws`'s result and the generator after it.
+    """
+    rng = _replication_rng(config.seed, rep)
+    d_p = config.days_sampled
+    out = []
+    for sp in pop.strata.values():
+        spec = sp.spec
+        sampled = np.zeros(spec.n_population, dtype=bool)
+        sampled[rng.choice(spec.n_population, size=spec.n_sampled, replace=False)] = True
+        comps = np.flatnonzero(sampled[sp.emit_facility])
+        days = day_samples_reference(rng, len(comps), config.horizon, d_p)
+        out.append((comps, days, rng.random((len(comps), d_p, MAX_PASSES))))
+    return out, rng
+
+
+def day_samples_reference(rng, n_rows, horizon, d_p):
+    days = np.empty((n_rows, d_p), dtype=np.intp)
+    for row in range(n_rows):
+        days[row] = rng.choice(horizon, size=d_p, replace=False)
+    return days
+
+
+def assert_same_state(got, want):
+    """Two Philox generators are in the same state."""
+    a, b = got.bit_generator.state, want.bit_generator.state
+    for key in ("counter", "key"):
+        assert np.array_equal(a["state"][key], b["state"][key]), key
+    assert np.array_equal(a["buffer"], b["buffer"])
+    for key in ("buffer_pos", "has_uint32", "uinteger"):
+        assert a[key] == b[key], key
+
+
+def lemire_rejects(key, n_rows, horizon, d_p):
+    """Rows whose day draws under Philox ``key`` include a word Lemire's method rejects."""
+    words = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, 2**32, size=(n_rows, 2 * d_p - 1), dtype=np.uint32).astype(np.uint64)
+    bounds = np.array([*range(horizon - d_p + 1, horizon + 1), *range(d_p, 1, -1)],
+                      dtype=np.uint64)
+    return np.flatnonzero(((words * bounds) % 2**32 < 2**32 % bounds).any(axis=1))
+
+
+class TestDaySamples:
+    """`_day_samples` against one ``rng.choice`` per row: equal days, equal stream."""
+
+    @pytest.mark.parametrize("horizon, d_p", [
+        (365, 1), (365, 2), (365, 3), (30, 5), (1000, 4), (40, 39), (2, 1),
+        (3, 3), (1, 1),                     # d_p == horizon: choice draws nothing at j = 0
+        (10_000, 600), (10_001, 200),       # the widest Floyd cases
+        (10_001, 201), (20_000, 401),       # choice's tail shuffle
+    ])
+    @pytest.mark.parametrize("key", [0, 1, 2**40 + 3])
+    def test_rows_and_stream_equal_choice(self, horizon, d_p, key):
+        got, want = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+        days = _day_samples(got, 25, horizon, d_p)
+        assert days.dtype == np.intp and days.flags.c_contiguous
+        assert np.array_equal(days, day_samples_reference(want, 25, horizon, d_p))
+        assert_same_state(got, want)
+
+    def test_a_rejected_word_falls_back_to_choice(self):
+        # Philox key 6611 draws a word at row 876 that Lemire's method rejects
+        assert lemire_rejects(6611, 1000, 365, 2).tolist() == [876]
+        got, want = (np.random.Generator(np.random.Philox(key=6611)) for _ in range(2))
+        days = _day_samples(got, 1000, 365, 2)
+        assert np.array_equal(days, day_samples_reference(want, 1000, 365, 2))
+        assert_same_state(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 400).flatmap(lambda h: st.tuples(
+        st.just(h), st.integers(1, min(h, 12)), st.integers(0, 40), st.integers(0, 2**64 - 1))))
+    def test_generated_shapes(self, case):
+        horizon, d_p, n_rows, key = case
+        got, want = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+        days = _day_samples(got, n_rows, horizon, d_p)
+        assert np.array_equal(days, day_samples_reference(want, n_rows, horizon, d_p))
+        assert days.shape == (n_rows, d_p)
+        assert_same_state(got, want)
+
+    @pytest.mark.parametrize("make, overrides", [
+        (default_config, {}),
+        (default_config, {"days_sampled": 1}),
+        (default_config, {"days_sampled": 3}),
+        (default_config, {"horizon": 3, "days_sampled": 3}),
+        (tiny_config, {"horizon": 20_000, "days_sampled": 401}),
+    ], ids=["default", "one-day", "three-days", "census-of-days", "tail-shuffle"])
+    def test_replication_draws_equal_the_reference(self, monkeypatch, make, overrides):
+        cfg = make(replications=2, **overrides)
+        pop = generate_population(cfg)
+        made = []
+
+        def recorded(seed, rep):
+            made.append(_replication_rng(seed, rep))
+            return made[-1]
+
+        monkeypatch.setattr(simlab, "_replication_rng", recorded)
+        for rep in range(3):
+            got = _replication_draws(pop, cfg, rep)
+            want, rng = replication_draws_reference(pop, cfg, rep)
+            assert sum(len(comps) for comps, _, _ in got) > 0
+            for drawn, expected in zip(got, want, strict=True):
+                for a, b in zip(drawn, expected, strict=True):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert_same_state(made[-1], rng)
 
 
 class TestStudy:
@@ -437,6 +546,16 @@ class TestConfigRoundTrip:
         doc["replicatons"] = 3
         with pytest.raises(ValueError, match="unknown key 'replicatons'"):
             config_from_json(doc)
+
+    @pytest.mark.parametrize("key", ["wind_sd", "altitude_sd"])
+    @pytest.mark.parametrize("value", [-1e-12, -60.0, math.nan])
+    def test_negative_sd_is_refused_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got "):
+            tiny_config(**{key: value})
+
+    @pytest.mark.parametrize("key", ["wind_sd", "altitude_sd"])
+    def test_zero_sd_is_accepted(self, key):
+        assert getattr(tiny_config(**{key: 0.0}), key) == 0.0
 
     def test_pmf_must_sum_to_one(self):
         with pytest.raises(ValueError):

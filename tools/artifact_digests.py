@@ -38,6 +38,9 @@ COMMANDS = (
                              "--threads", "2", "--trace"]),
     ("diagnose", ["diagnose", "--packaged"]),
     ("simulate", ["simulate", "--reps", "20", "--seed", "1"]),
+    # a day design other than the default 2 of 365: 3 of 30 days
+    ("simulate-3-of-30", ["simulate", "--config",
+                          str(ROOT / "tests" / "data" / "sim_3_of_30_days.json")]),
 )
 
 
