@@ -19,11 +19,14 @@ configuration decides: which units are zero emitters or need a pooled
 variance, the days the other units expand (IPW on the original plan: every
 surveyed day, at phi_hat = 1; else the star days), the pooling peers among
 the members, and the check of d_p against the horizon.  Every configuration
-of an index shares its `CompiledIndex`.  `evaluate` computes a whole chunk
-of iterations at once, as arrays with one row per iteration, for every
-layout of one compiled index it is given: the daily stage, which depends
-only on `Layout.kind`, runs once per distinct kind, and each layout then
-gives each member its unit's estimates before stage I.
+of an index shares its `CompiledIndex`, and a frame keeps each
+configuration's layout (`SurveyFrame.layout`).  `evaluate` computes a whole
+chunk of iterations at once, as arrays with one row per iteration, for
+every layout of one compiled index it is given.  The layouts of one
+`Layout.kind` differ only in their horizons and their ``observed`` and
+``printed`` flags, so each kind's daily stage, unit means, stage III parts,
+member expansion, facility sums and stratum totals are computed once, and
+each ragged sum takes the terms of all of the kind's layouts in one pass.
 
 Each ragged index (the passes of a component-day, the members of a stratum,
 ...) is a prefix sum `Schedule`: its rows are stored longest first, so the
@@ -56,10 +59,10 @@ from .reporting import EstimationError
 
 if TYPE_CHECKING:
     from .estimators import EstimatorConfig
-    from .frame import SurveyFrame, UnitIndex
+    from .frame import UnitIndex
 
 __all__ = ["Schedule", "CompiledIndex", "Layout", "BatchEstimate", "NonFiniteEstimate",
-           "compile_index", "build_layout", "compile_layout", "evaluate"]
+           "compile_index", "build_layout", "evaluate"]
 
 POPULATION_KEYS = ("total", "v3stage", "v1", "v2", "v3", "u1", "u2", "u3")
 STRATUM_KEYS = ("total", "v1", "v2", "v3", "u1", "u2", "u3")
@@ -326,12 +329,6 @@ class Layout:
         return len(self.index.pass_dd)
 
 
-def compile_layout(frame: SurveyFrame, config: EstimatorConfig) -> Layout:
-    """`build_layout` of the frame's `SurveyFrame.compiled_index`; columns
-    align with ``frame.measured_rates``."""
-    return build_layout(frame.compiled_index, config)
-
-
 def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
     """Complete a compiled index for `evaluate` under one estimator configuration.
 
@@ -436,30 +433,40 @@ def _daily(ix: CompiledIndex, kind: str, y: np.ndarray, phi: np.ndarray):
     ph_grp = None
     if kind != "ipw":
         ph_grp = _phi_any(phi, ix.grp_pass, ix.grp_count, ix.grp_misses)
+    # the terms of each ragged sum are written into one array, not stacked,
+    # and the day means and variances over the sums they come from
+    x = np.empty((2,) + y.shape)
+    np.divide(y, phi, out=x[0])
     if kind == "hajek":
-        num, den = _seq_sum(np.stack([y / phi, 1.0 / phi]), ix.dd_pass)
-        mean = num / den
-        resid = (y - mean[ix.pass_dd]) / phi
-        resid_sq, resid_sum = _seq_sum(np.stack([(1.0 - phi) * resid**2, resid]),
-                                       ix.dd_pass)
+        np.divide(1.0, phi, out=x[1])
+        day = _seq_sum(x, ix.dd_pass)
+        mean = np.divide(day[0], day[1], out=day[0])
+        resid = np.divide(y - mean[ix.pass_dd], phi, out=x[1])
+        np.multiply(1.0 - phi, resid**2, out=x[0])
+        resid_sq, resid_sum = _seq_sum(x, ix.dd_pass)
         ph = ph_grp[:len(q)]
-        var = np.maximum(0.0, ph / (q * q) * (resid_sq + (ph - 1.0) * resid_sum**2))
+        np.maximum(0.0, ph / (q * q) * (resid_sq + (ph - 1.0) * resid_sum**2), out=day[1])
     else:
-        num, sq = _seq_sum(np.stack([y / phi, (1.0 - phi) / (phi * phi) * y * y]),
-                           ix.dd_pass)
-        mean, var = num / q, sq / (q * q)
+        np.multiply((1.0 - phi) / (phi * phi) * y, y, out=x[1])
+        day = _seq_sum(x, ix.dd_pass)
+        day[0] /= q
+        day[1] /= q * q
+    del x
     w = ix.ud_wells
-    ud_mean, ud_var = _seq_sum(np.stack([mean, var]), ix.ud_members)
+    ud_mean, ud_var = _seq_sum(day, ix.ud_members)
     ud_ph = None if ph_grp is None else ph_grp[ix.star_grp]
     return ud_mean / w, ud_var / (w * w), ud_ph
 
 
-def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
-    """Per-unit mean, variance (NaN until pooled) and stage III part, stacked."""
+def _unit_estimates(layouts: Sequence[Layout], ud_mean, ud_var, ud_ph):
+    """Per-unit mean and stage III part, which every layout of one kind
+    shares, then each layout's per-unit variance (NaN until pooled), stacked."""
+    layout = layouts[0]
     ix = layout.index
-    mean, var, s3 = out = np.zeros((3, ix.n_units, ud_mean.shape[-1]))
+    out = np.zeros((2 + len(layouts), ix.n_units, ud_mean.shape[-1]))
+    mean, s3, var = out[0], out[1], out[2:]
     full, pooled, first = layout.full, layout.pooled, layout.first_day_of_pooled
-    sf, sd, sh = layout.full_days, layout.full_d, layout.full_h
+    sf, sd = layout.full_days, layout.full_d
     day_mean, day_var = ud_mean[layout.days], ud_var[layout.days]
     if layout.kind == "ipw":  # the original plan: phi_hat = 1 on every surveyed day
         ph0 = ph = 1.0
@@ -472,59 +479,96 @@ def _unit_estimates(layout: Layout, ud_mean, ud_var, ud_ph):
         ph0, ph = ud_ph[first], ud_ph[sf]
     m0, v0 = day_mean[first], day_var[first]
     m, v = day_mean[sf], day_var[sf]
-    d, h = ix.unit_d[full], layout.unit_h[full]
-    var[pooled] = np.nan
+    d = ix.unit_d[full]
+    var[:, pooled] = np.nan
 
     # the reference's _starred_srs over the days of each full unit; pooled: the single day
-    # (a pooled "ipw" or "starred" unit has d_p = 1, so dividing by d0 is exact)
-    r = m / ph
-    s1, t1, t3, s3sum = _seq_sum(np.stack([
-        r,
-        sh * (sh - 1 - ph * (sd - 1)) / (sd * (sd - 1)) * r * r,
-        sh / (sd * ph) * v,
-        v / (ph * ph),
-    ]), layout.days_of_full)
-    t2 = h * (d - h) / (d * d * (d - 1)) * s1 * s1
+    # (a pooled "ipw" or "starred" unit has d_p = 1, so dividing by d0 is exact).  The
+    # horizon enters t1 and t3 only: each layout's are summed in the shared pass.
+    terms = np.empty((2 + 2 * len(layouts),) + m.shape)
+    r = np.divide(m, ph, out=terms[0])
+    np.divide(v, ph * ph, out=terms[1])
+    for i, lay in enumerate(layouts):
+        sh = lay.full_h
+        np.multiply(sh * (sh - 1 - ph * (sd - 1)) / (sd * (sd - 1)) * r, r, out=terms[2 + 2 * i])
+        np.multiply(sh / (sd * ph), v, out=terms[3 + 2 * i])
+    del day_mean, day_var, m, v, ph   # the sums below are the peak of a chunk's memory
+    s1, s3sum, *t13 = _seq_sum(terms, layout.days_of_full)
     mean[full] = s1 / d
-    var[full] = np.maximum(0.0, (t1 + t2 + t3) / (h * h))
     s3[full] = s3sum / (d * d)
+    for lay, unit_var, t1, t3 in zip(layouts, var, t13[::2], t13[1::2]):
+        h = lay.unit_h[full]
+        t2 = h * (d - h) / (d * d * (d - 1)) * s1 * s1
+        unit_var[full] = np.maximum(0.0, (t1 + t2 + t3) / (h * h))
     d0 = ix.unit_d[pooled]
     mean[pooled] = m0 / (ph0 * d0)
     s3[pooled] = v0 / (ph0 * ph0 * d0 * d0)
     return out
 
 
-def _assemble(layout: Layout, unit_est: np.ndarray):
+def _assemble(layouts: Sequence[Layout], unit_est: np.ndarray):
     """Give each member its unit's estimates, pool single-day variances, then
-    the reference's `stratum_total` and each group's population sums."""
+    the reference's `stratum_total` and each group's population sums: the
+    (population, strata) parts of each of ``layouts``, which share one kind.
+
+    The expanded means, facility sums and a1 are shared; each ragged sum
+    takes every layout's terms in one pass.
+    """
+    layout = layouts[0]
     ix = layout.index
-    mean, var, s3 = unit_est.take(ix.member_unit, axis=1)
+    n = len(layouts)
+    members = unit_est.take(ix.member_unit, axis=1)
+    mean, s3, var = members[0], members[1], members[2:]
     pooled = layout.pooled_members
-    var[pooled] = (_seq_sum(var, layout.peers) / layout.n_peers)[layout.pooled_stratum]
-    if layout.observed:
-        s3[pooled] = var[pooled]
-    part = s3 * layout.member_h if layout.printed else s3
+    var[:, pooled] = (_seq_sum(var, layout.peers) / layout.n_peers)[:, layout.pooled_stratum]
     f = ix.member_f
-    expanded = mean / f
-    total, v23, s23, s3s = _seq_sum(
-        np.stack([expanded, var / f, var / (f * f), part / (f * f)]), ix.members)
+    ff = f * f
+    terms = np.empty((1 + 3 * n,) + mean.shape)
+    expanded = np.divide(mean, f, out=terms[0])
+    for i, (lay, v) in enumerate(zip(layouts, var)):
+        part = s3
+        if lay.observed:
+            part = s3.copy()
+            part[pooled] = v[pooled]
+        if lay.printed:
+            part = part * lay.member_h
+        np.divide(v, f, out=terms[1 + 3 * i])
+        np.divide(v, ff, out=terms[2 + 3 * i])
+        np.divide(part, ff, out=terms[3 + 3 * i])
+    total, *sums = _seq_sum(terms, ix.members)
     fac = _seq_sum(expanded, ix.fac_members)
     sumsq = _seq_sum(fac * fac, ix.fac_of_stratum)
     a1 = (1.0 - ix.stratum_f) * sumsq + ix.stratum_pair_coef * (total * total - sumsq)
-    v3stage = a1 + v23
-    st = {"total": total, "v3stage": v3stage, "u3": s3s, "u2": s23 - s3s, "u1": v3stage - s23}
-    st["v3"] = np.maximum(0.0, s3s)
-    st["v2"] = np.maximum(0.0, s23 - st["v3"])
-    st["v1"] = np.maximum(0.0, v3stage - st["v2"] - st["v3"])
+
+    # each layout's stratum parts, written where its population sums read them
+    strata = []
+    parts = np.empty((6 * n,) + total.shape)
+    for i in range(n):
+        v23, s23, s3s = sums[3 * i:3 * i + 3]
+        row = parts[6 * i:6 * i + 6]
+        row[0] = total
+        v3stage = np.add(a1, v23, out=row[1])
+        u1 = np.subtract(v3stage, s23, out=row[2])
+        u2 = np.subtract(s23, s3s, out=row[3])
+        row[4] = s3s
+        np.add(u2, s3s, out=row[5])
+        st = {"total": total, "v3stage": v3stage, "u3": s3s, "u2": u2, "u1": u1}
+        st["v3"] = np.maximum(0.0, s3s)
+        st["v2"] = np.maximum(0.0, s23 - st["v3"])
+        st["v1"] = np.maximum(0.0, v3stage - st["v2"] - st["v3"])
+        strata.append(st)
 
     # each group's population sums, stratum by stratum in order
-    sums = _seq_sum(np.stack([total, v3stage, st["u1"], st["u2"], s3s, st["u2"] + s3s]),
-                    ix.groups)
-    pop = dict(zip(("total", "v3stage", "u1", "u2", "u3"), sums))
-    pop["v3"] = np.maximum(0.0, pop["u3"])
-    pop["v2"] = np.maximum(0.0, sums[5] - pop["v3"])
-    pop["v1"] = np.maximum(0.0, pop["v3stage"] - pop["v2"] - pop["v3"])
-    return pop, st
+    pop_sums = _seq_sum(parts, ix.groups)
+    out = []
+    for i, st in enumerate(strata):
+        sums = pop_sums[6 * i:6 * i + 6]
+        pop = dict(zip(("total", "v3stage", "u1", "u2", "u3"), sums))
+        pop["v3"] = np.maximum(0.0, pop["u3"])
+        pop["v2"] = np.maximum(0.0, sums[5] - pop["v3"])
+        pop["v1"] = np.maximum(0.0, pop["v3stage"] - pop["v2"] - pop["v3"])
+        out.append((pop, st))
+    return out
 
 
 class NonFiniteEstimate(EstimationError):
@@ -548,27 +592,33 @@ def evaluate(layouts: Sequence[Layout], y: np.ndarray, phi: np.ndarray,
     share one `CompiledIndex`: rates and floored PODs of shape (B, n).
 
     Columns align with the index's detected passes; row b is iteration
-    ``first_iteration + b``.  The daily stage runs once per distinct
-    `Layout.kind`, and each layout's estimate is the same as in a call of
-    its own.  Layouts are checked in order: raises `NonFiniteEstimate` for
-    the first whose total or any variance part is not finite on an
-    iteration, naming the first such iteration (see `_check_finite`).
+    ``first_iteration + b``.  The layouts of one `Layout.kind` differ only
+    in their horizons and their ``observed`` and ``printed`` flags, so each
+    distinct kind runs the daily stage and the unit, member, facility and
+    stratum total terms once (`_unit_estimates`, `_assemble`), with each
+    layout's own terms alongside; each layout's estimate is the same as in
+    a call of its own.  Layouts are checked in order: raises
+    `NonFiniteEstimate` for the first whose total or any variance part is
+    not finite on an iteration, naming the first such iteration (see
+    `_check_finite`).
     """
     index = layouts[0].index
     if any(layout.index is not index for layout in layouts):
         raise ValueError("evaluate takes the layouts of one compiled index")
-    daily = {}
-    out = []
+    by_kind: dict[str, list[int]] = {}
+    for position, layout in enumerate(layouts):
+        by_kind.setdefault(layout.kind, []).append(position)
+    out: list[BatchEstimate] = [None] * len(layouts)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y_t, phi_t = np.ascontiguousarray(y.T), np.ascontiguousarray(phi.T)
-        for position, layout in enumerate(layouts):
-            if layout.kind not in daily:
-                daily[layout.kind] = _daily(index, layout.kind, y_t, phi_t)
-            pop, st = _assemble(layout, _unit_estimates(layout, *daily[layout.kind]))
-            est = BatchEstimate(population={k: v.T for k, v in pop.items()},
-                                strata={k: v.T for k, v in st.items()})
+        for kind, positions in by_kind.items():
+            group = [layouts[p] for p in positions]
+            units = _unit_estimates(group, *_daily(index, kind, y_t, phi_t))
+            for position, (pop, st) in zip(positions, _assemble(group, units)):
+                out[position] = BatchEstimate(population={k: v.T for k, v in pop.items()},
+                                              strata={k: v.T for k, v in st.items()})
+        for position, est in enumerate(out):
             _check_finite(est, first_iteration, position)
-            out.append(est)
     return out
 
 

@@ -201,12 +201,17 @@ def cmd_estimate(args) -> int:
     if mc_base is not None:
         mc_results = run_mc_variants(frame, mc_base, [cfg for cfg, (_, _, mm)
                                                       in zip(configs, variants) if mm == "mc"])
+    # the bias-correct variants run in one design pass, also before anything
+    # is written, so that a failing one leaves no output
+    bc_configs = [cfg for cfg, (_, _, mm) in zip(configs, variants) if mm == "bias-correct"]
+    bc_reports = iter(bias_corrected_inventory(frame, bc_configs, measurement)
+                      if bc_configs else ())
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     # the inputs are hashed once; each variant's manifest differs in its flags
     base_manifest = build_manifest("estimate", {}, inputs, seed=args.seed)
 
-    for (est, s2, mm), cfg in zip(variants, configs):
+    for est, s2, mm in variants:
         flags = {
             "estimator": est, "stage2": s2, "horizon": horizon,
             "measurement": mm, "mc_iters": args.mc_iters, "ci_level": args.ci_level,
@@ -214,7 +219,7 @@ def cmd_estimate(args) -> int:
         }
         manifest = dict(base_manifest, flags=flags)
         result = next(mc_results) if mm == "mc" else None
-        report = result.report if result else bias_corrected_inventory(frame, cfg, measurement)
+        report = result.report if result else next(bc_reports)
         stem = f"report_{est}_{s2}_{mm.replace('-', '')}" if args.all_variants else "report"
         write_report_json(report, outdir / f"{stem}.json", manifest)
         write_report_table(report, outdir / f"{stem}_table.csv", manifest)

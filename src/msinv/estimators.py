@@ -11,12 +11,13 @@ retained for diagnostics.
 
 Every production estimate runs on the batched kernel (`batch.evaluate`).  A
 single design pass (`total_inventory`, bias correction) is one iteration of
-it: `estimate_survey` checks the rates and PODs, builds the configuration's
-layout over the frame's compiled index and evaluates it once, and the report
-is assembled by `reporting.batch_report`, as the Monte Carlo's is.  The
-scalar formulas, per day, component, stratum and population, are the
-written reference the tests diff the kernel against
-(`tests/estimator_reference.py`).  `prepare_components` still builds each
+it: `estimate_survey` checks the rates and PODs, takes the configuration's
+layout from the frame (`SurveyFrame.layout`) and evaluates it once, and the
+report is assembled by `reporting.batch_report`, as the Monte Carlo's is.
+Both take a sequence of configurations too, which then share the PODs and
+one `batch.evaluate` call.  The scalar formulas, per day, component,
+stratum and population, are the written reference the tests diff the kernel
+against (`tests/estimator_reference.py`).  `prepare_components` still builds each
 unit's daily estimates from the kernel's daily stage, for the tests that
 check that stage bit for bit against the reference's per-day loop.
 
@@ -136,16 +137,6 @@ class ComponentObs:
 # ---------------------------------------------------------------------------
 
 
-def _checked_passes(frame: SurveyFrame, rates, phis, estimator: str):
-    """``rates`` and ``phis`` as float arrays, once they align with
-    ``frame.measured_rates`` and `_refuse_passes` accepts them."""
-    _require_aligned(frame, rates, phis)
-    y = np.asarray(rates, dtype=float)
-    phi = np.asarray(phis, dtype=float)
-    _refuse_passes(frame.compiled_index, y, phi, estimator)
-    return y, phi
-
-
 def _require_aligned(frame: SurveyFrame, *columns):
     n = len(frame.measured_rates)
     if any(len(column) != n for column in columns):
@@ -163,7 +154,9 @@ def prepare_components(frame: SurveyFrame, rates, phis, config: EstimatorConfig)
     share's phi_hat pooling every pass of the site that day, and each well
     becomes its own stage I unit in the wells stratum.
     """
-    y, phi = _checked_passes(frame, rates, phis, config.estimator)
+    _require_aligned(frame, rates, phis)
+    y, phi = np.asarray(rates, dtype=float), np.asarray(phis, dtype=float)
+    _refuse_passes(frame.compiled_index, y, phi, config.estimator)
     ix, index = frame.compiled_index, frame.index
     # "starred" is the IPW daily stage with phi_hat computed
     kind = "hajek" if config.estimator == "hajek" else "starred"
@@ -213,45 +206,81 @@ def _refuse_passes(ix: batch.CompiledIndex, y: np.ndarray, phi: np.ndarray, esti
     raise EstimationError("rates must be >= 0")
 
 
-def estimate_survey(frame: SurveyFrame, config: EstimatorConfig, rates, phis):
+def _as_list(config) -> tuple[list[EstimatorConfig], bool]:
+    """``config``, one `EstimatorConfig` or a sequence of them, as a list, and
+    whether it was a single one."""
+    if isinstance(config, EstimatorConfig):
+        return [config], True
+    return list(config), False
+
+
+def estimate_survey(frame: SurveyFrame, config, rates, phis):
     """The three-stage survey estimate of one set of rates and floored PODs.
 
     ``rates``/``phis`` align with ``frame.measured_rates``.  They are checked
     as the scalar reference checks them (`_refuse_passes`), then the
-    configuration's layout over ``frame.compiled_index``, which checks each
-    unit's surveyed days against the horizon, is evaluated as one iteration.
+    configuration's layout (`SurveyFrame.layout`), which checks each unit's
+    surveyed days against the horizon, is evaluated as one iteration.
     Returns the `batch.BatchEstimate` (B = 1) and the `batch.Layout`.  A
     non-finite total or variance part raises `EstimationError`, naming the
     first in the population's parts, then stratum by stratum, each in
     `batch.POPULATION_KEYS` order.
+
+    ``config`` may also be a sequence of configurations: they are evaluated
+    in one `batch.evaluate` call, and the result is the list of their
+    (estimate, layout) pairs, in order.  The first configuration that fails
+    raises what it would raise alone, as if each were estimated in turn.
     """
-    y, phi = _checked_passes(frame, rates, phis, config.estimator)
-    layout = batch.build_layout(frame.compiled_index, config)
-    try:
-        (est,) = batch.evaluate([layout], y.reshape(1, -1), phi.reshape(1, -1))
-    except batch.NonFiniteEstimate as exc:
-        where = ("population" if exc.stratum is None
-                 else f"stratum {list(frame.strata)[exc.stratum]!r}")
-        raise EstimationError(f"non-finite {where} {exc.key} ({exc.hint})") from None
-    return est, layout
+    configs, single = _as_list(config)
+    _require_aligned(frame, rates, phis)
+    y, phi = np.asarray(rates, dtype=float), np.asarray(phis, dtype=float)
+    layouts, refused = [], None
+    for cfg in configs:
+        try:
+            _refuse_passes(frame.compiled_index, y, phi, cfg.estimator)
+            layouts.append(frame.layout(cfg))
+        except (EstimationError, ValueError) as exc:
+            # raised once the configurations before it have been evaluated
+            refused = exc
+            break
+    ests = []
+    if layouts:
+        try:
+            ests = batch.evaluate(layouts, y.reshape(1, -1), phi.reshape(1, -1))
+        except batch.NonFiniteEstimate as exc:
+            where = ("population" if exc.stratum is None
+                     else f"stratum {list(frame.strata)[exc.stratum]!r}")
+            raise EstimationError(f"non-finite {where} {exc.key} ({exc.hint})") from None
+    if refused is not None:
+        raise refused
+    out = list(zip(ests, layouts))
+    return out[0] if single else out
 
 
-def total_inventory(frame: SurveyFrame, config: EstimatorConfig, rates=None):
+def total_inventory(frame: SurveyFrame, config, rates=None):
     """One design pass over a survey frame: point estimate, variance split, CI.
 
     ``rates`` optionally overrides the measured rates (aligned with
     ``frame.measured_rates``); detection probabilities are always recomputed
     from the rates actually used.  Returns an `InventoryReport` in kt/y,
-    with measurement variance 0.
+    with measurement variance 0.  ``config`` may also be a sequence of
+    configurations sharing their POD parameters: the PODs are computed once,
+    the configurations estimated together (`estimate_survey`), and the
+    result is the list of their reports, in order.
     """
+    configs, single = _as_list(config)
+    if len({c.pod_params for c in configs}) > 1:
+        raise ValueError("the configurations of one design pass must share their POD parameters")
     rates = frame.measured_rates if rates is None else np.asarray(rates, dtype=float)
     _require_aligned(frame, rates)
-    raw_phi = (pod(rates, frame.altitudes, frame.wind_speeds, config.pod_params)
+    raw_phi = (pod(rates, frame.altitudes, frame.wind_speeds, configs[0].pod_params)
                if len(rates) else np.zeros(0))
     raw_phi = np.atleast_1d(raw_phi)
     floor_hits = int(np.count_nonzero(raw_phi < PHI_FLOOR))
-    est, layout = estimate_survey(frame, config, rates, np.maximum(raw_phi, PHI_FLOOR))
-    return reporting.batch_report(
+    estimates = estimate_survey(frame, configs, rates, np.maximum(raw_phi, PHI_FLOOR))
+    reports = [reporting.batch_report(
         {k: v[:, 0] for k, v in est.population.items()}, {k: v.T for k, v in est.strata.items()},
-        list(frame.strata), config.as_dict(), config.ci_level,
+        list(frame.strata), cfg.as_dict(), cfg.ci_level,
         dict(layout.diagnostics, phi_floor_hits=floor_hits))
+        for cfg, (est, layout) in zip(configs, estimates)]
+    return reports[0] if single else reports

@@ -178,7 +178,8 @@ class SurveyFrame:
     least one well in id order.  ``_unit_heads`` (per unit: its id, stratum,
     stage I members and wells) and ``_ud_day`` (per unit-day: its day id)
     label what `estimators.prepare_components` builds.  ``compiled_index``
-    is built on first use.
+    is built on first use, and so is each configuration's `layout` of it,
+    which the frame then keeps.
 
     ``wells_per_site`` maps site_id -> number of wells at the site, for the
     shared-equipment allocation of well emissions.
@@ -200,6 +201,7 @@ class SurveyFrame:
         set_("components", components)
         set_("passes", passes)
         set_("wells_per_site", wells_per_site)
+        set_("_layouts", {})
 
         ids = sorted(components)
         code = {cid: k for k, cid in enumerate(ids)}
@@ -363,6 +365,18 @@ class SurveyFrame:
         """`batch.compile_index` of ``index``, shared by every configuration."""
         return batch.compile_index(self.index)
 
+    def layout(self, config) -> batch.Layout:
+        """`batch.build_layout` of ``compiled_index`` under ``config``, built on
+        first use and kept: configurations that agree on the settings a layout
+        reads get the same `batch.Layout`.  A configuration whose horizon is
+        refused raises each time it is asked for."""
+        key = (config.estimator, config.plan, config.stage2, config.horizon,
+               config.decomposition)
+        layout = self._layouts.get(key)
+        if layout is None:
+            layout = self._layouts[key] = batch.build_layout(self.compiled_index, config)
+        return layout
+
     @property
     def days_surveyed(self) -> dict[str, int]:
         """component_id -> number of distinct survey days (d_p)."""
@@ -512,8 +526,10 @@ def _check_header(got: list[str] | None, want: list[str], path: str):
 
 
 def _read_rows(path):
+    # utf-8-sig: a leading byte-order mark (Excel's "CSV UTF-8") is not part
+    # of the first header field
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FrameError(f"{path}: cannot parse: {exc}") from None

@@ -9,11 +9,11 @@ four-way variance split: the between-iteration variance is the measurement
 contribution, and each stage contribution is the mean of its per-iteration
 estimates.
 
-The frame is compiled once per run into index arrays (`batch.compile_layout`)
-and the iterations are evaluated in fixed-size chunks by one batched kernel
-(`batch.evaluate`), the estimator of every report; the scalar reference in
-the tests specifies it.  A run's report is assembled by
-`reporting.batch_report`, as a single design pass's is.
+The frame keeps its compiled index arrays and each configuration's layout of
+them (`SurveyFrame.layout`), and the iterations are evaluated in fixed-size
+chunks by one batched kernel (`batch.evaluate`), the estimator of every
+report; the scalar reference in the tests specifies it.  A run's report is
+assembled by `reporting.batch_report`, as a single design pass's is.
 Draws are generated from a counter-based generator keyed by (seed, iteration),
 so results are bit-identical for a given seed no matter how many worker
 threads execute the chunks or in which order they finish.  The draws do not
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import reporting
-from .batch import POPULATION_KEYS, STRATUM_KEYS, Layout, compile_layout, evaluate
+from .batch import POPULATION_KEYS, STRATUM_KEYS, Layout, evaluate
 from .estimators import EstimatorConfig
 # not used here: perfbench/tracer.py patches these two names on this module
 from .estimators import estimate_survey, prepare_components  # noqa: F401
@@ -53,10 +53,11 @@ __all__ = [
 
 THREADS_ENV = "MSINV_THREADS"
 
-# Iterations evaluated together.  A chunk holds about 20 float64 values per
-# detected pass and iteration (about 20 MiB for the packaged subset's 551
-# detected passes), so memory is bounded whatever the iteration count; each
-# worker thread holds one chunk.
+# Iterations evaluated together.  At its peak a chunk holds about 14 float64
+# values per detected pass and iteration for one variant and 18 for four
+# (about 15 and 19 MiB for the packaged subset's 551 detected passes,
+# measured with tracemalloc), so memory is bounded whatever the iteration
+# count; each worker thread holds one chunk.
 MC_CHUNK = 256
 
 # Most iterations one run may ask for, and the most that the variants of one
@@ -190,8 +191,7 @@ def run_mc_variants(frame: SurveyFrame, config: McConfig,
         raise ValueError("the variants of one Monte Carlo run must share their POD parameters")
     # built here, outside the generator, so that every check runs before the
     # caller asks for (and writes) its first result
-    variants = [(replace(config, estimator=e), compile_layout(frame, e))
-                for e in estimators]
+    variants = [(replace(config, estimator=e), frame.layout(e)) for e in estimators]
     return _passes(frame, variants, MAX_MC_ITERATIONS // config.iterations)
 
 
@@ -288,19 +288,24 @@ def write_trace_csv(result: McResult, path, manifest: dict | None = None):
 
 def bias_corrected_inventory(
     frame: SurveyFrame,
-    config: EstimatorConfig,
+    config,
     measurement: MeasurementModel = DEFAULT_MEASUREMENT,
-) -> reporting.InventoryReport:
+):
     """Single design pass on bias-corrected rates (no Monte Carlo).
 
     Every measured rate is multiplied by the model's bias factor and the
     detection probabilities are recomputed from the corrected rates; the
-    measurement variance slot is zero by construction.
+    measurement variance slot is zero by construction.  ``config`` is one
+    `EstimatorConfig` and gives one report, or a sequence of them sharing
+    their POD parameters and gives the list of their reports: the rates are
+    corrected and their PODs computed once, and every configuration is
+    evaluated in one pass (`estimators.total_inventory`).
     """
     from .estimators import total_inventory
 
     rates = bias_correct(frame.measured_rates, measurement)
-    report = total_inventory(frame, config, rates=np.atleast_1d(rates))
-    report.config["measurement_mode"] = "bias-correct"
-    report.config["measurement"] = measurement.as_dict()
-    return report
+    reports = total_inventory(frame, config, rates=np.atleast_1d(rates))
+    for report in reports if isinstance(reports, list) else [reports]:
+        report.config["measurement_mode"] = "bias-correct"
+        report.config["measurement"] = measurement.as_dict()
+    return reports

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from msinv import batch, measurement, oracle, simlab
 from msinv.batch import (
-    POPULATION_KEYS, STRATUM_KEYS, NonFiniteEstimate, build_layout, compile_index,
-    compile_layout, evaluate,
+    POPULATION_KEYS, STRATUM_KEYS, NonFiniteEstimate, build_layout, compile_index, evaluate,
 )
+from msinv.datasets import load_packaged_subset
 from msinv.estimators import EstimationError, EstimatorConfig
 from msinv.frame import ComponentRef, StratumDef, UnitIndex
 from msinv.measurement import McConfig, iteration_uniforms, run_mc
@@ -23,6 +23,7 @@ from msinv.pod import PHI_FLOOR, pod, sample_true_rate
 from msinv.simlab import SimConfig, SimStratumSpec
 from estimator_reference import estimate_survey, prepare_components
 from frame_reference import Pass, frame_from_passes
+from conftest import random_frame
 from index_helpers import same_bits, side_by_side, unit_per_member
 
 DESIGNS = [("ipw", "original"), ("ipw", "modified"), ("hajek", "modified")]
@@ -108,7 +109,7 @@ ONE_PASS_SMALL_PHI = frame_from_passes(
 def test_kernel_matches_scalar_reference(frame, seed):
     iterations = range(3)
     for cfg in CONFIGS:
-        layout = compile_layout(frame, cfg)
+        layout = frame.layout(cfg)
         u = iteration_uniforms(seed, iterations, layout.n_passes)
         y = sample_true_rate(frame.measured_rates, u)
         phi = np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
@@ -133,7 +134,7 @@ def test_a_day_of_one_pass_has_no_starred_stage3():
     for cfg in CONFIGS:
         if (cfg.estimator, cfg.plan) != ("ipw", "modified"):
             continue
-        layout = compile_layout(frame, cfg)
+        layout = frame.layout(cfg)
         y = sample_true_rate(frame.measured_rates, iteration_uniforms(357, range(3),
                                                                       layout.n_passes))
         phi = np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
@@ -155,7 +156,7 @@ def test_frames_as_groups_match_scalar_reference(frames, seed):
     index = compile_index(side_by_side([frame.index for frame in frames]))
     draws = []
     for frame in frames:
-        layout = compile_layout(frame, CONFIGS[0])
+        layout = frame.layout(CONFIGS[0])
         y = sample_true_rate(frame.measured_rates,
                              iteration_uniforms(seed, range(2), layout.n_passes))
         draws.append((y, np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)))
@@ -180,7 +181,7 @@ def test_frames_as_groups_match_scalar_reference(frames, seed):
 
 def test_structural_diagnostics_match_scalar(subset_frame):
     for cfg in CONFIGS:
-        layout = compile_layout(subset_frame, cfg)
+        layout = subset_frame.layout(cfg)
         n = layout.n_passes
         y = sample_true_rate(subset_frame.measured_rates, iteration_uniforms(1, range(1), n))[0]
         phi = np.maximum(pod(y, subset_frame.altitudes, subset_frame.wind_speeds), PHI_FLOOR)
@@ -296,7 +297,7 @@ def assert_shared_index_equals_fresh_builds(index: UnitIndex, configs, y, phi):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(frame=survey_frames(), seed=st.integers(0, 2**32 - 1))
 def test_frames_share_one_compiled_index(frame, seed):
-    layout = compile_layout(frame, CONFIGS[0])
+    layout = frame.layout(CONFIGS[0])
     y = sample_true_rate(frame.measured_rates,
                          iteration_uniforms(seed, range(3), layout.n_passes))
     phi = np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
@@ -329,7 +330,7 @@ def test_simlab_blocks_share_one_compiled_index():
 
 
 def test_layouts_evaluated_together_equal_separate_calls(subset_frame, monkeypatch):
-    layouts = [compile_layout(subset_frame, cfg) for cfg in all_configs(365)]
+    layouts = [subset_frame.layout(cfg) for cfg in all_configs(365)]
     y = sample_true_rate(subset_frame.measured_rates,
                          iteration_uniforms(2, range(3), layouts[0].n_passes))
     phi = np.maximum(pod(y, subset_frame.altitudes, subset_frame.wind_speeds), PHI_FLOOR)
@@ -352,8 +353,86 @@ def test_layouts_evaluated_together_equal_separate_calls(subset_frame, monkeypat
                 assert same_bits(getattr(got, values)[key], arr), (layout.kind, values, key)
 
 
+@pytest.mark.parametrize("estimator,plan", DESIGNS)
+@pytest.mark.parametrize("source", ["subset", 0, 1])
+def test_one_kinds_layouts_evaluated_together_equal_separate_calls(subset_frame, monkeypatch,
+                                                                   estimator, plan, source):
+    frame = subset_frame if source == "subset" else random_frame(source)
+    # mixed horizons and flags, one configuration repeated
+    configs = [EstimatorConfig(estimator=estimator, plan=plan, stage2=s2, horizon=h,
+                               decomposition=dc)
+               for s2, h, dc in (("year", 365, "printed"), ("observed", 365, "corrected"),
+                                 ("year", 200, "corrected"), ("observed", 365, "printed"),
+                                 ("year", 365, "corrected"), ("year", 200, "corrected"))]
+    layouts = [build_layout(frame.compiled_index, cfg) for cfg in configs]
+    assert len({layout.kind for layout in layouts}) == 1
+    y = sample_true_rate(frame.measured_rates,
+                         iteration_uniforms(5, range(4), layouts[0].n_passes))
+    phi = np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
+    alone = [evaluate([layout], y, phi)[0] for layout in layouts]
+    shared = []
+    unit_estimates = batch._unit_estimates
+
+    def counted(group, *arrays):
+        shared.append(len(group))
+        return unit_estimates(group, *arrays)
+
+    monkeypatch.setattr(batch, "_unit_estimates", counted)
+    together = evaluate(layouts, y, phi)
+    # the shared stage runs once, for all six layouts
+    assert shared == [len(layouts)]
+    for cfg, got, want in zip(configs, together, alone):
+        for values in ("population", "strata"):
+            for key, arr in getattr(want, values).items():
+                assert same_bits(getattr(got, values)[key], arr), (cfg, values, key)
+
+
+def test_a_frame_keeps_one_layout_per_configuration(subset_frame):
+    frame = load_packaged_subset()
+    cfg = EstimatorConfig(estimator="hajek", stage2="year", horizon=200)
+    layout = frame.layout(cfg)
+    assert layout.index is frame.compiled_index
+    # equal configurations, and ones that differ only in what a layout does not read
+    for same in (EstimatorConfig(estimator="hajek", stage2="year", horizon=200),
+                 dataclasses.replace(cfg, ci_level=0.9),
+                 dataclasses.replace(cfg, pod_params=dataclasses.replace(cfg.pod_params,
+                                                                         kappa=2.0))):
+        assert frame.layout(same) is layout
+    for other in (dataclasses.replace(cfg, horizon=365), dataclasses.replace(cfg, stage2="observed"),
+                  dataclasses.replace(cfg, decomposition="printed"),
+                  dataclasses.replace(cfg, estimator="ipw")):
+        assert frame.layout(other) is not layout
+        assert frame.layout(other) is frame.layout(other)
+    # no layout is shared between frames, even of the same survey
+    assert subset_frame.layout(cfg) is not layout
+    assert subset_frame.layout(cfg).index is subset_frame.compiled_index
+    # a refused horizon is not kept: it raises each time
+    for _ in range(2):
+        with pytest.raises(EstimationError, match="exceeds the horizon"):
+            frame.layout(dataclasses.replace(cfg, horizon=1))
+
+
+def test_estimates_and_monte_carlo_runs_take_the_frames_layouts(subset_frame, monkeypatch):
+    from msinv.estimators import estimate_survey as kernel_estimate_survey
+
+    frame = load_packaged_subset()
+    built = []
+    build = batch.build_layout
+    monkeypatch.setattr(batch, "build_layout",
+                        lambda index, cfg: built.append(cfg) or build(index, cfg))
+    configs = all_configs(365)
+    phis = np.maximum(pod(frame.measured_rates, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
+    for (_, layout), cfg in zip(kernel_estimate_survey(frame, configs, frame.measured_rates, phis),
+                                configs):
+        assert layout is frame.layout(cfg)
+    assert built == configs
+    results = list(measurement.run_mc_variants(frame, McConfig(iterations=4), configs))
+    assert len(results) == len(configs)
+    assert built == configs  # nothing built again
+
+
 def test_layouts_of_two_indexes_are_refused(subset_frame):
-    first = compile_layout(subset_frame, CONFIGS[0])
+    first = subset_frame.layout(CONFIGS[0])
     other = build_layout(compile_index(subset_frame.index), CONFIGS[0])
     y = np.ones((1, first.n_passes))
     with pytest.raises(ValueError, match="one compiled index"):

@@ -1,6 +1,7 @@
 """Command-line surface tests: artifacts, reproducibility, exit codes."""
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -176,6 +177,32 @@ class TestEstimate:
                    "--out-dir", str(tmp_path)) == 0
         assert len(compiled) == 1
 
+    def test_a_byte_order_mark_is_read_past_and_hashed(self, tmp_path):
+        passes, frame, strata = packaged_subset_paths()
+        marked = tmp_path / "passes.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(passes).read_bytes())
+        assert run("estimate", "--packaged", "--out-dir", str(tmp_path / "plain")) == 0
+        assert run("estimate", "--passes", str(marked), "--frame", str(frame),
+                   "--strata", str(strata), "--out-dir", str(tmp_path / "marked")) == 0
+        plain, got = (json.loads((tmp_path / d / "report.json").read_text())
+                      for d in ("plain", "marked"))
+        assert got["manifest"]["inputs"]["passes"]["sha256"] == hashlib.sha256(
+            marked.read_bytes()).hexdigest()
+        for doc in (plain, got):
+            del doc["manifest"]
+        assert got == plain
+
+    def test_all_variants_build_each_layout_once(self, tmp_path, monkeypatch):
+        # four configurations, each run by bias correction and by the Monte Carlo
+        built = []
+        build_layout = batch.build_layout
+        monkeypatch.setattr(batch, "build_layout",
+                            lambda index, cfg: built.append(cfg) or build_layout(index, cfg))
+        assert run("estimate", "--packaged", "--all-variants", "--mc-iters", "4",
+                   "--out-dir", str(tmp_path)) == 0
+        assert sorted((cfg.estimator, cfg.stage2) for cfg in built) == [
+            ("hajek", "observed"), ("hajek", "year"), ("ipw", "observed"), ("ipw", "year")]
+
     def test_all_variants_hash_each_input_once(self, tmp_path, monkeypatch):
         hashed = []
         digest = cli._digest
@@ -289,6 +316,28 @@ class TestExitCodes:
         if measurement == "mc":
             assert ("msinv: estimation error: Monte Carlo iteration 0: non-finite "
                     in capsys.readouterr().err)
+
+    def test_a_failing_bias_correct_variant_writes_nothing(self, tmp_path, capsys):
+        # the overflowing survey of test_overflowing_rate_is_3: every variant
+        # fails, and the bias-correct ones run before anything is written
+        p = tmp_path / "p.csv"
+        f = tmp_path / "f.csv"
+        s = tmp_path / "s.csv"
+        p.write_text(PASSES_HEADER + "\nc1,f1,s1,A,1,1,1,1e308,3.0,500"
+                     "\nc1,f1,s1,A,2,1,1,50.0,3.0,500\n")
+        f.write_text(FRAME_HEADER + "\nc1,f1,s1,A,0,0\n")
+        s.write_text(STRATA_HEADER + "\nA,1,2\n")
+        inputs = ("--passes", str(p), "--frame", str(f), "--strata", str(s))
+        capsys.readouterr()
+        # the first variant, alone, names the failure the whole run names
+        assert run("estimate", *inputs, "--stage2", "observed",
+                   "--out-dir", str(tmp_path / "first")) == 3
+        first = capsys.readouterr().err
+        assert first.startswith("msinv: estimation error: non-finite ")
+        assert run("estimate", *inputs, "--all-variants", "--mc-iters", "4",
+                   "--out-dir", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == first
+        assert not (tmp_path / "out").exists()
 
     def test_horizon_below_surveyed_days_is_3(self, tmp_path):
         assert run("estimate", "--packaged", "--stage2", "year:2",

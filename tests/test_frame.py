@@ -1,15 +1,19 @@
 """Frame ingestion, validation and diagnostics."""
 
+import codecs
 import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import estimator_reference
-from frame_reference import Pass, Unit, UnitDay, frame_from_passes, log_records
+from frame_reference import (Pass, Unit, UnitDay, frame_from_passes, load_reference,
+                             log_records)
+from msinv.datasets import packaged_subset_paths
 from msinv.frame import (
     ComponentRef,
     FrameError,
@@ -24,7 +28,7 @@ from msinv.frame import (
     text,
     validate,
 )
-from test_frame_columns import write_survey
+from test_frame_columns import assert_same_frame, write_survey
 
 PASSES_HEADER = "component_id,facility_id,site_id,stratum,day,pass,detected,rate_kg_h,wind_m_s,altitude_m"
 FRAME_HEADER = "component_id,facility_id,site_id,stratum,is_well,wells_at_site"
@@ -300,6 +304,21 @@ class TestRoundTrip:
         assert again._unit_heads == subset_frame._unit_heads
         assert again._ud_day == subset_frame._ud_day
         assert any(wells for *_, wells in again._unit_heads)
+
+
+    @pytest.mark.parametrize("marked", range(3))
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, marked):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF; one file at a time
+        paths = [Path(p) for p in packaged_subset_paths()]   # passes, frame, strata
+        copy = tmp_path / paths[marked].name
+        copy.write_bytes(codecs.BOM_UTF8 + paths[marked].read_bytes())
+        paths[marked] = copy
+        original, again = load_survey(*packaged_subset_paths()), load_survey(*paths)
+        assert (again.strata, again.components, again.wells_per_site) == (
+            original.strata, original.components, original.wells_per_site)
+        # the reference loader reads through the same function
+        assert_same_frame(again, load_reference(*packaged_subset_paths()))
+        assert_same_frame(original, load_reference(*paths))
 
 
 class TestConfigReader:

@@ -12,6 +12,7 @@ import pytest
 
 from msinv import batch, measurement
 from msinv.estimators import EstimationError, EstimatorConfig, total_inventory
+from msinv.datasets import load_packaged_subset
 from msinv.frame import ComponentRef, StratumDef, SurveyFrame
 from msinv.measurement import (
     McConfig,
@@ -26,6 +27,7 @@ from msinv.measurement import (
 from msinv.pod import MeasurementModel, PodParams, bias_correct, sample_true_rate
 from msinv.reporting import write_report_json
 
+from conftest import random_frame
 from frame_reference import Pass, frame_from_passes
 
 
@@ -70,6 +72,116 @@ class TestBiasCorrectMode:
             report.var_stage1 + report.var_stage2 + report.var_stage3
             + report.var_measurement
         )
+
+
+# the estimator configurations of the eight locked variants, the starred
+# kind (IPW on the modified plan), the printed split and a 200-day horizon
+PASS_CONFIGS = [EstimatorConfig(estimator=e, plan=p, stage2=s2, horizon=h, decomposition=dc)
+                for e, p in (("ipw", "original"), ("ipw", "modified"), ("hajek", "modified"))
+                for s2, h in (("observed", 365), ("year", 365), ("year", 200))
+                for dc in ("corrected", "printed")]
+
+
+def failure(call, *args):
+    """The type and message of what ``call`` raises, or None."""
+    try:
+        call(*args)
+    except (EstimationError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def first_failure_in_turn(call, frame, configs, *args):
+    """What estimating ``configs`` one call each, in order, raises first."""
+    return next(filter(None, (failure(call, frame, cfg, *args) for cfg in configs)), None)
+
+
+class TestBiasCorrectionPass:
+    """`bias_corrected_inventory` of several configurations: one design pass."""
+
+    @pytest.mark.parametrize("source", ["subset", 0, 1, 2, 3])
+    def test_a_pass_equals_a_call_per_configuration(self, source):
+        def fresh():
+            return load_packaged_subset() if source == "subset" else random_frame(source)
+
+        # each configuration alone, on a frame of its own: no layout is shared
+        alone = [bias_corrected_inventory(fresh(), cfg) for cfg in PASS_CONFIGS]
+        together = bias_corrected_inventory(fresh(), PASS_CONFIGS)
+        assert together == alone
+
+    def test_a_single_configuration_still_gives_one_report(self, small_frame):
+        (listed,) = bias_corrected_inventory(small_frame, [EstimatorConfig()])
+        assert bias_corrected_inventory(small_frame, EstimatorConfig()) == listed
+
+    def test_rates_and_pods_are_computed_once(self, subset_frame, monkeypatch):
+        from msinv import estimators
+
+        calls = []
+        pod, bias = estimators.pod, measurement.bias_correct
+        monkeypatch.setattr(estimators, "pod", lambda *a: calls.append("pod") or pod(*a))
+        monkeypatch.setattr(measurement, "bias_correct",
+                            lambda *a: calls.append("bias") or bias(*a))
+        evaluated = []
+        evaluate = batch.evaluate
+        monkeypatch.setattr(batch, "evaluate",
+                            lambda layouts, *a: evaluated.append(len(layouts))
+                            or evaluate(layouts, *a))
+        assert len(bias_corrected_inventory(subset_frame, PASS_CONFIGS)) == len(PASS_CONFIGS)
+        assert calls == ["bias", "pod"]
+        assert evaluated == [len(PASS_CONFIGS)]
+
+    def test_configurations_share_their_pod_parameters(self, small_frame):
+        other = EstimatorConfig(pod_params=PodParams(kappa=2.0))
+        with pytest.raises(ValueError, match="share their POD parameters"):
+            bias_corrected_inventory(small_frame, [EstimatorConfig(), other])
+
+    @pytest.mark.parametrize("horizons", [(365, 1), (1, 365), (2, 1)])
+    def test_the_first_horizon_refused_is_raised(self, subset_frame, horizons):
+        configs = [EstimatorConfig(stage2="observed"),
+                   *(EstimatorConfig(estimator="hajek", stage2="year", horizon=h)
+                     for h in horizons)]
+        want = first_failure_in_turn(bias_corrected_inventory, subset_frame, configs)
+        assert want is not None and "exceeds the horizon" in want[1]
+        assert failure(bias_corrected_inventory, subset_frame, configs) == want
+
+    def test_a_non_finite_estimate_before_a_refused_horizon_is_raised_first(self):
+        # the 1e308 day's square overflows in the year variance; a horizon of
+        # one day refuses the component's two surveyed days
+        frame = frame_from_passes(
+            strata={"A": StratumDef("A", 1, 2)},
+            components={"c1": ComponentRef("c1", "f1", "s1", "A")},
+            passes=(Pass("c1", 1, 1, True, 1e308, 3.0, 500.0),
+                    Pass("c1", 2, 1, True, 50.0, 3.0, 500.0)))
+        year, refused = EstimatorConfig(), EstimatorConfig(horizon=1)
+        for configs in ([year, refused], [refused, year], [year, year, refused]):
+            want = first_failure_in_turn(total_inventory, frame, configs)
+            assert want is not None
+            assert failure(total_inventory, frame, configs) == want
+        assert "non-finite" in failure(total_inventory, frame, [year, refused])[1]
+
+    @pytest.mark.parametrize("rate", [-1.0, math.nan])
+    def test_refused_passes_raise_as_the_first_configuration_does(self, small_frame, rate):
+        rates = small_frame.measured_rates.copy()
+        rates[2] = rate
+        ipw, hajek = EstimatorConfig(), EstimatorConfig(estimator="hajek")
+        for configs in ([ipw, hajek], [hajek, ipw]):
+            want = first_failure_in_turn(total_inventory, small_frame, configs, rates)
+            assert want is not None
+            assert failure(total_inventory, small_frame, configs, rates) == want
+
+    def test_refused_pods_raise_as_the_first_configuration_does(self, small_frame):
+        from msinv.estimators import estimate_survey
+
+        rates = small_frame.measured_rates
+        phis = np.full(len(rates), 0.5)
+        phis[1] = 0.0
+        ipw, hajek = EstimatorConfig(), EstimatorConfig(estimator="hajek")
+        messages = set()
+        for configs in ([ipw, hajek], [hajek, ipw]):
+            want = first_failure_in_turn(estimate_survey, small_frame, configs, rates, phis)
+            assert failure(estimate_survey, small_frame, configs, rates, phis) == want
+            messages.add(want)
+        assert len(messages) == 2  # IPW and Hajek refuse a POD of 0 differently
 
 
 class TestMcLayer:

@@ -2,8 +2,9 @@
 
 The enumeration itself is the independent oracle for the estimator stack;
 here it is additionally cross-checked against a direct Monte Carlo draw of
-the sampling process, so the two computations of every expectation are
-independent of each other and of the implementation under test.
+the sampling process, estimated on the production kernel, so the two
+computations of every expectation share the estimator but not the way the
+samples and their probabilities are found.
 """
 
 import dataclasses
@@ -254,33 +255,58 @@ class TestMicroB:
         assert 0 < abs(rel_bias) < 0.05
 
     def test_monte_carlo_cross_check(self, micro_b, dist_b):
-        """Independent simulation of the three-stage draw reproduces E[That]."""
-        rng = np.random.default_rng(20211103)
-        from msinv.estimators import ComponentObs
+        """A sampling simulation of the three-stage draw reproduces E[That] and Var[That].
 
-        n_draws = 60_000
-        totals = np.empty(n_draws)
-        comps = micro_b.components
+        Each draw samples micro_b's facilities, each sampled component's days
+        and each pass's detection, as the design does, and is estimated on
+        the production kernel: blocks of draws laid out as `UnitIndex`
+        arrays, a group per draw, as the simulation lab lays out its
+        replications, through one `batch.evaluate` call each.  So the
+        enumeration's outcomes and probabilities are checked against sampling
+        on the production kernel; the kernel-to-scalar diff is
+        `test_kernel_matches_scalar_reference`'s.
+        """
+        rng = np.random.default_rng(20211103)
+        n_draws, block = 60_000, 10_000
+        (stratum,) = micro_b.strata.values()
         facs = sorted(micro_b.facilities)
-        for it in range(n_draws):
-            sampled_facs = set(rng.choice(facs, size=2, replace=False))
-            obs = []
-            for c in comps:
-                if c.facility_id not in sampled_facs:
-                    continue
-                days = rng.choice(3, size=2, replace=False)
-                day_obs = []
-                for t_ in days:
-                    rates, phis = [], []
-                    for p in c.days[t_]:
-                        if rng.random() < p.phi:
-                            rates.append(p.rate)
-                            phis.append(p.phi)
-                    day_obs.append(daily_estimate(rates, phis, len(c.days[t_]), "ipw",
-                                                  day_id=int(t_)))
-                obs.append(ComponentObs(c.component_id, c.facility_id, "S",
-                                        dailies=tuple(day_obs)))
-            totals[it] = estimate_survey(obs, micro_b.strata, cfg_b()).total
+        comps = micro_b.components    # in facility order: one component per facility
+        n_comp, n_fac, horizon = len(comps), len(facs), micro_b.horizon
+        d_p, n_sampled = micro_b.days_sampled, stratum.n_sampled
+        comp_fac = np.array([facs.index(c.facility_id) for c in comps])
+        assert np.all(np.diff(comp_fac) > 0)
+        q = np.array([[len(day) for day in c.days] for c in comps])
+        width = int(q.max())
+        rate, phi = (np.array([[[getattr(p, attr) for p in day] + [0.0] * (width - len(day))
+                                for day in c.days] for c in comps])
+                     for attr in ("rate", "phi"))
+        totals = []
+        for _ in range(n_draws // block):
+            # stage I: n_sampled facilities; stage II: d_p days of each
+            # sampled component; stage III: each pass detects with its phi
+            chosen = np.argsort(rng.random((block, n_fac)), axis=1)[:, :n_sampled]
+            sampled = np.zeros((block, n_fac), dtype=bool)
+            np.put_along_axis(sampled, chosen, True, axis=1)
+            draw, c = np.nonzero(sampled[:, comp_fac])     # units, draw by draw
+            days = np.argsort(rng.random((len(c), horizon)), axis=1)[:, :d_p]
+            hit = ((rng.random((len(c), d_p, width)) < phi[c[:, None], days])
+                   & (np.arange(width) < q[c[:, None], days][..., None]))
+            unit, k, j = np.nonzero(hit)
+            n_units = len(c)
+            index = UnitIndex(
+                pass_cd=unit * d_p + k, cd_q=q[c[:, None], days].reshape(-1),
+                cd_ud=np.arange(n_units * d_p), ud_unit=np.repeat(np.arange(n_units), d_p),
+                unit_wells=np.zeros(n_units, dtype=np.intp),
+                labels=np.array([comps[i].component_id for i in c], dtype=object),
+                member_unit=np.arange(n_units), member_stratum=draw,
+                member_fac=draw * n_fac + comp_fac[c],
+                n_sampled=np.full(block, n_sampled), n_population=np.full(block, n_fac),
+                stratum_group=np.arange(block))
+            y, ph = rate[c[unit], days[unit, k], j], phi[c[unit], days[unit, k], j]
+            (est,) = evaluate([build_layout(compile_index(index), cfg_b())], y[None], ph[None])
+            totals.append(est.population["total"][0])
+        totals = np.concatenate(totals)
+        assert len(totals) == n_draws
         se = totals.std(ddof=1) / math.sqrt(n_draws)
         assert abs(totals.mean() - dist_b.mean_total()) < 4 * se
         assert abs(totals.var(ddof=1) - dist_b.var_total()) / dist_b.var_total() < 0.05

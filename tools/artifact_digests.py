@@ -36,6 +36,10 @@ COMMANDS = (
     # the four Monte Carlo variants share one pass over three chunks, on two threads
     ("estimate-all-chunks", ["estimate", "--packaged", "--all-variants", "--mc-iters", "600",
                              "--threads", "2", "--trace"]),
+    # each estimator kind's two layouts differ in their horizons (200 days and
+    # each component's own) and in the printed split's per-layout terms
+    ("estimate-all-printed-200", ["estimate", "--packaged", "--all-variants", "--mc-iters", "50",
+                                  "--decomposition", "printed", "--stage2", "year:200"]),
     ("diagnose", ["diagnose", "--packaged"]),
     ("simulate", ["simulate", "--reps", "20", "--seed", "1"]),
     # a day design other than the default 2 of 365: 3 of 30 days
