@@ -206,6 +206,10 @@ def cmd_estimate(args) -> int:
     bc_configs = [cfg for cfg, (_, _, mm) in zip(configs, variants) if mm == "bias-correct"]
     bc_reports = iter(bias_corrected_inventory(frame, bc_configs, measurement)
                       if bc_configs else ())
+    # then the first Monte Carlo pass, so that a failing one leaves no output
+    # either; it is the only pass unless the variants' iterations exceed
+    # MAX_MC_ITERATIONS together, and a later pass runs between the writes
+    mc_first = [next(mc_results)] if mc_base is not None else []
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     # the inputs are hashed once; each variant's manifest differs in its flags
@@ -218,7 +222,7 @@ def cmd_estimate(args) -> int:
             "decomposition": args.decomposition, "trace": args.trace,
         }
         manifest = dict(base_manifest, flags=flags)
-        result = next(mc_results) if mm == "mc" else None
+        result = (mc_first.pop() if mc_first else next(mc_results)) if mm == "mc" else None
         report = result.report if result else next(bc_reports)
         stem = f"report_{est}_{s2}_{mm.replace('-', '')}" if args.all_variants else "report"
         write_report_json(report, outdir / f"{stem}.json", manifest)
@@ -352,10 +356,6 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except ConfigError as exc:
-        print(f"msinv: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return args.func(args)
     except ConfigError as exc:
         print(f"msinv: configuration error: {exc}", file=sys.stderr)

@@ -218,7 +218,7 @@ def estimate_survey(frame: SurveyFrame, config, rates, phis):
     """The three-stage survey estimate of one set of rates and floored PODs.
 
     ``rates``/``phis`` align with ``frame.measured_rates``.  They are checked
-    as the scalar reference checks them (`_refuse_passes`), then the
+    once, as the scalar reference checks them (`_refuse_passes`), then the
     configuration's layout (`SurveyFrame.layout`), which checks each unit's
     surveyed days against the horizon, is evaluated as one iteration.
     Returns the `batch.BatchEstimate` (B = 1) and the `batch.Layout`.  A
@@ -234,13 +234,16 @@ def estimate_survey(frame: SurveyFrame, config, rates, phis):
     configs, single = _as_list(config)
     _require_aligned(frame, rates, phis)
     y, phi = np.asarray(rates, dtype=float), np.asarray(phis, dtype=float)
+    if configs:
+        # whether the passes are refused does not depend on the configuration
+        _refuse_passes(frame.compiled_index, y, phi, configs[0].estimator)
     layouts, refused = [], None
     for cfg in configs:
         try:
-            _refuse_passes(frame.compiled_index, y, phi, cfg.estimator)
             layouts.append(frame.layout(cfg))
-        except (EstimationError, ValueError) as exc:
-            # raised once the configurations before it have been evaluated
+        except EstimationError as exc:
+            # a refused horizon, raised once the configurations before it
+            # have been evaluated
             refused = exc
             break
     ests = []
@@ -273,9 +276,7 @@ def total_inventory(frame: SurveyFrame, config, rates=None):
         raise ValueError("the configurations of one design pass must share their POD parameters")
     rates = frame.measured_rates if rates is None else np.asarray(rates, dtype=float)
     _require_aligned(frame, rates)
-    raw_phi = (pod(rates, frame.altitudes, frame.wind_speeds, configs[0].pod_params)
-               if len(rates) else np.zeros(0))
-    raw_phi = np.atleast_1d(raw_phi)
+    raw_phi = pod(rates, frame.altitudes, frame.wind_speeds, configs[0].pod_params)
     floor_hits = int(np.count_nonzero(raw_phi < PHI_FLOOR))
     estimates = estimate_survey(frame, configs, rates, np.maximum(raw_phi, PHI_FLOOR))
     reports = [reporting.batch_report(

@@ -304,7 +304,7 @@ def bias_corrected_inventory(
     from .estimators import total_inventory
 
     rates = bias_correct(frame.measured_rates, measurement)
-    reports = total_inventory(frame, config, rates=np.atleast_1d(rates))
+    reports = total_inventory(frame, config, rates=rates)
     for report in reports if isinstance(reports, list) else [reports]:
         report.config["measurement_mode"] = "bias-correct"
         report.config["measurement"] = measurement.as_dict()

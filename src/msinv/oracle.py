@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .batch import POPULATION_KEYS, build_layout, compile_index, evaluate
-from .estimators import EstimatorConfig
+from .batch import POPULATION_KEYS, NonFiniteEstimate, build_layout, compile_index, evaluate
+from .estimators import EstimationError, EstimatorConfig
 # not used here: perfbench/tracer.py patches this name on this module
 from .estimators import estimate_survey  # noqa: F401
 from .frame import StratumDef, UnitIndex
@@ -422,8 +422,18 @@ def _enumerate(pop: MicroPopulation, configs, max_outcomes: int = MAX_OUTCOMES):
     outcomes: list[_Outcomes] = []
     per_config = [{k: [] for k in POPULATION_KEYS} for _ in configs]
     for block in _blocks(pop, max_outcomes):
+        try:
+            ests = _estimates(block, configs)
+        except NonFiniteEstimate as exc:
+            cfg = configs[exc.layout]
+            design = "observed" if cfg.stage2 == "observed" else f"year:{cfg.horizon}"
+            start = sum(len(o.prob) for o in outcomes)
+            raise EstimationError(
+                f"configuration {exc.layout} ({cfg.estimator}, {cfg.plan} plan, {design}), "
+                f"outcomes {start}-{start + len(block.outcomes.prob) - 1}: an estimate is "
+                "not finite (a rate too large to estimate with?)") from None
         outcomes.append(block.outcomes)
-        for est, rec in zip(_estimates(block, configs), per_config):
+        for est, rec in zip(ests, per_config):
             for key, values in est.items():
                 rec[key].append(values)
 

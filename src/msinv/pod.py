@@ -54,9 +54,7 @@ class PodParams:
 
     def as_dict(self) -> dict:
         """The constants by name, equal to `dataclasses.asdict` of them."""
-        return {"kappa": self.kappa, "rate_exp": self.rate_exp,
-                "altitude_exp": self.altitude_exp, "wind_offset": self.wind_offset,
-                "wind_exp": self.wind_exp, "outer_exp": self.outer_exp}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class MeasurementModel:
 
     def as_dict(self) -> dict:
         """The parameters by name, equal to `dataclasses.asdict` of them."""
-        return {"d": self.d, "alpha": self.alpha, "beta": self.beta}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT_POD = PodParams()

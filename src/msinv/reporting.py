@@ -55,10 +55,8 @@ class StratumReport:
     unclipped: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "total": self.total, "var_stage1": self.var_stage1,
-                "var_stage2": self.var_stage2, "var_stage3": self.var_stage3,
-                "var_measurement": self.var_measurement, "var_total": self.var_total,
-                "unclipped": _plain(self.unclipped)}
+        """The row as a document, equal to `dataclasses.asdict` of it."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass
@@ -130,6 +128,21 @@ def wald_ci(estimate, variance, level: float = 0.95):
     return estimate - half, estimate + half
 
 
+def _variance_fields(parts: dict) -> dict:
+    """The variance fields of a report or of a stratum row, in (kt/y)^2, from
+    the kg/h-scale parts v1-v3, vm and u1-u3."""
+    v = VAR_KG_H_PER_KT_Y
+    return {
+        "var_stage1": parts["v1"] * v,
+        "var_stage2": parts["v2"] * v,
+        "var_stage3": parts["v3"] * v,
+        "var_measurement": parts["vm"] * v,
+        "var_total": (parts["v1"] + parts["v2"] + parts["v3"] + parts["vm"]) * v,
+        "unclipped": {"var_stage1": parts["u1"] * v, "var_stage2": parts["u2"] * v,
+                      "var_stage3": parts["u3"] * v},
+    }
+
+
 def assemble_report(
     total_kgh: float,
     parts_kgh2: dict,
@@ -145,46 +158,20 @@ def assemble_report(
     variance is the stage sum v1 + v2 + v3 + vm (the decomposition identity
     holds by construction), and the interval is built on it.
     """
-    s = KG_H_PER_KT_Y
-    v = VAR_KG_H_PER_KT_Y
-    v_total = (parts_kgh2["v1"] + parts_kgh2["v2"] + parts_kgh2["v3"] + parts_kgh2["vm"]) * v
-    total = total_kgh * s
-    ci_lower, ci_upper = wald_ci(total, max(0.0, v_total), ci_level)
-    rows = []
-    for r in strata_rows:
-        rows.append(
-            StratumReport(
-                name=r["name"],
-                total=r["total"] * s,
-                var_stage1=r["v1"] * v,
-                var_stage2=r["v2"] * v,
-                var_stage3=r["v3"] * v,
-                var_measurement=r["vm"] * v,
-                var_total=(r["v1"] + r["v2"] + r["v3"] + r["vm"]) * v,
-                unclipped={
-                    "var_stage1": r["u1"] * v,
-                    "var_stage2": r["u2"] * v,
-                    "var_stage3": r["u3"] * v,
-                },
-            )
-        )
+    variances = _variance_fields(parts_kgh2)
+    total = total_kgh * KG_H_PER_KT_Y
+    ci_lower, ci_upper = wald_ci(total, max(0.0, variances["var_total"]), ci_level)
+    rows = [StratumReport(name=r["name"], total=r["total"] * KG_H_PER_KT_Y,
+                          **_variance_fields(r))
+            for r in strata_rows]
     rows.sort(key=lambda r: (r.total, r.name))
     return InventoryReport(
         total=total,
         ci_lower=ci_lower,
         ci_upper=ci_upper,
         ci_level=ci_level,
-        var_stage1=parts_kgh2["v1"] * v,
-        var_stage2=parts_kgh2["v2"] * v,
-        var_stage3=parts_kgh2["v3"] * v,
-        var_measurement=parts_kgh2["vm"] * v,
-        var_total=v_total,
-        var_design=parts_kgh2["v3stage"] * v,
-        unclipped={
-            "var_stage1": parts_kgh2["u1"] * v,
-            "var_stage2": parts_kgh2["u2"] * v,
-            "var_stage3": parts_kgh2["u3"] * v,
-        },
+        var_design=parts_kgh2["v3stage"] * VAR_KG_H_PER_KT_Y,
+        **variances,
         strata=rows,
         config=dict(config_echo),
         diagnostics=dict(diagnostics or {}),

@@ -339,6 +339,45 @@ class TestExitCodes:
         assert capsys.readouterr().err == first
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", [(), ("--all-variants",)], ids=["mc", "all-variants"])
+    def test_a_failing_monte_carlo_pass_writes_nothing(self, tmp_path, capsys, mode):
+        # bias correction is finite on this survey, some Monte Carlo draws are
+        # not; the first Monte Carlo pass runs before anything is written
+        p = tmp_path / "p.csv"
+        f = tmp_path / "f.csv"
+        s = tmp_path / "s.csv"
+        p.write_text(PASSES_HEADER + "\nc1,f1,s1,A,1,1,1,2e151,3.0,500"
+                     "\nc1,f1,s1,A,2,1,1,50.0,3.0,500\n")
+        f.write_text(FRAME_HEADER + "\nc1,f1,s1,A,0,0\n")
+        s.write_text(STRATA_HEADER + "\nA,1,2\n")
+        capsys.readouterr()
+        assert run("estimate", "--passes", str(p), "--frame", str(f), "--strata", str(s),
+                   "--measurement", "mc", *mode, "--mc-iters", "50",
+                   "--out-dir", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == (
+            "msinv: estimation error: Monte Carlo iteration 8: non-finite population "
+            "v3stage (a measured rate too large to estimate with?)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_later_monte_carlo_pass_fails_after_the_reports_before_it(
+            self, tmp_path, capsys, monkeypatch):
+        # one variant per pass: the first (ipw/observed) is finite, the
+        # second (ipw/year) runs once the reports before it are written
+        monkeypatch.setattr(measurement, "MAX_MC_ITERATIONS", 50)
+        p = tmp_path / "p.csv"
+        f = tmp_path / "f.csv"
+        s = tmp_path / "s.csv"
+        p.write_text(PASSES_HEADER + "\nc1,f1,s1,A,1,1,1,2e151,3.0,500"
+                     "\nc1,f1,s1,A,2,1,1,50.0,3.0,500\n")
+        f.write_text(FRAME_HEADER + "\nc1,f1,s1,A,0,0\n")
+        s.write_text(STRATA_HEADER + "\nA,1,2\n")
+        assert run("estimate", "--passes", str(p), "--frame", str(f), "--strata", str(s),
+                   "--all-variants", "--mc-iters", "50", "--out-dir", str(tmp_path / "out")) == 3
+        assert "Monte Carlo iteration 8: non-finite population v3stage" in capsys.readouterr().err
+        assert sorted(path.name for path in (tmp_path / "out").glob("*.json")) == [
+            "report_ipw_observed_biascorrect.json", "report_ipw_observed_mc.json",
+            "report_ipw_year_biascorrect.json"]
+
     def test_horizon_below_surveyed_days_is_3(self, tmp_path):
         assert run("estimate", "--packaged", "--stage2", "year:2",
                    "--out-dir", str(tmp_path)) == 3

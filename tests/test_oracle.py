@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from msinv.batch import POPULATION_KEYS, build_layout, compile_index, evaluate
-from msinv.estimators import ComponentObs, EstimatorConfig
+from msinv.estimators import ComponentObs, EstimationError, EstimatorConfig
 from msinv.frame import StratumDef, UnitIndex
 from msinv import oracle
 from msinv.oracle import (
@@ -573,6 +573,32 @@ class TestBlockBuilder:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("block, outcomes", [(oracle.OUTCOME_BLOCK, "0-7"), (1, "1-1")])
+    @pytest.mark.parametrize("entry", [
+        lambda pop, cfg: enumerate_outcomes(pop, [cfg, cfg_b()]),
+        lambda pop, cfg: exact_stage_variances(pop, cfg),
+    ], ids=["enumerate_outcomes", "exact_stage_variances"])
+    def test_a_non_finite_estimate_names_its_configuration_and_outcomes(
+            self, monkeypatch, entry, block, outcomes):
+        # no Monte Carlo runs here, and the rates are true ones
+        monkeypatch.setattr(oracle, "OUTCOME_BLOCK", block)
+        pop = MicroPopulation(
+            strata={"S": StratumDef("S", 1, 2)},
+            facilities={"F1": "S", "F2": "S"},
+            components=(
+                MicroComponent("c1", "F1", ((MicroPass(1e300, 0.5),), (MicroPass(2.0, 0.5),))),
+                MicroComponent("c2", "F2", ((MicroPass(3.0, 0.5),), (MicroPass(4.0, 0.5),))),
+            ),
+            days_sampled=1,
+        )
+        cfg = EstimatorConfig(estimator="hajek", stage2="year", horizon=2)
+        with pytest.raises(EstimationError) as failed:
+            entry(pop, cfg)
+        assert type(failed.value) is EstimationError
+        assert str(failed.value) == (
+            f"configuration 0 (hajek, modified plan, year:2), outcomes {outcomes}: an "
+            "estimate is not finite (a rate too large to estimate with?)")
+
     def test_size_limit(self, micro_b):
         with pytest.raises(ValueError, match="outcomes"):
             enumerate_outcomes(micro_b, cfg_b(), max_outcomes=10)

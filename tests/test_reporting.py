@@ -1,15 +1,21 @@
 """Report assembly and serialization round trips."""
 
 import dataclasses
+import itertools
 import json
 
+import numpy as np
 import pytest
 
+from msinv.batch import POPULATION_KEYS, STRATUM_KEYS
 from msinv.estimators import EstimatorConfig, total_inventory
 from msinv.measurement import McConfig, bias_corrected_inventory, run_mc
 from msinv.pod import MeasurementModel, PodParams
 from msinv.reporting import (
     KG_H_PER_KT_Y,
+    VAR_KG_H_PER_KT_Y,
+    batch_report,
+    wald_ci,
     write_decomposition_table,
     write_json,
     write_report_json,
@@ -86,6 +92,46 @@ class TestSerialization:
     def test_strata_sorted_by_total(self, report):
         totals = [r.total for r in report.strata]
         assert totals == sorted(totals)
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_batch_report_maps_every_part_to_its_field(b):
+    # a distinct power of two per part, so that no two parts sum or scale into
+    # each other; the totals of B = 3 spread by +-a around their mean, giving
+    # the measurement variance a*a, exactly
+    powers = (2.0 ** e for e in itertools.count(-20, 3))
+    spread = {scope: next(powers) for scope in ("Population", "A", "B")}
+    parts = {scope: {k: next(powers) for k in keys}
+             for scope, keys in (("Population", POPULATION_KEYS), ("A", STRATUM_KEYS),
+                                 ("B", STRATUM_KEYS))}
+    vm = {scope: a * a if b == 3 else 0.0 for scope, a in spread.items()}
+
+    def iterations(scope, key):
+        value = parts[scope][key]
+        if key == "total" and b == 3:
+            return np.array([value - spread[scope], value, value + spread[scope]])
+        return np.full(b, value)
+
+    population = {k: iterations("Population", k) for k in POPULATION_KEYS}
+    strata = {k: np.stack([iterations("A", k), iterations("B", k)]) for k in STRATUM_KEYS}
+    report = batch_report(population, strata, ["A", "B"], {}, 0.9)
+
+    v = VAR_KG_H_PER_KT_Y
+    rows = {"Population": report, **{row.name: row for row in report.strata}}
+    assert [row.name for row in report.strata] == ["A", "B"]
+    for scope, row in rows.items():
+        p = parts[scope]
+        assert row.total == p["total"] * KG_H_PER_KT_Y
+        assert row.var_stage1 == p["v1"] * v
+        assert row.var_stage2 == p["v2"] * v
+        assert row.var_stage3 == p["v3"] * v
+        assert row.var_measurement == vm[scope] * v
+        assert row.var_total == (p["v1"] + p["v2"] + p["v3"] + vm[scope]) * v
+        assert row.unclipped == {"var_stage1": p["u1"] * v, "var_stage2": p["u2"] * v,
+                                 "var_stage3": p["u3"] * v}
+    assert report.var_design == parts["Population"]["v3stage"] * v
+    assert (report.ci_lower, report.ci_upper) == wald_ci(report.total, report.var_total, 0.9)
+    assert report.ci_level == 0.9
 
 
 def containers(value) -> list:

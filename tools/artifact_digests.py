@@ -31,6 +31,9 @@ from msinv import cli  # noqa: E402
 TIMESTAMP = "2000-01-01T00:00:00"
 COMMANDS = (
     ("estimate", ["estimate", "--packaged"]),
+    # one Monte Carlo variant over three chunks, on one thread
+    ("estimate-mc-chunks", ["estimate", "--packaged", "--measurement", "mc", "--mc-iters", "600",
+                            "--trace"]),
     ("estimate-all", ["estimate", "--packaged", "--all-variants", "--mc-iters", "50",
                       "--trace"]),
     # the four Monte Carlo variants share one pass over three chunks, on two threads
