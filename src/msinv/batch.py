@@ -602,6 +602,8 @@ def evaluate(layouts: Sequence[Layout], y: np.ndarray, phi: np.ndarray,
     not finite on an iteration, naming the first such iteration (see
     `_check_finite`).
     """
+    if not layouts:
+        return []
     index = layouts[0].index
     if any(layout.index is not index for layout in layouts):
         raise ValueError("evaluate takes the layouts of one compiled index")

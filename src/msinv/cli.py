@@ -204,8 +204,7 @@ def cmd_estimate(args) -> int:
     # the bias-correct variants run in one design pass, also before anything
     # is written, so that a failing one leaves no output
     bc_configs = [cfg for cfg, (_, _, mm) in zip(configs, variants) if mm == "bias-correct"]
-    bc_reports = iter(bias_corrected_inventory(frame, bc_configs, measurement)
-                      if bc_configs else ())
+    bc_reports = iter(bias_corrected_inventory(frame, bc_configs, measurement))
     # then the first Monte Carlo pass, so that a failing one leaves no output
     # either; it is the only pass unless the variants' iterations exceed
     # MAX_MC_ITERATIONS together, and a later pass runs between the writes

@@ -246,14 +246,12 @@ def estimate_survey(frame: SurveyFrame, config, rates, phis):
             # have been evaluated
             refused = exc
             break
-    ests = []
-    if layouts:
-        try:
-            ests = batch.evaluate(layouts, y.reshape(1, -1), phi.reshape(1, -1))
-        except batch.NonFiniteEstimate as exc:
-            where = ("population" if exc.stratum is None
-                     else f"stratum {list(frame.strata)[exc.stratum]!r}")
-            raise EstimationError(f"non-finite {where} {exc.key} ({exc.hint})") from None
+    try:
+        ests = batch.evaluate(layouts, y.reshape(1, -1), phi.reshape(1, -1))
+    except batch.NonFiniteEstimate as exc:
+        where = ("population" if exc.stratum is None
+                 else f"stratum {list(frame.strata)[exc.stratum]!r}")
+        raise EstimationError(f"non-finite {where} {exc.key} ({exc.hint})") from None
     if refused is not None:
         raise refused
     out = list(zip(ests, layouts))
@@ -276,6 +274,8 @@ def total_inventory(frame: SurveyFrame, config, rates=None):
         raise ValueError("the configurations of one design pass must share their POD parameters")
     rates = frame.measured_rates if rates is None else np.asarray(rates, dtype=float)
     _require_aligned(frame, rates)
+    if not configs:
+        return []
     raw_phi = pod(rates, frame.altitudes, frame.wind_speeds, configs[0].pod_params)
     floor_hits = int(np.count_nonzero(raw_phi < PHI_FLOOR))
     estimates = estimate_survey(frame, configs, rates, np.maximum(raw_phi, PHI_FLOOR))

@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -402,12 +402,7 @@ class FrameDiagnostics:
     small_strata: tuple[str, ...]
 
     def is_clean(self) -> bool:
-        return not (
-            self.single_day_components
-            or self.zero_detection_component_days
-            or self.zero_detection_strata
-            or self.small_strata
-        )
+        return not any(getattr(self, f.name) for f in fields(self))
 
     def as_dict(self) -> dict:
         return {

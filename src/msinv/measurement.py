@@ -65,6 +65,9 @@ MC_CHUNK = 256
 # MAX_MC_ITERATIONS // iterations variants.  A variant keeps (8 + 7 * strata)
 # float64 values per iteration, and (5 + strata) more with the trace: about
 # 435 MiB at this limit for the packaged subset's seven strata, 526 MiB traced.
+# A run there peaks at 490 MiB, 589 MiB traced (tools/peak_memory.py): the
+# report's variance adds a temporary of the stratum totals, and the trace CSV
+# its cumulative means.
 MAX_MC_ITERATIONS = 1_000_000
 
 

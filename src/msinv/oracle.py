@@ -419,6 +419,8 @@ def enumerate_outcomes(pop: MicroPopulation, configs,
 def _enumerate(pop: MicroPopulation, configs, max_outcomes: int = MAX_OUTCOMES):
     # exact_stage_variances enumerates through this, so that a traced
     # enumerate_outcomes span covers its callers' enumerations only
+    if not configs:
+        return []
     outcomes: list[_Outcomes] = []
     per_config = [{k: [] for k in POPULATION_KEYS} for _ in configs]
     for block in _blocks(pop, max_outcomes):

@@ -358,14 +358,14 @@ def gamma_table(
     for cid, day in frame.passes_per_day:      # each component's days in order
         first_day.setdefault(cid, day)
     c = frame.passes
-    # the detected passes in log order, which sets the order of each product
+    # the detected passes in log order, which sets the order of each product;
+    # their PODs in one array call, as the estimate computes them
     detected = itertools.compress(zip(c.component_id, c.day_id), c.detected.tolist())
+    phis = pod(bias_correct(c.measured_rate, measurement), c.altitude, c.wind_speed, pod_params)
     fac_day_phis: dict[tuple[str, int], list[float]] = {}
-    for (cid, day), rate, alt, wind in zip(detected, c.measured_rate.tolist(),
-                                           c.altitude.tolist(), c.wind_speed.tolist()):
+    for (cid, day), phi in zip(detected, phis.tolist()):
         fac = frame.components[cid].facility_id
-        phi = pod(bias_correct(rate, measurement), alt, wind, pod_params)
-        fac_day_phis.setdefault((fac, day), []).append(float(phi))
+        fac_day_phis.setdefault((fac, day), []).append(phi)
     gammas = {}
     for cid, day in first_day.items():
         fac = frame.components[cid].facility_id

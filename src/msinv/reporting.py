@@ -195,14 +195,17 @@ def batch_report(
     sample variance of the totals (denominator B - 1), and 0.0 for a single
     design pass (B = 1), which has none.
     """
-    # a reduction along the last (contiguous) axis gives each row, bit for
-    # bit, what reducing that row alone gives
+    b = population["total"].shape[-1]
+
+    # each series is summed where it lies, along its last (contiguous) axis,
+    # which gives each row, bit for bit, what summing that row alone gives;
+    # that sum over B is numpy's mean.  Stacking the series first would copy
+    # every one of them.
     def means(values: dict) -> np.ndarray:
-        return np.stack(list(values.values())).mean(axis=-1)
+        return np.array([v.sum(axis=-1) for v in values.values()]) / b
 
     def vm(totals: np.ndarray):
-        single = totals.shape[-1] == 1
-        return (np.zeros(totals.shape[:-1]) if single else totals.var(axis=-1, ddof=1)).tolist()
+        return (np.zeros(totals.shape[:-1]) if b == 1 else totals.var(axis=-1, ddof=1)).tolist()
 
     parts = dict(zip(population, means(population).tolist()))
     total = parts.pop("total")
@@ -244,31 +247,26 @@ def write_report_json(report: InventoryReport, path, manifest: dict | None = Non
     write_json(path, report.as_dict(), manifest)
 
 
+# A table row's numbers, in column order: the total, the variance sources and
+# their sum.  They are named here, not read from `fields(StratumReport)`, so
+# that a stratum field added to the reports does not reach the tables.
+_ROW_NUMBERS = ("total", "var_stage1", "var_stage2", "var_stage3", "var_measurement", "var_total")
+_SOURCES = _ROW_NUMBERS[1:-1]
+
+
 def _table_rows(report: InventoryReport) -> list[StratumReport]:
     """The stratum rows, then the Population row that both tables end with."""
-    return [*report.strata, StratumReport(
-        name="Population",
-        total=report.total,
-        var_stage1=report.var_stage1,
-        var_stage2=report.var_stage2,
-        var_stage3=report.var_stage3,
-        var_measurement=report.var_measurement,
-        var_total=report.var_total,
-    )]
+    return [*report.strata, StratumReport(name="Population",
+                                          **{k: getattr(report, k) for k in _ROW_NUMBERS})]
 
 
-TABLE_COLUMNS = [
-    "stratum", "total_kt_y", "var_stage1", "var_stage2", "var_stage3",
-    "var_measurement", "var_total",
-]
+TABLE_COLUMNS = ["stratum", "total_kt_y", *_ROW_NUMBERS[1:]]
 
 
 def write_report_table(report: InventoryReport, path, manifest: dict | None = None):
     """Display CSV mirroring the stratum summary table, rounded to 2 decimals."""
     write_csv(path, TABLE_COLUMNS, (
-        [r.name, *(round(v, 2) for v in (r.total, r.var_stage1, r.var_stage2, r.var_stage3,
-                                         r.var_measurement, r.var_total))]
-        for r in _table_rows(report)
+        [r.name, *(round(getattr(r, k), 2) for k in _ROW_NUMBERS)] for r in _table_rows(report)
     ), manifest)
 
 
@@ -279,12 +277,8 @@ def write_decomposition_table(report: InventoryReport, path, manifest: dict | No
     """Plot-ready long-format variance decomposition (full precision)."""
     rows = []
     for r in _table_rows(report):
-        for source, value in (
-            ("stage1", r.var_stage1),
-            ("stage2", r.var_stage2),
-            ("stage3", r.var_stage3),
-            ("measurement", r.var_measurement),
-        ):
+        for key in _SOURCES:
+            value = getattr(r, key)
             share = value / r.var_total if r.var_total > 0 else 0.0
-            rows.append([r.name, source, repr(value), repr(share)])
+            rows.append([r.name, key.removeprefix("var_"), repr(value), repr(share)])
     write_csv(path, DECOMPOSITION_COLUMNS, rows, manifest)

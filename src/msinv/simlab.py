@@ -23,7 +23,7 @@ variant.  POD is evaluated only on the passes of sampled component-days.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -149,24 +149,16 @@ class SimConfig:
                              f"{MAX_POPULATION_CELLS} population cells")
 
     def as_dict(self) -> dict:
-        return {
-            "strata": [
-                {
-                    "name": s.name, "n_sampled": s.n_sampled, "n_population": s.n_population,
-                    "lognormal_mu": s.lognormal_mu, "lognormal_sigma": s.lognormal_sigma,
-                    "sd_ratio": s.sd_ratio,
-                }
-                for s in self.strata
-            ],
-            "components_per_facility": list(self.components_per_facility),
-            "emit_prob": self.emit_prob,
-            "passes_pmf": {str(k): v for k, v in self.passes_pmf.items()},
-            "wind_mean": self.wind_mean, "wind_sd": self.wind_sd,
-            "altitude_mean": self.altitude_mean, "altitude_sd": self.altitude_sd,
-            "horizon": self.horizon, "days_sampled": self.days_sampled,
-            "replications": self.replications, "seed": self.seed,
-            "ci_level": self.ci_level,
-        }
+        """Every field but ``pod_params``, as `config_from_json` reads it.
+
+        ``pod_params`` is left out: `config_from_json` does not read it, and
+        `simulate` always runs the default.
+        """
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pod_params"}
+        doc["strata"] = [asdict(s) for s in self.strata]
+        doc["components_per_facility"] = list(self.components_per_facility)
+        doc["passes_pmf"] = {str(k): v for k, v in self.passes_pmf.items()}
+        return doc
 
 
 _STRATUM_KEYS = ("name", "n_sampled", "n_population", "lognormal_mu", "lognormal_sigma")

@@ -431,6 +431,11 @@ def test_estimates_and_monte_carlo_runs_take_the_frames_layouts(subset_frame, mo
     assert built == configs  # nothing built again
 
 
+def test_no_layout_gives_no_estimate(subset_frame):
+    y = np.ones((1, len(subset_frame.measured_rates)))
+    assert evaluate([], y, y) == []
+
+
 def test_layouts_of_two_indexes_are_refused(subset_frame):
     first = subset_frame.layout(CONFIGS[0])
     other = build_layout(compile_index(subset_frame.index), CONFIGS[0])

@@ -1088,3 +1088,7 @@ def test_rates_of_another_length_are_refused_before_the_pod(subset_frame, length
     with pytest.raises(EstimationError,
                        match="^rates/phis must align with the frame's detected passes$"):
         total_inventory(subset_frame, EstimatorConfig(), rates=rates)
+
+
+def test_no_configuration_gives_no_report(subset_frame):
+    assert total_inventory(subset_frame, []) == []

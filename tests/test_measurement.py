@@ -109,6 +109,9 @@ class TestBiasCorrectionPass:
         together = bias_corrected_inventory(fresh(), PASS_CONFIGS)
         assert together == alone
 
+    def test_no_configuration_gives_no_report(self, small_frame):
+        assert bias_corrected_inventory(small_frame, []) == []
+
     def test_a_single_configuration_still_gives_one_report(self, small_frame):
         (listed,) = bias_corrected_inventory(small_frame, [EstimatorConfig()])
         assert bias_corrected_inventory(small_frame, EstimatorConfig()) == listed

@@ -189,6 +189,13 @@ class TestMicroA:
         assert support == {4.0: pytest.approx(0.5), 6.0: pytest.approx(0.5)}
         assert dist.mean_total() == pytest.approx(5.0, abs=1e-12)
 
+    def test_no_configuration_walks_no_outcome(self, micro_a, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("outcomes walked for no configuration")
+
+        monkeypatch.setattr(oracle, "_blocks", unreachable)
+        assert enumerate_outcomes(micro_a, []) == []
+
 
 class TestCensusMicro:
     def test_degenerate_distribution(self):

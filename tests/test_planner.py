@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msinv.estimators import EstimatorConfig
-from msinv.frame import StratumDef
+from msinv.frame import ComponentRef, StratumDef
 from msinv.oracle import MicroComponent, MicroPass, MicroPopulation, exact_stage_variances
 from msinv.planner import (
     _stage2,
@@ -24,6 +24,9 @@ from msinv.planner import (
     predict_variance_exact,
     scenario_from_json,
 )
+from msinv.pod import bias_correct, pod
+
+from frame_reference import Pass, frame_from_passes
 
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -344,6 +347,17 @@ class TestGamma:
     def test_domain(self):
         with pytest.raises(ValueError):
             gamma_p([1.2])
+
+    def test_pods_come_from_one_array_call_as_in_the_estimate(self):
+        # numpy's 0-d and array paths give this pass's POD in different last
+        # bits; the estimate computes every POD in one array call
+        rate, altitude, wind = 229.93827350125915, 894.3685655304741, 8.37960750747959
+        frame = frame_from_passes({"S": StratumDef("S", 1, 1)},
+                                  {"C": ComponentRef("C", "F", "SITE", "S", False)},
+                                  (Pass("C", 0, 0, True, rate, wind, altitude),), {"SITE": 0})
+        phi = pod(bias_correct(frame.measured_rates), frame.altitudes, frame.wind_speeds)
+        assert gamma_table(frame).gammas == {"C": gamma_p(phi.tolist())}
+        assert gamma_p(phi.tolist()) == 0.8083700297552212
 
     def test_packaged_subset_quartiles(self, subset_frame):
         # regression lock on the bundled data: most facilities produce a

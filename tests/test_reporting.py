@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,23 @@ def test_batch_report_maps_every_part_to_its_field(b):
     assert report.var_design == parts["Population"]["v3stage"] * v
     assert (report.ci_lower, report.ci_upper) == wald_ci(report.total, report.var_total, 0.9)
     assert report.ci_level == 0.9
+
+
+def test_batch_report_copies_no_series():
+    # the one temporary a series long is the variance's deviations of the
+    # stratum totals from their means
+    b, names = 50_000, ["A", "B", "C"]
+    rng = np.random.default_rng(0)
+    population = {k: rng.random(b) for k in POPULATION_KEYS}
+    strata = {k: rng.random((len(names), b)) for k in STRATUM_KEYS}
+    series = max(v.nbytes for v in (*population.values(), *strata.values()))
+    tracemalloc.start()
+    try:
+        batch_report(population, strata, names, {}, 0.95)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= series + 64 * 1024
 
 
 def containers(value) -> list:

@@ -1,6 +1,7 @@
 """Simulation lab tests: generation, determinism, metrics, and the study
 kernel against the per-replication scalar reference."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -525,11 +526,21 @@ class TestKernelMatchesScalarReference:
 
 class TestConfigRoundTrip:
     def test_json(self):
-        cfg = tiny_config()
-        again = config_from_json(cfg.as_dict())
-        assert again.strata == cfg.strata
-        assert again.passes_pmf == cfg.passes_pmf
-        assert again.horizon == cfg.horizon
+        strata = (SimStratumSpec(name="A", n_sampled=3, n_population=5, lognormal_mu=1.5,
+                                 lognormal_sigma=0.3, sd_ratio=0.4),
+                  SimStratumSpec(name="B", n_sampled=1, n_population=2, lognormal_mu=-0.5,
+                                 lognormal_sigma=1.2, sd_ratio=0.0))
+        cfg = SimConfig(strata=strata, components_per_facility=(2, 7), emit_prob=0.3,
+                        passes_pmf={1: 0.5, 3: 0.5}, wind_mean=5.5, wind_sd=2.0,
+                        altitude_mean=700.0, altitude_sd=40.0, horizon=30, days_sampled=3,
+                        replications=17, seed=9, ci_level=0.9)
+        default = SimConfig(strata=strata)
+        written = {f.name for f in dataclasses.fields(SimConfig)} - {"pod_params"}
+        # every field but the strata and pod_params differs from its default
+        assert [k for k in written if getattr(cfg, k) == getattr(default, k)] == ["strata"]
+        doc = cfg.as_dict()
+        assert set(doc) == written
+        assert config_from_json(doc) == cfg
 
     def test_default_config_strata(self):
         cfg = default_config()

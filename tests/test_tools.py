@@ -1,6 +1,7 @@
 """The scripts under tools/ against the files they built."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 from msinv.datasets import packaged_sim_defaults_path, packaged_subset_paths
@@ -37,3 +38,15 @@ def test_artifact_digests_are_reproducible_and_name_each_artifact_once(tmp_path,
     # a second run, in another directory, through the command line entry
     assert tool.main() == 0
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_peak_memory_prints_both_peaks_and_passes_the_exit_status_on(tmp_path, capsys):
+    tool = load_tool("peak_memory")
+    assert tool.main(["estimate", "--packaged", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "report.json").is_file()
+    traced, rss = (float(re.fullmatch(rf"{name}: (\d+\.\d) MiB", line)[1]) for name, line
+                   in zip(("traced peak", "ru_maxrss"), capsys.readouterr().out.splitlines()[-2:]))
+    assert 0 < traced < rss
+    status = tool.main(["estimate", "--packaged", "--measurement", "mc", "--mc-iters", "1",
+                        "--out-dir", str(tmp_path)])
+    assert status == tool.cli.EXIT_CONFIG
