@@ -65,7 +65,7 @@ MC_CHUNK = 256
 # MAX_MC_ITERATIONS // iterations variants.  A variant keeps (8 + 7 * strata)
 # float64 values per iteration, and (5 + strata) more with the trace: about
 # 435 MiB at this limit for the packaged subset's seven strata, 526 MiB traced.
-# A run there peaks at 490 MiB, 589 MiB traced (tools/peak_memory.py): the
+# A run there peaks at 490 MiB, 528 MiB traced (tools/peak_memory.py): the
 # report's variance adds a temporary of the stratum totals, and the trace CSV
 # its cumulative means.
 MAX_MC_ITERATIONS = 1_000_000
@@ -264,7 +264,9 @@ def _result(config: McConfig, layout: Layout, names: list[str], pop: dict, st: d
         result.iteration_parts = {k: pop[k] * scale for k in ("v1", "v2", "v3")}
         design = {name: st["v1"][s] + st["v2"][s] + st["v3"][s] for s, name in enumerate(names)}
         design["Population"] = pop["v1"] + pop["v2"] + pop["v3"]
-        result.stratum_design_var = {name: v * scale for name, v in design.items()}
+        for v in design.values():  # fresh sums: scaled in place, not copied
+            v *= scale
+        result.stratum_design_var = design
     return result
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
 import statistics
 from dataclasses import dataclass, field, fields
 
@@ -220,6 +222,26 @@ def batch_report(
 # ---------------------------------------------------------------------------
 
 
+def _cut_to_one_byte(path, flags):
+    """`os.open` for mode "w", but cutting a longer regular file to one byte, not zero.
+
+    Truncating a file to zero bytes and writing it again makes ext4 (with its
+    default ``auto_da_alloc``) allocate the new blocks when the file is
+    closed, which is most of the cost of rewriting a small artifact; a cut to
+    any other length does not.  The first write covers the byte that is
+    left, and every artifact has at least one, so no old byte survives the
+    writing, nor a kill or a failed write after the cut.  The file keeps its
+    inode, links, mode and owner, as with truncation, and a symlink is
+    written through.  Only a regular file is cut, whatever its path: a pipe
+    or a character device holds no old bytes.
+    """
+    fd = os.open(path, flags & ~os.O_TRUNC, 0o666)
+    st = os.fstat(fd)
+    if stat.S_ISREG(st.st_mode) and st.st_size > 1:
+        os.ftruncate(fd, 1)
+    return fd
+
+
 def write_json(path, doc: dict, manifest: dict | None = None):
     """Write ``doc`` as a JSON artifact, the manifest under "manifest" when given.
 
@@ -228,13 +250,13 @@ def write_json(path, doc: dict, manifest: dict | None = None):
     if manifest is not None:
         doc = dict(doc, manifest=manifest)
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", opener=_cut_to_one_byte) as fh:
         fh.write(text + "\n")
 
 
 def write_csv(path, header: list[str], rows, manifest: dict | None = None):
     """Write a CSV artifact: a ``# manifest:`` line when given, the header, the rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8", opener=_cut_to_one_byte) as fh:
         if manifest is not None:
             fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         w = csv.writer(fh)

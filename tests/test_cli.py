@@ -786,6 +786,51 @@ class TestPlanAndDiagnose:
         assert len(rows) == doc["n_components"]
 
 
+class TestWritePath:
+    def test_no_artifact_is_truncated_to_zero_bytes(self, tmp_path, monkeypatch):
+        # truncating an artifact to zero bytes and writing it again makes ext4
+        # allocate its blocks at close; a rerun into one directory rewrites
+        # every file, so no artifact may be opened with O_TRUNC or cut to zero
+        flags, cuts = {}, []
+        real_open, real_ftruncate = os.open, os.ftruncate
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags[os.fspath(path)] = flag
+            return real_open(path, flag, *args, **kwargs)
+
+        def recording_ftruncate(fd, length):
+            cuts.append(length)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "ftruncate", recording_ftruncate)
+        out = tmp_path / "out"
+        for _ in range(2):  # the second run writes over the first run's files
+            flags.clear()
+            assert run("estimate", "--packaged", "--all-variants", "--mc-iters", "4", "--trace",
+                       "--out-dir", str(out)) == 0
+            written = sorted(str(p) for p in out.iterdir())
+            assert len(written) == 8 * 3 + 4
+            assert set(written) <= set(flags)
+            assert [p for p in written if flags[p] & os.O_TRUNC] == []
+        assert len(cuts) == len(written) and 0 not in cuts
+
+    def test_plan_writes_to_stdout_through_a_pipe(self, tmp_path):
+        # a pipe cannot be cut; the writer must not try
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(PLAN_SCENARIO))
+        assert run("plan", "--scenario", str(scenario), "--out", str(tmp_path / "plan.csv")) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(msinv.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from msinv.cli import main; sys.exit(main(sys.argv[1:]))",
+             "plan", "--scenario", str(scenario), "--out", "/dev/stdout"],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ((tmp_path / "plan.csv").read_bytes()
+                               + b"predicted variance -> /dev/stdout\n")
+
+
 def _refuse_constant(name):
     raise AssertionError(f"{name} is not JSON")
 

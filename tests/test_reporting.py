@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from msinv.reporting import (
     VAR_KG_H_PER_KT_Y,
     batch_report,
     wald_ci,
+    write_csv,
     write_decomposition_table,
     write_json,
     write_report_json,
@@ -93,6 +95,66 @@ class TestSerialization:
     def test_strata_sorted_by_total(self, report):
         totals = [r.total for r in report.strata]
         assert totals == sorted(totals)
+
+
+WRITERS = {
+    "json": lambda path: write_json(path, {"total": 1.5, "rows": [1, 2]}, {"seed": 0}),
+    "csv": lambda path: write_csv(path, ["a", "b"], ([i, i * 0.5] for i in range(3)),
+                                  {"seed": 0}),
+}
+
+
+class TestOverwrite:
+    """An existing artifact is cut to one byte, not to zero, and written over."""
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_stale_longer_file_gives_exactly_the_new_bytes(self, tmp_path, kind):
+        WRITERS[kind](tmp_path / "fresh")
+        path = tmp_path / "stale"
+        path.write_bytes(b"stale bytes, longer than the artifact\n" * 100)
+        WRITERS[kind](path)
+        assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_links_see_the_new_bytes_and_the_file_keeps_its_inode(self, tmp_path, kind):
+        WRITERS[kind](tmp_path / "fresh")
+        target, hard, soft = tmp_path / "target", tmp_path / "hard", tmp_path / "soft"
+        target.write_bytes(b"x" * 10_000)
+        target.chmod(0o640)
+        os.link(target, hard)
+        soft.symlink_to(target)
+        inode = target.stat().st_ino
+        WRITERS[kind](soft)
+        assert soft.is_symlink()
+        WRITERS[kind](hard)
+        expected = (tmp_path / "fresh").read_bytes()
+        assert target.read_bytes() == hard.read_bytes() == expected
+        assert target.stat().st_ino == inode and target.stat().st_nlink == 2
+        assert target.stat().st_mode & 0o777 == 0o640
+
+    def test_failing_rows_leave_the_written_part_and_no_stale_tail(self, tmp_path):
+        def rows():
+            yield ["x", 1]
+            raise RuntimeError("row 2")
+
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"stale\n" * 1000)
+        with pytest.raises(RuntimeError, match="row 2"):
+            write_csv(path, ["a", "b"], rows(), {"seed": 0})
+        assert path.read_bytes() == b'# manifest: {"seed": 0}\na,b\r\nx,1\r\n'
+
+    def test_refused_report_leaves_the_old_file_untouched(self, report, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_bytes(b"the previous report")
+        report.total = float("nan")
+        with pytest.raises(ValueError):
+            write_report_json(report, path)
+        assert path.read_bytes() == b"the previous report"
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_a_device_is_written_and_not_cut(self, kind):
+        # only a regular file is cut: truncating /dev/null fails
+        WRITERS[kind](os.devnull)
 
 
 @pytest.mark.parametrize("b", [1, 3])

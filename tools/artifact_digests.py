@@ -13,6 +13,11 @@ artifacts changed:
     python3 tools/artifact_digests.py > before.txt    # in one checkout
     python3 tools/artifact_digests.py > after.txt     # in the other
     diff before.txt after.txt
+
+After hashing, the tool checks the overwrite path: it appends stale bytes to
+every artifact, runs each command again into the same directory, and exits 1,
+naming on stderr every artifact whose bytes changed, if a rerun does not give
+back exactly the first run's files.
 """
 
 import contextlib
@@ -48,26 +53,61 @@ COMMANDS = (
     # a day design other than the default 2 of 365: 3 of 30 days
     ("simulate-3-of-30", ["simulate", "--config",
                           str(ROOT / "tests" / "data" / "sim_3_of_30_days.json")]),
+    # two strata with unequal profiles; one gives a detection probability per
+    # pass, the other one probability for each of its passes
+    *((f"plan-{estimator}", ["plan", "--scenario",
+                             str(ROOT / "tests" / "data" / "plan_scenario.json"),
+                             "--estimator", estimator]) for estimator in ("ipw", "hajek")),
 )
 
+# appended to every artifact before the rerun that must write it over
+STALE = b"\nstale bytes of an earlier, longer artifact\n" * 64
 
-def digests(workdir: Path) -> list[str]:
-    """Run `COMMANDS` under ``workdir``; one ``sha256  name`` line per artifact."""
+
+def run(argv: list[str], out: Path):
+    """Run ``msinv argv`` in-process, its outputs under ``out``; exit if it fails."""
+    where = ["--out", str(out / "plan.csv")] if argv[0] == "plan" else ["--out-dir", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, *where])
+    if code != 0:
+        raise SystemExit(f"msinv {' '.join(argv)} exited {code}")
+
+
+def artifacts(out: Path) -> dict[str, bytes]:
+    """The bytes of every file under ``out``, by path relative to it, in name order."""
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(p for p in out.rglob("*") if p.is_file())}
+
+
+def digests(workdir: Path, commands=COMMANDS) -> list[str]:
+    """Run ``commands`` under ``workdir``; one ``sha256  name`` line per artifact."""
     lines = []
     placeholders = ((str(ROOT).encode(), b"<checkout>"), (str(workdir).encode(), b"<out>"))
-    for label, argv in COMMANDS:
-        out = workdir / label
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([*argv, "--out-dir", str(out)])
-        if code != 0:
-            raise SystemExit(f"msinv {' '.join(argv)} exited {code}")
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            data = path.read_bytes()
+    for label, argv in commands:
+        run(argv, workdir / label)
+        for name, data in artifacts(workdir / label).items():
             for text, placeholder in placeholders:
                 data = data.replace(text, placeholder)
-            lines.append(f"{hashlib.sha256(data).hexdigest()}  "
-                         f"{label}/{path.relative_to(out).as_posix()}")
+            lines.append(f"{hashlib.sha256(data).hexdigest()}  {label}/{name}")
     return lines
+
+
+def rewrite_changes(workdir: Path, commands=COMMANDS) -> list[str]:
+    """Pad the artifacts `digests` wrote under ``workdir`` with `STALE` bytes
+    and run ``commands`` again into the same directories: the names of the
+    artifacts whose bytes, or whose presence, the rerun changed."""
+    changed = []
+    for label, argv in commands:
+        out = workdir / label
+        before = artifacts(out)
+        for name in before:
+            with open(out / name, "ab") as fh:
+                fh.write(STALE)
+        run(argv, out)
+        after = artifacts(out)
+        changed += [f"{label}/{name}" for name in sorted(before.keys() | after.keys())
+                    if before.get(name) != after.get(name)]
+    return changed
 
 
 def main() -> int:
@@ -75,14 +115,18 @@ def main() -> int:
     os.environ[cli.TIMESTAMP_ENV] = TIMESTAMP
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            lines = digests(Path(tmp).resolve())
+            workdir = Path(tmp).resolve()
+            lines = digests(workdir)
+            changed = rewrite_changes(workdir)
     finally:
         if previous is None:
             del os.environ[cli.TIMESTAMP_ENV]
         else:
             os.environ[cli.TIMESTAMP_ENV] = previous
     print("\n".join(lines))
-    return 0
+    for name in changed:
+        print(f"artifact_digests: {name} changed when written over", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
