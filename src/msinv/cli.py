@@ -264,11 +264,28 @@ def cmd_plan(args) -> int:
     overall, per_stratum = predict_variance(scenario, args.estimator)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, ["stratum", "var_stage1", "var_stage2", "var_stage3", "var_total"],
-              ([name, *map(repr, (sv.stage1, sv.stage2, sv.stage3, sv.total))]
-               for name, sv in [*per_stratum.items(), ("TOTAL", overall)]), manifest)
+    header = ["stratum", "var_stage1", "var_stage2", "var_stage3", "var_total"]
+    rows = ([name, *map(repr, (sv.stage1, sv.stage2, sv.stage3, sv.total))]
+            for name, sv in [*per_stratum.items(), ("TOTAL", overall)])
+    if _is_stdout(out):
+        # "/dev/stdout" and its like open the file anew, from its first byte,
+        # over what stdout wrote there.  A copy of stdout's descriptor shares
+        # its offset, and writes UTF-8 whatever stdout's own encoding.
+        sys.stdout.flush()
+        with open(os.dup(sys.stdout.fileno()), "w", newline="", encoding="utf-8") as fh:
+            write_csv(fh, header, rows, manifest)
+    else:
+        write_csv(out, header, rows, manifest)
     print(f"predicted variance -> {out}")
     return 0
+
+
+def _is_stdout(path) -> bool:
+    """Whether ``path`` names the file that stdout writes to."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):     # no such file, or a stdout without a descriptor
+        return False
 
 
 def cmd_diagnose(args) -> int:

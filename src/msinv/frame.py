@@ -5,6 +5,7 @@ table), validated for referential integrity, and frozen.  Non-detected passes
 are kept: they carry no measurement fields but they set the per-day pass
 count that every estimator divides by.
 
+Each file is read a block of rows at a time into columns (see `BLOCK_ROWS`).
 The pass log is held as columns (`PassColumns`), checked a column at a time.
 Loading sorts the passes once and groups them into the units every estimator
 walks: a non-well component, or a well site that stands for its wells, with
@@ -520,27 +521,61 @@ def _check_header(got: list[str] | None, want: list[str], path: str):
         raise FrameError(f"{path}: expected header {','.join(want)!r}, got {got!r}")
 
 
-def _read_rows(path):
+# Rows are read this many at a time.  `csv.reader` makes each row a list,
+# which CPython's cyclic garbage collector tracks; holding a whole file's rows
+# at once made loading a log of a few hundred rows or more start collections,
+# full ones included, whose cost grows with everything else on the heap.
+# Well under the 700 tracked allocations that start a young collection.
+BLOCK_ROWS = 128
+
+
+def _read_columns(path, want: list[str]) -> tuple[list[list[str]], int | None]:
+    """The body of a CSV file with header ``want``, as columns, and the field
+    count of the first body row of another width (None if every row fits).
+
+    The columns stop before that row.  The file is still read to its end, so
+    a file that cannot be decoded or parsed anywhere fails with "cannot
+    parse" before any header or row fault.
+    """
+    columns = [[] for _ in want]
+    bad_width = None
     # utf-8-sig: a leading byte-order mark (Excel's "CSV UTF-8") is not part
     # of the first header field
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            while block := list(itertools.islice(reader, BLOCK_ROWS)):
+                if bad_width is None:
+                    widths = list(map(len, block))
+                    if widths.count(len(want)) != len(widths):
+                        k = next(k for k, w in enumerate(widths) if w != len(want))
+                        bad_width = widths[k]
+                        del block[k:]
+                    for column, values in zip(columns, zip(*block)):
+                        column += values
+                del block       # before the next block is read
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FrameError(f"{path}: cannot parse: {exc}") from None
-    if not rows:
+    if header is None:
         raise FrameError(f"{path}: empty file")
-    return rows[0], rows[1:]
+    _check_header(header, want, str(path))
+    return columns, bad_width
+
+
+def _rows(path, columns, bad_width):
+    """The rows of ``columns`` as tuples, each with its row number, then the
+    field-count fault of the row the columns stop at, if any."""
+    yield from enumerate(zip(*columns), start=2)
+    if bad_width is not None:
+        raise FrameError(f"{path} row {len(columns[0]) + 2}: "
+                         f"expected {len(columns)} fields, got {bad_width}")
 
 
 def read_strata(path) -> dict[str, StratumDef]:
     """Parse a strata table (stratum, n_sampled, n_population)."""
-    header, rows = _read_rows(path)
-    _check_header(header, STRATA_HEADER, str(path))
     out: dict[str, StratumDef] = {}
-    for i, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise FrameError(f"{path} row {i}: expected 3 fields, got {len(row)}")
+    for i, row in _rows(path, *_read_columns(path, STRATA_HEADER)):
         name = row[0].strip()
         if name in out:
             raise FrameError(f"{path} row {i}: duplicate stratum {name!r}")
@@ -554,13 +589,9 @@ def read_strata(path) -> dict[str, StratumDef]:
 
 def read_components(path):
     """Parse the component registry; returns (components, wells_per_site)."""
-    header, rows = _read_rows(path)
-    _check_header(header, FRAME_HEADER, str(path))
     comps: dict[str, ComponentRef] = {}
     wells: dict[str, int] = {}
-    for i, row in enumerate(rows, start=2):
-        if len(row) != 6:
-            raise FrameError(f"{path} row {i}: expected 6 fields, got {len(row)}")
+    for i, row in _rows(path, *_read_columns(path, FRAME_HEADER)):
         cid = row[0].strip()
         if cid in comps:
             raise FrameError(f"{path} row {i}: duplicate component_id {cid!r}")
@@ -656,16 +687,12 @@ def read_passes(path, components: dict[str, ComponentRef]) -> PassColumns:
     distinct value is checked once, and a row mask is built only to find the
     first failing row.
     """
-    header, rows = _read_rows(path)
+    cols, bad_width = _read_columns(path, PASSES_HEADER)
     path = str(path)
-    _check_header(header, PASSES_HEADER, path)
-    fault = _FirstFault(path, len(rows))
-    lengths = list(map(len, rows))
-    if lengths.count(len(PASSES_HEADER)) != len(lengths):
-        fault.check(np.array(lengths) != len(PASSES_HEADER),
-                    lambda i: f"expected 10 fields, got {lengths[i]}")
-    cols = list(zip(*rows[:fault.rows])) or [()] * len(PASSES_HEADER)
     n = len(cols[0])
+    fault = _FirstFault(path, n + 1)    # row n: the first of another width, if any
+    if bad_width is not None:
+        fault.fail(n, f"expected 10 fields, got {bad_width}")
 
     cids = list(map(str.strip, cols[0]))
     hierarchy = {cid: (c.facility_id, c.site_id, c.stratum) for cid, c in components.items()}

@@ -19,6 +19,7 @@ import json
 import os
 import stat
 import statistics
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -255,8 +256,13 @@ def write_json(path, doc: dict, manifest: dict | None = None):
 
 
 def write_csv(path, header: list[str], rows, manifest: dict | None = None):
-    """Write a CSV artifact: a ``# manifest:`` line when given, the header, the rows."""
-    with open(path, "w", newline="", encoding="utf-8", opener=_cut_to_one_byte) as fh:
+    """Write a CSV artifact: a ``# manifest:`` line when given, the header, the rows.
+
+    ``path`` may instead be an open text file, which is written from where it
+    stands and left open.
+    """
+    with (nullcontext(path) if hasattr(path, "write") else
+          open(path, "w", newline="", encoding="utf-8", opener=_cut_to_one_byte)) as fh:
         if manifest is not None:
             fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         w = csv.writer(fh)

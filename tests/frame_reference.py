@@ -1,7 +1,9 @@
 """The row-by-row frame loader, kept as the reference the column loader is diffed against.
 
 `load_reference` reads a survey the way the loader did before it read the
-pass log as columns: one `Pass` per row, checked as it is read, then the
+files a block of rows at a time and the pass log as columns: each file's
+rows held at once, the strata table and the registry checked row by row,
+one `Pass` per pass log row, checked as it is read, then the
 frame-level checks and the grouping into units over those records, with
 dicts and sets.  It returns the derived views the two loaders share and
 raises the same `FrameError` messages.
@@ -16,6 +18,7 @@ units gives `Unit` records, which the scalar estimator reference
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from msinv.frame import (
-    PASSES_HEADER, REALISTIC_MAX_PASSES, ComponentRef, FrameError, PassColumns, SurveyFrame,
-    UnitIndex, _check_header, _parse_int, _read_rows, read_components, read_strata,
+    FRAME_HEADER, PASSES_HEADER, REALISTIC_MAX_PASSES, STRATA_HEADER, ComponentRef, FrameError,
+    PassColumns, StratumDef, SurveyFrame, UnitIndex, _check_header, _parse_int,
 )
 
 
@@ -158,6 +161,73 @@ def _parse_float(text: str, what: str, row: int, path: str) -> float:
     if not math.isfinite(value):
         raise FrameError(f"{path} row {row}: {what} must be finite, got {text!r}")
     return value
+
+
+def _read_rows(path):
+    # utf-8-sig: a leading byte-order mark (Excel's "CSV UTF-8") is not part
+    # of the first header field
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FrameError(f"{path}: cannot parse: {exc}") from None
+    if not rows:
+        raise FrameError(f"{path}: empty file")
+    return rows[0], rows[1:]
+
+
+def read_strata(path) -> dict[str, StratumDef]:
+    """Parse a strata table (stratum, n_sampled, n_population)."""
+    header, rows = _read_rows(path)
+    _check_header(header, STRATA_HEADER, str(path))
+    out: dict[str, StratumDef] = {}
+    for i, row in enumerate(rows, start=2):
+        if len(row) != 3:
+            raise FrameError(f"{path} row {i}: expected 3 fields, got {len(row)}")
+        name = row[0].strip()
+        if name in out:
+            raise FrameError(f"{path} row {i}: duplicate stratum {name!r}")
+        out[name] = StratumDef(
+            name=name,
+            n_sampled=_parse_int(row[1], "n_sampled", i, str(path)),
+            n_population=_parse_int(row[2], "n_population", i, str(path)),
+        )
+    return out
+
+
+def read_components(path):
+    """Parse the component registry; returns (components, wells_per_site)."""
+    header, rows = _read_rows(path)
+    _check_header(header, FRAME_HEADER, str(path))
+    comps: dict[str, ComponentRef] = {}
+    wells: dict[str, int] = {}
+    for i, row in enumerate(rows, start=2):
+        if len(row) != 6:
+            raise FrameError(f"{path} row {i}: expected 6 fields, got {len(row)}")
+        cid = row[0].strip()
+        if cid in comps:
+            raise FrameError(f"{path} row {i}: duplicate component_id {cid!r}")
+        is_well = row[4].strip()
+        if is_well not in {"0", "1"}:
+            raise FrameError(f"{path} row {i}: is_well must be 0 or 1, got {is_well!r}")
+        comps[cid] = ComponentRef(
+            component_id=cid,
+            facility_id=row[1].strip(),
+            site_id=row[2].strip(),
+            stratum=row[3].strip(),
+            is_well=is_well == "1",
+        )
+        site = row[2].strip()
+        w = _parse_int(row[5], "wells_at_site", i, str(path))
+        if w < 0:
+            raise FrameError(f"{path} row {i}: wells_at_site must be >= 0")
+        if site in wells and wells[site] != w:
+            raise FrameError(
+                f"{path} row {i}: conflicting wells_at_site for site {site!r} "
+                f"({wells[site]} vs {w})"
+            )
+        wells[site] = w
+    return comps, wells
 
 
 def read_passes_rows(path, components: dict[str, ComponentRef]) -> list[Pass]:

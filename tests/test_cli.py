@@ -830,6 +830,28 @@ class TestWritePath:
         assert proc.stdout == ((tmp_path / "plan.csv").read_bytes()
                                + b"predicted variance -> /dev/stdout\n")
 
+    def test_plan_to_dev_stdout_redirected_to_a_file_writes_after_what_it_holds(self, tmp_path):
+        # /dev/stdout opened anew would write from the file's first byte; the
+        # CSV is UTF-8 whatever stdout's encoding
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(edited(PLAN_SCENARIO, {("strata", 0, "name"): "Délaware–Ω"})))
+        assert run("plan", "--scenario", str(scenario), "--out", str(tmp_path / "plan.csv")) == 0
+        assert "Délaware–Ω".encode() in (tmp_path / "plan.csv").read_bytes()
+        env = dict(os.environ, PYTHONPATH=str(Path(msinv.__file__).parents[1]),
+                   PYTHONIOENCODING="ascii")
+        log = tmp_path / "log.txt"
+        with open(log, "wb") as fh:
+            fh.write(b"earlier output\n")
+            fh.flush()
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from msinv.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "plan", "--scenario", str(scenario), "--out", "/dev/stdout"],
+                env=env, stdout=fh, stderr=subprocess.PIPE, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert log.read_bytes() == (b"earlier output\n" + (tmp_path / "plan.csv").read_bytes()
+                                    + b"predicted variance -> /dev/stdout\n")
+
 
 def _refuse_constant(name):
     raise AssertionError(f"{name} is not JSON")

@@ -1,10 +1,12 @@
-"""The column loader against the row-by-row reference loader.
+"""The block-reading column loader against the row-by-row reference loader.
 
 Hypothesis writes pass logs shaped like real surveys (well sites, shuffled
 rows, whitespace around fields, huge and negative day numbers) and injects
-faults into some.  Both loaders must then raise the same `FrameError`
-message and warn the same way, and on a valid log every view of the frame
-must equal the reference's.
+faults into some, in the pass log, the registry or the strata table.  Each
+draw also picks how many rows the loader reads at a time, down to one, so
+that faults land on the edges of its blocks.  Both loaders must then raise
+the same `FrameError` message and warn the same way, and on a valid log
+every view of the frame must equal the reference's.
 """
 
 import csv
@@ -12,6 +14,7 @@ import dataclasses
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,13 +22,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from frame_reference import detected_records, load_reference, log_records, reference_diagnostics
+from msinv import frame as frame_module
 from msinv.datasets import packaged_subset_paths
 from msinv.frame import (
     FRAME_HEADER, PASSES_HEADER, STRATA_HEADER, FrameError, SurveyFrame, load_survey, validate,
 )
 
 FAULTS = ("fields", "component", "hierarchy", "flag", "presence", "number", "range", "day",
-          "pass", "duplicate", "no-passes", "many-passes", "idle-site", "n-sampled")
+          "pass", "duplicate", "no-passes", "many-passes", "idle-site", "n-sampled",
+          "registry-fields", "duplicate-component", "is-well", "wells-at-site",
+          "conflicting-wells", "strata-fields")
+# rows the loader reads at a time: a block of one, so every row is a block's
+# first and last, small blocks that logs of a few dozen rows span, and the default
+BLOCK_SIZES = (1, 2, 7, frame_module.BLOCK_ROWS)
 
 
 # Every strategy with fixed arguments is built once, here: building them anew
@@ -47,6 +56,8 @@ BAD_NUMBER = st.sampled_from(["abc", "nan", "inf", "-inf", "1e999", "1,5"])
 BELOW_RANGE = st.sampled_from(["0", "-0.0", "-1"])
 BELOW_RANGE_WIND = st.sampled_from(["-0.5", "-1e-300"])
 BAD_INDEX = st.sampled_from(["x", "1.5", "", "0x10"])
+BAD_WELLS = st.sampled_from(["x", "1.5", "", "-1"])
+BLOCK_SIZE = st.sampled_from(BLOCK_SIZES)
 
 
 def padded(draw, text: str) -> str:
@@ -103,6 +114,9 @@ def surveys(draw):
 
 
 def inject(draw, fault, strata, registry, passes):
+    if fault in REGISTRY_FAULTS:
+        inject_registry(draw, fault, strata, registry)
+        return
     whole = [k for k, row in enumerate(passes) if len(row) == len(PASSES_HEADER)]
     if not whole:
         return
@@ -139,10 +153,38 @@ def inject(draw, fault, strata, registry, passes):
         if wells:
             site = wells[0][2]
             for r in registry:
-                if r[2] == site:
+                if r[2] == site and len(r) > 5:
                     r[5] = "0"
     elif fault == "n-sampled":
         strata[draw(st.integers(0, len(strata) - 1))][1] = "7"
+
+
+REGISTRY_FAULTS = ("registry-fields", "duplicate-component", "is-well", "wells-at-site",
+                   "conflicting-wells", "strata-fields")
+
+
+def inject_registry(draw, fault, strata, registry):
+    """A fault in the registry, or a strata table row with a wrong field count."""
+    table, header = (strata, STRATA_HEADER) if fault == "strata-fields" else (registry,
+                                                                               FRAME_HEADER)
+    whole = [k for k, row in enumerate(table) if len(row) == len(header)]
+    if not whole:
+        return
+    k = draw(st.sampled_from(whole))
+    row = table[k]
+    if fault in ("registry-fields", "strata-fields"):
+        table[k] = row[:-1] if draw(COIN) else row + [""]
+    elif fault == "duplicate-component":
+        registry.insert(draw(st.integers(0, len(registry))), list(row))
+    elif fault == "is-well":
+        row[4] = draw(BAD_FLAG)
+    elif fault == "wells-at-site":
+        row[5] = draw(BAD_WELLS)
+    elif fault == "conflicting-wells":
+        # another row of the same site, if there is one, says otherwise
+        others = [r for r in registry if r is not row and r[2] == row[2] and len(r) == 6]
+        if others:
+            draw(st.sampled_from(others))[5] = "8" if row[5].strip() == "9" else "9"
 
 
 def write_survey(directory: Path, strata, registry, passes):
@@ -191,13 +233,19 @@ def assert_same_frame(frame: SurveyFrame, ref):
     assert {k: getattr(got, k) for k in want} == want
 
 
+def blocks_of(rows: int):
+    """The loader reading ``rows`` rows at a time."""
+    return mock.patch.object(frame_module, "BLOCK_ROWS", rows)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(surveys())
-def test_column_loader_matches_the_row_reference(survey):
+@given(surveys(), BLOCK_SIZE)
+def test_column_loader_matches_the_row_reference(survey, block_rows):
     strata, registry, passes, _ = survey
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_survey(Path(tmp), strata, registry, passes)
-        frame, error, warned = outcome(load_survey, paths)
+        with blocks_of(block_rows):
+            frame, error, warned = outcome(load_survey, paths)
         ref, ref_error, ref_warned = outcome(load_reference, paths)
     assert error == ref_error
     assert warned == ref_warned
@@ -219,14 +267,15 @@ def test_packaged_subset_matches_the_row_reference():
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3), st.data())
-def test_faults_in_the_packaged_subset_match_the_row_reference(faults, data):
+@given(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3), BLOCK_SIZE, st.data())
+def test_faults_in_the_packaged_subset_match_the_row_reference(faults, block_rows, data):
     strata, registry, passes = ([list(row) for row in rows] for rows in SUBSET)
     for fault in faults:
         inject(data.draw, fault, strata, registry, passes)
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_survey(Path(tmp), strata, registry, passes)
-        frame, error, warned = outcome(load_survey, paths)
+        with blocks_of(block_rows):
+            frame, error, warned = outcome(load_survey, paths)
         ref, ref_error, ref_warned = outcome(load_reference, paths)
     assert (error, warned) == (ref_error, ref_warned)
 
@@ -261,3 +310,71 @@ def test_a_pass_log_that_cannot_be_parsed_is_named_by_both_loaders(tmp_path, tai
     error = outcome(load_survey, paths)[1]
     assert error is not None and error.startswith(f"{paths[0]}: cannot parse: ")
     assert error == outcome(load_reference, paths)[1]
+
+
+FILES = ("passes", "frame", "strata")      # write_survey's paths, in order
+
+
+def subset_tables() -> dict[str, list[list[str]]]:
+    """A copy of the packaged subset's rows, by file."""
+    return dict(zip(("strata", "frame", "passes"), ([list(r) for r in rows] for rows in SUBSET)))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+@pytest.mark.parametrize("where", ["first", "last", "later"])
+@pytest.mark.parametrize("file", ["passes", "frame"])
+def test_a_wrong_field_count_on_a_block_edge_is_named(tmp_path, file, where, block_rows):
+    """The first short row on a block's first row, on its last, or in a later block,
+    with a row of another fault a block after it."""
+    tables = subset_tables()
+    rows = tables[file]
+    width = len(rows[0])
+    k = {"first": block_rows, "last": block_rows - 1, "later": 3 * block_rows + 1}[where]
+    rows[k] = rows[k][:-1]
+    rows[k + block_rows + 1][0 if file == "passes" else 4] = "nope"
+    paths = write_survey(tmp_path, tables["strata"], tables["frame"], tables["passes"])
+    with blocks_of(block_rows):
+        error = outcome(load_survey, paths)[1]
+    path = paths[FILES.index(file)]
+    assert error == f"{path} row {k + 2}: expected {width} fields, got {width - 1}"
+    assert error == outcome(load_reference, paths)[1]
+
+
+@pytest.mark.parametrize("file", FILES)
+def test_an_unparseable_end_is_named_before_an_earlier_wrong_field_count(tmp_path, file):
+    tables = subset_tables()
+    tables[file][1].append("")
+    paths = write_survey(tmp_path, tables["strata"], tables["frame"], tables["passes"])
+    path = paths[FILES.index(file)]
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")
+    for block_rows in (2, frame_module.BLOCK_ROWS):
+        with blocks_of(block_rows):
+            error = outcome(load_survey, paths)[1]
+        assert error is not None and error.startswith(f"{path}: cannot parse: ")
+        assert error == outcome(load_reference, paths)[1]
+
+
+def test_at_most_one_block_of_rows_is_held_at_once(monkeypatch):
+    """Every row `csv.reader` gives is counted while it lives: the loader must
+    let go of each block before it reads the next, keeping only the header."""
+    live = [0, 0]       # rows alive now, the most alive at once
+
+    class Row(list):
+        def __init__(self, fields):
+            super().__init__(fields)
+            live[0] += 1
+            live[1] = max(live)
+
+        def __del__(self):
+            live[0] -= 1
+
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args, **kw: map(Row, reader(*args, **kw)))
+    block_rows = 16
+    paths = packaged_subset_paths()
+    assert len(SUBSET[1]) >= 10 * block_rows and len(SUBSET[2]) >= 10 * block_rows
+    with blocks_of(block_rows):
+        frame = load_survey(*paths)
+    assert len(frame.passes) == len(SUBSET[2])
+    assert live == [0, block_rows + 1]

@@ -1,8 +1,11 @@
 """The scripts under tools/ against the files they built."""
 
+import gc
 import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 from msinv.datasets import packaged_sim_defaults_path, packaged_subset_paths
 
@@ -50,3 +53,31 @@ def test_peak_memory_prints_both_peaks_and_passes_the_exit_status_on(tmp_path, c
     status = tool.main(["estimate", "--packaged", "--measurement", "mc", "--mc-iters", "1",
                         "--out-dir", str(tmp_path)])
     assert status == tool.cli.EXIT_CONFIG
+
+
+def test_gc_pressure_prints_each_runs_collections_and_their_total(tmp_path, capsys,
+                                                                 monkeypatch):
+    tool = load_tool("gc_pressure")
+    assert tool.main(["--runs", "3", "estimate", "--packaged", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "report.json").is_file()
+    line = r"gen0 (\d+) in (\d+\.\d{6}) s, gen1 (\d+) in (\d+\.\d{6}) s, gen2 (\d+) in (\d+\.\d{6}) s"
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7      # each run's own output line, then its collections; the total
+    runs = [re.fullmatch(rf"run {k}: {line}", text) for k, text in zip((1, 2, 3), lines[1::2])]
+    total = re.fullmatch(rf"total over 3 runs: {line}", lines[6])
+    assert all(runs) and total
+    for k in range(6):
+        assert float(total[k + 1]) == pytest.approx(sum(float(m[k + 1]) for m in runs), abs=4e-6)
+    status = tool.main(["--runs", "1", "estimate", "--packaged", "--measurement", "mc",
+                        "--mc-iters", "1", "--out-dir", str(tmp_path)])
+    assert status == tool.cli.EXIT_CONFIG
+
+
+    def collect(argv):      # one collection of generation 1, then one full collection
+        gc.collect(1)
+        gc.collect()
+        return 0
+
+    monkeypatch.setattr(tool.cli, "main", collect)
+    status, seen = tool.measure([])
+    assert status == 0 and seen.counts[1:] == [1, 1] and min(seen.seconds[1:]) > 0
