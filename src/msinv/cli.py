@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -41,6 +42,20 @@ EXIT_ESTIMATION = 3
 EXIT_CONFIG = 4
 
 TIMESTAMP_ENV = "MSINV_TIMESTAMP"
+
+# glibc's mallopt(3) parameters
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# Each Monte Carlo chunk frees its temporaries when it ends.  By default glibc
+# gives the freed top of the heap back to the OS, and serves large arrays by
+# mmap, so the next chunk has the kernel zero-fill the same pages again, in
+# about 30% of an 8000-iteration run's wall time.  Pinning the mmap threshold
+# at 32 MiB, the ceiling glibc's own dynamic threshold grows to, serves the
+# chunk arrays from the heap; a trim threshold of 64 MiB keeps a chunk's freed
+# working set (about 20 MiB for four variants on the packaged subset) in the
+# heap until the next chunk reuses it.
+MMAP_THRESHOLD = 32 * 2**20
+TRIM_THRESHOLD = 64 * 2**20
 
 
 class ConfigError(ValueError):
@@ -369,7 +384,29 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Set the malloc thresholds above, once per process, where libc is glibc.
+
+    Elsewhere (another libc, no ``mallopt``) this does nothing.  The mmap
+    threshold goes first: setting either one stops glibc adjusting the mmap
+    threshold itself, so the trim threshold is set only once it is pinned.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc "):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):   # no confstr name, no libc, no symbol
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((M_MMAP_THRESHOLD, MMAP_THRESHOLD), (M_TRIM_THRESHOLD, TRIM_THRESHOLD)):
+        if mallopt(param, value) == 0:   # glibc refused the value
+            return
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         args = _parser().parse_args(argv)
         return args.func(args)

@@ -57,7 +57,9 @@ THREADS_ENV = "MSINV_THREADS"
 # values per detected pass and iteration for one variant and 18 for four
 # (about 15 and 19 MiB for the packaged subset's 551 detected passes,
 # measured with tracemalloc), so memory is bounded whatever the iteration
-# count; each worker thread holds one chunk.
+# count; each worker thread holds one chunk.  The pages a four-variant chunk
+# touches come to about 20 MiB (the first chunk's minor faults); `cli` sets
+# malloc thresholds that keep them in the heap for the next chunk.
 MC_CHUNK = 256
 
 # Most iterations one run may ask for, and the most that the variants of one

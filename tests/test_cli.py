@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -851,6 +852,69 @@ class TestWritePath:
         assert proc.returncode == 0, proc.stderr
         assert log.read_bytes() == (b"earlier output\n" + (tmp_path / "plan.csv").read_bytes()
                                     + b"predicted variance -> /dev/stdout\n")
+
+
+class TestAllocatorPolicy:
+    """`main` sets glibc's malloc thresholds once per process, through a fake libc here."""
+
+    MC = ["estimate", "--packaged", "--measurement", "mc", "--mc-iters", "300", "--seed", "3",
+          "--trace"]
+
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return mallopt.result
+
+        mallopt.result = 1      # glibc's return for a value it accepts
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+        cli._keep_freed_heap.cache_clear()
+        yield calls, libc
+        cli._keep_freed_heap.cache_clear()
+
+    def test_two_calls_set_each_threshold_once(self, tmp_path, mallopt_calls):
+        calls, _ = mallopt_calls
+        for out in ("a", "b"):
+            assert run("diagnose", "--packaged", "--out-dir", str(tmp_path / out)) == 0
+        assert calls == [(cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD),
+                         (cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD)]
+        assert (cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD) == (-3, 32 * 2**20)
+        assert (cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD) == (-1, 64 * 2**20)
+
+    @staticmethod
+    def _no_confstr(name):
+        raise ValueError("unrecognized configuration name")
+
+    @pytest.mark.parametrize("case, expected_calls", [
+        ("confstr-raises", []), ("no-libc-version", []), ("other-libc", []), ("no-mallopt", []),
+        ("mallopt-returns-0", [-3])])
+    def test_where_it_cannot_set_them_the_run_is_unchanged(self, tmp_path, monkeypatch,
+                                                            mallopt_calls, case, expected_calls):
+        calls, libc = mallopt_calls
+        assert run(*self.MC, "--out-dir", str(tmp_path / "set")) == 0
+        assert len(calls) == 2
+        calls.clear()
+        cli._keep_freed_heap.cache_clear()
+        if case == "confstr-raises":
+            monkeypatch.setattr(cli.os, "confstr", self._no_confstr)
+        elif case == "no-libc-version":
+            monkeypatch.setattr(cli.os, "confstr", lambda name: None)
+        elif case == "other-libc":
+            monkeypatch.setattr(cli.os, "confstr", lambda name: "uClibc-ng 1.0.45")
+        elif case == "no-mallopt":
+            monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        else:
+            libc.mallopt.result = 0
+        assert run(*self.MC, "--out-dir", str(tmp_path / "unset")) == 0
+        assert [param for param, _ in calls] == expected_calls
+        names = sorted(p.name for p in (tmp_path / "set").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "unset").iterdir()) and len(names) == 4
+        for name in names:
+            assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes()
 
 
 def _refuse_constant(name):

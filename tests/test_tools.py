@@ -2,6 +2,7 @@
 
 import gc
 import importlib.util
+import mmap
 import re
 from pathlib import Path
 
@@ -43,16 +44,34 @@ def test_artifact_digests_are_reproducible_and_name_each_artifact_once(tmp_path,
     assert capsys.readouterr().out.splitlines() == lines
 
 
-def test_peak_memory_prints_both_peaks_and_passes_the_exit_status_on(tmp_path, capsys):
+def test_peak_memory_prints_peaks_faults_and_system_time_and_passes_the_exit_status_on(
+        tmp_path, capsys, monkeypatch):
     tool = load_tool("peak_memory")
     assert tool.main(["estimate", "--packaged", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "report.json").is_file()
+    lines = capsys.readouterr().out.splitlines()[-4:]
     traced, rss = (float(re.fullmatch(rf"{name}: (\d+\.\d) MiB", line)[1]) for name, line
-                   in zip(("traced peak", "ru_maxrss"), capsys.readouterr().out.splitlines()[-2:]))
+                   in zip(("traced peak", "ru_maxrss"), lines))
     assert 0 < traced < rss
+    assert re.fullmatch(r"minor faults: \d+", lines[2])
+    assert re.fullmatch(r"system time: \d+\.\d{3} s", lines[3])
     status = tool.main(["estimate", "--packaged", "--measurement", "mc", "--mc-iters", "1",
                         "--out-dir", str(tmp_path)])
     assert status == tool.cli.EXIT_CONFIG
+
+    pages = 4096
+
+    def touch_pages(argv):      # maps fresh pages and writes one byte to each
+        with mmap.mmap(-1, pages * mmap.PAGESIZE) as block:
+            if hasattr(mmap, "MADV_NOHUGEPAGE"):    # one fault per page, not per huge page
+                block.madvise(mmap.MADV_NOHUGEPAGE)
+            for k in range(pages):
+                block[k * mmap.PAGESIZE] = 1
+        return 0
+
+    monkeypatch.setattr(tool.cli, "main", touch_pages)
+    status, _, _, faults, stime = tool.measure([])
+    assert status == 0 and faults >= pages and stime >= 0
 
 
 def test_gc_pressure_prints_each_runs_collections_and_their_total(tmp_path, capsys,
