@@ -53,9 +53,11 @@ MAX_PASSES = 5
 
 # Bound on the (emitting component, day, pass) cells of a whole population,
 # summed over its strata.  A population holds three float64 arrays of this
-# shape (rate, wind, altitude), so memory grows with it: the four-strata
-# default has about 1.1M cells and peaks near 141 MiB; one stratum at the
-# bound peaks near 450 MiB.
+# shape (rate, wind, altitude), 24 bytes a cell, and draws them with no
+# other float array of that shape, so memory grows with it: under
+# `simulate --reps 2` the four-strata default (about 1.1M cells) peaks at
+# 27.5 MiB traced and 67.5 MiB RSS; one stratum of 9.94M cells, 228 MiB of
+# arrays, at 240 MiB traced and 313 MiB RSS.
 MAX_POPULATION_CELLS = 10_000_000
 
 # Most replications one study may ask for.  A study keeps 9 bytes per
@@ -277,6 +279,14 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
     passes only); the per-replication randomness is then only which units
     are sampled and which passes detect.
 
+    Each stratum draws, from the one generator and in this order: the
+    facilities' component counts, their emitting components, the passes of
+    every (component, day), the daily means, the pass rates, the wind speeds
+    and the altitudes.  Its true total is summed from the rates before any
+    wind is drawn.  It allocates no float array of their shape besides the
+    rate, wind and altitude arrays: the altitude array first serves as the
+    buffer `_truncated_normal` draws its redraws into.
+
     Raises `ValueError` when the population exceeds `MAX_POPULATION_CELLS`
     or a rate or true total is not finite.
     """
@@ -299,27 +309,22 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
                 f"{spec.name!r}, over the limit of {MAX_POPULATION_CELLS}; lower horizon, "
                 "n_population, components_per_facility or emit_prob")
         q = rng.choice(pass_keys, p=pass_probs, size=(n_emit, big_d)).astype(np.int8)
-        daily = rng.lognormal(spec.lognormal_mu, spec.lognormal_sigma, size=(n_emit, big_d))
-        rates = _truncated_normal(rng, daily[..., None], spec.sd_ratio * daily[..., None],
-                                  (n_emit, big_d, MAX_PASSES))
-        # at least 1e-9 already, so >= 0 as `_StratumPopulation.wind` says
-        wind = _truncated_normal(rng, config.wind_mean, config.wind_sd,
-                                 (n_emit, big_d, MAX_PASSES))
-        alt = rng.normal(config.altitude_mean, config.altitude_sd,
-                         size=(n_emit, big_d, MAX_PASSES))
-        np.maximum(alt, 1.0, out=alt)
-        mask = np.arange(MAX_PASSES)[None, None, :] < q[..., None]
-        if n_emit:
-            day_means = (rates * mask).sum(axis=2) / q
-            true_total = float((day_means.mean(axis=1)).sum())
-        else:
-            true_total = 0.0
-        # a non-finite rate anywhere, unused passes included (inf * 0 is nan),
-        # makes the true total non-finite
+        scratch = np.empty((n_emit, big_d, MAX_PASSES))
+        daily = rng.lognormal(spec.lognormal_mu, spec.lognormal_sigma, size=(n_emit, big_d, 1))
+        rates = _truncated_normal(rng, daily, spec.sd_ratio * daily, scratch)
+        del daily   # no day-level array is kept while the wind and altitudes are drawn
+        true_total = _true_total(rates, q)
         if not math.isfinite(true_total):
             raise ValueError(
                 f"stratum {spec.name!r}: the true total is {true_total}, not finite; "
                 "lower lognormal_mu or lognormal_sigma")
+        # at least 1e-9 already, so >= 0 as `_StratumPopulation.wind` says
+        wind = _truncated_normal(rng, config.wind_mean, config.wind_sd, scratch)
+        # the values of rng.normal(altitude_mean, altitude_sd), drawn into the buffer
+        alt = rng.standard_normal(out=scratch)
+        alt *= config.altitude_sd
+        alt += config.altitude_mean
+        _raise_to(alt, 1.0)
         strata[spec.name] = _StratumPopulation(
             spec=spec, emit_facility=emit_fac, q=q, rates=rates, wind=wind, altitude=alt,
             true_total=true_total,
@@ -331,25 +336,54 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
     return population
 
 
-def _truncated_normal(rng, mean, sd, shape, attempts: int = 100):
-    """Normal draws truncated at zero by resampling, clamping as a last resort.
+def _true_total(rates: np.ndarray, q: np.ndarray) -> float:
+    """The sum over components of the mean over days of the mean of a day's ``q`` pass rates.
 
-    The first draw scales one array of standard normals in place: the
-    values of ``rng.normal(mean, sd, size=shape)`` without its per-element
-    broadcast.  Each attempt then draws a whole array of standard normals,
-    as ``rng.normal`` would, but scales and writes only those that replace
-    a value at or below zero.
+    A day's slots are summed in order, as ``(rates * used).sum(axis=2)`` sums
+    them when ``used`` marks a day's first ``q`` slots.  A non-finite rate
+    anywhere, unused slots included (inf * 0 is nan), makes the total
+    non-finite.
     """
+    day_sum = rates[..., 0] * (q > 0)
+    for p in range(1, MAX_PASSES):
+        day_sum += rates[..., p] * (q > p)
+    day_sum /= q
+    return float(day_sum.mean(axis=1).sum())
+
+
+def _truncated_normal(rng, mean, sd, scratch: np.ndarray, attempts: int = 100) -> np.ndarray:
+    """Normal draws of ``scratch``'s shape truncated at zero by resampling,
+    clamped to 1e-9 as a last resort.
+
+    The values, and the stream consumed, are those of whole-array redraws:
+    ``rng.normal(mean, sd, size=scratch.shape)`` once, and once more per
+    attempt while a value is at or below zero, each replacing those values.
+    The first draw scales one new array of standard normals in place.  Each
+    attempt draws its standard normals into ``scratch`` and scales only
+    those at the cells it redraws, and only those cells are checked again.
+    """
+    shape = scratch.shape
     out = rng.standard_normal(size=shape)
     out *= sd
     out += mean
+    redo = np.flatnonzero(out <= 0.0)
     mean, sd = np.broadcast_to(mean, shape), np.broadcast_to(sd, shape)
     for _ in range(attempts):
-        bad = out <= 0.0
-        if not bad.any():
+        if not redo.size:
             break
-        out[bad] = mean[bad] + sd[bad] * rng.standard_normal(size=shape)[bad]
-    return np.maximum(out, 1e-9, out=out)
+        rng.standard_normal(out=scratch)
+        at = np.unravel_index(redo, shape)
+        out[at] = value = mean[at] + sd[at] * scratch[at]
+        redo = redo[value <= 0.0]
+    _raise_to(out, 1e-9)
+    return out
+
+
+def _raise_to(values: np.ndarray, floor: float):
+    """``np.maximum(values, floor, out=values)``, skipped when no value is below ``floor``."""
+    # a nan minimum also clamps: maximum keeps the nan and raises the others
+    if not values.min(initial=floor) >= floor:
+        np.maximum(values, floor, out=values)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +591,8 @@ def _sample_block(pop: SimPopulation, config: SimConfig, reps: range):
     index = UnitIndex(
         pass_cd=(unit * d_p + k)[det], cd_q=q.reshape(-1), cd_ud=np.arange(n_units * d_p),
         ud_unit=np.repeat(np.arange(n_units), d_p), unit_wells=np.zeros(n_units, dtype=np.intp),
-        labels=np.array([f"{names[s]}:{c}" for s, c in zip(local, comp)], dtype=object),
+        labels=np.array([f"{names[s]}:{c}" for s, c in zip(local.tolist(), comp.tolist())],
+                        dtype=object),
         member_unit=np.arange(n_units), member_stratum=unit_stratum,
         member_fac=(np.cumsum(n_population) - n_population)[unit_stratum] + fac,
         n_sampled=n_sampled, n_population=n_population,

@@ -3,6 +3,8 @@ kernel against the per-replication scalar reference."""
 
 import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,9 @@ from msinv.simlab import (
 
 from estimator_reference import daily_estimate, estimate_survey
 
+DATA = Path(__file__).resolve().parent / "data"
+MIB = 2**20
+
 
 class TestLognormalFit:
     def test_standard_lognormal(self):
@@ -56,6 +61,11 @@ class TestLognormalFit:
     def test_domain(self):
         with pytest.raises(ValueError):
             fit_lognormal_moments(0.0, 1.0)
+
+
+def json_config(name="sim_3_of_30_days.json", **overrides):
+    """The config in ``tests/data/<name>``, with ``overrides``."""
+    return dataclasses.replace(config_from_json(DATA / name), **overrides)
 
 
 def tiny_config(**kw):
@@ -112,6 +122,29 @@ class TestGeneration:
             with pytest.raises(ValueError, match="stratum 'A': the true total is"):
                 generate_population(config(spec("A", 800.0)))
 
+    def test_inf_in_an_unused_pass_slot_makes_the_true_total_non_finite(self, monkeypatch):
+        # one component-day of one pass; at seed 4 its pass rate e^709 * (1 + z)
+        # is finite in slot 0 and overflows in an unused slot
+        spec = SimStratumSpec(name="A", n_sampled=1, n_population=1, lognormal_mu=709.0,
+                              lognormal_sigma=0.01, sd_ratio=1.0)
+        cfg = tiny_config(strata=(spec,), components_per_facility=(1, 1), emit_prob=1.0,
+                          horizon=1, days_sampled=1, passes_pmf={1: 1.0}, seed=4)
+        seen = []
+
+        def recorded(rates, q):
+            seen.append(rates.copy())
+            return true_total(rates, q)
+
+        true_total = simlab._true_total
+        monkeypatch.setattr(simlab, "_true_total", recorded)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="stratum 'A': the true total is nan"):
+                generate_population(cfg)
+            with pytest.raises(ValueError, match="stratum 'A': the true total is nan"):
+                population_reference(cfg)
+        (rates,) = seen
+        assert math.isfinite(rates[0, 0, 0]) and np.isinf(rates[0, 0, 1:]).any()
+
     def test_facility_limit_at_load(self, monkeypatch):
         # tiny_config has 5 facilities; each counts as one cell
         monkeypatch.setattr(simlab, "MAX_POPULATION_CELLS", 5)
@@ -159,6 +192,61 @@ class TestGeneration:
         se = totals.std(ddof=1) / math.sqrt(len(totals))
         assert abs(totals.mean() - expectation) < 3.5 * se
 
+    @pytest.mark.parametrize("make, overrides, seed", [
+        (default_config, {}, None),
+        (default_config, {}, 1),
+        (json_config, {}, None),
+        (default_config, {"wind_sd": 0.0}, None),
+        (default_config, {"altitude_sd": 0.0}, None),
+        (tiny_config, {"emit_prob": 0.0}, None),
+        # many redraws of the wind, none clamped
+        (json_config, {"wind_mean": 0.2}, None),
+        # every wind redraw attempt used, and about one cell in ten clamped
+        (lambda: json_config("sim_low_wind.json"), {}, None),
+    ], ids=["default", "default-seed-1", "3-of-30-days", "wind-sd-0", "altitude-sd-0",
+            "no-emitters", "wind-mean-0.2", "low-wind"])
+    def test_population_equals_the_reference(self, monkeypatch, make, overrides, seed):
+        cfg = make(**overrides)
+        made = []
+
+        def recorded(seed):
+            made.append(_population_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(simlab, "_population_rng", recorded)
+        got = generate_population(cfg, seed)
+        want, rng = population_reference(cfg, seed)
+        assert list(got.strata) == list(want.strata)
+        for name, sp in got.strata.items():
+            ref = want.strata[name]
+            assert sp.spec == ref.spec
+            for key in ("q", "rates", "wind", "altitude", "emit_facility"):
+                a, b = getattr(sp, key), getattr(ref, key)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, key)
+            assert sp.true_total.hex() == ref.true_total.hex(), name
+        assert made[-1].random() == rng.random()     # the same stream consumed
+        if cfg.wind_mean < 0:
+            assert all(np.any(sp.wind == 1e-9) for sp in got.strata.values())
+
+    def test_peak_memory_is_the_kept_arrays_and_a_fixed_margin(self):
+        # one stratum of 1100 emitting components: 2,007,500 cells, 15.3 MiB per array
+        spec = SimStratumSpec(name="A", n_sampled=10, n_population=1100,
+                              lognormal_mu=math.log(40.0), lognormal_sigma=0.3)
+        cfg = SimConfig(strata=(spec,), components_per_facility=(1, 1), emit_prob=1.0)
+        margin = 8 * MIB
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            pop = generate_population(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sp = pop.strata["A"]
+        kept = sp.rates.nbytes + sp.wind.nbytes + sp.altitude.nbytes
+        assert sp.rates.size == 2_007_500
+        assert peak - before <= kept + margin, f"{(peak - before - kept) / MIB:.1f} MiB over"
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("mean, sd, shape, attempts", [
         (4.0, 1.5, (40, 365, MAX_PASSES), 100),     # the default wind
@@ -171,7 +259,7 @@ class TestGeneration:
             daily = np.random.default_rng(seed + 100).lognormal(2.0, 1.0, size=shape[:2])
             mean, sd = daily[..., None], sd * daily[..., None]
         new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = simlab._truncated_normal(new, mean, sd, shape, attempts)
+        got = simlab._truncated_normal(new, mean, sd, np.empty(shape), attempts)
         want = truncated_normal_reference(ref, mean, sd, shape, attempts)
         assert np.array_equal(got, want)
         assert new.random() == ref.random()     # the same stream consumed
@@ -188,6 +276,64 @@ def truncated_normal_reference(rng, mean, sd, shape, attempts):
             break
         out = np.where(bad, rng.normal(mean, sd, size=shape), out)
     return np.maximum(out, 1e-9)
+
+
+def population_reference(config, seed=None):
+    """The `simlab.generate_population` that drew every array over whole-array temporaries.
+
+    Kept as it was, but for `truncated_normal_reference` in place of the
+    `_truncated_normal` it called, which drew the same values.  Returns the
+    population and the generator after it.
+    """
+    rng = _population_rng(config.seed if seed is None else seed)
+    lo, hi = config.components_per_facility
+    pass_keys = sorted(config.passes_pmf)
+    pass_probs = [config.passes_pmf[k] for k in pass_keys]
+    big_d = config.horizon
+    strata = {}
+    cells = 0
+    for spec in config.strata:
+        comp_counts = rng.integers(lo, hi + 1, size=spec.n_population)
+        emit_fac = np.repeat(np.arange(spec.n_population),
+                             rng.binomial(comp_counts, config.emit_prob))
+        n_emit = len(emit_fac)
+        cells += n_emit * big_d * MAX_PASSES
+        if cells > simlab.MAX_POPULATION_CELLS:
+            raise ValueError(
+                f"the population reaches {cells} (component, day, pass) cells at stratum "
+                f"{spec.name!r}, over the limit of {simlab.MAX_POPULATION_CELLS}; lower horizon, "
+                "n_population, components_per_facility or emit_prob")
+        q = rng.choice(pass_keys, p=pass_probs, size=(n_emit, big_d)).astype(np.int8)
+        daily = rng.lognormal(spec.lognormal_mu, spec.lognormal_sigma, size=(n_emit, big_d))
+        rates = truncated_normal_reference(rng, daily[..., None], spec.sd_ratio * daily[..., None],
+                                           (n_emit, big_d, MAX_PASSES), 100)
+        # at least 1e-9 already, so >= 0 as `_StratumPopulation.wind` says
+        wind = truncated_normal_reference(rng, config.wind_mean, config.wind_sd,
+                                          (n_emit, big_d, MAX_PASSES), 100)
+        alt = rng.normal(config.altitude_mean, config.altitude_sd,
+                         size=(n_emit, big_d, MAX_PASSES))
+        np.maximum(alt, 1.0, out=alt)
+        mask = np.arange(MAX_PASSES)[None, None, :] < q[..., None]
+        if n_emit:
+            day_means = (rates * mask).sum(axis=2) / q
+            true_total = float((day_means.mean(axis=1)).sum())
+        else:
+            true_total = 0.0
+        # a non-finite rate anywhere, unused passes included (inf * 0 is nan),
+        # makes the true total non-finite
+        if not math.isfinite(true_total):
+            raise ValueError(
+                f"stratum {spec.name!r}: the true total is {true_total}, not finite; "
+                "lower lognormal_mu or lognormal_sigma")
+        strata[spec.name] = simlab._StratumPopulation(
+            spec=spec, emit_facility=emit_fac, q=q, rates=rates, wind=wind, altitude=alt,
+            true_total=true_total,
+        )
+    population = simlab.SimPopulation(config=config, strata=strata)
+    if not math.isfinite(population.true_totals["Population"]):
+        raise ValueError("the population's true total is not finite; lower lognormal_mu or "
+                         "lognormal_sigma")
+    return population, rng
 
 
 def replication_draws_reference(pop, config, rep):
@@ -387,15 +533,17 @@ class TestStudy:
             return seen[-1]
 
         monkeypatch.setattr(simlab, "pod", recorded)
-        _sample_block(pop, cfg, range(cfg.replications))
+        index, _, _ = _sample_block(pop, cfg, range(cfg.replications))
+        draws = [d for rep in range(cfg.replications) for d in _replication_draws(pop, cfg, rep)]
         expected = [full[ci, day, p]
-                    for rep in range(cfg.replications)
-                    for comps, days, _ in _replication_draws(pop, cfg, rep)
+                    for comps, days, _ in draws
                     for ci, comp_days in zip(comps, days)
                     for day in comp_days for p in range(sp.q[ci, day])]
         assert len(seen) == 1
         assert len(expected) == sp.q.sum() * cfg.replications
         assert np.array_equal(seen[0], expected)
+        # a unit is labelled "<stratum>:<component>"
+        assert index.labels.tolist() == [f"A:{int(ci)}" for comps, _, _ in draws for ci in comps]
 
 
 def scalar_study(pop, cfg):

@@ -53,6 +53,11 @@ COMMANDS = (
     # a day design other than the default 2 of 365: 3 of 30 days
     ("simulate-3-of-30", ["simulate", "--config",
                           str(ROOT / "tests" / "data" / "sim_3_of_30_days.json")]),
+    # a wind normal of mean -3 m/s: nearly every wind cell is redrawn, most of
+    # them many times, and about one in ten is still at or below zero after
+    # the 100th attempt and is clamped
+    ("simulate-low-wind", ["simulate", "--config",
+                           str(ROOT / "tests" / "data" / "sim_low_wind.json")]),
     # two strata with unequal profiles; one gives a detection probability per
     # pass, the other one probability for each of its passes
     *((f"plan-{estimator}", ["plan", "--scenario",
