@@ -17,9 +17,9 @@ report is assembled by `reporting.batch_report`, as the Monte Carlo's is.
 Both take a sequence of configurations too, which then share the PODs and
 one `batch.evaluate` call.  The scalar formulas, per day, component,
 stratum and population, are the written reference the tests diff the kernel
-against (`tests/estimator_reference.py`).  `prepare_components` still builds each
-unit's daily estimates from the kernel's daily stage, for the tests that
-check that stage bit for bit against the reference's per-day loop.
+against (`tests/estimator_reference.py`).  `prepare_components` returns the
+kernel's daily stage as arrays, for the tests that check that stage bit for
+bit against the reference's per-day loop.
 
 All arithmetic here is in kg/h; unit conversion happens at report assembly.
 """
@@ -38,9 +38,6 @@ from .reporting import EstimationError, wald_ci
 __all__ = [
     "EstimationError",
     "EstimatorConfig",
-    "DailyEstimate",
-    "ComponentObs",
-    "prepare_components",
     "estimate_survey",
     "total_inventory",
     "wald_ci",
@@ -99,39 +96,6 @@ class EstimatorConfig:
                 "ci_level": self.ci_level, "pod_params": self.pod_params.as_dict()}
 
 
-
-@dataclass(slots=True)
-class DailyEstimate:
-    """Estimated mean emission rate of one component on one day.
-
-    ``phi_hat`` is the day's any-detection probability, set whenever
-    something was detected; a day without a detection has mean and variance
-    0.0 for either estimator.
-    """
-
-    mean_rate: float
-    var: float
-    phi_hat: float | None = None
-    n_detected: int = 0
-    day_id: int = 0
-    n_passes: int = 0       # the day's Q (a well share: the site's), 0 if unknown
-
-
-@dataclass(slots=True)
-class ComponentObs:
-    """One component's observations: its daily estimates.
-
-    ``dailies`` holds one daily estimate per surveyed day, in day order, as
-    built by `prepare_components` for the configured estimator (for wells,
-    the site's shares of them).
-    """
-
-    component_id: str
-    facility_id: str
-    stratum: str
-    dailies: tuple[DailyEstimate, ...]
-
-
 # ---------------------------------------------------------------------------
 # Frame-level entry points
 # ---------------------------------------------------------------------------
@@ -144,40 +108,29 @@ def _require_aligned(frame: SurveyFrame, *columns):
 
 
 def prepare_components(frame: SurveyFrame, rates, phis, config: EstimatorConfig):
-    """Build the ComponentObs of every unit of ``frame.index``, in unit order.
+    """The kernel's daily stage on one set of rates and PODs: ``(mean, var, phi_hat)``.
 
-    ``rates``/``phis`` align with ``frame.measured_rates``.  The daily
-    estimates come from one iteration of the kernel's daily stage
-    (`batch._daily`): IPW or Hajek by ``config.estimator``, with phi_hat set
-    on every day with a detection.  A well site's daily estimates are the
-    sums of its components' spread evenly over its registered wells, each
-    share's phi_hat pooling every pass of the site that day, and each well
-    becomes its own stage I unit in the wells stratum.
+    ``rates``/``phis`` align with ``frame.measured_rates`` and are refused as
+    `estimate_survey` refuses them.  Each result is a float array with one
+    entry per unit-day of ``frame.index``, in unit order, from one iteration
+    of `batch._daily`: IPW or Hajek by ``config.estimator``.  ``phi_hat`` is
+    the day's any-detection probability, NaN on a day without a detection.
+    A well site's days are the sums of its components' spread evenly over
+    its registered wells, each phi_hat pooling every pass of the site that
+    day.  No production path calls this: the tests diff it against the
+    scalar reference's per-day loop.
     """
     _require_aligned(frame, rates, phis)
     y, phi = np.asarray(rates, dtype=float), np.asarray(phis, dtype=float)
-    _refuse_passes(frame.compiled_index, y, phi, config.estimator)
-    ix, index = frame.compiled_index, frame.index
+    ix = frame.compiled_index
+    _refuse_passes(ix, y, phi, config.estimator)
     # "starred" is the IPW daily stage with phi_hat computed
     kind = "hajek" if config.estimator == "hajek" else "starred"
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mean, var, ph = batch._daily(ix, kind, y.reshape(-1, 1), phi.reshape(-1, 1))
-    n_ud = len(mean)
-    phi_hat = np.full(n_ud, None, dtype=object)
+    phi_hat = np.full(len(mean), np.nan)
     phi_hat[ix.star] = ph[:, 0]
-    dailies = list(map(
-        DailyEstimate, mean[:, 0].tolist(), var[:, 0].tolist(), phi_hat.tolist(),
-        np.bincount(index.cd_ud[index.pass_cd], minlength=n_ud).tolist(), frame._ud_day,
-        np.bincount(index.cd_ud, weights=index.cd_q, minlength=n_ud).astype(int).tolist()))
-    cuts = np.searchsorted(index.ud_unit, np.arange(len(frame._unit_heads) + 1)).tolist()
-    out: list[ComponentObs] = []
-    for (unit_id, stratum, members, wells), a, b in zip(frame._unit_heads, cuts, cuts[1:]):
-        days = tuple(dailies[a:b])
-        if wells:
-            out.extend(ComponentObs(wid, wid, stratum, days) for wid in members)
-        else:
-            out.append(ComponentObs(unit_id, members[0], stratum, days))
-    return out
+    return mean[:, 0], var[:, 0], phi_hat
 
 
 def _refuse_passes(ix: batch.CompiledIndex, y: np.ndarray, phi: np.ndarray, estimator: str):

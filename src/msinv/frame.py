@@ -176,11 +176,8 @@ class SurveyFrame:
     ``measured_rates``, ``wind_speeds`` and ``altitudes`` (every rate vector
     aligns with them) and ``index``, the units as the flat arrays of a
     `UnitIndex`: non-well components in id order, then well sites with at
-    least one well in id order.  ``_unit_heads`` (per unit: its id, stratum,
-    stage I members and wells) and ``_ud_day`` (per unit-day: its day id)
-    label what `estimators.prepare_components` builds.  ``compiled_index``
-    is built on first use, and so is each configuration's `layout` of it,
-    which the frame then keeps.
+    least one well in id order.  ``compiled_index`` is built on first use,
+    and so is each configuration's `layout` of it, which the frame then keeps.
 
     ``wells_per_site`` maps site_id -> number of wells at the site, for the
     shared-equipment allocation of well emissions.
@@ -341,8 +338,6 @@ class SurveyFrame:
         position = np.empty(len(cd_comp), dtype=np.intp)
         position[cds] = np.arange(len(cds))
         set_ = functools.partial(object.__setattr__, self)
-        set_("_unit_heads", heads)
-        set_("_ud_day", [self._day_values[d] for d in cd_day[cds][ud_start].tolist()])
         set_("index", UnitIndex(
             pass_cd=position[det_cd],
             cd_q=cd_q[cds],
@@ -448,14 +443,28 @@ def _parse_int(text: str, what: str, row: int, path: str) -> int:
         raise FrameError(f"{path} row {row}: cannot parse {what} from {text!r}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is an error, not the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def read_json(source):
-    """A JSON configuration document from a path, an open file or a parsed dict."""
+    """A JSON configuration document from a path, an open file or a parsed dict.
+
+    An object that repeats a key is refused (`ValueError`), as the INI reader
+    refuses a repeated option.
+    """
     if isinstance(source, dict):
         return source
     if hasattr(source, "read"):
-        return json.load(source)
+        return json.load(source, object_pairs_hook=_unique_keys)
     with open(source, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def json_object(value, what: str, required=(), optional=None) -> dict:

@@ -238,9 +238,11 @@ def scenario_from_json(source) -> PlanScenario:
         for j, p in enumerate(json_list(s["profiles"], f"{where}.profiles")):
             at = f"{where}.profiles[{j}]"
             p = json_object(p, at, required=("ybar",), optional=("day_sd", "count"))
-            profiles.append(PlanProfile(ybar=number(p["ybar"], f"{at}.ybar"),
-                                        day_sd=number(p.get("day_sd", 0.0), f"{at}.day_sd"),
-                                        count=count(p.get("count", 1), f"{at}.count")))
+            # an absent key takes the dataclass default
+            profiles.append(PlanProfile(
+                ybar=number(p["ybar"], f"{at}.ybar"),
+                **{k: read(p[k], f"{at}.{k}") for k, read in (("day_sd", number), ("count", count))
+                   if k in p}))
         strata.append(PlanStratum(
             name=text(s["name"], f"{where}.name"),
             n_sampled=count(s["n_sampled"], f"{where}.n_sampled"),
@@ -248,11 +250,10 @@ def scenario_from_json(source) -> PlanScenario:
             profiles=tuple(profiles),
             pass_phis=tuple(phis),
         ))
-    return PlanScenario(
-        strata=tuple(strata),
-        horizon=count(doc.get("horizon_days", 365), "horizon_days"),
-        days_sampled=count(doc.get("days_sampled", 2), "days_sampled"),
-    )
+    return PlanScenario(strata=tuple(strata), **{
+        name: count(doc[key], key)
+        for name, key in (("horizon", "horizon_days"), ("days_sampled", "days_sampled"))
+        if key in doc})
 
 
 def predict_variance(scenario: PlanScenario, estimator: str = "ipw"):

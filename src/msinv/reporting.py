@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import stat
 import statistics
@@ -80,7 +81,6 @@ class InventoryReport:
     strata: list[StratumReport]
     config: dict
     diagnostics: dict = field(default_factory=dict)
-    manifest: dict | None = None
 
     def as_dict(self) -> dict:
         """The report as a document, equal to `dataclasses.asdict` of it.
@@ -159,7 +159,8 @@ def assemble_report(
     ``parts_kgh2`` needs keys v1, v2, v3, vm, u1, u2, u3 and v3stage; each
     strata row mirrors that plus a name and total.  The reported total
     variance is the stage sum v1 + v2 + v3 + vm (the decomposition identity
-    holds by construction), and the interval is built on it.
+    holds by construction), and the interval is built on it.  A report with
+    a number that is not finite is refused (`_refuse_non_finite`).
     """
     variances = _variance_fields(parts_kgh2)
     total = total_kgh * KG_H_PER_KT_Y
@@ -168,7 +169,7 @@ def assemble_report(
                           **_variance_fields(r))
             for r in strata_rows]
     rows.sort(key=lambda r: (r.total, r.name))
-    return InventoryReport(
+    report = InventoryReport(
         total=total,
         ci_lower=ci_lower,
         ci_upper=ci_upper,
@@ -179,6 +180,27 @@ def assemble_report(
         config=dict(config_echo),
         diagnostics=dict(diagnostics or {}),
     )
+    _refuse_non_finite(report)
+    return report
+
+
+def _refuse_non_finite(report: InventoryReport):
+    """Raise `EstimationError` naming the first number of ``report`` that is not finite.
+
+    The population's fields come first, then each stratum row's, in report
+    order; within each, its float fields in field order (the total, the
+    interval bounds, the clipped variances), then the unclipped ones.  Each
+    part of an estimate can be finite while a sum of them, over the stages
+    or over the Monte Carlo iterations, overflows.
+    """
+    for where, row in [("population", report),
+                       *((f"stratum {r.name!r}", r) for r in report.strata)]:
+        named = [(k, v) for k, v in vars(row).items() if isinstance(v, float)]
+        named += [(f"unclipped.{k}", v) for k, v in row.unclipped.items()]
+        for key, value in named:
+            if not math.isfinite(value):
+                raise EstimationError(f"non-finite {where} {key} in the report "
+                                      "(a measured rate too large to estimate with?)")
 
 
 def batch_report(
@@ -196,7 +218,8 @@ def batch_report(
     stratum, in the order of ``names``.  Each is reported as its mean over
     the iterations.  The measurement variance is the between-iteration
     sample variance of the totals (denominator B - 1), and 0.0 for a single
-    design pass (B = 1), which has none.
+    design pass (B = 1), which has none.  A sum that overflows gives a
+    report that is refused, without a numpy warning.
     """
     b = population["total"].shape[-1]
 
@@ -210,11 +233,12 @@ def batch_report(
     def vm(totals: np.ndarray):
         return (np.zeros(totals.shape[:-1]) if b == 1 else totals.var(axis=-1, ddof=1)).tolist()
 
-    parts = dict(zip(population, means(population).tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = dict(zip(population, means(population).tolist()))
+        parts["vm"] = vm(population["total"])
+        rows = [dict(zip(strata, values), name=name, vm=v)
+                for name, values, v in zip(names, means(strata).T.tolist(), vm(strata["total"]))]
     total = parts.pop("total")
-    parts["vm"] = vm(population["total"])
-    rows = [dict(zip(strata, values), name=name, vm=v)
-            for name, values, v in zip(names, means(strata).T.tolist(), vm(strata["total"]))]
     return assemble_report(total, parts, rows, config_echo, ci_level, diagnostics)
 
 

@@ -187,7 +187,8 @@ def config_from_json(source) -> SimConfig:
             n_population=count(s["n_population"], f"{where}.n_population"),
             lognormal_mu=number(s["lognormal_mu"], f"{where}.lognormal_mu"),
             lognormal_sigma=number(s["lognormal_sigma"], f"{where}.lognormal_sigma"),
-            sd_ratio=number(s.get("sd_ratio", 0.2), f"{where}.sd_ratio"),
+            # an absent key takes the dataclass default
+            **{k: number(s[k], f"{where}.{k}") for k in ("sd_ratio",) if k in s},
         ))
     kwargs = {}
     for key in _NUMBER_KEYS:

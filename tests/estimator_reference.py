@@ -4,7 +4,8 @@
 took its daily estimates from the batched kernel: for every unit of a frame
 (`units`, built record by record by `frame_reference.reference_frame`) and
 each of its component-days, one `daily_estimate` call, then `wells_allocate`
-and the pooled `phi_any_detection` for a well site.  `estimate_survey`
+and the pooled `phi_any_detection` for a well site, giving a `ComponentObs`
+of `DailyEstimate` records per stage I unit.  `estimate_survey`
 expands what it returns with the component, stratum and population formulas
 (`_estimate_component`, `stratum_total`), and `total_inventory` is the
 single design pass that ran them before `msinv.estimators.total_inventory`
@@ -12,8 +13,8 @@ became one call of `msinv.batch.evaluate`: the same PODs, the same checks
 and the same report.
 
 Every sum runs left to right from 0 (Python's `sum`), and every square is a
-product, as in the kernel, so `msinv.estimators.prepare_components` equals
-the per-day loop bit for bit, and the kernel agrees with `estimate_survey`
+product, as in the kernel, so the arrays of `msinv.estimators.prepare_components`
+equal the per-day loop's means, variances and phi_hat bit for bit, and the kernel agrees with `estimate_survey`
 to rounding.
 """
 
@@ -27,11 +28,43 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from msinv import reporting
-from msinv.estimators import ComponentObs, DailyEstimate, EstimationError, EstimatorConfig
+from msinv.estimators import EstimationError, EstimatorConfig
 from msinv.frame import StratumDef, SurveyFrame
 from msinv.pod import PHI_FLOOR, pod
 
 from frame_reference import Unit, log_records, reference_frame
+
+
+@dataclass(slots=True)
+class DailyEstimate:
+    """Estimated mean emission rate of one component on one day.
+
+    ``phi_hat`` is the day's any-detection probability, set whenever
+    something was detected; a day without a detection has mean and variance
+    0.0 for either estimator.
+    """
+
+    mean_rate: float
+    var: float
+    phi_hat: float | None = None
+    n_detected: int = 0
+    day_id: int = 0
+    n_passes: int = 0       # the day's Q (a well share: the site's), 0 if unknown
+
+
+@dataclass(slots=True)
+class ComponentObs:
+    """One component's observations: its daily estimates.
+
+    ``dailies`` holds one daily estimate per surveyed day, in day order, as
+    built by `prepare_components` for the configured estimator (for wells,
+    the site's shares of them).
+    """
+
+    component_id: str
+    facility_id: str
+    stratum: str
+    dailies: tuple[DailyEstimate, ...]
 
 
 def phi_any_detection(detected_phis, n_missed: int) -> float:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,12 +76,13 @@ def edited(doc, edits):
 
 
 def assert_rejected(tmp_path, capsys, command, doc) -> str:
-    """``command`` on the JSON ``doc`` exits 4 with a message and writes nothing.
+    """``command`` on the JSON ``doc`` (or on the text of one) exits 4 with a
+    message and writes nothing.
 
     Returns the message.
     """
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "out"
     if command == "simulate":
         argv = ("simulate", "--config", str(cfg), "--out-dir", str(out))
@@ -317,6 +319,33 @@ class TestExitCodes:
         if measurement == "mc":
             assert ("msinv: estimation error: Monte Carlo iteration 0: non-finite "
                     in capsys.readouterr().err)
+
+    def test_a_report_whose_iteration_sums_overflow_is_3(self, tmp_path, capsys):
+        # every iteration of the packaged survey, its rates scaled by 3e149,
+        # is finite, but the report's sums over 2000 iterations are not
+        passes, frame, strata = packaged_subset_paths()
+        header, *rows = passes.read_text(encoding="utf-8").splitlines()
+        at = header.split(",").index("rate_kg_h")
+        scaled = tmp_path / "passes.csv"
+        with open(scaled, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                cells = row.split(",")
+                if cells[at]:
+                    cells[at] = repr(float(cells[at]) * 3e149)
+                fh.write(",".join(cells) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("estimate", "--passes", str(scaled), "--frame", str(frame),
+                       "--strata", str(strata), "--stage2", "observed", "--measurement", "mc",
+                       "--mc-iters", "2000", "--seed", "1", "--out-dir", str(out)) == 3
+        assert not caught
+        assert capsys.readouterr().err == (
+            "msinv: estimation error: non-finite population ci_lower in the report "
+            "(a measured rate too large to estimate with?)\n")
+        assert not out.exists()
 
     def test_a_failing_bias_correct_variant_writes_nothing(self, tmp_path, capsys):
         # the overflowing survey of test_overflowing_rate_is_3: every variant
@@ -602,6 +631,12 @@ class TestSimulate:
         assert run("simulate", *config, *args, "--out-dir", str(tmp_path / "out")) == 4
         assert not (tmp_path / "out").exists()
 
+    def test_a_repeated_key_is_4_and_named(self, tmp_path, capsys):
+        # the last value (3 replications, a valid config) is not taken
+        text = json.dumps(SIM_CONFIG)[:-1] + ', "replications": 3}'
+        assert assert_rejected(tmp_path, capsys, "simulate", text) == (
+            "msinv: configuration error: repeated key 'replications' in a JSON object\n")
+
     @pytest.mark.parametrize("key", ["wind_sd", "altitude_sd"])
     def test_negative_sd_is_4_and_named(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "sim.json"
@@ -722,6 +757,13 @@ class TestPlanAndDiagnose:
     @pytest.mark.parametrize("key, value", BAD_VALUES)
     def test_bad_scenario_value_is_4(self, tmp_path, capsys, key, value):
         assert_rejected(tmp_path, capsys, "plan", edited(PLAN_SCENARIO, {key: value}))
+
+    def test_a_repeated_key_is_4_and_named(self, tmp_path, capsys):
+        text = json.dumps(PLAN_SCENARIO)
+        assert '"pass_phis": [0.6, 0.8]' in text
+        text = text.replace('"pass_phis": [0.6, 0.8]', '"pass_phis": [0.6, 0.8], "pass_phis": 0.5')
+        assert assert_rejected(tmp_path, capsys, "plan", text) == (
+            "msinv: configuration error: repeated key 'pass_phis' in a JSON object\n")
 
     @pytest.mark.parametrize("edits", [
         {"horizon_days": 30.9},

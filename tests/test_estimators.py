@@ -17,8 +17,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from msinv.estimators import (
-    ComponentObs,
-    DailyEstimate,
     EstimationError,
     EstimatorConfig,
     estimate_survey as kernel_estimate_survey,
@@ -34,9 +32,9 @@ from msinv.reporting import KG_H_PER_KT_Y
 import estimator_reference
 from conftest import random_frame
 from estimator_reference import (
-    ComponentEstimate, _estimate_component, component_srs_hajek, daily_estimate,
-    estimate_survey, hajek_daily, hajek_daily_var, impute_component_variance, ipw_daily,
-    ipw_daily_var, phi_any_detection, starred_daily, stratum_total, wells_allocate,
+    ComponentEstimate, ComponentObs, DailyEstimate, _estimate_component, component_srs_hajek,
+    daily_estimate, estimate_survey, hajek_daily, hajek_daily_var, impute_component_variance,
+    ipw_daily, ipw_daily_var, phi_any_detection, starred_daily, stratum_total, wells_allocate,
 )
 from frame_reference import Pass, frame_from_passes
 from test_batch import DESIGNS, survey_frames
@@ -846,8 +844,8 @@ class TestWellsInPipeline:
         assert kgh == pytest.approx((80 + 40 + 60) / 2 / (4 / 40), rel=1e-3)
         rates = frame.measured_rates
         phis = pod(rates, frame.altitudes, frame.wind_speeds)
-        est = estimate_survey(prepare_components(frame, rates, phis, cfg), frame.strata, cfg,
-                              keep_components=True)
+        est = estimate_survey(estimator_reference.prepare_components(frame, rates, phis, cfg),
+                              frame.strata, cfg, keep_components=True)
         wells = [c for c in est.components if c.component_id.startswith("site1/well")]
         assert len(wells) == 4
         assert {(c.mean_rate, c.var) for c in wells} == {(wells[0].mean_rate, wells[0].var)}
@@ -867,14 +865,27 @@ class TestWellsInPipeline:
 # ---------------------------------------------------------------------------
 
 
-def daily_bits(comps):
-    """Every field of every daily estimate, floats as hex and with their types."""
-    def value(x):
-        return (type(x).__name__, x.hex() if isinstance(x, float) else x)
+def reference_days(frame, comps):
+    """The per-day loop's means, variances and phi_hat, flattened one unit at a time.
 
-    return [(c.component_id, c.facility_id, c.stratum,
-             [tuple(value(getattr(d, f)) for f in DailyEstimate.__slots__) for d in c.dailies])
-            for c in comps]
+    A well site's days are its first well's, and the other wells must repeat
+    them; phi_hat is NaN on a day without a detection, as in the kernel.
+    """
+    comps = iter(comps)
+    days = []
+    for unit in estimator_reference.units(frame):
+        first = next(comps)
+        for _ in unit.members[1:]:
+            assert next(comps).dailies == first.dailies
+        days += first.dailies
+    assert next(comps, None) is None
+    return ([d.mean_rate for d in days], [d.var for d in days],
+            [math.nan if d.phi_hat is None else d.phi_hat for d in days])
+
+
+def hex_bits(columns):
+    """Each float of each column as hex (NaN as ``nan``)."""
+    return [[float(x).hex() for x in column] for column in columns]
 
 
 # a well site of two components (one detection each on day 5, a day without a
@@ -923,8 +934,9 @@ def test_prepare_components_equals_the_reference_loop(draws, estimator):
     frame, rates, phis = draws
     cfg = EstimatorConfig(estimator=estimator)
     got = prepare_components(frame, rates, phis, cfg)
-    want = estimator_reference.prepare_components(frame, rates, phis, cfg)
-    assert daily_bits(got) == daily_bits(want)
+    want = reference_days(frame, estimator_reference.prepare_components(frame, rates, phis, cfg))
+    assert all(isinstance(a, np.ndarray) and a.dtype == float for a in got)
+    assert hex_bits(got) == hex_bits(want)
 
 
 FAULTS = ["negative rate", "POD 0", "POD above 1", "NaN POD",

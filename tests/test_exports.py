@@ -3,6 +3,7 @@ the program imports only the standard library and its declared dependencies."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -83,3 +84,39 @@ def test_no_module_loads_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# The comment that marks an import the program does not use, kept so that the
+# benchmark's tracer finds the name where it patches it.
+TRACER_MARK = "perfbench/tracer.py patches"
+
+
+def _traced_sites() -> set[tuple[str, str]]:
+    """Every (module, name) site of perfbench/tracer.py's `TRACED`."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {site for _, sites, _ in tracer.TRACED for site in sites}
+
+
+def _tracer_only_imports() -> list[tuple[str, str]]:
+    """(module, name) of each name imported on the line after a `TRACER_MARK` comment."""
+    found = []
+    for path in sorted((ROOT / "src" / "msinv").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        marked = {n + 2 for n, line in enumerate(source.splitlines()) if TRACER_MARK in line}
+        found += [(f"msinv.{path.stem}", alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.lineno in marked
+                  for alias in node.names]
+    return found
+
+
+def test_tracer_only_imports_are_traced():
+    imports = _tracer_only_imports()
+    assert ("msinv.measurement", "prepare_components") in imports
+    traced = _traced_sites()
+    stale = [site for site in imports if site not in traced]
+    assert not stale, (
+        f"perfbench/tracer.py no longer patches {stale}: delete these imports, and once "
+        "no site names msinv.estimators.prepare_components, that function and its tests")

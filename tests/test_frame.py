@@ -213,11 +213,6 @@ class TestUnits:
     def test_components_then_sites_with_their_parts(self):
         frame = self._frame()
         # site0 has no wells and no detections: it is no unit at all
-        assert frame._unit_heads == [
-            ("c1", "A", ("f1",), 0),
-            ("site1", "Wells", ("site1/well1", "site1/well2", "site1/well3"), 3),
-        ]
-        assert frame._ud_day == [1, 2, 4, 5, 6]
         ix = frame.index
         assert ix.ud_unit.tolist() == [0, 0, 1, 1, 1]
         assert ix.cd_ud.tolist() == [0, 1, 2, 3, 3, 4]
@@ -301,9 +296,7 @@ class TestRoundTrip:
         for f in dataclasses.fields(again.index):
             got, want = getattr(again.index, f.name), getattr(subset_frame.index, f.name)
             assert got.dtype == want.dtype and np.array_equal(got, want), f.name
-        assert again._unit_heads == subset_frame._unit_heads
-        assert again._ud_day == subset_frame._ud_day
-        assert any(wells for *_, wells in again._unit_heads)
+        assert again.index.unit_wells.any()
 
 
     @pytest.mark.parametrize("marked", range(3))
@@ -375,3 +368,14 @@ class TestConfigReader:
         assert read_json(path) == read_json(str(path)) == doc
         assert read_json(io.StringIO(json.dumps(doc))) == doc
         assert read_json(doc) is doc
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"a": 1, "a": 2}', "a"),
+        ('{"a": 1, "b": [{"c": 1, "c": 1}]}', "c"),
+    ], ids=["top-level", "nested"])
+    def test_read_json_refuses_a_repeated_key(self, tmp_path, text, key):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        for source in (path, io.StringIO(text)):
+            with pytest.raises(ValueError, match=f"^repeated key '{key}' in a JSON object$"):
+                read_json(source)

@@ -216,8 +216,6 @@ def outcome(load, paths):
 def assert_same_frame(frame: SurveyFrame, ref):
     assert log_records(frame) == ref.passes
     assert detected_records(frame) == ref.detected_passes
-    assert frame._unit_heads == [(u.unit_id, u.stratum, u.members, u.wells) for u in ref.units]
-    assert frame._ud_day == [day.day_id for u in ref.units for day in u.days]
     for f in dataclasses.fields(frame.index):
         got, want = getattr(frame.index, f.name), getattr(ref.index, f.name)
         assert got.dtype == want.dtype and np.array_equal(got, want), f.name

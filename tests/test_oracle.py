@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from msinv.batch import POPULATION_KEYS, build_layout, compile_index, evaluate
-from msinv.estimators import ComponentObs, EstimationError, EstimatorConfig
+from msinv.estimators import EstimationError, EstimatorConfig
 from msinv.frame import StratumDef, UnitIndex
 from msinv import oracle
 from msinv.oracle import (
@@ -31,7 +31,7 @@ from msinv.oracle import (
     exact_stage_variances,
     true_total,
 )
-from estimator_reference import daily_estimate, estimate_survey
+from estimator_reference import ComponentObs, daily_estimate, estimate_survey
 from oracle_reference import (
     pattern_probs,
     reference_block,

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from msinv.measurement import McConfig, bias_corrected_inventory, run_mc
 from msinv.pod import MeasurementModel, PodParams
 from msinv.reporting import (
     KG_H_PER_KT_Y,
+    EstimationError,
     VAR_KG_H_PER_KT_Y,
     batch_report,
     wald_ci,
@@ -197,6 +199,26 @@ def test_batch_report_maps_every_part_to_its_field(b):
     assert report.ci_level == 0.9
 
 
+@pytest.mark.parametrize("b, big, where", [
+    # one iteration: every part is finite, the stage sum v1 + v2 is not
+    (1, [("Population", "v1"), ("Population", "v2")], "population ci_lower"),
+    # two: the sum of a part over the iterations overflows
+    (2, [("Population", "total")], "population total"),
+    (2, [("B", "u1")], "stratum 'B' unclipped.var_stage1"),
+], ids=["B1-stage-sum", "B2-total", "B2-stratum-unclipped"])
+def test_batch_report_refuses_a_sum_that_overflows(b, big, where):
+    population = {k: np.full(b, 1.0) for k in POPULATION_KEYS}
+    strata = {k: np.ones((2, b)) for k in STRATUM_KEYS}
+    for scope, key in big:
+        (population[key] if scope == "Population" else strata[key][1])[:] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError) as caught:
+            batch_report(population, strata, ["A", "B"], {}, 0.95)
+    assert str(caught.value) == (f"non-finite {where} in the report "
+                                 "(a measured rate too large to estimate with?)")
+
+
 def test_batch_report_copies_no_series():
     # the one temporary a series long is the variance's deviations of the
     # stratum totals from their means
@@ -233,8 +255,8 @@ def test_as_dict_equals_asdict_and_shares_nothing(subset_frame, measurement):
         report = run_mc(subset_frame, McConfig(estimator=cfg, iterations=20, seed=3)).report
     else:
         report = bias_corrected_inventory(subset_frame, cfg)
-    report.manifest = {"command": "estimate", "inputs": {"passes": {"path": "p.csv"}},
-                       "list": [1, [2.5, {"x": None}]]}
+    report.diagnostics["nested"] = {"inputs": {"passes": {"path": "p.csv"}},
+                                    "list": [1, [2.5, {"x": None}]]}
     doc = report.as_dict()
     assert doc == dataclasses.asdict(report)
     assert isinstance(doc["strata"][0], dict)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from msinv import simlab
 from msinv.batch import build_layout, compile_index, evaluate
-from msinv.estimators import ComponentObs, EstimationError, wald_ci
+from msinv.estimators import EstimationError, wald_ci
 from msinv.frame import StratumDef
 from msinv.pod import PodParams, pod
 from msinv.simlab import (
@@ -34,7 +34,7 @@ from msinv.simlab import (
     run_study,
 )
 
-from estimator_reference import daily_estimate, estimate_survey
+from estimator_reference import ComponentObs, daily_estimate, estimate_survey
 
 DATA = Path(__file__).resolve().parent / "data"
 MIB = 2**20
