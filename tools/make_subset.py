@@ -13,20 +13,31 @@ Also fits per-stratum lognormal parameters to the subset's bias-corrected
 detections by moment matching and stores them as the simulation lab's default
 configuration.
 
-Usage: python tools/make_subset.py [outdir]
+``--check`` rebuilds into a temporary directory instead and compares the
+result with the files in outdir byte for byte: it names each file that
+differs and exits 1 if any does, writing nothing in outdir.
+
+Usage: python tools/make_subset.py [outdir] [--check]
+(outdir defaults to the package's data directory, src/msinv/data)
 """
 
+import argparse
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from msinv.frame import FRAME_HEADER, PASSES_HEADER, STRATA_HEADER
-from msinv.pod import bias_correct, pod
-from msinv.reporting import write_csv, write_json
-from msinv.simlab import fit_lognormal_moments
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, installed or not
 
+from msinv.frame import FRAME_HEADER, PASSES_HEADER, STRATA_HEADER  # noqa: E402
+from msinv.pod import bias_correct, pod  # noqa: E402
+from msinv.reporting import write_csv, write_json  # noqa: E402
+from msinv.simlab import fit_lognormal_moments  # noqa: E402
+
+PACKAGED = ROOT / "src" / "msinv" / "data"
 SEED = 20211101
 
 # name, facilities sampled, facility population, log-mean rate, log-sd,
@@ -56,19 +67,30 @@ COVERAGE = 0.72
 QUANTIFICATION_LIMIT = 20.0
 
 
-def draw_pmf(rng, pmf):
+def pmf_table(pmf):
+    """A {value: probability} pmf as (values, probabilities) arrays, values sorted."""
     keys = sorted(pmf)
-    return int(rng.choice(keys, p=[pmf[k] for k in keys]))
+    return np.array(keys), np.array([pmf[k] for k in keys])
+
+
+PASS_COUNTS = pmf_table(PASS_COUNT_PMF)
+DAY_COUNTS = pmf_table(DAY_COUNT_PMF)
+
+
+def draw_pmf(rng, table):
+    values, probabilities = table
+    return int(rng.choice(values, p=probabilities))
 
 
 def survey_days(rng):
-    n = draw_pmf(rng, DAY_COUNT_PMF)
+    n = draw_pmf(rng, DAY_COUNTS)
     return sorted(int(d) for d in rng.choice(np.arange(1, 61), size=n, replace=False))
 
 
 def pass_conditions(rng):
-    wind = float(np.clip(rng.normal(4.5, 1.2), 1.0, 9.0))
-    alt = float(np.clip(rng.normal(150.0, 18.0), 115.0, 185.0))
+    # the draws are Python floats, and min/max clip them as np.clip would
+    wind = min(max(rng.normal(4.5, 1.2), 1.0), 9.0)
+    alt = min(max(rng.normal(150.0, 18.0), 115.0), 185.0)
     return wind, alt
 
 
@@ -81,12 +103,12 @@ def component_passes(rng, comp_level, days, suppress):
     """Yield per-pass rows: (day, idx, detected, rate, wind, alt)."""
     rows = []
     for day in days:
-        q = draw_pmf(rng, PASS_COUNT_PMF)
+        q = draw_pmf(rng, PASS_COUNTS)
         day_level = comp_level * float(rng.lognormal(0.0, 0.20))
         for idx in range(1, q + 1):
             true_rate = day_level * float(rng.lognormal(0.0, 0.15))
             wind, alt = pass_conditions(rng)
-            phi = float(pod(true_rate, alt, wind))
+            phi = pod(true_rate, alt, wind)
             detected = (not suppress) and rng.random() < phi * COVERAGE
             rate = round(measured_from_true(rng, true_rate), 3) if detected else None
             if detected and rate >= QUANTIFICATION_LIMIT:
@@ -146,10 +168,10 @@ def fit_defaults(pass_rows, frame_rows):
     by_stratum = {}
     for row in pass_rows:
         if row[6] == 1:
-            by_stratum.setdefault(row[3], []).append(bias_correct(row[7]))
+            by_stratum.setdefault(row[3], []).append(row[7])
     fits = {}
     for name, rates in sorted(by_stratum.items()):
-        arr = np.asarray(rates)
+        arr = bias_correct(np.asarray(rates))
         if len(arr) < 2:
             continue
         mu, sigma = fit_lognormal_moments(float(arr.mean()), float(arr.var(ddof=1)))
@@ -175,5 +197,32 @@ def main(outdir, seed=SEED):
     print(f"{len(frame_rows)} components, {len(pass_rows)} passes, {n_det} detections")
 
 
+def check(outdir=PACKAGED) -> int:
+    """Compare a rebuild with the files in outdir; 1 if any of them differs."""
+    outdir = Path(outdir)
+    with tempfile.TemporaryDirectory() as tmp:
+        main(tmp)
+        rebuilt = sorted(Path(tmp).iterdir())
+        differ = [new.name for new in rebuilt
+                  if not (outdir / new.name).is_file()
+                  or (outdir / new.name).read_bytes() != new.read_bytes()]
+    for name in differ:
+        print(f"DIFFERS {name}")
+    print(f"{len(differ)} of {len(rebuilt)} file(s) differ from a rebuild in {outdir}")
+    return 1 if differ else 0
+
+
+def cli(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", nargs="?", default=PACKAGED)
+    parser.add_argument("--check", action="store_true",
+                        help="compare a rebuild with the files in outdir instead of writing them")
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(args.outdir)
+    main(args.outdir)
+    return 0
+
+
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src/msinv/data")
+    sys.exit(cli())
