@@ -18,7 +18,9 @@ strata and groups).  `build_layout` adds, per configuration, what the
 configuration decides: which units are zero emitters or need a pooled
 variance, the days the other units expand (IPW on the original plan: every
 surveyed day, at phi_hat = 1; else the star days), the pooling peers among
-the members, and the check of d_p against the horizon.  Every configuration
+the members, and the check of d_p against the horizon.  The peers are
+scheduled only when a member pools: else `Layout.peers` is None and
+`evaluate` skips the pooled-variance sum.  Every configuration
 of an index shares its `CompiledIndex`, and a frame keeps each
 configuration's layout (`SurveyFrame.layout`).  `evaluate` computes a whole
 chunk of iterations at once, as arrays with one row per iteration, for
@@ -32,7 +34,9 @@ Each ragged index (the passes of a component-day, the members of a stratum,
 ...) is a prefix sum `Schedule`: its rows are stored longest first, so the
 c-th items of all rows with more than c items fill a contiguous prefix of
 the rows.  A row sum then takes one gather and one in-place add per column,
-and the rows are put back in order once at the end.
+and the rows are put back in order once at the end.  A schedule of items
+that are positions (a stratum's members, a group's strata, ...) is built
+from the keys alone, with no gather through an identity array.
 
 This kernel is the estimator of every production path: the Monte Carlo,
 the oracle, the simulation lab, and the single design pass of bias
@@ -107,12 +111,15 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> Schedule:
                     items, order, rank)
 
 
-def _schedule(keys: np.ndarray, values: np.ndarray, n_rows: int) -> Schedule:
-    """Row k lists, in their order, the values whose key is k."""
+def _schedule(keys: np.ndarray, values: np.ndarray | None, n_rows: int) -> Schedule:
+    """Row k lists, in their order, the values whose key is k; with
+    ``values`` None, the positions of those keys."""
     by_key = np.argsort(keys, kind="stable")
     length = np.bincount(keys, minlength=n_rows)
     s = _ranges(np.cumsum(length) - length, length)
-    return s._replace(items=values[by_key][s.items])
+    if values is not None:
+        by_key = values[by_key]
+    return s._replace(items=by_key[s.items])
 
 
 def _seq_sum(x: np.ndarray, s: Schedule) -> np.ndarray:
@@ -212,7 +219,7 @@ def compile_index(index: UnitIndex) -> CompiledIndex:
     """Compile the units for `build_layout`, under any configuration."""
     ud_unit, member_unit, member_stratum = index.ud_unit, index.member_unit, index.member_stratum
     n_cd, n_ud, n_units = len(index.cd_q), len(ud_unit), len(index.unit_wells)
-    n_strata, n_members = len(index.n_sampled), len(member_unit)
+    n_strata = len(index.n_sampled)
 
     # detected component-days, and the detected passes in component-day order
     by_cd = np.argsort(index.pass_cd, kind="stable")
@@ -266,7 +273,7 @@ def compile_index(index: UnitIndex) -> CompiledIndex:
         grp_count=_col(np.bincount(grp_key, minlength=n_grp)),
         grp_misses=_col(np.concatenate([index.cd_q[dd_cd] - cd_n[dd_cd], ud_misses[site]]),
                         np.intp),
-        ud_members=_schedule(dd_ud, np.arange(n_dd), n_ud),
+        ud_members=_schedule(dd_ud, None, n_ud),
         ud_wells=_col(np.maximum(wells, 1)),
         ud_unit=ud_unit,
         star=star,
@@ -279,13 +286,12 @@ def compile_index(index: UnitIndex) -> CompiledIndex:
         member_unit=member_unit,
         member_stratum=member_stratum,
         member_f=_col(stratum_f[member_stratum]),
-        members=_schedule(member_stratum, np.arange(n_members), n_strata),
-        fac_members=_schedule(fac_of_member, np.arange(n_members), len(fac_first)),
-        fac_of_stratum=_schedule(member_stratum[fac_first], np.arange(len(fac_first)),
-                                 n_strata),
+        members=_schedule(member_stratum, None, n_strata),
+        fac_members=_schedule(fac_of_member, None, len(fac_first)),
+        fac_of_stratum=_schedule(member_stratum[fac_first], None, n_strata),
         stratum_f=_col(stratum_f),
         stratum_pair_coef=_col(pair_coef),
-        groups=_schedule(index.stratum_group, np.arange(n_strata),
+        groups=_schedule(index.stratum_group, None,
                          int(index.stratum_group.max(initial=-1)) + 1),
         n_zero_emitting_strata=int(np.count_nonzero((size > 0) & (size == n_zero))),
     )
@@ -318,7 +324,8 @@ class Layout:
     first_day_of_pooled: np.ndarray  # per pooled unit: its position in days
     # pooling, per member
     member_h: np.ndarray
-    peers: Schedule                 # per stratum: the members of its full units
+    peers: Schedule | None          # per stratum: the members of its full units;
+                                    # None when no member pools
     n_peers: np.ndarray
     pooled_members: np.ndarray
     pooled_stratum: np.ndarray      # per pooled member
@@ -360,12 +367,16 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
     full_days = np.flatnonzero(is_full[day_unit])
     n_full = n_days[full]
 
-    # pooling peers: the members of each stratum's full units, in order
+    # pooling peers: the members of each stratum's full units, in order,
+    # scheduled only if a member pools
     peer = is_full[index.member_unit]
     peer_stratum = index.member_stratum[peer]
     n_peers = np.bincount(peer_stratum, minlength=index.n_strata)
     pooled_members = np.flatnonzero(is_pooled[index.member_unit])
     pooled_stratum = index.member_stratum[pooled_members]
+    peers = None
+    if len(pooled_members):
+        peers = _schedule(peer_stratum, np.flatnonzero(peer), index.n_strata)
     diagnostics = {
         "n_pooled_components": len(pooled_members),
         "n_pooled_without_peers": int(np.count_nonzero(n_peers[pooled_stratum] == 0)),
@@ -386,7 +397,7 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
         days_of_full=_ranges(np.cumsum(n_full) - n_full, n_full),
         first_day_of_pooled=(np.cumsum(n_days) - n_days)[pooled],
         member_h=_col(horizon[index.member_unit]),
-        peers=_schedule(peer_stratum, np.flatnonzero(peer), index.n_strata),
+        peers=peers,
         n_peers=_col(np.maximum(1, n_peers)),  # an empty sum stays 0.0
         pooled_members=pooled_members,
         pooled_stratum=pooled_stratum,
@@ -520,7 +531,8 @@ def _assemble(layouts: Sequence[Layout], unit_est: np.ndarray):
     members = unit_est.take(ix.member_unit, axis=1)
     mean, s3, var = members[0], members[1], members[2:]
     pooled = layout.pooled_members
-    var[:, pooled] = (_seq_sum(var, layout.peers) / layout.n_peers)[:, layout.pooled_stratum]
+    if layout.peers is not None:
+        var[:, pooled] = (_seq_sum(var, layout.peers) / layout.n_peers)[:, layout.pooled_stratum]
     f = ix.member_f
     ff = f * f
     terms = np.empty((1 + 3 * n,) + mean.shape)

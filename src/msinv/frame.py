@@ -120,7 +120,7 @@ class UnitIndex:
     cd_ud: np.ndarray           # per component-day: its unit-day
     ud_unit: np.ndarray         # per unit-day: its unit
     unit_wells: np.ndarray      # per unit: its wells, 0 for a non-well component
-    labels: np.ndarray          # per unit: the component id error messages name
+    labels: np.ndarray          # per unit: the component id (simulation: number) errors name
     member_unit: np.ndarray     # per stage I member: the unit it adds
     member_stratum: np.ndarray  # per stage I member: its stratum
     member_fac: np.ndarray      # per stage I member: its facility (see above)

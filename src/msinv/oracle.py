@@ -247,16 +247,19 @@ def _walk(pop: MicroPopulation, tables: _Tables, size: int):
         k = len(sampled)
         design_prob = stage1_prob * (1.0 / n_subsets) ** k
         # a cell per day selection, digit j the days of sampled component j;
-        # per cell and pair: the pattern count, the stride and the first row
+        # per cell and pair: its pattern digit's mask (a pair of q passes
+        # has 2^q patterns) and shift (the pass count of the pairs after
+        # it), and its first row
         n_cells = n_subsets ** k
         digits = np.arange(n_cells)[:, None] // n_subsets ** np.arange(k - 1, -1, -1) % n_subsets
         pair_c = np.repeat(sampled, d)
         pair_t = subsets[digits].reshape(n_cells, k * d)
-        radix = 1 << tables.q[pair_c, pair_t]
-        strides = np.ones_like(radix)
-        strides[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+        q = tables.q[pair_c, pair_t]
+        mask = (1 << q) - 1
+        shift = np.zeros_like(q)
+        shift[:, :-1] = np.cumsum(q[:, :0:-1], axis=1)[:, ::-1]
         pattern_start = tables.pattern_start[pair_c, pair_t]
-        n_cell = radix.prod(axis=1)
+        n_cell = 1 << q.sum(axis=1)
         cell_start = np.cumsum(n_cell) - n_cell
         n_draw = int(n_cell.sum())
         start = 0
@@ -264,7 +267,7 @@ def _walk(pop: MicroPopulation, tables: _Tables, size: int):
             stop = min(n_draw, start + size - (first_outcome + start) % size)
             rows = np.arange(start, stop)
             cell = np.searchsorted(cell_start, rows, side="right") - 1
-            patterns = (rows - cell_start[cell])[:, None] // strides[cell] % radix[cell]
+            patterns = (rows - cell_start[cell])[:, None] >> shift[cell] & mask[cell]
             pattern_rows = pattern_start[cell] + patterns
             prob = np.full(len(rows), design_prob)
             detection_prob = np.ones(len(rows))
@@ -460,14 +463,20 @@ def exact_stage_variances(dist, config: EstimatorConfig | None = None):
     """Law-of-total-variance split of the estimator's exact variance.
 
     ``dist`` is an `OutcomeDistribution`, or a `MicroPopulation` to
-    enumerate under ``config``.  Returns (V_I, V_II, V_III):
+    enumerate under ``config``, which it then requires (`TypeError` if
+    None).  Returns (V_I, V_II, V_III):
         V_I   = Var over stage I draws of E[That | stage I]
         V_II  = E over stage I of Var over day draws of E[That | stages I, II]
         V_III = E over stages I, II of Var of That over detection outcomes.
     For inverse-probability weighting these equal the closed-form true
-    variances evaluated by the survey planner.
+    variances evaluated by the survey planner.  A population is enumerated
+    again here, so a caller that already holds the configuration's
+    `OutcomeDistribution` (from `enumerate_outcomes`) should pass that.
     """
     if isinstance(dist, MicroPopulation):
+        if config is None:
+            raise TypeError("exact_stage_variances of a MicroPopulation needs the "
+                            "EstimatorConfig to enumerate it under (config is None)")
         (dist,) = _enumerate(dist, [config])
 
     def runs(ids):  # the bounds of each run of equal ids

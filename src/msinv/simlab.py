@@ -559,8 +559,9 @@ def _sample_block(pop: SimPopulation, config: SimConfig, reps: range):
 
     Each (replication, stratum) pair is a stratum and each replication a
     group.  A unit is a sampled emitting component with one unit-day, and
-    one component-day, per surveyed day; facilities keep their population
-    order within a stratum.  POD is evaluated on the sampled passes only.
+    one component-day, per surveyed day, labelled by its component number
+    in its stratum; facilities keep their population order within a
+    stratum.  POD is evaluated on the sampled passes only.
     """
     strata = list(pop.strata.values())
     n_strata, d_p = len(strata), config.days_sampled
@@ -588,12 +589,10 @@ def _sample_block(pop: SimPopulation, config: SimConfig, reps: range):
 
     n_sampled = np.tile([sp.spec.n_sampled for sp in strata], len(reps))
     n_population = np.tile([sp.spec.n_population for sp in strata], len(reps))
-    names = [sp.spec.name for sp in strata]
     index = UnitIndex(
         pass_cd=(unit * d_p + k)[det], cd_q=q.reshape(-1), cd_ud=np.arange(n_units * d_p),
         ud_unit=np.repeat(np.arange(n_units), d_p), unit_wells=np.zeros(n_units, dtype=np.intp),
-        labels=np.array([f"{names[s]}:{c}" for s, c in zip(local.tolist(), comp.tolist())],
-                        dtype=object),
+        labels=comp,
         member_unit=np.arange(n_units), member_stratum=unit_stratum,
         member_fac=(np.cumsum(n_population) - n_population)[unit_stratum] + fac,
         n_sampled=n_sampled, n_population=n_population,

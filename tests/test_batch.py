@@ -34,9 +34,18 @@ CONFIGS = [
 
 
 @st.composite
-def survey_frames(draw):
+def survey_frames(draw, pooling=None):
     """Frames with well sites of 0-3 wells, single-day components, Q_pt up to 5
-    and, sometimes, a stratum without a single detection."""
+    and, sometimes, a stratum without a single detection.
+
+    ``pooling`` shapes the frame for the pooling of single-day variances.
+    "none" surveys every component on 2-3 days, each day with a detection
+    where the component detects, so that no unit pools under any
+    configuration; "all" surveys every component on day 0 alone, so that
+    every emitting unit pools, and has no peers; "some" surveys stratum S0
+    as "all" does, always with detections, and the rest as "none" does, so
+    that S0's pooled units have no peers while other strata have peers.
+    """
     strata: dict[str, StratumDef] = {}
     comps: dict[str, ComponentRef] = {}
     passes: list[Pass] = []
@@ -44,11 +53,15 @@ def survey_frames(draw):
 
     def component(cid, fac, site, stratum, is_well, detect):
         comps[cid] = ComponentRef(cid, fac, site, stratum, is_well)
-        n_days = draw(st.integers(1, 3))
-        for day in draw(st.lists(st.integers(0, 9), min_size=n_days, max_size=n_days,
-                                 unique=True)):
+        if pooling == "all" or (pooling == "some" and stratum == "S0"):
+            days = [0]
+        else:
+            n_days = draw(st.integers(2, 3) if pooling else st.integers(1, 3))
+            days = draw(st.lists(st.integers(0, 9), min_size=n_days, max_size=n_days,
+                                 unique=True))
+        for day in days:
             for q in range(draw(st.integers(1, 5))):
-                if detect and draw(st.booleans()):
+                if detect and ((pooling and q == 0) or draw(st.booleans())):
                     passes.append(Pass(cid, day, q, True,
                                        draw(st.floats(15.0, 120.0)),
                                        draw(st.floats(1.0, 8.0)),
@@ -65,7 +78,8 @@ def survey_frames(draw):
             site = f"{name}-SITE{fi // 2}"
             wells[site] = 0
             for ci in range(draw(st.integers(1, 2))):
-                component(f"{fac}-C{ci}", fac, site, name, False, h != silent)
+                component(f"{fac}-C{ci}", fac, site, name, False,
+                          h != silent or (pooling == "some" and h == 0))
         strata[name] = StratumDef(name, n_fac, n_fac + draw(st.integers(0, 5)))
     n_sites = draw(st.integers(0, 3))
     if n_sites:
@@ -191,6 +205,40 @@ def test_structural_diagnostics_match_scalar(subset_frame):
         assert layout.diagnostics["n_pooled_without_peers"] == est.n_pooled_no_peers
 
 
+@pytest.mark.parametrize("pooling", ["none", "all", "some"])
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_pooling_paths_match_scalar_reference_bit_for_bit(pooling, data, seed):
+    # a layout schedules pooling peers exactly when a member pools; with no
+    # peers, or none scheduled, the kernel still gives the reference's bits
+    frame = data.draw(survey_frames(pooling))
+    for cfg in CONFIGS:
+        layout = frame.layout(cfg)
+        diagnostics = layout.diagnostics
+        n_pooled = diagnostics["n_pooled_components"]
+        assert (layout.peers is None) == (n_pooled == 0)
+        if pooling == "none":
+            assert n_pooled == 0
+        else:
+            assert diagnostics["n_pooled_without_peers"] == n_pooled
+            assert n_pooled > 0 or pooling == "all"
+        y = sample_true_rate(frame.measured_rates,
+                             iteration_uniforms(seed, range(3), layout.n_passes))
+        phi = np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
+        (est,) = evaluate([layout], y, phi)
+        for b in range(3):
+            ref = estimate_survey(prepare_components(frame, y[b], phi[b], cfg),
+                                  frame.strata, cfg)
+            what = (cfg.estimator, cfg.plan, cfg.stage2, cfg.decomposition, b)
+            for key in POPULATION_KEYS:
+                assert same_bits(est.population[key][b, 0], np.float64(getattr(ref, key))), (
+                    what, key)
+            for s, name in enumerate(frame.strata):
+                for key in STRATUM_KEYS:
+                    assert same_bits(est.strata[key][b, s],
+                                     np.float64(getattr(ref.strata[name], key))), (what, name, key)
+
+
 @pytest.mark.parametrize("estimator,plan", DESIGNS)
 def test_iterations_independent_of_chunking(subset_frame, monkeypatch, estimator, plan):
     mc = McConfig(estimator=EstimatorConfig(estimator=estimator, plan=plan),
@@ -253,6 +301,45 @@ def test_prefix_sums_and_products_are_left_to_right(n_items, data, longest_first
                                          first[..., r, :])
             assert same_bits(sums[..., r, :], want_sum), (r, row)
             assert same_bits(prods[..., r, :], want_prod), (r, row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(keys=st.lists(st.integers(0, 6), max_size=40), extra=st.integers(0, 3))
+@example(keys=[], extra=0)
+@example(keys=[], extra=2)
+@example(keys=[4, 0, 4, 2, 0, 4], extra=3)
+def test_a_schedule_of_positions_equals_the_identity_gather(keys, extra):
+    # values None schedule the keys' positions: unsorted keys, empty rows and
+    # rows past the largest key lay out as with np.arange as the values
+    keys = np.array(keys, dtype=np.intp)
+    n_rows = int(keys.max(initial=-1)) + 1 + extra
+    got = batch._schedule(keys, None, n_rows)
+    want = batch._schedule(keys, np.arange(len(keys)), n_rows)
+    assert got.n_rows == want.n_rows == n_rows
+    assert got.columns == want.columns
+    for name in ("items", "order", "rank"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if w is not None:
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def test_peers_are_scheduled_exactly_where_a_member_pools(subset_frame, micro_b):
+    # the packaged subset pools under every configuration; micro_b's blocks
+    # (2 of 3 days) pool under Hajek only, where a unit has one detection day
+    for cfg in CONFIGS:
+        layout = subset_frame.layout(cfg)
+        assert layout.diagnostics["n_pooled_components"] > 0
+        assert layout.peers is not None and layout.peers.n_rows == len(subset_frame.strata)
+    scheduled = set()
+    for block in oracle._blocks(micro_b):
+        index = compile_index(block.index)
+        for cfg in all_configs(micro_b.horizon):
+            layout = build_layout(index, cfg)
+            pools = layout.diagnostics["n_pooled_components"] > 0
+            assert (layout.peers is not None) == pools
+            scheduled.add((cfg.estimator, pools))
+    assert scheduled == {("ipw", False), ("hajek", True)}
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,10 @@ class TestMicroB:
         assert exact_stage_variances(dist_b) == MICRO_B_STAGE_VARIANCES
         assert exact_stage_variances(micro_b, cfg_b()) == MICRO_B_STAGE_VARIANCES
 
+    def test_a_population_without_its_configuration_is_refused(self, micro_b):
+        with pytest.raises(TypeError, match="needs the EstimatorConfig"):
+            exact_stage_variances(micro_b)
+
     def test_stage_parts_sum_to_variance(self, dist_b):
         v1, v2, v3 = exact_stage_variances(dist_b)
         assert v1 + v2 + v3 == pytest.approx(dist_b.var_total(), rel=1e-10)
@@ -395,9 +399,10 @@ class TestKernelMatchesScalarReference:
 
 
 @st.composite
-def block_populations(draw):
+def block_populations(draw, wide_days=False):
     """1-2 strata of 1-2 facilities with 0-2 components each and 0-2 passes a
-    day, enumerated in blocks of 1-600 outcomes."""
+    day, enumerated in blocks of 1-600 outcomes.  With ``wide_days``, 1-2
+    component-days have 3-5 passes instead: a pattern digit up to 32 wide."""
     strata, facilities, components = {}, {}, []
     passes = st.builds(MicroPass, st.sampled_from([0.0, 2.5, 7.0]),
                        st.sampled_from([0.3, 0.8, 1.0]))
@@ -414,6 +419,13 @@ def block_populations(draw):
     # components listed out of facility order
     components = draw(st.permutations(components))
     assume(components)
+    if wide_days:
+        for _ in range(draw(st.integers(1, 2))):
+            i = draw(st.integers(0, len(components) - 1))
+            t = draw(st.integers(0, horizon - 1))
+            days = list(components[i].days)
+            days[t] = tuple(draw(st.lists(passes, min_size=3, max_size=5)))
+            components[i] = dataclasses.replace(components[i], days=tuple(days))
     pop = MicroPopulation(strata=strata, facilities=facilities, components=tuple(components),
                           days_sampled=draw(st.integers(1, min(horizon, 2))))
     assume(oracle._enumeration_size(pop) <= 3000)
@@ -574,6 +586,16 @@ class TestBlockBuilder:
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
     @given(case=block_populations())
     def test_generated_populations(self, case):
+        pop, size = case
+        with mock.patch.object(oracle, "OUTCOME_BLOCK", size):
+            assert_walk_and_blocks_match_the_reference(pop)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(case=block_populations(wide_days=True))
+    def test_generated_populations_with_days_of_3_to_5_passes(self, case):
+        # a cell's pattern digits are decoded by shift and mask: digits of
+        # 8-32 patterns beside narrow ones
         pop, size = case
         with mock.patch.object(oracle, "OUTCOME_BLOCK", size):
             assert_walk_and_blocks_match_the_reference(pop)

@@ -542,8 +542,8 @@ class TestStudy:
         assert len(seen) == 1
         assert len(expected) == sp.q.sum() * cfg.replications
         assert np.array_equal(seen[0], expected)
-        # a unit is labelled "<stratum>:<component>"
-        assert index.labels.tolist() == [f"A:{int(ci)}" for comps, _, _ in draws for ci in comps]
+        # a unit is labelled by its component number in its stratum
+        assert index.labels.tolist() == [int(ci) for comps, _, _ in draws for ci in comps]
 
 
 def scalar_study(pop, cfg):

@@ -53,6 +53,10 @@ COMMANDS = (
     # a day design other than the default 2 of 365: 3 of 30 days
     ("simulate-3-of-30", ["simulate", "--config",
                           str(ROOT / "tests" / "data" / "sim_3_of_30_days.json")]),
+    # one surveyed day: every unit pools its variance under every layout, so
+    # the pooling peers are scheduled (the default design of 2 days schedules
+    # none for its IPW layouts, where no unit pools)
+    ("simulate-1-day", ["simulate", "--config", str(ROOT / "tests" / "data" / "sim_1_day.json")]),
     # a wind normal of mean -3 m/s: nearly every wind cell is redrawn, most of
     # them many times, and about one in ten is still at or below zero after
     # the 100th attempt and is clamped
