@@ -17,8 +17,9 @@ m of days with a detection, and stage I membership (members, facilities,
 strata and groups).  `build_layout` adds, per configuration, what the
 configuration decides: which units are zero emitters or need a pooled
 variance, the days the other units expand (IPW on the original plan: every
-surveyed day, at phi_hat = 1; else the star days), the pooling peers among
-the members, and the check of d_p against the horizon.  The peers are
+surveyed day, at phi_hat = 1, read in place with no index; else the star
+days), the pooling peers among the members, and the check of d_p against
+the horizon.  The peers are
 scheduled only when a member pools: else `Layout.peers` is None and
 `evaluate` skips the pooled-variance sum.  Every configuration
 of an index shares its `CompiledIndex`, and a frame keeps each
@@ -313,10 +314,10 @@ class Layout:
     full: np.ndarray
     pooled: np.ndarray
     unit_h: np.ndarray
-    # the unit-days expanded: every unit-day ("ipw", at phi_hat = 1) or the
-    # star days; positions in ``days`` of the full units' days, and their
-    # unit's d and D
-    days: np.ndarray
+    # the unit-days expanded: every unit-day ("ipw", at phi_hat = 1; ``days``
+    # is then None) or the star days; positions in ``days`` of the full
+    # units' days, and their unit's d and D
+    days: np.ndarray | None
     full_days: np.ndarray
     full_d: np.ndarray
     full_h: np.ndarray
@@ -360,7 +361,7 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
     # the original plan is the starred one with phi_hat = 1 on every
     # surveyed day, zero-detection days included
     if kind == "ipw":
-        days, day_unit, n_days = np.arange(len(index.ud_unit)), index.ud_unit, d_p
+        days, day_unit, n_days = None, index.ud_unit, d_p
     else:
         days, day_unit, n_days = index.star, index.star_unit, m
     # the days of full units get positions of their own, in unit order
@@ -478,10 +479,11 @@ def _unit_estimates(layouts: Sequence[Layout], ud_mean, ud_var, ud_ph):
     mean, s3, var = out[0], out[1], out[2:]
     full, pooled, first = layout.full, layout.pooled, layout.first_day_of_pooled
     sf, sd = layout.full_days, layout.full_d
-    day_mean, day_var = ud_mean[layout.days], ud_var[layout.days]
     if layout.kind == "ipw":  # the original plan: phi_hat = 1 on every surveyed day
+        day_mean, day_var = ud_mean, ud_var
         ph0 = ph = 1.0
     else:
+        day_mean, day_var = ud_mean[layout.days], ud_var[layout.days]
         if layout.kind == "starred":
             # the reference's starred_daily on every star day, 0.0 on a day of one pass
             day_mean, day_var = (ud_ph * day_mean,

@@ -6,12 +6,16 @@ are kept: they carry no measurement fields but they set the per-day pass
 count that every estimator divides by.
 
 Each file is read a block of rows at a time into columns (see `BLOCK_ROWS`).
-The pass log is held as columns (`PassColumns`), checked a column at a time.
-Loading sorts the passes once and groups them into the units every estimator
-walks: a non-well component, or a well site that stands for its wells, with
-the detected passes and pass count of each component-day.
-`SurveyFrame.index` holds the units as the flat arrays of a `UnitIndex`, the
-input of the batched estimator.
+The registry and the pass log are held as columns (`ComponentColumns`,
+`PassColumns`), each checked a column at a time; one lookup gives each pass
+its registry row, which both checks its hierarchy fields and codes its
+component.  Loading sorts the passes once and groups them into the units
+every estimator walks: a non-well component, or a well site that stands for
+its wells, with the detected passes and pass count of each component-day.
+The frame-level checks and the grouping run over arrays, with no Python
+step per component.  `SurveyFrame.index` holds the units as the flat arrays
+of a `UnitIndex`, the input of the batched estimator; the per-component
+records of `SurveyFrame.components` are built only when asked for.
 
 This module also holds the one strict reader for the JSON configuration
 documents (the `simulate` study config and the `plan` scenario) and the INI
@@ -28,8 +32,10 @@ import functools
 import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +45,7 @@ __all__ = [
     "FrameError",
     "StratumDef",
     "ComponentRef",
+    "ComponentColumns",
     "PassColumns",
     "UnitIndex",
     "SurveyFrame",
@@ -130,15 +137,39 @@ class UnitIndex:
 
 
 @dataclass(frozen=True, eq=False)
-class PassColumns:
-    """A pass log as columns, one entry per pass in log order; `read_passes` builds it.
+class ComponentColumns:
+    """A component registry as columns, one entry per row in registry order;
+    `read_components` builds it.
 
-    ``day_id`` and ``pass_index`` hold Python ints, which have no size limit.
-    The measurement columns hold the detected passes only, in log order; the
-    reader has checked their presence, finiteness and ranges.
+    ``wells_at_site`` holds Python ints, which have no size limit.  The
+    reader has checked that no id repeats and that the rows of a site agree
+    on its wells.
     """
 
     component_id: list[str]
+    facility_id: list[str]
+    site_id: list[str]
+    stratum: list[str]
+    is_well: np.ndarray         # bool
+    wells_at_site: list[int]
+
+    def __len__(self) -> int:
+        return len(self.component_id)
+
+
+@dataclass(frozen=True, eq=False)
+class PassColumns:
+    """A pass log as columns, one entry per pass in log order; `read_passes` builds it.
+
+    ``component`` is each pass's row in the registry, -1 for an id the
+    registry lacks.  ``day_id`` and ``pass_index`` hold Python ints, which
+    have no size limit.  The measurement columns hold the detected passes
+    only, in log order; the reader has checked their presence, finiteness
+    and ranges.
+    """
+
+    component_id: list[str]
+    component: np.ndarray       # intp
     day_id: list[int]
     pass_index: list[int]
     detected: np.ndarray        # bool
@@ -150,7 +181,7 @@ class PassColumns:
         return len(self.component_id)
 
 
-def _ranks(values: list[int]) -> tuple[list[int], np.ndarray]:
+def _ranks(values: list) -> tuple[list, np.ndarray]:
     """(the distinct values in order, each value's rank among them)."""
     distinct = sorted(set(values))
     rank = {v: r for r, v in enumerate(distinct)}
@@ -166,54 +197,94 @@ def _starts(*keys: np.ndarray) -> np.ndarray:
     return new
 
 
+def _order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The stable order of the rows by (major, minor).
+
+    ``major`` holds codes from -1 and ``minor`` codes from 0, each below the
+    row count of a file, so both pack into one int64 key.  One stable sort
+    of that key takes a small fraction of the time `np.lexsort` of the two
+    takes.
+    """
+    return np.argsort(major * (int(minor.max(initial=0)) + 1) + minor, kind="stable")
+
+
+def _pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (major, minor) pairs of `_order` codes: the first row of
+    each, in (major, minor) order, and each row's pair."""
+    order = _order(major, minor)
+    new = _starts(major[order], minor[order])
+    pair = np.empty(len(major), dtype=np.intp)
+    pair[order] = np.cumsum(new) - 1
+    return order[new], pair
+
+
+class _Sites(NamedTuple):
+    """The sites of a registry's well components, in site id order."""
+
+    names: list[str]
+    wells: list[int]            # per site: its wells_at_site
+    comps: np.ndarray           # the well components, in id order
+    of: np.ndarray              # per well component: its site
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SurveyFrame:
     """Validated, immutable survey frame.
 
-    ``passes`` is the `PassColumns` that `read_passes` returned, in log
-    order.  Construction sorts the passes once into canonical (component,
-    day, pass) order, which gives the per-detected-pass arrays
+    ``registry`` is the `ComponentColumns` that `read_components` returned
+    and ``passes`` the `PassColumns` that `read_passes` returned, each in
+    file order.  Construction sorts the passes once into canonical
+    (component, day, pass) order, which gives the per-detected-pass arrays
     ``measured_rates``, ``wind_speeds`` and ``altitudes`` (every rate vector
     aligns with them) and ``index``, the units as the flat arrays of a
     `UnitIndex`: non-well components in id order, then well sites with at
     least one well in id order.  ``compiled_index`` is built on first use,
     and so is each configuration's `layout` of it, which the frame then keeps.
 
-    ``wells_per_site`` maps site_id -> number of wells at the site, for the
-    shared-equipment allocation of well emissions.
+    ``components`` (component_id -> `ComponentRef`, in registry order) and
+    ``wells_per_site`` (site_id -> number of wells at the site, for the
+    shared-equipment allocation of well emissions) are built on first use
+    too; estimation reads neither.
     """
 
     strata: dict[str, StratumDef]
-    components: dict[str, ComponentRef]
+    registry: ComponentColumns = field(repr=False)
     passes: PassColumns = field(repr=False)
-    wells_per_site: dict[str, int]
     index: UnitIndex = field(repr=False)
     measured_rates: np.ndarray = field(repr=False)
     wind_speeds: np.ndarray = field(repr=False)
     altitudes: np.ndarray = field(repr=False)
 
-    def __init__(self, strata, components, passes, wells_per_site=None):
-        wells_per_site = {} if wells_per_site is None else wells_per_site
+    def __init__(self, strata, registry, passes):
         set_ = functools.partial(object.__setattr__, self)
         set_("strata", strata)
-        set_("components", components)
+        set_("registry", registry)
         set_("passes", passes)
-        set_("wells_per_site", wells_per_site)
         set_("_layouts", {})
 
-        ids = sorted(components)
-        code = {cid: k for k, cid in enumerate(ids)}
+        # a component's code is its place in id order; a pass of no registry
+        # row (-1) gets -1
+        n_comp = len(registry)
+        by_id = np.array(sorted(range(n_comp), key=registry.component_id.__getitem__),
+                         dtype=np.intp)
+        code = np.full(n_comp + 1, -1, dtype=np.intp)
+        code[by_id] = np.arange(n_comp)
         n = len(passes)
-        comp = np.fromiter(map(code.get, passes.component_id, itertools.repeat(-1)),
-                           np.intp, n)
+        comp = code[passes.component]
         day_values, day = _ranks(passes.day_id)
         _, pass_rank = _ranks(passes.pass_index)
-        order = np.lexsort((pass_rank, day, comp))
-        comp_s, day_s = comp[order], day[order]
+        # each pass's component-day (cd), numbered in (component, day) order,
+        # then the canonical (component, day, pass) order
+        by_cd = _order(comp, day)
+        new_cd = _starts(comp[by_cd], day[by_cd])
+        cd_first = by_cd[new_cd]
+        cd = np.empty(n, dtype=np.intp)
+        cd[by_cd] = np.cumsum(new_cd) - 1
+        order = _order(cd, pass_rank)
 
         # the first pass of an unknown component, or repeating an earlier key
         bad = np.concatenate([np.flatnonzero(comp < 0),
-                              order[~_starts(comp_s, day_s, pass_rank[order])]])
+                              order[~_starts(cd[order], pass_rank[order])]])
         if bad.size:
             first = int(bad.min())
             cid = passes.component_id[first]
@@ -221,25 +292,39 @@ class SurveyFrame:
                 raise FrameError(f"pass references unknown component {cid!r}")
             key = (cid, passes.day_id[first], passes.pass_index[first])
             raise FrameError(f"duplicate pass key {key}")
-        has_passes = (np.bincount(comp, minlength=len(ids)) > 0).tolist()
-        for c in components.values():
-            if c.stratum not in strata:
+        # the first registry row of an unknown stratum or without passes
+        s_index = {name: s for s, name in enumerate(strata)}
+        stratum = np.fromiter(map(s_index.get, registry.stratum, itertools.repeat(-1)),
+                              np.intp, n_comp)
+        idle = np.bincount(passes.component, minlength=n_comp) == 0
+        bad = np.flatnonzero((stratum < 0) | idle)
+        if bad.size:
+            r = int(bad[0])
+            cid = registry.component_id[r]
+            if stratum[r] < 0:
                 raise FrameError(
-                    f"component {c.component_id!r} references unknown stratum {c.stratum!r}"
+                    f"component {cid!r} references unknown stratum {registry.stratum[r]!r}"
                 )
-            if not has_passes[code[c.component_id]]:
-                raise FrameError(
-                    f"component {c.component_id!r} has no passes; surveyed components "
-                    "must have at least one"
-                )
-        self._check_stage1_sizes()
+            raise FrameError(
+                f"component {cid!r} has no passes; surveyed components must have at least one"
+            )
 
-        # component-days (cd), in canonical order
-        cd_start = _starts(comp_s, day_s)
-        cd_of_sorted = np.cumsum(cd_start) - 1
-        starts = np.flatnonzero(cd_start)
-        cd_q = np.diff(np.append(starts, n))
-        cd_comp, cd_day = comp_s[starts], day_s[starts]
+        # from here on, per component in id order: its stratum, facility and
+        # well flag; per well component its site, numbered in site id order
+        ids = list(map(registry.component_id.__getitem__, by_id.tolist()))
+        stratum, well = stratum[by_id], registry.is_well[by_id]
+        fac = _ranks(registry.facility_id)[1][by_id]
+        well_comps = np.flatnonzero(well)
+        well_rows = by_id[well_comps].tolist()
+        well_sites = list(map(registry.site_id.__getitem__, well_rows))
+        site_names, site_of = _ranks(well_sites)
+        wells_of = dict(zip(well_sites, map(registry.wells_at_site.__getitem__, well_rows)))
+        sites = _Sites(site_names, list(map(wells_of.__getitem__, site_names)), well_comps,
+                       site_of)
+        self._check_stage1_sizes(stratum, fac, sites)
+
+        cd_comp, cd_day = comp[cd_first], day[cd_first]
+        cd_q = np.bincount(cd, minlength=len(cd_first))
         big = cd_q[cd_q > REALISTIC_MAX_PASSES]
         if big.size:
             warnings.warn(
@@ -247,10 +332,9 @@ class SurveyFrame:
                 f"(max {int(big.max())}); unusual for real aerial data",
                 stacklevel=2,
             )
-        detected_s = passes.detected[order]
-        det_rows = order[detected_s]
-        det_cd = cd_of_sorted[detected_s]
-        cd_detected = np.bincount(det_cd, minlength=len(starts))
+        det_rows = order[passes.detected[order]]
+        det_cd = cd[det_rows]
+        cd_detected = np.bincount(det_cd, minlength=len(cd_first))
         in_log = (np.cumsum(passes.detected) - 1)[det_rows]
         for name, column in (("measured_rates", passes.measured_rate),
                              ("wind_speeds", passes.wind_speed), ("altitudes", passes.altitude)):
@@ -258,103 +342,131 @@ class SurveyFrame:
             values.flags.writeable = False
             set_(name, values)
         set_("_ids", ids)
+        set_("_code", code[:n_comp])
+        set_("_comp_stratum", stratum)
         set_("_day_values", day_values)
         set_("_cd", (cd_comp, cd_day, cd_q, cd_detected))
-        self._index_units(ids, cd_comp, cd_day, cd_q, cd_detected, det_cd)
+        self._index_units(stratum, fac, sites, cd_comp, cd_day, cd_q, cd_detected, det_cd)
 
-    def _check_stage1_sizes(self):
+    def _check_stage1_sizes(self, stratum, fac, sites):
         # n_sampled must equal the number of distinct facilities actually in
         # the registry for each stratum of the table, none for a stratum no
         # component names; the stage I probabilities assume it.  Well strata
         # are different: every well at a surveyed site counts as a sampled
         # facility whether or not equipment was attributed to it, so there
         # n_sampled must instead cover the per-site well counts.
-        fac_by_stratum: dict[str, set[str]] = {name: set() for name in self.strata}
-        well_flags: dict[str, set[bool]] = {name: set() for name in self.strata}
-        well_sites: dict[str, set[str]] = {}
-        for comp in self.components.values():
-            fac_by_stratum[comp.stratum].add(comp.facility_id)
-            well_flags[comp.stratum].add(comp.is_well)
-            if comp.is_well:
-                well_sites.setdefault(comp.stratum, set()).add(comp.site_id)
-        for name, facs in fac_by_stratum.items():
-            if well_flags[name] == {True, False}:
+        n_strata = len(self.strata)
+        rows = np.bincount(stratum, minlength=n_strata).tolist()
+        well_stratum = stratum[sites.comps]
+        well_rows = np.bincount(well_stratum, minlength=n_strata).tolist()
+        facs = np.bincount(stratum[_pairs(stratum, fac)[0]], minlength=n_strata).tolist()
+        registered = [0] * n_strata
+        first = _pairs(well_stratum, sites.of)[0]   # each well site of a stratum once
+        for s, site in zip(well_stratum[first].tolist(), sites.of[first].tolist()):
+            registered[s] += sites.wells[site]
+        for s, (name, d) in enumerate(self.strata.items()):
+            if 0 < well_rows[s] < rows[s]:
                 raise FrameError(f"stratum {name!r} mixes well and non-well components")
-            if well_flags[name] == {True}:
-                registered = sum(self.wells_per_site.get(s, 0) for s in well_sites[name])
-                if self.strata[name].n_sampled < max(registered, len(facs)):
+            if well_rows[s]:
+                need = max(registered[s], facs[s])
+                if d.n_sampled < need:
                     raise FrameError(
-                        f"stratum {name!r}: n_sampled={self.strata[name].n_sampled} is "
-                        f"below the {max(registered, len(facs))} wells implied by the registry"
+                        f"stratum {name!r}: n_sampled={d.n_sampled} is "
+                        f"below the {need} wells implied by the registry"
                     )
-            elif self.strata[name].n_sampled != len(facs):
+            elif d.n_sampled != facs[s]:
                 raise FrameError(
-                    f"stratum {name!r}: n_sampled={self.strata[name].n_sampled} but the "
-                    f"registry lists {len(facs)} distinct facilities"
+                    f"stratum {name!r}: n_sampled={d.n_sampled} but the "
+                    f"registry lists {facs[s]} distinct facilities"
                 )
 
-    def _index_units(self, ids, cd_comp, cd_day, cd_q, cd_detected, det_cd):
+    def _index_units(self, stratum, fac, sites, cd_comp, cd_day, cd_q, cd_detected, det_cd):
         """Group the component-days into units and build ``index``.
 
+        ``stratum`` and ``fac`` are each component's codes, in id order.
         Rejects well sites the estimators cannot use: a site's well
         components must share one stratum, and a site without registered
         wells may carry no detection (its unit is then dropped).
         """
-        comp_detected = np.bincount(cd_comp[cd_detected > 0], minlength=len(ids)) > 0
-        unit_of = [-1] * len(ids)
-        heads = []      # per unit: (unit_id, stratum, members, wells)
-        sites: dict[str, list[int]] = {}
-        for k, cid in enumerate(ids):
-            comp = self.components[cid]
-            if comp.is_well:
-                sites.setdefault(comp.site_id, []).append(k)
-                continue
-            unit_of[k] = len(heads)
-            heads.append((cid, comp.stratum, (comp.facility_id,), 0))
-        for site, group in sorted(sites.items()):
-            strata_here = {self.components[ids[k]].stratum for k in group}
-            if len(strata_here) != 1:
-                raise FrameError(f"well components at site {site!r} span multiple strata")
-            wells = self.wells_per_site.get(site, 0)
-            if wells < 1:
-                if comp_detected[group].any():
-                    raise FrameError(f"well detections at site {site!r} but wells_at_site=0")
-                continue
-            for k in group:
-                unit_of[k] = len(heads)
-            heads.append((site, strata_here.pop(),
-                          tuple(f"{site}/well{i + 1}" for i in range(wells)), wells))
-        s_index = {name: s for s, name in enumerate(self.strata)}
-        facs: dict[tuple[str, str], int] = {}
-        member_fac = [facs.setdefault((stratum, member), len(facs))
-                      for _, stratum, members, _ in heads for member in members]
-        unit_wells = np.array([wells for *_, wells in heads], dtype=np.intp)
+        n_comp = len(stratum)
+        plain = np.ones(n_comp, dtype=bool)
+        plain[sites.comps] = False
+        plain = np.flatnonzero(plain)
+        n_plain, n_sites = len(plain), len(sites.names)
+        well_stratum = stratum[sites.comps]
+        n_strata_here = np.bincount(sites.of[_pairs(sites.of, well_stratum)[0]],
+                                    minlength=n_sites)
+        comp_detected = np.zeros(n_comp, dtype=bool)
+        comp_detected[cd_comp[cd_detected > 0]] = True
+        detected = np.zeros(n_sites, dtype=bool)
+        detected[sites.of[comp_detected[sites.comps]]] = True
+        site_wells = np.array(sites.wells, dtype=object)    # Python ints, of any size
+        idle = site_wells < 1
+        bad = np.flatnonzero((n_strata_here > 1) | (idle & detected))
+        if bad.size:
+            name = sites.names[bad[0]]
+            if n_strata_here[bad[0]] > 1:
+                raise FrameError(f"well components at site {name!r} span multiple strata")
+            raise FrameError(f"well detections at site {name!r} but wells_at_site=0")
+        kept = np.flatnonzero(~idle)
+        unit_wells = np.concatenate([np.zeros(n_plain, dtype=np.intp),
+                                     site_wells[kept].astype(np.intp)])
+        n_units = len(unit_wells)
+        site_stratum = np.empty(n_sites, dtype=np.intp)
+        site_stratum[sites.of] = well_stratum   # one per site, checked above
+        unit_stratum = np.concatenate([stratum[plain], site_stratum[kept]])
+        site_unit = np.full(n_sites, -1, dtype=np.intp)
+        site_unit[kept] = np.arange(n_plain, n_units)
+        unit_of = np.empty(n_comp, dtype=np.intp)
+        unit_of[plain] = np.arange(n_plain)
+        unit_of[sites.comps] = site_unit[sites.of]
+        member_unit = np.repeat(np.arange(n_units), np.maximum(unit_wells, 1))
+        # facilities numbered in the order of their first member: a non-well
+        # unit's is its (stratum, facility) pair, each well is one of its own
+        first, pair = _pairs(stratum[plain], fac[plain])
+        number = np.empty(len(first), dtype=np.intp)
+        number[np.argsort(first)] = np.arange(len(first))
+        n_facs = len(first) + len(member_unit) - n_plain
+        labels = np.array(list(map(self._ids.__getitem__, plain.tolist()))
+                          + [f"{sites.names[j]}/well1" for j in kept.tolist()], dtype=object)
 
-        # a unit's component-days by day, then component; a dropped site's go
-        cd_unit = np.array(unit_of, dtype=np.intp)[cd_comp]
-        kept = np.flatnonzero(cd_unit >= 0)
-        cds = kept[np.lexsort((cd_comp[kept], cd_day[kept], cd_unit[kept]))]
+        # a unit's component-days by day, then component (component-days are
+        # numbered in component order, which the stable sort keeps); a
+        # dropped site's go
+        cd_unit = unit_of[cd_comp]
+        kept_cd = np.flatnonzero(cd_unit >= 0)
+        cds = kept_cd[_order(cd_unit[kept_cd], cd_day[kept_cd])]
         ud_start = _starts(cd_unit[cds], cd_day[cds])
         position = np.empty(len(cd_comp), dtype=np.intp)
         position[cds] = np.arange(len(cds))
-        set_ = functools.partial(object.__setattr__, self)
-        set_("index", UnitIndex(
+        object.__setattr__(self, "index", UnitIndex(
             pass_cd=position[det_cd],
             cd_q=cd_q[cds],
             cd_ud=np.cumsum(ud_start) - 1,
             ud_unit=cd_unit[cds][ud_start],
             unit_wells=unit_wells,
-            labels=np.array([members[0] if wells else uid for uid, _, members, wells in heads],
-                            dtype=object),
-            member_unit=np.repeat(np.arange(len(heads)), np.maximum(unit_wells, 1)),
-            member_stratum=np.array([s_index[stratum] for _, stratum, members, _ in heads
-                                     for _ in members], dtype=np.intp),
-            member_fac=np.array(member_fac, dtype=np.intp),
+            labels=labels,
+            member_unit=member_unit,
+            member_stratum=unit_stratum[member_unit],
+            member_fac=np.concatenate([number[pair], np.arange(len(first), n_facs)]),
             n_sampled=np.array([d.n_sampled for d in self.strata.values()], dtype=np.intp),
             n_population=np.array([d.n_population for d in self.strata.values()],
                                   dtype=np.intp),
             stratum_group=np.zeros(len(self.strata), dtype=np.intp),
         ))
+
+    @functools.cached_property
+    def components(self) -> dict[str, ComponentRef]:
+        """component_id -> `ComponentRef`, in registry order."""
+        r = self.registry
+        return {cid: ComponentRef(cid, fac, site, stratum, well)
+                for cid, fac, site, stratum, well in zip(
+                    r.component_id, r.facility_id, r.site_id, r.stratum, r.is_well.tolist())}
+
+    @functools.cached_property
+    def wells_per_site(self) -> dict[str, int]:
+        """site_id -> number of wells at the site, in registry order."""
+        return dict(zip(self.registry.site_id, self.registry.wells_at_site))
 
     @functools.cached_property
     def compiled_index(self):
@@ -375,10 +487,9 @@ class SurveyFrame:
 
     @property
     def days_surveyed(self) -> dict[str, int]:
-        """component_id -> number of distinct survey days (d_p)."""
-        days = np.bincount(self._cd[0], minlength=len(self._ids)).tolist()
-        by_id = dict(zip(self._ids, days))
-        return {cid: by_id[cid] for cid in self.components}
+        """component_id -> number of distinct survey days (d_p), in registry order."""
+        days = np.bincount(self._cd[0], minlength=len(self._ids))
+        return dict(zip(self.registry.component_id, days[self._code].tolist()))
 
     @property
     def passes_per_day(self) -> dict[tuple[str, int], int]:
@@ -424,9 +535,9 @@ def validate(frame: SurveyFrame) -> FrameDiagnostics:
     # component-days in canonical order are in (component_id, day_id) order
     zero_days = [(frame._ids[c], frame._day_values[d])
                  for c, d in zip(cd_comp[zero].tolist(), cd_day[zero].tolist())]
-    strata_with_detection = {frame.components[frame._ids[c]].stratum
-                             for c in np.unique(cd_comp[~zero]).tolist()}
-    zero_strata = sorted(s for s in frame.strata if s not in strata_with_detection)
+    with_detection = np.zeros(len(frame.strata), dtype=bool)
+    with_detection[frame._comp_stratum[cd_comp[~zero]]] = True
+    zero_strata = sorted(s for s, hit in zip(frame.strata, with_detection.tolist()) if not hit)
     small = sorted(s for s, d in frame.strata.items() if d.n_sampled < 10)
     return FrameDiagnostics(
         single_day_components=tuple(single),
@@ -582,7 +693,8 @@ def _rows(path, columns, bad_width):
 
 
 def read_strata(path) -> dict[str, StratumDef]:
-    """Parse a strata table (stratum, n_sampled, n_population)."""
+    """Parse a strata table (stratum, n_sampled, n_population); a table
+    without rows is refused, as a survey cannot be estimated without strata."""
     out: dict[str, StratumDef] = {}
     for i, row in _rows(path, *_read_columns(path, STRATA_HEADER)):
         name = row[0].strip()
@@ -593,38 +705,51 @@ def read_strata(path) -> dict[str, StratumDef]:
             n_sampled=_parse_int(row[1], "n_sampled", i, str(path)),
             n_population=_parse_int(row[2], "n_population", i, str(path)),
         )
+    if not out:
+        raise FrameError(f"{path}: no strata rows")
     return out
 
 
-def read_components(path):
-    """Parse the component registry; returns (components, wells_per_site)."""
-    comps: dict[str, ComponentRef] = {}
-    wells: dict[str, int] = {}
-    for i, row in _rows(path, *_read_columns(path, FRAME_HEADER)):
-        cid = row[0].strip()
-        if cid in comps:
-            raise FrameError(f"{path} row {i}: duplicate component_id {cid!r}")
-        is_well = row[4].strip()
-        if is_well not in {"0", "1"}:
-            raise FrameError(f"{path} row {i}: is_well must be 0 or 1, got {is_well!r}")
-        comps[cid] = ComponentRef(
-            component_id=cid,
-            facility_id=row[1].strip(),
-            site_id=row[2].strip(),
-            stratum=row[3].strip(),
-            is_well=is_well == "1",
-        )
-        site = row[2].strip()
-        w = _parse_int(row[5], "wells_at_site", i, str(path))
-        if w < 0:
-            raise FrameError(f"{path} row {i}: wells_at_site must be >= 0")
-        if site in wells and wells[site] != w:
-            raise FrameError(
-                f"{path} row {i}: conflicting wells_at_site for site {site!r} "
-                f"({wells[site]} vs {w})"
-            )
-        wells[site] = w
-    return comps, wells
+def read_components(path) -> ComponentColumns:
+    """Parse the component registry into columns.
+
+    Each check runs over a whole column.  A failure names the first failing
+    row and, within it, the first failing check in the order a row is read:
+    field count, a repeated component id, the is_well flag, then
+    wells_at_site (parsed, not negative, and as the site's first row says).
+    """
+    cols, bad_width = _read_columns(path, FRAME_HEADER)
+    path = str(path)
+    n = len(cols[0])
+    fault = _FirstFault(path, n + 1)    # row n: the first of another width, if any
+    if bad_width is not None:
+        fault.fail(n, f"expected 6 fields, got {bad_width}")
+
+    cids, facs, sites, strata = (list(map(str.strip, col)) for col in cols[:4])
+    if len(set(cids)) < n:
+        first_row = dict(zip(reversed(cids), range(n - 1, -1, -1)))    # each id's first row
+        fault.check(np.fromiter(map(first_row.__getitem__, cids), np.intp, n) != np.arange(n),
+                    lambda i: f"duplicate component_id {cids[i]!r}")
+    flag = {text: text.strip() for text in set(cols[4])}
+    if not set(flag.values()) <= {"0", "1"}:
+        fault.check(np.fromiter((flag[t] not in ("0", "1") for t in cols[4]), bool, n),
+                    lambda i: f"is_well must be 0 or 1, got {flag[cols[4][i]]!r}")
+    ones = {text for text, f in flag.items() if f == "1"}
+    wells = fault.parse_repeated(cols[5], int,
+                                 lambda row, text: f"cannot parse wells_at_site from {text!r}")
+    # a row without a value is past the first failure, where no check looks
+    if any(w is not None and w < 0 for w in set(wells)):
+        fault.check(np.fromiter((w is not None and w < 0 for w in wells), bool, n),
+                    lambda i: "wells_at_site must be >= 0")
+    if len(set(zip(sites, wells))) != len(set(sites)):
+        first = dict(zip(reversed(sites), reversed(wells)))     # each site's first value
+        fault.check(np.fromiter(map(operator.ne, map(first.__getitem__, sites), wells), bool, n),
+                    lambda i: (f"conflicting wells_at_site for site {sites[i]!r} "
+                               f"({first[sites[i]]} vs {wells[i]})"))
+    fault.raise_first()
+    return ComponentColumns(component_id=cids, facility_id=facs, site_id=sites, stratum=strata,
+                            is_well=np.fromiter(map(ones.__contains__, cols[4]), bool, n),
+                            wells_at_site=wells)
 
 
 class _FirstFault:
@@ -685,16 +810,18 @@ MEASUREMENTS = ((7, "rate_kg_h", "measured_rate"), (8, "wind_m_s", "wind_speed")
                 (9, "altitude_m", "altitude"))
 
 
-def read_passes(path, components: dict[str, ComponentRef]) -> PassColumns:
+def read_passes(path, registry: ComponentColumns) -> PassColumns:
     """Parse the pass log into columns, cross-checking hierarchy fields against the registry.
 
     Each check runs over a whole column.  A failure names the first failing
     row and, within it, the first failing check in the order a row is read:
     field count, component, hierarchy fields, detected flag, measurement
     fields (present iff detected, then each parsed and finite), day, pass,
-    and the measurement ranges.  Where a column's values repeat, each
-    distinct value is checked once, and a row mask is built only to find the
-    first failing row.
+    and the measurement ranges.  One lookup of each pass's component and
+    hierarchy fields in the registry checks them and gives the pass its
+    registry row (`PassColumns.component`).  Where a column's values repeat,
+    each distinct value is checked once, and a row mask is built only to
+    find the first failing row.
     """
     cols, bad_width = _read_columns(path, PASSES_HEADER)
     path = str(path)
@@ -704,17 +831,27 @@ def read_passes(path, components: dict[str, ComponentRef]) -> PassColumns:
         fault.fail(n, f"expected 10 fields, got {bad_width}")
 
     cids = list(map(str.strip, cols[0]))
-    hierarchy = {cid: (c.facility_id, c.site_id, c.stratum) for cid, c in components.items()}
-    wrong = {key for key in set(zip(cids, *cols[1:4]))
-             if hierarchy.get(key[0]) != tuple(map(str.strip, key[1:]))}
-    if wrong:
-        fault.check(~np.fromiter(map(components.__contains__, cids), bool, n),
-                    lambda i: f"unknown component {cids[i]!r}")
-        fault.check(np.fromiter(map(wrong.__contains__, zip(cids, *cols[1:4])), bool, n),
-                    lambda i: f"hierarchy fields disagree with the registry for {cids[i]!r}")
+    # each pass's registry row, found by its component and hierarchy fields;
+    # a miss is a padded field, an unknown component or a wrong hierarchy
+    row_of = dict(zip(zip(registry.component_id, registry.facility_id, registry.site_id,
+                          registry.stratum), itertools.count()))
+    component = np.fromiter(map(row_of.get, zip(cids, *cols[1:4]), itertools.repeat(-1)),
+                            np.intp, n)
+    miss = np.flatnonzero(component < 0)
+    if miss.size:
+        component[miss] = [row_of.get((cids[i], *(cols[c][i].strip() for c in (1, 2, 3))), -1)
+                           for i in miss.tolist()]
+        miss = miss[component[miss] < 0]
+        known = set(registry.component_id)
+        unknown = np.fromiter((cids[i] not in known for i in miss.tolist()), bool, len(miss))
+        fault.check(unknown, lambda i: f"unknown component {cids[i]!r}", rows=miss)
+        fault.check(~unknown,
+                    lambda i: f"hierarchy fields disagree with the registry for {cids[i]!r}",
+                    rows=miss)
     flag = {text: text.strip() for text in set(cols[6])}
     ones = {text for text, f in flag.items() if f == "1"}
-    detected = list(map(ones.__contains__, cols[6]))
+    detected_mask = np.fromiter(map(ones.__contains__, cols[6]), bool, n)
+    detected = detected_mask.tolist()
     if not set(flag.values()) <= {"0", "1"}:
         fault.check(np.fromiter((flag[t] not in ("0", "1") for t in cols[6]), bool, n),
                     lambda i: f"detected must be 0 or 1, got {flag[cols[6][i]]!r}")
@@ -725,7 +862,6 @@ def read_passes(path, components: dict[str, ComponentRef]) -> PassColumns:
                 f"detected pass with empty {name}" if detected[i]
                 else f"non-detected pass must leave {name} empty"))
 
-    detected_mask = np.array(detected, dtype=bool)
     at = np.flatnonzero(detected_mask)      # the detected rows
     measured = {}
     for col, name, key in MEASUREMENTS:
@@ -748,12 +884,12 @@ def read_passes(path, components: dict[str, ComponentRef]) -> PassColumns:
             f"pass ({cids[i]}, {days[i]}, {pass_index[i]}): detected pass needs a finite {need}"),
             rows=at)
     fault.raise_first()
-    return PassColumns(component_id=cids, day_id=days, pass_index=pass_index,
-                       detected=detected_mask, **measured)
+    return PassColumns(component_id=cids, component=component, day_id=days,
+                       pass_index=pass_index, detected=detected_mask, **measured)
 
 
 def load_survey(passes_path, frame_path, strata_path) -> SurveyFrame:
     """Load and validate a survey frame from its three CSV files."""
     strata = read_strata(strata_path)
-    components, wells = read_components(frame_path)
-    return SurveyFrame(strata, components, read_passes(passes_path, components), wells)
+    registry = read_components(frame_path)
+    return SurveyFrame(strata, registry, read_passes(passes_path, registry))

@@ -3,14 +3,15 @@
 `load_reference` reads a survey the way the loader did before it read the
 files a block of rows at a time and the pass log as columns: each file's
 rows held at once, the strata table and the registry checked row by row,
-one `Pass` per pass log row, checked as it is read, then the
-frame-level checks and the grouping into units over those records, with
-dicts and sets.  It returns the derived views the two loaders share and
-raises the same `FrameError` messages.
+one `ComponentRef` per registry row and one `Pass` per pass log row, each
+checked as it is read, then the frame-level checks and the grouping into
+units over those records, with dicts and sets.  It returns the derived
+views the two loaders share and raises the same `FrameError` messages.
 
-The `Pass` record is the tests' way to write a pass log by hand:
-`frame_from_passes` builds a `SurveyFrame` from records, through the
-`PassColumns` that `columns_from_passes` makes of them, and `log_records` and
+The `ComponentRef` and `Pass` records are the tests' way to write a survey
+by hand: `frame_from_passes` builds a `SurveyFrame` from records, through
+the `ComponentColumns` that `columns_from_components` and the `PassColumns`
+that `columns_from_passes` make of them, and `log_records` and
 `detected_records` read a frame's passes back as records.  The grouping into
 units gives `Unit` records, which the scalar estimator reference
 (`estimator_reference`) walks.
@@ -27,8 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from msinv.frame import (
-    FRAME_HEADER, PASSES_HEADER, REALISTIC_MAX_PASSES, STRATA_HEADER, ComponentRef, FrameError,
-    PassColumns, StratumDef, SurveyFrame, UnitIndex, _check_header, _parse_int,
+    FRAME_HEADER, PASSES_HEADER, REALISTIC_MAX_PASSES, STRATA_HEADER, ComponentColumns,
+    ComponentRef, FrameError, PassColumns, StratumDef, SurveyFrame, UnitIndex, _check_header,
+    _parse_int,
 )
 
 
@@ -73,11 +75,29 @@ class Pass:
                 )
 
 
-def columns_from_passes(passes) -> PassColumns:
-    """The columns of `Pass` records, which checked their own measurement fields."""
+def columns_from_components(components, wells_per_site=None) -> ComponentColumns:
+    """The registry columns of `ComponentRef` records, in their order; each
+    row's wells_at_site is its site's in ``wells_per_site``, else 0."""
+    wells_per_site = wells_per_site or {}
+    comps = list(components.values())
+    return ComponentColumns(
+        component_id=[c.component_id for c in comps],
+        facility_id=[c.facility_id for c in comps],
+        site_id=[c.site_id for c in comps],
+        stratum=[c.stratum for c in comps],
+        is_well=np.array([c.is_well for c in comps], dtype=bool),
+        wells_at_site=[wells_per_site.get(c.site_id, 0) for c in comps],
+    )
+
+
+def columns_from_passes(passes, registry: ComponentColumns) -> PassColumns:
+    """The columns of `Pass` records, which checked their own measurement
+    fields; each pass's registry row is found by its component id."""
+    row = {cid: r for r, cid in enumerate(registry.component_id)}
     detected = [p for p in passes if p.detected]
     return PassColumns(
         component_id=[p.component_id for p in passes],
+        component=np.array([row.get(p.component_id, -1) for p in passes], dtype=np.intp),
         day_id=[p.day_id for p in passes],
         pass_index=[p.pass_index for p in passes],
         detected=np.array([p.detected for p in passes], dtype=bool),
@@ -88,8 +108,10 @@ def columns_from_passes(passes) -> PassColumns:
 
 
 def frame_from_passes(strata, components, passes, wells_per_site=None) -> SurveyFrame:
-    """A `SurveyFrame` of `Pass` records, given in log order."""
-    return SurveyFrame(strata, components, columns_from_passes(passes), wells_per_site)
+    """A `SurveyFrame` of `ComponentRef` records, in registry order, and
+    `Pass` records, in log order."""
+    registry = columns_from_components(components, wells_per_site)
+    return SurveyFrame(strata, registry, columns_from_passes(passes, registry))
 
 
 def canonical(p: Pass) -> tuple[str, int, int]:
@@ -145,6 +167,8 @@ class Unit(NamedTuple):
 
 
 class ReferenceFrame(NamedTuple):
+    components: dict[str, ComponentRef]
+    wells_per_site: dict[str, int]
     passes: tuple[Pass, ...]
     detected_passes: tuple[Pass, ...]
     units: tuple[Unit, ...]
@@ -192,6 +216,8 @@ def read_strata(path) -> dict[str, StratumDef]:
             n_sampled=_parse_int(row[1], "n_sampled", i, str(path)),
             n_population=_parse_int(row[2], "n_population", i, str(path)),
         )
+    if not out:
+        raise FrameError(f"{path}: no strata rows")
     return out
 
 
@@ -343,7 +369,8 @@ def reference_frame(strata, components, passes, wells_per_site) -> ReferenceFram
     detected = tuple(sorted((p for p in passes if p.detected), key=canonical))
     units = _group_units(strata, components, wells_per_site, detected, comp_days, q_counts)
     return ReferenceFrame(
-        passes=tuple(passes), detected_passes=detected, units=units,
+        components=components, wells_per_site=wells_per_site, passes=tuple(passes),
+        detected_passes=detected, units=units,
         index=_index(strata, units, len(detected)),
         days_surveyed={c: len(d) for c, d in comp_days.items()}, passes_per_day=q_counts,
     )

@@ -239,6 +239,33 @@ def test_pooling_paths_match_scalar_reference_bit_for_bit(pooling, data, seed):
                                      np.float64(getattr(ref.strata[name], key))), (what, name, key)
 
 
+def test_an_ipw_layout_reads_the_unit_days_in_place(subset_frame):
+    # IPW on the original plan expands every unit-day, so its layout holds no
+    # index of them: its full units' days and its pooled units' single days
+    # are positions among all unit-days, and its estimates keep the scalar
+    # reference's bits
+    index = subset_frame.compiled_index
+    for cfg in CONFIGS:
+        layout = subset_frame.layout(cfg)
+        in_place = (cfg.estimator, cfg.plan) == ("ipw", "original")
+        assert (layout.days is None) == in_place
+        if not in_place:
+            continue
+        assert np.array_equal(index.ud_unit[layout.full_days],
+                              np.repeat(layout.full, index.d_p[layout.full]))
+        assert np.array_equal(index.ud_unit[layout.first_day_of_pooled], layout.pooled)
+        y = sample_true_rate(subset_frame.measured_rates,
+                             iteration_uniforms(5, range(2), layout.n_passes))
+        phi = np.maximum(pod(y, subset_frame.altitudes, subset_frame.wind_speeds), PHI_FLOOR)
+        (est,) = evaluate([layout], y, phi)
+        for b in range(2):
+            ref = estimate_survey(prepare_components(subset_frame, y[b], phi[b], cfg),
+                                  subset_frame.strata, cfg)
+            for key in POPULATION_KEYS:
+                assert same_bits(est.population[key][b, 0], np.float64(getattr(ref, key))), (
+                    cfg, b, key)
+
+
 @pytest.mark.parametrize("estimator,plan", DESIGNS)
 def test_iterations_independent_of_chunking(subset_frame, monkeypatch, estimator, plan):
     mc = McConfig(estimator=EstimatorConfig(estimator=estimator, plan=plan),

@@ -15,6 +15,7 @@ import pytest
 
 import msinv
 from msinv import batch, cli, measurement, planner, simlab
+from msinv import frame as frame_module
 from msinv.cli import main
 from msinv.datasets import packaged_subset_paths
 
@@ -106,6 +107,17 @@ def run(*argv):
 
 
 class TestEstimate:
+    def test_an_estimate_builds_no_component_records(self, tmp_path, monkeypatch):
+        made = []
+        record = frame_module.ComponentRef
+        monkeypatch.setattr(frame_module, "ComponentRef",
+                            lambda *fields: made.append(fields) or record(*fields))
+        assert run("estimate", "--packaged", "--out-dir", str(tmp_path)) == 0
+        assert made == []
+        # the frame still builds them when asked, one per registry row
+        frame = frame_module.load_survey(*packaged_subset_paths())
+        assert len(frame.components) == len(made) == len(frame.registry) > 0
+
     def test_packaged_bias_correct(self, tmp_path, capsys):
         code = run("estimate", "--packaged", "--estimator", "ipw",
                    "--stage2", "year:365", "--out-dir", str(tmp_path))
@@ -559,6 +571,21 @@ class TestExitCodes:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"msinv: input error: {tmp_path / name}.csv: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate",), ("estimate", "--measurement", "mc", "--mc-iters", "5"), ("diagnose",),
+    ], ids=["estimate", "estimate-mc", "diagnose"])
+    def test_a_survey_of_headers_alone_is_2(self, tmp_path, capsys, argv):
+        inputs = []
+        for key, header in (("passes", PASSES_HEADER), ("frame", FRAME_HEADER),
+                            ("strata", STRATA_HEADER)):
+            (tmp_path / f"{key}.csv").write_text(header + "\n")
+            inputs += [f"--{key}", str(tmp_path / f"{key}.csv")]
+        capsys.readouterr()
+        assert run(*argv, *inputs, "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err == f"msinv: input error: {tmp_path / 'strata.csv'}: no strata rows\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_model_config_section_is_4(self, tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import estimator_reference
+import frame_reference
 from frame_reference import (Pass, Unit, UnitDay, frame_from_passes, load_reference,
                              log_records)
 from msinv.datasets import packaged_subset_paths
@@ -131,6 +132,15 @@ class TestLoad:
         frame_rows = ["c1,f1,s1,A,0,2", "w1,w1,s1,A,1,2"]
         with pytest.raises(FrameError, match="mixes well"):
             load_survey(*write_files(tmp_path, rows, frame_rows, ["A,2,4"]))
+
+    @pytest.mark.parametrize("reader", [read_strata, frame_reference.read_strata],
+                             ids=["loader", "reference"])
+    def test_a_strata_table_without_rows_is_refused(self, tmp_path, reader):
+        path = tmp_path / "strata.csv"
+        path.write_text(STRATA_HEADER + "\n")
+        with pytest.raises(FrameError) as caught:
+            reader(path)
+        assert str(caught.value) == f"{path}: no strata rows"
 
     def test_header_mismatch(self, tmp_path):
         p, f, s = write_files(tmp_path, [], BASIC_FRAME, BASIC_STRATA)

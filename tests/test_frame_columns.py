@@ -214,6 +214,9 @@ def outcome(load, paths):
 
 
 def assert_same_frame(frame: SurveyFrame, ref):
+    # the registry's records, built on first use: ids in registry order, every field
+    assert list(frame.components.items()) == list(ref.components.items())
+    assert list(frame.wells_per_site.items()) == list(ref.wells_per_site.items())
     assert log_records(frame) == ref.passes
     assert detected_records(frame) == ref.detected_passes
     for f in dataclasses.fields(frame.index):
@@ -226,7 +229,7 @@ def assert_same_frame(frame: SurveyFrame, ref):
     assert frame.days_surveyed == ref.days_surveyed
     assert list(frame.days_surveyed) == list(ref.days_surveyed)
     assert frame.passes_per_day == ref.passes_per_day
-    want = reference_diagnostics(ref, frame.strata, frame.components)
+    want = reference_diagnostics(ref, frame.strata, ref.components)
     got = validate(frame)
     assert {k: getattr(got, k) for k in want} == want
 
@@ -261,6 +264,14 @@ SUBSET = [read_rows(path) for path in reversed(packaged_subset_paths())]  # stra
 
 def test_packaged_subset_matches_the_row_reference():
     paths = packaged_subset_paths()
+    assert_same_frame(load_survey(*paths), load_reference(*paths))
+
+
+def test_the_edge_case_survey_matches_the_row_reference():
+    # padded fields, a byte-order mark, a shared site, a site with no wells
+    # and no detection, a single-day component, registry rows out of id order
+    paths = [Path(__file__).parent / "data" / "edge_survey" / f"{name}.csv"
+             for name in ("passes", "frame", "strata")]
     assert_same_frame(load_survey(*paths), load_reference(*paths))
 
 

@@ -34,6 +34,8 @@ sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, installed or no
 from msinv import cli  # noqa: E402
 
 TIMESTAMP = "2000-01-01T00:00:00"
+EDGE_SURVEY = [arg for key in ("passes", "frame", "strata") for arg in (
+    f"--{key}", str(ROOT / "tests" / "data" / "edge_survey" / f"{key}.csv"))]
 COMMANDS = (
     ("estimate", ["estimate", "--packaged"]),
     # one Monte Carlo variant over three chunks, on one thread
@@ -67,6 +69,11 @@ COMMANDS = (
     *((f"plan-{estimator}", ["plan", "--scenario",
                              str(ROOT / "tests" / "data" / "plan_scenario.json"),
                              "--estimator", estimator]) for estimator in ("ipw", "hajek")),
+    # a small survey of loading's edge cases: padded fields, a byte-order
+    # mark, a shared site, a site with no wells and no detection, a single-day
+    # component and registry rows out of id order
+    ("edge-estimate-all", ["estimate", *EDGE_SURVEY, "--all-variants", "--mc-iters", "50"]),
+    ("edge-diagnose", ["diagnose", *EDGE_SURVEY]),
 )
 
 # appended to every artifact before the rerun that must write it over
