@@ -17,7 +17,7 @@ from msinv.measurement import bias_corrected_inventory
 
 frame = load_packaged_subset()
 days = frame.days_surveyed
-print(f"{len(frame.components)} components, {len(frame.passes)} passes, "
+print(f"{len(frame.registry)} components, {len(frame.passes)} passes, "
       f"{frame.passes.detected.sum()} detections")
 print(f"survey days per component: min {min(days.values())}, max {max(days.values())}")
 

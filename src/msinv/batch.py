@@ -257,7 +257,9 @@ def compile_index(index: UnitIndex) -> CompiledIndex:
     # first member) in order
     _, fac_first, fac_of_member = np.unique(index.member_fac, return_index=True,
                                             return_inverse=True)
-    n_sampled, n_population = index.n_sampled, index.n_population
+    # float64 counts: N(N-1) overflows int64 once N passes about 3e9, and
+    # the float products are exact wherever N(N-1) < 2**53
+    n_sampled, n_population = index.n_sampled.astype(float), index.n_population.astype(float)
     stratum_f = n_sampled / n_population
     with np.errstate(divide="ignore", invalid="ignore"):
         pair_coef = np.where(n_sampled >= 2, 1.0 - stratum_f * stratum_f / (

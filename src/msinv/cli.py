@@ -314,7 +314,7 @@ def cmd_diagnose(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     doc = {
         "diagnostics": diag.as_dict(),
-        "n_components": len(frame.components),
+        "n_components": len(frame.registry),
         "n_passes": len(frame.passes),
         "n_detections": int(frame.passes.detected.sum()),
         "gamma_quartiles": [round(q, 2) for q in gt.quartiles],

@@ -5,10 +5,11 @@ table), validated for referential integrity, and frozen.  Non-detected passes
 are kept: they carry no measurement fields but they set the per-day pass
 count that every estimator divides by.
 
-Each file is read a block of rows at a time into columns (see `BLOCK_ROWS`).
-The registry and the pass log are held as columns (`ComponentColumns`,
-`PassColumns`), each checked a column at a time; one lookup gives each pass
-its registry row, which both checks its hierarchy fields and codes its
+Each file is read a block of rows at a time into columns (see `BLOCK_ROWS`)
+and checked a column at a time, naming the fault a row-by-row reader would
+meet first (`_FirstFault`).  The registry and the pass log are held as
+columns (`ComponentColumns`, `PassColumns`); one lookup gives each pass its
+registry row, which both checks its hierarchy fields and codes its
 component.  Loading sorts the passes once and groups them into the units
 every estimator walks: a non-well component, or a well site that stands for
 its wells, with the detected passes and pass count of each component-day.
@@ -92,6 +93,10 @@ class StratumDef:
                 f"stratum {self.name!r}: need 1 <= n_sampled <= n_population, "
                 f"got ({self.n_sampled}, {self.n_population})"
             )
+        # the unit index holds the sizes as intp
+        if self.n_population > np.iinfo(np.intp).max:
+            raise FrameError(f"stratum {self.name!r}: n_population={self.n_population} "
+                             f"is above {np.iinfo(np.intp).max}")
 
 
 @dataclass(frozen=True)
@@ -241,10 +246,8 @@ class SurveyFrame:
     least one well in id order.  ``compiled_index`` is built on first use,
     and so is each configuration's `layout` of it, which the frame then keeps.
 
-    ``components`` (component_id -> `ComponentRef`, in registry order) and
-    ``wells_per_site`` (site_id -> number of wells at the site, for the
-    shared-equipment allocation of well emissions) are built on first use
-    too; estimation reads neither.
+    ``components`` (component_id -> `ComponentRef`, in registry order) is
+    built on first use too; no command reads it.
     """
 
     strata: dict[str, StratumDef]
@@ -464,11 +467,6 @@ class SurveyFrame:
                     r.component_id, r.facility_id, r.site_id, r.stratum, r.is_well.tolist())}
 
     @functools.cached_property
-    def wells_per_site(self) -> dict[str, int]:
-        """site_id -> number of wells at the site, in registry order."""
-        return dict(zip(self.registry.site_id, self.registry.wells_at_site))
-
-    @functools.cached_property
     def compiled_index(self):
         """`batch.compile_index` of ``index``, shared by every configuration."""
         return batch.compile_index(self.index)
@@ -545,13 +543,6 @@ def validate(frame: SurveyFrame) -> FrameDiagnostics:
         zero_detection_strata=tuple(zero_strata),
         small_strata=tuple(small),
     )
-
-
-def _parse_int(text: str, what: str, row: int, path: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FrameError(f"{path} row {row}: cannot parse {what} from {text!r}") from None
 
 
 def _unique_keys(pairs) -> dict:
@@ -649,9 +640,10 @@ def _check_header(got: list[str] | None, want: list[str], path: str):
 BLOCK_ROWS = 128
 
 
-def _read_columns(path, want: list[str]) -> tuple[list[list[str]], int | None]:
-    """The body of a CSV file with header ``want``, as columns, and the field
-    count of the first body row of another width (None if every row fits).
+def _read_columns(path, want: list[str]) -> tuple[list[list[str]], _FirstFault]:
+    """The body of a CSV file with header ``want``, as columns, and the
+    `_FirstFault` of its rows, which holds the field-count fault of the
+    first body row of another width, if any.
 
     The columns stop before that row.  The file is still read to its end, so
     a file that cannot be decoded or parsed anywhere fails with "cannot
@@ -680,31 +672,30 @@ def _read_columns(path, want: list[str]) -> tuple[list[list[str]], int | None]:
     if header is None:
         raise FrameError(f"{path}: empty file")
     _check_header(header, want, str(path))
-    return columns, bad_width
-
-
-def _rows(path, columns, bad_width):
-    """The rows of ``columns`` as tuples, each with its row number, then the
-    field-count fault of the row the columns stop at, if any."""
-    yield from enumerate(zip(*columns), start=2)
+    n = len(columns[0])
+    fault = _FirstFault(str(path), n + 1)   # row n: the first of another width, if any
     if bad_width is not None:
-        raise FrameError(f"{path} row {len(columns[0]) + 2}: "
-                         f"expected {len(columns)} fields, got {bad_width}")
+        fault.fail(n, f"expected {len(want)} fields, got {bad_width}")
+    return columns, fault
 
 
 def read_strata(path) -> dict[str, StratumDef]:
     """Parse a strata table (stratum, n_sampled, n_population); a table
-    without rows is refused, as a survey cannot be estimated without strata."""
-    out: dict[str, StratumDef] = {}
-    for i, row in _rows(path, *_read_columns(path, STRATA_HEADER)):
-        name = row[0].strip()
-        if name in out:
-            raise FrameError(f"{path} row {i}: duplicate stratum {name!r}")
-        out[name] = StratumDef(
-            name=name,
-            n_sampled=_parse_int(row[1], "n_sampled", i, str(path)),
-            n_population=_parse_int(row[2], "n_population", i, str(path)),
-        )
+    without rows is refused, as a survey cannot be estimated without strata.
+
+    Each check runs over a whole column, in the order a row is read: field
+    count, a repeated stratum name, n_sampled, then n_population parsed.
+    The rows before the first failure then make their `StratumDef` in
+    order, which checks the sizes.
+    """
+    cols, fault = _read_columns(path, STRATA_HEADER)
+    names = list(map(str.strip, cols[0]))
+    fault.unique(names, "stratum")
+    sizes = [fault.parse_repeated(texts, int, lambda row, text, what=what:
+                                  f"cannot parse {what} from {text!r}")
+             for texts, what in zip(cols[1:], STRATA_HEADER[1:])]
+    out = {name: StratumDef(name, *n) for name, *n in zip(names[:fault.rows], *sizes)}
+    fault.raise_first()
     if not out:
         raise FrameError(f"{path}: no strata rows")
     return out
@@ -718,23 +709,11 @@ def read_components(path) -> ComponentColumns:
     field count, a repeated component id, the is_well flag, then
     wells_at_site (parsed, not negative, and as the site's first row says).
     """
-    cols, bad_width = _read_columns(path, FRAME_HEADER)
-    path = str(path)
+    cols, fault = _read_columns(path, FRAME_HEADER)
     n = len(cols[0])
-    fault = _FirstFault(path, n + 1)    # row n: the first of another width, if any
-    if bad_width is not None:
-        fault.fail(n, f"expected 6 fields, got {bad_width}")
-
     cids, facs, sites, strata = (list(map(str.strip, col)) for col in cols[:4])
-    if len(set(cids)) < n:
-        first_row = dict(zip(reversed(cids), range(n - 1, -1, -1)))    # each id's first row
-        fault.check(np.fromiter(map(first_row.__getitem__, cids), np.intp, n) != np.arange(n),
-                    lambda i: f"duplicate component_id {cids[i]!r}")
-    flag = {text: text.strip() for text in set(cols[4])}
-    if not set(flag.values()) <= {"0", "1"}:
-        fault.check(np.fromiter((flag[t] not in ("0", "1") for t in cols[4]), bool, n),
-                    lambda i: f"is_well must be 0 or 1, got {flag[cols[4][i]]!r}")
-    ones = {text for text, f in flag.items() if f == "1"}
+    fault.unique(cids, "component_id")
+    is_well = fault.flags(cols[4], "is_well")
     wells = fault.parse_repeated(cols[5], int,
                                  lambda row, text: f"cannot parse wells_at_site from {text!r}")
     # a row without a value is past the first failure, where no check looks
@@ -748,8 +727,7 @@ def read_components(path) -> ComponentColumns:
                                f"({first[sites[i]]} vs {wells[i]})"))
     fault.raise_first()
     return ComponentColumns(component_id=cids, facility_id=facs, site_id=sites, stratum=strata,
-                            is_well=np.fromiter(map(ones.__contains__, cols[4]), bool, n),
-                            wells_at_site=wells)
+                            is_well=is_well, wells_at_site=wells)
 
 
 class _FirstFault:
@@ -781,6 +759,23 @@ class _FirstFault:
         if hits.size and hits[0] < self.rows:
             row = int(hits[0])
             self.fail(row, message(row))
+
+    def unique(self, keys: list[str], what: str):
+        """Fail the first row whose key an earlier row holds."""
+        n = len(keys)
+        if len(set(keys)) < n:
+            first_row = dict(zip(reversed(keys), range(n - 1, -1, -1)))    # each key's first row
+            self.check(np.fromiter(map(first_row.__getitem__, keys), np.intp, n) != np.arange(n),
+                       lambda i: f"duplicate {what} {keys[i]!r}")
+
+    def flags(self, texts: list[str], what: str) -> np.ndarray:
+        """``texts`` as bools; a text other than 0 or 1, padded or not, fails its row."""
+        flag = {text: text.strip() for text in set(texts)}
+        if not set(flag.values()) <= {"0", "1"}:
+            self.check(np.fromiter((flag[t] not in ("0", "1") for t in texts), bool, len(texts)),
+                       lambda i: f"{what} must be 0 or 1, got {flag[texts[i]]!r}")
+        ones = {text for text, f in flag.items() if f == "1"}
+        return np.fromiter(map(ones.__contains__, texts), bool, len(texts))
 
     def parse(self, texts, convert, row_of, message) -> list:
         """``convert`` of each text up to the first it rejects, text ``k``, which
@@ -823,13 +818,8 @@ def read_passes(path, registry: ComponentColumns) -> PassColumns:
     each distinct value is checked once, and a row mask is built only to
     find the first failing row.
     """
-    cols, bad_width = _read_columns(path, PASSES_HEADER)
-    path = str(path)
+    cols, fault = _read_columns(path, PASSES_HEADER)
     n = len(cols[0])
-    fault = _FirstFault(path, n + 1)    # row n: the first of another width, if any
-    if bad_width is not None:
-        fault.fail(n, f"expected 10 fields, got {bad_width}")
-
     cids = list(map(str.strip, cols[0]))
     # each pass's registry row, found by its component and hierarchy fields;
     # a miss is a padded field, an unknown component or a wrong hierarchy
@@ -848,13 +838,8 @@ def read_passes(path, registry: ComponentColumns) -> PassColumns:
         fault.check(~unknown,
                     lambda i: f"hierarchy fields disagree with the registry for {cids[i]!r}",
                     rows=miss)
-    flag = {text: text.strip() for text in set(cols[6])}
-    ones = {text for text, f in flag.items() if f == "1"}
-    detected_mask = np.fromiter(map(ones.__contains__, cols[6]), bool, n)
+    detected_mask = fault.flags(cols[6], "detected")
     detected = detected_mask.tolist()
-    if not set(flag.values()) <= {"0", "1"}:
-        fault.check(np.fromiter((flag[t] not in ("0", "1") for t in cols[6]), bool, n),
-                    lambda i: f"detected must be 0 or 1, got {flag[cols[6][i]]!r}")
     for col, name, _ in MEASUREMENTS:
         filled = list(map(bool, map(str.strip, cols[col])))
         if filled != detected:

@@ -363,14 +363,13 @@ def gamma_table(
     # their PODs in one array call, as the estimate computes them
     detected = itertools.compress(zip(c.component_id, c.day_id), c.detected.tolist())
     phis = pod(bias_correct(c.measured_rate, measurement), c.altitude, c.wind_speed, pod_params)
+    fac_of = dict(zip(frame.registry.component_id, frame.registry.facility_id))
     fac_day_phis: dict[tuple[str, int], list[float]] = {}
     for (cid, day), phi in zip(detected, phis.tolist()):
-        fac = frame.components[cid].facility_id
-        fac_day_phis.setdefault((fac, day), []).append(phi)
+        fac_day_phis.setdefault((fac_of[cid], day), []).append(phi)
     gammas = {}
     for cid, day in first_day.items():
-        fac = frame.components[cid].facility_id
-        gammas[cid] = gamma_p(fac_day_phis.get((fac, day), ()))
+        gammas[cid] = gamma_p(fac_day_phis.get((fac_of[cid], day), ()))
     values = np.array(sorted(gammas.values()))
     q1, q2, q3 = (
         (float(np.quantile(values, 0.25)), float(np.quantile(values, 0.5)),

@@ -32,7 +32,7 @@ from msinv.estimators import EstimationError, EstimatorConfig
 from msinv.frame import StratumDef, SurveyFrame
 from msinv.pod import PHI_FLOOR, pod
 
-from frame_reference import Unit, log_records, reference_frame
+from frame_reference import Unit, log_records, reference_frame, wells_per_site
 
 
 @dataclass(slots=True)
@@ -227,7 +227,7 @@ def units(frame: SurveyFrame) -> tuple[Unit, ...]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the frame warned when it was built
         return reference_frame(frame.strata, frame.components, log_records(frame),
-                               frame.wells_per_site).units
+                               wells_per_site(frame.registry)).units
 
 
 def prepare_components(frame: SurveyFrame, rates, phis, config) -> list[ComponentObs]:

@@ -30,7 +30,6 @@ import numpy as np
 from msinv.frame import (
     FRAME_HEADER, PASSES_HEADER, REALISTIC_MAX_PASSES, STRATA_HEADER, ComponentColumns,
     ComponentRef, FrameError, PassColumns, StratumDef, SurveyFrame, UnitIndex, _check_header,
-    _parse_int,
 )
 
 
@@ -107,6 +106,11 @@ def columns_from_passes(passes, registry: ComponentColumns) -> PassColumns:
     )
 
 
+def wells_per_site(registry: ComponentColumns) -> dict[str, int]:
+    """site_id -> number of wells at the site, in registry order."""
+    return dict(zip(registry.site_id, registry.wells_at_site))
+
+
 def frame_from_passes(strata, components, passes, wells_per_site=None) -> SurveyFrame:
     """A `SurveyFrame` of `ComponentRef` records, in registry order, and
     `Pass` records, in log order."""
@@ -175,6 +179,13 @@ class ReferenceFrame(NamedTuple):
     index: UnitIndex
     days_surveyed: dict[str, int]
     passes_per_day: dict[tuple[str, int], int]
+
+
+def _parse_int(text: str, what: str, row: int, path: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FrameError(f"{path} row {row}: cannot parse {what} from {text!r}") from None
 
 
 def _parse_float(text: str, what: str, row: int, path: str) -> float:

@@ -112,7 +112,8 @@ class TestEstimate:
         record = frame_module.ComponentRef
         monkeypatch.setattr(frame_module, "ComponentRef",
                             lambda *fields: made.append(fields) or record(*fields))
-        assert run("estimate", "--packaged", "--out-dir", str(tmp_path)) == 0
+        assert run("estimate", "--packaged", "--out-dir", str(tmp_path / "estimate")) == 0
+        assert run("diagnose", "--packaged", "--out-dir", str(tmp_path / "diagnose")) == 0
         assert made == []
         # the frame still builds them when asked, one per registry row
         frame = frame_module.load_survey(*packaged_subset_paths())
@@ -586,6 +587,21 @@ class TestExitCodes:
         assert run(*argv, *inputs, "--out-dir", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err == f"msinv: input error: {tmp_path / 'strata.csv'}: no strata rows\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "diagnose"])
+    def test_a_population_past_the_intp_range_is_2(self, tmp_path, capsys, command):
+        passes, frame, strata = packaged_subset_paths()
+        rows = Path(strata).read_text().splitlines()
+        rows[1] = f"CO SWB,11,{2**63}"
+        (tmp_path / "strata.csv").write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run(command, "--passes", str(passes), "--frame", str(frame),
+                   "--strata", str(tmp_path / "strata.csv"),
+                   "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err == (f"msinv: input error: stratum 'CO SWB': n_population={2**63} "
+                       f"is above {2**63 - 1}\n")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_model_config_section_is_4(self, tmp_path):

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from msinv.estimators import (
     total_inventory,
     wald_ci,
 )
-from msinv.frame import ComponentRef, FrameError, StratumDef
+from msinv.datasets import packaged_subset_paths
+from msinv.frame import ComponentRef, FrameError, StratumDef, load_survey
 from msinv.measurement import iteration_uniforms
 from msinv.pod import PHI_FLOOR, bias_correct, pod, sample_true_rate
 from msinv.reporting import KG_H_PER_KT_Y
@@ -1056,6 +1058,17 @@ def test_kernel_pass_equals_the_reference_pass(subset_frame):
                 assert_same_report(total_inventory(frame, cfg, rates=rates),
                                    estimator_reference.total_inventory(frame, cfg, rates=rates),
                                    (f, cfg, label))
+
+
+def test_a_stratum_of_four_billion_facilities_equals_the_reference_pass():
+    # N(N-1) is past the int64 range here; the stage I pair weight must not wrap
+    passes, registry, _ = packaged_subset_paths()
+    frame = load_survey(passes, registry,
+                        Path(__file__).parent / "data" / "big_stratum_strata.csv")
+    assert frame.strata["CO SWB"].n_population == 4_000_000_000
+    for cfg in PASS_CONFIGS:
+        assert_same_report(total_inventory(frame, cfg),
+                           estimator_reference.total_inventory(frame, cfg), cfg)
 
 
 FAULTY_RATES = {"negative rate": -1.0, "NaN rate": math.nan, "infinite rate": math.inf,

@@ -13,7 +13,7 @@ import pytest
 import estimator_reference
 import frame_reference
 from frame_reference import (Pass, Unit, UnitDay, frame_from_passes, load_reference,
-                             log_records)
+                             log_records, wells_per_site)
 from msinv.datasets import packaged_subset_paths
 from msinv.frame import (
     ComponentRef,
@@ -289,8 +289,9 @@ class TestRoundTrip:
     def test_write_then_load_preserves_counts(self, subset_frame, tmp_path):
         frame = subset_frame
         strata = [[s.name, s.n_sampled, s.n_population] for s in frame.strata.values()]
+        wells = wells_per_site(frame.registry)
         registry = [[c.component_id, c.facility_id, c.site_id, c.stratum, int(c.is_well),
-                     frame.wells_per_site.get(c.site_id, 0)] for c in frame.components.values()]
+                     wells[c.site_id]] for c in frame.components.values()]
         passes = []
         for p in log_records(frame):
             c = frame.components[p.component_id]
@@ -317,8 +318,8 @@ class TestRoundTrip:
         copy.write_bytes(codecs.BOM_UTF8 + paths[marked].read_bytes())
         paths[marked] = copy
         original, again = load_survey(*packaged_subset_paths()), load_survey(*paths)
-        assert (again.strata, again.components, again.wells_per_site) == (
-            original.strata, original.components, original.wells_per_site)
+        assert (again.strata, again.components, wells_per_site(again.registry)) == (
+            original.strata, original.components, wells_per_site(original.registry))
         # the reference loader reads through the same function
         assert_same_frame(again, load_reference(*packaged_subset_paths()))
         assert_same_frame(original, load_reference(*paths))

@@ -21,7 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from frame_reference import detected_records, load_reference, log_records, reference_diagnostics
+from frame_reference import (
+    detected_records, load_reference, log_records, reference_diagnostics, wells_per_site,
+)
 from msinv import frame as frame_module
 from msinv.datasets import packaged_subset_paths
 from msinv.frame import (
@@ -31,7 +33,8 @@ from msinv.frame import (
 FAULTS = ("fields", "component", "hierarchy", "flag", "presence", "number", "range", "day",
           "pass", "duplicate", "no-passes", "many-passes", "idle-site", "n-sampled",
           "registry-fields", "duplicate-component", "is-well", "wells-at-site",
-          "conflicting-wells", "strata-fields")
+          "conflicting-wells", "strata-fields", "duplicate-stratum", "strata-count",
+          "strata-range", "strata-huge")
 # rows the loader reads at a time: a block of one, so every row is a block's
 # first and last, small blocks that logs of a few dozen rows span, and the default
 BLOCK_SIZES = (1, 2, 7, frame_module.BLOCK_ROWS)
@@ -57,6 +60,11 @@ BELOW_RANGE = st.sampled_from(["0", "-0.0", "-1"])
 BELOW_RANGE_WIND = st.sampled_from(["-0.5", "-1e-300"])
 BAD_INDEX = st.sampled_from(["x", "1.5", "", "0x10"])
 BAD_WELLS = st.sampled_from(["x", "1.5", "", "-1"])
+SIZE_COLUMN = st.integers(1, 2)
+# (n_sampled, n_population) outside 1 <= n_sampled <= n_population
+BAD_SIZES = st.sampled_from([("3", "2"), ("0", "4"), ("-1", "4")])
+# n_population past the largest intp
+HUGE_POPULATION = st.sampled_from([str(2**63), str(10**30)])
 BLOCK_SIZE = st.sampled_from(BLOCK_SIZES)
 
 
@@ -159,14 +167,16 @@ def inject(draw, fault, strata, registry, passes):
         strata[draw(st.integers(0, len(strata) - 1))][1] = "7"
 
 
+STRATA_FAULTS = ("strata-fields", "duplicate-stratum", "strata-count", "strata-range",
+                 "strata-huge")
 REGISTRY_FAULTS = ("registry-fields", "duplicate-component", "is-well", "wells-at-site",
-                   "conflicting-wells", "strata-fields")
+                   "conflicting-wells", *STRATA_FAULTS)
 
 
 def inject_registry(draw, fault, strata, registry):
-    """A fault in the registry, or a strata table row with a wrong field count."""
-    table, header = (strata, STRATA_HEADER) if fault == "strata-fields" else (registry,
-                                                                               FRAME_HEADER)
+    """A fault in the registry or in the strata table."""
+    table, header = (strata, STRATA_HEADER) if fault in STRATA_FAULTS else (registry,
+                                                                             FRAME_HEADER)
     whole = [k for k, row in enumerate(table) if len(row) == len(header)]
     if not whole:
         return
@@ -176,6 +186,14 @@ def inject_registry(draw, fault, strata, registry):
         table[k] = row[:-1] if draw(COIN) else row + [""]
     elif fault == "duplicate-component":
         registry.insert(draw(st.integers(0, len(registry))), list(row))
+    elif fault == "duplicate-stratum":
+        strata.insert(draw(st.integers(0, len(strata))), [padded(draw, row[0]), *row[1:]])
+    elif fault == "strata-count":
+        row[draw(SIZE_COLUMN)] = draw(BAD_INDEX)
+    elif fault == "strata-range":
+        row[1:] = draw(BAD_SIZES)
+    elif fault == "strata-huge":
+        row[2] = draw(HUGE_POPULATION)
     elif fault == "is-well":
         row[4] = draw(BAD_FLAG)
     elif fault == "wells-at-site":
@@ -216,7 +234,7 @@ def outcome(load, paths):
 def assert_same_frame(frame: SurveyFrame, ref):
     # the registry's records, built on first use: ids in registry order, every field
     assert list(frame.components.items()) == list(ref.components.items())
-    assert list(frame.wells_per_site.items()) == list(ref.wells_per_site.items())
+    assert list(wells_per_site(frame.registry).items()) == list(ref.wells_per_site.items())
     assert log_records(frame) == ref.passes
     assert detected_records(frame) == ref.detected_passes
     for f in dataclasses.fields(frame.index):
@@ -327,6 +345,25 @@ FILES = ("passes", "frame", "strata")      # write_survey's paths, in order
 def subset_tables() -> dict[str, list[list[str]]]:
     """A copy of the packaged subset's rows, by file."""
     return dict(zip(("strata", "frame", "passes"), ([list(r) for r in rows] for rows in SUBSET)))
+
+
+@pytest.mark.parametrize("fields,error", [
+    ([" MS", "x", "y"], "row 4: duplicate stratum 'MS'"),
+    (["G", "x", "1.5"], "row 4: cannot parse n_sampled from 'x'"),
+    (["G", "12", "1.5"], "row 4: cannot parse n_population from '1.5'"),
+    (["G", "0", str(2**63)], "stratum 'G': need 1 <= n_sampled <= n_population, "
+                             f"got (0, {2**63})"),
+    (["G", "12", str(2**63)], f"stratum 'G': n_population={2**63} is above {2**63 - 1}"),
+], ids=["duplicate", "n-sampled", "n-population", "range", "intp-range"])
+def test_the_first_fault_of_the_strata_table_is_named(tmp_path, fields, error):
+    """A row's first fault is named, and not a later row's earlier check."""
+    tables = subset_tables()
+    tables["strata"][2] = fields
+    tables["strata"][4] = ["MS", "x", "x"]      # a repeat, and unparseable
+    paths = write_survey(tmp_path, tables["strata"], tables["frame"], tables["passes"])
+    got = outcome(load_survey, paths)[1]
+    assert got is not None and got.endswith(error)
+    assert got == outcome(load_reference, paths)[1]
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 7])

@@ -32,8 +32,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, installed or not
 
 from msinv import cli  # noqa: E402
+from msinv.datasets import packaged_subset_paths  # noqa: E402
 
 TIMESTAMP = "2000-01-01T00:00:00"
+PASSES, REGISTRY, _ = packaged_subset_paths()
 EDGE_SURVEY = [arg for key in ("passes", "frame", "strata") for arg in (
     f"--{key}", str(ROOT / "tests" / "data" / "edge_survey" / f"{key}.csv"))]
 COMMANDS = (
@@ -74,6 +76,11 @@ COMMANDS = (
     # component and registry rows out of id order
     ("edge-estimate-all", ["estimate", *EDGE_SURVEY, "--all-variants", "--mc-iters", "50"]),
     ("edge-diagnose", ["diagnose", *EDGE_SURVEY]),
+    # the packaged passes and registry with 4e9 facilities in one stratum,
+    # where N(N-1) is past the int64 range
+    ("estimate-big-stratum", ["estimate", "--passes", str(PASSES), "--frame", str(REGISTRY),
+                              "--strata",
+                              str(ROOT / "tests" / "data" / "big_stratum_strata.csv")]),
 )
 
 # appended to every artifact before the rerun that must write it over

@@ -68,7 +68,7 @@ def compute_locks() -> dict:
     diag = validate(frame)
     gamma = gamma_table(frame)
     locks["diagnostics"] = {
-        "n_components": len(frame.components),
+        "n_components": len(frame.registry),
         "n_single_day": len(diag.single_day_components),
         "zero_detection_strata": list(diag.zero_detection_strata),
         "gamma_quartiles": [round(q, 2) for q in gamma.quartiles],
