@@ -32,12 +32,18 @@ member expansion, facility sums and stratum totals are computed once, and
 each ragged sum takes the terms of all of the kind's layouts in one pass.
 
 Each ragged index (the passes of a component-day, the members of a stratum,
-...) is a prefix sum `Schedule`: its rows are stored longest first, so the
-c-th items of all rows with more than c items fill a contiguous prefix of
-the rows.  A row sum then takes one gather and one in-place add per column,
-and the rows are put back in order once at the end.  A schedule of items
-that are positions (a stratum's members, a group's strata, ...) is built
-from the keys alone, with no gather through an identity array.
+...) is a `Schedule`: its items row by row, and the row of each item, built
+with one stable argsort and no sort by row length.  Most evaluations are one
+iteration (a bias-corrected estimate, an oracle block, a block of simulated
+replications): there a row sum is one `np.bincount` over (leading index,
+row) keys, and a row product one `np.multiply.at`.  A Monte Carlo chunk of
+several iterations reads the schedule's column view instead, built on first
+use and kept: its rows are stored longest first, so the c-th items of all
+rows with more than c items fill a contiguous prefix of the rows; a row sum
+takes one gather and one in-place add per column, and the rows are put back
+in order once at the end.  A schedule of items that are positions (a
+stratum's members, a group's strata, ...) is built from the keys alone,
+with no gather through an identity array.
 
 This kernel is the estimator of every production path: the Monte Carlo,
 the oracle, the simulation lab, and the single design pass of bias
@@ -54,8 +60,10 @@ evaluated in.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -73,73 +81,117 @@ POPULATION_KEYS = ("total", "v3stage", "v1", "v2", "v3", "u1", "u2", "u3")
 STRATUM_KEYS = ("total", "v1", "v2", "v3", "u1", "u2", "u3")
 
 
-class Schedule(NamedTuple):
-    """A ragged index (rows of items) laid out for left-to-right row sums.
+class _Columns(NamedTuple):
+    """A schedule's rows stored longest first, for row sums over many iterations.
 
-    Rows are stored longest first: stored row i is row ``order[i]``, and row
-    r is stored at ``rank[r]`` (both None when the rows already come longest
-    first).  Column c, the c-th item of every row longer than c, then covers
-    stored rows ``0..n_c - 1``; ``columns`` holds ``(n_c, start, stop)`` per
-    column, and ``items[start:stop]`` are its items in stored row order.
+    Stored row i is row ``order[i]``, and row r is stored at ``rank[r]``
+    (both None when the rows already come longest first).  Column c, the
+    c-th item of every row longer than c, then covers stored rows
+    ``0..n_c - 1``; ``columns`` holds ``(n_c, start, stop)`` per column, and
+    ``items[start:stop]`` are its items in stored row order.
     """
 
-    n_rows: int
     columns: tuple[tuple[int, int, int], ...]
     items: np.ndarray
     order: np.ndarray | None
     rank: np.ndarray | None
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> Schedule:
-    """Row r lists ``starts[r]``, ``starts[r] + 1``, ... (``counts[r]`` items)."""
-    n_rows = len(counts)
-    order = rank = None
-    if np.any(counts[1:] > counts[:-1]):
-        # a stable sort by the shortfall from the longest row, in the
-        # narrowest dtype that holds it (numpy radix-sorts up to 16 bits)
-        longest = int(counts.max())
-        order = np.argsort((longest - counts).astype(np.min_scalar_type(longest)),
-                           kind="stable")
-        rank = np.empty(n_rows, dtype=np.intp)
-        rank[order] = np.arange(n_rows)
-        starts, counts = starts[order], counts[order]
-    # column c: the rows longer than c, which are stored rows 0..n_c - 1
-    n_c = n_rows - np.cumsum(np.bincount(counts))[:-1]
-    stop = np.cumsum(n_c)
-    col = np.repeat(np.arange(len(n_c)), n_c)
-    items = starts[np.arange(len(col)) - (stop - n_c)[col]] + col
-    return Schedule(n_rows, tuple(zip(n_c.tolist(), (stop - n_c).tolist(), stop.tolist())),
-                    items, order, rank)
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """A ragged index: rows of items, for left-to-right row sums and products.
+
+    ``items`` lists row 0's items in order, then row 1's, and so on; ``row``
+    holds each item's row, so it never decreases.
+    """
+
+    n_rows: int
+    items: np.ndarray
+    row: np.ndarray
+
+    @cached_property
+    def by_column(self) -> _Columns:
+        """The column view, built on first use and kept: only chunks of
+        several iterations read it."""
+        n_rows = self.n_rows
+        counts = np.bincount(self.row, minlength=n_rows)
+        starts = np.cumsum(counts) - counts
+        order = rank = None
+        if np.any(counts[1:] > counts[:-1]):
+            # a stable sort by the shortfall from the longest row, in the
+            # narrowest dtype that holds it (numpy radix-sorts up to 16 bits)
+            longest = int(counts.max())
+            order = np.argsort((longest - counts).astype(np.min_scalar_type(longest)),
+                               kind="stable")
+            rank = np.empty(n_rows, dtype=np.intp)
+            rank[order] = np.arange(n_rows)
+            starts, counts = starts[order], counts[order]
+        # column c: the rows longer than c, which are stored rows 0..n_c - 1
+        n_c = n_rows - np.cumsum(np.bincount(counts))[:-1]
+        stop = np.cumsum(n_c)
+        col = np.repeat(np.arange(len(n_c)), n_c)
+        at = starts[np.arange(len(col)) - (stop - n_c)[col]] + col
+        return _Columns(tuple(zip(n_c.tolist(), (stop - n_c).tolist(), stop.tolist())),
+                        self.items[at], order, rank)
+
+
+def _ranges(counts: np.ndarray) -> Schedule:
+    """Row r lists the next ``counts[r]`` positions, from 0 on."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    return Schedule(len(counts), np.arange(len(row)), row)
 
 
 def _schedule(keys: np.ndarray, values: np.ndarray | None, n_rows: int) -> Schedule:
     """Row k lists, in their order, the values whose key is k; with
     ``values`` None, the positions of those keys."""
     by_key = np.argsort(keys, kind="stable")
-    length = np.bincount(keys, minlength=n_rows)
-    s = _ranges(np.cumsum(length) - length, length)
-    if values is not None:
-        by_key = values[by_key]
-    return s._replace(items=by_key[s.items])
+    return Schedule(n_rows, by_key if values is None else values[by_key], keys[by_key])
+
+
+def _flat_rows(s: Schedule, lead: tuple[int, ...]) -> np.ndarray:
+    """Each item's row, numbered on through the leading axes: the keys of
+    ``x[..., s.items]`` flattened."""
+    n = math.prod(lead)
+    if n == 1:
+        return s.row
+    return (np.arange(n)[:, None] * s.n_rows + s.row).ravel()
 
 
 def _seq_sum(x: np.ndarray, s: Schedule) -> np.ndarray:
     """Row sums ``sum(x[..., j, :] for j in row r)``, added left to right from 0.
 
-    ``x`` has items on axis -2 and iterations on axis -1.
+    ``x`` has items on axis -2 and iterations on axis -1.  One iteration
+    takes one `np.bincount`, which adds the items in index order; several
+    take one gather per column of the column view.
     """
-    out = np.zeros(x.shape[:-2] + (s.n_rows, x.shape[-1]))
-    for n, start, stop in s.columns:
-        out[..., :n, :] += x.take(s.items[start:stop], axis=-2)
-    return out if s.rank is None else out.take(s.rank, axis=-2)
+    lead = x.shape[:-2]
+    if x.shape[-1] == 1:
+        # float: np.bincount of no weights is of integers
+        out = np.bincount(_flat_rows(s, lead), x[..., 0].take(s.items, axis=-1).ravel(),
+                          minlength=math.prod(lead) * s.n_rows).astype(float, copy=False)
+        return out.reshape(lead + (s.n_rows, 1))
+    c = s.by_column
+    out = np.zeros(lead + (s.n_rows, x.shape[-1]))
+    for n, start, stop in c.columns:
+        out[..., :n, :] += x.take(c.items[start:stop], axis=-2)
+    return out if c.rank is None else out.take(c.rank, axis=-2)
 
 
 def _seq_prod(first: np.ndarray, x: np.ndarray, s: Schedule) -> np.ndarray:
-    """Row products ``first[..., r, :]`` times each ``x[..., j, :]`` of row r, left to right."""
-    out = np.array(first) if s.order is None else first.take(s.order, axis=-2)
-    for n, start, stop in s.columns:
-        out[..., :n, :] *= x.take(s.items[start:stop], axis=-2)
-    return out if s.rank is None else out.take(s.rank, axis=-2)
+    """Row products ``first[..., r, :]`` times each ``x[..., j, :]`` of row r, left to right.
+
+    One iteration takes one `np.multiply.at`, which multiplies in index order.
+    """
+    if x.shape[-1] == 1:
+        out = np.array(first)
+        np.multiply.at(out.reshape(-1), _flat_rows(s, x.shape[:-2]),
+                       x[..., 0].take(s.items, axis=-1).ravel())
+        return out
+    c = s.by_column
+    out = np.array(first) if c.order is None else first.take(c.order, axis=-2)
+    for n, start, stop in c.columns:
+        out[..., :n, :] *= x.take(c.items[start:stop], axis=-2)
+    return out if c.rank is None else out.take(c.rank, axis=-2)
 
 
 def _phi_any(phi: np.ndarray, groups: Schedule, count: np.ndarray, misses: np.ndarray):
@@ -397,7 +449,7 @@ def build_layout(index: CompiledIndex, config: EstimatorConfig) -> Layout:
         full_days=full_days,
         full_d=_col(d_p[day_unit[full_days]]),
         full_h=_col(horizon[day_unit[full_days]]),
-        days_of_full=_ranges(np.cumsum(n_full) - n_full, n_full),
+        days_of_full=_ranges(n_full),
         first_day_of_pooled=(np.cumsum(n_days) - n_days)[pooled],
         member_h=_col(horizon[index.member_unit]),
         peers=peers,

@@ -76,9 +76,10 @@ MAX_MC_ITERATIONS = 1_000_000
 def resolve_threads(requested: int | None) -> int:
     """Worker count: explicit argument, else MSINV_THREADS, else 1.
 
-    Capped at the CPU count: more threads than CPUs only add contention.
-    Raises ValueError when the count is below 1, or when MSINV_THREADS is
-    not a whole number; a count read from MSINV_THREADS is named as such.
+    Capped at the CPUs this process may run on: more threads than CPUs
+    only add contention.  Raises ValueError when the count is below 1, or
+    when MSINV_THREADS is not a whole number; a count read from
+    MSINV_THREADS is named as such.
     """
     source = "threads"
     if requested is None:
@@ -90,7 +91,15 @@ def resolve_threads(requested: int | None) -> int:
             raise ValueError(f"{THREADS_ENV} must be a whole number, got {env!r}") from None
     if requested < 1:
         raise ValueError(f"{source} must be at least 1, got {requested}")
-    return min(int(requested), os.cpu_count() or 1)
+    return min(int(requested), _usable_cpus())
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (a cpuset or ``taskset`` narrows it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers: micro populations, the packaged subset, random
-frames, reading artifacts back, and the measurement model's mean factor."""
+frames, reading artifacts back, the measurement model's mean factor, and the
+CPUs the Monte Carlo may use."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from msinv import measurement
 from msinv.datasets import load_packaged_subset
 from frame_reference import Pass, frame_from_passes
 from msinv.frame import ComponentRef, StratumDef, SurveyFrame
@@ -122,3 +124,9 @@ def measurement_mean_factor(model: MeasurementModel = DEFAULT_MEASUREMENT) -> fl
         return model.d * model.alpha
     x = math.pi / model.beta
     return model.d * model.alpha * x / math.sin(x)
+
+
+def run_on_cpus(monkeypatch, n: int) -> None:
+    """Let the Monte Carlo see ``n`` CPUs this process may run on."""
+    monkeypatch.setattr(measurement.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)

@@ -23,7 +23,7 @@ from msinv.pod import PHI_FLOOR, pod, sample_true_rate
 from msinv.simlab import SimConfig, SimStratumSpec
 from estimator_reference import estimate_survey, prepare_components
 from frame_reference import Pass, frame_from_passes
-from conftest import random_frame
+from conftest import random_frame, run_on_cpus
 from index_helpers import same_bits, side_by_side, unit_per_member
 
 DESIGNS = [("ipw", "original"), ("ipw", "modified"), ("hajek", "modified")]
@@ -274,7 +274,7 @@ def test_iterations_independent_of_chunking(subset_frame, monkeypatch, estimator
     monkeypatch.setattr(measurement, "MC_CHUNK", 3)
     # eight workers on eight chunks, switching often: each chunk must write
     # only its own slice of the shared result arrays
-    monkeypatch.setattr(measurement.os, "cpu_count", lambda: 8)
+    run_on_cpus(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -290,21 +290,78 @@ def test_iterations_independent_of_chunking(subset_frame, monkeypatch, estimator
         sys.setswitchinterval(interval)
 
 
+def assert_iterations_alone_equal_their_chunk(layouts, y, phi):
+    """Each iteration of a chunk evaluated alone (one np.bincount per ragged
+    sum) equals its row of the chunk (the column view) bit for bit."""
+    assert len(y) > 1
+    chunk = evaluate(layouts, y, phi)
+    for b in range(len(y)):
+        alone = evaluate(layouts, y[b:b + 1], phi[b:b + 1], first_iteration=b)
+        for layout, got, want in zip(layouts, alone, chunk):
+            for values in ("population", "strata"):
+                for key, arr in getattr(want, values).items():
+                    assert same_bits(getattr(got, values)[key][0], arr[b]), (
+                        layout.kind, layout.observed, layout.printed, b, values, key)
+
+
+def frame_draws(frame, layout, seed, n):
+    y = sample_true_rate(frame.measured_rates, iteration_uniforms(seed, range(n), layout.n_passes))
+    return y, np.maximum(pod(y, frame.altitudes, frame.wind_speeds), PHI_FLOOR)
+
+
+@pytest.mark.parametrize("source", ["subset", 0, 1, 2])
+def test_iterations_alone_equal_their_chunk(subset_frame, source):
+    frame = subset_frame if source == "subset" else random_frame(source)
+    layouts = [frame.layout(cfg) for cfg in all_configs(365)]
+    assert_iterations_alone_equal_their_chunk(layouts, *frame_draws(frame, layouts[0], 6, 5))
+
+
+@pytest.mark.parametrize("pooling", [None, "some"])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_iterations_of_well_sites_and_pooled_units_alone_equal_their_chunk(pooling, data, seed):
+    frame = data.draw(survey_frames(pooling))
+    layouts = [frame.layout(cfg) for cfg in CONFIGS]
+    assert_iterations_alone_equal_their_chunk(layouts, *frame_draws(frame, layouts[0], seed, 3))
+
+
+def test_oracle_outcomes_alone_equal_their_chunk(micro_b):
+    # one oracle block, and two more iterations of the same outcomes
+    block = next(oracle._blocks(micro_b))
+    index = compile_index(block.index)
+    layouts = [build_layout(index, cfg) for cfg in all_configs(micro_b.horizon)]
+    y = np.stack([block.rates, 1.5 * block.rates, 0.5 * block.rates])
+    phi = np.stack([block.phis, block.phis**2, np.sqrt(block.phis)])
+    assert_iterations_alone_equal_their_chunk(layouts, y, phi)
+
+
 # ---------------------------------------------------------------------------
-# Prefix sum schedules
+# Schedules: row sums and products, one iteration or a chunk
 # ---------------------------------------------------------------------------
 
 SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan)
 
 
+NO_ROWS = dict(n_items=1, rows=[], longest_first=False, b=1, pool=[0.5], seed=0)
+EMPTY_ROWS = dict(NO_ROWS, rows=[[], [], []])
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(n_items=st.integers(1, 30), data=st.data(), longest_first=st.booleans(),
+@given(n_items=st.integers(1, 30), rows=st.lists(st.lists(st.integers(0, 29), max_size=60),
+                                                 max_size=6),
+       longest_first=st.booleans(),
        lead=st.sampled_from([(), (2,), (3, 2)]), b=st.sampled_from([1, 3, 256]),
        pool=st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=8),
        seed=st.integers(0, 2**32 - 1))
-def test_prefix_sums_and_products_are_left_to_right(n_items, data, longest_first, lead, b, pool,
+# one iteration with no rows, or no items in any row: the sums are still
+# float, though np.bincount of no weights is of integers
+@example(lead=(), **NO_ROWS)
+@example(lead=(3, 2), **NO_ROWS)
+@example(lead=(), **EMPTY_ROWS)
+@example(lead=(3, 2), **EMPTY_ROWS)
+def test_prefix_sums_and_products_are_left_to_right(n_items, rows, longest_first, lead, b, pool,
                                                     seed):
-    rows = data.draw(st.lists(st.lists(st.integers(0, n_items - 1), max_size=60), max_size=6))
+    rows = [[j % n_items for j in row] for row in rows]
     if longest_first:
         rows.sort(key=len, reverse=True)
     rng = np.random.default_rng(seed)
@@ -320,6 +377,7 @@ def test_prefix_sums_and_products_are_left_to_right(n_items, data, longest_first
         sums = batch._seq_sum(x, schedule)
         prods = batch._seq_prod(first, x, schedule)
         assert sums.shape == prods.shape == lead + (len(rows), b)
+        assert sums.dtype == prods.dtype == np.float64
         for r, row in enumerate(rows):
             # Python's sum and a left-to-right product, elementwise over the
             # leading and iteration axes; an empty row sums to 0.0
@@ -330,6 +388,12 @@ def test_prefix_sums_and_products_are_left_to_right(n_items, data, longest_first
             assert same_bits(prods[..., r, :], want_prod), (r, row)
 
 
+def assert_same_arrays(got, want, what):
+    assert (got is None) == (want is None), what
+    if want is not None:
+        assert got.dtype == want.dtype and np.array_equal(got, want), what
+
+
 @settings(max_examples=80, deadline=None)
 @given(keys=st.lists(st.integers(0, 6), max_size=40), extra=st.integers(0, 3))
 @example(keys=[], extra=0)
@@ -337,18 +401,18 @@ def test_prefix_sums_and_products_are_left_to_right(n_items, data, longest_first
 @example(keys=[4, 0, 4, 2, 0, 4], extra=3)
 def test_a_schedule_of_positions_equals_the_identity_gather(keys, extra):
     # values None schedule the keys' positions: unsorted keys, empty rows and
-    # rows past the largest key lay out as with np.arange as the values
+    # rows past the largest key lay out as with np.arange as the values, both
+    # row by row and in the column view
     keys = np.array(keys, dtype=np.intp)
     n_rows = int(keys.max(initial=-1)) + 1 + extra
     got = batch._schedule(keys, None, n_rows)
     want = batch._schedule(keys, np.arange(len(keys)), n_rows)
     assert got.n_rows == want.n_rows == n_rows
-    assert got.columns == want.columns
+    for name in ("items", "row"):
+        assert_same_arrays(getattr(got, name), getattr(want, name), name)
+    assert got.by_column.columns == want.by_column.columns
     for name in ("items", "order", "rank"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert (g is None) == (w is None), name
-        if w is not None:
-            assert g.dtype == w.dtype and np.array_equal(g, w), name
+        assert_same_arrays(getattr(got.by_column, name), getattr(want.by_column, name), name)
 
 
 def test_peers_are_scheduled_exactly_where_a_member_pools(subset_frame, micro_b):

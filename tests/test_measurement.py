@@ -4,8 +4,10 @@ import dataclasses
 import gc
 import math
 import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from msinv.measurement import (
 from msinv.pod import MeasurementModel, PodParams, bias_correct, sample_true_rate
 from msinv.reporting import write_report_json
 
-from conftest import random_frame
+from conftest import random_frame, run_on_cpus
 from frame_reference import Pass, frame_from_passes
 
 
@@ -274,11 +276,40 @@ class TestDeterminism:
 class TestWorkerCount:
     def test_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.delenv("MSINV_THREADS", raising=False)
-        cpus = os.cpu_count() or 1
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
         assert resolve_threads(100000) == cpus
         assert resolve_threads(None) == 1
         monkeypatch.setenv("MSINV_THREADS", "100000")
         assert resolve_threads(None) == cpus
+
+    def test_capped_at_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # a cpuset or taskset of one CPU on a machine of two
+        monkeypatch.delenv("MSINV_THREADS", raising=False)
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 2)
+        run_on_cpus(monkeypatch, 1)
+        assert resolve_threads(2) == 1
+        run_on_cpus(monkeypatch, 3)
+        assert resolve_threads(2) == 2 and resolve_threads(5) == 3
+
+    def test_capped_at_cpu_count_without_an_affinity_set(self, monkeypatch):
+        monkeypatch.delattr(measurement.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 3)
+        assert resolve_threads(2) == 2 and resolve_threads(5) == 3
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: None)  # undeterminable
+        assert resolve_threads(5) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_a_process_pinned_to_one_cpu_runs_one_thread(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(measurement.__file__).parents[1]),
+                   MSINV_THREADS="2")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+             "from msinv.measurement import resolve_threads; "
+             "print(resolve_threads(2), resolve_threads(None))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.split() == ["1", "1"]
 
     @pytest.mark.parametrize("requested", [0, -5])
     def test_below_one_refused(self, monkeypatch, requested):
@@ -308,7 +339,7 @@ class TestWorkerCount:
                 return map(fn, items)
 
         monkeypatch.setattr(measurement, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 64)
+        run_on_cpus(monkeypatch, 64)
         run_mc(small_frame, McConfig(iterations=3, threads=64))
         assert sizes == []  # one chunk runs on the calling thread
         monkeypatch.setattr(measurement, "MC_CHUNK", 2)
@@ -337,7 +368,7 @@ class TestSharedPasses:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_shared_pass_equals_separate_runs(self, subset_frame, monkeypatch, threads):
-        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 2)
+        run_on_cpus(monkeypatch, 2)
         # 600 iterations: three chunks
         base = McConfig(iterations=600, seed=3, trace=True, threads=threads)
         alone = [run_mc(subset_frame, dataclasses.replace(base, estimator=cfg))
@@ -356,7 +387,7 @@ class TestSharedPasses:
                  for cfg in ALL_VARIANTS]
         # eight workers on eight chunks, switching often
         monkeypatch.setattr(measurement, "MC_CHUNK", 3)
-        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 8)
+        run_on_cpus(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
