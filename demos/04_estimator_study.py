@@ -9,16 +9,14 @@ Reduced to 300 replications so the demo runs in seconds; the packaged study
 defaults are fitted from the bundled subset.
 """
 
-from msinv.simlab import default_config, generate_population, run_study
+from msinv.simlab import default_config, run_study
 
 config = default_config(replications=300, seed=11)
-population = generate_population(config)
+result = run_study(config)
 
 print("true totals (kg/h):")
-for name, value in population.true_totals.items():
+for name, value in result.true_totals.items():
     print(f"  {name:22s} {value:10.1f}")
-
-result = run_study(config, population)
 
 print(f"\n{'scope':22s} {'variant':16s} {'bias%':>8s} {'coverage':>9s}")
 for row in result.rows:

@@ -197,12 +197,7 @@ def cmd_estimate(args) -> int:
                     for s2 in ("observed", "year") for m in ("bias-correct", "mc")]
     else:
         variants = [(args.estimator, stage2, args.measurement)]
-    # the Monte Carlo settings are checked before anything is read or written
-    mc_base = None
-    if any(mm == "mc" for _, _, mm in variants):
-        mc_base = McConfig(iterations=args.mc_iters, seed=args.seed, measurement=measurement,
-                           trace=args.trace, threads=resolve_threads(args.threads))
-    frame = load_survey(inputs["passes"], inputs["frame"], inputs["strata"])
+    # the estimator and Monte Carlo settings are checked before anything is read or written
     try:
         configs = [EstimatorConfig(estimator=est, stage2=s2, horizon=horizon,
                                    decomposition=args.decomposition, ci_level=args.ci_level,
@@ -210,6 +205,11 @@ def cmd_estimate(args) -> int:
                    for est, s2, _ in variants]
     except EstimationError as exc:
         raise ConfigError(str(exc)) from None
+    mc_base = None
+    if any(mm == "mc" for _, _, mm in variants):
+        mc_base = McConfig(iterations=args.mc_iters, seed=args.seed, measurement=measurement,
+                           trace=args.trace, threads=resolve_threads(args.threads))
+    frame = load_survey(inputs["passes"], inputs["frame"], inputs["strata"])
     # every Monte Carlo variant's layout is built, and its horizon checked,
     # before anything is written; the variants then run in shared passes
     mc_results = iter(())

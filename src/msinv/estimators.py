@@ -33,7 +33,7 @@ import numpy as np
 from . import batch, reporting
 from .frame import SurveyFrame
 from .pod import PHI_FLOOR, PodParams, DEFAULT_POD, pod
-from .reporting import EstimationError, wald_ci
+from .reporting import EstimationError, valid_level, wald_ci
 
 __all__ = [
     "EstimationError",
@@ -84,8 +84,8 @@ class EstimatorConfig:
             raise EstimationError(
                 f"decomposition must be 'corrected' or 'printed', got {self.decomposition!r}"
             )
-        if not 0 < self.ci_level < 1:
-            raise EstimationError("ci_level must lie in (0, 1)")
+        if not valid_level(self.ci_level):
+            raise EstimationError(f"ci_level must lie in (0, 1 - 2**-53), got {self.ci_level!r}")
         if self.horizon < 1:
             raise EstimationError("horizon must be >= 1 day")
 

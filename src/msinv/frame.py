@@ -35,7 +35,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -506,9 +506,6 @@ class FrameDiagnostics:
     zero_detection_strata: tuple[str, ...]
     small_strata: tuple[str, ...]
 
-    def is_clean(self) -> bool:
-        return not any(getattr(self, f.name) for f in fields(self))
-
     def as_dict(self) -> dict:
         return {
             "single_day_components": list(self.single_day_components),
@@ -555,17 +552,13 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
-def read_json(source):
-    """A JSON configuration document from a path, an open file or a parsed dict.
+def read_json(path):
+    """The JSON configuration document at ``path``.
 
     An object that repeats a key is refused (`ValueError`), as the INI reader
     refuses a repeated option.
     """
-    if isinstance(source, dict):
-        return source
-    if hasattr(source, "read"):
-        return json.load(source, object_pairs_hook=_unique_keys)
-    with open(source, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh, object_pairs_hook=_unique_keys)
 
 

@@ -265,7 +265,7 @@ def _result(config: McConfig, layout: Layout, names: list[str], pop: dict, st: d
     est_cfg = config.estimator
     echo = est_cfg.as_dict()
     echo["measurement_mode"] = "mc"
-    echo["mc"] = config.as_dict()
+    echo["mc"] = dict(config.as_dict(), measurement=_echo(config.measurement))
     diagnostics = dict(layout.diagnostics, phi_floor_hits=floor_hits)
     report = reporting.batch_report(pop, st, names, echo, est_cfg.ci_level, diagnostics)
     result = McResult(report=report, config=config)
@@ -323,5 +323,10 @@ def bias_corrected_inventory(
     reports = total_inventory(frame, config, rates=rates)
     for report in reports if isinstance(reports, list) else [reports]:
         report.config["measurement_mode"] = "bias-correct"
-        report.config["measurement"] = measurement.as_dict()
+        report.config["measurement"] = _echo(measurement)
     return reports
+
+
+def _echo(model: MeasurementModel) -> dict:
+    """``model.as_dict()``, an infinite ``beta`` written "inf" as flags spell it: JSON has none."""
+    return {key: "inf" if value == np.inf else value for key, value in model.as_dict().items()}

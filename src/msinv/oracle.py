@@ -294,12 +294,12 @@ class _Block(NamedTuple):
     outcomes: _Outcomes
 
 
-def _blocks(pop: MicroPopulation, max_outcomes: int = MAX_OUTCOMES):
+def _blocks(pop: MicroPopulation):
     """Yield the outcomes of `_walk` in `_Block`s of `OUTCOME_BLOCK`, the last
     one possibly shorter."""
     n_outcomes = _enumeration_size(pop)
-    if n_outcomes > max_outcomes:
-        raise ValueError(f"enumeration would visit ~{n_outcomes} outcomes (limit {max_outcomes})")
+    if n_outcomes > MAX_OUTCOMES:
+        raise ValueError(f"enumeration would visit ~{n_outcomes} outcomes (limit {MAX_OUTCOMES})")
     tables = _tables(pop)
     for _, runs in itertools.groupby(_walk(pop, tables, OUTCOME_BLOCK), key=lambda r: r[0]):
         yield _block(pop, tables, [run for _, run in runs])
@@ -406,8 +406,7 @@ class OutcomeDistribution:
         return out
 
 
-def enumerate_outcomes(pop: MicroPopulation, configs,
-                       max_outcomes: int = MAX_OUTCOMES) -> list[OutcomeDistribution]:
+def enumerate_outcomes(pop: MicroPopulation, configs) -> list[OutcomeDistribution]:
     """Run the estimation pipeline on every sampling outcome.
 
     ``configs`` is one EstimatorConfig or a sequence of them; all are
@@ -416,17 +415,17 @@ def enumerate_outcomes(pop: MicroPopulation, configs,
     """
     if isinstance(configs, EstimatorConfig):
         configs = [configs]
-    return _enumerate(pop, configs, max_outcomes)
+    return _enumerate(pop, configs)
 
 
-def _enumerate(pop: MicroPopulation, configs, max_outcomes: int = MAX_OUTCOMES):
+def _enumerate(pop: MicroPopulation, configs):
     # exact_stage_variances enumerates through this, so that a traced
     # enumerate_outcomes span covers its callers' enumerations only
     if not configs:
         return []
     outcomes: list[_Outcomes] = []
     per_config = [{k: [] for k in POPULATION_KEYS} for _ in configs]
-    for block in _blocks(pop, max_outcomes):
+    for block in _blocks(pop):
         try:
             ests = _estimates(block, configs)
         except NonFiniteEstimate as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,14 +212,14 @@ def _passes_per_day(n: int, key: str) -> int:
     return n
 
 
-def scenario_from_json(source) -> PlanScenario:
-    """Load a scenario from its JSON form (path, file object or dict).
+def scenario_from_json(path) -> PlanScenario:
+    """Load a scenario from the JSON document at ``path``.
 
     ``pass_phis`` is a list with one detection probability per pass, or one
     number that ``passes_per_day`` (default 1) repeats; either way at most
     `MAX_PASSES_PER_DAY` passes.  See the README section "Configuration files".
     """
-    doc = json_object(read_json(source), "scenario", required=("strata",),
+    doc = json_object(read_json(path), "scenario", required=("strata",),
                       optional=("horizon_days", "days_sampled"))
     strata = []
     for i, s in enumerate(json_list(doc["strata"], "strata")):
@@ -335,7 +335,7 @@ class GammaTable:
     """Per-component any-detection probabilities on the initial survey day."""
 
     gammas: dict[str, float]
-    quartiles: tuple[float, float, float] = field(default=(0.0, 0.0, 0.0))
+    quartiles: tuple[float, float, float]
 
     def as_rows(self):
         return [

@@ -134,10 +134,10 @@ def pod(rate, altitude, wind, params: PodParams = DEFAULT_POD):
     if _any(wind < 0):
         raise ValueError("wind must be >= 0")
 
-    denom = (altitude / 1000.0) ** params.altitude_exp * (
-        wind + params.wind_offset
-    ) ** params.wind_exp
     with np.errstate(divide="ignore", over="ignore"):
+        denom = (altitude / 1000.0) ** params.altitude_exp * (
+            wind + params.wind_offset
+        ) ** params.wind_exp
         base = params.kappa * rate**params.rate_exp / denom
         # a zero base (of either sign) gives |base|^(-outer_exp) == inf and a
         # NaN one (0/0 or inf/inf) NaN, which fmin takes to inf: POD 0

@@ -113,6 +113,11 @@ class EstimationError(ValueError):
     """
 
 
+def valid_level(level: float) -> bool:
+    """Whether `wald_ci` takes ``level``: in (0, 1), with ``0.5 + level / 2`` below 1."""
+    return 0 < level < 1 and 0.5 + level / 2.0 < 1
+
+
 def wald_ci(estimate, variance, level: float = 0.95):
     """Symmetric normal-theory interval: estimate +/- z * sqrt(variance).
 
@@ -122,8 +127,8 @@ def wald_ci(estimate, variance, level: float = 0.95):
     variance = np.asarray(variance, dtype=float)
     if np.any(variance < 0):
         raise EstimationError("variance must be >= 0")
-    if not 0 < level < 1:
-        raise EstimationError("level must lie in (0, 1)")
+    if not valid_level(level):
+        raise EstimationError(f"level must lie in (0, 1 - 2**-53), got {level!r}")
     z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * np.sqrt(variance)
     if half.ndim == 0:

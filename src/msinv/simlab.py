@@ -33,8 +33,8 @@ from .estimators import EstimationError, EstimatorConfig
 # not used here: perfbench/tracer.py patches this name on this module
 from .estimators import estimate_survey  # noqa: F401
 from .frame import UnitIndex, count, json_list, json_object, number, read_json, text
-from .pod import DEFAULT_POD, PodParams, pod
-from .reporting import wald_ci, write_csv
+from .pod import DEFAULT_POD, pod
+from .reporting import valid_level, wald_ci, write_csv
 
 __all__ = [
     "SimStratumSpec",
@@ -120,7 +120,6 @@ class SimConfig:
     replications: int = 5000
     seed: int = 0
     ci_level: float = 0.95
-    pod_params: PodParams = DEFAULT_POD
 
     def __post_init__(self):
         if not 0.0 <= self.emit_prob <= 1.0:
@@ -137,8 +136,8 @@ class SimConfig:
         lo, hi = self.components_per_facility
         if not 1 <= lo <= hi:
             raise ValueError("bad components_per_facility range")
-        if not 0 < self.ci_level < 1:
-            raise ValueError("ci_level must lie in (0, 1)")
+        if not valid_level(self.ci_level):
+            raise ValueError(f"ci_level must lie in (0, 1 - 2**-53), got {self.ci_level!r}")
         if self.replications < 2:
             # the between-replication variance has denominator R - 1
             raise ValueError("need at least 2 replications")
@@ -151,12 +150,8 @@ class SimConfig:
                              f"{MAX_POPULATION_CELLS} population cells")
 
     def as_dict(self) -> dict:
-        """Every field but ``pod_params``, as `config_from_json` reads it.
-
-        ``pod_params`` is left out: `config_from_json` does not read it, and
-        `simulate` always runs the default.
-        """
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pod_params"}
+        """Every field, as `config_from_json` reads it."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["strata"] = [asdict(s) for s in self.strata]
         doc["components_per_facility"] = list(self.components_per_facility)
         doc["passes_pmf"] = {str(k): v for k, v in self.passes_pmf.items()}
@@ -168,13 +163,13 @@ _NUMBER_KEYS = ("emit_prob", "wind_mean", "wind_sd", "altitude_mean", "altitude_
 _COUNT_KEYS = ("horizon", "days_sampled", "replications", "seed")
 
 
-def config_from_json(source) -> SimConfig:
-    """Load a simulation configuration from JSON (path, file object or dict).
+def config_from_json(path) -> SimConfig:
+    """Load a simulation configuration from the JSON document at ``path``.
 
     Every key must be one `SimConfig.as_dict` writes; see the README section
     "Configuration files".
     """
-    doc = json_object(read_json(source), "config", required=("strata",),
+    doc = json_object(read_json(path), "config", required=("strata",),
                       optional=_NUMBER_KEYS + _COUNT_KEYS
                       + ("components_per_facility", "passes_pmf"))
     strata = []
@@ -269,8 +264,8 @@ def _replication_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) % 2**64) * 2**64 + 1 + rep))
 
 
-def generate_population(config: SimConfig, seed: int | None = None) -> SimPopulation:
-    """Draw the artificial population; deterministic given the seed.
+def generate_population(config: SimConfig) -> SimPopulation:
+    """Draw the artificial population; deterministic given ``config.seed``.
 
     Emitting components get independent daily mean rates for every day of the
     horizon and pass-level rates around them (normal with SD proportional to
@@ -291,7 +286,7 @@ def generate_population(config: SimConfig, seed: int | None = None) -> SimPopula
     Raises `ValueError` when the population exceeds `MAX_POPULATION_CELLS`
     or a rate or true total is not finite.
     """
-    rng = _population_rng(config.seed if seed is None else seed)
+    rng = _population_rng(config.seed)
     lo, hi = config.components_per_facility
     pass_keys = sorted(config.passes_pmf)
     pass_probs = [config.passes_pmf[k] for k in pass_keys]
@@ -429,7 +424,7 @@ class SimStudyResult:
                    for row in self.rows), manifest)
 
 
-def run_study(config: SimConfig, population: SimPopulation | None = None) -> SimStudyResult:
+def run_study(config: SimConfig) -> SimStudyResult:
     """Sample the population ``replications`` times and score all variants.
 
     Every replication shares one draw of the three-stage sample across the
@@ -438,7 +433,7 @@ def run_study(config: SimConfig, population: SimPopulation | None = None) -> Sim
     estimated together, `SIM_BLOCK` at a time, by the batched kernel; a
     replication's result does not depend on its block.
     """
-    pop = population if population is not None else generate_population(config)
+    pop = generate_population(config)
     names = [s.name for s in config.strata]
     scopes = names + ["Population"]
     truths = pop.true_totals
@@ -583,7 +578,7 @@ def _sample_block(pop: SimPopulation, config: SimConfig, reps: range):
         rates[rows], wind[rows], alt[rows] = sp.rates[c, d], sp.wind[c, d], sp.altitude[c, d]
     live = np.arange(MAX_PASSES) < q[..., None]
     y = rates[live]
-    phi = pod(y, alt[live], wind[live], config.pod_params)
+    phi = pod(y, alt[live], wind[live], DEFAULT_POD)
     det = u[live] < phi
     unit, k, _ = np.nonzero(live)   # in (unit, day, pass) order, like the boolean gathers
 

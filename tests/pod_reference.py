@@ -4,7 +4,9 @@ were made cheap, kept as the reference `test_pod_reference.py` diffs against.
 Each argument was checked with `np.any` over its comparison, and `pod`
 steered a zero or NaN base through two `np.where` temporaries.  The current
 functions must return the same bits, the same types, the same errors and the
-same `RuntimeWarning`s for every input.
+same `RuntimeWarning`s for every input.  The one change kept here is in
+`pod`: its denominator is computed under the `np.errstate` of its base, so an
+overflow to inf there, which gives POD 0, warns of nothing, as in `msinv.pod`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ def pod(rate, altitude, wind, params: PodParams = DEFAULT_POD):
     if np.any(wind < 0):
         raise ValueError("wind must be >= 0")
 
-    denom = (altitude / 1000.0) ** params.altitude_exp * (
-        wind + params.wind_offset
-    ) ** params.wind_exp
     with np.errstate(divide="ignore", over="ignore"):
+        denom = (altitude / 1000.0) ** params.altitude_exp * (
+            wind + params.wind_offset
+        ) ** params.wind_exp
         base = params.kappa * rate**params.rate_exp / denom
         # base == 0 -> base^(-outer_exp) diverges -> exp(-inf) == 0
         powed = np.where(base > 0, base, 1.0) ** -params.outer_exp

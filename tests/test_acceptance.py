@@ -22,7 +22,7 @@ from msinv.oracle import enumerate_outcomes, exact_stage_variances, true_total
 from msinv.planner import gamma_table
 from msinv.pod import MeasurementModel, sample_true_rate
 from msinv.reporting import KG_H_PER_KT_Y, write_report_json
-from msinv.simlab import SimConfig, SimStratumSpec, default_config, generate_population, run_study
+from msinv.simlab import SimConfig, SimStratumSpec, default_config, run_study
 
 from conftest import measurement_mean_factor, random_frame
 
@@ -150,7 +150,7 @@ def _paired_coverage_gap(result, scope, est):
 def test_criterion_7_simulation_study():
     t0 = time.perf_counter()
     cfg = default_config(replications=1000, seed=2026)
-    result = run_study(cfg, generate_population(cfg))
+    result = run_study(cfg)
     heavy = max(cfg.strata, key=lambda s: s.lognormal_sigma).name
 
     for variant in ("ipw_year", "hajek_year"):
@@ -174,7 +174,7 @@ def test_criterion_7_simulation_study():
                               lognormal_mu=math.log(48.0), lognormal_sigma=0.15)
     low_cfg = SimConfig(strata=(low_spec,), replications=1000, seed=2026,
                         altitude_mean=650.0, altitude_sd=30.0, wind_sd=1.0)
-    low = run_study(low_cfg, generate_population(low_cfg))
+    low = run_study(low_cfg)
     b_ipw = low.metric("LowMS", "ipw_year", "bias_pct")
     b_hajek = low.metric("LowMS", "hajek_year", "bias_pct")
     assert abs(b_hajek) >= abs(b_ipw), f"hajek {b_hajek} vs ipw {b_ipw}"

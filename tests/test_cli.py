@@ -609,10 +609,17 @@ class TestExitCodes:
         assert run("diagnose", "--packaged", "--model-config", str(tmp_path / "model.ini"),
                    "--out-dir", str(tmp_path / "out")) == 4
 
-    def test_invalid_ci_level_is_4(self, tmp_path):
-        assert run("estimate", "--packaged", "--ci-level", "1.5",
-                   "--out-dir", str(tmp_path)) == 4
-        assert not (tmp_path / "report.json").exists()
+    # 1 - 2**-53 lies in (0, 1), but 0.5 + level / 2 rounds to 1
+    @pytest.mark.parametrize("level", ["1.5", "0", "nan", "0.9999999999999999"])
+    def test_invalid_ci_level_is_4(self, tmp_path, capsys, level):
+        # survey files that do not exist: the level fails first, with 4, not 2
+        missing = [arg for name in ("passes", "frame", "strata")
+                   for arg in (f"--{name}", str(tmp_path / "missing.csv"))]
+        capsys.readouterr()
+        assert run("estimate", *missing, "--all-variants", "--ci-level", level,
+                   "--out-dir", str(tmp_path / "out")) == 4
+        assert "ci_level must lie in" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -645,17 +652,24 @@ class TestSimulate:
         _, rows = read_csv_rows(tmp_path / "simstudy.csv")
         assert all(float(r["bias_pct"]) == 0.0 for r in rows)
 
-    def test_invalid_ci_level_is_4(self, tmp_path):
+    @pytest.mark.parametrize("level", [1.5, 1 - 2**-53])
+    def test_invalid_ci_level_is_4(self, tmp_path, monkeypatch, capsys, level):
+        def unreachable(*args):
+            raise AssertionError("the population was generated")
+
+        monkeypatch.setattr(simlab, "generate_population", unreachable)
         cfg = {
             "strata": [{"name": "A", "n_sampled": 3, "n_population": 5,
                         "lognormal_mu": 3.7, "lognormal_sigma": 0.3}],
             "horizon": 8, "days_sampled": 2, "replications": 5, "seed": 7,
-            "ci_level": 1.5,
+            "ci_level": level,
         }
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
         assert run("simulate", "--config", str(cfg_path),
                    "--out-dir", str(tmp_path / "out")) == 4
+        assert "ci_level must lie in" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args, replications", [
@@ -1045,3 +1059,37 @@ class TestArtifacts:
                 flags = manifest["flags"]
                 assert stem == (f"report_{flags['estimator']}_{flags['stage2']}_"
                                 f"{flags['measurement'].replace('-', '')}")
+
+
+class TestExtremeSettings:
+    @pytest.mark.parametrize("argv, sim", [
+        (("estimate", "--packaged", "--meas-beta", "inf"), None),
+        (("estimate", "--packaged", "--meas-beta", "inf", "--measurement", "mc",
+          "--mc-iters", "50"), None),
+        (("estimate", "--packaged", "--meas-beta", "inf", "--all-variants",
+          "--mc-iters", "50"), None),
+        (("estimate", "--packaged", "--pod-wind-offset", "1e300"), None),
+        (("diagnose", "--packaged", "--pod-wind-exp", "1e300"), None),
+        (("simulate",), {"altitude_mean": 1e300}),
+        (("simulate",), {"wind_mean": 1e300}),
+    ], ids=["beta-inf", "beta-inf-mc", "beta-inf-all-variants", "pod-wind-offset",
+            "diagnose-pod-wind-exp", "sim-altitude", "sim-wind"])
+    def test_valid_extreme_settings_write_strict_json_without_warnings(self, tmp_path, argv,
+                                                                      sim):
+        argv = list(argv)
+        if sim is not None:
+            (tmp_path / "sim.json").write_text(json.dumps(dict(
+                SIM_CONFIG, horizon=20, replications=4, **sim)))
+            argv += ["--config", str(tmp_path / "sim.json")]
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv, "--out-dir", str(out)) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        docs = [json.loads(path.read_text(), parse_constant=_refuse_constant)
+                for path in sorted(out.glob("*.json"))]
+        assert docs
+        if "inf" in argv:
+            # JSON has no infinity: beta is echoed as the flag spells it
+            for doc in docs:
+                assert doc["config"].get("mc", doc["config"])["measurement"]["beta"] == "inf"

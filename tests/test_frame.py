@@ -2,7 +2,6 @@
 
 import codecs
 import dataclasses
-import io
 import json
 import math
 from pathlib import Path
@@ -17,6 +16,7 @@ from frame_reference import (Pass, Unit, UnitDay, frame_from_passes, load_refere
 from msinv.datasets import packaged_subset_paths
 from msinv.frame import (
     ComponentRef,
+    FrameDiagnostics,
     FrameError,
     StratumDef,
     count,
@@ -282,7 +282,7 @@ class TestValidate:
             rows.append(f"c{i},f{i},s{i},A,5,1,1,25.0,3.0,150")
             frame_rows.append(f"c{i},f{i},s{i},A,0,0")
         frame = load_survey(*write_files(tmp_path, rows, frame_rows, ["A,10,12"]))
-        assert validate(frame).is_clean()
+        assert validate(frame) == FrameDiagnostics((), (), (), ())
 
 
 class TestRoundTrip:
@@ -377,8 +377,6 @@ class TestConfigReader:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         assert read_json(path) == read_json(str(path)) == doc
-        assert read_json(io.StringIO(json.dumps(doc))) == doc
-        assert read_json(doc) is doc
 
     @pytest.mark.parametrize("text, key", [
         ('{"a": 1, "a": 2}', "a"),
@@ -387,6 +385,5 @@ class TestConfigReader:
     def test_read_json_refuses_a_repeated_key(self, tmp_path, text, key):
         path = tmp_path / "doc.json"
         path.write_text(text)
-        for source in (path, io.StringIO(text)):
-            with pytest.raises(ValueError, match=f"^repeated key '{key}' in a JSON object$"):
-                read_json(source)
+        with pytest.raises(ValueError, match=f"^repeated key '{key}' in a JSON object$"):
+            read_json(path)

@@ -628,9 +628,10 @@ class TestGuards:
             f"configuration 0 (hajek, modified plan, year:2), outcomes {outcomes}: an "
             "estimate is not finite (a rate too large to estimate with?)")
 
-    def test_size_limit(self, micro_b):
-        with pytest.raises(ValueError, match="outcomes"):
-            enumerate_outcomes(micro_b, cfg_b(), max_outcomes=10)
+    def test_size_limit(self, micro_b, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_OUTCOMES", 10)
+        with pytest.raises(ValueError, match=r"outcomes \(limit 10\)"):
+            enumerate_outcomes(micro_b, cfg_b())
 
     @pytest.mark.parametrize("entry", [
         lambda pop: enumerate_outcomes(pop, cfg_b()),

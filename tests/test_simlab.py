@@ -2,6 +2,7 @@
 kernel against the per-replication scalar reference."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -186,26 +187,26 @@ class TestGeneration:
         expectation = 60 * 5.0 * 0.2 * math.exp(math.log(30.0) + 0.4**2 / 2)
         totals = []
         for seed in range(12):
-            pop = generate_population(cfg, seed=seed)
+            pop = generate_population(dataclasses.replace(cfg, seed=seed))
             totals.append(pop.true_totals["Population"])
         totals = np.array(totals)
         se = totals.std(ddof=1) / math.sqrt(len(totals))
         assert abs(totals.mean() - expectation) < 3.5 * se
 
-    @pytest.mark.parametrize("make, overrides, seed", [
-        (default_config, {}, None),
-        (default_config, {}, 1),
-        (json_config, {}, None),
-        (default_config, {"wind_sd": 0.0}, None),
-        (default_config, {"altitude_sd": 0.0}, None),
-        (tiny_config, {"emit_prob": 0.0}, None),
+    @pytest.mark.parametrize("make, overrides", [
+        (default_config, {}),
+        (default_config, {"seed": 1}),
+        (json_config, {}),
+        (default_config, {"wind_sd": 0.0}),
+        (default_config, {"altitude_sd": 0.0}),
+        (tiny_config, {"emit_prob": 0.0}),
         # many redraws of the wind, none clamped
-        (json_config, {"wind_mean": 0.2}, None),
+        (json_config, {"wind_mean": 0.2}),
         # every wind redraw attempt used, and about one cell in ten clamped
-        (lambda: json_config("sim_low_wind.json"), {}, None),
+        (lambda: json_config("sim_low_wind.json"), {}),
     ], ids=["default", "default-seed-1", "3-of-30-days", "wind-sd-0", "altitude-sd-0",
             "no-emitters", "wind-mean-0.2", "low-wind"])
-    def test_population_equals_the_reference(self, monkeypatch, make, overrides, seed):
+    def test_population_equals_the_reference(self, monkeypatch, make, overrides):
         cfg = make(**overrides)
         made = []
 
@@ -214,8 +215,8 @@ class TestGeneration:
             return made[-1]
 
         monkeypatch.setattr(simlab, "_population_rng", recorded)
-        got = generate_population(cfg, seed)
-        want, rng = population_reference(cfg, seed)
+        got = generate_population(cfg)
+        want, rng = population_reference(cfg)
         assert list(got.strata) == list(want.strata)
         for name, sp in got.strata.items():
             ref = want.strata[name]
@@ -278,14 +279,14 @@ def truncated_normal_reference(rng, mean, sd, shape, attempts):
     return np.maximum(out, 1e-9)
 
 
-def population_reference(config, seed=None):
+def population_reference(config):
     """The `simlab.generate_population` that drew every array over whole-array temporaries.
 
     Kept as it was, but for `truncated_normal_reference` in place of the
     `_truncated_normal` it called, which drew the same values.  Returns the
     population and the generator after it.
     """
-    rng = _population_rng(config.seed if seed is None else seed)
+    rng = _population_rng(config.seed)
     lo, hi = config.components_per_facility
     pass_keys = sorted(config.passes_pmf)
     pass_probs = [config.passes_pmf[k] for k in pass_keys]
@@ -455,15 +456,14 @@ class TestStudy:
             bias = row["bias_pct"] / 100.0 * truth
             assert row["mse"] == pytest.approx(row["var"] + bias * bias, rel=1e-12)
 
-    def test_degenerate_design_has_zero_error(self):
+    def test_degenerate_design_has_zero_error(self, monkeypatch):
         # certain detection, a census of two days, every facility sampled,
         # passes equal to the daily mean: every replication recovers T
         spec = SimStratumSpec(name="A", n_sampled=4, n_population=4,
                               lognormal_mu=math.log(30.0), lognormal_sigma=0.3,
                               sd_ratio=0.0)
-        cfg = tiny_config(strata=(spec,), horizon=2, days_sampled=2,
-                          replications=10,
-                          pod_params=PodParams(kappa=1e9))
+        cfg = tiny_config(strata=(spec,), horizon=2, days_sampled=2, replications=10)
+        monkeypatch.setattr(simlab, "DEFAULT_POD", PodParams(kappa=1e9))
         res = run_study(cfg)
         for variant in ("ipw_year", "ipw_observed"):
             assert res.metric("Population", variant, "bias_pct") == pytest.approx(0.0, abs=1e-9)
@@ -525,7 +525,7 @@ class TestStudy:
         cfg = tiny_config(strata=(spec,), horizon=3, days_sampled=3, replications=2)
         pop = generate_population(cfg)
         sp = pop.strata["A"]
-        full = pod(sp.rates, sp.altitude, sp.wind, cfg.pod_params)
+        full = pod(sp.rates, sp.altitude, sp.wind)
         seen = []
 
         def recorded(*args):
@@ -557,7 +557,7 @@ def scalar_study(pop, cfg):
     """
     strata_defs = {s.name: StratumDef(s.name, s.n_sampled, s.n_population)
                    for s in cfg.strata}
-    phi = {name: pod(sp.rates, sp.altitude, sp.wind, cfg.pod_params)
+    phi = {name: pod(sp.rates, sp.altitude, sp.wind)
            for name, sp in pop.strata.items()}
     truths = pop.true_totals
     out = {v: ([], []) for v in VARIANTS}
@@ -597,7 +597,7 @@ def assert_matches_scalar_reference(cfg):
     and variant against `scalar_study`, at rel 1e-12."""
     pop = generate_population(cfg)
     reference = scalar_study(pop, cfg)
-    result = run_study(cfg, pop)
+    result = run_study(cfg)
     names = [s.name for s in cfg.strata]
     index, y, phi = _sample_block(pop, cfg, range(cfg.replications))
     compiled = compile_index(index)
@@ -673,7 +673,7 @@ class TestKernelMatchesScalarReference:
 
 
 class TestConfigRoundTrip:
-    def test_json(self):
+    def test_json(self, tmp_path):
         strata = (SimStratumSpec(name="A", n_sampled=3, n_population=5, lognormal_mu=1.5,
                                  lognormal_sigma=0.3, sd_ratio=0.4),
                   SimStratumSpec(name="B", n_sampled=1, n_population=2, lognormal_mu=-0.5,
@@ -683,12 +683,14 @@ class TestConfigRoundTrip:
                         altitude_mean=700.0, altitude_sd=40.0, horizon=30, days_sampled=3,
                         replications=17, seed=9, ci_level=0.9)
         default = SimConfig(strata=strata)
-        written = {f.name for f in dataclasses.fields(SimConfig)} - {"pod_params"}
-        # every field but the strata and pod_params differs from its default
+        written = {f.name for f in dataclasses.fields(SimConfig)}
+        # every field but the strata differs from its default
         assert [k for k in written if getattr(cfg, k) == getattr(default, k)] == ["strata"]
         doc = cfg.as_dict()
         assert set(doc) == written
-        assert config_from_json(doc) == cfg
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert config_from_json(path) == cfg
 
     def test_default_config_strata(self):
         cfg = default_config()
@@ -700,11 +702,13 @@ class TestConfigRoundTrip:
         assert sizes["GP Sweet"] == (21, 25)
         assert sizes["Compressor station"] == (45, 254)
 
-    def test_unknown_key_is_named(self):
+    def test_unknown_key_is_named(self, tmp_path):
         doc = tiny_config().as_dict()
         doc["replicatons"] = 3
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="unknown key 'replicatons'"):
-            config_from_json(doc)
+            config_from_json(path)
 
     @pytest.mark.parametrize("key", ["wind_sd", "altitude_sd"])
     @pytest.mark.parametrize("value", [-1e-12, -60.0, math.nan])

@@ -81,6 +81,10 @@ COMMANDS = (
     ("estimate-big-stratum", ["estimate", "--passes", str(PASSES), "--frame", str(REGISTRY),
                               "--strata",
                               str(ROOT / "tests" / "data" / "big_stratum_strata.csv")]),
+    # an infinite log-logistic shape: every rate is its point mass, and every
+    # report echoes beta as the string "inf"
+    ("estimate-beta-inf", ["estimate", "--packaged", "--all-variants", "--mc-iters", "50",
+                           "--meas-beta", "inf"]),
 )
 
 # appended to every artifact before the rerun that must write it over
