@@ -24,8 +24,8 @@ for row in result.rows:
           f"{row['bias_pct']:+8.2f} {row['coverage']:9.3f}")
 
 heavy = max(config.strata, key=lambda s: s.lognormal_sigma).name
-year = result.metric(heavy, "ipw_year", "coverage")
-observed = result.metric(heavy, "ipw_observed", "coverage")
+coverage = {row["variant"]: row["coverage"] for row in result.rows if row["stratum"] == heavy}
+year, observed = coverage["ipw_year"], coverage["ipw_observed"]
 print(f"\nignoring day sampling on the heavy-tailed stratum ({heavy}): "
       f"coverage falls {year:.3f} -> {observed:.3f}")
 

@@ -321,7 +321,7 @@ def cmd_diagnose(args) -> int:
     }
     write_json(outdir / "diagnostics.json", doc, manifest)
     write_csv(outdir / "gamma.csv", ["component_id", "gamma"],
-              ([row["component_id"], repr(row["gamma"])] for row in gt.as_rows()), manifest)
+              ([cid, repr(g)] for cid, g in sorted(gt.gammas.items())), manifest)
     print(f"{len(diag.single_day_components)} single-day components, "
           f"{len(diag.zero_detection_strata)} zero-detection strata, "
           f"gamma quartiles {doc['gamma_quartiles']} -> {outdir / 'diagnostics.json'}")
@@ -350,7 +350,8 @@ def build_parser() -> _Parser:
     est.add_argument("--trace", action="store_true", help="emit the MC convergence trace")
     est.add_argument("--threads", type=_thread_count, default=None,
                      help="MC worker threads, each taking chunks of iterations "
-                          "(default: MSINV_THREADS or 1; capped at the CPU count)")
+                          "(default: MSINV_THREADS or 1; capped at the CPUs "
+                          "the process may run on)")
     est.add_argument("--all-variants", action="store_true",
                      help="run all eight estimator/stage2/measurement combinations")
     est.add_argument("--out-dir", default="msinv-out")

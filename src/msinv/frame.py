@@ -230,6 +230,7 @@ class _Sites(NamedTuple):
     wells: list[int]            # per site: its wells_at_site
     comps: np.ndarray           # the well components, in id order
     of: np.ndarray              # per well component: its site
+    pairs: np.ndarray           # per (stratum, site) pair: its first place in comps
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -277,7 +278,9 @@ class SurveyFrame:
         day_values, day = _ranks(passes.day_id)
         _, pass_rank = _ranks(passes.pass_index)
         # each pass's component-day (cd), numbered in (component, day) order,
-        # then the canonical (component, day, pass) order
+        # then the canonical (component, day, pass) order.  Two sorts, as
+        # coding (component, day) first keeps each packed key below n**2; one
+        # (component, day, pass) key could pass 2**63 on a few million rows.
         by_cd = _order(comp, day)
         new_cd = _starts(comp[by_cd], day[by_cd])
         cd_first = by_cd[new_cd]
@@ -323,7 +326,7 @@ class SurveyFrame:
         site_names, site_of = _ranks(well_sites)
         wells_of = dict(zip(well_sites, map(registry.wells_at_site.__getitem__, well_rows)))
         sites = _Sites(site_names, list(map(wells_of.__getitem__, site_names)), well_comps,
-                       site_of)
+                       site_of, _pairs(stratum[well_comps], site_of)[0])
         self._check_stage1_sizes(stratum, fac, sites)
 
         cd_comp, cd_day = comp[cd_first], day[cd_first]
@@ -364,8 +367,8 @@ class SurveyFrame:
         well_rows = np.bincount(well_stratum, minlength=n_strata).tolist()
         facs = np.bincount(stratum[_pairs(stratum, fac)[0]], minlength=n_strata).tolist()
         registered = [0] * n_strata
-        first = _pairs(well_stratum, sites.of)[0]   # each well site of a stratum once
-        for s, site in zip(well_stratum[first].tolist(), sites.of[first].tolist()):
+        # each well site of a stratum once
+        for s, site in zip(well_stratum[sites.pairs].tolist(), sites.of[sites.pairs].tolist()):
             registered[s] += sites.wells[site]
         for s, (name, d) in enumerate(self.strata.items()):
             if 0 < well_rows[s] < rows[s]:
@@ -397,8 +400,7 @@ class SurveyFrame:
         plain = np.flatnonzero(plain)
         n_plain, n_sites = len(plain), len(sites.names)
         well_stratum = stratum[sites.comps]
-        n_strata_here = np.bincount(sites.of[_pairs(sites.of, well_stratum)[0]],
-                                    minlength=n_sites)
+        n_strata_here = np.bincount(sites.of[sites.pairs], minlength=n_sites)
         comp_detected = np.zeros(n_comp, dtype=bool)
         comp_detected[cd_comp[cd_detected > 0]] = True
         detected = np.zeros(n_sites, dtype=bool)

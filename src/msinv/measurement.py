@@ -119,6 +119,8 @@ class McConfig:
         if self.iterations > MAX_MC_ITERATIONS:
             raise ValueError(f"at most {MAX_MC_ITERATIONS} Monte Carlo iterations, "
                              f"got {self.iterations}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def as_dict(self) -> dict:
         return {

@@ -391,20 +391,6 @@ class OutcomeDistribution:
         table = self.clipped if clipped else self.unclipped
         return self._expect(table[stage])
 
-    def support_totals(self) -> dict[float, float]:
-        """Total -> probability, merging numerically identical outcomes.
-
-        Outcomes with probability zero (impossible detection patterns under
-        phi = 1) are dropped.
-        """
-        out: dict[float, float] = {}
-        for p, t in zip(self.probabilities.tolist(), self.totals.tolist()):
-            if p == 0.0:
-                continue
-            key = round(t, 12)
-            out[key] = out.get(key, 0.0) + p
-        return out
-
 
 def enumerate_outcomes(pop: MicroPopulation, configs) -> list[OutcomeDistribution]:
     """Run the estimation pipeline on every sampling outcome.

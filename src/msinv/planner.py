@@ -337,11 +337,6 @@ class GammaTable:
     gammas: dict[str, float]
     quartiles: tuple[float, float, float]
 
-    def as_rows(self):
-        return [
-            {"component_id": cid, "gamma": g} for cid, g in sorted(self.gammas.items())
-        ]
-
 
 def gamma_table(
     frame: SurveyFrame,

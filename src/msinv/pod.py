@@ -61,10 +61,13 @@ class PodParams:
 class MeasurementModel:
     """True emission rate given a measurement: Log-logistic(d*alpha*measured, beta).
 
-    ``d`` is the multiplicative bias factor (the conditional mean is
-    d * measured), ``alpha`` a scale factor and ``beta`` the log-logistic
-    shape.  ``beta`` may be ``inf``, which degenerates the distribution to a
-    point mass at d * alpha * measured (useful for no-noise checks).
+    ``d`` is the multiplicative bias factor, ``alpha`` a scale factor and
+    ``beta`` the log-logistic shape.  The conditional mean is
+    d * alpha * measured * (pi/beta) / sin(pi/beta), which at the default
+    constants is d * measured, the rate `bias_correct` gives, to 3e-5
+    relative.  ``beta`` may be ``inf``, which degenerates the distribution
+    to a point mass at d * alpha * measured: the Monte Carlo then draws no
+    noise, and its rates are alpha times the bias-corrected ones.
     """
 
     d: float = 0.918
@@ -168,7 +171,12 @@ def sample_true_rate(measured, uniform_draw, model: MeasurementModel = DEFAULT_M
 
 
 def bias_correct(measured, model: MeasurementModel = DEFAULT_MEASUREMENT):
-    """Multiplicative bias correction: the conditional mean d * measured."""
+    """Multiplicative bias correction: d * measured.
+
+    That is the measurement model's conditional mean at its default
+    constants (`MeasurementModel`); other constants give another mean, and
+    an infinite ``beta`` gives d * alpha * measured.
+    """
     measured = np.asarray(measured, dtype=float)
     if _any(measured < 0):
         raise ValueError("measured must be >= 0")

@@ -21,7 +21,7 @@ import os
 import stat
 import statistics
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class StratumReport:
     var_total: float
     unclipped: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        """The row as a document, equal to `dataclasses.asdict` of it."""
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
-
 
 @dataclass
 class InventoryReport:
@@ -81,28 +77,6 @@ class InventoryReport:
     strata: list[StratumReport]
     config: dict
     diagnostics: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        """The report as a document, equal to `dataclasses.asdict` of it.
-
-        It is built field by field, not by that function's generic deep copy,
-        and shares no dict or list with the report.
-        """
-        doc = {name: _plain(getattr(self, name)) for name in _REPORT_FIELDS}
-        doc["strata"] = [row.as_dict() for row in self.strata]
-        return doc
-
-
-_REPORT_FIELDS = tuple(f.name for f in fields(InventoryReport))
-
-
-def _plain(value):
-    """A copy of nested dicts, lists and tuples; numbers and strings are shared."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(map(_plain, value))
-    return value
 
 
 class EstimationError(ValueError):
@@ -300,8 +274,9 @@ def write_csv(path, header: list[str], rows, manifest: dict | None = None):
 
 
 def write_report_json(report: InventoryReport, path, manifest: dict | None = None):
-    """Full-precision JSON artifact; the manifest is embedded when given."""
-    write_json(path, report.as_dict(), manifest)
+    """Full-precision JSON artifact, written from the report's and its rows'
+    fields as they stand, with no copy; the manifest is embedded when given."""
+    write_json(path, dict(vars(report), strata=list(map(vars, report.strata))), manifest)
 
 
 # A table row's numbers, in column order: the total, the variance sources and

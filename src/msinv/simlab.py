@@ -143,6 +143,8 @@ class SimConfig:
             raise ValueError("need at least 2 replications")
         if self.replications > MAX_REPLICATIONS:
             raise ValueError(f"at most {MAX_REPLICATIONS} replications, got {self.replications}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         # every facility is drawn before any cell: count it as one
         facilities = sum(s.n_population for s in self.strata)
         if facilities > MAX_POPULATION_CELLS:
@@ -410,12 +412,6 @@ class SimStudyResult:
     rows: list[dict]
     totals: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
     covered: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-
-    def metric(self, scope: str, variant: str, name: str) -> float:
-        for row in self.rows:
-            if row["stratum"] == scope and row["variant"] == variant:
-                return row[name]
-        raise KeyError((scope, variant, name))
 
     def write_csv(self, path, manifest: dict | None = None):
         scores = ("bias_pct", "var", "mse", "coverage")

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: micro populations, the packaged subset, random
-frames, reading artifacts back, the measurement model's mean factor, and the
-CPUs the Monte Carlo may use."""
+frames, reading artifacts back, the measurement model's mean factor, the
+CPUs the Monte Carlo may use, an outcome distribution's support and a
+simulation study's scores."""
 
 from __future__ import annotations
 
@@ -130,3 +131,23 @@ def run_on_cpus(monkeypatch, n: int) -> None:
     """Let the Monte Carlo see ``n`` CPUs this process may run on."""
     monkeypatch.setattr(measurement.os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
+
+
+def support_totals(dist) -> dict[float, float]:
+    """Total -> probability of an `OutcomeDistribution`, merging numerically
+    identical outcomes; outcomes with probability zero (impossible detection
+    patterns under phi = 1) are dropped."""
+    out: dict[float, float] = {}
+    for p, t in zip(dist.probabilities.tolist(), dist.totals.tolist()):
+        if p != 0.0:
+            key = round(t, 12)
+            out[key] = out.get(key, 0.0) + p
+    return out
+
+
+def metric(result, scope: str, variant: str, name: str) -> float:
+    """Score ``name`` of ``variant`` on ``scope`` from a `SimStudyResult`'s rows."""
+    for row in result.rows:
+        if row["stratum"] == scope and row["variant"] == variant:
+            return row[name]
+    raise KeyError((scope, variant, name))

@@ -24,7 +24,7 @@ from msinv.pod import MeasurementModel, sample_true_rate
 from msinv.reporting import KG_H_PER_KT_Y, write_report_json
 from msinv.simlab import SimConfig, SimStratumSpec, default_config, run_study
 
-from conftest import measurement_mean_factor, random_frame
+from conftest import measurement_mean_factor, metric, random_frame, support_totals
 
 LOCKS_PATH = Path(__file__).parent / "data" / "acceptance_locks.json"
 
@@ -45,7 +45,7 @@ def test_criterion_1_exact_estimand_and_unbiasedness(micro_a, micro_b):
     )
     elapsed = time.perf_counter() - t0
 
-    support = dist_a.support_totals()
+    support = support_totals(dist_a)
     assert set(support) == {4.0, 6.0}
     assert support[4.0] == pytest.approx(0.5, abs=1e-12)
     assert support[6.0] == pytest.approx(0.5, abs=1e-12)
@@ -154,10 +154,10 @@ def test_criterion_7_simulation_study():
     heavy = max(cfg.strata, key=lambda s: s.lognormal_sigma).name
 
     for variant in ("ipw_year", "hajek_year"):
-        cov = result.metric("Population", variant, "coverage")
+        cov = metric(result, "Population", variant, "coverage")
         assert 0.92 <= cov <= 0.97, f"population coverage {cov} for {variant}"
 
-    heavy_cov = result.metric(heavy, "ipw_year", "coverage")
+    heavy_cov = metric(result, heavy, "ipw_year", "coverage")
     assert heavy_cov < 0.93, f"heavy-tail stratum coverage {heavy_cov}"
 
     # ignoring day sampling must lose coverage beyond Monte Carlo noise where
@@ -175,8 +175,8 @@ def test_criterion_7_simulation_study():
     low_cfg = SimConfig(strata=(low_spec,), replications=1000, seed=2026,
                         altitude_mean=650.0, altitude_sd=30.0, wind_sd=1.0)
     low = run_study(low_cfg)
-    b_ipw = low.metric("LowMS", "ipw_year", "bias_pct")
-    b_hajek = low.metric("LowMS", "hajek_year", "bias_pct")
+    b_ipw = metric(low, "LowMS", "ipw_year", "bias_pct")
+    b_hajek = metric(low, "LowMS", "hajek_year", "bias_pct")
     assert abs(b_hajek) >= abs(b_ipw), f"hajek {b_hajek} vs ipw {b_ipw}"
     assert abs(b_hajek) < 4.2 + 1e-9  # stays inside the magnitude seen at scale
     paired = low.totals["hajek_year"]["LowMS"] - low.totals["ipw_year"]["LowMS"]

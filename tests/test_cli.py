@@ -451,6 +451,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mode", [("--measurement", "mc"), ("--all-variants",)],
                              ids=["mc", "all-variants"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_is_4(self, tmp_path, monkeypatch, capsys, mode, seed):
+        # the streams are keyed by 64 bits: a wider seed would alias another
+        def unreachable(*args):
+            raise AssertionError("the survey was read")
+
+        monkeypatch.setattr("msinv.cli.load_survey", unreachable)
+        capsys.readouterr()
+        assert run("estimate", "--packaged", *mode, "--mc-iters", "10", "--seed", str(seed),
+                   "--out-dir", str(tmp_path / "out")) == 4
+        assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", [("--measurement", "mc"), ("--all-variants",)],
+                             ids=["mc", "all-variants"])
     def test_invalid_threads_variable_is_4(self, tmp_path, monkeypatch, capsys, mode):
         # checked with the other MC settings, before any report is written
         monkeypatch.setenv(measurement.THREADS_ENV, "abc")
@@ -743,6 +758,24 @@ class TestSimulate:
         capsys.readouterr()
         assert run("simulate", *argv, "--out-dir", str(tmp_path / "out")) == 4
         assert "replications" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["seed", "config"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_is_4(self, tmp_path, monkeypatch, capsys, via, seed):
+        def unreachable(*args):
+            raise AssertionError("the population was generated")
+
+        monkeypatch.setattr(simlab, "generate_population", unreachable)
+        if via == "seed":
+            argv = ("--seed", str(seed))
+        else:
+            cfg_path = tmp_path / "sim.json"
+            cfg_path.write_text(json.dumps(dict(SIM_CONFIG, seed=seed)))
+            argv = ("--config", str(cfg_path))
+        capsys.readouterr()
+        assert run("simulate", *argv, "--out-dir", str(tmp_path / "out")) == 4
+        assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_facilities_over_the_cell_limit_are_4(self, tmp_path, monkeypatch):

@@ -1026,7 +1026,7 @@ def report_fields(report) -> dict:
     Strata are keyed by name: rows sort by total, which two paths that agree
     to rounding may order differently on a tie.
     """
-    doc = report.as_dict()
+    doc = dataclasses.asdict(report)
     out = {}
     for where, fields in [(None, doc)] + [(row["name"], row) for row in doc.pop("strata")]:
         for key, value in fields.items():

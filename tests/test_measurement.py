@@ -198,6 +198,21 @@ class TestMcLayer:
         assert mc.report.total == pytest.approx(base.total, rel=1e-12)
         assert mc.report.var_measurement < 1e-10 * mc.report.total**2
 
+    def test_infinite_beta_draws_alpha_times_the_bias_corrected_rates(self, subset_frame):
+        # a point mass at d * alpha * measured, not at the bias-corrected d * measured
+        model = MeasurementModel(beta=math.inf)
+        cfg = EstimatorConfig()
+        mc = run_mc(subset_frame, McConfig(estimator=cfg, iterations=50, seed=1,
+                                           measurement=model)).report
+        want = total_inventory(subset_frame, cfg,
+                               rates=model.d * model.alpha * subset_frame.measured_rates)
+        for key in ("total", "var_stage1", "var_stage2", "var_stage3"):
+            assert getattr(mc, key) == pytest.approx(getattr(want, key), rel=1e-12), key
+        assert mc.unclipped.keys() == want.unclipped.keys()
+        for key, value in want.unclipped.items():
+            assert mc.unclipped[key] == pytest.approx(value, rel=1e-12), key
+        assert mc.var_measurement <= 1e-20 * mc.total**2
+
     def test_two_iteration_independent_recomputation(self, small_frame):
         cfg = EstimatorConfig()
         mc = run_mc(small_frame, McConfig(estimator=cfg, iterations=2, seed=9))

@@ -236,20 +236,8 @@ def test_batch_report_copies_no_series():
     assert peak <= series + 64 * 1024
 
 
-def containers(value) -> list:
-    """Every dict and list in a tree of dicts, lists, tuples and dataclasses."""
-    if dataclasses.is_dataclass(value):
-        value = vars(value)
-    found = [value] if isinstance(value, (dict, list)) else []
-    children = value.values() if isinstance(value, dict) else (
-        value if isinstance(value, (list, tuple)) else ())
-    for child in children:
-        found += containers(child)
-    return found
-
-
 @pytest.mark.parametrize("measurement", ["bias-correct", "mc"])
-def test_as_dict_equals_asdict_and_shares_nothing(subset_frame, measurement):
+def test_report_json_is_the_report_as_written(subset_frame, measurement, tmp_path):
     cfg = EstimatorConfig(estimator="hajek", stage2="observed")
     if measurement == "mc":
         report = run_mc(subset_frame, McConfig(estimator=cfg, iterations=20, seed=3)).report
@@ -257,11 +245,12 @@ def test_as_dict_equals_asdict_and_shares_nothing(subset_frame, measurement):
         report = bias_corrected_inventory(subset_frame, cfg)
     report.diagnostics["nested"] = {"inputs": {"passes": {"path": "p.csv"}},
                                     "list": [1, [2.5, {"x": None}]]}
-    doc = report.as_dict()
-    assert doc == dataclasses.asdict(report)
-    assert isinstance(doc["strata"][0], dict)
-    mine = {id(c) for c in containers(report)}
-    assert not mine & {id(c) for c in containers(doc)}
+    manifest = {"command": "estimate", "seed": 3}
+    path = tmp_path / "report.json"
+    write_report_json(report, path, manifest)
+    doc = dict(dataclasses.asdict(report), manifest=manifest)
+    want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 @pytest.mark.parametrize("cfg, model", [

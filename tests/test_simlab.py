@@ -35,6 +35,7 @@ from msinv.simlab import (
     run_study,
 )
 
+from conftest import metric
 from estimator_reference import ComponentObs, daily_estimate, estimate_survey
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -466,9 +467,9 @@ class TestStudy:
         monkeypatch.setattr(simlab, "DEFAULT_POD", PodParams(kappa=1e9))
         res = run_study(cfg)
         for variant in ("ipw_year", "ipw_observed"):
-            assert res.metric("Population", variant, "bias_pct") == pytest.approx(0.0, abs=1e-9)
-            assert res.metric("Population", variant, "var") == pytest.approx(0.0, abs=1e-9)
-            assert res.metric("Population", variant, "coverage") == 1.0
+            assert metric(res, "Population", variant, "bias_pct") == pytest.approx(0.0, abs=1e-9)
+            assert metric(res, "Population", variant, "var") == pytest.approx(0.0, abs=1e-9)
+            assert metric(res, "Population", variant, "coverage") == 1.0
 
     def test_determinism_and_csv(self, tmp_path):
         cfg = tiny_config(replications=10, seed=7)
