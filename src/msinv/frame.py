@@ -5,9 +5,10 @@ table), validated for referential integrity, and frozen.  Non-detected passes
 are kept: they carry no measurement fields but they set the per-day pass
 count that every estimator divides by.
 
-Each file is read a block of rows at a time into columns (see `BLOCK_ROWS`)
-and checked a column at a time, naming the fault a row-by-row reader would
-meet first (`_FirstFault`).  The registry and the pass log are held as
+Each file is read a block of rows at a time into columns (see `BLOCK_ROWS`),
+a plain file's lines split at commas and any other file's rows read with
+`csv.reader` (`_split_columns`), and checked a column at a time, naming the
+fault a row-by-row reader would meet first (`_FirstFault`).  The registry and the pass log are held as
 columns (`ComponentColumns`, `PassColumns`); one lookup gives each pass its
 registry row, which both checks its hierarchy fields and codes its
 component.  Loading sorts the passes once and groups them into the units
@@ -73,6 +74,14 @@ FRAME_HEADER = [
 # More than this many passes over one component in one day is suspicious for
 # real aerial data; it is a warning, not an error.
 REALISTIC_MAX_PASSES = 5
+
+# The most stage I members a frame may have: each well site's wells plus one
+# per other unit.  Every member is a column of the per-member arrays, which a
+# Monte Carlo chunk holds for each of its `measurement.MC_CHUNK` iterations:
+# at this bound, `tools/peak_memory.py` traced a peak of about 4 MiB for a
+# bias-corrected estimate, 360 MiB for one Monte Carlo variant and 520 MiB
+# for all of them, each chunk thread holding its own.
+MAX_MEMBERS = 20_000
 
 
 class FrameError(ValueError):
@@ -167,16 +176,19 @@ class PassColumns:
     """A pass log as columns, one entry per pass in log order; `read_passes` builds it.
 
     ``component`` is each pass's row in the registry, -1 for an id the
-    registry lacks.  ``day_id`` and ``pass_index`` hold Python ints, which
-    have no size limit.  The measurement columns hold the detected passes
-    only, in log order; the reader has checked their presence, finiteness
-    and ranges.
+    registry lacks.  ``day`` and ``pass_rank`` are each pass's place among
+    the distinct day ids and pass indices in ascending order, ``day_values``
+    and ``pass_values``, which hold Python ints of any size.  The
+    measurement columns hold the detected passes only, in log order; the
+    reader has checked their presence, finiteness and ranges.
     """
 
     component_id: list[str]
     component: np.ndarray       # intp
-    day_id: list[int]
-    pass_index: list[int]
+    day_values: list[int]
+    day: np.ndarray             # intp
+    pass_values: list[int]
+    pass_rank: np.ndarray       # intp
     detected: np.ndarray        # bool
     measured_rate: np.ndarray
     wind_speed: np.ndarray
@@ -274,9 +286,7 @@ class SurveyFrame:
         code = np.full(n_comp + 1, -1, dtype=np.intp)
         code[by_id] = np.arange(n_comp)
         n = len(passes)
-        comp = code[passes.component]
-        day_values, day = _ranks(passes.day_id)
-        _, pass_rank = _ranks(passes.pass_index)
+        comp, day, pass_rank = code[passes.component], passes.day, passes.pass_rank
         # each pass's component-day (cd), numbered in (component, day) order,
         # then the canonical (component, day, pass) order.  Two sorts, as
         # coding (component, day) first keeps each packed key below n**2; one
@@ -296,7 +306,7 @@ class SurveyFrame:
             cid = passes.component_id[first]
             if comp[first] < 0:
                 raise FrameError(f"pass references unknown component {cid!r}")
-            key = (cid, passes.day_id[first], passes.pass_index[first])
+            key = (cid, passes.day_values[day[first]], passes.pass_values[pass_rank[first]])
             raise FrameError(f"duplicate pass key {key}")
         # the first registry row of an unknown stratum or without passes
         s_index = {name: s for s, name in enumerate(strata)}
@@ -350,7 +360,7 @@ class SurveyFrame:
         set_("_ids", ids)
         set_("_code", code[:n_comp])
         set_("_comp_stratum", stratum)
-        set_("_day_values", day_values)
+        set_("_day_values", passes.day_values)
         set_("_cd", (cd_comp, cd_day, cd_q, cd_detected))
         self._index_units(stratum, fac, sites, cd_comp, cd_day, cd_q, cd_detected, det_cd)
 
@@ -414,6 +424,11 @@ class SurveyFrame:
                 raise FrameError(f"well components at site {name!r} span multiple strata")
             raise FrameError(f"well detections at site {name!r} but wells_at_site=0")
         kept = np.flatnonzero(~idle)
+        n_members = n_plain + sum(site_wells[kept].tolist())
+        if n_members > MAX_MEMBERS:
+            raise FrameError(f"the registry gives {n_members} stage I members (the wells of each "
+                             f"well site, one per other component); at most {MAX_MEMBERS} "
+                             "are allowed")
         unit_wells = np.concatenate([np.zeros(n_plain, dtype=np.intp),
                                      site_wells[kept].astype(np.intp)])
         n_units = len(unit_wells)
@@ -627,12 +642,73 @@ def _check_header(got: list[str] | None, want: list[str], path: str):
         raise FrameError(f"{path}: expected header {','.join(want)!r}, got {got!r}")
 
 
-# Rows are read this many at a time.  `csv.reader` makes each row a list,
-# which CPython's cyclic garbage collector tracks; holding a whole file's rows
-# at once made loading a log of a few hundred rows or more start collections,
-# full ones included, whose cost grows with everything else on the heap.
-# Well under the 700 tracked allocations that start a young collection.
+# Rows are read this many at a time.  A row is a list, which CPython's cyclic
+# garbage collector tracks; holding a whole file's rows at once made loading a
+# log of a few hundred rows or more start collections, full ones included,
+# whose cost grows with everything else on the heap.  Well under the 700
+# tracked allocations that start a young collection.
 BLOCK_ROWS = 128
+
+
+def _block_columns(rows, width: int) -> tuple[list[str] | None, list[list[str]], int | None]:
+    """(the first of ``rows``, the columns of the rest, the width of the first
+    of those that is not ``width`` fields wide or None), reading the rows a
+    block at a time.
+
+    The columns stop before that row.  The rows are still read to their end,
+    so a file that cannot be decoded or parsed anywhere fails with "cannot
+    parse" before any header or row fault.
+    """
+    columns = [[] for _ in range(width)]
+    bad_width = None
+    header = next(rows, None)
+    while block := list(itertools.islice(rows, BLOCK_ROWS)):
+        if bad_width is None:
+            widths = list(map(len, block))
+            if widths.count(width) != len(widths):
+                k = next(k for k, w in enumerate(widths) if w != width)
+                bad_width = widths[k]
+                del block[k:]
+            for column, values in zip(columns, zip(*block)):
+                column += values
+        del block       # before the next block is read
+    return header, columns, bad_width
+
+
+def _split_columns(data: bytes, width: int):
+    """`_block_columns` of a plain CSV file's bytes, with `str.split` for
+    `csv.reader`; None for any other file.
+
+    A plain file's rows are exactly the ones `csv.reader` gives.  Its bytes
+    decode; it holds no quote (the one character besides the comma and the
+    line ends that the default dialect reads specially) and no NUL (which
+    Python 3.10's reader refuses); its lines all end in LF, or all in CRLF
+    with no other CR or LF; no line is longer than a field may be; and its
+    header and at least one body row are all ``width`` fields wide, which
+    also rules out a blank line (`csv.reader` gives it no field).
+    """
+    try:
+        # utf-8-sig: a leading byte-order mark (Excel's "CSV UTF-8") is not
+        # part of the first header field
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    del data
+    # CRLF line ends if there is a CR: any other CR or LF stays inside a line
+    lines = text.split("\r\n" if "\r" in text else "\n")
+    del text
+    if not lines[-1]:
+        lines.pop()     # after the last line end
+    rest = "".join(lines)
+    if (any(char in rest for char in '"\0\r\n') or len(lines) < 2
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    del rest
+    header, columns, bad_width = _block_columns(
+        map(str.split, lines, itertools.repeat(",")), width)
+    if len(header) != width or bad_width is not None:
+        return None
+    return header, columns, None
 
 
 def _read_columns(path, want: list[str]) -> tuple[list[list[str]], _FirstFault]:
@@ -640,30 +716,19 @@ def _read_columns(path, want: list[str]) -> tuple[list[list[str]], _FirstFault]:
     `_FirstFault` of its rows, which holds the field-count fault of the
     first body row of another width, if any.
 
-    The columns stop before that row.  The file is still read to its end, so
-    a file that cannot be decoded or parsed anywhere fails with "cannot
-    parse" before any header or row fault.
+    A plain file (`_split_columns`) is split with `str.split`.  Any other
+    file is read again through `csv.reader`, which names every fault of its
+    text, each as the row-by-row reader meets it first.
     """
-    columns = [[] for _ in want]
-    bad_width = None
-    # utf-8-sig: a leading byte-order mark (Excel's "CSV UTF-8") is not part
-    # of the first header field
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            while block := list(itertools.islice(reader, BLOCK_ROWS)):
-                if bad_width is None:
-                    widths = list(map(len, block))
-                    if widths.count(len(want)) != len(widths):
-                        k = next(k for k, w in enumerate(widths) if w != len(want))
-                        bad_width = widths[k]
-                        del block[k:]
-                    for column, values in zip(columns, zip(*block)):
-                        column += values
-                del block       # before the next block is read
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FrameError(f"{path}: cannot parse: {exc}") from None
+    with open(path, "rb") as fh:
+        split = _split_columns(fh.read(), len(want))
+    if split is None:
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                split = _block_columns(csv.reader(fh), len(want))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FrameError(f"{path}: cannot parse: {exc}") from None
+    header, columns, bad_width = split
     if header is None:
         raise FrameError(f"{path}: empty file")
     _check_header(header, want, str(path))
@@ -784,12 +849,25 @@ class _FirstFault:
             self.fail(row, message(row, texts[k]))
         return values
 
+    def parse_distinct(self, texts, convert, message) -> dict:
+        """`parse` of a column with few distinct texts, each converted once, in
+        the order of their first rows: text -> value, up to the first rejected."""
+        distinct = list(dict.fromkeys(texts))
+        return dict(zip(distinct, self.parse(distinct, convert,
+                                             lambda k: texts.index(distinct[k]), message)))
+
     def parse_repeated(self, texts, convert, message) -> list:
-        """`parse` of a column with few distinct texts: each is converted once."""
-        distinct = list(dict.fromkeys(texts))   # in the order of their first rows
-        values = dict(zip(distinct, self.parse(distinct, convert,
-                                               lambda k: texts.index(distinct[k]), message)))
-        return list(map(values.get, texts))
+        """`parse_distinct` as each row's value, None past the first rejected text."""
+        return list(map(self.parse_distinct(texts, convert, message).get, texts))
+
+    def ranks(self, texts, convert, message) -> tuple[list, np.ndarray]:
+        """`parse_distinct` as (the distinct values in ascending order, each
+        row's place among them, -1 past the first rejected text)."""
+        values = self.parse_distinct(texts, convert, message)
+        ordered, rank = _ranks(list(values.values()))
+        code = dict(zip(values, rank.tolist()))
+        return ordered, np.fromiter(map(code.get, texts, itertools.repeat(-1)), np.intp,
+                                    len(texts))
 
     def raise_first(self):
         if self.message is not None:
@@ -835,37 +913,50 @@ def read_passes(path, registry: ComponentColumns) -> PassColumns:
                     rows=miss)
     detected_mask = fault.flags(cols[6], "detected")
     detected = detected_mask.tolist()
-    for col, name, _ in MEASUREMENTS:
-        filled = list(map(bool, map(str.strip, cols[col])))
-        if filled != detected:
-            fault.check(np.not_equal(filled, detected), lambda i, name=name: (
-                f"detected pass with empty {name}" if detected[i]
-                else f"non-detected pass must leave {name} empty"))
-
     at = np.flatnonzero(detected_mask)      # the detected rows
     measured = {}
+    for col, _, key in MEASUREMENTS:
+        try:
+            measured[key] = np.fromiter(map(float, itertools.compress(cols[col], detected)),
+                                        float, len(at))
+        except ValueError:
+            measured[key] = None
+    # a detected row's blank field fails its parse, so a presence check can
+    # fail only if a parse failed or a non-detected row's text is not blank
+    idle = (~detected_mask).tolist()
+    if (any(values is None for values in measured.values())
+            or any(map(str.strip, set().union(*(itertools.compress(cols[col], idle)
+                                                for col, _, _ in MEASUREMENTS))))):
+        for col, name, _ in MEASUREMENTS:
+            filled = list(map(bool, map(str.strip, cols[col])))
+            if filled != detected:
+                fault.check(np.not_equal(filled, detected), lambda i, name=name: (
+                    f"detected pass with empty {name}" if detected[i]
+                    else f"non-detected pass must leave {name} empty"))
+
     for col, name, key in MEASUREMENTS:
         texts = cols[col]
-        values = np.array(fault.parse(
-            list(itertools.compress(texts, detected)), float, at.__getitem__,
-            lambda row, text, name=name: f"cannot parse {name} from {text!r}"))
-        fault.check(~np.isfinite(values),
+        if measured[key] is None:
+            measured[key] = np.array(fault.parse(
+                list(itertools.compress(texts, detected)), float, at.__getitem__,
+                lambda row, text, name=name: f"cannot parse {name} from {text!r}"))
+        fault.check(~np.isfinite(measured[key]),
                     lambda i, name=name, texts=texts: f"{name} must be finite, got {texts[i]!r}",
                     rows=at)
-        measured[key] = values
-    days = fault.parse_repeated(cols[4], int,
-                                lambda row, text: f"cannot parse day from {text!r}")
-    pass_index = fault.parse_repeated(cols[5], int,
-                                      lambda row, text: f"cannot parse pass from {text!r}")
+    day_values, day = fault.ranks(cols[4], int,
+                                  lambda row, text: f"cannot parse day from {text!r}")
+    pass_values, pass_rank = fault.ranks(cols[5], int,
+                                         lambda row, text: f"cannot parse pass from {text!r}")
     for bad, need in ((measured["measured_rate"] <= 0, "measured_rate > 0"),
                       (measured["wind_speed"] < 0, "wind_speed >= 0"),
                       (measured["altitude"] <= 0, "altitude > 0")):
         fault.check(bad, lambda i, need=need: (
-            f"pass ({cids[i]}, {days[i]}, {pass_index[i]}): detected pass needs a finite {need}"),
-            rows=at)
+            f"pass ({cids[i]}, {day_values[day[i]]}, {pass_values[pass_rank[i]]}): "
+            f"detected pass needs a finite {need}"), rows=at)
     fault.raise_first()
-    return PassColumns(component_id=cids, component=component, day_id=days,
-                       pass_index=pass_index, detected=detected_mask, **measured)
+    return PassColumns(component_id=cids, component=component, day_values=day_values, day=day,
+                       pass_values=pass_values, pass_rank=pass_rank, detected=detected_mask,
+                       **measured)
 
 
 def load_survey(passes_path, frame_path, strata_path) -> SurveyFrame:

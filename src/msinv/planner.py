@@ -356,7 +356,8 @@ def gamma_table(
     c = frame.passes
     # the detected passes in log order, which sets the order of each product;
     # their PODs in one array call, as the estimate computes them
-    detected = itertools.compress(zip(c.component_id, c.day_id), c.detected.tolist())
+    days = map(c.day_values.__getitem__, c.day.tolist())
+    detected = itertools.compress(zip(c.component_id, days), c.detected.tolist())
     phis = pod(bias_correct(c.measured_rate, measurement), c.altitude, c.wind_speed, pod_params)
     fac_of = dict(zip(frame.registry.component_id, frame.registry.facility_id))
     fac_day_phis: dict[tuple[str, int], list[float]] = {}

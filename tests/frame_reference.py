@@ -30,6 +30,7 @@ import numpy as np
 from msinv.frame import (
     FRAME_HEADER, PASSES_HEADER, REALISTIC_MAX_PASSES, STRATA_HEADER, ComponentColumns,
     ComponentRef, FrameError, PassColumns, StratumDef, SurveyFrame, UnitIndex, _check_header,
+    _ranks,
 )
 
 
@@ -94,11 +95,12 @@ def columns_from_passes(passes, registry: ComponentColumns) -> PassColumns:
     fields; each pass's registry row is found by its component id."""
     row = {cid: r for r, cid in enumerate(registry.component_id)}
     detected = [p for p in passes if p.detected]
+    day_values, day = _ranks([p.day_id for p in passes])
+    pass_values, pass_rank = _ranks([p.pass_index for p in passes])
     return PassColumns(
         component_id=[p.component_id for p in passes],
         component=np.array([row.get(p.component_id, -1) for p in passes], dtype=np.intp),
-        day_id=[p.day_id for p in passes],
-        pass_index=[p.pass_index for p in passes],
+        day_values=day_values, day=day, pass_values=pass_values, pass_rank=pass_rank,
         detected=np.array([p.detected for p in passes], dtype=bool),
         measured_rate=np.array([p.measured_rate for p in detected], dtype=float),
         wind_speed=np.array([p.wind_speed for p in detected], dtype=float),
@@ -127,10 +129,11 @@ def log_records(frame: SurveyFrame) -> tuple[Pass, ...]:
     """The frame's passes in log order, as records."""
     c = frame.passes
     measured = zip(c.measured_rate.tolist(), c.wind_speed.tolist(), c.altitude.tolist())
+    days = map(c.day_values.__getitem__, c.day.tolist())
+    pass_indices = map(c.pass_values.__getitem__, c.pass_rank.tolist())
     return tuple(
         Pass(cid, day, q, True, *next(measured)) if det else Pass(cid, day, q, False)
-        for cid, day, q, det in zip(c.component_id, c.day_id, c.pass_index,
-                                    c.detected.tolist())
+        for cid, day, q, det in zip(c.component_id, days, pass_indices, c.detected.tolist())
     )
 
 

@@ -304,6 +304,30 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path / "out")) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("wells", [frame_module.MAX_MEMBERS, frame_module.MAX_MEMBERS + 1,
+                                       10**13])
+    def test_stage1_members_over_the_bound_are_2(self, tmp_path, capsys, wells):
+        # one well site of ``wells`` wells, each a stage I member; at 10**13
+        # its per-member arrays would take tens of TiB
+        p = tmp_path / "p.csv"
+        f = tmp_path / "f.csv"
+        s = tmp_path / "s.csv"
+        p.write_text(PASSES_HEADER + "\nw1,f1,s1,Wells,1,1,1,50.0,3.0,150\n")
+        f.write_text(FRAME_HEADER + f"\nw1,f1,s1,Wells,1,{wells}\n")
+        s.write_text(STRATA_HEADER + f"\nWells,{wells},{wells}\n")
+        capsys.readouterr()
+        code = run("estimate", "--passes", str(p), "--frame", str(f), "--strata", str(s),
+                   "--out-dir", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        if wells == frame_module.MAX_MEMBERS:
+            assert code == 0
+            return
+        assert code == 2
+        assert err == (f"msinv: input error: the registry gives {wells} stage I members (the "
+                       "wells of each well site, one per other component); at most "
+                       f"{frame_module.MAX_MEMBERS} are allowed\n")
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_rate_is_2(self, tmp_path):
         p = tmp_path / "p.csv"
         f = tmp_path / "f.csv"

@@ -4,13 +4,17 @@ Hypothesis writes pass logs shaped like real surveys (well sites, shuffled
 rows, whitespace around fields, huge and negative day numbers) and injects
 faults into some, in the pass log, the registry or the strata table.  Each
 draw also picks how many rows the loader reads at a time, down to one, so
-that faults land on the edges of its blocks.  Both loaders must then raise
-the same `FrameError` message and warn the same way, and on a valid log
-every view of the frame must equal the reference's.
+that faults land on the edges of its blocks, and how the files are written:
+`csv.writer`'s defaults or LF line ends, which the loader splits with
+`str.split` unless a fault makes the file other than plain, or every field
+quoted, which it reads with `csv.reader`.  Both loaders must then raise the
+same `FrameError` message and warn the same way, and on a valid log every
+view of the frame must equal the reference's.
 """
 
 import csv
 import dataclasses
+import io
 import tempfile
 import warnings
 from pathlib import Path
@@ -18,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from frame_reference import (
@@ -66,6 +70,10 @@ BAD_SIZES = st.sampled_from([("3", "2"), ("0", "4"), ("-1", "4")])
 # n_population past the largest intp
 HUGE_POPULATION = st.sampled_from([str(2**63), str(10**30)])
 BLOCK_SIZE = st.sampled_from(BLOCK_SIZES)
+# how `write_survey` writes each file: `csv.writer`'s defaults (CRLF, quotes
+# only where needed), "\n" line ends, or every field quoted
+FORMS = ("default", "lf", "quote-all")
+FORM = st.sampled_from(FORMS)
 
 
 def padded(draw, text: str) -> str:
@@ -205,13 +213,18 @@ def inject_registry(draw, fault, strata, registry):
             draw(st.sampled_from(others))[5] = "8" if row[5].strip() == "9" else "9"
 
 
-def write_survey(directory: Path, strata, registry, passes):
+WRITER_OPTIONS = {"default": {}, "lf": {"lineterminator": "\n"},
+                  "quote-all": {"quoting": csv.QUOTE_ALL}}
+
+
+def write_survey(directory: Path, strata, registry, passes, form="default"):
+    """The three files of a survey, each written in ``form`` (see `FORMS`)."""
     paths = {"passes": directory / "passes.csv", "frame": directory / "frame.csv",
              "strata": directory / "strata.csv"}
     for key, header, rows in (("passes", PASSES_HEADER, passes), ("frame", FRAME_HEADER, registry),
                               ("strata", STRATA_HEADER, strata)):
         with open(paths[key], "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
+            w = csv.writer(fh, **WRITER_OPTIONS[form])
             w.writerow(header)
             w.writerows(rows)
     return paths["passes"], paths["frame"], paths["strata"]
@@ -258,11 +271,11 @@ def blocks_of(rows: int):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(surveys(), BLOCK_SIZE)
-def test_column_loader_matches_the_row_reference(survey, block_rows):
+@given(surveys(), BLOCK_SIZE, FORM)
+def test_column_loader_matches_the_row_reference(survey, block_rows, form):
     strata, registry, passes, _ = survey
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_survey(Path(tmp), strata, registry, passes)
+        paths = write_survey(Path(tmp), strata, registry, passes, form)
         with blocks_of(block_rows):
             frame, error, warned = outcome(load_survey, paths)
         ref, ref_error, ref_warned = outcome(load_reference, paths)
@@ -294,12 +307,13 @@ def test_the_edge_case_survey_matches_the_row_reference():
 
 
 def fault_outcomes(faults, block_rows, draw):
-    """Both loaders' (error, warnings) on the packaged subset with ``faults`` injected."""
+    """Both loaders' (error, warnings) on the packaged subset with ``faults``
+    injected, written in a drawn form."""
     strata, registry, passes = ([list(row) for row in rows] for rows in SUBSET)
     for fault in faults:
         inject(draw, fault, strata, registry, passes)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_survey(Path(tmp), strata, registry, passes)
+        paths = write_survey(Path(tmp), strata, registry, passes, draw(FORM))
         with blocks_of(block_rows):
             _, error, warned = outcome(load_survey, paths)
         _, ref_error, ref_warned = outcome(load_reference, paths)
@@ -419,9 +433,12 @@ def test_an_unparseable_end_is_named_before_an_earlier_wrong_field_count(tmp_pat
         assert error == outcome(load_reference, paths)[1]
 
 
-def test_at_most_one_block_of_rows_is_held_at_once(monkeypatch):
-    """Every row `csv.reader` gives is counted while it lives: the loader must
-    let go of each block before it reads the next, keeping only the header."""
+@pytest.mark.parametrize("form", ["packaged", "quote-all"])
+def test_at_most_one_block_of_rows_is_held_at_once(monkeypatch, tmp_path, form):
+    """Every row the block loop reads is counted while it lives: the loader must
+    let go of each block before it reads the next, keeping only the header.
+    The packaged subset is plain and is split with `str.split`; a copy with
+    every field quoted is read with `csv.reader`."""
     live = [0, 0]       # rows alive now, the most alive at once
 
     class Row(list):
@@ -433,12 +450,80 @@ def test_at_most_one_block_of_rows_is_held_at_once(monkeypatch):
         def __del__(self):
             live[0] -= 1
 
-    reader = csv.reader
-    monkeypatch.setattr(csv, "reader", lambda *args, **kw: map(Row, reader(*args, **kw)))
+    block_columns, reader, readers = frame_module._block_columns, csv.reader, []
+    monkeypatch.setattr(frame_module, "_block_columns",
+                        lambda rows, width: block_columns(map(Row, rows), width))
+    monkeypatch.setattr(csv, "reader", lambda *args, **kw: readers.append(args) or reader(
+        *args, **kw))
     block_rows = 16
-    paths = packaged_subset_paths()
+    paths = (packaged_subset_paths() if form == "packaged"
+             else write_survey(tmp_path, *SUBSET, form="quote-all"))
     assert len(SUBSET[1]) >= 10 * block_rows and len(SUBSET[2]) >= 10 * block_rows
     with blocks_of(block_rows):
         frame = load_survey(*paths)
     assert len(frame.passes) == len(SUBSET[2])
     assert live == [0, block_rows + 1]
+    assert len(readers) == (0 if form == "packaged" else 3)
+
+
+# `_split_columns`' texts: rows of `WIDTH` fields of letters and spaces, into
+# which one of the characters the two tokenizers may differ on is put now and then
+WIDTH = 3
+FIELD = st.text(st.sampled_from(["a", "B", "é", "ж", " "]), max_size=3)
+ROWS = st.lists(st.lists(FIELD, min_size=WIDTH, max_size=WIDTH), max_size=6)
+SPECIAL = st.sampled_from([",", '"', "\r", "\n", "\r\n", "\0", "\ufeff"])
+LINE_END = st.sampled_from(["\n", "\r\n"])
+BOM = st.sampled_from(["", "\ufeff"])
+LIMIT = csv.field_size_limit()
+LONG_LINE = "x" * (LIMIT - 2) + ",,"    # a line of exactly the field size limit
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text of one kind of line end, with or without a byte-order
+    mark and a final line end, and at most one special character."""
+    end = draw(LINE_END)
+    text = end.join(map(",".join, draw(ROWS))) + draw(st.sampled_from(["", end]))
+    if draw(COIN):
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(SPECIAL) + text[k:]
+    return draw(BOM) + text
+
+
+def reader_rows(data: bytes) -> list[list[str]]:
+    """`csv.reader`'s rows of ``data``, decoded as `frame._read_columns` decodes a file."""
+    return list(csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")))
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_texts() | st.text(st.sampled_from(
+    [",", '"', "\r", "\n", " ", "\0", "\ufeff", "é", "ж", "a", "B"])), BLOCK_SIZE)
+@example("a,b,c\r\nd, e ,f\r\n", 128).via("CRLF")
+@example("a,b,c\rd,e,f\r", 128).via("lone CR")
+@example("a,b,c\r\nd,e,f\ng,h,i\r\n", 128).via("a bare LF in a CRLF file")
+@example("a,b,c\n\nd,e,f\n", 128).via("a blank line")
+@example("a,b,c\nd,e,f\n\n", 128).via("a trailing blank line")
+@example("a,b,c\nd,e,f", 128).via("no final line end")
+@example("a,b,c\n", 128).via("a header only")
+@example(f"a,b,c\n{LONG_LINE}\n", 128).via("a line at the field size limit")
+@example(f"a,b,c\nx{LONG_LINE}\n", 128).via("a line over the field size limit")
+@example(f"a,b,c\n{'x' * (LIMIT + 1)},,\n", 128).via("a field over the field size limit")
+def test_the_split_tokenizer_gives_what_csv_reader_gives(text, block_rows):
+    """`_split_columns` declines a text, or gives exactly `csv.reader`'s
+    header and columns, which then are all `WIDTH` fields wide."""
+    data = text.encode()
+    with blocks_of(block_rows):
+        got = frame_module._split_columns(data, WIDTH)
+    if got is not None:
+        header, columns, bad_width = got
+        assert bad_width is None
+        assert [header, *map(list, zip(*columns))] == reader_rows(data)
+
+
+@pytest.mark.parametrize("text", [
+    "a,b,c\r\nd, e ,f\r\n", "\ufeffa,b,c\nd,é,\n", "a,b,c\r\nd,e,f", f"a,b,c\n{LONG_LINE}\n",
+], ids=["CRLF", "LF-and-BOM", "no-final-line-end", "line-at-the-limit"])
+def test_plain_texts_are_split(text):
+    data = text.encode()
+    header, columns, _ = frame_module._split_columns(data, WIDTH)
+    assert [header, *map(list, zip(*columns))] == reader_rows(data)

@@ -7,7 +7,9 @@ a directory of its own under a temporary one, and prints one
 ``name`` is ``<command label>/<file>``.  Before a file is hashed, the
 checkout root and the temporary directory are replaced by fixed
 placeholders in it, so that two checkouts that write the same artifacts
-print the same lines.  Diff the output of two checkouts to see which
+print the same lines.  A command's argument may name ``{work}``, the
+temporary directory, where `digests` first writes the inputs of
+`quote_edge_survey`.  Diff the output of two checkouts to see which
 artifacts changed:
 
     python3 tools/artifact_digests.py > before.txt    # in one checkout
@@ -20,7 +22,9 @@ naming on stderr every artifact whose bytes changed, if a rerun does not give
 back exactly the first run's files.
 """
 
+import codecs
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -36,8 +40,12 @@ from msinv.datasets import packaged_subset_paths  # noqa: E402
 
 TIMESTAMP = "2000-01-01T00:00:00"
 PASSES, REGISTRY, _ = packaged_subset_paths()
-EDGE_SURVEY = [arg for key in ("passes", "frame", "strata") for arg in (
+SURVEY_FILES = ("passes", "frame", "strata")
+EDGE_SURVEY = [arg for key in SURVEY_FILES for arg in (
     f"--{key}", str(ROOT / "tests" / "data" / "edge_survey" / f"{key}.csv"))]
+QUOTED_EDGE = "quoted-edge-survey"     # `quote_edge_survey`'s directory under the work one
+QUOTED_EDGE_SURVEY = [arg for key in SURVEY_FILES for arg in (
+    f"--{key}", f"{{work}}/{QUOTED_EDGE}/{key}.csv")]
 COMMANDS = (
     ("estimate", ["estimate", "--packaged"]),
     # one Monte Carlo variant over three chunks, on one thread
@@ -76,6 +84,10 @@ COMMANDS = (
     # component and registry rows out of id order
     ("edge-estimate-all", ["estimate", *EDGE_SURVEY, "--all-variants", "--mc-iters", "50"]),
     ("edge-diagnose", ["diagnose", *EDGE_SURVEY]),
+    # the same survey with every field quoted and "\n" line ends, which the
+    # loader reads with csv.reader rather than splitting each line at commas
+    ("quoted-edge-estimate-all", ["estimate", *QUOTED_EDGE_SURVEY, "--all-variants",
+                                  "--mc-iters", "50"]),
     # the packaged passes and registry with 4e9 facilities in one stratum,
     # where N(N-1) is past the int64 range
     ("estimate-big-stratum", ["estimate", "--passes", str(PASSES), "--frame", str(REGISTRY),
@@ -91,8 +103,22 @@ COMMANDS = (
 STALE = b"\nstale bytes of an earlier, longer artifact\n" * 64
 
 
+def quote_edge_survey(directory: Path):
+    """Write the edge-case survey's files into ``directory`` with every field
+    quoted and LF line ends, each with the byte-order mark it has."""
+    directory.mkdir()
+    for key in SURVEY_FILES:
+        data = (ROOT / "tests" / "data" / "edge_survey" / f"{key}.csv").read_bytes()
+        encoding = "utf-8-sig" if data.startswith(codecs.BOM_UTF8) else "utf-8"
+        rows = list(csv.reader(io.StringIO(data.decode(encoding), newline="")))
+        with open(directory / f"{key}.csv", "w", newline="", encoding=encoding) as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+
+
 def run(argv: list[str], out: Path):
-    """Run ``msinv argv`` in-process, its outputs under ``out``; exit if it fails."""
+    """Run ``msinv argv`` in-process, its outputs under ``out`` and ``{work}``
+    its parent; exit if it fails."""
+    argv = [arg.replace("{work}", str(out.parent)) for arg in argv]
     where = ["--out", str(out / "plan.csv")] if argv[0] == "plan" else ["--out-dir", str(out)]
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([*argv, *where])
@@ -110,6 +136,7 @@ def digests(workdir: Path, commands=COMMANDS) -> list[str]:
     """Run ``commands`` under ``workdir``; one ``sha256  name`` line per artifact."""
     lines = []
     placeholders = ((str(ROOT).encode(), b"<checkout>"), (str(workdir).encode(), b"<out>"))
+    quote_edge_survey(workdir / QUOTED_EDGE)
     for label, argv in commands:
         run(argv, workdir / label)
         for name, data in artifacts(workdir / label).items():
