@@ -5,8 +5,8 @@ table), validated for referential integrity, and frozen.  Non-detected passes
 are kept: they carry no measurement fields but they set the per-day pass
 count that every estimator divides by.
 
-Each file is read a block of rows at a time into columns (see `BLOCK_ROWS`),
-a plain file's lines split at commas and any other file's rows read with
+Each file is read a row at a time into columns (`_row_fields`), a plain
+file's lines split at commas and any other file's rows read with
 `csv.reader` (`_split_columns`), and checked a column at a time, naming the
 fault a row-by-row reader would meet first (`_FirstFault`).  The registry and the pass log are held as
 columns (`ComponentColumns`, `PassColumns`); one lookup gives each pass its
@@ -642,41 +642,31 @@ def _check_header(got: list[str] | None, want: list[str], path: str):
         raise FrameError(f"{path}: expected header {','.join(want)!r}, got {got!r}")
 
 
-# Rows are read this many at a time.  A row is a list, which CPython's cyclic
-# garbage collector tracks; holding a whole file's rows at once made loading a
-# log of a few hundred rows or more start collections, full ones included,
-# whose cost grows with everything else on the heap.  Well under the 700
-# tracked allocations that start a young collection.
-BLOCK_ROWS = 128
+def _row_fields(rows, width: int) -> tuple[list[str] | None, list[str], int | None]:
+    """(the first of ``rows``, the fields of the rest end to end, the width of
+    the first of those that is not ``width`` fields wide or None).
 
-
-def _block_columns(rows, width: int) -> tuple[list[str] | None, list[list[str]], int | None]:
-    """(the first of ``rows``, the columns of the rest, the width of the first
-    of those that is not ``width`` fields wide or None), reading the rows a
-    block at a time.
-
-    The columns stop before that row.  The rows are still read to their end,
-    so a file that cannot be decoded or parsed anywhere fails with "cannot
-    parse" before any header or row fault.
+    The fields stop before that row.  Each row is let go of once the next is
+    read: a row is a list, which CPython's cyclic garbage collector tracks,
+    and holding a whole file's rows at once made loading a log of a few
+    hundred rows or more start collections, full ones included.  The rows are
+    still read to their end, so a file that cannot be decoded or parsed
+    anywhere fails with "cannot parse" before any header or row fault.
     """
-    columns = [[] for _ in range(width)]
-    bad_width = None
     header = next(rows, None)
-    while block := list(itertools.islice(rows, BLOCK_ROWS)):
-        if bad_width is None:
-            widths = list(map(len, block))
-            if widths.count(width) != len(widths):
-                k = next(k for k, w in enumerate(widths) if w != width)
-                bad_width = widths[k]
-                del block[k:]
-            for column, values in zip(columns, zip(*block)):
-                column += values
-        del block       # before the next block is read
-    return header, columns, bad_width
+    fields, bad_width = [], None
+    for row in rows:
+        if len(row) != width:
+            bad_width = len(row)
+            break
+        fields += row
+    for _ in rows:      # to the end, where a parse fault may lie
+        pass
+    return header, fields, bad_width
 
 
 def _split_columns(data: bytes, width: int):
-    """`_block_columns` of a plain CSV file's bytes, with `str.split` for
+    """`_row_fields` of a plain CSV file's bytes, with `str.split` for
     `csv.reader`; None for any other file.
 
     A plain file's rows are exactly the ones `csv.reader` gives.  Its bytes
@@ -704,11 +694,11 @@ def _split_columns(data: bytes, width: int):
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
     del rest
-    header, columns, bad_width = _block_columns(
+    header, fields, bad_width = _row_fields(
         map(str.split, lines, itertools.repeat(",")), width)
     if len(header) != width or bad_width is not None:
         return None
-    return header, columns, None
+    return header, fields, None
 
 
 def _read_columns(path, want: list[str]) -> tuple[list[list[str]], _FirstFault]:
@@ -725,17 +715,19 @@ def _read_columns(path, want: list[str]) -> tuple[list[list[str]], _FirstFault]:
     if split is None:
         try:
             with open(path, newline="", encoding="utf-8-sig") as fh:
-                split = _block_columns(csv.reader(fh), len(want))
+                split = _row_fields(csv.reader(fh), len(want))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise FrameError(f"{path}: cannot parse: {exc}") from None
-    header, columns, bad_width = split
+    header, fields, bad_width = split
     if header is None:
         raise FrameError(f"{path}: empty file")
     _check_header(header, want, str(path))
+    width = len(want)
+    columns = [fields[c::width] for c in range(width)]
     n = len(columns[0])
     fault = _FirstFault(str(path), n + 1)   # row n: the first of another width, if any
     if bad_width is not None:
-        fault.fail(n, f"expected {len(want)} fields, got {bad_width}")
+        fault.fail(n, f"expected {width} fields, got {bad_width}")
     return columns, fault
 
 

@@ -124,6 +124,9 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 <= self.emit_prob <= 1.0:
             raise ValueError("emit_prob must lie in [0, 1]")
+        if any(p < 0 for p in self.passes_pmf.values()):
+            raise ValueError(f"passes_pmf must hold no negative probability, got "
+                             f"{min(self.passes_pmf.values())}")
         if abs(sum(self.passes_pmf.values()) - 1.0) > 1e-9:
             raise ValueError("passes_pmf must sum to 1")
         if any(not 1 <= k <= MAX_PASSES for k in self.passes_pmf):
@@ -133,6 +136,9 @@ class SimConfig:
         for key in ("wind_sd", "altitude_sd"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if len(self.components_per_facility) != 2:
+            raise ValueError("components_per_facility must be [low, high], got "
+                             f"{list(self.components_per_facility)}")
         lo, hi = self.components_per_facility
         if not 1 <= lo <= hi:
             raise ValueError("bad components_per_facility range")

@@ -742,6 +742,19 @@ class TestSimulate:
         assert f"{key} must be >= 0, got -0.5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("passes_pmf", {"1": 1.5, "2": -0.5}, "passes_pmf must hold no negative probability, "
+                                              "got -0.5"),
+        ("components_per_facility", [3], "components_per_facility must be [low, high], got [3]"),
+        ("components_per_facility", [1, 2, 3], "components_per_facility must be [low, high], "
+                                               "got [1, 2, 3]"),
+    ], ids=["negative-pass-probability", "one-component-bound", "three-component-bounds"])
+    def test_a_malformed_population_shape_is_4_and_named(self, tmp_path, capsys, key, value,
+                                                         message):
+        # a valid sum, or a count per item, passes the JSON reader
+        assert assert_rejected(tmp_path, capsys, "simulate", dict(SIM_CONFIG, **{key: value})) == (
+            f"msinv: configuration error: {message}\n")
+
     def test_quoted_numbers_load(self, tmp_path):
         cfg = {
             "strata": [{"name": "A", "n_sampled": "3", "n_population": 5,

@@ -1,15 +1,14 @@
-"""The block-reading column loader against the row-by-row reference loader.
+"""The column loader against the row-by-row reference loader.
 
 Hypothesis writes pass logs shaped like real surveys (well sites, shuffled
 rows, whitespace around fields, huge and negative day numbers) and injects
 faults into some, in the pass log, the registry or the strata table.  Each
-draw also picks how many rows the loader reads at a time, down to one, so
-that faults land on the edges of its blocks, and how the files are written:
-`csv.writer`'s defaults or LF line ends, which the loader splits with
-`str.split` unless a fault makes the file other than plain, or every field
-quoted, which it reads with `csv.reader`.  Both loaders must then raise the
-same `FrameError` message and warn the same way, and on a valid log every
-view of the frame must equal the reference's.
+draw also picks how the files are written: `csv.writer`'s defaults or LF
+line ends, which the loader splits with `str.split` unless a fault makes the
+file other than plain, or every field quoted, which it reads with
+`csv.reader`.  Both loaders must then raise the same `FrameError` message
+and warn the same way, and on a valid log every view of the frame must
+equal the reference's.
 """
 
 import csv
@@ -18,7 +17,6 @@ import io
 import tempfile
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,9 +37,6 @@ FAULTS = ("fields", "component", "hierarchy", "flag", "presence", "number", "ran
           "registry-fields", "duplicate-component", "is-well", "wells-at-site",
           "conflicting-wells", "strata-fields", "duplicate-stratum", "strata-count",
           "strata-range", "strata-huge")
-# rows the loader reads at a time: a block of one, so every row is a block's
-# first and last, small blocks that logs of a few dozen rows span, and the default
-BLOCK_SIZES = (1, 2, 7, frame_module.BLOCK_ROWS)
 
 
 # Every strategy with fixed arguments is built once, here: building them anew
@@ -69,7 +64,6 @@ SIZE_COLUMN = st.integers(1, 2)
 BAD_SIZES = st.sampled_from([("3", "2"), ("0", "4"), ("-1", "4")])
 # n_population past the largest intp
 HUGE_POPULATION = st.sampled_from([str(2**63), str(10**30)])
-BLOCK_SIZE = st.sampled_from(BLOCK_SIZES)
 # how `write_survey` writes each file: `csv.writer`'s defaults (CRLF, quotes
 # only where needed), "\n" line ends, or every field quoted
 FORMS = ("default", "lf", "quote-all")
@@ -134,6 +128,9 @@ def inject(draw, fault, strata, registry, passes):
         inject_registry(draw, fault, strata, registry)
         return
     whole = [k for k, row in enumerate(passes) if len(row) == len(PASSES_HEADER)]
+    if fault in ("number", "range"):
+        # only a detected pass parses its measurements
+        whole = [k for k in whole if passes[k][6].strip() == "1"]
     if not whole:
         return
     i = draw(st.sampled_from(whole))
@@ -149,9 +146,9 @@ def inject(draw, fault, strata, registry, passes):
         row[6] = draw(BAD_FLAG)
     elif fault == "presence":
         row[draw(VALUE_COLUMN)] = "" if detected else "3.5"
-    elif fault == "number" and detected:
+    elif fault == "number":
         row[draw(VALUE_COLUMN)] = draw(BAD_NUMBER)
-    elif fault == "range" and detected:
+    elif fault == "range":
         col = draw(VALUE_COLUMN)
         row[col] = draw(BELOW_RANGE if col != 8 else BELOW_RANGE_WIND)
     elif fault in ("day", "pass"):
@@ -265,19 +262,13 @@ def assert_same_frame(frame: SurveyFrame, ref):
     assert {k: getattr(got, k) for k in want} == want
 
 
-def blocks_of(rows: int):
-    """The loader reading ``rows`` rows at a time."""
-    return mock.patch.object(frame_module, "BLOCK_ROWS", rows)
-
-
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(surveys(), BLOCK_SIZE, FORM)
-def test_column_loader_matches_the_row_reference(survey, block_rows, form):
+@given(surveys(), FORM)
+def test_column_loader_matches_the_row_reference(survey, form):
     strata, registry, passes, _ = survey
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_survey(Path(tmp), strata, registry, passes, form)
-        with blocks_of(block_rows):
-            frame, error, warned = outcome(load_survey, paths)
+        frame, error, warned = outcome(load_survey, paths)
         ref, ref_error, ref_warned = outcome(load_reference, paths)
     assert error == ref_error
     assert warned == ref_warned
@@ -306,7 +297,7 @@ def test_the_edge_case_survey_matches_the_row_reference():
     assert_same_frame(load_survey(*paths), load_reference(*paths))
 
 
-def fault_outcomes(faults, block_rows, draw):
+def fault_outcomes(faults, draw):
     """Both loaders' (error, warnings) on the packaged subset with ``faults``
     injected, written in a drawn form."""
     strata, registry, passes = ([list(row) for row in rows] for rows in SUBSET)
@@ -314,26 +305,25 @@ def fault_outcomes(faults, block_rows, draw):
         inject(draw, fault, strata, registry, passes)
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_survey(Path(tmp), strata, registry, passes, draw(FORM))
-        with blocks_of(block_rows):
-            _, error, warned = outcome(load_survey, paths)
+        _, error, warned = outcome(load_survey, paths)
         _, ref_error, ref_warned = outcome(load_reference, paths)
     return (error, warned), (ref_error, ref_warned)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3), BLOCK_SIZE, st.data())
-def test_faults_in_the_packaged_subset_match_the_row_reference(faults, block_rows, data):
-    got, want = fault_outcomes(faults, block_rows, data.draw)
+@given(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3), st.data())
+def test_faults_in_the_packaged_subset_match_the_row_reference(faults, data):
+    got, want = fault_outcomes(faults, data.draw)
     assert got == want
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 @settings(max_examples=1, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(BLOCK_SIZE, st.data())
-def test_each_fault_in_the_packaged_subset_matches_the_row_reference(fault, block_rows, data):
+@given(st.data())
+def test_each_fault_in_the_packaged_subset_matches_the_row_reference(fault, data):
     # every kind on every run, which the draws above, of 1-3 kinds out of
     # 24, do not ensure; each one is refused or warned about
-    got, want = fault_outcomes([fault], block_rows, data.draw)
+    got, want = fault_outcomes([fault], data.draw)
     assert got == want
     error, warned = got
     assert error is not None or warned
@@ -398,21 +388,18 @@ def test_the_first_fault_of_the_strata_table_is_named(tmp_path, fields, error):
     assert got == outcome(load_reference, paths)[1]
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 7])
-@pytest.mark.parametrize("where", ["first", "last", "later"])
+@pytest.mark.parametrize("k,later", [(1, 3), (0, 2), (4, 6), (2, 5), (1, 4), (7, 10),
+                                     (7, 15), (6, 14), (22, 30)])
 @pytest.mark.parametrize("file", ["passes", "frame"])
-def test_a_wrong_field_count_on_a_block_edge_is_named(tmp_path, file, where, block_rows):
-    """The first short row on a block's first row, on its last, or in a later block,
-    with a row of another fault a block after it."""
+def test_a_wrong_field_count_is_named_before_a_later_fault(tmp_path, file, k, later):
+    """The first short row, body row ``k``, with a row of another fault at ``later``."""
     tables = subset_tables()
     rows = tables[file]
     width = len(rows[0])
-    k = {"first": block_rows, "last": block_rows - 1, "later": 3 * block_rows + 1}[where]
     rows[k] = rows[k][:-1]
-    rows[k + block_rows + 1][0 if file == "passes" else 4] = "nope"
+    rows[later][0 if file == "passes" else 4] = "nope"
     paths = write_survey(tmp_path, tables["strata"], tables["frame"], tables["passes"])
-    with blocks_of(block_rows):
-        error = outcome(load_survey, paths)[1]
+    error = outcome(load_survey, paths)[1]
     path = paths[FILES.index(file)]
     assert error == f"{path} row {k + 2}: expected {width} fields, got {width - 1}"
     assert error == outcome(load_reference, paths)[1]
@@ -426,19 +413,17 @@ def test_an_unparseable_end_is_named_before_an_earlier_wrong_field_count(tmp_pat
     path = paths[FILES.index(file)]
     with open(path, "ab") as fh:
         fh.write(b"\xff\n")
-    for block_rows in (2, frame_module.BLOCK_ROWS):
-        with blocks_of(block_rows):
-            error = outcome(load_survey, paths)[1]
-        assert error is not None and error.startswith(f"{path}: cannot parse: ")
-        assert error == outcome(load_reference, paths)[1]
+    error = outcome(load_survey, paths)[1]
+    assert error is not None and error.startswith(f"{path}: cannot parse: ")
+    assert error == outcome(load_reference, paths)[1]
 
 
-@pytest.mark.parametrize("form", ["packaged", "quote-all"])
-def test_at_most_one_block_of_rows_is_held_at_once(monkeypatch, tmp_path, form):
-    """Every row the block loop reads is counted while it lives: the loader must
-    let go of each block before it reads the next, keeping only the header.
-    The packaged subset is plain and is split with `str.split`; a copy with
-    every field quoted is read with `csv.reader`."""
+def test_live_rows_are_bounded_whatever_the_length(monkeypatch, tmp_path):
+    """Every row the row loop reads is counted while it lives: the loader
+    holds the header, the last row read and the next, however long the file.
+    Both the packaged subset and a pass log ten times as long are loaded
+    plain, split with `str.split`, and with every field quoted, read with
+    `csv.reader`."""
     live = [0, 0]       # rows alive now, the most alive at once
 
     class Row(list):
@@ -450,20 +435,27 @@ def test_at_most_one_block_of_rows_is_held_at_once(monkeypatch, tmp_path, form):
         def __del__(self):
             live[0] -= 1
 
-    block_columns, reader, readers = frame_module._block_columns, csv.reader, []
-    monkeypatch.setattr(frame_module, "_block_columns",
-                        lambda rows, width: block_columns(map(Row, rows), width))
+    row_fields, reader, readers = frame_module._row_fields, csv.reader, []
+    monkeypatch.setattr(frame_module, "_row_fields",
+                        lambda rows, width: row_fields(map(Row, rows), width))
     monkeypatch.setattr(csv, "reader", lambda *args, **kw: readers.append(args) or reader(
         *args, **kw))
-    block_rows = 16
-    paths = (packaged_subset_paths() if form == "packaged"
-             else write_survey(tmp_path, *SUBSET, form="quote-all"))
-    assert len(SUBSET[1]) >= 10 * block_rows and len(SUBSET[2]) >= 10 * block_rows
-    with blocks_of(block_rows):
-        frame = load_survey(*paths)
-    assert len(frame.passes) == len(SUBSET[2])
-    assert live == [0, block_rows + 1]
-    assert len(readers) == (0 if form == "packaged" else 3)
+    strata, registry, passes = SUBSET
+    # the log ten times over, each copy on days of its own
+    longer = [[*row[:4], str(int(row[4]) + 1000 * copy), *row[5:]]
+              for copy in range(10) for row in passes]
+    most = []
+    for log in (passes, longer):
+        for form in ("default", "quote-all"):
+            live[:], readers[:] = [0, 0], []
+            directory = tmp_path / f"{len(log)}-{form}"
+            directory.mkdir()
+            frame = load_survey(*write_survey(directory, strata, registry, log, form))
+            assert len(frame.passes) == len(log)
+            assert live[0] == 0
+            assert len(readers) == (0 if form == "default" else 3)
+            most.append(live[1])
+    assert most == [3] * 4
 
 
 # `_split_columns`' texts: rows of `WIDTH` fields of letters and spaces, into
@@ -495,29 +487,36 @@ def reader_rows(data: bytes) -> list[list[str]]:
     return list(csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")))
 
 
+def split_rows(data: bytes) -> list[list[str]] | None:
+    """`_split_columns`' header and rows of ``data``, or None if it declines."""
+    got = frame_module._split_columns(data, WIDTH)
+    if got is None:
+        return None
+    header, fields, bad_width = got
+    assert bad_width is None
+    return [header, *(fields[i:i + WIDTH] for i in range(0, len(fields), WIDTH))]
+
+
 @settings(max_examples=500, deadline=None)
 @given(csv_texts() | st.text(st.sampled_from(
-    [",", '"', "\r", "\n", " ", "\0", "\ufeff", "é", "ж", "a", "B"])), BLOCK_SIZE)
-@example("a,b,c\r\nd, e ,f\r\n", 128).via("CRLF")
-@example("a,b,c\rd,e,f\r", 128).via("lone CR")
-@example("a,b,c\r\nd,e,f\ng,h,i\r\n", 128).via("a bare LF in a CRLF file")
-@example("a,b,c\n\nd,e,f\n", 128).via("a blank line")
-@example("a,b,c\nd,e,f\n\n", 128).via("a trailing blank line")
-@example("a,b,c\nd,e,f", 128).via("no final line end")
-@example("a,b,c\n", 128).via("a header only")
-@example(f"a,b,c\n{LONG_LINE}\n", 128).via("a line at the field size limit")
-@example(f"a,b,c\nx{LONG_LINE}\n", 128).via("a line over the field size limit")
-@example(f"a,b,c\n{'x' * (LIMIT + 1)},,\n", 128).via("a field over the field size limit")
-def test_the_split_tokenizer_gives_what_csv_reader_gives(text, block_rows):
+    [",", '"', "\r", "\n", " ", "\0", "\ufeff", "é", "ж", "a", "B"])))
+@example("a,b,c\r\nd, e ,f\r\n").via("CRLF")
+@example("a,b,c\rd,e,f\r").via("lone CR")
+@example("a,b,c\r\nd,e,f\ng,h,i\r\n").via("a bare LF in a CRLF file")
+@example("a,b,c\n\nd,e,f\n").via("a blank line")
+@example("a,b,c\nd,e,f\n\n").via("a trailing blank line")
+@example("a,b,c\nd,e,f").via("no final line end")
+@example("a,b,c\n").via("a header only")
+@example(f"a,b,c\n{LONG_LINE}\n").via("a line at the field size limit")
+@example(f"a,b,c\nx{LONG_LINE}\n").via("a line over the field size limit")
+@example(f"a,b,c\n{'x' * (LIMIT + 1)},,\n").via("a field over the field size limit")
+def test_the_split_tokenizer_gives_what_csv_reader_gives(text):
     """`_split_columns` declines a text, or gives exactly `csv.reader`'s
-    header and columns, which then are all `WIDTH` fields wide."""
+    rows, which then are all `WIDTH` fields wide."""
     data = text.encode()
-    with blocks_of(block_rows):
-        got = frame_module._split_columns(data, WIDTH)
-    if got is not None:
-        header, columns, bad_width = got
-        assert bad_width is None
-        assert [header, *map(list, zip(*columns))] == reader_rows(data)
+    rows = split_rows(data)
+    if rows is not None:
+        assert rows == reader_rows(data)
 
 
 @pytest.mark.parametrize("text", [
@@ -525,5 +524,4 @@ def test_the_split_tokenizer_gives_what_csv_reader_gives(text, block_rows):
 ], ids=["CRLF", "LF-and-BOM", "no-final-line-end", "line-at-the-limit"])
 def test_plain_texts_are_split(text):
     data = text.encode()
-    header, columns, _ = frame_module._split_columns(data, WIDTH)
-    assert [header, *map(list, zip(*columns))] == reader_rows(data)
+    assert split_rows(data) == reader_rows(data)
